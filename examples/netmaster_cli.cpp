@@ -8,6 +8,7 @@
 //
 // Policies for `evaluate`: baseline, oracle, netmaster (default),
 // delay:<seconds>, batch:<n>, delaybatch:<seconds>.
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -71,11 +72,25 @@ std::unique_ptr<policy::Policy> make_policy(const std::string& spec,
   throw Error("unknown policy spec: " + spec);
 }
 
+/// Parses a whole decimal integer in [lo, hi]; anything else (empty,
+/// trailing characters, out of range) throws with the argument's name.
+int parse_int_arg(const char* text, int lo, int hi, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    throw Error(what + " must be an integer in [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "], got '" + text + "'");
+  }
+  return static_cast<int>(value);
+}
+
 int cmd_generate(int argc, char** argv) {
   if (argc != 6) return usage();
   const auto archetype =
-      static_cast<synth::Archetype>(std::atoi(argv[2]) % 8);
-  const int days = std::atoi(argv[3]);
+      static_cast<synth::Archetype>(parse_int_arg(argv[2], 0, 7, "archetype"));
+  const int days = parse_int_arg(argv[3], 1, 3650, "days");
   const auto seed = std::strtoull(argv[4], nullptr, 10);
   const synth::UserProfile profile = synth::make_user(archetype, 1);
   const UserTrace trace = synth::generate_trace(profile, days, seed);

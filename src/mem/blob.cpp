@@ -22,6 +22,9 @@ namespace {
 constexpr std::uint32_t kBlobMagic = 0x42554D4E;     // "NMUB"
 constexpr std::uint32_t kSectionMagic = 0x52544D4E;  // "NMTR"
 constexpr std::size_t kHeaderBytes = 24;
+/// Smallest encoded trace section: four 32-bit and four 64-bit header
+/// fields (48 bytes), one name offset, padded to the next 8-byte boundary.
+constexpr std::size_t kMinSectionBytes = 56;
 constexpr std::uint8_t kFlagUserInitiated = 1;
 constexpr std::uint8_t kFlagDeferrable = 2;
 
@@ -299,6 +302,11 @@ std::vector<UserTrace> UserBlob::decode(std::span<const std::byte> bytes) {
   }
   const std::span<const std::byte> payload = bytes.subspan(kHeaderBytes);
   if (crc32(payload) != crc) fail("payload checksum mismatch");
+  // The trace count sits outside the CRC: bound it by what the payload
+  // can hold before it sizes an allocation.
+  if (trace_count > payload.size() / kMinSectionBytes) {
+    fail("trace count exceeds what the payload can hold");
+  }
 
   Reader r(payload);
   std::vector<UserTrace> traces;

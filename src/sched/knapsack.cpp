@@ -175,6 +175,46 @@ KnapResult knapsack_fptas(std::span<const KnapItem> items,
                  static_cast<double>(total_scaled + 1) <=
              4e8, "FPTAS choice table too large; increase eps");
 
+  struct KnapsackMetrics {
+    obs::Counter& solves;
+    obs::Counter& iterations;
+    obs::Counter& slack;
+  };
+  static KnapsackMetrics metrics{
+      obs::Registry::global().counter("sched.knapsack.solves"),
+      obs::Registry::global().counter("sched.knapsack.iterations"),
+      obs::Registry::global().counter("sched.knapsack.slack"),
+  };
+  metrics.solves.add(1);
+
+  // Capacity slack: when every candidate fits at once, the DP's best
+  // scaled profit is total_scaled, and integer scaled profits reach it
+  // only by taking every positive-scaled candidate. Each one sets its
+  // take bit at its prefix sum (that cell is kInf before its row), so
+  // the walk below is exactly the DP's reconstruction — same chosen
+  // order, same profit/weight summation order — without the tables.
+  bool fits = true;
+  std::int64_t total_weight = 0;
+  for (std::size_t i : candidates) {
+    const std::int64_t w = items[i].weight;
+    if (w > capacity - total_weight) {
+      fits = false;
+      break;
+    }
+    total_weight += w;
+  }
+  if (fits) {
+    for (std::size_t k = candidates.size(); k-- > 0;) {
+      if (scaled[k] == 0) continue;
+      const KnapItem& item = items[candidates[k]];
+      result.chosen.push_back(item.id);
+      result.profit += item.profit;
+      result.weight += item.weight;
+    }
+    metrics.slack.add(1);
+    return result;
+  }
+
   // min_weight[s] = least weight achieving scaled profit exactly s.
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
   std::vector<std::int64_t>& min_weight = ws.min_weight;
@@ -227,15 +267,6 @@ KnapResult knapsack_fptas(std::span<const KnapItem> items,
   NM_ASSERT(s == 0, "FPTAS reconstruction must consume the profit");
   NM_ASSERT(result.weight <= capacity, "FPTAS result exceeds capacity");
 
-  struct KnapsackMetrics {
-    obs::Counter& solves;
-    obs::Counter& iterations;
-  };
-  static KnapsackMetrics metrics{
-      obs::Registry::global().counter("sched.knapsack.solves"),
-      obs::Registry::global().counter("sched.knapsack.iterations"),
-  };
-  metrics.solves.add(1);
   metrics.iterations.add(dp_iterations);
   if (dp_cells != nullptr) *dp_cells += dp_iterations;
   return result;

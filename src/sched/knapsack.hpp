@@ -54,7 +54,9 @@ KnapResult knapsack_greedy(std::span<const KnapItem> items,
 /// better quality and more work: O(n^2 * ceil(n/eps)) time in the worst
 /// case. Items with non-positive profit or weight exceeding capacity
 /// are never chosen; zero-weight positive-profit items are always
-/// chosen.
+/// chosen. When every remaining item fits at once the DP is skipped and
+/// the result is the one the DP would return, bit for bit (counted in
+/// `sched.knapsack.slack`).
 KnapResult knapsack_fptas(std::span<const KnapItem> items,
                           std::int64_t capacity, double eps);
 

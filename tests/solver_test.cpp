@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sched/knapsack.hpp"
 #include "sched/overlap.hpp"
 #include "sched/solver.hpp"
@@ -244,6 +245,159 @@ TEST(FrozenLegacy, DefaultPathIsBitForBit) {
     EXPECT_EQ(stats.slot_solves_exact, 0u);
     EXPECT_EQ(stats.slot_solves_greedy, 0u);
   }
+}
+
+// ---------------------------------------------------------------------
+// Capacity-slack fast path: when every FPTAS candidate fits at once the
+// kernel skips the DP. The frozen legacy kernel, which always runs the
+// DP, is the oracle: chosen order, profit and weight must match exactly.
+// ---------------------------------------------------------------------
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// Runs knapsack_fptas against the legacy oracle and reports whether the
+/// slack path served it (and that it then touched no DP cell).
+bool expect_fptas_matches_legacy(std::span<const KnapItem> items,
+                                 std::int64_t capacity, double eps,
+                                 SchedWorkspace& ws) {
+  const KnapResult want = legacy::fptas(items, capacity, eps);
+  const std::uint64_t slack_before = counter_value("sched.knapsack.slack");
+  std::uint64_t cells = 0;
+  const KnapResult got = knapsack_fptas(items, capacity, eps, ws, &cells);
+  EXPECT_EQ(want.chosen, got.chosen);
+  EXPECT_EQ(want.profit, got.profit);  // bit-for-bit, no tolerance
+  EXPECT_EQ(want.weight, got.weight);
+  const bool slack = counter_value("sched.knapsack.slack") != slack_before;
+  if (slack) {
+    EXPECT_EQ(cells, 0u);
+  }
+  return slack;
+}
+
+TEST(CapacitySlack, RandomFittingInstancesMatchLegacyDp) {
+  Rng rng(4242);
+  SchedWorkspace ws;
+  int slack_solves = 0;
+  for (const double eps : {0.01, 0.1, 0.5}) {
+    for (int run = 0; run < 200; ++run) {
+      std::vector<KnapItem> items;
+      const int n = static_cast<int>(rng.uniform_int(1, 40));
+      std::int64_t total = 0;
+      for (int i = 0; i < n; ++i) {
+        // Profits span four decades so some fall below the scale.
+        const double profit = rng.uniform(0.0, 1.0) < 0.2
+                                  ? rng.uniform(0.001, 0.05)
+                                  : rng.uniform(-5.0, 60.0);
+        const std::int64_t weight = rng.uniform_int(1, 80);
+        items.push_back({i, profit, weight});
+        total += weight;
+      }
+      const std::int64_t cap = total + rng.uniform_int(0, 50);
+      if (expect_fptas_matches_legacy(items, cap, eps, ws)) ++slack_solves;
+    }
+  }
+  // Every instance with a profitable item takes the fast path.
+  EXPECT_GT(slack_solves, 550);
+}
+
+TEST(CapacitySlack, BoundaryTakesFastPathOnlyWhenEverythingFits) {
+  SchedWorkspace ws;
+  const std::vector<KnapItem> items = {
+      {0, 30.0, 17}, {1, 12.5, 9}, {2, 40.0, 23}, {3, 7.25, 5}};
+  const std::int64_t total = 17 + 9 + 23 + 5;
+  EXPECT_TRUE(expect_fptas_matches_legacy(items, total, 0.1, ws));
+  EXPECT_FALSE(expect_fptas_matches_legacy(items, total - 1, 0.1, ws));
+
+  // Σw == cap + 1 runs the DP and touches cells.
+  std::uint64_t cells = 0;
+  (void)knapsack_fptas(items, total - 1, 0.1, ws, &cells);
+  EXPECT_GT(cells, 0u);
+}
+
+TEST(CapacitySlack, ZeroScaledItemsAreExcluded) {
+  // scale = eps * pmax / n = 0.1 * 100 / 3: profits 0.5 and 0.2 scale to
+  // 0, so the DP never takes them and neither may the fast path.
+  SchedWorkspace ws;
+  const std::vector<KnapItem> items = {
+      {7, 0.5, 3}, {8, 100.0, 5}, {9, 0.2, 4}};
+  EXPECT_TRUE(expect_fptas_matches_legacy(items, 1000, 0.1, ws));
+  const KnapResult got = knapsack_fptas(items, 1000, 0.1, ws);
+  EXPECT_EQ(got.chosen, std::vector<int>{8});
+  EXPECT_EQ(got.weight, 5);
+}
+
+TEST(CapacitySlack, ZeroWeightAndOverCapacityItems) {
+  SchedWorkspace ws;
+  // Zero-weight profitable items lead, zero-weight unprofitable ones and
+  // the item heavier than the slot are dropped; the rest fit at once.
+  const std::vector<KnapItem> items = {
+      {0, 5.0, 0},   {1, 20.0, 10}, {2, -3.0, 0}, {3, 99.0, 500},
+      {4, 15.0, 12}, {5, 2.0, 0},   {6, 8.0, 30}};
+  EXPECT_TRUE(expect_fptas_matches_legacy(items, 100, 0.1, ws));
+  const KnapResult got = knapsack_fptas(items, 100, 0.1, ws);
+  EXPECT_EQ(got.chosen, (std::vector<int>{0, 5, 6, 4, 1}));
+  EXPECT_EQ(got.weight, 52);
+
+  // Only zero-weight items: no candidates, no solve at all.
+  const std::vector<KnapItem> free_items = {{0, 5.0, 0}, {1, 2.0, 0}};
+  EXPECT_FALSE(expect_fptas_matches_legacy(free_items, 0, 0.1, ws));
+}
+
+TEST(CapacitySlack, CountsSolvesAndTouchesNoCells) {
+  SchedWorkspace ws;
+  const std::vector<KnapItem> items = {{0, 10.0, 4}, {1, 30.0, 6}};
+  const std::uint64_t solves = counter_value("sched.knapsack.solves");
+  const std::uint64_t slack = counter_value("sched.knapsack.slack");
+  const std::uint64_t iterations = counter_value("sched.knapsack.iterations");
+  std::uint64_t cells = 0;
+  const KnapResult got = knapsack_fptas(items, 10, 0.1, ws, &cells);
+  EXPECT_EQ(got.chosen, (std::vector<int>{1, 0}));
+  EXPECT_EQ(cells, 0u);
+  EXPECT_EQ(counter_value("sched.knapsack.solves"), solves + 1);
+  EXPECT_EQ(counter_value("sched.knapsack.slack"), slack + 1);
+  EXPECT_EQ(counter_value("sched.knapsack.iterations"), iterations);
+}
+
+TEST(CapacitySlack, FittingInstanceOverTheChoiceTableGuardStillThrows) {
+  // 20 equal items at eps = 1e-5 scale to 2e6 each: total_scaled = 4e7
+  // passes the profit-table guard, but 20 * (4e7 + 1) cells exceed the
+  // choice-table guard, even though everything fits.
+  std::vector<KnapItem> items;
+  for (int i = 0; i < 20; ++i) items.push_back({i, 1.0, 1});
+  SchedWorkspace ws;
+  const std::uint64_t slack = counter_value("sched.knapsack.slack");
+  EXPECT_THROW(knapsack_fptas(items, 1000, 1e-5, ws), Error);
+  EXPECT_EQ(counter_value("sched.knapsack.slack"), slack);
+}
+
+TEST(CapacitySlack, ByteScaleOverlappedSweepMatchesLegacy) {
+  // Byte-scale slot capacities (as in real traces), where nearly every
+  // slot has slack; the default random_instance capacities rarely do.
+  Rng rng(8080);
+  SchedWorkspace ws;
+  SolverOptions options;
+  const std::uint64_t slack_before = counter_value("sched.knapsack.slack");
+  for (int run = 0; run < 100; ++run) {
+    const int n_slots = static_cast<int>(rng.uniform_int(2, 8));
+    const int n_items = static_cast<int>(rng.uniform_int(1, 40));
+    const OverlapInstance inst =
+        random_instance(rng, n_items, n_slots, 50'000'000);
+    SolveStats stats;
+    expect_same_solution(
+        legacy::solve_overlapped(inst.slots, inst.items, 0.1),
+        solve_overlapped(inst.slots, inst.items, options, ws, &stats));
+    std::int64_t total_weight = 0;
+    for (const OverlapItem& item : inst.items) total_weight += item.weight;
+    const bool all_slack = std::all_of(
+        inst.slots.begin(), inst.slots.end(),
+        [&](const OverlapSlot& s) { return s.capacity >= total_weight; });
+    if (all_slack) {
+      EXPECT_EQ(stats.dp_cells, 0u);
+    }
+  }
+  EXPECT_GT(counter_value("sched.knapsack.slack"), slack_before + 100);
 }
 
 TEST(SolverChoiceNames, RoundTrip) {
