@@ -6,10 +6,12 @@ namespace netmaster {
 
 IntervalSet::IntervalSet(std::vector<Interval> intervals) {
   std::erase_if(intervals, [](const Interval& iv) { return iv.empty(); });
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
+  const auto by_begin = [](const Interval& a, const Interval& b) {
+    return a.begin < b.begin;
+  };
+  if (!std::is_sorted(intervals.begin(), intervals.end(), by_begin)) {
+    std::sort(intervals.begin(), intervals.end(), by_begin);
+  }
   for (const Interval& iv : intervals) {
     if (!intervals_.empty() && iv.begin <= intervals_.back().end) {
       intervals_.back().end = std::max(intervals_.back().end, iv.end);
@@ -42,7 +44,44 @@ void IntervalSet::add(TimeMs begin, TimeMs end) {
 }
 
 void IntervalSet::add(const IntervalSet& other) {
-  for (const Interval& iv : other.intervals_) add(iv);
+  if (&other == this || other.empty()) return;
+  if (empty() || intervals_.back().end < other.intervals_.front().begin) {
+    // Wholly past this set (the per-day builders): append in place.
+    intervals_.insert(intervals_.end(), other.intervals_.begin(),
+                      other.intervals_.end());
+    return;
+  }
+  // Both inputs are sorted by begin: walk them in begin order and
+  // coalesce into the output's last interval, exactly the constructor's
+  // canonicalization minus the sort.
+  std::vector<Interval> merged;
+  merged.reserve(intervals_.size() + other.intervals_.size());
+  auto a = intervals_.cbegin();
+  auto b = other.intervals_.cbegin();
+  const auto a_end = intervals_.cend();
+  const auto b_end = other.intervals_.cend();
+  while (a != a_end || b != b_end) {
+    const Interval& iv =
+        (b == b_end || (a != a_end && a->begin <= b->begin)) ? *a++ : *b++;
+    if (!merged.empty() && iv.begin <= merged.back().end) {
+      merged.back().end = std::max(merged.back().end, iv.end);
+    } else {
+      merged.push_back(iv);
+    }
+  }
+  intervals_ = std::move(merged);
+}
+
+IntervalSet IntervalSet::clipped(TimeMs begin, TimeMs end) const {
+  IntervalSet out;
+  if (begin >= end) return out;
+  auto it = std::lower_bound(
+      intervals_.begin(), intervals_.end(), begin,
+      [](const Interval& iv, TimeMs b) { return iv.end <= b; });
+  for (; it != intervals_.end() && it->begin < end; ++it) {
+    out.intervals_.push_back(intersect(*it, Interval{begin, end}));
+  }
+  return out;
 }
 
 DurationMs IntervalSet::total_length() const {

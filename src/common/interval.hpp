@@ -46,17 +46,26 @@ class IntervalSet {
   IntervalSet() = default;
 
   /// Builds a canonical set from arbitrary (unsorted, overlapping)
-  /// intervals; empty inputs are dropped.
+  /// intervals; empty inputs are dropped. O(n) when `intervals` is
+  /// already sorted by begin, O(n log n) otherwise.
   explicit IntervalSet(std::vector<Interval> intervals);
 
   /// Adds [begin, end), merging with existing intervals as needed.
-  /// No-op when the interval is empty. Amortized O(log n) when additions
-  /// arrive roughly in time order (the common case in the simulator).
+  /// No-op when the interval is empty. O(log n) to locate the position
+  /// plus the vector shift: O(1) when appending past the last interval,
+  /// O(n) for an insert or merge before it. Bulk callers build a set and
+  /// union once (add(const IntervalSet&)) instead of adding in a loop.
   void add(TimeMs begin, TimeMs end);
   void add(const Interval& iv) { add(iv.begin, iv.end); }
 
-  /// Union with another set.
+  /// Union with another set: one linear merge, O(n + m), or an O(m)
+  /// append when `other` lies wholly past this set. Coalesces touching
+  /// and overlapping neighbours exactly as adding each of `other`'s
+  /// intervals in turn would (the canonical form of a union is unique).
   void add(const IntervalSet& other);
+
+  /// Intersection of this set with the clip window [begin, end).
+  IntervalSet clipped(TimeMs begin, TimeMs end) const;
 
   /// Total measure of the union, in ms.
   DurationMs total_length() const;

@@ -19,7 +19,7 @@ void RadioTimeline::allow(TimeMs begin, TimeMs end) {
 }
 
 void RadioTimeline::allow(const IntervalSet& set) {
-  for (const Interval& iv : set.intervals()) allow(iv.begin, iv.end);
+  allowed_.add(set.clipped(0, horizon_));
 }
 
 void RadioTimeline::allow_windows(const std::vector<Interval>& windows) {
@@ -35,7 +35,15 @@ void RadioTimeline::allow_transfers(
 }
 
 void RadioTimeline::allow_wakes(const std::vector<duty::WakeEvent>& wakes) {
-  for (const duty::WakeEvent& w : wakes) allow(w.time, w.time + w.window);
+  std::vector<Interval> windows;
+  windows.reserve(wakes.size());
+  for (const duty::WakeEvent& w : wakes) {
+    windows.push_back({std::max<TimeMs>(w.time, 0),
+                       std::min(w.time + w.window, horizon_)});
+  }
+  // The constructor drops the windows the clamp emptied and canonicalizes
+  // the rest; the union then costs one linear merge.
+  allowed_.add(IntervalSet(std::move(windows)));
 }
 
 namespace {

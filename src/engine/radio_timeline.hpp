@@ -31,7 +31,8 @@ class RadioTimeline {
   void allow(TimeMs begin, TimeMs end);
   void allow(const Interval& window) { allow(window.begin, window.end); }
 
-  /// Union with an existing canonical set (clamped per interval).
+  /// Union with an existing canonical set, clipped to [0, horizon)
+  /// first: one linear merge instead of an insert per interval.
   void allow(const IntervalSet& set);
 
   void allow_windows(const std::vector<Interval>& windows);
@@ -44,7 +45,8 @@ class RadioTimeline {
   void allow_transfers(const std::vector<sim::ExecutedTransfer>& transfers,
                        DurationMs grace = 0);
 
-  /// Allows each duty-cycle probe window.
+  /// Allows each duty-cycle probe window: the clamped windows form one
+  /// set, unioned in once.
   void allow_wakes(const std::vector<duty::WakeEvent>& wakes);
 
   const IntervalSet& allowed() const { return allowed_; }

@@ -1,6 +1,7 @@
 #include "engine/trace_index.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,6 +22,43 @@ TraceIndex::TraceIndex(const UserTrace& trace, mem::Arena& arena,
   build(trace, arena);
 }
 
+namespace {
+
+/// UserTrace::screen_on_at for a stream of instants over sessions
+/// sorted by end (validate() and sanitize_trace guarantee it). A
+/// non-decreasing query walks the cursor forward, so a time-ordered
+/// stream costs O(s + q) in total instead of a binary search per query;
+/// a backwards step re-seeks with screen_on_at's own lower_bound, so
+/// every answer equals screen_on_at whatever the query order.
+class ScreenCursor {
+ public:
+  explicit ScreenCursor(std::span<const ScreenSession> sessions)
+      : sessions_(sessions) {}
+
+  bool screen_on_at(TimeMs t) {
+    if (t < last_) {
+      next_ = static_cast<std::size_t>(
+          std::lower_bound(sessions_.begin(), sessions_.end(), t,
+                           [](const ScreenSession& s, TimeMs v) {
+                             return s.end <= v;
+                           }) -
+          sessions_.begin());
+    } else {
+      while (next_ < sessions_.size() && sessions_[next_].end <= t) ++next_;
+    }
+    last_ = t;
+    // sessions_[next_] is the first session ending after t.
+    return next_ < sessions_.size() && sessions_[next_].begin <= t;
+  }
+
+ private:
+  std::span<const ScreenSession> sessions_;
+  std::size_t next_ = 0;  ///< first session with end > last_
+  TimeMs last_ = std::numeric_limits<TimeMs>::min();
+};
+
+}  // namespace
+
 void TraceIndex::build(const UserTrace& trace, mem::Arena& arena) {
   const obs::SpanScope span("engine.index_build");
   horizon_ = trace.trace_end();
@@ -29,52 +67,58 @@ void TraceIndex::build(const UserTrace& trace, mem::Arena& arena) {
   // the AoS trace again.
   columns_ = mem::TraceColumns::build(trace, arena);
 
-  // Classification pass over the columns. One zeroed bit per activity,
+  // Classification pass (the columns are copies of `trace`, so read
+  // the AoS records the cursor walks). One zeroed bit per activity,
   // plus the compact ascending index list (u32: a trace with > 4G
   // activities would have long blown the per-user budget).
-  const mem::ActivityColumns& acts = columns_.activities;
-  auto [flags, flag_words] = mem::BitSpan::build(acts.size(), arena);
+  auto [flags, flag_words] = mem::BitSpan::build(trace.activities.size(),
+                                                 arena);
   deferrable_flags_ = flags;
   std::vector<std::uint32_t> deferrable;
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    if (acts.deferrable_at(i) && !columns_screen_on_at(acts.start_at(i))) {
+  ScreenCursor screen(trace.sessions);
+  for (std::size_t i = 0; i < trace.activities.size(); ++i) {
+    const NetworkActivity& act = trace.activities[i];
+    if (act.deferrable && !screen.screen_on_at(act.start)) {
       mem::BitSpan::set(flag_words, i);
       deferrable.push_back(static_cast<std::uint32_t>(i));
     }
   }
   deferrable_ = arena.copy_array<std::uint32_t>(deferrable);
 
-  // Per-(day, hour) buckets. Events outside [0, horizon) are skipped so
-  // the index stays total on malformed traces (validate() still rejects
-  // them where strictness matters).
-  const int days = std::max(columns_.num_days, 0);
-  std::span<HourBucket> buckets =
-      arena.alloc_zeroed<HourBucket>(static_cast<std::size_t>(days) *
-                                     kHoursPerDay);
+  const std::span<HourBucket> buckets = arena.alloc_zeroed<HourBucket>(
+      static_cast<std::size_t>(std::max(trace.num_days, 0)) * kHoursPerDay);
+  fold_buckets(trace, buckets);
   buckets_ = buckets;
-  const std::size_t num_apps = columns_.app_names.size();
-  std::vector<bool> app_seen(buckets.size() * num_apps, false);
-  const mem::UsageColumns& usages = columns_.usages;
-  for (std::size_t i = 0; i < usages.size(); ++i) {
-    const TimeMs t = usages.time_at(i);
-    if (t < 0 || t >= horizon_) continue;
-    ++buckets[static_cast<std::size_t>(day_of(t)) * kHoursPerDay +
-              static_cast<std::size_t>(hour_of(t))]
-          .usage_count;
+}
+
+void TraceIndex::fold_buckets(const UserTrace& trace,
+                              std::span<HourBucket> buckets) {
+  NM_REQUIRE(buckets.size() ==
+                 static_cast<std::size_t>(std::max(trace.num_days, 0)) *
+                     kHoursPerDay,
+             "fold_buckets needs one bucket per (day, hour)");
+  // Events outside [0, horizon) are skipped so the fold stays total on
+  // malformed traces (validate() still rejects them where strictness
+  // matters). Inside it, bucket (day_of(t), hour_of(t)) is bucket
+  // t / kMsPerHour.
+  const TimeMs horizon = trace.trace_end();
+  const std::size_t num_apps = trace.app_names.size();
+  for (const AppUsage& u : trace.usages) {
+    if (u.time < 0 || u.time >= horizon) continue;
+    ++buckets[static_cast<std::size_t>(u.time / kMsPerHour)].usage_count;
   }
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    const TimeMs start = acts.start_at(i);
-    if (start < 0 || start >= horizon_) continue;
-    if (columns_screen_on_at(start)) continue;  // screen-off only (Eq. 3)
-    const std::size_t b =
-        static_cast<std::size_t>(day_of(start)) * kHoursPerDay +
-        static_cast<std::size_t>(hour_of(start));
+  std::vector<bool> app_seen(buckets.size() * num_apps, false);
+  ScreenCursor screen(trace.sessions);
+  for (const NetworkActivity& act : trace.activities) {
+    if (act.start < 0 || act.start >= horizon) continue;
+    if (screen.screen_on_at(act.start)) continue;  // screen-off only (Eq. 3)
+    const auto b = static_cast<std::size_t>(act.start / kMsPerHour);
     HourBucket& bucket = buckets[b];
     ++bucket.net_count;
-    bucket.net_bytes += static_cast<double>(acts.total_bytes_at(i));
-    const AppId app = acts.app_at(i);
-    if (app >= 0 && static_cast<std::size_t>(app) < num_apps) {
-      const std::size_t bit = b * num_apps + static_cast<std::size_t>(app);
+    bucket.net_bytes += static_cast<double>(act.total_bytes());
+    if (act.app >= 0 && static_cast<std::size_t>(act.app) < num_apps) {
+      const std::size_t bit =
+          b * num_apps + static_cast<std::size_t>(act.app);
       if (!app_seen[bit]) {
         app_seen[bit] = true;
         ++bucket.distinct_net_apps;
@@ -90,7 +134,7 @@ const UserTrace& TraceIndex::trace() const {
   return *trace_;
 }
 
-bool TraceIndex::columns_screen_on_at(TimeMs t) const {
+bool TraceIndex::screen_on_at(TimeMs t) const {
   const std::span<const TimeMs> ends = columns_.sessions.ends();
   const auto it = std::lower_bound(ends.begin(), ends.end(), t,
                                    [](TimeMs end, TimeMs v) {
@@ -99,10 +143,6 @@ bool TraceIndex::columns_screen_on_at(TimeMs t) const {
   if (it == ends.end()) return false;
   const std::size_t i = static_cast<std::size_t>(it - ends.begin());
   return columns_.sessions.begin_at(i) <= t && t < *it;
-}
-
-bool TraceIndex::screen_on_at(TimeMs t) const {
-  return columns_screen_on_at(t);
 }
 
 std::size_t TraceIndex::first_session_at_or_after(TimeMs t) const {

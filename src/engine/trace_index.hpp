@@ -120,6 +120,18 @@ class TraceIndex {
 
   const HourBucket& bucket(int day, int hour) const;
 
+  /// Every bucket, day-major: bucket (d, h) is at d * kHoursPerDay + h.
+  std::span<const HourBucket> buckets() const { return buckets_; }
+
+  /// Accumulates `trace`'s per-(day, hour) buckets into `buckets` (one
+  /// per (day, hour), day-major, zeroed by the caller). The one bucket
+  /// fold: the index build calls it, and so does HabitModel::mine on a
+  /// valid trace, which then needs no index at all. Events outside
+  /// [0, horizon) are skipped; screen state is read with a monotone
+  /// session cursor, O(sessions + events) on a time-ordered trace.
+  static void fold_buckets(const UserTrace& trace,
+                           std::span<HourBucket> buckets);
+
   /// Bytes of arena memory backing this index's columns (0 when the
   /// caller supplied the arena — the owner accounts for it there).
   std::size_t owned_arena_bytes() const {
@@ -134,7 +146,6 @@ class TraceIndex {
 
  private:
   void build(const UserTrace& trace, mem::Arena& arena);
-  bool columns_screen_on_at(TimeMs t) const;
 
   const UserTrace* trace_ = nullptr;
   mem::LifetimeHandle source_;

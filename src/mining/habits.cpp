@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "fault/sanitize.hpp"
+#include "obs/metrics.hpp"
 
 namespace netmaster::mining {
 
@@ -16,6 +18,19 @@ double slot_confidence(double k, double p) {
 }
 
 HabitModel HabitModel::mine(const UserTrace& history) {
+  // A valid trace is a fixed point of sanitize_trace with quality 1.0:
+  // validation already demands sorted, disjoint, in-horizon, in-range
+  // records, so the repair would drop, clamp, re-sort and merge nothing.
+  // Fold its buckets straight from the trace — no copy, no index.
+  if (history.first_violation() == nullptr) {
+    static obs::Counter& direct =
+        obs::Registry::global().counter("mining.mine.direct");
+    direct.add(1);
+    std::vector<engine::TraceIndex::HourBucket> buckets(
+        static_cast<std::size_t>(history.num_days) * kHoursPerDay);
+    engine::TraceIndex::fold_buckets(history, buckets);
+    return fold(buckets, history.app_names.size(), 0, history.num_days);
+  }
   const fault::SanitizeResult repaired = fault::sanitize_trace(history);
   HabitModel model = mine(engine::TraceIndex(repaired.trace));
   model.data_quality_ = repaired.report.quality();
@@ -31,18 +46,25 @@ HabitModel HabitModel::mine(const engine::TraceIndex& history,
   NM_REQUIRE(first_day >= 0 && first_day <= last_day &&
                  last_day <= history.num_days(),
              "mining window out of range");
+  return fold(history.buckets(), history.num_apps(), first_day, last_day);
+}
+
+HabitModel HabitModel::fold(
+    std::span<const engine::TraceIndex::HourBucket> buckets,
+    std::size_t num_apps, int first_day, int last_day) {
   HabitModel model;
 
-  // The index's per-(day, hour) buckets hold exactly the occupancy
-  // flags and accumulators Eqs. 2–3 need; fold them into the two day
-  // regimes. Eq. 3 counts (app, day) pairs: the bucket's distinct-app
-  // count over the denominator m*k honours that.
-  const std::size_t num_apps = history.num_apps();
+  // The per-(day, hour) buckets hold exactly the occupancy flags and
+  // accumulators Eqs. 2–3 need; fold them into the two day regimes.
+  // Eq. 3 counts (app, day) pairs: the bucket's distinct-app count over
+  // the denominator m*k honours that.
   for (int d = first_day; d < last_day; ++d) {
     auto& s = model.stats_[static_cast<std::size_t>(day_kind(d))];
     ++s.days_observed;
     for (int h = 0; h < kHoursPerDay; ++h) {
-      const engine::TraceIndex::HourBucket& bucket = history.bucket(d, h);
+      const engine::TraceIndex::HourBucket& bucket =
+          buckets[static_cast<std::size_t>(d) * kHoursPerDay +
+                  static_cast<std::size_t>(h)];
       if (bucket.usage_count > 0) s.pr_active[h] += 1.0;
       s.mean_intensity[h] += bucket.usage_count;
       s.mean_net_count[h] += bucket.net_count;

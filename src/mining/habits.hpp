@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -68,10 +69,13 @@ struct HourStats {
 /// Mined habit model of one user.
 class HabitModel {
  public:
-  /// Mines a training trace (all its days). Tolerant: corrupted input
-  /// is repaired through fault::sanitize_trace first, and the repair
-  /// ledger's quality score scales the model's confidence. Valid
-  /// traces mine bit-identically to the index overload.
+  /// Mines a training trace (all its days). A valid trace (no
+  /// UserTrace::first_violation) is folded directly — no sanitized copy,
+  /// no index — and counted in `mining.mine.direct`. Tolerant:
+  /// corrupted input is repaired through fault::sanitize_trace first,
+  /// and the repair ledger's quality score scales the model's
+  /// confidence. Either way the model is bit-identical to
+  /// mine(TraceIndex(sanitize_trace(history).trace)) at that quality.
   static HabitModel mine(const UserTrace& history);
 
   /// Mines from a prebuilt index (the per-hour buckets are exactly the
@@ -127,6 +131,12 @@ class HabitModel {
 
  private:
   friend class IncrementalHabitMiner;  ///< snapshots fill stats_ directly
+
+  /// Eqs. 2–3 over days [first_day, last_day) of day-major (day, hour)
+  /// buckets: the one stats fold behind every mine overload.
+  static HabitModel fold(
+      std::span<const engine::TraceIndex::HourBucket> buckets,
+      std::size_t num_apps, int first_day, int last_day);
 
   std::array<HourStats, 2> stats_{};
   double data_quality_ = 1.0;

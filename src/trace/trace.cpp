@@ -24,44 +24,53 @@ bool UserTrace::screen_on_at(TimeMs t) const {
   return it != sessions.end() && it->begin <= t && t < it->end;
 }
 
-void UserTrace::validate() const {
-  NM_REQUIRE(num_days > 0, "trace must cover at least one day");
+const char* UserTrace::first_violation() const {
+  if (num_days <= 0) return "trace must cover at least one day";
   const TimeMs end = trace_end();
 
   TimeMs prev_end = 0;
   for (const ScreenSession& s : sessions) {
-    NM_REQUIRE(s.begin < s.end, "screen session must be non-empty");
-    NM_REQUIRE(s.begin >= prev_end,
-               "screen sessions must be sorted and disjoint");
-    NM_REQUIRE(s.end <= end, "screen session beyond trace end");
+    if (s.begin >= s.end) return "screen session must be non-empty";
+    if (s.begin < prev_end) {
+      return "screen sessions must be sorted and disjoint";
+    }
+    if (s.end > end) return "screen session beyond trace end";
     prev_end = s.end;
   }
 
   TimeMs prev = 0;
   for (const AppUsage& u : usages) {
-    NM_REQUIRE(u.time >= prev, "app usages must be sorted by time");
-    NM_REQUIRE(u.time >= 0 && u.time < end, "app usage outside trace");
-    NM_REQUIRE(u.duration >= 0, "app usage duration must be non-negative");
-    NM_REQUIRE(u.app >= 0 &&
-                   static_cast<std::size_t>(u.app) < app_names.size(),
-               "app usage references unknown app id");
+    if (u.time < prev) return "app usages must be sorted by time";
+    if (u.time < 0 || u.time >= end) return "app usage outside trace";
+    if (u.duration < 0) return "app usage duration must be non-negative";
+    if (u.app < 0 || static_cast<std::size_t>(u.app) >= app_names.size()) {
+      return "app usage references unknown app id";
+    }
     prev = u.time;
   }
 
   prev = 0;
   for (const NetworkActivity& n : activities) {
-    NM_REQUIRE(n.start >= prev, "activities must be sorted by start");
-    NM_REQUIRE(n.start >= 0 && n.start < end, "activity outside trace");
-    NM_REQUIRE(n.duration >= 0, "activity duration must be non-negative");
-    NM_REQUIRE(n.start + n.duration <= end,
-               "activity must finish within the trace");
-    NM_REQUIRE(n.bytes_down >= 0 && n.bytes_up >= 0,
-               "activity byte counts must be non-negative");
-    NM_REQUIRE(n.app >= 0 &&
-                   static_cast<std::size_t>(n.app) < app_names.size(),
-               "activity references unknown app id");
+    if (n.start < prev) return "activities must be sorted by start";
+    if (n.start < 0 || n.start >= end) return "activity outside trace";
+    if (n.duration < 0) return "activity duration must be non-negative";
+    if (n.start + n.duration > end) {
+      return "activity must finish within the trace";
+    }
+    if (n.bytes_down < 0 || n.bytes_up < 0) {
+      return "activity byte counts must be non-negative";
+    }
+    if (n.app < 0 || static_cast<std::size_t>(n.app) >= app_names.size()) {
+      return "activity references unknown app id";
+    }
     prev = n.start;
   }
+  return nullptr;
+}
+
+void UserTrace::validate() const {
+  const char* violation = first_violation();
+  NM_REQUIRE(violation == nullptr, violation);
 }
 
 UserTrace UserTrace::slice_days(int first_day, int count) const {

@@ -86,7 +86,12 @@ struct UserTrace {
   /// True when the screen is on at instant t.
   bool screen_on_at(TimeMs t) const;
 
-  /// Throws netmaster::Error if any invariant is violated.
+  /// The first violated invariant as a static message, or nullptr
+  /// when the trace is valid. Never throws: the check behind validate()
+  /// for callers that branch on validity.
+  const char* first_violation() const;
+
+  /// Throws netmaster::Error naming first_violation(), if any.
   void validate() const;
 
   /// Restricts the trace to days [first_day, first_day + count), shifting

@@ -13,6 +13,7 @@
 #include "mining/drift.hpp"
 #include "mining/habits.hpp"
 #include "mining/incremental.hpp"
+#include "model_equality.hpp"
 #include "policy/netmaster.hpp"
 #include "service/online_sim.hpp"
 #include "sim/accounting.hpp"
@@ -30,32 +31,6 @@ constexpr synth::Archetype kAllArchetypes[] = {
     synth::Archetype::kWeekendWarrior, synth::Archetype::kLightUser,
 };
 constexpr std::uint64_t kSeeds[] = {1, 7, 31};
-
-void expect_models_bitwise_equal(const mining::HabitModel& a,
-                                 const mining::HabitModel& b,
-                                 const std::string& context) {
-  for (const mining::DayKind kind :
-       {mining::DayKind::kWeekday, mining::DayKind::kWeekend}) {
-    const mining::HourStats& sa = a.stats(kind);
-    const mining::HourStats& sb = b.stats(kind);
-    ASSERT_EQ(sa.days_observed, sb.days_observed) << context;
-    for (int h = 0; h < kHoursPerDay; ++h) {
-      // EQ, not NEAR: decay = 0 must reproduce the batch fold bit for
-      // bit (same additions in the same order, same final division).
-      ASSERT_EQ(sa.pr_active[h], sb.pr_active[h]) << context << " h" << h;
-      ASSERT_EQ(sa.pr_net[h], sb.pr_net[h]) << context << " h" << h;
-      ASSERT_EQ(sa.mean_intensity[h], sb.mean_intensity[h])
-          << context << " h" << h;
-      ASSERT_EQ(sa.mean_net_count[h], sb.mean_net_count[h])
-          << context << " h" << h;
-      ASSERT_EQ(sa.mean_net_bytes[h], sb.mean_net_bytes[h])
-          << context << " h" << h;
-      ASSERT_EQ(sa.confidence[h], sb.confidence[h]) << context << " h" << h;
-    }
-  }
-  ASSERT_EQ(a.data_quality(), b.data_quality()) << context;
-  ASSERT_EQ(a.overall_confidence(), b.overall_confidence()) << context;
-}
 
 // ---- Incremental miner: batch equivalence. ---------------------------
 

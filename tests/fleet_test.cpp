@@ -8,6 +8,8 @@
 #include "common/error.hpp"
 #include "eval/experiments.hpp"
 #include "eval/fleet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "synth/presets.hpp"
 
 namespace netmaster::eval {
@@ -196,6 +198,41 @@ TEST(Fleet, SessionIsReusableAcrossRuns) {
               second.cells[c].report.energy_j);
     EXPECT_EQ(first.cells[c].energy_saving, second.cells[c].energy_saving);
   }
+}
+
+/// Finished `engine.index_build` spans, under any parent, so far.
+std::uint64_t index_builds() {
+  obs::flush_thread_spans();
+  std::uint64_t count = 0;
+  for (const auto& row : obs::Registry::global().span_rows()) {
+    if (row.name == "engine.index_build") count += row.stats.count;
+  }
+  return count;
+}
+
+TEST(Fleet, GridMinesEachNetMasterColumnOnceWithoutIndexing) {
+  // Exact work counters of one grid over a resident session with two
+  // NetMaster columns: every cell mines its model straight from the
+  // valid training trace, so the grid builds no index at all (the
+  // session indexed the evaluation traces up front).
+  const ExperimentConfig cfg = small_config();
+  std::vector<PolicySpec> suite = standard_policy_suite(cfg.netmaster);
+  suite.push_back(solver_ablation_suite(cfg.netmaster)[1]);  // greedy
+  const EvalSession session(small_fleet(), cfg);
+
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& mined = reg.counter("policy.netmaster.models_mined");
+  obs::Counter& direct = reg.counter("mining.mine.direct");
+  const std::uint64_t builds_before = index_builds();
+  const std::uint64_t mined_before = mined.value();
+  const std::uint64_t direct_before = direct.value();
+  const FleetReport report = run_fleet(session, suite);
+  ASSERT_TRUE(report.failures.empty());
+
+  const std::uint64_t n = session.num_users();
+  EXPECT_EQ(index_builds() - builds_before, 0u);
+  EXPECT_EQ(mined.value() - mined_before, 2 * n);
+  EXPECT_EQ(direct.value() - direct_before, 2 * n);
 }
 
 TEST(Fleet, SlicePoliciesExtractsColumns) {

@@ -1,6 +1,7 @@
 // Unit + property tests for Interval / IntervalSet.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -123,6 +124,75 @@ TEST(IntervalSet, UnionWithOtherSet) {
   a.add(b);
   EXPECT_EQ(a.total_length(), 30);
   EXPECT_EQ(a.size(), 2u);
+}
+
+/// The per-interval reference for a set union.
+IntervalSet union_one_by_one(IntervalSet a, const IntervalSet& b) {
+  for (const Interval& iv : b.intervals()) a.add(iv);
+  return a;
+}
+
+IntervalSet set_of(std::vector<Interval> ivs) {
+  return IntervalSet(std::move(ivs));
+}
+
+TEST(IntervalSet, UnionEdgeCasesMatchOneByOneAdds) {
+  const std::vector<std::pair<IntervalSet, IntervalSet>> cases = {
+      {set_of({{0, 10}}), set_of({{10, 20}})},            // touching
+      {set_of({{10, 20}}), set_of({{0, 10}})},            // touching, left
+      {set_of({{0, 100}}), set_of({{10, 20}, {30, 40}})}, // nested in a
+      {set_of({{10, 20}, {30, 40}}), set_of({{0, 100}})}, // a nested in b
+      {set_of({{5, 9}, {20, 30}}), set_of({{5, 9}, {20, 30}})},  // identical
+      {set_of({{0, 10}, {20, 30}}), set_of({{10, 20}})},  // bridges a gap
+      {set_of({{0, 5}, {40, 50}}), set_of({{10, 20}, {25, 30}})},  // disjoint
+      {set_of({{0, 10}}), set_of({{11, 20}, {30, 40}})},  // wholly past a
+      {IntervalSet{}, set_of({{1, 2}, {3, 4}})},          // empty a
+      {set_of({{1, 2}, {3, 4}}), IntervalSet{}},          // empty b
+      {IntervalSet{}, IntervalSet{}},                     // both empty
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    IntervalSet merged = cases[i].first;
+    merged.add(cases[i].second);
+    EXPECT_EQ(merged.intervals(),
+              union_one_by_one(cases[i].first, cases[i].second).intervals())
+        << "case " << i;
+  }
+}
+
+TEST(IntervalSet, SelfUnionIsIdentity) {
+  IntervalSet set = set_of({{0, 10}, {20, 30}, {40, 45}});
+  const IntervalSet before = set;
+  set.add(set);
+  EXPECT_EQ(set.intervals(), before.intervals());
+}
+
+TEST(IntervalSet, UnionMatchesOneByOneAddsOnRandomSets) {
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    IntervalSet a;
+    IntervalSet b;
+    // Small universe and short intervals: plenty of touching, nested
+    // and overlapping neighbours.
+    for (int k = 0; k < 12; ++k) {
+      const TimeMs lo = rng.uniform_int(0, 200);
+      a.add(lo, lo + rng.uniform_int(0, 15));
+      const TimeMs lo2 = rng.uniform_int(0, 200);
+      b.add(lo2, lo2 + rng.uniform_int(0, 15));
+    }
+    IntervalSet merged = a;
+    merged.add(b);
+    ASSERT_EQ(merged.intervals(), union_one_by_one(a, b).intervals())
+        << "trial " << trial;
+  }
+}
+
+TEST(IntervalSet, ClippedIntersectsWithWindow) {
+  const IntervalSet set = set_of({{0, 10}, {20, 30}, {40, 50}});
+  EXPECT_EQ(set.clipped(5, 45).intervals(),
+            (std::vector<Interval>{{5, 10}, {20, 30}, {40, 45}}));
+  EXPECT_EQ(set.clipped(10, 20).intervals(), std::vector<Interval>{});
+  EXPECT_EQ(set.clipped(-5, 100).intervals(), set.intervals());
+  EXPECT_TRUE(set.clipped(30, 25).empty());
 }
 
 TEST(IntervalSet, ComplementBasic) {

@@ -1,9 +1,17 @@
 // Tests for habit mining, slot prediction (Eqs. 2–3) and special apps.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
+#include "engine/trace_index.hpp"
+#include "fault/injector.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
+#include "model_equality.hpp"
+#include "obs/metrics.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"
 
@@ -233,6 +241,138 @@ TEST_P(DeltaMonotonicity, ActiveSlotsShrinkWithDelta) {
 INSTANTIATE_TEST_SUITE_P(DeltaGrid, DeltaMonotonicity,
                          ::testing::Values(0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                            0.6, 0.7));
+
+// ---- mine(UserTrace): direct fold vs the sanitize -> index path. -----
+
+/// The repair path spelled out: sanitize, index, mine, scale by the
+/// ledger's quality (1.0 * q == q exactly).
+HabitModel mine_via_repair(const UserTrace& trace) {
+  const fault::SanitizeResult repaired = fault::sanitize_trace(trace);
+  HabitModel model = HabitModel::mine(engine::TraceIndex(repaired.trace));
+  model.scale_confidence(repaired.report.quality());
+  return model;
+}
+
+/// mine(trace) and whether it took the direct fold (no sanitize call,
+/// one `mining.mine.direct` tick).
+std::pair<HabitModel, bool> mine_counting_direct(const UserTrace& trace) {
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t direct = reg.counter("mining.mine.direct").value();
+  const std::uint64_t sanitized =
+      reg.counter("fault.sanitize.calls").value();
+  HabitModel model = HabitModel::mine(trace);
+  const std::uint64_t direct_delta =
+      reg.counter("mining.mine.direct").value() - direct;
+  const std::uint64_t sanitize_delta =
+      reg.counter("fault.sanitize.calls").value() - sanitized;
+  EXPECT_EQ(direct_delta + sanitize_delta, 1u);
+  return {std::move(model), direct_delta == 1};
+}
+
+TEST(MineDirect, ValidTracesFoldDirectlyBitForBit) {
+  const synth::Archetype archetypes[] = {
+      synth::Archetype::kOfficeWorker, synth::Archetype::kNightOwl,
+      synth::Archetype::kHeavyMessenger, synth::Archetype::kLightUser};
+  for (const synth::Archetype arch : archetypes) {
+    for (const std::uint64_t seed : {3u, 11u}) {
+      const UserTrace trace =
+          synth::generate_trace(synth::make_user(arch, 4), 14, seed);
+      ASSERT_EQ(trace.first_violation(), nullptr);
+      const std::string context = "archetype " +
+                                  std::to_string(static_cast<int>(arch)) +
+                                  " seed " + std::to_string(seed);
+      const auto [model, direct] = mine_counting_direct(trace);
+      EXPECT_TRUE(direct) << context;
+      EXPECT_EQ(model.data_quality(), 1.0) << context;
+      expect_models_bitwise_equal(model, mine_via_repair(trace), context);
+    }
+  }
+  const auto [model, direct] = mine_counting_direct(fixture());
+  EXPECT_TRUE(direct);
+  expect_models_bitwise_equal(model, mine_via_repair(fixture()), "fixture");
+}
+
+TEST(MineDirect, FaultedTracesMatchTheRepairPath) {
+  const UserTrace clean = synth::generate_trace(
+      synth::make_user(synth::Archetype::kStudent, 5), 14, 23);
+  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      fault::FaultPlan plan;
+      plan.seed = seed;
+      plan.with(kind, 0.3);
+      const UserTrace faulted = fault::inject_faults(clean, plan).trace;
+      const std::string context = std::string(fault::kind_name(kind)) +
+                                  " seed " + std::to_string(seed);
+      const auto [model, direct] = mine_counting_direct(faulted);
+      // The direct fold serves exactly the traces validate() accepts.
+      EXPECT_EQ(direct, faulted.first_violation() == nullptr) << context;
+      expect_models_bitwise_equal(model, mine_via_repair(faulted), context);
+      // Kinds that damage records must be repaired, and the damage must
+      // show in the model's confidence.
+      if (kind == fault::FaultKind::kFieldCorruption ||
+          kind == fault::FaultKind::kCounterReset ||
+          kind == fault::FaultKind::kMissingScreenEdge) {
+        EXPECT_FALSE(direct) << context;
+        EXPECT_LT(model.data_quality(), 1.0) << context;
+      }
+    }
+  }
+}
+
+TEST(MineDirect, EdgeCasesMatchTheRepairPath) {
+  // Empty trace: num_days = 0 is invalid, so it is repaired (to one
+  // empty day).
+  {
+    const auto [model, direct] = mine_counting_direct(UserTrace{});
+    EXPECT_FALSE(direct);
+    expect_models_bitwise_equal(model, mine_via_repair(UserTrace{}),
+                                "empty trace");
+  }
+  // num_days = 0 with events: repaired, events past day 0 dropped.
+  {
+    UserTrace t = fixture();
+    t.num_days = 0;
+    const auto [model, direct] = mine_counting_direct(t);
+    EXPECT_FALSE(direct);
+    EXPECT_LT(model.data_quality(), 1.0);
+    expect_models_bitwise_equal(model, mine_via_repair(t), "num_days 0");
+  }
+  // Days but no events: valid, folded directly into all-zero stats.
+  {
+    UserTrace t;
+    t.num_days = 3;
+    const auto [model, direct] = mine_counting_direct(t);
+    EXPECT_TRUE(direct);
+    EXPECT_EQ(model.training_days(), 3);
+    expect_models_bitwise_equal(model, mine_via_repair(t), "no events");
+  }
+  // Unsorted activities: invalid, re-sorted by the repair.
+  {
+    UserTrace t = fixture();
+    std::swap(t.activities[1], t.activities[4]);
+    const auto [model, direct] = mine_counting_direct(t);
+    EXPECT_FALSE(direct);
+    expect_models_bitwise_equal(model, mine_via_repair(t), "unsorted");
+  }
+  // An activity starting exactly at a session's end is screen-off
+  // (sessions are half-open), one at its begin is screen-on.
+  {
+    UserTrace t = fixture();
+    const ScreenSession s = t.sessions[0];
+    t.activities.insert(t.activities.begin() + 1,
+                        {{1, s.begin, 1000, 7, 0, false, true},
+                         {1, s.end, 1000, 5, 0, false, true}});
+    ASSERT_EQ(t.first_violation(), nullptr);
+    const auto [model, direct] = mine_counting_direct(t);
+    EXPECT_TRUE(direct);
+    expect_models_bitwise_equal(model, mine_via_repair(t), "session end");
+    // Day 0 (a weekday) gains exactly the 5-byte transfer at hour 9.
+    EXPECT_DOUBLE_EQ(model.stats(DayKind::kWeekday).mean_net_bytes[9],
+                     5.0 / 5.0);
+    EXPECT_DOUBLE_EQ(model.stats(DayKind::kWeekday).mean_net_count[9],
+                     1.0 / 5.0);
+  }
+}
 
 }  // namespace
 }  // namespace netmaster::mining

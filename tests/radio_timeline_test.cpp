@@ -94,6 +94,45 @@ TEST(RadioTimeline, MatchesHandAssembledSet) {
   EXPECT_EQ(timeline.build().intervals(), by_hand.intervals());
 }
 
+TEST(RadioTimeline, BulkAllowsMatchThePerWindowPath) {
+  // Random windows straddling 0 and the horizon, unioned into a
+  // timeline that already holds windows: the set union (allow(set)) and
+  // the batched wakes must equal clamping and adding window by window.
+  constexpr TimeMs kHorizon = 1000;
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<TimeMs> start(-150, kHorizon + 50);
+  std::uniform_int_distribution<DurationMs> length(0, 120);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<Interval> prior;
+    std::vector<Interval> windows;
+    std::vector<duty::WakeEvent> wakes;
+    for (int k = 0; k < 15; ++k) {
+      const TimeMs p = start(rng);
+      prior.push_back({p, p + length(rng)});
+      const TimeMs w = start(rng);
+      windows.push_back({w, w + length(rng)});
+      duty::WakeEvent wake;
+      wake.time = start(rng);
+      wake.window = length(rng);
+      wakes.push_back(wake);
+    }
+
+    RadioTimeline per_window(kHorizon);
+    for (const Interval& iv : prior) per_window.allow(iv);
+    for (const Interval& iv : windows) per_window.allow(iv);
+    for (const duty::WakeEvent& w : wakes) {
+      per_window.allow(w.time, w.time + w.window);
+    }
+
+    RadioTimeline bulk(kHorizon);
+    bulk.allow_windows(prior);
+    bulk.allow(IntervalSet(windows));  // unclamped: crosses 0 / horizon
+    bulk.allow_wakes(wakes);
+    ASSERT_EQ(bulk.allowed().intervals(), per_window.allowed().intervals())
+        << "trial " << trial;
+  }
+}
+
 TEST(RadioTimeline, RejectsNegativeHorizon) {
   EXPECT_THROW(RadioTimeline(-1), Error);
 }

@@ -4,6 +4,7 @@
 // one-shot UserTrace path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -133,6 +134,37 @@ TEST(TraceIndex, HourBucketsMatchManualRecount) {
     EXPECT_EQ(index.bucket(0, h).usage_count, 0) << h;
     EXPECT_EQ(index.bucket(0, h).net_count, 0) << h;
   }
+}
+
+TEST(TraceIndex, ClassificationCursorHandlesOutOfOrderStarts) {
+  // Activity starts that step backwards (here reversed, then a synth
+  // trace shuffled by a stride) force the screen cursor to re-seek;
+  // every answer must still equal the canonical predicate.
+  UserTrace reversed = fixture();
+  std::reverse(reversed.activities.begin(), reversed.activities.end());
+  UserTrace strided = synth::generate_trace(
+      synth::make_user(synth::Archetype::kHeavyMessenger, 3), 3, 5);
+  std::vector<NetworkActivity> shuffled;
+  for (std::size_t first = 0; first < 7; ++first) {
+    for (std::size_t i = first; i < strided.activities.size(); i += 7) {
+      shuffled.push_back(strided.activities[i]);
+    }
+  }
+  strided.activities = std::move(shuffled);
+
+  for (const UserTrace* t : {&reversed, &strided}) {
+    const TraceIndex index(*t);
+    EXPECT_NO_THROW(index.check_invariants());
+    for (std::size_t i = 0; i < t->activities.size(); ++i) {
+      ASSERT_EQ(index.is_deferrable_screen_off(i),
+                policy::is_deferrable_screen_off(*t, t->activities[i]))
+          << "activity " << i;
+    }
+  }
+  // Reversal only permutes the inputs of the fixture's buckets.
+  const TraceIndex index(reversed);
+  EXPECT_EQ(index.bucket(0, 0).net_count, 3);
+  EXPECT_EQ(index.bucket(0, 0).distinct_net_apps, 1);
 }
 
 void expect_outcome_eq(const sim::PolicyOutcome& a,
