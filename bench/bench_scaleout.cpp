@@ -15,6 +15,7 @@
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
@@ -250,9 +251,14 @@ void print_memory_figure() {
     for (std::size_t u = 0; u < spilled.num_users(); ++u) {
       events += spilled.index(u).activities().size();
     }
+    const obs::Counter& rehydrations =
+        obs::Registry::global().counter("store.rehydrations");
+    const std::uint64_t rehydrations_before = rehydrations.value();
     obs::ScopedTimer timer;
     const eval::FleetReport report = eval::run_fleet(spilled, suite);
     const double replay_ms = timer.stop();
+    const std::uint64_t grid_rehydrations =
+        rehydrations.value() - rehydrations_before;
     const double after_bytes =
         static_cast<double>(spilled.store().resident_bytes()) +
         static_cast<double>(spilled.arena_bytes());
@@ -283,6 +289,8 @@ void print_memory_figure() {
     bench::record_scalar("mem_replay_ns_per_event" + tag, ns_per_event);
     bench::record_scalar("mem_store_evictions" + tag,
                          static_cast<double>(spilled.store().evictions()));
+    bench::record_scalar("mem_store_rehydrations" + tag,
+                         static_cast<double>(grid_rehydrations));
     bench::record_scalar("mem_spill_bit_identical" + tag,
                          identical ? 1.0 : 0.0);
     t.add_row({std::to_string(n), eval::Table::num(before_bytes / kMiB, 1),

@@ -1,5 +1,6 @@
 #include "eval/fleet.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "common/error.hpp"
@@ -120,13 +121,31 @@ void finalize_report(const EvalSession& session, FleetReport& report,
   }
 }
 
+/// One user's row of the grid: the traces its pin task hydrated, or
+/// the error that pinning raised, shared by the row's M cells. The pin
+/// task writes it and only its dependents (the cells) read it, which
+/// keeps the handoff inside the job system's determinism contract.
+/// The row's last cell drops the pin, so at most about one row per
+/// worker stays pinned above the store's cache cap.
+struct RowPin {
+  UserStore::Pin traces;
+  std::string error;  ///< non-empty = pinning threw; every cell fails
+  std::atomic<std::size_t> cells_left{0};
+};
+
+void fail_cell(FleetCell& cell, std::string error) {
+  cell.failed = true;
+  cell.error = std::move(error);
+  obs::Registry::global().counter("fleet.cells_failed").add(1);
+}
+
 /// The body of one (user, policy) cell: mine, schedule, account. Writes
 /// only its own pre-allocated cell — the deterministic result slot that
 /// makes fleet output bit-identical regardless of worker count or steal
-/// order. A throwing cell fails alone; a user whose preparation failed
-/// poisons only its own row.
+/// order. A throwing cell fails alone; a user whose preparation or pin
+/// failed poisons only its own row.
 void run_cell(const EvalSession& session, const PolicySpec& spec,
-              std::size_t u, FleetCell& cell) {
+              std::size_t u, const RowPin& row, FleetCell& cell) {
   cell.user = session.user_id(u);
   cell.profile_name = session.profile_name(u);
   cell.policy = spec.name;
@@ -135,11 +154,13 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
     cell.error = session.prep_error(u);
     return;
   }
+  if (!row.error.empty()) {
+    fail_cell(cell, row.error);
+    return;
+  }
   const obs::SpanScope cell_span("fleet.cell");
+  const UserStore::Pin& traces = row.traces;
   try {
-    // One pin for the whole cell: rehydrates a spilled user at most
-    // once and keeps the traces alive across mine/probe/account.
-    const UserStore::Pin traces = session.traces(u);
     std::unique_ptr<policy::Policy> pol;
     {
       const obs::SpanScope mine_span("fleet.mine");
@@ -165,9 +186,7 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
     }
     cell.report = sim::account(traces.eval(), outcome, radios);
   } catch (const std::exception& e) {
-    cell.failed = true;
-    cell.error = e.what();
-    obs::Registry::global().counter("fleet.cells_failed").add(1);
+    fail_cell(cell, e.what());
     return;
   }
   cell.degraded = cell.report.degraded;
@@ -185,44 +204,59 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
   }
 }
 
-/// Sizes `report` for the grid and appends one task per (user, policy)
-/// cell to `graph`. When `prep_tasks` is non-null (the fused
-/// build+evaluate path), each cell depends on its user's prepare task,
-/// so user u's row starts replaying as soon as u is prepared — no
-/// fleet-wide barrier between preparation and evaluation.
-void schedule_cells(const EvalSession& session,
-                    const std::vector<PolicySpec>& policies,
-                    FleetReport& report, jobs::TaskGraph& graph,
-                    const std::vector<jobs::TaskId>* prep_tasks) {
+/// Evaluates the N×M grid over `session` on `graph`, which may already
+/// hold the session's deferred build chains. Per user it adds one pin
+/// task (after the user's prepare task when `prep_tasks` is non-null)
+/// and hangs the user's M cell tasks off it. The pin is the row's only
+/// trip to the UserStore: a spilled user is rehydrated once per grid,
+/// not once per cell. Finished continuations run LIFO on the worker
+/// that unlocked them, so a row replays on the worker that pinned it
+/// while thieves take other users' pin tasks; a wide grid (few users,
+/// many policies) still spreads one row's cells across workers.
+FleetReport evaluate(const EvalSession& session,
+                     const std::vector<PolicySpec>& policies,
+                     jobs::TaskGraph& graph,
+                     const std::vector<jobs::TaskId>* prep_tasks,
+                     unsigned max_threads) {
   NM_REQUIRE(!policies.empty(), "fleet needs at least one policy");
   const std::size_t n = session.num_users();
   const std::size_t m = policies.size();
+  FleetReport report;
   report.num_users = n;
   report.num_policies = m;
   report.cells.resize(n * m);
-  for (std::size_t c = 0; c < n * m; ++c) {
-    const std::size_t u = c / m;
-    const std::size_t p = c % m;
-    // The graph runs after this function returns, so the task resolves
-    // the radio models through the (caller-kept-alive) session instead
-    // of capturing a local reference.
-    const jobs::TaskId cell =
-        graph.add([&session, &policies, &report, u, p, c] {
-          run_cell(session, policies[p], u, report.cells[c]);
-        });
+  std::vector<RowPin> rows(n);
+  // Pin tasks first: the pool seeds ready tasks round-robin by
+  // submission index, so consecutive pins spread over the workers.
+  std::vector<jobs::TaskId> pins(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    RowPin& row = rows[u];
+    row.cells_left.store(m, std::memory_order_relaxed);
+    // Never throws: a failed pin becomes every row cell's error rather
+    // than cancelling the cells and failing the whole run.
+    pins[u] = graph.add([&session, &row, u] {
+      if (!session.ok(u)) return;
+      try {
+        row.traces = session.traces(u);
+      } catch (const std::exception& e) {
+        row.error = e.what();
+      }
+    });
     if (prep_tasks != nullptr) {
-      graph.add_dependency((*prep_tasks)[u], cell);
+      graph.add_dependency((*prep_tasks)[u], pins[u]);
     }
   }
-}
-
-/// The N×M cell grid over an already-prepared session.
-FleetReport run_grid(const EvalSession& session,
-                     const std::vector<PolicySpec>& policies,
-                     unsigned max_threads) {
-  FleetReport report;
-  jobs::TaskGraph graph;
-  schedule_cells(session, policies, report, graph, nullptr);
+  for (std::size_t c = 0; c < n * m; ++c) {
+    RowPin& row = rows[c / m];
+    const jobs::TaskId cell =
+        graph.add([&session, &policies, &report, &row, c, m] {
+          run_cell(session, policies[c % m], c / m, row, report.cells[c]);
+          if (row.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            row.traces = {};
+          }
+        });
+    graph.add_dependency(pins[c / m], cell);
+  }
   jobs::run_graph(graph, max_threads);
   finalize_report(session, report, /*count_rows=*/true);
   return report;
@@ -236,7 +270,8 @@ FleetReport run_fleet(const EvalSession& session,
   FleetReport report;
   {
     const obs::SpanScope span("eval.run_fleet");
-    report = run_grid(session, policies, max_threads);
+    jobs::TaskGraph graph;
+    report = evaluate(session, policies, graph, nullptr, max_threads);
   }
   // Snapshot hook: a fleet run is the natural export boundary, so a
   // driver only has to set NETMASTER_METRICS_OUT to get telemetry.
@@ -252,7 +287,7 @@ FleetReport run_fleet(const std::vector<synth::UserProfile>& profiles,
   {
     const obs::SpanScope span("eval.run_fleet");
     // Fused build+evaluate: one graph carries every user's
-    // trace_gen -> prepare chain and, hanging off each prepare, that
+    // trace_gen -> prepare -> pin chain and, hanging off each pin, that
     // user's M policy cells. User u's row replays while user v is
     // still synthesizing — the per-stage fleet-wide barriers of the
     // old parallel_for pipeline are gone. Cells of a prep-failed user
@@ -261,9 +296,7 @@ FleetReport run_fleet(const std::vector<synth::UserProfile>& profiles,
     std::vector<jobs::TaskId> prep_tasks;
     const EvalSession session(DeferBuild{}, profiles, config, graph,
                               prep_tasks);
-    schedule_cells(session, policies, report, graph, &prep_tasks);
-    jobs::run_graph(graph, max_threads);
-    finalize_report(session, report, /*count_rows=*/true);
+    report = evaluate(session, policies, graph, &prep_tasks, max_threads);
   }
   obs::maybe_export_env();
   return report;
@@ -278,14 +311,12 @@ FleetReport run_fleet(const std::vector<VolunteerTraces>& volunteers,
     const obs::SpanScope span("eval.run_fleet");
     // Same fused graph as the profile overload, minus trace_gen tasks:
     // volunteer admission is inline (it consumes the traces), so each
-    // user's chain is prepare -> M cells.
+    // user's chain is prepare -> pin -> M cells.
     jobs::TaskGraph graph;
     std::vector<jobs::TaskId> prep_tasks;
     const EvalSession session(DeferBuild{}, volunteers, config, graph,
                               prep_tasks);
-    schedule_cells(session, policies, report, graph, &prep_tasks);
-    jobs::run_graph(graph, max_threads);
-    finalize_report(session, report, /*count_rows=*/true);
+    report = evaluate(session, policies, graph, &prep_tasks, max_threads);
   }
   obs::maybe_export_env();
   return report;

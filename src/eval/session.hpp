@@ -126,7 +126,9 @@ class EvalSession {
   }
   /// Hydrated train/eval traces for user u. Returns a Pin: rehydrates
   /// from the spill file when the user is cold and keeps the traces
-  /// alive while held. Pin once per cell, not per field access.
+  /// alive while held. Pin once per unit of work, not per field
+  /// access: run_fleet pins once per row and shares it across the row's
+  /// cells.
   UserStore::Pin traces(std::size_t u) const { return store_->pin(u); }
   /// The shared evaluation-trace index / baseline reference report.
   /// Contract: only valid when `ok(u)`.

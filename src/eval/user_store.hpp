@@ -13,7 +13,12 @@
 // shared_ptr to the hydration, so a concurrent eviction never frees
 // memory out from under a reader — eviction just drops the store's
 // strong reference (and retires the hydration's mem::Lifetime, which
-// flips any TraceIndex handle built on it to "source gone").
+// flips any TraceIndex handle built on it to "source gone"). Two
+// concurrent pins of the same cold user both decode its blob and one
+// copy is dropped; pin() does not single-flight, because making the
+// second caller wait on the first decode gains nothing. Callers avoid
+// the duplicate decode by pinning once per unit of work: run_fleet
+// pins each row once and shares the Pin across the row's cells.
 //
 // With cache_cap_bytes == 0 (the default) the store is a plain
 // in-memory table: nothing is written to disk and nothing is ever

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -28,16 +29,26 @@ constexpr std::size_t kMinSectionBytes = 56;
 constexpr std::uint8_t kFlagUserInitiated = 1;
 constexpr std::uint8_t kFlagDeferrable = 2;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: row 0 is the classic bytewise CRC-32 table;
+/// row k advances a byte's contribution through k more zero bytes, so
+/// one step folds eight input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
 /// Little-endian append cursor keeping every array 8-byte aligned.
@@ -258,10 +269,24 @@ UserTrace decode_trace(Reader& r) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::byte b : bytes) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFF] ^ (c >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      std::uint32_t lo = 0;
+      std::uint32_t hi = 0;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -2,14 +2,17 @@
 // empty users, invariant-violating edge traces, CRLF CSV imports),
 // file I/O through the mmap read path, and rejection of corrupted
 // images — truncations, bit flips, bad magic/version/CRC, trailing
-// bytes — via BlobError, never UB.
+// bytes — via BlobError, never UB; and the payload CRC-32 against a
+// bitwise reference.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <random>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "mem/blob.hpp"
@@ -193,6 +196,48 @@ TEST(UserBlob, FuzzedRandomImagesNeverCrash) {
       b = std::byte{static_cast<unsigned char>(byte(rng))};
     }
     EXPECT_THROW(UserBlob::decode(garbage), BlobError);
+  }
+}
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the oracle for the
+/// table-driven crc32.
+std::uint32_t crc32_reference(std::span<const std::byte> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  const auto bytes = std::as_bytes(std::span(check.data(), check.size()));
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryAlignment) {
+  // Lengths 0..4096 (every short length, then random ones) starting at
+  // offsets 0..7, so the 8-byte fast loop meets every head alignment
+  // and every bytewise tail length.
+  std::mt19937 rng(4096);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::vector<std::byte> buffer(4096 + 8);
+  for (std::byte& b : buffer) {
+    b = std::byte{static_cast<unsigned char>(byte(rng))};
+  }
+  std::uniform_int_distribution<std::size_t> length(0, 4096);
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::size_t len = iter < 80 ? static_cast<std::size_t>(iter)
+                                      : length(rng);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::span<const std::byte> view(buffer.data() + offset, len);
+      ASSERT_EQ(crc32(view), crc32_reference(view))
+          << "length " << len << " offset " << offset;
+    }
   }
 }
 

@@ -2,10 +2,14 @@
 // eviction under a byte cap, lossless rehydration, Pin safety across
 // evictions, the generation-handle regression (an evicted user's
 // TraceIndex::trace() throws instead of dereferencing freed memory),
-// and bit-for-bit fleet determinism with and without spilling.
+// bit-for-bit fleet determinism with and without spilling, one
+// rehydration per user per grid, and a corrupted spill file failing
+// only its own row.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,6 +17,7 @@
 #include "eval/session.hpp"
 #include "eval/user_store.hpp"
 #include "mem/blob.hpp"
+#include "obs/metrics.hpp"
 #include "synth/presets.hpp"
 
 namespace netmaster::eval {
@@ -33,6 +38,18 @@ std::vector<synth::UserProfile> small_fleet(std::size_t n) {
         static_cast<synth::Archetype>(i % 3), static_cast<UserId>(i + 1)));
   }
   return profiles;
+}
+
+/// Bit-for-bit cell equality: same transfers, same accounting, same
+/// doubles.
+void expect_same_cell(const FleetCell& a, const FleetCell& b,
+                      std::size_t c) {
+  EXPECT_EQ(a.failed, b.failed) << "cell " << c;
+  EXPECT_EQ(a.policy, b.policy) << "cell " << c;
+  EXPECT_EQ(a.report.energy_j, b.report.energy_j) << "cell " << c;
+  EXPECT_EQ(a.report.radio_on_ms, b.report.radio_on_ms) << "cell " << c;
+  EXPECT_EQ(a.energy_saving, b.energy_saving) << "cell " << c;
+  EXPECT_EQ(a.radio_on_fraction, b.radio_on_fraction) << "cell " << c;
 }
 
 TEST(UserStore, DefaultConfigKeepsEverythingResident) {
@@ -178,15 +195,91 @@ TEST(SpillFleet, ResultsBitIdenticalWithAndWithoutSpill) {
 
   ASSERT_EQ(report.cells.size(), baseline.cells.size());
   for (std::size_t c = 0; c < report.cells.size(); ++c) {
-    const FleetCell& a = baseline.cells[c];
-    const FleetCell& b = report.cells[c];
-    EXPECT_EQ(a.failed, b.failed) << "cell " << c;
-    EXPECT_EQ(a.policy, b.policy);
-    // Bit-for-bit: same transfers, same accounting, same doubles.
-    EXPECT_EQ(a.report.energy_j, b.report.energy_j) << "cell " << c;
-    EXPECT_EQ(a.report.radio_on_ms, b.report.radio_on_ms) << "cell " << c;
-    EXPECT_EQ(a.energy_saving, b.energy_saving) << "cell " << c;
-    EXPECT_EQ(a.radio_on_fraction, b.radio_on_fraction) << "cell " << c;
+    expect_same_cell(baseline.cells[c], report.cells[c], c);
+  }
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+TEST(SpillFleet, GridRehydratesEachUserAtMostOnce) {
+  // Each row pins its user once and shares the pin across its cells,
+  // so a grid over a fully spilled fleet decodes every blob at most
+  // once, at any worker count — not once per (user, policy) cell.
+  const std::vector<synth::UserProfile> profiles = small_fleet(6);
+  const std::vector<PolicySpec> suite =
+      standard_policy_suite(small_config().netmaster);
+  const FleetReport resident =
+      run_fleet(EvalSession(profiles, small_config()), suite);
+
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;  // below any single user
+  const EvalSession spilled(profiles, config);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    const std::uint64_t before = counter_value("store.rehydrations");
+    const FleetReport report = run_fleet(spilled, suite, workers);
+    EXPECT_LE(counter_value("store.rehydrations") - before,
+              spilled.num_users())
+        << workers << " workers";
+    ASSERT_EQ(report.cells.size(), resident.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      expect_same_cell(resident.cells[c], report.cells[c], c);
+    }
+  }
+}
+
+TEST(SpillFleet, CorruptedBlobFailsOnlyItsRow) {
+  // A spill file damaged on disk fails the rehydrating pin with a
+  // BlobError. The row's cells all record that error; the grid itself
+  // neither throws nor disturbs any other row.
+  const std::vector<synth::UserProfile> profiles = small_fleet(4);
+  const std::vector<PolicySpec> suite =
+      standard_policy_suite(small_config().netmaster);
+  const std::size_t m = suite.size();
+  const FleetReport resident =
+      run_fleet(EvalSession(profiles, small_config()), suite);
+
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;
+  const EvalSession spilled(profiles, config);
+  ASSERT_EQ(spilled.num_ok(), profiles.size());
+  constexpr std::size_t kBad = 1;
+  // Pinning another user evicts kBad (the cap holds less than one
+  // user), so the next pin of kBad must read its blob.
+  spilled.traces(0);
+  const std::filesystem::path blob =
+      spilled.store().spill_dir() / ("user_" + std::to_string(kBad) + ".nmub");
+  ASSERT_TRUE(std::filesystem::exists(blob));
+  {
+    std::fstream file(blob, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(64);
+    file.write("corrupt!", 8);
+  }
+  std::string blob_error;
+  try {
+    spilled.traces(kBad);
+  } catch (const mem::BlobError& e) {
+    blob_error = e.what();
+  }
+  ASSERT_FALSE(blob_error.empty()) << "the damaged blob still decoded";
+
+  for (const unsigned workers : {1u, 4u}) {
+    spilled.traces(0);
+    const std::uint64_t failed_before = counter_value("fleet.cells_failed");
+    FleetReport report;
+    ASSERT_NO_THROW(report = run_fleet(spilled, suite, workers));
+    EXPECT_EQ(counter_value("fleet.cells_failed") - failed_before, m);
+    ASSERT_EQ(report.cells.size(), resident.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      if (c / m == kBad) {
+        EXPECT_TRUE(report.cells[c].failed) << "cell " << c;
+        EXPECT_EQ(report.cells[c].error, blob_error) << "cell " << c;
+      } else {
+        expect_same_cell(resident.cells[c], report.cells[c], c);
+      }
+    }
+    EXPECT_EQ(report.failures.size(), m);
   }
 }
 
