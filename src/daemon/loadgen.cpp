@@ -10,50 +10,16 @@
 
 namespace netmaster::daemon {
 
-namespace {
-
-constexpr int kPriorityScreenOff = 0;
-constexpr int kPriorityScreenOn = 1;
-constexpr int kPriorityApp = 2;
-constexpr int kPriorityNet = 3;
-
-}  // namespace
-
 void append_trace_events(const UserTrace& full, UserId user,
                          std::vector<LoadEvent>& out) {
-  // The same record derivation the online executive's monitoring feed
-  // uses (service/online_sim.cpp record_completed_day), flattened over
-  // the whole horizon.
-  for (const ScreenSession& s : full.sessions) {
-    service::Record on;
-    on.kind = service::RecordKind::kScreenOn;
-    on.time = s.begin;
-    out.push_back({s.begin, kPriorityScreenOn, user, on});
-    service::Record off;
-    off.kind = service::RecordKind::kScreenOff;
-    off.time = s.end;
-    out.push_back({s.end, kPriorityScreenOff, user, off});
-  }
-  for (const AppUsage& u : full.usages) {
-    service::Record r;
-    r.kind = service::RecordKind::kAppForeground;
-    r.time = u.time;
-    r.app = u.app;
-    r.duration = u.duration;
-    out.push_back({u.time, kPriorityApp, user, r});
-  }
-  for (const NetworkActivity& a : full.activities) {
-    service::Record r;
-    r.kind = service::RecordKind::kNetworkActivity;
-    r.time = a.start;
-    r.app = a.app;
-    r.bytes_down = a.bytes_down;
-    r.bytes_up = a.bytes_up;
-    r.duration = a.duration;
-    r.user_initiated = a.user_initiated;
-    r.deferrable = a.deferrable;
-    out.push_back({a.start, kPriorityNet, user, r});
-  }
+  service::for_each_record(full, [&](const service::Record& r) {
+    // The wire tie-break: off=0, on=1, app=2, net=3.
+    int priority = 3;
+    if (r.kind == service::RecordKind::kScreenOff) priority = 0;
+    if (r.kind == service::RecordKind::kScreenOn) priority = 1;
+    if (r.kind == service::RecordKind::kAppForeground) priority = 2;
+    out.push_back({r.time, priority, user, r});
+  });
 }
 
 void sort_events(std::vector<LoadEvent>& events) {

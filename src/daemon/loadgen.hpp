@@ -65,10 +65,10 @@ struct LoadPlan {
 LoadPlan build_load_plan(const LoadConfig& config);
 
 /// Renders one full-horizon trace as its monitoring event stream
-/// (appended unsorted — run sort_events once all users are in). This
-/// is the same record derivation the online executive's monitoring
-/// feed performs; daemon tests use it to stream non-stationary traces
-/// the archetype-cycling plan builder does not produce.
+/// (appended unsorted — run sort_events once all users are in), through
+/// the shared service::for_each_record derivation. Daemon tests use it to
+/// stream non-stationary traces the archetype-cycling plan builder does
+/// not produce.
 void append_trace_events(const UserTrace& full, UserId user,
                          std::vector<LoadEvent>& out);
 

@@ -1,6 +1,7 @@
 #include "daemon/user_session.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -42,24 +43,13 @@ UserSession::UserSession(UserSessionConfig config,
                          service::AdaptationConfig adapt)
     : config_(std::move(config)),
       policy_config_(policy_config),
-      adapt_(adapt),
-      detector_(adapt.detector) {
+      lifecycle_(adapt, policy_config.robustness) {
   NM_REQUIRE(config_.train_days > 0 && config_.train_days % 7 == 0,
              "train_days must be a positive multiple of 7");
   NM_REQUIRE(config_.num_days > config_.train_days,
              "num_days must exceed train_days");
   NM_REQUIRE(!config_.app_names.empty(), "app table must be non-empty");
-  if (adapt_.enable) {
-    NM_REQUIRE(adapt_.window_days > 0, "window_days must be positive");
-    NM_REQUIRE(adapt_.min_refresh_gap_days > 0,
-               "min_refresh_gap_days must be positive");
-    NM_REQUIRE(adapt_.backoff_factor >= 1,
-               "backoff_factor must be at least 1");
-    NM_REQUIRE(adapt_.confidence_ramp_days > 0,
-               "confidence_ramp_days must be positive");
-  }
   train_end_ = day_start(config_.train_days);
-  refresh_gap_ = adapt_.min_refresh_gap_days;
 }
 
 void UserSession::ingest(const service::Record& record) {
@@ -164,22 +154,16 @@ void UserSession::fold_day(int day) {
 
   // Evaluation day: the online executive's midnight tick. train_days
   // is a multiple of 7, so the relative day keeps its regime.
-  if (!adapt_.enable) return;
   const int rel = day - config_.train_days;
-  detector_.observe_summary(rel, c);
-  stats_.drift_score = detector_.score();
-  if (detector_.alarmed()) {
-    if (!alarm_pending_) {
-      alarm_pending_ = true;
-      ++stats_.alarms;
-      SessionMetrics::get().alarms.add(1);
-    }
-    // The fold of relative day `rel` happens at the midnight opening
-    // relative day rel + 1 — the day the online executive would
-    // attempt its refresh.
-    const int refresh_day = rel + 1;
-    if (refresh_day >= next_refresh_day_) attempt_refresh(refresh_day);
+  const bool refresh_due = lifecycle_.observe_summary(rel, c);
+  if (lifecycle_.alarms() > stats_.alarms) {
+    stats_.alarms = lifecycle_.alarms();
+    SessionMetrics::get().alarms.add(1);
   }
+  stats_.drift_score = lifecycle_.score();
+  // The fold of relative day `rel` happens at the midnight opening
+  // relative day rel + 1 — the day the online executive refreshes.
+  if (refresh_due) attempt_refresh(rel + 1);
 }
 
 void UserSession::complete_training() {
@@ -188,21 +172,14 @@ void UserSession::complete_training() {
   // ledger scales the snapshot's confidence exactly as the batch
   // miner's does, and SpecialApps wants the training trace (the
   // incremental counters only carry per-hour aggregates).
-  service::RecordStore store;
-  for (const service::Record& r : training_records()) store.append(r);
-  const fault::SanitizeResult repaired = store.to_trace_tolerant(
-      config_.user, config_.train_days, config_.app_names);
+  const fault::SanitizeResult repaired = training_trace();
   mining::HabitModel model =
       miner_.snapshot(repaired.report.quality());
   special_ = mining::SpecialApps::detect(repaired.trace);
   policy_ = std::make_unique<policy::NetMasterPolicy>(
       std::move(model), special_, policy_config_);
-  if (adapt_.enable) {
-    // Seed the drift banks with the training history and re-anchor, as
-    // the online executive does: drift is measured relative to the
-    // habits the deployed model was mined from.
-    detector_.observe_index(engine::TraceIndex(repaired.trace));
-    detector_.notify_adapted();
+  if (lifecycle_.enabled()) {
+    lifecycle_.anchor(engine::TraceIndex(repaired.trace));
   }
   eval_screen_open_ =
       screen_open_since_ >= 0 && screen_open_since_ < train_end_;
@@ -214,82 +191,50 @@ void UserSession::complete_training() {
 
 void UserSession::attempt_refresh(int eval_day) {
   obs::SpanScope span("daemon.refresh");
-  ++stats_.refresh_attempts;
-  // Mirror of service/online_sim.cpp attempt_refresh: windowed re-mine
-  // from the post-changepoint evaluation records, confidence ramped by
-  // the window length, adopted only past the robustness gate. One
-  // divergence: the horizon filter here closes a boundary-straddling
-  // session by the reconstruction clamp instead of the sanitizer's
-  // clip, so that edge case skips the ledger's clamp penalty.
-  const int changepoint =
-      std::clamp(detector_.changepoint_day(), 0, eval_day - 1);
-  const int start = std::max(changepoint, eval_day - adapt_.window_days);
-  service::RecordStore store;
-  for (const service::Record& r : eval_records(eval_day)) {
-    store.append(r);
-  }
-  const fault::SanitizeResult repaired =
-      store.to_trace_tolerant(config_.user, eval_day, config_.app_names);
-  const engine::TraceIndex seen(repaired.trace);
-  mining::HabitModel fresh =
-      mining::HabitModel::mine(seen, start, eval_day);
-  fresh.scale_confidence(repaired.report.quality());
-  fresh.scale_confidence(std::min(
-      1.0, static_cast<double>(eval_day - start) /
-               static_cast<double>(adapt_.confidence_ramp_days)));
-  if (fresh.training_days() >= policy_config_.robustness.min_training_days &&
-      fresh.overall_confidence() >=
-          policy_config_.robustness.min_confidence) {
-    policy_ = std::make_unique<policy::NetMasterPolicy>(
-        std::move(fresh), special_, policy_config_);
-    detector_.notify_adapted();
-    alarm_pending_ = false;
-    ++stats_.refreshes;
-    ++stats_.model_version;
-    refresh_gap_ = adapt_.min_refresh_gap_days;
-    cache_valid_ = false;
-    SessionMetrics::get().refreshes.add(1);
-  } else {
-    refresh_gap_ *= adapt_.backoff_factor;
-  }
-  next_refresh_day_ = eval_day + refresh_gap_;
+  std::optional<mining::HabitModel> fresh =
+      lifecycle_.refresh(eval_day, eval_trace(eval_day));
+  stats_.refresh_attempts = lifecycle_.attempts();
+  if (!fresh) return;
+  policy_ = std::make_unique<policy::NetMasterPolicy>(
+      std::move(*fresh), special_, policy_config_);
+  stats_.refreshes = lifecycle_.refreshes();
+  ++stats_.model_version;
+  cache_valid_ = false;
+  SessionMetrics::get().refreshes.add(1);
 }
 
-std::vector<service::Record> UserSession::training_records() const {
-  std::vector<service::Record> out;
-  for (const service::Record& r : store_.all_records()) {
+fault::SanitizeResult UserSession::training_trace() const {
+  service::RecordStore store;
+  for (service::Record r : store_.all_records()) {
     if (r.time >= train_end_) continue;
-    service::Record clipped = r;
-    if (clipped.kind == service::RecordKind::kNetworkActivity &&
-        clipped.time + clipped.duration > train_end_) {
+    if (r.kind == service::RecordKind::kNetworkActivity &&
+        r.time + r.duration > train_end_) {
       // slice_days clips transfers at the slice edge; match it so the
       // sanitizer sees the same training window the batch path mines.
-      clipped.duration = train_end_ - clipped.time;
+      r.duration = train_end_ - r.time;
     }
-    out.push_back(clipped);
+    store.append(r);
   }
-  return out;
+  return store.to_trace_tolerant(config_.user, config_.train_days,
+                                 config_.app_names);
 }
 
-std::vector<service::Record> UserSession::eval_records(
-    int horizon_days) const {
+fault::SanitizeResult UserSession::eval_trace(int horizon_days) const {
   const TimeMs hi = train_end_ + day_start(horizon_days);
-  std::vector<service::Record> out;
+  service::RecordStore store;
   if (eval_screen_open_) {
     // A session straddling the training boundary appears in the
     // evaluation slice clipped to its start; re-open it at the epoch.
-    service::Record on;
-    on.kind = service::RecordKind::kScreenOn;
-    on.time = 0;
-    out.push_back(on);
+    store.append({service::RecordKind::kScreenOn, 0, -1, 0, 0, 0, false,
+                  false});
   }
-  for (const service::Record& r : store_.all_records()) {
+  for (service::Record r : store_.all_records()) {
     if (r.time < train_end_ || r.time >= hi) continue;
-    service::Record shifted = r;
-    shifted.time -= train_end_;
-    out.push_back(shifted);
+    r.time -= train_end_;
+    store.append(r);
   }
-  return out;
+  return store.to_trace_tolerant(config_.user, horizon_days,
+                                 config_.app_names);
 }
 
 const ScheduleResult& UserSession::schedule() {
@@ -300,13 +245,7 @@ const ScheduleResult& UserSession::schedule() {
     return cached_;
   }
   obs::SpanScope span("daemon.schedule");
-  service::RecordStore store;
-  for (const service::Record& r : eval_records(eval_days())) {
-    store.append(r);
-  }
-  const fault::SanitizeResult repaired =
-      store.to_trace_tolerant(config_.user, eval_days(),
-                              config_.app_names);
+  const fault::SanitizeResult repaired = eval_trace(eval_days());
   const engine::TraceIndex index(repaired.trace);
   cached_.outcome = policy_->run(index);
   cached_.model_version = stats_.model_version;

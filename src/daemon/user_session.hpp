@@ -14,13 +14,11 @@
 //     NetMasterPolicy(training_trace, config) mines — the daemon's
 //     batch-equivalence anchor (daemon_test, bench_service_throughput).
 //
-//   * during the evaluation window, completed days feed a DriftDetector
-//     exactly as the online executive (service/online_sim.cpp) does at
-//     its midnight tick; a standing alarm triggers windowed re-mining
-//     from the store with the same changepoint clamp, confidence ramp,
-//     robustness gate and exponential backoff. Adopted models hot-swap
-//     the serving policy (bumping model_version); rejected ones back
-//     off.
+//   * during the evaluation window, completed days feed the model's
+//     drift lifecycle (service/model_lifecycle.hpp) — the same loop
+//     service::run_online drives at its midnight tick. A due refresh
+//     re-mines from the reconstructed evaluation records; an adopted
+//     model hot-swaps the serving policy (bumping model_version).
 //
 //   * schedule() reconstructs the evaluation window seen so far,
 //     indexes it and runs the serving policy — cached until new eval
@@ -42,11 +40,11 @@
 #include <string>
 #include <vector>
 
-#include "mining/drift.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/incremental.hpp"
 #include "mining/special_apps.hpp"
 #include "policy/netmaster.hpp"
-#include "service/online_sim.hpp"
+#include "service/model_lifecycle.hpp"
 #include "service/record_store.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
@@ -117,17 +115,17 @@ class UserSession {
   mining::DayContribution summarize_window(int day) const;
   void complete_training();
   void attempt_refresh(int eval_day);
-  /// Training-window records (clipped at the boundary like
-  /// UserTrace::slice_days clips).
-  std::vector<service::Record> training_records() const;
-  /// Evaluation records of relative days [0, horizon_days), shifted to
-  /// the evaluation epoch, with the synthetic screen-on edge when a
-  /// session straddled the training boundary.
-  std::vector<service::Record> eval_records(int horizon_days) const;
+  /// Tolerant reconstruction of the training window (transfers clipped
+  /// at the boundary like UserTrace::slice_days clips).
+  fault::SanitizeResult training_trace() const;
+  /// Tolerant reconstruction of relative evaluation days
+  /// [0, horizon_days), shifted to the evaluation epoch, with the
+  /// synthetic screen-on edge when a session straddled the training
+  /// boundary.
+  fault::SanitizeResult eval_trace(int horizon_days) const;
 
   UserSessionConfig config_;
   policy::NetMasterConfig policy_config_;
-  service::AdaptationConfig adapt_;
   TimeMs train_end_ = 0;
 
   service::RecordStore store_;  ///< every ingested record (the §V DB)
@@ -137,17 +135,13 @@ class UserSession {
   int current_day_ = 0;
 
   mining::IncrementalHabitMiner miner_;  ///< decay 0: batch-equivalent
-  mining::DriftDetector detector_;
+  service::ModelLifecycle lifecycle_;
   mining::SpecialApps special_;
   std::unique_ptr<policy::NetMasterPolicy> policy_;
 
   TimeMs screen_open_since_ = -1;  ///< ingest-side session pairing state
   bool eval_screen_open_ = false;  ///< session straddled the boundary
   std::uint64_t eval_events_ = 0;
-
-  bool alarm_pending_ = false;
-  int next_refresh_day_ = 0;
-  int refresh_gap_ = 0;
 
   ScheduleResult cached_;
   bool cache_valid_ = false;

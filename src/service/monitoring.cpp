@@ -19,32 +19,14 @@ std::size_t MonitoringComponent::observe(const UserTrace& trace) {
   const std::size_t before = store_.size();
 
   // Event-triggered records, merged in time order.
-  struct Event {
-    TimeMs time;
-    Record record;
-  };
-  std::vector<Event> events;
+  std::vector<Record> events;
   events.reserve(trace.sessions.size() * 2 + trace.usages.size() +
                  trace.activities.size());
-
-  for (const ScreenSession& s : trace.sessions) {
-    events.push_back({s.begin, {RecordKind::kScreenOn, s.begin, -1, 0, 0,
-                                0, false, false}});
-    events.push_back({s.end, {RecordKind::kScreenOff, s.end, -1, 0, 0, 0,
-                              false, false}});
-  }
-  for (const AppUsage& u : trace.usages) {
-    events.push_back({u.time, {RecordKind::kAppForeground, u.time, u.app,
-                               0, 0, u.duration, false, false}});
-  }
-  for (const NetworkActivity& n : trace.activities) {
-    events.push_back({n.start,
-                      {RecordKind::kNetworkActivity, n.start, n.app,
-                       n.bytes_down, n.bytes_up, n.duration,
-                       n.user_initiated, n.deferrable}});
-  }
+  for_each_record(trace, [&](const Record& r) { events.push_back(r); });
   std::stable_sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.time < b.time; });
+                   [](const Record& a, const Record& b) {
+                     return a.time < b.time;
+                   });
 
   // Time-triggered byte-counter samples: walk the timeline, switching
   // the sample period at screen edges. Cumulative counters follow the
@@ -74,10 +56,8 @@ std::size_t MonitoringComponent::observe(const UserTrace& trace) {
   }
   sample_records_ += samples;
 
-  for (const Event& e : events) {
-    store_.append(e.record);
-    ++event_records_;
-  }
+  for (const Record& r : events) store_.append(r);
+  event_records_ += events.size();
   return store_.size() - before;
 }
 

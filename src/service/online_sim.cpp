@@ -1,14 +1,13 @@
 #include "service/online_sim.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <vector>
 
-#include "common/error.hpp"
 #include "duty/duty_cycle.hpp"
 #include "engine/radio_timeline.hpp"
 #include "fault/sanitize.hpp"
-#include "mining/drift.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
 #include "service/record_store.hpp"
@@ -69,15 +68,7 @@ OnlineSimResult run_online(const UserTrace& training,
   const UserTrace& eval = index.trace();
   eval.validate();
   const TimeMs horizon = index.horizon();
-  if (adapt.enable) {
-    NM_REQUIRE(adapt.window_days > 0, "window_days must be positive");
-    NM_REQUIRE(adapt.min_refresh_gap_days > 0,
-               "min_refresh_gap_days must be positive");
-    NM_REQUIRE(adapt.backoff_factor >= 1,
-               "backoff_factor must be at least 1");
-    NM_REQUIRE(adapt.confidence_ramp_days > 0,
-               "confidence_ramp_days must be positive");
-  }
+  ModelLifecycle lifecycle(adapt, config.robustness);  // validates adapt
 
   // ---- Mined state (the §V mining broadcast). ----
   // Mutable: the drift-adaptation loop may hot-swap a re-mined model.
@@ -144,98 +135,26 @@ OnlineSimResult run_online(const UserTrace& training,
   TimeMs expected_wake = -1;  // invalidates stale queued probe events
   std::vector<PendingTransfer> pending;
 
-  // ---- Drift-adaptation state (the continued §V mining loop). ----
-  // The monitoring component keeps recording during evaluation: each
-  // completed day lands in the store and feeds the detector at the
-  // midnight tick; an alarm triggers a windowed re-mine from the store.
-  mining::DriftDetector detector(adapt.detector);
-  RecordStore store;
-  std::size_t rec_session = 0;  // store-feed cursors into the eval trace
-  std::size_t rec_usage = 0;
-  std::size_t rec_activity = 0;
-  int next_refresh_day = 0;
-  int refresh_gap = adapt.min_refresh_gap_days;
-  bool alarm_pending = false;  // alarm raised, refresh not yet adopted
-  if (adapt.enable) {
-    // Seed the banks with the (sanitized, as the miner sees it)
-    // training history, then re-anchor: drift is measured relative to
-    // the habits the deployed model was mined from. This keeps every
-    // later changepoint estimate in evaluation-day space.
-    const fault::SanitizeResult seeded = fault::sanitize_trace(training);
-    detector.observe_index(engine::TraceIndex(seeded.trace));
-    detector.notify_adapted();
+  // ---- Drift adaptation (the continued §V mining loop). ----
+  // Each completed day feeds the lifecycle at its closing midnight; a
+  // due refresh re-mines from the monitoring records of the days seen
+  // so far, derived from the evaluation trace on demand.
+  if (lifecycle.enabled()) {
+    // Drift is measured against the training history as the miner saw
+    // it (sanitized).
+    lifecycle.anchor(
+        engine::TraceIndex(fault::sanitize_trace(training).trace));
   }
-
-  auto record_completed_day = [&](int d) {
-    const TimeMs day_end = day_start(d + 1);
-    for (; rec_session < eval.sessions.size() &&
-           eval.sessions[rec_session].begin < day_end;
-         ++rec_session) {
-      Record on;
-      on.kind = RecordKind::kScreenOn;
-      on.time = eval.sessions[rec_session].begin;
-      store.append(on);
-      Record off;
-      off.kind = RecordKind::kScreenOff;
-      off.time = eval.sessions[rec_session].end;
-      store.append(off);
+  auto close_day = [&](int day) {
+    if (!lifecycle.observe_day(day, index)) return;
+    RecordStore store;
+    for_each_record(
+        eval, [&](const Record& r) { store.append(r); }, day_start(day + 1));
+    std::optional<mining::HabitModel> fresh = lifecycle.refresh(
+        day + 1, store.to_trace_tolerant(eval.user, day + 1, eval.app_names));
+    if (fresh) {
+      predictor = mining::SlotPredictor(std::move(*fresh), config.predictor);
     }
-    for (; rec_usage < eval.usages.size() &&
-           eval.usages[rec_usage].time < day_end;
-         ++rec_usage) {
-      const AppUsage& u = eval.usages[rec_usage];
-      Record r;
-      r.kind = RecordKind::kAppForeground;
-      r.time = u.time;
-      r.app = u.app;
-      r.duration = u.duration;
-      store.append(r);
-    }
-    for (; rec_activity < eval.activities.size() &&
-           eval.activities[rec_activity].start < day_end;
-         ++rec_activity) {
-      const NetworkActivity& a = eval.activities[rec_activity];
-      Record r;
-      r.kind = RecordKind::kNetworkActivity;
-      r.time = a.start;
-      r.app = a.app;
-      r.bytes_down = a.bytes_down;
-      r.bytes_up = a.bytes_up;
-      r.duration = a.duration;
-      r.user_initiated = a.user_initiated;
-      r.deferrable = a.deferrable;
-      store.append(r);
-    }
-  };
-
-  // Windowed model refresh from the store. Adopted only when the fresh
-  // model clears the same robustness gate the policy path applies —
-  // with its confidence ramped by how many post-drift days back it,
-  // so a refresh right after the alarm may be (correctly) rejected and
-  // retried once more days accumulate.
-  auto attempt_refresh = [&](int day) {
-    const int changepoint =
-        std::clamp(detector.changepoint_day(), 0, day - 1);
-    const int start = std::max(changepoint, day - adapt.window_days);
-    const fault::SanitizeResult repaired =
-        store.to_trace_tolerant(eval.user, day, eval.app_names);
-    const engine::TraceIndex seen(repaired.trace);
-    mining::HabitModel fresh = mining::HabitModel::mine(seen, start, day);
-    fresh.scale_confidence(repaired.report.quality());
-    fresh.scale_confidence(
-        std::min(1.0, static_cast<double>(day - start) /
-                          static_cast<double>(adapt.confidence_ramp_days)));
-    if (fresh.training_days() >= config.robustness.min_training_days &&
-        fresh.overall_confidence() >= config.robustness.min_confidence) {
-      predictor = mining::SlotPredictor(std::move(fresh), config.predictor);
-      detector.notify_adapted();
-      alarm_pending = false;
-      ++result.model_refreshes;
-      refresh_gap = adapt.min_refresh_gap_days;
-    } else {
-      refresh_gap *= adapt.backoff_factor;
-    }
-    next_refresh_day = day + refresh_gap;
   };
 
   auto in_slot = [&](TimeMs t) {
@@ -287,20 +206,7 @@ OnlineSimResult run_online(const UserTrace& training,
     switch (ev.kind) {
       case EventKind::kMidnight: {
         const int day = day_of(ev.time);
-        if (adapt.enable && day > 0) {
-          record_completed_day(day - 1);
-          detector.observe_day(day - 1, index);
-          if (detector.alarmed()) {
-            if (!alarm_pending) {
-              alarm_pending = true;
-              ++result.drift_alarms;
-              if (result.first_alarm_day < 0) {
-                result.first_alarm_day = detector.alarm_day();
-              }
-            }
-            if (day >= next_refresh_day) attempt_refresh(day);
-          }
-        }
+        if (day > 0) close_day(day - 1);
         today_slots = predictor.predict_day(day).active_slots;
         break;
       }
@@ -377,16 +283,21 @@ OnlineSimResult run_online(const UserTrace& training,
   }
   // Anything still pending at the horizon runs at the last moment.
   release_all_pending(horizon);
+  // No midnight tick follows the last day; close it here so the
+  // detector score is the one at the horizon.
+  if (eval.num_days > 0) close_day(eval.num_days - 1);
 
   // Dormancy-grace windows for the data switch, as in the policy path.
   engine::RadioTimeline timeline(horizon);
   timeline.allow_transfers(out.transfers, policy::kDormancyGraceMs);
   out.radio_allowed = std::move(timeline).build();
 
-  if (adapt.enable) {
-    result.final_drift_score = detector.score();
-    out.drift_score = result.final_drift_score;
-  }
+  // All zero (and -1) when adaptation is off.
+  result.final_drift_score = lifecycle.score();
+  out.drift_score = result.final_drift_score;
+  result.drift_alarms = lifecycle.alarms();
+  result.model_refreshes = lifecycle.refreshes();
+  result.first_alarm_day = lifecycle.first_alarm_day();
   return result;
 }
 

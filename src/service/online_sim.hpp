@@ -11,44 +11,24 @@
 // the greedy nearest-opportunity rule; the knapsack-planned placement
 // lives in the policy path. Agreement between the two paths (tested in
 // online_sim_test) validates the real-time adjustment machinery.
+//
+// With adaptation enabled, the loop also drives the model's drift
+// lifecycle (service/model_lifecycle.hpp): each completed day is closed
+// at its midnight tick — the last day right after the loop — and an
+// adopted refresh hot-swaps the predictor. daemon::UserSession runs the
+// same lifecycle over a streamed record feed.
 #pragma once
 
 #include <cstddef>
 
 #include "engine/trace_index.hpp"
-#include "mining/drift.hpp"
 #include "policy/netmaster.hpp"
 #include "sched/solver.hpp"
+#include "service/model_lifecycle.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
 
 namespace netmaster::service {
-
-/// Online drift adaptation (ROADMAP item 5). When enabled, the
-/// executive keeps monitoring the evaluation stream: each completed day
-/// is appended to a RecordStore and folded into a mining::DriftDetector
-/// at the midnight tick. When the detector alarms, the mining component
-/// re-mines a fresh model from the store's post-changepoint window and
-/// the predictor hot-swaps to it — rate-limited with exponential
-/// backoff, and only when the re-mined model clears the robustness
-/// gate (its confidence is ramped down until enough post-drift days
-/// accumulated, so a one-day model never takes over).
-struct AdaptationConfig {
-  bool enable = false;
-  mining::DriftConfig detector;
-  /// Longest re-mine window: the refresh mines records from
-  /// [max(changepoint, day − window_days), day).
-  int window_days = 14;
-  /// Days between refresh attempts (rate limit; grows by
-  /// backoff_factor after a rejected refresh, resets on adoption).
-  int min_refresh_gap_days = 2;
-  int backoff_factor = 2;
-  /// A freshly re-mined model's confidence is scaled by
-  /// min(1, window_len / confidence_ramp_days): fewer post-drift days
-  /// than this leave it partially trusted (possibly below the adoption
-  /// gate — the next attempt sees more days).
-  int confidence_ramp_days = 3;
-};
 
 struct OnlineSimResult {
   sim::PolicyOutcome outcome;      ///< accountable like any policy run
@@ -82,8 +62,8 @@ OnlineSimResult run_online(const UserTrace& training,
                            const UserTrace& eval,
                            const policy::NetMasterConfig& config);
 
-/// Adaptive replay: like run_online, plus the drift-adaptation loop of
-/// AdaptationConfig. With adapt.enable == false this is exactly
+/// Adaptive replay: like run_online, plus the drift lifecycle of
+/// ModelLifecycle. With adapt.enable == false this is exactly
 /// run_online (no detector, no store, bit-identical schedule). The
 /// evaluation index must share the training trace's weekday phase
 /// (slice at multiples of 7 days), as for NetMasterPolicy.

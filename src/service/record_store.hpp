@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/time.hpp"
@@ -43,6 +44,31 @@ struct Record {
 
   friend bool operator==(const Record&, const Record&) = default;
 };
+
+/// Calls emit(record) for each event record monitoring derives from a
+/// trace: a screen-on and a screen-off edge per session, one foreground
+/// record per app usage, one activity record per transfer. Events
+/// starting at or after `until` are left out. The records come in that
+/// category order, not in time order; each caller imposes its own.
+template <typename Emit>
+void for_each_record(const UserTrace& trace, Emit&& emit,
+                     TimeMs until = std::numeric_limits<TimeMs>::max()) {
+  for (const ScreenSession& s : trace.sessions) {
+    if (s.begin >= until) continue;
+    emit(Record{RecordKind::kScreenOn, s.begin, -1, 0, 0, 0, false, false});
+    emit(Record{RecordKind::kScreenOff, s.end, -1, 0, 0, 0, false, false});
+  }
+  for (const AppUsage& u : trace.usages) {
+    if (u.time >= until) continue;
+    emit(Record{RecordKind::kAppForeground, u.time, u.app, 0, 0, u.duration,
+                false, false});
+  }
+  for (const NetworkActivity& n : trace.activities) {
+    if (n.start >= until) continue;
+    emit(Record{RecordKind::kNetworkActivity, n.start, n.app, n.bytes_down,
+                n.bytes_up, n.duration, n.user_initiated, n.deferrable});
+  }
+}
 
 /// Append-only store with a bounded memory write-cache.
 class RecordStore {

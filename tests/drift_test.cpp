@@ -6,8 +6,11 @@
 
 #include <array>
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "daemon/loadgen.hpp"
+#include "daemon/user_session.hpp"
 #include "engine/trace_index.hpp"
 #include "eval/session.hpp"
 #include "mining/drift.hpp"
@@ -615,6 +618,63 @@ TEST(OnlineAdaptation, RejectsInvalidConfig) {
   EXPECT_THROW(
       service::run_online(traces.training, index, cfg.netmaster, bad),
       Error);
+}
+
+TEST(OnlineAdaptation, EventLoopAndDaemonDriveOneLifecycle) {
+  // run_online (evaluation index, midnight ticks) and the daemon's
+  // UserSession (streamed records, 2-day fold windows) drive the same
+  // ModelLifecycle. On the same users they must raise the same alarms,
+  // adopt the same refreshes and end on the same detector score, bit
+  // for bit — including the last evaluation day, which no midnight
+  // tick follows.
+  constexpr int kTrainDays = 14;
+  constexpr int kEvalDays = 14;
+  policy::NetMasterConfig config;
+  config.solver = sched::SolverChoice::kGreedy;
+  service::AdaptationConfig adapt;
+  adapt.enable = true;
+  for (const synth::DriftKind kind :
+       {synth::DriftKind::kNone, synth::DriftKind::kAbrupt,
+        synth::DriftKind::kGradual, synth::DriftKind::kSeasonal}) {
+    for (const synth::Archetype archetype :
+         {synth::Archetype::kOfficeWorker, synth::Archetype::kStudent,
+          synth::Archetype::kNightOwl, synth::Archetype::kLightUser}) {
+      for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{7}}) {
+        const std::string context =
+            "drift " + std::to_string(static_cast<int>(kind)) +
+            " archetype " + std::to_string(static_cast<int>(archetype)) +
+            " seed " + std::to_string(seed);
+        synth::DriftSpec spec;
+        spec.kind = kind;
+        spec.onset_day = kTrainDays;
+        const UserTrace full = synth::generate_drifting_trace(
+            synth::make_user(archetype, 1), spec, kTrainDays + kEvalDays,
+            seed);
+        const UserTrace eval = full.slice_days(kTrainDays, kEvalDays);
+        const service::OnlineSimResult online = service::run_online(
+            full.slice_days(0, kTrainDays), engine::TraceIndex(eval), config,
+            adapt);
+
+        daemon::UserSessionConfig session_config;
+        session_config.user = full.user;
+        session_config.train_days = kTrainDays;
+        session_config.num_days = kTrainDays + kEvalDays;
+        session_config.app_names = full.app_names;
+        daemon::UserSession session(session_config, config, adapt);
+        std::vector<daemon::LoadEvent> events;
+        daemon::append_trace_events(full, full.user, events);
+        daemon::sort_events(events);
+        for (const daemon::LoadEvent& e : events) session.ingest(e.record);
+        session.finish();
+
+        EXPECT_EQ(online.drift_alarms, session.stats().alarms) << context;
+        EXPECT_EQ(online.model_refreshes, session.stats().refreshes)
+            << context;
+        EXPECT_EQ(online.final_drift_score, session.stats().drift_score)
+            << context;
+      }
+    }
+  }
 }
 
 // ---- Calibration diagnostics (always passes; prints the signal). -----

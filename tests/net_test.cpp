@@ -1,5 +1,4 @@
-// Tests for the portable networking layer (src/net/): virtual clocks,
-// line transports (in-process and TCP loopback), and the netmasterd
+// Tests for the portable networking layer (src/net/): line transports (in-process and TCP loopback), and the netmasterd
 // wire protocol.
 
 #include <gtest/gtest.h>
@@ -11,51 +10,12 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "net/clock.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 
 namespace netmaster::net {
 namespace {
-
-// ---- Clocks. ---------------------------------------------------------
-
-TEST(NetClock, SimClockAdvancesAndSleepIsInstant) {
-  SimClock clock;
-  EXPECT_EQ(clock.now_ns(), 0);
-  clock.advance_to_ns(1'000);
-  EXPECT_EQ(clock.now_ns(), 1'000);
-  clock.advance_to_ns(500);  // never goes backwards
-  EXPECT_EQ(clock.now_ns(), 1'000);
-  clock.sleep_for_ns(2'500);  // sleep == advance, returns immediately
-  EXPECT_EQ(clock.now_ns(), 3'500);
-  clock.sleep_until_ns(3'000);  // past deadline: no-op
-  EXPECT_EQ(clock.now_ns(), 3'500);
-}
-
-TEST(NetClock, SimClockWaitBlocksUntilAdvanced) {
-  SimClock clock;
-  std::atomic<bool> woke{false};
-  std::thread sleeper([&] {
-    clock.wait_until_ns(10'000);
-    woke.store(true);
-  });
-  // The sleeper must not wake until the clock passes its deadline.
-  clock.advance_to_ns(5'000);
-  EXPECT_FALSE(woke.load());
-  clock.advance_to_ns(10'000);
-  sleeper.join();
-  EXPECT_TRUE(woke.load());
-}
-
-TEST(NetClock, RealClockIsMonotonic) {
-  RealClock clock;
-  const ClockNs a = clock.now_ns();
-  clock.sleep_for_ns(1'000'000);  // 1 ms
-  const ClockNs b = clock.now_ns();
-  EXPECT_GE(b - a, 1'000'000);
-}
 
 // ---- In-process transport. -------------------------------------------
 

@@ -1,10 +1,11 @@
-// Tests for the §V middleware layer: record store, monitoring, mining
-// and scheduling components, and the end-to-end service facade.
+// Tests for the §V middleware's data path: the record store (DB + write
+// cache), the trace→record derivation, the monitoring component, and
+// tolerant reconstruction of damaged records for mining.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "policy/netmaster.hpp"
-#include "service/components.hpp"
+#include "mining/habits.hpp"
+#include "mining/special_apps.hpp"
 #include "service/monitoring.hpp"
 #include "service/record_store.hpp"
 #include "synth/generator.hpp"
@@ -113,16 +114,82 @@ TEST(RecordStore, ExplicitFlushAndIdempotence) {
 }
 
 TEST(RecordStore, ToTraceReconstructsEvents) {
+  // Two feeds of the same trace rebuild it exactly: the monitoring
+  // component (records in time order, interleaved with timer samples)
+  // and the bare for_each_record derivation (category order).
   const UserTrace original = sample_trace();
+  RecordStore monitored;
+  MonitoringComponent monitor(monitored);
+  monitor.observe(original);
+  RecordStore direct;
+  for_each_record(original, [&](const Record& r) { direct.append(r); });
+  for (const RecordStore* store : {&monitored, &direct}) {
+    const UserTrace rebuilt =
+        store->to_trace(original.user, original.num_days,
+                        original.app_names);
+    EXPECT_EQ(rebuilt.sessions, original.sessions);
+    EXPECT_EQ(rebuilt.usages, original.usages);
+    EXPECT_EQ(rebuilt.activities, original.activities);
+  }
+}
+
+TEST(RecordStore, ForEachRecordCutKeepsEventsStartingBefore) {
+  const UserTrace t = sample_trace();
+  const TimeMs cut = day_start(3);
+  std::size_t expected = 0;
+  for (const ScreenSession& s : t.sessions) expected += s.begin < cut ? 2 : 0;
+  for (const AppUsage& u : t.usages) expected += u.time < cut ? 1 : 0;
+  for (const NetworkActivity& n : t.activities) {
+    expected += n.start < cut ? 1 : 0;
+  }
+  std::size_t emitted = 0;
+  for_each_record(
+      t,
+      [&](const Record& r) {
+        ++emitted;
+        // A screen-off edge belongs to its session's begin.
+        if (r.kind != RecordKind::kScreenOff) {
+          EXPECT_LT(r.time, cut);
+        }
+      },
+      cut);
+  EXPECT_EQ(emitted, expected);
+}
+
+TEST(RecordStore, DamagedRecordsReconstructTolerantlyAndMine) {
+  // A store holding records a valid trace cannot express — negative
+  // byte deltas (counter reset), an unknown app id, a timestamp past
+  // the horizon — must degrade the mined model, not kill the mine.
+  const UserTrace t = sample_trace();
   RecordStore store;
   MonitoringComponent monitor(store);
-  monitor.observe(original);
-  const UserTrace rebuilt =
-      store.to_trace(original.user, original.num_days,
-                     original.app_names);
-  EXPECT_EQ(rebuilt.sessions, original.sessions);
-  EXPECT_EQ(rebuilt.usages, original.usages);
-  EXPECT_EQ(rebuilt.activities, original.activities);
+  monitor.observe(t);
+  store.append({RecordKind::kNetworkActivity, 100, 0, -5'000, -3, 10,
+                false, true});
+  store.append({RecordKind::kNetworkActivity, 200,
+                static_cast<AppId>(t.app_names.size() + 4), 10, 10, 10,
+                false, true});
+  store.append({RecordKind::kAppForeground,
+                t.trace_end() + kMsPerHour, 0, 0, 0, 5, false, false});
+
+  // The strict path rejects the damaged store...
+  EXPECT_THROW(store.to_trace(t.user, t.num_days, t.app_names), Error);
+
+  // ...the tolerant one repairs it and reports what it discarded.
+  const fault::SanitizeResult repaired =
+      store.to_trace_tolerant(t.user, t.num_days, t.app_names);
+  EXPECT_FALSE(repaired.report.clean());
+  EXPECT_GE(repaired.report.dropped_events + repaired.report.clamped_events,
+            2u);
+  EXPECT_LT(repaired.report.quality(), 1.0);
+
+  // The repaired trace mines; the ledger's quality degrades the model.
+  mining::HabitModel model = mining::HabitModel::mine(repaired.trace);
+  EXPECT_GT(model.training_days(), 0);
+  const double clean_confidence = model.overall_confidence();
+  model.scale_confidence(repaired.report.quality());
+  EXPECT_LT(model.overall_confidence(), clean_confidence);
+  EXPECT_GT(mining::SpecialApps::detect(repaired.trace).count(), 0u);
 }
 
 TEST(Monitoring, HybridTriggerRecordCounts) {
@@ -145,138 +212,6 @@ TEST(Monitoring, SamplePeriodValidation) {
   MonitoringConfig bad;
   bad.screen_on_sample_ms = 0;
   EXPECT_THROW(MonitoringComponent(store, bad), Error);
-}
-
-TEST(MiningComponent, RetrainBroadcasts) {
-  const UserTrace t = sample_trace();
-  RecordStore store;
-  MonitoringComponent monitor(store);
-  monitor.observe(t);
-
-  MiningComponent mining(store);
-  int broadcasts = 0;
-  mining.subscribe([&](const MiningComponent::Broadcast& b) {
-    ++broadcasts;
-    EXPECT_GT(b.special.count(), 0u);
-  });
-  EXPECT_FALSE(mining.latest().has_value());
-  mining.retrain(t.user, t.num_days, t.app_names);
-  EXPECT_EQ(broadcasts, 1);
-  ASSERT_TRUE(mining.latest().has_value());
-  EXPECT_THROW(mining.subscribe(nullptr), Error);
-}
-
-TEST(MiningComponent, RetrainToleratesDamagedRecords) {
-  // A store holding records a valid trace cannot express — negative
-  // byte deltas (counter reset), an unknown app id, a timestamp past
-  // the horizon — must degrade the broadcast, not kill the retrain.
-  const UserTrace t = sample_trace();
-  RecordStore store;
-  MonitoringComponent monitor(store);
-  monitor.observe(t);
-  store.append({RecordKind::kNetworkActivity, 100, 0, -5'000, -3, 10,
-                false, true});
-  store.append({RecordKind::kNetworkActivity, 200,
-                static_cast<AppId>(t.app_names.size() + 4), 10, 10, 10,
-                false, true});
-  store.append({RecordKind::kAppForeground,
-                t.trace_end() + kMsPerHour, 0, 0, 0, 5, false, false});
-
-  // The strict path rejects the damaged store...
-  EXPECT_THROW(store.to_trace(t.user, t.num_days, t.app_names), Error);
-
-  // ...the tolerant retrain repairs it and reports what it discarded.
-  MiningComponent mining(store);
-  mining.retrain(t.user, t.num_days, t.app_names);
-  ASSERT_TRUE(mining.latest().has_value());
-  const MiningComponent::Broadcast& b = *mining.latest();
-  EXPECT_FALSE(b.repair.clean());
-  EXPECT_GE(b.repair.dropped_events + b.repair.clamped_events, 2u);
-  EXPECT_LT(b.repair.quality(), 1.0);
-  EXPECT_GT(b.model.training_days(), 0);
-}
-
-TEST(SchedulingComponent, RadioCommands) {
-  const UserTrace t = sample_trace();
-  RecordStore store;
-  MonitoringComponent monitor(store);
-  monitor.observe(t);
-  MiningComponent mining(store);
-
-  SchedulingComponent sched(policy::NetMasterConfig{});
-  mining.subscribe([&](const MiningComponent::Broadcast& b) {
-    sched.on_broadcast(b);
-  });
-  EXPECT_FALSE(sched.has_model());
-  mining.retrain(t.user, t.num_days, t.app_names);
-  ASSERT_TRUE(sched.has_model());
-
-  // Screen-off outside active slots: radio down; duty wake with
-  // traffic: radio up.
-  const TimeMs night = hour_start(3, 3);
-  EXPECT_EQ(sched.on_screen_off(night), RadioCommand::kDisable);
-  EXPECT_EQ(sched.on_duty_wake(night + 30'000, true),
-            RadioCommand::kEnable);
-  EXPECT_GE(sched.radio_switches(), 1u);
-}
-
-TEST(SchedulingComponent, SpecialAppGatesScreenOnRadio) {
-  const UserTrace t = sample_trace();
-  RecordStore store;
-  MonitoringComponent monitor(store);
-  monitor.observe(t);
-  MiningComponent mining(store);
-  SchedulingComponent sched(policy::NetMasterConfig{});
-  mining.subscribe([&](const MiningComponent::Broadcast& b) {
-    sched.on_broadcast(b);
-  });
-  mining.retrain(t.user, t.num_days, t.app_names);
-
-  const mining::SpecialApps special = mining::SpecialApps::detect(t);
-  AppId non_special = -1;
-  for (AppId a = 0; a < static_cast<AppId>(t.app_names.size()); ++a) {
-    if (!special.is_special(a)) {
-      non_special = a;
-      break;
-    }
-  }
-  ASSERT_GE(non_special, 0);
-  // At night (outside predicted slots) a non-special foreground app
-  // does not power the radio; a special one does.
-  const TimeMs night = hour_start(3, 3);
-  EXPECT_EQ(sched.on_screen_on(night, non_special),
-            RadioCommand::kDisable);
-  EXPECT_EQ(sched.on_screen_on(night, 0), RadioCommand::kEnable);
-}
-
-TEST(SchedulingComponent, DecideRequiresModel) {
-  SchedulingComponent sched(policy::NetMasterConfig{});
-  EXPECT_THROW(sched.decide({}, {}), Error);
-}
-
-TEST(NetMasterService, EndToEndMatchesPolicy) {
-  const auto profile = synth::make_user(synth::Archetype::kStudent, 2);
-  const UserTrace full = synth::generate_trace(profile, 21, 7);
-  const UserTrace training = full.slice_days(0, 14);
-  const UserTrace eval = full.slice_days(14, 7);
-
-  NetMasterService service;
-  service.train(training);
-  const sim::SimReport via_service = service.evaluate(eval);
-
-  const policy::NetMasterPolicy policy(training,
-                                       policy::NetMasterConfig{});
-  const sim::SimReport direct = sim::account(
-      eval, policy.run(eval), policy::NetMasterConfig{}.profit.radio);
-
-  EXPECT_DOUBLE_EQ(via_service.energy_j, direct.energy_j);
-  EXPECT_EQ(via_service.radio_on_ms, direct.radio_on_ms);
-  EXPECT_EQ(via_service.interrupts, direct.interrupts);
-}
-
-TEST(NetMasterService, EvaluateBeforeTrainThrows) {
-  NetMasterService service;
-  EXPECT_THROW(service.evaluate(sample_trace()), Error);
 }
 
 }  // namespace
