@@ -84,7 +84,7 @@ const char* kind_name(synth::DriftKind kind) {
 
 /// One user's prepared state for a drift kind, index built once and
 /// shared by every detector cell. The traces live behind a stable
-/// pointer because the index borrows them by address.
+/// pointer because run_online reads them next to the index.
 struct PreparedUser {
   std::unique_ptr<eval::VolunteerTraces> traces;
   std::unique_ptr<engine::TraceIndex> index;
@@ -142,7 +142,8 @@ CellResult run_cell(const std::vector<PreparedUser>& users, Cell cell) {
                                     ? p.traces->eval
                                     : p.traces->training;
     const service::OnlineSimResult r =
-        service::run_online(training, *p.index, cfg.netmaster, adapt);
+        service::run_online(training, p.traces->eval, *p.index,
+                            cfg.netmaster, adapt);
     const sim::SimReport rep =
         sim::account(p.traces->eval, r.outcome, radio);
     out.energy_j += rep.energy_j;
@@ -276,7 +277,8 @@ void BM_AdaptiveReplayAbrupt(benchmark::State& state) {
   adapt.enable = true;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        service::run_online(traces.training, index, cfg.netmaster, adapt));
+        service::run_online(traces.training, traces.eval, index,
+                            cfg.netmaster, adapt));
   }
 }
 BENCHMARK(BM_AdaptiveReplayAbrupt)->Unit(benchmark::kMillisecond);
@@ -290,7 +292,8 @@ void BM_PlainReplayAbrupt(benchmark::State& state) {
   const engine::TraceIndex index(traces.eval);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        service::run_online(traces.training, index, cfg.netmaster));
+        service::run_online(traces.training, traces.eval, index,
+                            cfg.netmaster));
   }
 }
 BENCHMARK(BM_PlainReplayAbrupt)->Unit(benchmark::kMillisecond);

@@ -90,7 +90,7 @@ int cmd_generate(int argc, char** argv) {
   if (argc != 6) return usage();
   const auto archetype =
       static_cast<synth::Archetype>(parse_int_arg(argv[2], 0, 7, "archetype"));
-  const int days = parse_int_arg(argv[3], 1, 3650, "days");
+  const int days = parse_int_arg(argv[3], 1, kMaxTraceDays, "days");
   const auto seed = std::strtoull(argv[4], nullptr, 10);
   const synth::UserProfile profile = synth::make_user(archetype, 1);
   const UserTrace trace = synth::generate_trace(profile, days, seed);

@@ -1,6 +1,7 @@
 #include "common/interval.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace netmaster {
 
@@ -12,13 +13,17 @@ IntervalSet::IntervalSet(std::vector<Interval> intervals) {
   if (!std::is_sorted(intervals.begin(), intervals.end(), by_begin)) {
     std::sort(intervals.begin(), intervals.end(), by_begin);
   }
+  // Coalesce in place and keep the input's storage.
+  std::size_t kept = 0;
   for (const Interval& iv : intervals) {
-    if (!intervals_.empty() && iv.begin <= intervals_.back().end) {
-      intervals_.back().end = std::max(intervals_.back().end, iv.end);
+    if (kept > 0 && iv.begin <= intervals[kept - 1].end) {
+      intervals[kept - 1].end = std::max(intervals[kept - 1].end, iv.end);
     } else {
-      intervals_.push_back(iv);
+      intervals[kept++] = iv;
     }
   }
+  intervals.resize(kept);
+  intervals_ = std::move(intervals);
 }
 
 void IntervalSet::add(TimeMs begin, TimeMs end) {

@@ -59,22 +59,27 @@ class RadioTimeline {
 };
 
 /// Vectorized RRC state-residency accounting over SoA time columns —
-/// the replay-hot-path form of power/radio_model.cpp's
-/// account_transfers, generalized over the N-tier tail chain.
-/// `begins`/`ends` are the canonical transfer columns (sorted,
+/// the one radio accountant of the simulator, over the N-tier tail
+/// chain. `begins`/`ends` are the canonical transfer columns (sorted,
 /// disjoint, non-empty, equal length — exactly the layout of
 /// mem::SessionColumns and of an IntervalSet's split fields). The
 /// kernel makes a single branch-minimized pass: tail spans drain
 /// through the tier chain with max/min clamps, promotion classes are
-/// boolean-arithmetic selectors over the tier boundaries instead of
-/// the reference implementation's branchy tier search, and the
-/// allowed-set lookups are two monotone merge cursors instead of
-/// per-transfer binary searches (O(n + m) total). Energy is derived
-/// once at the end from the integer millisecond totals, so results are
-/// bit-for-bit identical to account_transfers on every input — a
-/// property the differential tests in radio_timeline_test fuzz over
+/// boolean-arithmetic selectors over the tier boundaries instead of a
+/// branchy tier search, and the allowed-set lookups are two monotone
+/// merge cursors instead of per-transfer binary searches (O(n + m)
+/// total). Energy is derived once at the end from the integer
+/// millisecond totals. The transfer-by-transfer reference it replaced
+/// lives on as a test oracle (tests/oracles/account_transfers.hpp);
+/// radio_timeline_test fuzzes the two for bit-for-bit equality over
 /// random 1–4-tier models. Takes any RadioModel (RadioPowerParams
 /// converts implicitly).
+///
+/// When `radio_allowed` is non-null it models a policy-controlled data
+/// switch (NetMaster's `svc data disable`): inactivity tails survive
+/// only inside the allowed set and are cut — radio straight to IDLE —
+/// at its boundaries. Every transfer must start inside the allowed set.
+/// Null means the stock radio: tails always run to completion.
 RadioAccounting account_columns(std::span<const TimeMs> begins,
                                 std::span<const TimeMs> ends,
                                 const RadioModel& model,
@@ -83,8 +88,7 @@ RadioAccounting account_columns(std::span<const TimeMs> begins,
 
 /// account_columns over a canonical IntervalSet: splits the AoS
 /// intervals into thread-local scratch columns (no steady-state
-/// allocation) and runs the vectorized kernel. Drop-in replacement for
-/// account_transfers on the accounting hot path.
+/// allocation) and runs the vectorized kernel.
 RadioAccounting account_interval_set(
     const IntervalSet& transfers, const RadioModel& model,
     TimeMs horizon_end, const IntervalSet* radio_allowed = nullptr);

@@ -10,15 +10,11 @@
 namespace netmaster::engine {
 
 TraceIndex::TraceIndex(const UserTrace& trace)
-    : trace_(&trace),
-      source_(mem::Lifetime::immortal()),
-      owned_arena_(std::make_unique<mem::Arena>()) {
+    : owned_arena_(std::make_unique<mem::Arena>()) {
   build(trace, *owned_arena_);
 }
 
-TraceIndex::TraceIndex(const UserTrace& trace, mem::Arena& arena,
-                       mem::LifetimeHandle source)
-    : trace_(&trace), source_(std::move(source)) {
+TraceIndex::TraceIndex(const UserTrace& trace, mem::Arena& arena) {
   build(trace, arena);
 }
 
@@ -127,13 +123,6 @@ void TraceIndex::fold_buckets(const UserTrace& trace,
   }
 }
 
-const UserTrace& TraceIndex::trace() const {
-  NM_REQUIRE(source_.alive(),
-             "TraceIndex::trace — the source trace was evicted or moved "
-             "from; replay must use the index's columnar accessors");
-  return *trace_;
-}
-
 bool TraceIndex::screen_on_at(TimeMs t) const {
   const std::span<const TimeMs> ends = columns_.sessions.ends();
   const auto it = std::lower_bound(ends.begin(), ends.end(), t,
@@ -172,9 +161,7 @@ const TraceIndex::HourBucket& TraceIndex::bucket(int day, int hour) const {
                   static_cast<std::size_t>(hour)];
 }
 
-void TraceIndex::check_invariants() const {
-  const UserTrace& source = trace();  // guarded: needs the source alive
-
+void TraceIndex::check_invariants(const UserTrace& source) const {
   // The arena columns must mirror the source trace exactly.
   NM_REQUIRE(columns_.sessions.size() == source.sessions.size() &&
                  columns_.usages.size() == source.usages.size() &&

@@ -1,25 +1,23 @@
 // Shared replay index over one UserTrace — arena-backed and
 // self-contained.
 //
-// Every policy and the online event loop need the same handful of
-// derived facts about an evaluation trace: binary-searchable screen
-// session boundaries, the set of deferrable screen-off activities (the
-// class the paper's optimizations target), and per-(day, hour) activity
-// buckets (the mining substrate). A TraceIndex computes all of them
-// once; N policies replaying the same user then share one index instead
-// of re-deriving the facts with per-policy O(n log s) scans.
+// Every policy, the online event loop and the accountant need the same
+// handful of derived facts about an evaluation trace: binary-searchable
+// screen session boundaries, the set of deferrable screen-off
+// activities (the class the paper's optimizations target), and
+// per-(day, hour) activity buckets (the mining substrate). A TraceIndex
+// computes all of them once; N policies replaying the same user then
+// share one index instead of re-deriving the facts with per-policy
+// O(n log s) scans.
 //
-// Memory model (ROADMAP item 2): at construction the index copies the
-// trace's session/usage/activity columns into ONE arena as
-// structure-of-arrays (mem::TraceColumns) and builds its derived
-// columns — packed classification bits, u32 deferrable list, hour
-// buckets — into the same arena. After that the index is
-// self-contained: replay reads only arena memory, so the source
-// UserTrace may be evicted to disk (eval::UserStore) while policies
-// keep replaying. The old raw borrowed reference is replaced by a
-// generation-checked mem::LifetimeHandle: `trace()` still exposes the
-// source trace for callers that own it, but a moved-from or evicted
-// source is caught with an Error instead of silently read.
+// Memory model: at construction the index copies the trace's
+// session/usage/activity columns into ONE arena as structure-of-arrays
+// (mem::TraceColumns) and builds its derived columns — packed
+// classification bits, u32 deferrable list, hour buckets — into the
+// same arena. It keeps no reference to the source trace: replay and
+// accounting (sim::trace_totals, sim::account) read only arena memory,
+// so the source UserTrace may be destroyed or evicted to disk
+// (eval::UserStore) while policies keep replaying.
 #pragma once
 
 #include <cstddef>
@@ -36,34 +34,19 @@ namespace netmaster::engine {
 
 class TraceIndex {
  public:
-  /// Indexes `trace` into an internally-owned arena. The index itself
-  /// never dereferences the trace after construction; `trace()` remains
-  /// valid only while the caller keeps the trace alive (no lifetime
-  /// tracking on this overload — it exists for stack-local one-shot
-  /// replays where the trace outlives the index by construction).
-  /// Does not validate: policies accept the same traces they always
-  /// did; call trace().validate() for strict checking.
+  /// Indexes `trace` into an internally-owned arena. The index never
+  /// dereferences the trace after construction. Does not validate:
+  /// policies accept the same traces they always did; call
+  /// trace.validate() for strict checking.
   explicit TraceIndex(const UserTrace& trace);
 
   /// Fleet overload: builds every column into the caller's per-user
-  /// `arena` and guards `trace()` with `source` — once the owner
-  /// retires the lifetime (eviction, move-out), trace() throws instead
-  /// of dereferencing freed memory. The arena must outlive the index
-  /// and must not be reset while the index is alive.
-  TraceIndex(const UserTrace& trace, mem::Arena& arena,
-             mem::LifetimeHandle source);
+  /// `arena`, which must outlive the index and must not be reset while
+  /// the index is alive.
+  TraceIndex(const UserTrace& trace, mem::Arena& arena);
 
   TraceIndex(TraceIndex&&) = default;
   TraceIndex& operator=(TraceIndex&&) = default;
-
-  /// The source trace. Guarded: throws netmaster::Error when the
-  /// owning lifetime was retired (the trace was evicted or moved
-  /// from). Fleet replay paths must use the columnar accessors below,
-  /// which stay valid regardless.
-  const UserTrace& trace() const;
-
-  /// True while the source trace behind trace() is still live.
-  bool source_alive() const { return source_.alive(); }
 
   TimeMs horizon() const { return horizon_; }
   int num_days() const { return columns_.num_days; }
@@ -139,16 +122,15 @@ class TraceIndex {
   }
 
   /// Throws netmaster::Error when an internal invariant is broken
-  /// (sessions unsorted/overlapping, classification inconsistent with
-  /// the trace, bucket totals not matching the event counts). Needs
-  /// the source trace alive — it cross-checks columns against it.
-  void check_invariants() const;
+  /// (columns differing from `source`, sessions unsorted/overlapping,
+  /// classification inconsistent with the trace, bucket totals not
+  /// matching the event counts). `source` is the trace the index was
+  /// built from.
+  void check_invariants(const UserTrace& source) const;
 
  private:
   void build(const UserTrace& trace, mem::Arena& arena);
 
-  const UserTrace* trace_ = nullptr;
-  mem::LifetimeHandle source_;
   std::unique_ptr<mem::Arena> owned_arena_;  ///< null on the fleet path
   TimeMs horizon_ = 0;
   mem::TraceColumns columns_;             ///< SoA trace copy, one arena

@@ -160,6 +160,7 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
   }
   const obs::SpanScope cell_span("fleet.cell");
   const UserStore::Pin& traces = row.traces;
+  const engine::TraceIndex& index = session.index(u);
   try {
     std::unique_ptr<policy::Policy> pol;
     {
@@ -172,7 +173,7 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
     sim::PolicyOutcome outcome;
     {
       const obs::SpanScope schedule_span("fleet.schedule");
-      outcome = pol->run(session.index(u));
+      outcome = pol->run(index);
     }
     const obs::SpanScope account_span("fleet.account");
     // Per-spec radio override, else the session's models. All-cellular
@@ -184,7 +185,8 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
       radios.cellular = session.config().netmaster.profit.radio;
       radios.wifi = session.config().netmaster.profit.wifi;
     }
-    cell.report = sim::account(traces.eval(), outcome, radios);
+    cell.report = sim::account(session.totals(u), index.usages().times(),
+                               outcome, radios);
   } catch (const std::exception& e) {
     fail_cell(cell, e.what());
     return;

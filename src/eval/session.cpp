@@ -153,20 +153,22 @@ void EvalSession::prepare_user(std::size_t u) {
   if (!state.prep_error.empty()) return;
   const obs::SpanScope span("fleet.prepare");
   try {
-    // Pin the traces for the whole preparation: the index copies the
+    // Pin the traces for the preparation only: the index copies the
     // eval trace into the per-user arena and is self-contained from
-    // then on; the pin's lifetime guards index.trace() so a later
-    // eviction is caught instead of dereferenced.
+    // then on, and the policy-invariant report fields are folded from
+    // its columns once here instead of once per cell.
     const UserStore::Pin pin = store_->pin(u);
     pin.eval().validate();
     state.arena = std::make_unique<mem::Arena>();
-    state.index = std::make_unique<engine::TraceIndex>(
-        pin.eval(), *state.arena, pin.lifetime());
+    state.index = std::make_unique<engine::TraceIndex>(pin.eval(),
+                                                       *state.arena);
+    state.totals = sim::trace_totals(*state.index);
     const policy::BaselinePolicy base;
     const obs::SpanScope account_span("fleet.account");
-    const RadioModel& radio = config_.netmaster.profit.radio;
-    state.baseline =
-        sim::account(pin.eval(), base.run(*state.index), radio);
+    RadioSet radios;
+    radios.cellular = config_.netmaster.profit.radio;
+    state.baseline = sim::account(state.totals, state.index->usages().times(),
+                                  base.run(*state.index), radios);
   } catch (const std::exception& e) {
     state.prep_error = e.what();
   }
@@ -185,6 +187,13 @@ const engine::TraceIndex& EvalSession::index(std::size_t u) const {
   NM_REQUIRE(state.index != nullptr,
              "EvalSession::index on a failed user — check ok(u) first");
   return *state.index;
+}
+
+const sim::TraceTotals& EvalSession::totals(std::size_t u) const {
+  const UserState& state = user(u);
+  NM_REQUIRE(state.index != nullptr,
+             "EvalSession::totals on a failed user — check ok(u) first");
+  return state.totals;
 }
 
 const sim::SimReport& EvalSession::baseline(std::size_t u) const {

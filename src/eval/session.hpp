@@ -1,18 +1,22 @@
 // EvalSession — the cached per-user state every §VI experiment replays
 // against: the train/eval trace split (held in a UserStore, possibly
 // spilled to disk), the engine::TraceIndex over the evaluation trace
-// (arena-backed, self-contained), and the baseline reference SimReport.
+// (arena-backed, self-contained), the evaluation trace's
+// policy-invariant sim::TraceTotals, and the baseline reference
+// SimReport. A fleet cell replays and accounts from the index and the
+// totals alone; it pins the store only for the training trace its
+// policy mines.
 // Built once (in parallel), immutable afterwards, and shared by
 // reference across every sweep point and policy cell, so a 12-point
 // sweep pays trace synthesis and indexing exactly once instead of 12
 // times.
 //
-// Memory model (ROADMAP item 2): each user's replay working set lives
-// in one mem::Arena owned by the session; the AoS traces live in the
-// UserStore, which — when a cache cap is configured — keeps only the
-// hot users hydrated and rehydrates the rest from compact UserBlob
-// spill files on demand. Serialization is lossless, so fleet results
-// are bit-for-bit identical whatever the cap.
+// Memory model: each user's replay working set lives in one mem::Arena
+// owned by the session; the AoS traces live in the UserStore, which —
+// when a cache cap is configured — keeps only the hot users hydrated
+// and rehydrates the rest from compact UserBlob spill files on demand.
+// Serialization is lossless, so fleet results are bit-for-bit
+// identical whatever the cap.
 //
 // Per-user preparation failures (a poisoned trace, a baseline that
 // cannot replay) are captured in the session instead of thrown: the
@@ -130,9 +134,11 @@ class EvalSession {
   /// access: run_fleet pins once per row and shares it across the row's
   /// cells.
   UserStore::Pin traces(std::size_t u) const { return store_->pin(u); }
-  /// The shared evaluation-trace index / baseline reference report.
-  /// Contract: only valid when `ok(u)`.
+  /// The shared evaluation-trace index, its policy-invariant report
+  /// fields, and the baseline reference report. Contract: only valid
+  /// when `ok(u)`.
   const engine::TraceIndex& index(std::size_t u) const;
+  const sim::TraceTotals& totals(std::size_t u) const;
   const sim::SimReport& baseline(std::size_t u) const;
 
   /// The trace cache (resident bytes, eviction counts — bench fodder).
@@ -146,6 +152,7 @@ class EvalSession {
     std::string profile_name;
     std::unique_ptr<mem::Arena> arena;  ///< backs the index columns
     std::unique_ptr<engine::TraceIndex> index;
+    sim::TraceTotals totals;
     sim::SimReport baseline;
     std::string prep_error;  ///< empty = usable
   };
@@ -158,8 +165,8 @@ class EvalSession {
   /// Appends user u's prepare task (validate, index, baseline) only.
   jobs::TaskId schedule_user_prepare(jobs::TaskGraph& graph, std::size_t u);
   /// The per-user prepare body: validate, build the arena-backed
-  /// index, account the baseline. Never throws; failures land in
-  /// prep_error.
+  /// index and the trace totals, account the baseline. Never throws;
+  /// failures land in prep_error.
   void prepare_user(std::size_t u);
 
   ExperimentConfig config_;

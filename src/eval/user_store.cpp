@@ -78,8 +78,7 @@ void UserStore::admit(std::size_t slot, VolunteerTraces traces) {
         std::filesystem::file_size(blob));
   }
 
-  auto hydration = std::make_shared<Pin::Hydration>();
-  hydration->traces = std::move(traces);
+  auto hydration = std::make_shared<const VolunteerTraces>(std::move(traces));
 
   const std::lock_guard<std::mutex> lock(mutex_);
   NM_REQUIRE(slot < entries_.size(), "UserStore slot out of range");
@@ -124,9 +123,8 @@ UserStore::Pin UserStore::pin(std::size_t slot) const {
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
           .count()));
 
-  auto hydration = std::make_shared<Pin::Hydration>();
-  hydration->traces.training = std::move(traces[0]);
-  hydration->traces.eval = std::move(traces[1]);
+  auto hydration = std::make_shared<const VolunteerTraces>(
+      VolunteerTraces{std::move(traces[0]), std::move(traces[1])});
 
   const std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entries_[slot];
@@ -181,10 +179,8 @@ void UserStore::evict_over_cap(std::size_t protect) const {
       }
     }
     if (victim == nullptr) break;  // only the protected slot is left
-    // Retire the lifetime so every TraceIndex built on this hydration
-    // reports its source gone, then drop the store's reference. Any
-    // outstanding Pin still keeps the bytes alive.
-    victim->resident->lifetime.retire();
+    // Drop the store's reference; any outstanding Pin still keeps the
+    // bytes alive.
     victim->resident.reset();
     resident_bytes_ -= victim->bytes;
     ++evictions_;

@@ -1,4 +1,4 @@
-// UserStore — the fleet's bounded trace cache (ROADMAP item 2).
+// UserStore — the fleet's bounded trace cache.
 //
 // A million-user fleet cannot keep every volunteer's AoS traces
 // resident: the traces dominate the per-user footprint once the replay
@@ -12,8 +12,8 @@
 // Concurrency: admit() and pin() are thread-safe. A Pin holds a
 // shared_ptr to the hydration, so a concurrent eviction never frees
 // memory out from under a reader — eviction just drops the store's
-// strong reference (and retires the hydration's mem::Lifetime, which
-// flips any TraceIndex handle built on it to "source gone"). Two
+// strong reference. Nothing else points into a hydration: the replay
+// index and the accountant read the user's arena columns. Two
 // concurrent pins of the same cold user both decode its blob and one
 // copy is dropped; pin() does not single-flight, because making the
 // second caller wait on the first decode gains nothing. Callers avoid
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "mem/arena.hpp"
 #include "trace/trace.hpp"
 
 namespace netmaster::eval {
@@ -68,27 +67,16 @@ class UserStore {
    public:
     Pin() = default;
 
-    const VolunteerTraces& get() const { return hydration_->traces; }
+    const VolunteerTraces& get() const { return *hydration_; }
     operator const VolunteerTraces&() const { return get(); }
     const UserTrace& training() const { return get().training; }
     const UserTrace& eval() const { return get().eval; }
 
-    /// Lifetime of THIS hydration: retired when the store evicts it
-    /// (a later pin() rehydrates into a fresh hydration with a fresh
-    /// lifetime). Feed it to TraceIndex so a dangling source is caught.
-    mem::LifetimeHandle lifetime() const {
-      return hydration_->lifetime.handle();
-    }
-
    private:
     friend class UserStore;
-    struct Hydration {
-      VolunteerTraces traces;
-      mem::Lifetime lifetime;
-    };
-    explicit Pin(std::shared_ptr<const Hydration> h)
+    explicit Pin(std::shared_ptr<const VolunteerTraces> h)
         : hydration_(std::move(h)) {}
-    std::shared_ptr<const Hydration> hydration_;
+    std::shared_ptr<const VolunteerTraces> hydration_;
   };
 
   /// Grows the table to `n` slots (slot == EvalSession user index).
@@ -115,7 +103,7 @@ class UserStore {
 
  private:
   struct Entry {
-    std::shared_ptr<Pin::Hydration> resident;
+    std::shared_ptr<const VolunteerTraces> resident;
     std::filesystem::path blob;  ///< empty = never spilled
     std::size_t bytes = 0;       ///< footprint estimate of the pair
     std::uint64_t last_touch = 0;

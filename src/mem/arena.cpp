@@ -101,10 +101,4 @@ void Arena::reset() {
   ++generation_;
 }
 
-LifetimeHandle Lifetime::immortal() {
-  static const std::shared_ptr<std::atomic<bool>> forever =
-      std::make_shared<std::atomic<bool>>(true);
-  return Handle(forever);
-}
-
 }  // namespace netmaster::mem

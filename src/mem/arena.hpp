@@ -1,5 +1,4 @@
-// Per-user bump arena and lifetime tokens — the memory substrate of the
-// fleet (ROADMAP item 2).
+// Per-user bump arena — the memory substrate of the fleet.
 //
 // A fleet slot's whole derived working set (SoA trace columns, index
 // classification bits, mining buckets) lives in ONE Arena: a chunked
@@ -9,7 +8,7 @@
 // cheap to build, cache-friendly to replay, and freed wholesale when
 // the user leaves the fleet.
 //
-// Lifetime rules (see DESIGN.md "Memory architecture"):
+// Ownership rules (see DESIGN.md "Memory architecture"):
 //   - An Arena is single-owner and NOT thread-safe: exactly one
 //     parallel_for worker builds into a given arena (the fleet builds
 //     one arena per user inside the per-user preparation task). After
@@ -18,23 +17,16 @@
 //   - Arena memory holds trivially-copyable/destructible data only; no
 //     destructors run on reset().
 //   - reset() and destruction bump the arena's generation, invalidating
-//     every span handed out before — consumers that outlive the arena
-//     hold a Lifetime handle (below) and are caught, not corrupted.
-//
-// Lifetime / LifetimeHandle implement the generation check the trace
-// index uses to replace its old raw borrowed reference: the owner of a
-// borrowed object keeps a Lifetime alongside it; borrowers capture a
-// handle and test `alive()` before dereferencing. Destroying, moving
-// from, or explicitly retiring the Lifetime flips every outstanding
-// handle to dead.
+//     every span handed out before. The owner of the arena (one fleet
+//     user's EvalSession slot) outlives every reader of its spans.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace netmaster::mem {
@@ -115,66 +107,6 @@ class Arena {
   std::size_t reserved_ = 0;
   std::uint64_t generation_ = 0;
 };
-
-/// Owner-side lifetime token for a borrowed object (a UserTrace slot,
-/// an arena). Destroying, moving from, or retire()-ing the token kills
-/// every handle taken from it.
-class Lifetime {
- public:
-  Lifetime() : state_(std::make_shared<std::atomic<bool>>(true)) {}
-  ~Lifetime() { retire(); }
-
-  Lifetime(Lifetime&& other) noexcept : state_(std::move(other.state_)) {
-    other.state_ = nullptr;  // moved-from owner guards nothing
-  }
-  Lifetime& operator=(Lifetime&& other) noexcept {
-    if (this != &other) {
-      retire();
-      state_ = std::move(other.state_);
-      other.state_ = nullptr;
-    }
-    return *this;
-  }
-  Lifetime(const Lifetime&) = delete;
-  Lifetime& operator=(const Lifetime&) = delete;
-
-  /// Marks the guarded object dead (idempotent). Called on eviction.
-  void retire() {
-    if (state_) state_->store(false, std::memory_order_release);
-  }
-
-  bool alive() const {
-    return state_ && state_->load(std::memory_order_acquire);
-  }
-
-  class Handle {
-   public:
-    /// Default handle reports dead — a borrower must be given one.
-    Handle() = default;
-
-    /// True while the owning Lifetime is live and un-retired.
-    bool alive() const {
-      return state_ && state_->load(std::memory_order_acquire);
-    }
-
-   private:
-    friend class Lifetime;
-    explicit Handle(std::shared_ptr<std::atomic<bool>> state)
-        : state_(std::move(state)) {}
-    std::shared_ptr<std::atomic<bool>> state_;
-  };
-
-  Handle handle() const { return Handle(state_); }
-
-  /// A handle that is permanently alive — for borrows whose owner
-  /// outlives the borrower by construction (stack-local index builds).
-  static Handle immortal();
-
- private:
-  std::shared_ptr<std::atomic<bool>> state_;
-};
-
-using LifetimeHandle = Lifetime::Handle;
 
 /// Immutable bit set over arena words — the compact form of the old
 /// per-index `std::vector<bool>` classification flags.

@@ -14,7 +14,7 @@
 // range-for and cursor loops read like the vector code they replaced —
 // so policy code ports with minimal churn while the storage underneath
 // is columnar. Views are cheap value types (spans); the arena that
-// backs them must outlive every reader (see arena.hpp lifetime rules).
+// backs them must outlive every reader (see arena.hpp ownership rules).
 #pragma once
 
 #include <cstdint>

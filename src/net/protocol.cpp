@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <sstream>
+#include <string>
 
 namespace netmaster::net {
 
@@ -73,6 +74,9 @@ bool parse_request(const std::string& line, Request& out,
     if (!parse_int(tok[3], out.num_days) ||
         out.num_days <= out.train_days)
       return fail(error, "num_days must exceed train_days");
+    if (out.num_days > kMaxTraceDays)
+      return fail(error, "num_days must be at most " +
+                             std::to_string(kMaxTraceDays));
     if (out.train_days % 7 != 0)
       return fail(error, "train_days must be a multiple of 7");
     out.apps.assign(tok.begin() + 4, tok.end());

@@ -19,10 +19,11 @@
 // unchanged. Factory profiles cover WCDMA, LTE CDRX, NR CDRX, and
 // Wi-Fi PSM.
 //
-// `account_transfers` integrates state power over the trajectory induced
-// by a set of transfer intervals — the single source of truth for radio
-// energy and radio-on time across the simulator, the scheduler's profit
-// model, and the oracle baseline.
+// engine::account_columns (engine/radio_timeline.hpp) integrates state
+// power over the trajectory a set of transfer intervals induces — the
+// single source of truth for radio energy and radio-on time across the
+// simulator and the oracle baseline; the scheduler's profit model uses
+// the closed forms below.
 #pragma once
 
 #include <array>
@@ -207,28 +208,6 @@ struct RadioAccounting {
   /// Fraction of energy spent on tails + promotions rather than data.
   double overhead_fraction() const;
 };
-
-/// Integrates the power model over the union of `transfers`, clipping
-/// the trailing tail at `horizon_end` (end of the accounting window).
-/// Transfers starting during a promotion or while the connected state
-/// is active continue the connected period without a new promotion; the
-/// model shifts each transfer's completion by its promotion delay, as
-/// real radios do. A cold attach additionally pays the association cost
-/// before the promotion when the model has one.
-///
-/// When `radio_allowed` is non-null it models a policy-controlled data
-/// switch (NetMaster's `svc data disable`): inactivity tails survive
-/// only while inside the allowed set and are cut — radio straight to
-/// IDLE — at its boundaries. Every transfer must lie inside the allowed
-/// set; a transfer arriving after a cut always pays a cold promotion.
-/// Null means the stock radio: tails always run to completion.
-///
-/// This is the branchy reference implementation — the differential-fuzz
-/// oracle for the vectorized engine::account_columns kernel.
-RadioAccounting account_transfers(const IntervalSet& transfers,
-                                  const RadioModel& model,
-                                  TimeMs horizon_end,
-                                  const IntervalSet* radio_allowed = nullptr);
 
 /// The paper's g(t): radio energy of a single isolated transfer of the
 /// given duration — cold attach (association + promotion from IDLE),

@@ -99,7 +99,7 @@ class SchedWorkspace {
   SchedWorkspace(SchedWorkspace&&) = default;
   SchedWorkspace& operator=(SchedWorkspace&&) = default;
 
-  /// Lifetime solve count through this workspace (reuse telemetry).
+  /// Solves run through this workspace so far (reuse telemetry).
   std::uint64_t solves() const { return solves_; }
 
   // ---- single-knapsack scratch (kernels in knapsack.cpp) ----

@@ -5,6 +5,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/error.hpp"
 #include "duty/duty_cycle.hpp"
 #include "engine/radio_timeline.hpp"
 #include "fault/sanitize.hpp"
@@ -52,21 +53,19 @@ struct PendingTransfer {
 OnlineSimResult run_online(const UserTrace& training,
                            const UserTrace& eval,
                            const policy::NetMasterConfig& config) {
-  return run_online(training, engine::TraceIndex(eval), config);
+  return run_online(training, eval, engine::TraceIndex(eval), config);
 }
 
 OnlineSimResult run_online(const UserTrace& training,
-                           const engine::TraceIndex& index,
-                           const policy::NetMasterConfig& config) {
-  return run_online(training, index, config, AdaptationConfig{});
-}
-
-OnlineSimResult run_online(const UserTrace& training,
+                           const UserTrace& eval,
                            const engine::TraceIndex& index,
                            const policy::NetMasterConfig& config,
                            const AdaptationConfig& adapt) {
-  const UserTrace& eval = index.trace();
   eval.validate();
+  NM_REQUIRE(index.horizon() == eval.trace_end() &&
+                 index.activities().size() == eval.activities.size() &&
+                 index.sessions().size() == eval.sessions.size(),
+             "run_online: the index was not built from the eval trace");
   const TimeMs horizon = index.horizon();
   ModelLifecycle lifecycle(adapt, config.robustness);  // validates adapt
 

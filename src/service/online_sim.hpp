@@ -50,26 +50,22 @@ struct OnlineSimResult {
   int first_alarm_day = -1;        ///< eval day of the first alarm
 };
 
-/// Trains on `training`, then replays the indexed eval trace through
-/// the event loop. Fleet-scale callers share the index with the policy
-/// path.
-OnlineSimResult run_online(const UserTrace& training,
-                           const engine::TraceIndex& eval,
-                           const policy::NetMasterConfig& config);
-
 /// One-shot convenience: indexes `eval` and replays it.
 OnlineSimResult run_online(const UserTrace& training,
                            const UserTrace& eval,
                            const policy::NetMasterConfig& config);
 
-/// Adaptive replay: like run_online, plus the drift lifecycle of
-/// ModelLifecycle. With adapt.enable == false this is exactly
-/// run_online (no detector, no store, bit-identical schedule). The
-/// evaluation index must share the training trace's weekday phase
-/// (slice at multiples of 7 days), as for NetMasterPolicy.
+/// Trains on `training`, then replays `eval` through the event loop,
+/// reading its classification from `index` — the index of `eval`, so
+/// fleet-scale callers share it with the policy path. With the default
+/// `adapt` (enable == false) no detector or store runs; otherwise the
+/// loop drives the drift lifecycle of ModelLifecycle, and `eval` must
+/// share the training trace's weekday phase (slice at multiples of 7
+/// days), as for NetMasterPolicy.
 OnlineSimResult run_online(const UserTrace& training,
-                           const engine::TraceIndex& eval,
+                           const UserTrace& eval,
+                           const engine::TraceIndex& index,
                            const policy::NetMasterConfig& config,
-                           const AdaptationConfig& adapt);
+                           const AdaptationConfig& adapt = {});
 
 }  // namespace netmaster::service

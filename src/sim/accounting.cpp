@@ -1,12 +1,99 @@
 #include "sim/accounting.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
+#include "engine/trace_index.hpp"
 
 namespace netmaster::sim {
+
+namespace {
+
+/// Folds one activity into the byte totals and peak rates. Peak rate is
+/// a channel property of individual transfers; policies shift transfers
+/// in time but do not change their rate (the paper makes the same
+/// observation about Fig. 7c).
+void add_activity(TraceTotals& totals, std::int64_t bytes_down,
+                  std::int64_t bytes_up, DurationMs duration) {
+  totals.bytes_down += bytes_down;
+  totals.bytes_up += bytes_up;
+  if (duration <= 0) return;
+  const double s = to_seconds(duration);
+  totals.peak_down_rate_kbps =
+      std::max(totals.peak_down_rate_kbps,
+               static_cast<double>(bytes_down) / 1000.0 / s);
+  totals.peak_up_rate_kbps =
+      std::max(totals.peak_up_rate_kbps,
+               static_cast<double>(bytes_up) / 1000.0 / s);
+}
+
+/// Number of `times` covered by `blocked`: IntervalSet::contains for a
+/// stream of instants. A non-decreasing query walks the cursor forward,
+/// O(u + b) in total; a backwards step (unvalidated traces may hold
+/// unsorted usages) re-seeks with contains' own lower_bound, so the
+/// count equals the per-usage contains count whatever the order.
+std::size_t count_covered(const IntervalSet& blocked,
+                          std::span<const TimeMs> times) {
+  const std::vector<Interval>& iv = blocked.intervals();
+  if (iv.empty()) return 0;
+  std::size_t covered = 0;
+  std::size_t next = 0;  // first interval with end > last
+  TimeMs last = std::numeric_limits<TimeMs>::min();
+  for (const TimeMs t : times) {
+    if (t < last) {
+      next = static_cast<std::size_t>(
+          std::lower_bound(iv.begin(), iv.end(), t,
+                           [](const Interval& i, TimeMs v) {
+                             return i.end <= v;
+                           }) -
+          iv.begin());
+    } else {
+      while (next < iv.size() && iv[next].end <= t) ++next;
+    }
+    last = t;
+    if (next < iv.size() && iv[next].begin <= t) ++covered;
+  }
+  return covered;
+}
+
+}  // namespace
+
+TraceTotals trace_totals(const UserTrace& eval) {
+  TraceTotals totals;
+  totals.horizon_ms = eval.trace_end();
+  totals.num_activities = eval.activities.size();
+  for (const NetworkActivity& act : eval.activities) {
+    add_activity(totals, act.bytes_down, act.bytes_up, act.duration);
+  }
+  totals.total_usages = eval.usages.size();
+  for (const ScreenSession& s : eval.sessions) {
+    totals.screen_on_ms += s.length();
+  }
+  return totals;
+}
+
+TraceTotals trace_totals(const engine::TraceIndex& eval) {
+  TraceTotals totals;
+  totals.horizon_ms = eval.horizon();
+  const mem::ActivityColumns& acts = eval.activities();
+  totals.num_activities = acts.size();
+  const std::span<const std::int64_t> down = acts.bytes_down();
+  const std::span<const std::int64_t> up = acts.bytes_up();
+  const std::span<const DurationMs> durations = acts.durations();
+  for (std::size_t i = 0; i < acts.size(); ++i) {
+    add_activity(totals, down[i], up[i], durations[i]);
+  }
+  totals.total_usages = eval.usages().size();
+  const std::span<const TimeMs> begins = eval.sessions().begins();
+  const std::span<const TimeMs> ends = eval.sessions().ends();
+  for (std::size_t i = 0; i < begins.size(); ++i) {
+    totals.screen_on_ms += ends[i] - begins[i];
+  }
+  return totals;
+}
 
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioModel& params) {
@@ -21,45 +108,63 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
 
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioSet& radios) {
+  std::vector<TimeMs> usage_times;
+  usage_times.reserve(eval.usages.size());
+  for (const AppUsage& u : eval.usages) usage_times.push_back(u.time);
+  return account(trace_totals(eval), usage_times, outcome, radios);
+}
+
+SimReport account(const TraceTotals& totals,
+                  std::span<const TimeMs> usage_times,
+                  const PolicyOutcome& outcome, const RadioSet& radios) {
   radios.validate();
   SimReport report;
   report.policy_name = outcome.policy_name;
-  report.horizon_ms = eval.trace_end();
+  report.horizon_ms = totals.horizon_ms;
   report.degraded = outcome.path == ExecutionPath::kDegradedFallback;
   report.degraded_reason = outcome.degraded_reason;
   report.drift_score = outcome.drift_score;
+  report.bytes_down = totals.bytes_down;
+  report.bytes_up = totals.bytes_up;
+  report.peak_down_rate_kbps = totals.peak_down_rate_kbps;
+  report.peak_up_rate_kbps = totals.peak_up_rate_kbps;
+  report.total_usages = totals.total_usages;
+  report.screen_on_ms = totals.screen_on_ms;
 
   // Consistency: every activity executed exactly once, inside the
   // horizon. Transfers are partitioned by their assigned radio — each
-  // interface runs an independent state machine.
-  NM_REQUIRE(outcome.transfers.size() == eval.activities.size(),
+  // interface runs an independent state machine — and each partition
+  // is canonicalized once (a sorted schedule skips the sort).
+  const std::size_t n = totals.num_activities;
+  NM_REQUIRE(outcome.transfers.size() == n,
              "outcome must execute every activity exactly once");
-  std::vector<bool> seen(eval.activities.size(), false);
-  IntervalSet executed;       // cellular transfers
-  IntervalSet executed_wifi;  // Wi-Fi offloads
+  std::vector<std::uint64_t> seen((n + 63) / 64, 0);
+  std::vector<Interval> cellular;  // executed cellular transfers
+  std::vector<Interval> wifi;      // Wi-Fi offloads
+  cellular.reserve(n);
   for (const ExecutedTransfer& t : outcome.transfers) {
-    NM_REQUIRE(t.activity_index < eval.activities.size(),
+    NM_REQUIRE(t.activity_index < n,
                "transfer references unknown activity");
-    NM_REQUIRE(!seen[t.activity_index], "activity executed twice");
-    seen[t.activity_index] = true;
+    std::uint64_t& word = seen[t.activity_index >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (t.activity_index & 63);
+    NM_REQUIRE((word & bit) == 0, "activity executed twice");
+    word |= bit;
     NM_REQUIRE(t.start >= 0 && t.start + t.duration <= report.horizon_ms,
                "transfer outside the accounting horizon");
     if (t.radio == RadioId::kWifi) {
-      executed_wifi.add(t.start, t.start + t.duration);
-      ++report.wifi_transfer_count;
+      wifi.push_back({t.start, t.start + t.duration});
     } else {
-      executed.add(t.start, t.start + t.duration);
+      cellular.push_back({t.start, t.start + t.duration});
     }
-
-    const NetworkActivity& act = eval.activities[t.activity_index];
-    report.bytes_down += act.bytes_down;
-    report.bytes_up += act.bytes_up;
   }
+  report.wifi_transfer_count = wifi.size();
+  const IntervalSet executed(std::move(cellular));
+  const IntervalSet executed_wifi(std::move(wifi));
 
   // Cellular RRC energy over the executed schedule, under the policy's
   // data switch when it drives one. The vectorized engine kernel is
-  // bit-identical to power/radio_model.cpp's account_transfers (the
-  // retained reference the differential tests fuzz against).
+  // bit-identical to the branchy reference accountant the differential
+  // tests fuzz it against (tests/oracles/account_transfers.hpp).
   if (outcome.radio_allowed.has_value()) {
     // One canonical allowed-set construction: the policy's extra
     // windows, the executed cellular transfers themselves, and the
@@ -79,7 +184,7 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
   // The Wi-Fi interface is not behind the cellular data switch: its
   // PSM tails always run to completion, and every cold attach pays the
   // scan/associate burst the model describes.
-  if (!executed_wifi.intervals().empty()) {
+  if (!executed_wifi.empty()) {
     report.wifi = engine::account_interval_set(executed_wifi, radios.wifi,
                                                report.horizon_ms);
     report.wifi_energy_j = report.wifi.energy_j;
@@ -111,25 +216,9 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
     report.avg_up_rate_kbps =
         static_cast<double>(report.bytes_up) / 1000.0 / on_s;
   }
-  // Peak rate is a channel property of individual transfers; policies
-  // shift transfers in time but do not change their rate (the paper
-  // makes the same observation about Fig. 7c).
-  for (const NetworkActivity& act : eval.activities) {
-    if (act.duration <= 0) continue;
-    const double s = to_seconds(act.duration);
-    report.peak_down_rate_kbps =
-        std::max(report.peak_down_rate_kbps,
-                 static_cast<double>(act.bytes_down) / 1000.0 / s);
-    report.peak_up_rate_kbps =
-        std::max(report.peak_up_rate_kbps,
-                 static_cast<double>(act.bytes_up) / 1000.0 / s);
-  }
 
   // User experience.
-  report.total_usages = eval.usages.size();
-  for (const AppUsage& u : eval.usages) {
-    if (outcome.blocked.contains(u.time)) ++report.affected_usages;
-  }
+  report.affected_usages = count_covered(outcome.blocked, usage_times);
   report.interrupts = outcome.interrupts;
   if (report.total_usages > 0) {
     report.affected_fraction =
@@ -143,10 +232,6 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
     for (double v : outcome.deferral_latency_s) sum += v;
     report.mean_deferral_latency_s =
         sum / static_cast<double>(report.deferred_count);
-  }
-
-  for (const ScreenSession& s : eval.sessions) {
-    report.screen_on_ms += s.length();
   }
   return report;
 }

@@ -5,16 +5,47 @@
 // radio energy, radio-on time, achieved bandwidth (bytes per radio-on
 // second, the paper's "bandwidth utilization"), peak rates, affected
 // user interactions, and deferral latency.
+//
+// Only part of that work depends on the policy. A schedule moves
+// transfers in time but runs each activity exactly once (the accountant
+// checks it), so the horizon, the byte totals, the peak rates and the
+// screen/usage context are properties of the trace alone: TraceTotals
+// holds them, computed once per user (eval::EvalSession keeps them next
+// to the baseline report), and the accounting core does only the
+// per-outcome work — validation, the executed sets, the RRC kernels and
+// the affected-usage count.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "power/radio_model.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
 
+namespace netmaster::engine {
+class TraceIndex;
+}  // namespace netmaster::engine
+
 namespace netmaster::sim {
+
+/// The policy-invariant fields of a SimReport for one evaluation trace.
+struct TraceTotals {
+  DurationMs horizon_ms = 0;
+  std::size_t num_activities = 0;
+  std::int64_t bytes_down = 0;
+  std::int64_t bytes_up = 0;
+  double peak_down_rate_kbps = 0.0;  ///< best single-activity rate
+  double peak_up_rate_kbps = 0.0;
+  std::size_t total_usages = 0;
+  DurationMs screen_on_ms = 0;
+};
+
+/// Totals of an AoS trace, or of the same trace's index columns; both
+/// give bit-identical results.
+TraceTotals trace_totals(const UserTrace& eval);
+TraceTotals trace_totals(const engine::TraceIndex& eval);
 
 /// All §VI metrics for one (trace, policy) run.
 struct SimReport {
@@ -64,6 +95,20 @@ struct SimReport {
   double drift_score = 0.0;     ///< drift score the policy acted under
 };
 
+/// The accounting core: `totals` and `usage_times` (the usage start
+/// column, in any order) describe the evaluation trace. Transfers are
+/// partitioned by their assigned RadioId and each interface's state
+/// machine is integrated independently — the cellular partition under
+/// the policy's data switch, the Wi-Fi partition with free-running PSM
+/// tails and per-cold-attach association costs. Outcomes with no Wi-Fi
+/// transfers reproduce the single-radio report bit for bit. Throws
+/// netmaster::Error when the outcome is inconsistent with the trace
+/// (missing/duplicate/unknown activities, transfers beyond the
+/// horizon).
+SimReport account(const TraceTotals& totals,
+                  std::span<const TimeMs> usage_times,
+                  const PolicyOutcome& outcome, const RadioSet& radios);
+
 /// Runs the accountant for a single-radio (cellular-only) outcome.
 /// Throws netmaster::Error when the outcome is inconsistent with the
 /// trace (missing/duplicate activities, transfers beyond the horizon)
@@ -72,13 +117,8 @@ struct SimReport {
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioModel& params);
 
-/// Multi-radio accountant: transfers are partitioned by their assigned
-/// RadioId and each interface's state machine is integrated
-/// independently — the cellular partition under the policy's data
-/// switch exactly as the single-radio path, the Wi-Fi partition with
-/// free-running PSM tails and per-cold-attach association costs.
-/// Outcomes with no Wi-Fi transfers reproduce the single-radio report
-/// bit for bit.
+/// Multi-radio accountant over an AoS trace: the core above, fed with
+/// the trace's totals and usage times.
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioSet& radios);
 

@@ -26,6 +26,9 @@ bool UserTrace::screen_on_at(TimeMs t) const {
 
 const char* UserTrace::first_violation() const {
   if (num_days <= 0) return "trace must cover at least one day";
+  if (num_days > kMaxTraceDays) {
+    return "trace must cover at most kMaxTraceDays (3650) days";
+  }
   const TimeMs end = trace_end();
 
   TimeMs prev_end = 0;

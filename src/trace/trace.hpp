@@ -63,11 +63,19 @@ struct NetworkActivity {
       default;
 };
 
+/// Longest trace any input accepts: ten years of days. Every untrusted
+/// day count (CSV header, wire registration, CLI argument) is checked
+/// against it before anything is sized by it, and validate() enforces
+/// it, so a hostile header cannot make mining allocate hour buckets
+/// for millions of days.
+inline constexpr int kMaxTraceDays = 3650;
+
 /// Complete record of one user's usage over `num_days` days.
 ///
-/// Invariants (enforced by `validate()`): all event vectors sorted by
-/// time, all timestamps within [0, num_days * kMsPerDay), screen sessions
-/// disjoint, app ids within [0, app_names.size()).
+/// Invariants (enforced by `validate()`): 1 <= num_days <= kMaxTraceDays,
+/// all event vectors sorted by time, all timestamps within
+/// [0, num_days * kMsPerDay), screen sessions disjoint, app ids within
+/// [0, app_names.size()).
 struct UserTrace {
   UserId user = 0;
   int num_days = 0;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -114,7 +115,15 @@ UserTrace read_trace(std::istream& is) {
       expect_fields(fields, 4, lineno, "user");
       if (fields[2] != "days") parse_fail(lineno, "expected 'days' field");
       trace.user = static_cast<UserId>(parse_int(fields[1], lineno));
-      trace.num_days = static_cast<int>(parse_int(fields[3], lineno));
+      // Range-check the untrusted count before narrowing it: the
+      // header alone must not size anything downstream.
+      const std::int64_t days = parse_int(fields[3], lineno);
+      if (days < 1 || days > kMaxTraceDays) {
+        parse_fail(lineno, "days must be in [1, " +
+                               std::to_string(kMaxTraceDays) + "], got " +
+                               std::to_string(days));
+      }
+      trace.num_days = static_cast<int>(days);
       saw_header = true;
     } else if (kind == "app") {
       expect_fields(fields, 3, lineno, "app");

@@ -348,7 +348,8 @@ TEST(ChaosDrift, DriftPlusFaultsDegradeGracefullyUnderAdaptation) {
       const UserTrace damaged =
           fault::inject_faults(traces.training, plan).trace;
       const service::OnlineSimResult result =
-          service::run_online(damaged, eval_idx, cfg.netmaster, adapt);
+          service::run_online(damaged, traces.eval, eval_idx,
+                              cfg.netmaster, adapt);
       const sim::SimReport report =
           sim::account(traces.eval, result.outcome, radio);
       expect_conserved(report, context);
@@ -364,7 +365,8 @@ TEST(ChaosDrift, DriftPlusFaultsDegradeGracefullyUnderAdaptation) {
       ASSERT_NO_THROW(repaired.trace.validate()) << context;
       const engine::TraceIndex repaired_idx(repaired.trace);
       const service::OnlineSimResult dirty_eval = service::run_online(
-          traces.training, repaired_idx, cfg.netmaster, adapt);
+          traces.training, repaired.trace, repaired_idx, cfg.netmaster,
+          adapt);
       const sim::SimReport dirty_report =
           sim::account(repaired.trace, dirty_eval.outcome, radio);
       expect_conserved(dirty_report, context + " dirty eval");

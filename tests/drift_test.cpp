@@ -539,10 +539,12 @@ TEST(OnlineAdaptation, DisabledAdaptationIsBitIdentical) {
   const engine::TraceIndex index(traces.eval);
 
   const service::OnlineSimResult plain =
-      service::run_online(traces.training, index, cfg.netmaster);
+      service::run_online(traces.training, traces.eval, index,
+                          cfg.netmaster);
   service::AdaptationConfig off;  // enable = false
   const service::OnlineSimResult gated =
-      service::run_online(traces.training, index, cfg.netmaster, off);
+      service::run_online(traces.training, traces.eval, index,
+                          cfg.netmaster, off);
 
   ASSERT_EQ(plain.outcome.transfers.size(),
             gated.outcome.transfers.size());
@@ -570,7 +572,8 @@ TEST(OnlineAdaptation, RefreshesTheModelAfterAbruptDrift) {
   service::AdaptationConfig adapt;
   adapt.enable = true;
   const service::OnlineSimResult result =
-      service::run_online(traces.training, index, cfg.netmaster, adapt);
+      service::run_online(traces.training, traces.eval, index,
+                          cfg.netmaster, adapt);
 
   EXPECT_GE(result.drift_alarms, 1u);
   EXPECT_GE(result.model_refreshes, 1u);
@@ -593,7 +596,8 @@ TEST(OnlineAdaptation, StationaryRunNeverRefreshes) {
     service::AdaptationConfig adapt;
     adapt.enable = true;
     const service::OnlineSimResult result =
-        service::run_online(traces.training, index, cfg.netmaster, adapt);
+        service::run_online(traces.training, traces.eval, index,
+                            cfg.netmaster, adapt);
     EXPECT_EQ(result.drift_alarms, 0u) << "seed " << seed;
     EXPECT_EQ(result.model_refreshes, 0u) << "seed " << seed;
   }
@@ -610,13 +614,15 @@ TEST(OnlineAdaptation, RejectsInvalidConfig) {
   bad.enable = true;
   bad.window_days = 0;
   EXPECT_THROW(
-      service::run_online(traces.training, index, cfg.netmaster, bad),
+      service::run_online(traces.training, traces.eval, index,
+                          cfg.netmaster, bad),
       Error);
   bad = {};
   bad.enable = true;
   bad.backoff_factor = 0;
   EXPECT_THROW(
-      service::run_online(traces.training, index, cfg.netmaster, bad),
+      service::run_online(traces.training, traces.eval, index,
+                          cfg.netmaster, bad),
       Error);
 }
 
@@ -652,8 +658,8 @@ TEST(OnlineAdaptation, EventLoopAndDaemonDriveOneLifecycle) {
             seed);
         const UserTrace eval = full.slice_days(kTrainDays, kEvalDays);
         const service::OnlineSimResult online = service::run_online(
-            full.slice_days(0, kTrainDays), engine::TraceIndex(eval), config,
-            adapt);
+            full.slice_days(0, kTrainDays), eval, engine::TraceIndex(eval),
+            config, adapt);
 
         daemon::UserSessionConfig session_config;
         session_config.user = full.user;

@@ -183,7 +183,7 @@ TEST(Fleet, SessionIsReusableAcrossRuns) {
   for (std::size_t u = 0; u < session.num_users(); ++u) {
     EXPECT_TRUE(session.ok(u));
     EXPECT_GT(session.baseline(u).energy_j, 0.0);
-    EXPECT_EQ(session.index(u).trace().user, session.user_id(u));
+    EXPECT_EQ(session.index(u).user(), session.user_id(u));
   }
 
   // Two runs over the same session agree with the throwaway-session

@@ -1,7 +1,6 @@
-// Tests for the mem subsystem: arena allocation and alignment,
-// lifetime tokens, packed bit sets, and the SoA trace columns
-// (build/materialize round trip, AoS-compatible views, proxy
-// iterators).
+// Tests for the mem subsystem: arena allocation and alignment, packed
+// bit sets, and the SoA trace columns (build/materialize round trip,
+// AoS-compatible views, proxy iterators).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,33 +95,6 @@ TEST(Arena, ReportsBytesToObsRegistry) {
   Arena arena;
   arena.alloc_array<std::int64_t>(10);
   EXPECT_GT(bytes.value(), before);
-}
-
-TEST(Lifetime, HandlesFollowOwnerRetirement) {
-  Lifetime owner;
-  const LifetimeHandle handle = owner.handle();
-  EXPECT_TRUE(owner.alive());
-  EXPECT_TRUE(handle.alive());
-  owner.retire();
-  EXPECT_FALSE(owner.alive());
-  EXPECT_FALSE(handle.alive());
-  owner.retire();  // idempotent
-  EXPECT_FALSE(handle.alive());
-}
-
-TEST(Lifetime, MoveTransfersGuardAndDestructionRetires) {
-  LifetimeHandle handle;
-  EXPECT_FALSE(handle.alive());  // default handle is dead
-  {
-    Lifetime owner;
-    handle = owner.handle();
-    Lifetime stolen = std::move(owner);
-    EXPECT_FALSE(owner.alive());   // moved-from guards nothing
-    EXPECT_TRUE(handle.alive());   // the new owner still guards it
-    EXPECT_TRUE(stolen.alive());
-  }
-  EXPECT_FALSE(handle.alive());  // owner destroyed
-  EXPECT_TRUE(Lifetime::immortal().alive());
 }
 
 TEST(BitSpan, SetAndTestAcrossWordBoundaries) {

@@ -208,6 +208,28 @@ TEST(NetProtocol, RejectsMalformedLines) {
   }
 }
 
+// A registration claiming more than kMaxTraceDays days gets an error
+// reply instead of a session sized by the claim.
+TEST(NetProtocolBounds, UserBeyondMaxTraceDaysGetsErrorReply) {
+  Request req;
+  std::string error;
+  ASSERT_TRUE(parse_request("user 1 14 " + std::to_string(kMaxTraceDays) +
+                                " mail",
+                            req, error))
+      << error;
+  EXPECT_EQ(req.num_days, kMaxTraceDays);
+  for (const std::string& days :
+       {std::to_string(kMaxTraceDays + 1), std::string("900000000"),
+        std::string("99999999999999999999")}) {
+    error.clear();
+    EXPECT_FALSE(parse_request("user 1 14 " + days + " mail", req, error))
+        << days;
+    const std::string reply = err_response(error);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("num_days"), std::string::npos) << reply;
+  }
+}
+
 TEST(NetProtocol, FormatParsesBackBitIdentical) {
   std::vector<Request> requests;
   {

@@ -1,15 +1,19 @@
 // Tests for the RRC radio power model — hand-computed trajectories plus
-// monotonicity / aggregation properties.
+// monotonicity / aggregation properties, integrated by the reference
+// accountant (tests/oracles/account_transfers.hpp).
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "oracles/account_transfers.hpp"
 #include "power/radio_model.hpp"
 
 namespace netmaster {
 namespace {
+
+using oracles::account_transfers;
 
 constexpr TimeMs kHorizon = 10 * kMsPerMinute;
 

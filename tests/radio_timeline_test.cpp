@@ -10,9 +10,12 @@
 
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
+#include "oracles/account_transfers.hpp"
 
 namespace netmaster::engine {
 namespace {
+
+using oracles::account_transfers;
 
 TEST(RadioTimeline, ClampsWindowsToHorizon) {
   RadioTimeline timeline(1000);
@@ -140,7 +143,7 @@ TEST(RadioTimeline, RejectsNegativeHorizon) {
 // ---------------------------------------------------------------------------
 // Differential tests: the vectorized SoA accounting kernel
 // (account_columns / account_interval_set) against the reference
-// branchy implementation (power/radio_model.cpp account_transfers).
+// branchy implementation (tests/oracles/account_transfers.hpp).
 // The contract is bit-for-bit equality — every integer field AND the
 // energy double — on every input.
 

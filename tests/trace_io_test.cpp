@@ -115,6 +115,22 @@ TEST(TraceIo, OutOfRangeIntegerThrows) {
   EXPECT_THROW(read_trace(header), TraceParseError);
 }
 
+// A day count outside [1, kMaxTraceDays] is rejected while parsing the
+// header — before it is narrowed to int or sizes anything downstream.
+// (A three-line CSV claiming 900M days used to end in std::bad_alloc
+// once mining sized its hour buckets.)
+TEST(TraceIoBounds, HeaderDaysOutsideMaxTraceDaysThrow) {
+  for (const char* days :
+       {"0", "-1", "3651", "900000000", "4294967297", "9223372036854775807"}) {
+    std::stringstream ss;
+    ss << "user,1,days," << days << "\napp,0,mail\n";
+    EXPECT_THROW(read_trace(ss), TraceParseError) << days;
+  }
+  std::stringstream ok;
+  ok << "user,1,days," << kMaxTraceDays << "\napp,0,mail\n";
+  EXPECT_EQ(read_trace(ok).num_days, kMaxTraceDays);
+}
+
 TEST(TraceIo, WhitespacePaddedIntegerThrows) {
   std::stringstream ss;
   ss << "user,1,days,1\nscreen, 100,200\n";

@@ -59,6 +59,15 @@ TEST(Trace, ValidateRejectsZeroDays) {
   EXPECT_THROW(t.validate(), Error);
 }
 
+TEST(Trace, ValidateBoundsDaysByMaxTraceDays) {
+  UserTrace t = small_trace();
+  t.num_days = kMaxTraceDays;
+  EXPECT_EQ(t.first_violation(), nullptr);
+  t.num_days = kMaxTraceDays + 1;
+  EXPECT_NE(t.first_violation(), nullptr);
+  EXPECT_THROW(t.validate(), Error);
+}
+
 TEST(Trace, ValidateRejectsOverlappingSessions) {
   UserTrace t = small_trace();
   t.sessions = {{0, 100}, {50, 200}};
