@@ -258,7 +258,8 @@ void BM_IncrementalFoldDay(benchmark::State& state) {
       synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg);
   const engine::TraceIndex index(traces.training);
   const mining::DayContribution day =
-      mining::IncrementalHabitMiner::summarize_day(0, index);
+      mining::IncrementalHabitMiner::summarize_day(0, index.day_buckets(0),
+                                                   index.num_apps());
   mining::IncrementalHabitMiner miner(mining::IncrementalConfig{0.12});
   for (auto _ : state) {
     miner.observe_summary(day);

@@ -219,6 +219,13 @@ void Netmasterd::serve(net::Listener& listener) {
             break;
           }
         }
+      } catch (const net::LineTooLong& e) {
+        // An oversize line cannot be resynchronized: one error reply,
+        // then the close below.
+        try {
+          conn->write_line(net::err_response(e.what()));
+        } catch (const std::exception&) {
+        }
       } catch (const std::exception&) {
         // A peer vanishing mid-write tears down this conversation,
         // never the daemon.

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "engine/trace_index.hpp"
 #include "fault/sanitize.hpp"
-#include "mining/habits.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -116,13 +115,12 @@ void UserSession::fold_through(int day) {
 }
 
 mining::DayContribution UserSession::summarize_window(int day) const {
-  // Reconstruct days [day-1, day] shifted to a 2-day (1-day for day 0)
-  // window: sessions spanning the leading midnight pair up, sessions
-  // still open at the window's end clamp to it — exactly the screen
-  // coverage the full-history index derives for `day`. The summary is
-  // then patched to the absolute day's regime.
-  const int first = std::max(day - 1, 0);
-  const TimeMs lo = day_start(first);
+  // Reconstruct days [day-1, day] (an evaluation day, so day >= 7)
+  // shifted to a 2-day window: sessions spanning the leading midnight
+  // pair up, sessions still open at the window's end clamp to it —
+  // exactly the screen coverage the full-history index derives for
+  // `day`, summarized in the absolute day's regime.
+  const TimeMs lo = day_start(day - 1);
   const TimeMs hi = day_start(day + 1);
   service::RecordStore window;
   for (const service::Record& r : window_records_) {
@@ -131,31 +129,25 @@ mining::DayContribution UserSession::summarize_window(int day) const {
     shifted.time -= lo;
     window.append(shifted);
   }
-  const fault::SanitizeResult repaired =
-      window.to_trace_tolerant(config_.user, day + 1 - first,
-                               config_.app_names);
-  const engine::TraceIndex index(repaired.trace);
-  mining::DayContribution c =
-      mining::IncrementalHabitMiner::summarize_day(day - first, index);
-  c.kind = mining::day_kind(day);
-  return c;
+  const engine::TraceIndex index(
+      window.to_trace_tolerant(config_.user, 2, config_.app_names).trace);
+  return mining::IncrementalHabitMiner::summarize_day(
+      day, index.day_buckets(1), index.num_apps());
 }
 
 void UserSession::fold_day(int day) {
-  obs::SpanScope span("daemon.fold");
-  const mining::DayContribution c = summarize_window(day);
   ++stats_.days_folded;
   SessionMetrics::get().folds.add(1);
-
-  if (day < config_.train_days) {
-    miner_.observe_summary(c);
-    return;
-  }
+  // A training day only closes: complete_training mines the whole
+  // training window once, so nothing is summarized here.
+  if (day < config_.train_days) return;
 
   // Evaluation day: the online executive's midnight tick. train_days
   // is a multiple of 7, so the relative day keeps its regime.
+  obs::SpanScope span("daemon.fold");
   const int rel = day - config_.train_days;
-  const bool refresh_due = lifecycle_.observe_summary(rel, c);
+  const bool refresh_due =
+      lifecycle_.observe_summary(rel, summarize_window(day));
   if (lifecycle_.alarms() > stats_.alarms) {
     stats_.alarms = lifecycle_.alarms();
     SessionMetrics::get().alarms.add(1);
@@ -168,18 +160,17 @@ void UserSession::fold_day(int day) {
 
 void UserSession::complete_training() {
   obs::SpanScope span("daemon.mine");
-  // One-time whole-training reconstruction: the sanitizer's quality
-  // ledger scales the snapshot's confidence exactly as the batch
-  // miner's does, and SpecialApps wants the training trace (the
-  // incremental counters only carry per-hour aggregates).
-  const fault::SanitizeResult repaired = training_trace();
-  mining::HabitModel model =
-      miner_.snapshot(repaired.report.quality());
-  special_ = mining::SpecialApps::detect(repaired.trace);
-  policy_ = std::make_unique<policy::NetMasterPolicy>(
-      std::move(model), special_, policy_config_);
+  // The batch constructor mines the raw reconstruction of every stored
+  // training record (late ones included) and detects the special apps
+  // from it — one builder for the batch policy and the daemon.
+  const UserTrace training = training_trace();
+  policy_ =
+      std::make_unique<policy::NetMasterPolicy>(training, policy_config_);
   if (lifecycle_.enabled()) {
-    lifecycle_.anchor(engine::TraceIndex(repaired.trace));
+    // Drift is measured against the training history as the miner saw
+    // it (sanitized), as in service::run_online.
+    lifecycle_.anchor(
+        engine::TraceIndex(fault::sanitize_trace(training).trace));
   }
   eval_screen_open_ =
       screen_open_since_ >= 0 && screen_open_since_ < train_end_;
@@ -196,27 +187,27 @@ void UserSession::attempt_refresh(int eval_day) {
   stats_.refresh_attempts = lifecycle_.attempts();
   if (!fresh) return;
   policy_ = std::make_unique<policy::NetMasterPolicy>(
-      std::move(*fresh), special_, policy_config_);
+      std::move(*fresh), policy_->special_apps(), policy_config_);
   stats_.refreshes = lifecycle_.refreshes();
   ++stats_.model_version;
   cache_valid_ = false;
   SessionMetrics::get().refreshes.add(1);
 }
 
-fault::SanitizeResult UserSession::training_trace() const {
+UserTrace UserSession::training_trace() const {
   service::RecordStore store;
   for (service::Record r : store_.all_records()) {
     if (r.time >= train_end_) continue;
     if (r.kind == service::RecordKind::kNetworkActivity &&
         r.time + r.duration > train_end_) {
       // slice_days clips transfers at the slice edge; match it so the
-      // sanitizer sees the same training window the batch path mines.
+      // miner sees the same training window the batch path mines.
       r.duration = train_end_ - r.time;
     }
     store.append(r);
   }
-  return store.to_trace_tolerant(config_.user, config_.train_days,
-                                 config_.app_names);
+  return store.reconstruct(config_.user, config_.train_days,
+                           config_.app_names);
 }
 
 fault::SanitizeResult UserSession::eval_trace(int horizon_days) const {

@@ -1,18 +1,19 @@
 // Per-user streaming state of netmasterd.
 //
 // A UserSession turns one user's ingested monitoring records into the
-// same artifacts the batch pipeline computes, incrementally:
+// same artifacts the batch pipeline computes:
 //
-//   * during the training window, each completed day is folded into an
-//     IncrementalHabitMiner (decay 0) through a 2-day reconstruction
-//     window — O(events of 2 days) per fold, never a whole-history
-//     rebuild. When the last training day folds, the session snapshots
-//     the miner into a HabitModel, detects SpecialApps from the (one-
-//     time) reconstructed training window, and builds the serving
-//     NetMasterPolicy through the model-injection constructor. At
-//     decay 0 on clean streams this policy is bit-for-bit the one
-//     NetMasterPolicy(training_trace, config) mines — the daemon's
-//     batch-equivalence anchor (daemon_test, bench_service_throughput).
+//   * during the training window, records are only stored; each
+//     completed day is counted as folded and closed. When the last
+//     training day closes, the session builds the serving
+//     NetMasterPolicy through the batch constructor from the raw
+//     reconstruction of every stored training record — one model
+//     builder for the batch policy and the daemon, so on clean streams
+//     the policy is bit for bit NetMasterPolicy(training_trace, config)
+//     (the daemon's batch-equivalence anchor, daemon_test). A late
+//     record for an already-closed training day, arriving before the
+//     training window completes, reaches the model, the special apps
+//     and the quality ledger alike.
 //
 //   * during the evaluation window, completed days feed the model's
 //     drift lifecycle (service/model_lifecycle.hpp) — the same loop
@@ -24,12 +25,13 @@
 //     indexes it and runs the serving policy — cached until new eval
 //     events or a model swap invalidate it.
 //
-// Day folds assume screen sessions span at most one midnight (true of
-// synthesized and sanitized traces): the 2-day window always contains
-// a day's governing screen edges. Records arriving for already-folded
-// days are appended to the store (later reconstructions see them) but
-// counted as late_events and never re-folded — folds are
-// deterministic, at-most-once.
+// Evaluation-day folds summarize a 2-day reconstruction window. They
+// assume screen sessions span at most one midnight (true of synthesized
+// and sanitized traces): the window always contains a day's governing
+// screen edges. Records arriving for already-closed days are appended
+// to the store (later reconstructions see them) but counted as
+// late_events and never re-folded — folds are deterministic,
+// at-most-once.
 //
 // Not thread-safe: a session is owned by exactly one shard worker
 // (daemon/shard.hpp), which serializes all access.
@@ -42,7 +44,6 @@
 
 #include "fault/sanitize.hpp"
 #include "mining/incremental.hpp"
-#include "mining/special_apps.hpp"
 #include "policy/netmaster.hpp"
 #include "service/model_lifecycle.hpp"
 #include "service/record_store.hpp"
@@ -115,9 +116,10 @@ class UserSession {
   mining::DayContribution summarize_window(int day) const;
   void complete_training();
   void attempt_refresh(int eval_day);
-  /// Tolerant reconstruction of the training window (transfers clipped
-  /// at the boundary like UserTrace::slice_days clips).
-  fault::SanitizeResult training_trace() const;
+  /// Raw reconstruction of the training window (transfers clipped at
+  /// the boundary like UserTrace::slice_days clips); the miner repairs
+  /// it when it must.
+  UserTrace training_trace() const;
   /// Tolerant reconstruction of relative evaluation days
   /// [0, horizon_days), shifted to the evaluation epoch, with the
   /// synthetic screen-on edge when a session straddled the training
@@ -130,13 +132,11 @@ class UserSession {
 
   service::RecordStore store_;  ///< every ingested record (the §V DB)
   /// Records of days [current_day_ - 1, current_day_] — the fold
-  /// window. Pruned at each fold; the reason folds stay O(2 days).
+  /// window. Pruned at each day close; the reason folds stay O(2 days).
   std::vector<service::Record> window_records_;
   int current_day_ = 0;
 
-  mining::IncrementalHabitMiner miner_;  ///< decay 0: batch-equivalent
   service::ModelLifecycle lifecycle_;
-  mining::SpecialApps special_;
   std::unique_ptr<policy::NetMasterPolicy> policy_;
 
   TimeMs screen_open_since_ = -1;  ///< ingest-side session pairing state

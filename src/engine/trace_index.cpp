@@ -154,11 +154,16 @@ TimeMs TraceIndex::last_session_begin_in(TimeMs lo, TimeMs hi) const {
 }
 
 const TraceIndex::HourBucket& TraceIndex::bucket(int day, int hour) const {
+  NM_REQUIRE(hour >= 0 && hour < kHoursPerDay, "bucket hour out of range");
+  return day_buckets(day)[static_cast<std::size_t>(hour)];
+}
+
+std::span<const TraceIndex::HourBucket, kHoursPerDay>
+TraceIndex::day_buckets(int day) const {
   NM_REQUIRE(day >= 0 && day < columns_.num_days,
              "bucket day out of range");
-  NM_REQUIRE(hour >= 0 && hour < kHoursPerDay, "bucket hour out of range");
-  return buckets_[static_cast<std::size_t>(day) * kHoursPerDay +
-                  static_cast<std::size_t>(hour)];
+  return buckets_.subspan(static_cast<std::size_t>(day) * kHoursPerDay)
+      .first<kHoursPerDay>();
 }
 
 void TraceIndex::check_invariants(const UserTrace& source) const {

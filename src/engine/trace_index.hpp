@@ -103,6 +103,9 @@ class TraceIndex {
 
   const HourBucket& bucket(int day, int hour) const;
 
+  /// Day `day`'s 24 hour buckets (one row of buckets()).
+  std::span<const HourBucket, kHoursPerDay> day_buckets(int day) const;
+
   /// Every bucket, day-major: bucket (d, h) is at d * kHoursPerDay + h.
   std::span<const HourBucket> buckets() const { return buckets_; }
 

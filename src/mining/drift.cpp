@@ -79,8 +79,8 @@ DriftDetector::DriftDetector(DriftConfig config)
 
 void DriftDetector::observe_day(int day,
                                 const engine::TraceIndex& index) {
-  observe_summary(day,
-                  IncrementalHabitMiner::summarize_day(day, index));
+  observe_summary(day, IncrementalHabitMiner::summarize_day(
+                           day, index.day_buckets(day), index.num_apps()));
 }
 
 void DriftDetector::observe_summary(int day, DayContribution today) {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "fault/sanitize.hpp"
+#include "mining/incremental.hpp"
 #include "obs/metrics.hpp"
 
 namespace netmaster::mining {
@@ -16,6 +18,26 @@ double slot_confidence(double k, double p) {
   if (k <= 1.0) c *= kSingleDayRegimePenalty;
   return c;
 }
+
+namespace {
+
+/// Eqs. 2–3 over days [first_day, last_day) of day-major (day, hour)
+/// buckets: each day row goes through the one fold, a decay-0
+/// IncrementalHabitMiner.
+HabitModel mine_days(std::span<const engine::TraceIndex::HourBucket> buckets,
+                     std::size_t num_apps, int first_day, int last_day) {
+  IncrementalHabitMiner miner;
+  for (int d = first_day; d < last_day; ++d) {
+    miner.observe_summary(IncrementalHabitMiner::summarize_day(
+        d,
+        buckets.subspan(static_cast<std::size_t>(d) * kHoursPerDay)
+            .first<kHoursPerDay>(),
+        num_apps));
+  }
+  return miner.snapshot();
+}
+
+}  // namespace
 
 HabitModel HabitModel::mine(const UserTrace& history) {
   // A valid trace is a fixed point of sanitize_trace with quality 1.0:
@@ -29,7 +51,8 @@ HabitModel HabitModel::mine(const UserTrace& history) {
     std::vector<engine::TraceIndex::HourBucket> buckets(
         static_cast<std::size_t>(history.num_days) * kHoursPerDay);
     engine::TraceIndex::fold_buckets(history, buckets);
-    return fold(buckets, history.app_names.size(), 0, history.num_days);
+    return mine_days(buckets, history.app_names.size(), 0,
+                     history.num_days);
   }
   const fault::SanitizeResult repaired = fault::sanitize_trace(history);
   HabitModel model = mine(engine::TraceIndex(repaired.trace));
@@ -46,49 +69,8 @@ HabitModel HabitModel::mine(const engine::TraceIndex& history,
   NM_REQUIRE(first_day >= 0 && first_day <= last_day &&
                  last_day <= history.num_days(),
              "mining window out of range");
-  return fold(history.buckets(), history.num_apps(), first_day, last_day);
-}
-
-HabitModel HabitModel::fold(
-    std::span<const engine::TraceIndex::HourBucket> buckets,
-    std::size_t num_apps, int first_day, int last_day) {
-  HabitModel model;
-
-  // The per-(day, hour) buckets hold exactly the occupancy flags and
-  // accumulators Eqs. 2–3 need; fold them into the two day regimes.
-  // Eq. 3 counts (app, day) pairs: the bucket's distinct-app count over
-  // the denominator m*k honours that.
-  for (int d = first_day; d < last_day; ++d) {
-    auto& s = model.stats_[static_cast<std::size_t>(day_kind(d))];
-    ++s.days_observed;
-    for (int h = 0; h < kHoursPerDay; ++h) {
-      const engine::TraceIndex::HourBucket& bucket =
-          buckets[static_cast<std::size_t>(d) * kHoursPerDay +
-                  static_cast<std::size_t>(h)];
-      if (bucket.usage_count > 0) s.pr_active[h] += 1.0;
-      s.mean_intensity[h] += bucket.usage_count;
-      s.mean_net_count[h] += bucket.net_count;
-      s.mean_net_bytes[h] += bucket.net_bytes;
-      if (num_apps > 0) {
-        s.pr_net[h] += static_cast<double>(bucket.distinct_net_apps) /
-                       static_cast<double>(num_apps);
-      }
-    }
-  }
-
-  for (auto& s : model.stats_) {
-    if (s.days_observed == 0) continue;  // confidence stays all-zero
-    const auto k = static_cast<double>(s.days_observed);
-    for (int h = 0; h < kHoursPerDay; ++h) {
-      s.pr_active[h] /= k;
-      s.pr_net[h] /= k;
-      s.mean_intensity[h] /= k;
-      s.mean_net_count[h] /= k;
-      s.mean_net_bytes[h] /= k;
-      s.confidence[h] = slot_confidence(k, s.pr_active[h]);
-    }
-  }
-  return model;
+  return mine_days(history.buckets(), history.num_apps(), first_day,
+                   last_day);
 }
 
 void HabitModel::scale_confidence(double factor) {

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -66,7 +65,9 @@ struct HourStats {
   int days_observed = 0;
 };
 
-/// Mined habit model of one user.
+/// Mined habit model of one user. Every mine overload feeds its day
+/// rows of (day, hour) buckets to a decay-0 IncrementalHabitMiner and
+/// returns its snapshot — the one Eqs. 2–3 fold (incremental.hpp).
 class HabitModel {
  public:
   /// Mines a training trace (all its days). A valid trace (no
@@ -131,12 +132,6 @@ class HabitModel {
 
  private:
   friend class IncrementalHabitMiner;  ///< snapshots fill stats_ directly
-
-  /// Eqs. 2–3 over days [first_day, last_day) of day-major (day, hour)
-  /// buckets: the one stats fold behind every mine overload.
-  static HabitModel fold(
-      std::span<const engine::TraceIndex::HourBucket> buckets,
-      std::size_t num_apps, int first_day, int last_day);
 
   std::array<HourStats, 2> stats_{};
   double data_quality_ = 1.0;

@@ -14,14 +14,13 @@ IncrementalHabitMiner::IncrementalHabitMiner(IncrementalConfig config)
 }
 
 DayContribution IncrementalHabitMiner::summarize_day(
-    int day, const engine::TraceIndex& index) {
-  NM_REQUIRE(day >= 0 && day < index.num_days(),
-             "observed day out of the index range");
+    int day,
+    std::span<const engine::TraceIndex::HourBucket, kHoursPerDay> row,
+    std::size_t num_apps) {
   DayContribution c;
   c.kind = day_kind(day);
-  const std::size_t num_apps = index.num_apps();
   for (int h = 0; h < kHoursPerDay; ++h) {
-    const engine::TraceIndex::HourBucket& bucket = index.bucket(day, h);
+    const engine::TraceIndex::HourBucket& bucket = row[h];
     if (bucket.usage_count > 0) c.active[h] = 1.0;
     c.intensity[h] = bucket.usage_count;
     c.net_count[h] = bucket.net_count;
@@ -65,7 +64,8 @@ void IncrementalHabitMiner::observe_summary(const DayContribution& day) {
 
 void IncrementalHabitMiner::observe_day(int day,
                                         const engine::TraceIndex& index) {
-  observe_summary(summarize_day(day, index));
+  observe_summary(
+      summarize_day(day, index.day_buckets(day), index.num_apps()));
 }
 
 void IncrementalHabitMiner::observe_index(

@@ -1,29 +1,30 @@
-// Incremental habit mining over exponentially-decayed per-slot counters
-// (ROADMAP items 1 and 5).
+// Incremental habit mining over exponentially-decayed per-slot counters.
 //
-// The batch miner rebuilds a HabitModel from the whole training window;
-// a long-lived middleware instead folds each completed day into running
-// per-(regime, hour) accumulators. This miner maintains exactly the
-// statistics Eqs. 2–3 consume — pr_active / pr_net occupancy sums and
-// the intensity/net workload means — per DayKind, one day at a time,
-// with a `decay` knob that forgets old days geometrically:
+// A long-lived middleware folds each completed day into running
+// per-(regime, hour) accumulators instead of rebuilding a model from
+// the whole history. This miner maintains exactly the statistics
+// Eqs. 2–3 consume — pr_active / pr_net occupancy sums and the
+// intensity/net workload means — per DayKind, one day at a time, with a
+// `decay` knob that forgets old days geometrically:
 //
 //   sums ← sums · (1 − decay) + today,   weight ← weight · (1 − decay) + 1
 //
 // applied per regime when a day of that regime arrives. Estimates are
-// sums / weight, so decay = 0 degenerates to the plain per-day sums and
-// a snapshot() reproduces the batch HabitModel::mine result bit for
-// bit on the same index (regression-tested in drift_test). The decayed
-// `weight` is the effective day count feeding the shared confidence
-// formula: a heavily-decayed history is worth fewer days of evidence.
+// sums / weight, so decay = 0 degenerates to the plain per-day sums: it
+// is the one Eqs. 2–3 fold, and every HabitModel::mine overload is a
+// decay-0 miner fed its day rows (mining_test's hand-computed cases are
+// the independent oracle). The decayed `weight` is the effective day
+// count feeding the shared confidence formula: a heavily-decayed
+// history is worth fewer days of evidence.
 //
-// These counters are the substrate for the drift detector (two banks at
-// different decays, see drift.hpp) and for ROADMAP item 1's streaming
-// mining (per-event ingestion folds into the same per-day buckets).
+// The drift detector runs two banks of these counters at different
+// decays (drift.hpp).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/time.hpp"
 #include "engine/trace_index.hpp"
@@ -59,9 +60,15 @@ class IncrementalHabitMiner {
 
   const IncrementalConfig& config() const { return config_; }
 
-  /// Extracts day `day`'s contribution without folding it anywhere.
-  static DayContribution summarize_day(int day,
-                                       const engine::TraceIndex& index);
+  /// The one bucket-row → contribution transform: summarizes a day's
+  /// 24 hour buckets (a row of TraceIndex::buckets(), or of a bucket
+  /// fold with no index) without folding it anywhere. `day` is the
+  /// absolute day the row belongs to (it picks the regime); `num_apps`
+  /// is the app-table size Eq. 3's denominator uses.
+  static DayContribution summarize_day(
+      int day,
+      std::span<const engine::TraceIndex::HourBucket, kHoursPerDay> row,
+      std::size_t num_apps);
 
   /// Folds one extracted day into its regime (decay, then add).
   void observe_summary(const DayContribution& day);

@@ -26,6 +26,7 @@
 // event stream); daemon semantics live in src/daemon/.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,14 @@
 #include "trace/trace.hpp"
 
 namespace netmaster::net {
+
+/// Longest request line a transport accepts, '\n' excluded. Every verb
+/// but `user` has a fixed shape: the longest, a `net` ingest, is nine
+/// integer fields of at most 20 digits — under 256 bytes. A `user`
+/// line also carries the app table, its one variable-length part;
+/// 64 KiB holds a thousand 64-byte app names, far past any phone's
+/// app count. A peer that sends more without a newline is cut off.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 enum class RequestKind {
   kUser,         ///< register a user (app table + horizon)

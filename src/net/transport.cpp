@@ -1,17 +1,24 @@
 #include "net/transport.hpp"
 
 #include "common/error.hpp"
+#include "net/protocol.hpp"
 
 namespace netmaster::net {
 
 bool SocketConnection::read_line(std::string& line) {
   while (true) {
     const auto nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
+    if (nl != std::string::npos && nl <= kMaxLineBytes) {
       line.assign(buffer_, 0, nl);
       buffer_.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return true;
+    }
+    if (nl != std::string::npos || buffer_.size() > kMaxLineBytes) {
+      // Bounded: the buffer never holds more than the limit plus one
+      // receive chunk.
+      buffer_.clear();
+      throw LineTooLong();
     }
     if (!stream_.valid()) return false;
     char chunk[4096];

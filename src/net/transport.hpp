@@ -14,6 +14,8 @@
 // from either world through one interface. All blocking calls return
 // cleanly (read_line -> false) when the peer closes, so serve loops
 // need no special shutdown signalling beyond closing connections.
+// A socket peer that sends more than kMaxLineBytes without a newline
+// gets LineTooLong instead of an ever-growing buffer.
 #pragma once
 
 #include <condition_variable>
@@ -22,9 +24,19 @@
 #include <mutex>
 #include <string>
 
+#include "common/error.hpp"
 #include "net/socket.hpp"
 
 namespace netmaster::net {
+
+/// Thrown by SocketConnection::read_line when the peer sends more than
+/// kMaxLineBytes (net/protocol.hpp) without a '\n'. The buffered bytes
+/// are discarded; the conversation cannot resynchronize, so the caller
+/// replies with an error and closes the connection.
+class LineTooLong : public Error {
+ public:
+  LineTooLong() : Error("line too long") {}
+};
 
 /// One bidirectional line-framed conversation.
 class Connection {
@@ -32,7 +44,8 @@ class Connection {
   virtual ~Connection() = default;
 
   /// Blocks for the next line (without the trailing '\n'). Returns
-  /// false on orderly peer close / transport shutdown.
+  /// false on orderly peer close / transport shutdown. Throws
+  /// LineTooLong on an oversize line from an untrusted peer.
   virtual bool read_line(std::string& line) = 0;
 
   /// Sends one line ('\n' appended).

@@ -114,12 +114,11 @@ class NetMasterPolicy final : public Policy {
   NetMasterPolicy(const UserTrace& training, NetMasterConfig config);
 
   /// Model-injection construction: runs on an externally-mined model
-  /// and special-app set instead of mining a training trace. This is
-  /// the daemon/online path — IncrementalHabitMiner::snapshot() and a
-  /// SpecialApps detected from the reconstructed history plug straight
-  /// in, through the same validation and degradation gate. With the
-  /// model mined from the same trace, both constructors produce
-  /// bit-identical policies.
+  /// and special-app set instead of mining a training trace, through
+  /// the same validation and degradation gate. The daemon's drift
+  /// refresh uses it: a re-mined model keeps the special apps of the
+  /// policy it replaces. With the model mined from the same trace,
+  /// both constructors produce bit-identical policies.
   NetMasterPolicy(mining::HabitModel model, mining::SpecialApps special,
                   NetMasterConfig config);
 

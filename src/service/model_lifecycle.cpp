@@ -27,20 +27,10 @@ void ModelLifecycle::anchor(const engine::TraceIndex& training) {
   detector_.notify_adapted();
 }
 
-bool ModelLifecycle::observe_day(int day, const engine::TraceIndex& index) {
-  if (!adapt_.enable) return false;
-  detector_.observe_day(day, index);
-  return after_observe(day);
-}
-
 bool ModelLifecycle::observe_summary(
     int day, const mining::DayContribution& summary) {
   if (!adapt_.enable) return false;
   detector_.observe_summary(day, summary);
-  return after_observe(day);
-}
-
-bool ModelLifecycle::after_observe(int day) {
   if (!detector_.alarmed()) return false;
   if (!alarm_pending_) {
     alarm_pending_ = true;

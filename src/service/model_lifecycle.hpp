@@ -12,11 +12,13 @@
 //
 // Both online drivers run this one loop — service::run_online at its
 // midnight tick, daemon::UserSession at each evaluation-day fold — and
-// differ only in their inputs:
+// enter it the same way, with a day summary
+// (IncrementalHabitMiner::summarize_day). They differ only in where
+// the summarized bucket row comes from:
 //
-//   * run_online folds days from the full evaluation index; the daemon
-//     folds summaries of its 2-day reconstruction window. The two agree
-//     on clean streams (drift_test's cross-driver grid).
+//   * run_online summarizes the day's row of the full evaluation index;
+//     the daemon summarizes it from its 2-day reconstruction window.
+//     The two agree on clean streams (drift_test's cross-driver grid).
 //   * a refresh re-mines the tolerant reconstruction of the records of
 //     days [0, day). A screen session straddling that horizon reaches
 //     run_online's reconstruction with both edges, so the sanitizer
@@ -68,8 +70,8 @@ class ModelLifecycle {
   ModelLifecycle(const AdaptationConfig& adapt,
                  const policy::RobustnessConfig& gate);
 
-  /// With adaptation off, observe_* are no-ops that never ask for a
-  /// refresh (the detector stays empty, score() stays 0).
+  /// With adaptation off, observe_summary is a no-op that never asks
+  /// for a refresh (the detector stays empty, score() stays 0).
   bool enabled() const { return adapt_.enable; }
 
   /// Seeds the detector with the training history the deployed model
@@ -79,10 +81,8 @@ class ModelLifecycle {
   void anchor(const engine::TraceIndex& training);
 
   /// The midnight step after evaluation day `day` completed: folds the
-  /// day (from the evaluation index, or from an already-summarized
-  /// day), counts a newly raised alarm, and returns true when a refresh
-  /// is due at the midnight opening day + 1.
-  bool observe_day(int day, const engine::TraceIndex& index);
+  /// day's summary, counts a newly raised alarm, and returns true when
+  /// a refresh is due at the midnight opening day + 1.
   bool observe_summary(int day, const mining::DayContribution& summary);
 
   /// The refresh at the midnight opening evaluation day `day`. `seen` is
@@ -100,8 +100,6 @@ class ModelLifecycle {
   int first_alarm_day() const { return first_alarm_day_; }
 
  private:
-  bool after_observe(int day);
-
   AdaptationConfig adapt_;
   policy::RobustnessConfig gate_;
   mining::DriftDetector detector_;

@@ -10,11 +10,10 @@
 #include "engine/radio_timeline.hpp"
 #include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
+#include "mining/incremental.hpp"
 #include "mining/special_apps.hpp"
-#include "service/record_store.hpp"
 #include "policy/policy.hpp"
-#include "sched/instance.hpp"
-#include "sched/solver.hpp"
+#include "service/record_store.hpp"
 
 namespace netmaster::service {
 
@@ -80,39 +79,6 @@ OnlineSimResult run_online(const UserTrace& training,
   out.policy_name = "netmaster-online";
   out.radio_allowed = IntervalSet{};
 
-  // ---- Advisory whole-horizon plan (§IV, Algorithm 1). ----
-  // The event loop below releases deferred transfers greedily at the
-  // first real radio opportunity; the knapsack placement lives in the
-  // policy path. The same mined model and deferrable classification
-  // still feed Algorithm 1 once per run here, so the online path rides
-  // the pluggable-solver layer and reports solve stats — without
-  // changing a single executed transfer.
-  if (config.enable_prediction) {
-    IntervalSet plan_active;
-    for (int day = 0; day < eval.num_days; ++day) {
-      plan_active.add(predictor.predict_day(day).active_slots);
-    }
-    const std::vector<Interval>& plan_slots = plan_active.intervals();
-    std::vector<NetworkActivity> plan_pending;
-    for (std::size_t i = 0; i < eval.activities.size(); ++i) {
-      if (index.is_deferrable_screen_off(i) &&
-          !plan_active.contains(eval.activities[i].start)) {
-        plan_pending.push_back(eval.activities[i]);
-      }
-    }
-    if (!plan_slots.empty() && !plan_pending.empty()) {
-      const sched::Instance inst = sched::build_instance(
-          plan_slots, plan_pending, predictor, config.profit);
-      sched::SolverOptions solver_options;
-      solver_options.choice = config.solver;
-      solver_options.eps = config.eps;
-      const sched::OverlapSolution plan = sched::solve_overlapped(
-          inst.slots, inst.items, solver_options,
-          sched::thread_workspace(), &result.plan_stats);
-      result.planned_assignments = plan.assignments.size();
-    }
-  }
-
   // ---- Event queue seeding. ----
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue;
   for (int day = 0; day < eval.num_days; ++day) {
@@ -145,7 +111,11 @@ OnlineSimResult run_online(const UserTrace& training,
         engine::TraceIndex(fault::sanitize_trace(training).trace));
   }
   auto close_day = [&](int day) {
-    if (!lifecycle.observe_day(day, index)) return;
+    if (!lifecycle.observe_summary(
+            day, mining::IncrementalHabitMiner::summarize_day(
+                     day, index.day_buckets(day), index.num_apps()))) {
+      return;
+    }
     RecordStore store;
     for_each_record(
         eval, [&](const Record& r) { store.append(r); }, day_start(day + 1));

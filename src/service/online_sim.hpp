@@ -8,9 +8,10 @@
 // makes every decision online, using only the mined model and the
 // events seen so far. Deferred transfers are released at the first real
 // radio opportunity (screen-on, duty wake, predicted slot begin), i.e.
-// the greedy nearest-opportunity rule; the knapsack-planned placement
-// lives in the policy path. Agreement between the two paths (tested in
-// online_sim_test) validates the real-time adjustment machinery.
+// the greedy nearest-opportunity rule. The loop never runs Algorithm 1:
+// the knapsack-planned placement lives only in the policy path.
+// Agreement between the two paths (tested in online_sim_test) validates
+// the real-time adjustment machinery.
 //
 // With adaptation enabled, the loop also drives the model's drift
 // lifecycle (service/model_lifecycle.hpp): each completed day is closed
@@ -23,7 +24,6 @@
 
 #include "engine/trace_index.hpp"
 #include "policy/netmaster.hpp"
-#include "sched/solver.hpp"
 #include "service/model_lifecycle.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
@@ -34,14 +34,6 @@ struct OnlineSimResult {
   sim::PolicyOutcome outcome;      ///< accountable like any policy run
   std::size_t events_processed = 0;
   std::size_t radio_switches = 0;  ///< svc data enable/disable calls
-  /// Advisory whole-horizon Algorithm 1 plan, computed once per run
-  /// with the configured solver backend over the same mined model and
-  /// deferrable classification as the policy path. The event loop's
-  /// executed releases stay nearest-opportunity — the plan only feeds
-  /// instrumentation (and lets tests compare the online path's solver
-  /// stats against the policy path's).
-  std::size_t planned_assignments = 0;
-  sched::SolveStats plan_stats;
 
   // Drift-adaptation telemetry (all zero when adaptation is off).
   double final_drift_score = 0.0;  ///< detector score at the horizon

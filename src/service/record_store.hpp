@@ -96,9 +96,17 @@ class RecordStore {
   /// Total bytes pushed to flash.
   std::size_t bytes_flushed() const { return bytes_flushed_; }
 
-  /// Reconstructs a UserTrace (for the mining component) from the
-  /// records, given the app table and day count. Throws on records a
-  /// valid trace cannot hold (strict path).
+  /// Rebuilds a UserTrace (for the mining component) from the records,
+  /// given the app table and day count: screen edges pair in append
+  /// order (a session still open at the end closes at the horizon), and
+  /// each stream is stably sorted by time. Makes no validity promises —
+  /// HabitModel::mine and NetMasterPolicy accept the raw result and
+  /// repair it themselves.
+  UserTrace reconstruct(UserId user, int num_days,
+                        std::vector<std::string> app_names) const;
+
+  /// reconstruct(), then validate: throws on records a valid trace
+  /// cannot hold (strict path).
   UserTrace to_trace(UserId user, int num_days,
                      std::vector<std::string> app_names) const;
 
@@ -111,10 +119,6 @@ class RecordStore {
       std::vector<std::string> app_names) const;
 
  private:
-  /// Shared rebuild; makes no validity promises.
-  UserTrace reconstruct(UserId user, int num_days,
-                        std::vector<std::string> app_names) const;
-
   std::size_t cache_capacity_;
   std::vector<Record> cache_;
   std::vector<Record> flash_;

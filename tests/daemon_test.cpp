@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,10 +18,14 @@
 #include "daemon/loadgen.hpp"
 #include "daemon/netmasterd.hpp"
 #include "engine/trace_index.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
+#include "mining/habits.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "policy/netmaster.hpp"
+#include "service/record_store.hpp"
 #include "synth/drift.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"
@@ -45,6 +51,17 @@ void expect_outcomes_bitwise_equal(const sim::PolicyOutcome& streamed,
   EXPECT_EQ(streamed.interrupts, batch.interrupts) << context;
   EXPECT_EQ(streamed.duty_releases, batch.duty_releases) << context;
   EXPECT_EQ(streamed.path, batch.path) << context;
+}
+
+bool same_transfers(const sim::PolicyOutcome& a,
+                    const sim::PolicyOutcome& b) {
+  return std::equal(a.transfers.begin(), a.transfers.end(),
+                    b.transfers.begin(), b.transfers.end(),
+                    [](const sim::ExecutedTransfer& x,
+                       const sim::ExecutedTransfer& y) {
+                      return x.activity_index == y.activity_index &&
+                             x.start == y.start && x.duration == y.duration;
+                    });
 }
 
 // ---- The correctness anchor. -----------------------------------------
@@ -89,6 +106,180 @@ TEST(DaemonEquivalence, StreamedSchedulesMatchBatchBitForBit) {
   EXPECT_EQ(stats.totals.dropped_events, 0u);
   EXPECT_EQ(stats.totals.refreshes, 0u);
   EXPECT_EQ(stats.totals.days_folded, 4u * 21u);
+}
+
+/// The batch ground truth for a streamed event list, reconstructed the
+/// way UserSession stores it: records with negative timestamps are
+/// dropped, the training window is rebuilt raw with transfers clipped
+/// at its end, and the evaluation window is shifted to its epoch,
+/// re-opening a screen session that straddles the boundary.
+sim::PolicyOutcome batch_from_records(const std::vector<LoadEvent>& events,
+                                      const UserSessionConfig& session,
+                                      const policy::NetMasterConfig& config,
+                                      UserTrace* training_out = nullptr) {
+  const TimeMs train_end = day_start(session.train_days);
+  const TimeMs horizon = day_start(session.num_days);
+  service::RecordStore training;
+  service::RecordStore eval;
+  TimeMs open_since = -1;
+  for (const LoadEvent& e : events) {
+    service::Record r = e.record;
+    if (r.time < 0 || r.time >= train_end) continue;
+    if (r.kind == service::RecordKind::kScreenOn && open_since < 0) {
+      open_since = r.time;
+    } else if (r.kind == service::RecordKind::kScreenOff) {
+      open_since = -1;
+    }
+    if (r.kind == service::RecordKind::kNetworkActivity &&
+        r.time + r.duration > train_end) {
+      r.duration = train_end - r.time;
+    }
+    training.append(r);
+  }
+  if (open_since >= 0) {
+    eval.append({service::RecordKind::kScreenOn, 0, -1, 0, 0, 0, false,
+                 false});
+  }
+  for (const LoadEvent& e : events) {
+    service::Record r = e.record;
+    if (r.time < train_end || r.time >= horizon) continue;
+    r.time -= train_end;
+    eval.append(r);
+  }
+  const UserTrace train_trace = training.reconstruct(
+      session.user, session.train_days, session.app_names);
+  if (training_out != nullptr) *training_out = train_trace;
+  const policy::NetMasterPolicy batch(train_trace, config);
+  return batch.run(engine::TraceIndex(
+      eval.to_trace_tolerant(session.user,
+                             session.num_days - session.train_days,
+                             session.app_names)
+          .trace));
+}
+
+TEST(DaemonEquivalence, FaultedStreamMatchesBatchOnTheSameRecords) {
+  // A damaged stream: the serving model must be the one the batch
+  // constructor mines from the same records, reconstructed the way the
+  // session stores them — one builder, also on the repair path.
+  LoadConfig load;
+  load.users = 2;
+  const LoadPlan clean = build_load_plan(load);
+  DaemonConfig config;
+  // This test pins the model builder, not the drift detector (damaged
+  // days may alarm).
+  config.adapt.enable = false;
+
+  for (const LoadUser& user : clean.users) {
+    const std::string context = "user " + std::to_string(user.session.user);
+    // Rebuild the user's full-horizon trace from its clean stream, then
+    // damage it the way a monitoring pipeline would.
+    service::RecordStore store;
+    for (const LoadEvent& e : clean.events) {
+      if (e.user == user.session.user) store.append(e.record);
+    }
+    fault::FaultPlan faults;
+    faults.seed = 11 + static_cast<std::uint64_t>(user.session.user);
+    faults.with(fault::FaultKind::kDuplicateRecord, 0.05)
+        .with(fault::FaultKind::kReorderRecords, 0.05)
+        .with(fault::FaultKind::kFieldCorruption, 0.05)
+        .with(fault::FaultKind::kCounterReset, 0.05)
+        .with(fault::FaultKind::kMissingScreenEdge, 0.3)
+        .with(fault::FaultKind::kClockSkew, 0.05);
+    const UserTrace damaged =
+        fault::inject_faults(store.to_trace(user.session.user,
+                                            user.session.num_days,
+                                            user.session.app_names),
+                             faults)
+            .trace;
+    std::vector<LoadEvent> events;
+    append_trace_events(damaged, user.session.user, events);
+    sort_events(events);
+
+    Netmasterd daemon(config);
+    daemon.add_user(user.session);
+    for (const LoadEvent& e : events) daemon.ingest(e.user, e.record);
+    daemon.finish_user(user.session.user);
+
+    UserTrace training;
+    const sim::PolicyOutcome expected =
+        batch_from_records(events, user.session, config.policy, &training);
+    // Precondition: the training records really need repair.
+    ASSERT_NE(training.first_violation(), nullptr) << context;
+    const ScheduleResult streamed = daemon.schedule(user.session.user);
+    EXPECT_EQ(streamed.model_version, 1) << context;
+    expect_outcomes_bitwise_equal(streamed.outcome, expected, context);
+  }
+}
+
+TEST(DaemonEquivalence, LateTrainingRecordReachesTheModel) {
+  // One training-day app record arrives after its day closed but before
+  // the training window completes. It is counted late, and the serving
+  // model is still the batch policy mined on the full training trace,
+  // the late record included.
+  LoadConfig load;
+  load.users = 1;
+  const LoadPlan plan = build_load_plan(load);
+  const LoadUser& user = plan.users[0];
+  const DaemonConfig config;
+  const engine::TraceIndex eval_index(user.eval);
+  const sim::PolicyOutcome without =
+      policy::NetMasterPolicy(user.training, config.policy).run(eval_index);
+
+  // A usage at a weekend hour the training never used: it alone lifts
+  // Pr[u] of that hour above the weekend δ. Take the first such hour
+  // whose new slot moves the schedule.
+  const mining::HabitModel model = mining::HabitModel::mine(user.training);
+  service::Record late_record;
+  UserTrace full;
+  sim::PolicyOutcome expected;
+  bool found = false;
+  for (int day = 0; day < load.train_days - 1 && !found; ++day) {
+    if (!is_weekend(day)) continue;
+    for (int hour = 0; hour < kHoursPerDay && !found; ++hour) {
+      if (model.pr_active(mining::DayKind::kWeekend, hour) > 0.0) continue;
+      late_record = net::make_app_request(user.session.user,
+                                          hour_start(day, hour) + 60'000,
+                                          0, 30'000)
+                        .record;
+      full = user.training;
+      const AppUsage usage{0, late_record.time, late_record.duration};
+      full.usages.insert(
+          std::upper_bound(full.usages.begin(), full.usages.end(), usage,
+                           [](const AppUsage& a, const AppUsage& b) {
+                             return a.time < b.time;
+                           }),
+          usage);
+      expected =
+          policy::NetMasterPolicy(full, config.policy).run(eval_index);
+      found = !same_transfers(expected, without);
+    }
+  }
+  // Precondition: the policy mined without the record schedules
+  // differently, so a model that misses it fails below.
+  ASSERT_TRUE(found);
+
+  const TimeMs train_end = day_start(load.train_days);
+  Netmasterd daemon(config);
+  daemon.add_user(user.session);
+  bool delivered = false;
+  for (const LoadEvent& e : plan.events) {
+    if (!delivered && e.time >= train_end) {
+      // Every earlier training day has closed; training has not ended.
+      daemon.ingest(user.session.user, late_record);
+      delivered = true;
+    }
+    daemon.ingest(e.user, e.record);
+  }
+  daemon.finish_user(user.session.user);
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.totals.late_events, 1u);
+  EXPECT_EQ(stats.totals.days_folded,
+            static_cast<std::uint64_t>(load.train_days + load.eval_days));
+  const ScheduleResult streamed = daemon.schedule(user.session.user);
+  EXPECT_EQ(streamed.model_version, 1);
+  expect_outcomes_bitwise_equal(streamed.outcome, expected,
+                                "late training record");
 }
 
 TEST(DaemonEquivalence, ScheduleIsCachedAndStableAcrossRepeats) {
@@ -276,6 +467,42 @@ TEST(DaemonProtocol, ShutdownUnblocksIdleTcpConnections) {
   EXPECT_EQ(reply, "ok shutting down");
   server.join();
   EXPECT_FALSE(idle.read_line(reply));
+}
+
+TEST(DaemonWireBounds, OversizeLineGetsOneErrorThenClose) {
+  Netmasterd daemon;
+  net::SocketListener listener(0);
+  std::thread server([&] { daemon.serve(listener); });
+
+  // 1 MiB with no newline: the daemon must answer once and close, not
+  // buffer it. The send runs on its own thread — the daemon stops
+  // reading at the limit, so the tail may never drain.
+  net::TcpStream peer =
+      net::TcpStream::connect("127.0.0.1", listener.port());
+  std::thread sender([&] {
+    const std::string blob(std::size_t{1} << 20, 'x');
+    try {
+      peer.send_all(blob.data(), blob.size());
+    } catch (const Error&) {
+      // The daemon closed first.
+    }
+  });
+  std::string received;
+  char chunk[256];
+  while (const std::size_t n = peer.recv_some(chunk, sizeof(chunk))) {
+    received.append(chunk, n);
+  }
+  sender.join();
+  EXPECT_EQ(received, "err line too long\n");
+
+  // The daemon itself keeps serving.
+  net::SocketConnection control(
+      net::TcpStream::connect("127.0.0.1", listener.port()));
+  control.write_line("shutdown");
+  std::string reply;
+  ASSERT_TRUE(control.read_line(reply));
+  EXPECT_EQ(reply, "ok shutting down");
+  server.join();
 }
 
 // ---- Shard queue semantics. ------------------------------------------

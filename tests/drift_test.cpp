@@ -105,7 +105,8 @@ TEST(IncrementalMiner, DuplicateDayFoldsLeaveDecayZeroEstimatesExact) {
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kCommuter, 3), 7, 5);
   const engine::TraceIndex index(trace);
-  const auto day = mining::IncrementalHabitMiner::summarize_day(1, index);
+  const auto day = mining::IncrementalHabitMiner::summarize_day(
+      1, index.day_buckets(1), index.num_apps());
 
   mining::IncrementalHabitMiner once;
   once.observe_summary(day);
