@@ -6,23 +6,50 @@
 namespace netmaster {
 
 IntervalSet::IntervalSet(std::vector<Interval> intervals) {
-  std::erase_if(intervals, [](const Interval& iv) { return iv.empty(); });
-  const auto by_begin = [](const Interval& a, const Interval& b) {
-    return a.begin < b.begin;
-  };
-  if (!std::is_sorted(intervals.begin(), intervals.end(), by_begin)) {
-    std::sort(intervals.begin(), intervals.end(), by_begin);
-  }
-  // Coalesce in place and keep the input's storage.
-  std::size_t kept = 0;
+  // One pass drops the empties and coalesces every arrival that begins
+  // at or after the last run interval's begin into a canonical run at
+  // the front of the input's storage; only the out-of-order arrivals
+  // move aside. A sorted input ends here.
+  thread_local std::vector<Interval> late;
+  late.clear();
+  std::size_t run = 0;
   for (const Interval& iv : intervals) {
-    if (kept > 0 && iv.begin <= intervals[kept - 1].end) {
-      intervals[kept - 1].end = std::max(intervals[kept - 1].end, iv.end);
+    if (iv.empty()) continue;
+    if (run == 0 || iv.begin > intervals[run - 1].end) {
+      intervals[run++] = iv;
+    } else if (iv.begin >= intervals[run - 1].begin) {
+      intervals[run - 1].end = std::max(intervals[run - 1].end, iv.end);
     } else {
-      intervals[kept++] = iv;
+      late.push_back(iv);
     }
   }
-  intervals.resize(kept);
+  if (!late.empty()) {
+    std::sort(late.begin(), late.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.begin < b.begin;
+              });
+    // Park the run at the tail, then merge it with the sorted arrivals
+    // into the front. The write cursor never passes the run's read
+    // cursor: run + late fit in the input's size.
+    auto a = std::move_backward(
+        intervals.begin(),
+        intervals.begin() + static_cast<std::ptrdiff_t>(run), intervals.end());
+    auto b = late.cbegin();
+    std::size_t out = 0;
+    while (a != intervals.end() || b != late.cend()) {
+      const Interval iv = (b == late.cend() ||
+                           (a != intervals.end() && a->begin <= b->begin))
+                              ? *a++
+                              : *b++;
+      if (out > 0 && iv.begin <= intervals[out - 1].end) {
+        intervals[out - 1].end = std::max(intervals[out - 1].end, iv.end);
+      } else {
+        intervals[out++] = iv;
+      }
+    }
+    run = out;
+  }
+  intervals.resize(run);
   intervals_ = std::move(intervals);
 }
 

@@ -46,15 +46,19 @@ class IntervalSet {
   IntervalSet() = default;
 
   /// Builds a canonical set from arbitrary (unsorted, overlapping)
-  /// intervals; empty inputs are dropped. O(n) when `intervals` is
-  /// already sorted by begin, O(n log n) otherwise.
+  /// intervals; empty inputs are dropped. Run-adaptive: the arrivals
+  /// that begin at or after the running canonical run's last begin are
+  /// coalesced in place; only the k out-of-order ones are set aside,
+  /// sorted, and merged back in one pass. O(n + k log k): O(n) when
+  /// `intervals` is already sorted by begin. Reuses the input's storage.
   explicit IntervalSet(std::vector<Interval> intervals);
 
   /// Adds [begin, end), merging with existing intervals as needed.
   /// No-op when the interval is empty. O(log n) to locate the position
   /// plus the vector shift: O(1) when appending past the last interval,
-  /// O(n) for an insert or merge before it. Bulk callers build a set and
-  /// union once (add(const IntervalSet&)) instead of adding in a loop.
+  /// O(n) for an insert or merge before it. Bulk callers build a set
+  /// with the constructor and union once (add(const IntervalSet&))
+  /// instead of adding in a loop.
   void add(TimeMs begin, TimeMs end);
   void add(const Interval& iv) { add(iv.begin, iv.end); }
 

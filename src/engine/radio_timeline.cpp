@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,27 +24,43 @@ void RadioTimeline::allow(const IntervalSet& set) {
 }
 
 void RadioTimeline::allow_windows(const std::vector<Interval>& windows) {
-  for (const Interval& w : windows) allow(w.begin, w.end);
+  allow_clamped(windows);
 }
 
 void RadioTimeline::allow_transfers(
     const std::vector<sim::ExecutedTransfer>& transfers, DurationMs grace) {
+  std::vector<Interval> windows;
+  windows.reserve(transfers.size());
   for (const sim::ExecutedTransfer& t : transfers) {
     if (t.radio != RadioId::kCellular) continue;
-    allow(t.start, t.start + t.duration + grace);
+    windows.push_back({t.start, t.start + t.duration + grace});
   }
+  allow_clamped(std::move(windows));
 }
 
 void RadioTimeline::allow_wakes(const std::vector<duty::WakeEvent>& wakes) {
   std::vector<Interval> windows;
   windows.reserve(wakes.size());
   for (const duty::WakeEvent& w : wakes) {
-    windows.push_back({std::max<TimeMs>(w.time, 0),
-                       std::min(w.time + w.window, horizon_)});
+    windows.push_back({w.time, w.time + w.window});
+  }
+  allow_clamped(std::move(windows));
+}
+
+void RadioTimeline::allow_clamped(std::vector<Interval> windows) {
+  for (Interval& w : windows) {
+    w.begin = std::max<TimeMs>(w.begin, 0);
+    w.end = std::min(w.end, horizon_);
   }
   // The constructor drops the windows the clamp emptied and canonicalizes
-  // the rest; the union then costs one linear merge.
-  allowed_.add(IntervalSet(std::move(windows)));
+  // the rest in O(n + k log k); the union then costs one linear merge,
+  // or nothing when the timeline was still empty.
+  IntervalSet set(std::move(windows));
+  if (allowed_.empty()) {
+    allowed_ = std::move(set);
+  } else {
+    allowed_.add(set);
+  }
 }
 
 namespace {

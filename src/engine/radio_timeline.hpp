@@ -35,6 +35,11 @@ class RadioTimeline {
   /// first: one linear merge instead of an insert per interval.
   void allow(const IntervalSet& set);
 
+  /// The bulk builders below clamp their windows into one vector,
+  /// canonicalize it once (IntervalSet's run-adaptive constructor, so
+  /// mostly-sorted input costs O(n + k log k)) and union it once: the
+  /// same set as allowing each window in turn, without an O(n) vector
+  /// shift per window that lands before the set's end.
   void allow_windows(const std::vector<Interval>& windows);
 
   /// Allows each executed transfer's interval, extended by `grace`
@@ -45,8 +50,7 @@ class RadioTimeline {
   void allow_transfers(const std::vector<sim::ExecutedTransfer>& transfers,
                        DurationMs grace = 0);
 
-  /// Allows each duty-cycle probe window: the clamped windows form one
-  /// set, unioned in once.
+  /// Allows each duty-cycle probe window.
   void allow_wakes(const std::vector<duty::WakeEvent>& wakes);
 
   const IntervalSet& allowed() const { return allowed_; }
@@ -54,6 +58,9 @@ class RadioTimeline {
   IntervalSet build() && { return std::move(allowed_); }
 
  private:
+  /// Clamps `windows` to [0, horizon), canonicalizes, unions once.
+  void allow_clamped(std::vector<Interval> windows);
+
   TimeMs horizon_;
   IntervalSet allowed_;
 };

@@ -1,8 +1,19 @@
+// NetMasterPolicy::run — one evaluation replay, near-linear in the
+// trace once the per-day prediction is made. Classification walks the
+// activities with forward cursors over the predicted slots and the
+// session column; Algorithm 1's assignments land in a vector indexed by
+// pending position; the duty walk is one merge over the inactive
+// windows; and the radio-allowed set is canonicalized once from the
+// executed transfers (RadioTimeline::allow_transfers). The order of
+// `outcome.transfers` (classification, then the knapsack releases, then
+// the duty releases) is part of the contract: the daemon's get-schedule
+// digest hashes it.
 #include "policy/netmaster.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -45,6 +56,16 @@ struct NetMasterMetrics {
   }
 };
 
+/// Release instant of a deferred copy of `dur` ms that wants to start
+/// at `want`: clamped to [start, horizon − dur]. An arrival in the
+/// horizon's last `dur` ms leaves no room for the copy (the bounds would
+/// invert); it runs in place, so the result is `start`.
+TimeMs deferred_release(TimeMs want, TimeMs start, DurationMs dur,
+                        TimeMs horizon) {
+  if (horizon - dur < start) return start;
+  return std::clamp(want, start, horizon - dur);
+}
+
 /// Releases a fallback activity at the radio opportunity `at` (never
 /// before its arrival, always inside the horizon).
 void release_fallback(sim::PolicyOutcome& outcome,
@@ -53,8 +74,8 @@ void release_fallback(sim::PolicyOutcome& outcome,
                       std::size_t p, TimeMs at, TimeMs horizon) {
   const NetworkActivity& act = pending[p];
   const DurationMs dur = deferred_duration(act.duration);
-  const TimeMs release = std::clamp<TimeMs>(
-      std::max(at, act.start), act.start, horizon - dur);
+  const TimeMs release =
+      deferred_release(std::max(at, act.start), act.start, dur, horizon);
   if (release > act.start) {
     outcome.transfers.push_back({pending_index[p], release, dur});
     outcome.deferral_latency_s.push_back(to_seconds(release - act.start));
@@ -199,12 +220,40 @@ sim::PolicyOutcome NetMasterPolicy::run(
 
   // ---- Classification pass. ----
   // Deferrable screen-off activities are held for a real radio-on
-  // opportunity; everything else runs untouched.
+  // opportunity; everything else runs untouched. Arrivals come in start
+  // order on any validated trace, so the slot and session lookups are
+  // forward cursors; a backwards step (TraceIndex does not validate
+  // ordering) re-seeks with the binary search the cursors replace.
   std::vector<NetworkActivity> pending;     // outside U: knapsack path
   std::vector<std::size_t> pending_index;   // -> eval activity index
+  outcome.transfers.reserve(activities.size());
+  const std::span<const TimeMs> session_begins = sessions.begins();
+  std::size_t slot_at = 0;  // first slot with end > last arrival
+  std::size_t sess_at = 0;  // first session with begin >= last arrival
+  TimeMs last = std::numeric_limits<TimeMs>::min();
   for (std::size_t i = 0; i < activities.size(); ++i) {
     const NetworkActivity act = activities[i];
-    const bool in_slot = active.contains(act.start);
+    if (act.start < last) {
+      slot_at = static_cast<std::size_t>(
+          std::lower_bound(slot_windows.begin(), slot_windows.end(),
+                           act.start,
+                           [](const Interval& s, TimeMs t) {
+                             return s.end <= t;
+                           }) -
+          slot_windows.begin());
+      sess_at = eval.first_session_at_or_after(act.start);
+    } else {
+      while (slot_at < slot_windows.size() &&
+             slot_windows[slot_at].end <= act.start) {
+        ++slot_at;
+      }
+      while (sess_at < num_sessions && session_begins[sess_at] < act.start) {
+        ++sess_at;
+      }
+    }
+    last = act.start;
+    const bool in_slot = slot_at < slot_windows.size() &&
+                         slot_windows[slot_at].begin <= act.start;
     if (eval.is_deferrable_screen_off(i)) {
       if (!in_slot) {
         pending.push_back(act);
@@ -220,15 +269,15 @@ sim::PolicyOutcome NetMasterPolicy::run(
       // Inside a predicted active slot: the user is expected soon. Hold
       // the transfer for the next real session; if the user never shows
       // before the slot closes, run at the slot boundary.
-      TimeMs release = eval.next_session_begin(act.start, horizon);
-      const auto slot = std::lower_bound(
-          slot_windows.begin(), slot_windows.end(), act.start,
-          [](const Interval& s, TimeMs t) { return s.end <= t; });
-      NM_ASSERT(slot != slot_windows.end() && slot->contains(act.start),
+      NM_ASSERT(slot_at < slot_windows.size() &&
+                    slot_windows[slot_at].contains(act.start),
                 "active-set lookup must find the containing slot");
+      const TimeMs next_session =
+          sess_at < num_sessions ? session_begins[sess_at] : horizon;
       const DurationMs dur = deferred_duration(act.duration);
-      release = std::min(release, slot->end);
-      release = std::clamp<TimeMs>(release, act.start, horizon - dur);
+      const TimeMs release = deferred_release(
+          std::min(next_session, slot_windows[slot_at].end), act.start, dur,
+          horizon);
       if (release > act.start) {
         outcome.transfers.push_back({i, release, dur});
         outcome.deferral_latency_s.push_back(
@@ -252,7 +301,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
   }
 
   // ---- Knapsack scheduling over the pending set (§IV, Algorithm 1). ----
-  std::map<std::size_t, int> assignment;  // pending idx -> slot index
+  std::vector<int> assignment(pending.size(), -1);  // pending -> slot
   if ((!slot_windows.empty() || !wifi_windows.empty()) && !pending.empty()) {
     // With no Wi-Fi windows the multi-radio builder reduces exactly to
     // build_instance; call the single-radio builder anyway so the
@@ -278,18 +327,17 @@ sim::PolicyOutcome NetMasterPolicy::run(
   std::vector<std::size_t> fallback;  // pending indices for duty path
   for (std::size_t p = 0; p < pending.size(); ++p) {
     const NetworkActivity& act = pending[p];
-    const auto it = assignment.find(p);
-    if (it == assignment.end()) {
+    if (assignment[p] < 0) {
       fallback.push_back(p);
       continue;
     }
-    if (static_cast<std::size_t>(it->second) >= slot_windows.size()) {
+    const auto slot_index = static_cast<std::size_t>(assignment[p]);
+    if (slot_index >= slot_windows.size()) {
       // Wi-Fi offload: the same bytes execute on the WLAN inside the
       // assigned presence window — immediately when the arrival is
       // already covered, at the window's begin otherwise. Wi-Fi does
       // not ride the cellular data switch, so no session search.
-      const Interval& win = wifi_windows[static_cast<std::size_t>(
-          it->second) - slot_windows.size()];
+      const Interval& win = wifi_windows[slot_index - slot_windows.size()];
       const DurationMs dur = sched::wifi_transfer_ms(act, config_.profit);
       const TimeMs release = std::clamp<TimeMs>(
           std::max(act.start, win.begin), act.start, horizon - dur);
@@ -301,8 +349,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
       }
       continue;
     }
-    const Interval& slot =
-        slot_windows[static_cast<std::size_t>(it->second)];
+    const Interval& slot = slot_windows[slot_index];
     const DurationMs dur = deferred_duration(act.duration);
     TimeMs release;
     if (slot.end <= act.start) {
@@ -328,7 +375,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
     } else {
       release = slot.begin;
     }
-    release = std::clamp<TimeMs>(release, act.start, horizon - dur);
+    release = deferred_release(release, act.start, dur, horizon);
     if (release > act.start) {
       outcome.transfers.push_back({pending_index[p], release, dur});
       outcome.deferral_latency_s.push_back(

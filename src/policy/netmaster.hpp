@@ -17,6 +17,8 @@
 //   * unassigned / unpredicted activities fall back to the duty-cycle
 //     path: they release at the next wake-up probe (exponential
 //     back-off by default, §IV-C.2);
+//   * a deferred copy runs for at least 500 ms (deferred_duration); an
+//     arrival too close to the horizon for it to finish runs in place;
 //   * foreground usage outside predicted slots powers the radio when
 //     the app is a "Special App"; otherwise the user must re-enable
 //     data manually — a wrong decision, counted as an interrupt

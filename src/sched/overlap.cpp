@@ -160,17 +160,27 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
 
   // Step 1 (duplication): per-slot itemsets, each item in both
   // candidate slots. The outer vector only grows; per-slot vectors keep
-  // their capacity across solves.
+  // their capacity across solves. Each copy is tagged with the item's
+  // position in the sorted id index instead of its id, so the filter
+  // and GreedyAdd steps below index their per-item scratch directly.
+  // Items are still pushed in input order: ratio ties break as before.
+  const std::size_t n = items.size();
+  ws.rank.resize(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    ws.rank[static_cast<std::size_t>(ws.id_index[pos].second -
+                                     items.data())] = static_cast<int>(pos);
+  }
   auto& slot_items = ws.slot_items;
   if (slot_items.size() < slots.size()) slot_items.resize(slots.size());
   for (std::size_t s = 0; s < slots.size(); ++s) slot_items[s].clear();
-  for (const OverlapItem& item : items) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const OverlapItem& item = items[i];
     for (int s : {item.prev_slot, item.next_slot}) {
       if (s >= 0) {
         // The duplicated copy carries the candidate's effective profit
         // (the shared profit unless the item overrides this slot).
         slot_items[static_cast<std::size_t>(s)].push_back(
-            {item.id, item.profit_in(s), item.weight});
+            {ws.rank[i], item.profit_in(s), item.weight});
       }
     }
   }
@@ -228,16 +238,14 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   // flat per-position scratch (position in the sorted id index), and
   // the position walk below visits items in ascending-id order, exactly
   // like the seed-era `std::map<int, std::vector<int>>` iteration.
-  const std::size_t n = items.size();
   ws.cand_slot[0].resize(n);
   ws.cand_slot[1].resize(n);
   ws.cand_count.assign(n, 0);
   ws.assigned.assign(n, 0);
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    for (int id : chosen_per_slot[s]) {
-      const std::size_t pos = index_position(ws, id);
-      NM_ASSERT(pos != static_cast<std::size_t>(-1),
-                "SinKnap chose an unknown item");
+    for (int chosen : chosen_per_slot[s]) {
+      const auto pos = static_cast<std::size_t>(chosen);
+      NM_ASSERT(pos < n, "SinKnap chose an unknown item");
       NM_ASSERT(ws.cand_count[pos] < 2, "item chosen in more than 2 slots");
       ws.cand_slot[ws.cand_count[pos]][pos] = static_cast<int>(s);
       ++ws.cand_count[pos];
@@ -282,10 +290,11 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   for (std::size_t s = 0; s < slots.size(); ++s) {
     std::int64_t residual = slots[s].capacity - solution.slot_used[s];
     for (const KnapItem& ki : slot_items[s]) {  // already ratio-sorted
-      const std::size_t pos = index_position(ws, ki.id);
+      const auto pos = static_cast<std::size_t>(ki.id);
       if (ws.assigned[pos] != 0 || ki.profit <= 0.0) continue;
       if (ki.weight <= residual) {
-        solution.assignments.push_back({ki.id, static_cast<int>(s)});
+        solution.assignments.push_back(
+            {ws.id_index[pos].first, static_cast<int>(s)});
         solution.slot_used[s] += ki.weight;
         solution.total_profit += ki.profit;
         residual -= ki.weight;

@@ -19,8 +19,11 @@
 // `SchedWorkspace` is the reusable per-thread scratch behind every
 // solve: DP tables, the duplicated per-slot itemsets, and the flat
 // id→item index that replaces the `std::map`s the seed-era
-// `solve_overlapped` rebuilt twice per call. Fleet sweeps invoke the
-// solver per slot × per user × per policy × per sweep point; with a
+// `solve_overlapped` rebuilt twice per call. Inside a solve an item is
+// named by its position in that index, so Algorithm 1's filter and
+// GreedyAdd steps index flat per-position arrays instead of searching.
+// Fleet sweeps invoke the solver per slot × per user × per policy × per
+// sweep point; with a
 // reused workspace the steady state allocates nothing. Workspaces are
 // single-owner and not thread-safe: use `thread_workspace()` (one per
 // thread, including per `parallel_for` worker) or a locally owned
@@ -111,14 +114,21 @@ class SchedWorkspace {
   std::vector<std::uint64_t> take_bits;  ///< flat DP choice bit-matrix
 
   // ---- Algorithm 1 scratch (overlap.cpp) ----
-  std::vector<std::vector<KnapItem>> slot_items;  ///< duplicated itemsets
-  std::vector<std::vector<int>> chosen_per_slot;
+  /// Duplicated itemsets. Each copy's `KnapItem::id` is the item's
+  /// position in `id_index`, not its id, so the filter and GreedyAdd
+  /// steps index the per-position scratch below without a search.
+  std::vector<std::vector<KnapItem>> slot_items;
+  std::vector<std::vector<int>> chosen_per_slot;  ///< positions per slot
   /// Flat id→item index, sorted by id: replaces the per-call
-  /// `std::map<int, const OverlapItem*>`s.
+  /// `std::map<int, const OverlapItem*>`s. A position in it is an
+  /// item's handle inside a solve; `.first` maps it back to the id.
   std::vector<std::pair<int, const OverlapItem*>> id_index;
-  std::vector<int> cand_slot[2];          ///< per item: chosen slots
-  std::vector<std::uint8_t> cand_count;   ///< per item: 0, 1 or 2
-  std::vector<std::uint8_t> assigned;     ///< per item: taken flag
+  /// Per input item: its position in `id_index`, built in O(n) from
+  /// the index's item pointers.
+  std::vector<int> rank;
+  std::vector<int> cand_slot[2];          ///< per position: chosen slots
+  std::vector<std::uint8_t> cand_count;   ///< per position: 0, 1 or 2
+  std::vector<std::uint8_t> assigned;     ///< per position: taken flag
   std::vector<std::int64_t> used;         ///< feasibility check scratch
   std::vector<std::uint8_t> times_assigned;
 

@@ -1,6 +1,8 @@
 // Unit + property tests for Interval / IntervalSet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -90,6 +92,67 @@ TEST(IntervalSet, ConstructorCanonicalizes) {
   ASSERT_EQ(set.size(), 2u);
   EXPECT_EQ(set.intervals()[0], (Interval{0, 10}));
   EXPECT_EQ(set.intervals()[1], (Interval{12, 14}));
+}
+
+/// The per-interval reference for the constructor.
+IntervalSet add_one_by_one(const std::vector<Interval>& ivs) {
+  IntervalSet set;
+  for (const Interval& iv : ivs) set.add(iv);
+  return set;
+}
+
+TEST(IntervalSet, ConstructorMatchesOneByOneAdds) {
+  // The constructor keeps the in-order run in place and sorts only the
+  // out-of-order arrivals; whatever the input's order, it must produce
+  // exactly the set that adding the intervals one at a time does.
+  Rng rng(4160);
+  constexpr int kN = 40;
+  const auto check = [](const std::vector<Interval>& ivs,
+                        const std::string& what) {
+    EXPECT_EQ(IntervalSet(ivs).intervals(), add_one_by_one(ivs).intervals())
+        << what;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    // Negative begins, duplicate begins, empty and inverted intervals,
+    // touching neighbours and the occasional long interval nesting
+    // several others.
+    std::vector<Interval> ivs;
+    for (int k = 0; k < kN; ++k) {
+      TimeMs lo = rng.uniform_int(-50, 200);
+      if (!ivs.empty() && rng.bernoulli(0.15)) lo = ivs.back().begin;
+      if (!ivs.empty() && rng.bernoulli(0.15)) lo = ivs.back().end;
+      const DurationMs len = rng.bernoulli(0.1) ? rng.uniform_int(40, 120)
+                                                : rng.uniform_int(-3, 15);
+      ivs.push_back({lo, lo + len});
+    }
+    const std::string tag = "trial " + std::to_string(trial);
+    check(ivs, tag + " random");
+
+    std::vector<Interval> sorted = ivs;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.begin < b.begin;
+              });
+    check(sorted, tag + " sorted");
+    check(std::vector<Interval>(sorted.rbegin(), sorted.rend()),
+          tag + " reversed");
+
+    // Nearly sorted: k intervals displaced to random positions.
+    for (int displaced = 1; displaced <= kN; ++displaced) {
+      std::vector<Interval> near = sorted;
+      for (int d = 0; d < displaced; ++d) {
+        const auto from = near.begin() + rng.uniform_int(0, kN - 1);
+        const Interval moved = *from;
+        near.erase(from);
+        near.insert(near.begin() + rng.uniform_int(0, kN - 1), moved);
+      }
+      check(near, tag + " displaced " + std::to_string(displaced));
+    }
+  }
+  check({}, "empty input");
+  check({{5, 5}, {7, 3}}, "only empty intervals");
+  check({{-20, -10}, {-10, 0}, {0, 5}}, "touching, negative begins");
+  check({{10, 20}, {0, 100}, {30, 40}, {-5, 0}}, "nested after the run");
 }
 
 TEST(IntervalSet, Contains) {

@@ -2,6 +2,8 @@
 // real-time adjustment, duty fallback, ablations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"
@@ -157,6 +159,51 @@ TEST(NetMaster, DeterministicAcrossRuns) {
   }
   EXPECT_EQ(a.wakes.size(), b.wakes.size());
   EXPECT_EQ(a.interrupts, b.interrupts);
+}
+
+TEST(NetMaster, ArrivalInLastHalfSecondRunsInPlace) {
+  // A deferred copy runs for at least 500 ms (deferred_duration's
+  // floor), so an arrival 200 ms before the horizon leaves no room to
+  // defer it: the release window [start, horizon − 500] is inverted.
+  // The activity must run in place: held inside a predicted slot, and
+  // released by the duty fallback with and without probes.
+  Traces tr = make_traces();
+  NetworkActivity late;
+  late.app = tr.eval.activities.front().app;
+  late.start = tr.eval.trace_end() - 200;
+  late.duration = 100;
+  late.bytes_down = 2000;
+  late.deferrable = true;
+  ASSERT_FALSE(tr.eval.screen_on_at(late.start));
+  auto& acts = tr.eval.activities;
+  const auto at = std::upper_bound(
+      acts.begin(), acts.end(), late.start,
+      [](TimeMs t, const NetworkActivity& a) { return t < a.start; });
+  const auto late_index = static_cast<std::size_t>(at - acts.begin());
+  acts.insert(at, late);
+  tr.eval.validate();
+
+  NetMasterConfig no_duty;
+  no_duty.enable_duty = false;
+  NetMasterConfig no_prediction;
+  no_prediction.enable_prediction = false;
+  NetMasterConfig neither = no_prediction;
+  neither.enable_duty = false;
+  for (const NetMasterConfig& cfg :
+       {NetMasterConfig{}, no_duty, no_prediction, neither}) {
+    const sim::PolicyOutcome o =
+        NetMasterPolicy(tr.training, cfg).run(tr.eval);
+    bool found = false;
+    for (const sim::ExecutedTransfer& t : o.transfers) {
+      if (t.activity_index != late_index) continue;
+      found = true;
+      EXPECT_EQ(t.start, late.start);
+      EXPECT_EQ(t.duration, late.duration);
+    }
+    EXPECT_TRUE(found);
+    EXPECT_NO_THROW(
+        sim::account(tr.eval, o, RadioPowerParams::wcdma()));
+  }
 }
 
 TEST(NetMaster, RejectsBadEps) {

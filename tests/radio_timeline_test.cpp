@@ -99,16 +99,21 @@ TEST(RadioTimeline, MatchesHandAssembledSet) {
 
 TEST(RadioTimeline, BulkAllowsMatchThePerWindowPath) {
   // Random windows straddling 0 and the horizon, unioned into a
-  // timeline that already holds windows: the set union (allow(set)) and
-  // the batched wakes must equal clamping and adding window by window.
+  // timeline that already holds windows: the set union (allow(set)),
+  // the batched slot windows, wakes and transfers must equal clamping
+  // and adding window by window. Transfers carry a grace and a random
+  // radio; Wi-Fi ones must not open the cellular switch.
   constexpr TimeMs kHorizon = 1000;
   std::mt19937_64 rng(2024);
   std::uniform_int_distribution<TimeMs> start(-150, kHorizon + 50);
   std::uniform_int_distribution<DurationMs> length(0, 120);
+  std::uniform_int_distribution<DurationMs> grace_ms(0, 200);
+  std::bernoulli_distribution on_wifi(0.25);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<Interval> prior;
     std::vector<Interval> windows;
     std::vector<duty::WakeEvent> wakes;
+    std::vector<sim::ExecutedTransfer> transfers;
     for (int k = 0; k < 15; ++k) {
       const TimeMs p = start(rng);
       prior.push_back({p, p + length(rng)});
@@ -118,7 +123,14 @@ TEST(RadioTimeline, BulkAllowsMatchThePerWindowPath) {
       wake.time = start(rng);
       wake.window = length(rng);
       wakes.push_back(wake);
+      sim::ExecutedTransfer t;
+      t.activity_index = static_cast<std::size_t>(k);
+      t.start = start(rng);
+      t.duration = length(rng);
+      t.radio = on_wifi(rng) ? RadioId::kWifi : RadioId::kCellular;
+      transfers.push_back(t);
     }
+    const DurationMs grace = grace_ms(rng);
 
     RadioTimeline per_window(kHorizon);
     for (const Interval& iv : prior) per_window.allow(iv);
@@ -126,12 +138,29 @@ TEST(RadioTimeline, BulkAllowsMatchThePerWindowPath) {
     for (const duty::WakeEvent& w : wakes) {
       per_window.allow(w.time, w.time + w.window);
     }
+    for (const sim::ExecutedTransfer& t : transfers) {
+      if (t.radio == RadioId::kWifi) continue;
+      per_window.allow(t.start, t.start + t.duration + grace);
+    }
 
     RadioTimeline bulk(kHorizon);
     bulk.allow_windows(prior);
     bulk.allow(IntervalSet(windows));  // unclamped: crosses 0 / horizon
     bulk.allow_wakes(wakes);
+    bulk.allow_transfers(transfers, grace);
     ASSERT_EQ(bulk.allowed().intervals(), per_window.allowed().intervals())
+        << "trial " << trial;
+
+    // Transfers alone, into an empty timeline.
+    RadioTimeline transfers_only(kHorizon);
+    transfers_only.allow_transfers(transfers, grace);
+    RadioTimeline transfers_per_window(kHorizon);
+    for (const sim::ExecutedTransfer& t : transfers) {
+      if (t.radio == RadioId::kWifi) continue;
+      transfers_per_window.allow(t.start, t.start + t.duration + grace);
+    }
+    ASSERT_EQ(transfers_only.allowed().intervals(),
+              transfers_per_window.allowed().intervals())
         << "trial " << trial;
   }
 }
