@@ -64,13 +64,14 @@ int main(int argc, char** argv) {
       pending.push_back(n);
     }
   }
-  const sched::Instance inst = sched::build_instance(
-      pred.active_slots.intervals(), pending, predictor, config.profit);
+  const sched::Instance inst =
+      sched::build_instance(pred.active_slots.intervals(), {}, pending,
+                            predictor, config.profit);
   sched::SolverOptions solver_options;
   solver_options.choice = config.solver;
   solver_options.eps = config.eps;
-  const sched::OverlapSolution plan = sched::solve_overlapped(
-      inst.slots, inst.items, solver_options, sched::thread_workspace());
+  const sched::OverlapSolution plan =
+      sched::solve_overlapped(inst.slots, inst.items, solver_options);
   std::cout << "\ndecision making: " << pending.size()
             << " pending screen-off transfers, " << plan.assignments.size()
             << " packed into " << pred.active_slots.size()

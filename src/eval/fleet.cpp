@@ -46,15 +46,11 @@ std::vector<PolicySpec> standard_policy_suite(
 }
 
 std::vector<PolicySpec> solver_ablation_suite(
-    const policy::NetMasterConfig& config, bool include_exact) {
-  std::vector<sched::SolverChoice> backends = {sched::SolverChoice::kFptas,
-                                               sched::SolverChoice::kGreedy,
-                                               sched::SolverChoice::kAuto};
-  if (include_exact) {
-    backends.insert(backends.begin() + 1, sched::SolverChoice::kExact);
-  }
+    const policy::NetMasterConfig& config) {
   std::vector<PolicySpec> suite;
-  for (const sched::SolverChoice backend : backends) {
+  for (const sched::SolverChoice backend :
+       {sched::SolverChoice::kFptas, sched::SolverChoice::kGreedy,
+        sched::SolverChoice::kAuto}) {
     policy::NetMasterConfig variant = config;
     variant.solver = backend;
     suite.push_back(

@@ -60,12 +60,11 @@ std::vector<PolicySpec> standard_policy_suite(
 
 /// Solver-ablation roster: one NetMaster variant per SinKnap backend
 /// ("netmaster[fptas]", "netmaster[greedy]", "netmaster[auto]"), all
-/// other knobs taken from `config`. `include_exact` adds
-/// "netmaster[exact]"; it is off by default because the weight-indexed
-/// exact DP throws on byte-scale slot capacities (hours × 25 kB/s blows
-/// its table limit) — enable it only on capacity-bounded instances.
+/// other knobs taken from `config`. There is no "netmaster[exact]": the
+/// weight-indexed exact DP throws on byte-scale slot capacities (hours ×
+/// 25 kB/s blows its table limit); kAuto takes it where it fits.
 std::vector<PolicySpec> solver_ablation_suite(
-    const policy::NetMasterConfig& config, bool include_exact = false);
+    const policy::NetMasterConfig& config);
 
 /// One (user, policy) cell of the fleet grid.
 struct FleetCell {

@@ -102,18 +102,4 @@ TraceColumns TraceColumns::build(const UserTrace& trace, Arena& arena) {
   return out;
 }
 
-UserTrace TraceColumns::materialize() const {
-  UserTrace trace;
-  trace.user = user;
-  trace.num_days = num_days;
-  trace.app_names.reserve(app_names.size());
-  for (std::size_t i = 0; i < app_names.size(); ++i) {
-    trace.app_names.emplace_back(app_names.name(i));
-  }
-  trace.sessions.assign(sessions.begin(), sessions.end());
-  trace.usages.assign(usages.begin(), usages.end());
-  trace.activities.assign(activities.begin(), activities.end());
-  return trace;
-}
-
 }  // namespace netmaster::mem

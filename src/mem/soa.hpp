@@ -219,9 +219,6 @@ struct TraceColumns {
   ActivityColumns activities;
 
   static TraceColumns build(const UserTrace& trace, Arena& arena);
-
-  /// Reconstructs the AoS trace (exactly equal to the build() input).
-  UserTrace materialize() const;
 };
 
 }  // namespace netmaster::mem

@@ -21,28 +21,7 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
   const mem::ActivityColumns& activities = eval.activities();
   const mem::SessionColumns& sessions = eval.sessions();
 
-  struct Pending {
-    std::size_t index;
-    TimeMs arrival;
-    DurationMs duration;
-  };
-  std::vector<Pending> queue;
-
-  auto flush = [&](TimeMs at) {
-    for (const Pending& p : queue) {
-      const DurationMs dur = deferred_duration(p.duration);
-      const TimeMs release = clamp_release(at, dur, horizon, p.arrival);
-      if (release > p.arrival) {
-        outcome.transfers.push_back({p.index, release, dur});
-        outcome.blocked.add(p.arrival, release);
-        outcome.deferral_latency_s.push_back(
-            to_seconds(release - p.arrival));
-      } else {
-        outcome.transfers.push_back({p.index, p.arrival, p.duration});
-      }
-    }
-    queue.clear();
-  };
+  std::vector<HeldActivity> queue;
 
   // Screen-on edges flush the queue: iterate activities and sessions in
   // time order.
@@ -52,7 +31,7 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
     const NetworkActivity act = activities[i];
     // Flush at any screen-on edge preceding this activity.
     while (session != sessions.end() && session->begin <= act.start) {
-      flush(session->begin);
+      release_all(outcome, queue, session->begin, horizon);
       ++session;
     }
     if (!eval.is_deferrable_screen_off(i) || max_batch_ <= 1) {
@@ -60,14 +39,16 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
       continue;
     }
     queue.push_back({i, act.start, act.duration});
-    if (queue.size() >= max_batch_) flush(act.start);
+    if (queue.size() >= max_batch_) {
+      release_all(outcome, queue, act.start, horizon);
+    }
   }
   // Remaining queue flushes at the next screen-on edge, else at the
   // horizon.
   if (!queue.empty()) {
     const TimeMs flush_at =
         session != sessions.end() ? session->begin : horizon;
-    flush(flush_at);
+    release_all(outcome, queue, flush_at, horizon);
   }
   return outcome;
 }

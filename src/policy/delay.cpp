@@ -32,15 +32,7 @@ sim::PolicyOutcome DelayPolicy::run(const engine::TraceIndex& eval) const {
     // Quantize to the end of the containing delay window.
     const TimeMs window_end =
         (act.start / interval_ms_ + 1) * interval_ms_;
-    const DurationMs dur = deferred_duration(act.duration);
-    const TimeMs release = clamp_release(window_end, dur, horizon, act.start);
-    if (release > act.start) {
-      outcome.transfers.push_back({i, release, dur});
-      outcome.blocked.add(act.start, release);
-      outcome.deferral_latency_s.push_back(to_seconds(release - act.start));
-    } else {
-      outcome.transfers.push_back({i, act.start, act.duration});
-    }
+    release_held(outcome, {i, act.start, act.duration}, window_end, horizon);
   }
   return outcome;
 }

@@ -27,28 +27,7 @@ sim::PolicyOutcome DelayBatchPolicy::run(
   const mem::ActivityColumns& activities = eval.activities();
   const mem::SessionColumns& sessions = eval.sessions();
 
-  struct Pending {
-    std::size_t index;
-    TimeMs arrival;
-    DurationMs duration;
-  };
-  std::vector<Pending> queue;
-
-  auto flush = [&](TimeMs at) {
-    for (const Pending& p : queue) {
-      const DurationMs dur = deferred_duration(p.duration);
-      const TimeMs release = clamp_release(at, dur, horizon, p.arrival);
-      if (release > p.arrival) {
-        outcome.transfers.push_back({p.index, release, dur});
-        outcome.blocked.add(p.arrival, release);
-        outcome.deferral_latency_s.push_back(
-            to_seconds(release - p.arrival));
-      } else {
-        outcome.transfers.push_back({p.index, p.arrival, p.duration});
-      }
-    }
-    queue.clear();
-  };
+  std::vector<HeldActivity> queue;
 
   // Deadline of the oldest queued entry.
   auto deadline = [&]() { return queue.front().arrival + interval_ms_; };
@@ -63,7 +42,7 @@ sim::PolicyOutcome DelayBatchPolicy::run(
           session != sessions.end() ? session->begin : horizon;
       const TimeMs trigger = std::min(timer, screen);
       if (trigger > act.start) break;
-      flush(trigger);
+      release_all(outcome, queue, trigger, horizon);
       if (screen == trigger && session != sessions.end()) ++session;
     }
     // Keep the session cursor moving even with an empty queue.
@@ -80,7 +59,8 @@ sim::PolicyOutcome DelayBatchPolicy::run(
     const TimeMs timer = deadline();
     const TimeMs screen =
         session != sessions.end() ? session->begin : horizon;
-    flush(std::min({timer, screen, horizon}));
+    release_all(outcome, queue, std::min({timer, screen, horizon}),
+                horizon);
     if (session != sessions.end() && screen <= timer) ++session;
   }
   return outcome;

@@ -56,16 +56,6 @@ struct NetMasterMetrics {
   }
 };
 
-/// Release instant of a deferred copy of `dur` ms that wants to start
-/// at `want`: clamped to [start, horizon − dur]. An arrival in the
-/// horizon's last `dur` ms leaves no room for the copy (the bounds would
-/// invert); it runs in place, so the result is `start`.
-TimeMs deferred_release(TimeMs want, TimeMs start, DurationMs dur,
-                        TimeMs horizon) {
-  if (horizon - dur < start) return start;
-  return std::clamp(want, start, horizon - dur);
-}
-
 /// Releases a fallback activity at the radio opportunity `at` (never
 /// before its arrival, always inside the horizon).
 void release_fallback(sim::PolicyOutcome& outcome,
@@ -74,8 +64,7 @@ void release_fallback(sim::PolicyOutcome& outcome,
                       std::size_t p, TimeMs at, TimeMs horizon) {
   const NetworkActivity& act = pending[p];
   const DurationMs dur = deferred_duration(act.duration);
-  const TimeMs release =
-      deferred_release(std::max(at, act.start), act.start, dur, horizon);
+  const TimeMs release = deferred_release(at, act.start, dur, horizon);
   if (release > act.start) {
     outcome.transfers.push_back({pending_index[p], release, dur});
     outcome.deferral_latency_s.push_back(to_seconds(release - act.start));
@@ -303,21 +292,13 @@ sim::PolicyOutcome NetMasterPolicy::run(
   // ---- Knapsack scheduling over the pending set (§IV, Algorithm 1). ----
   std::vector<int> assignment(pending.size(), -1);  // pending -> slot
   if ((!slot_windows.empty() || !wifi_windows.empty()) && !pending.empty()) {
-    // With no Wi-Fi windows the multi-radio builder reduces exactly to
-    // build_instance; call the single-radio builder anyway so the
-    // baseline path stays byte-for-byte what it always was.
-    const sched::Instance inst =
-        wifi_windows.empty()
-            ? sched::build_instance(slot_windows, pending, predictor_,
-                                    config_.profit)
-            : sched::build_multiradio_instance(slot_windows, wifi_windows,
-                                               pending, predictor_,
-                                               config_.profit);
+    const sched::Instance inst = sched::build_instance(
+        slot_windows, wifi_windows, pending, predictor_, config_.profit);
     sched::SolverOptions solver_options;
     solver_options.choice = config_.solver;
     solver_options.eps = config_.eps;
-    const sched::OverlapSolution sol = sched::solve_overlapped(
-        inst.slots, inst.items, solver_options, sched::thread_workspace());
+    const sched::OverlapSolution sol =
+        sched::solve_overlapped(inst.slots, inst.items, solver_options);
     for (const sched::OverlapAssignment& a : sol.assignments) {
       assignment[inst.item_activity[static_cast<std::size_t>(a.item_id)]] =
           a.slot_index;
@@ -339,8 +320,8 @@ sim::PolicyOutcome NetMasterPolicy::run(
       // not ride the cellular data switch, so no session search.
       const Interval& win = wifi_windows[slot_index - slot_windows.size()];
       const DurationMs dur = sched::wifi_transfer_ms(act, config_.profit);
-      const TimeMs release = std::clamp<TimeMs>(
-          std::max(act.start, win.begin), act.start, horizon - dur);
+      const TimeMs release =
+          deferred_release(win.begin, act.start, dur, horizon);
       outcome.transfers.push_back(
           {pending_index[p], release, dur, RadioId::kWifi});
       if (release > act.start) {

@@ -4,8 +4,10 @@
 // At run time, for each evaluation day it predicts the user-active slot
 // set U (Eq. 2 with the δ thresholds) and the screen-off network-active
 // structure, builds the overlapped-knapsack instance over the pending
-// deferrable activities (§IV-A step 3), solves it with Algorithm 1
-// (ε = 0.1 by default, §V-C), and executes:
+// deferrable activities (§IV-A step 3) with sched::build_instance — the
+// one builder, handed the predicted Wi-Fi presence windows too when
+// offload is on — solves it with Algorithm 1 (sched::solve_overlapped,
+// ε = 0.1 by default, §V-C), and executes:
 //
 //   * activities assigned to a following slot release at that slot's
 //     begin — unless the user actually turns the screen on first, in
@@ -18,7 +20,8 @@
 //     path: they release at the next wake-up probe (exponential
 //     back-off by default, §IV-C.2);
 //   * a deferred copy runs for at least 500 ms (deferred_duration); an
-//     arrival too close to the horizon for it to finish runs in place;
+//     arrival too close to the horizon for it to finish runs in place
+//     (policy::deferred_release, the rule every deferring policy uses);
 //   * foreground usage outside predicted slots powers the radio when
 //     the app is a "Special App"; otherwise the user must re-enable
 //     data manually — a wrong decision, counted as an interrupt

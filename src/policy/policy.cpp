@@ -15,19 +15,33 @@ bool is_deferrable_screen_off(const UserTrace& trace,
   return activity.deferrable && !trace.screen_on_at(activity.start);
 }
 
-TimeMs clamp_release(TimeMs release, DurationMs duration, TimeMs horizon,
-                     TimeMs not_before) {
-  NM_REQUIRE(duration >= 0, "duration must be non-negative");
-  NM_REQUIRE(not_before >= 0 && not_before + duration <= horizon,
-             "the original schedule must fit the horizon");
-  return std::clamp(release, not_before, horizon - duration);
-}
-
 DurationMs deferred_duration(DurationMs original) {
   NM_REQUIRE(original >= 0, "duration must be non-negative");
   const auto sped = static_cast<DurationMs>(
       static_cast<double>(original) / kDchSpeedup);
   return std::max<DurationMs>(sped, 500);
+}
+
+void release_held(sim::PolicyOutcome& outcome, const HeldActivity& held,
+                  TimeMs at, TimeMs horizon) {
+  const DurationMs dur = deferred_duration(held.duration);
+  const TimeMs release = deferred_release(at, held.arrival, dur, horizon);
+  if (release > held.arrival) {
+    outcome.transfers.push_back({held.index, release, dur});
+    outcome.blocked.add(held.arrival, release);
+    outcome.deferral_latency_s.push_back(to_seconds(release - held.arrival));
+  } else {
+    outcome.transfers.push_back({held.index, held.arrival, held.duration});
+  }
+}
+
+void release_all(sim::PolicyOutcome& outcome,
+                 std::vector<HeldActivity>& queue, TimeMs at,
+                 TimeMs horizon) {
+  for (const HeldActivity& held : queue) {
+    release_held(outcome, held, at, horizon);
+  }
+  queue.clear();
 }
 
 }  // namespace netmaster::policy

@@ -16,9 +16,12 @@
 //                     real-time adjustment)
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/error.hpp"
 #include "engine/trace_index.hpp"
 #include "sim/outcome.hpp"
 #include "trace/trace.hpp"
@@ -49,11 +52,6 @@ class Policy {
 bool is_deferrable_screen_off(const UserTrace& trace,
                               const NetworkActivity& activity);
 
-/// Clamps a release time so that [release, release+duration) fits into
-/// [0, horizon) and never precedes `not_before`.
-TimeMs clamp_release(TimeMs release, DurationMs duration, TimeMs horizon,
-                     TimeMs not_before);
-
 /// How long a radio-switch-driving policy (NetMaster, oracle) keeps the
 /// radio up after a transfer before forcing dormancy — the release
 /// signalling delay of the §IV-C.2 real-time adjustment ("turning off
@@ -71,5 +69,40 @@ inline constexpr double kDchSpeedup = 6.0;
 
 /// Executed duration of a deferred screen-off transfer (floor 500 ms).
 DurationMs deferred_duration(DurationMs original);
+
+/// Release instant of a deferred copy of `dur` ms that wants to start
+/// at `want`, for an activity that arrived at `start`: clamped to
+/// [start, horizon − dur]. An arrival in the horizon's last `dur` ms
+/// leaves no room for the copy (the bounds would invert); it runs in
+/// place, so the result is `start`. The delay, batch and delay&batch
+/// releases and NetMaster's deferrals and Wi-Fi offloads use this rule.
+/// Inline: NetMaster's replay calls it once per held activity.
+inline TimeMs deferred_release(TimeMs want, TimeMs start, DurationMs dur,
+                               TimeMs horizon) {
+  NM_REQUIRE(dur >= 0, "duration must be non-negative");
+  if (horizon - dur < start) return start;
+  return std::clamp(want, start, horizon - dur);
+}
+
+/// A deferrable screen-off activity a baseline policy (delay, batch,
+/// delay&batch) holds for a later release.
+struct HeldActivity {
+  std::size_t index = 0;  ///< eval activity index
+  TimeMs arrival = 0;
+  DurationMs duration = 0;  ///< original duration
+};
+
+/// Releases `held` toward `at`: the deferred copy (deferred_duration)
+/// starts at deferred_release(at, …), and the wait is recorded as
+/// blocked time and deferral latency. An activity that cannot move
+/// later runs in place with its original duration.
+void release_held(sim::PolicyOutcome& outcome, const HeldActivity& held,
+                  TimeMs at, TimeMs horizon);
+
+/// Releases every held activity toward `at` and empties `queue` — the
+/// batching policies' flush.
+void release_all(sim::PolicyOutcome& outcome,
+                 std::vector<HeldActivity>& queue, TimeMs at,
+                 TimeMs horizon);
 
 }  // namespace netmaster::policy

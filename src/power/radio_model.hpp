@@ -35,11 +35,6 @@
 
 namespace netmaster {
 
-/// RRC states of the two-tail machine. On WCDMA these are literally
-/// IDLE/FACH/DCH; on LTE, kConnected maps to RRC_CONNECTED continuous
-/// reception and kTail1/kTail2 to the long/short DRX tail phases.
-enum class RrcState { kIdle, kFach, kDch, kPromo };
-
 /// Which physical radio interface a transfer (or scheduler slot) runs
 /// on. The co-scheduler assigns each transfer one of these along with
 /// its time; accounting keeps an independent state machine per radio.

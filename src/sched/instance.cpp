@@ -7,6 +7,34 @@
 
 namespace netmaster::sched {
 
+namespace {
+
+/// `windows` sorted by begin; throws `what` unless they are disjoint.
+std::vector<Interval> sorted_disjoint(std::span<const Interval> windows,
+                                      const char* what) {
+  std::vector<Interval> sorted(windows.begin(), windows.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Interval& a, const Interval& b) {
+              return a.begin < b.begin;
+            });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    NM_REQUIRE(sorted[i].begin >= sorted[i - 1].end, what);
+  }
+  return sorted;
+}
+
+/// Index of the first window beginning after `t` (size() when none).
+std::size_t first_begin_after(std::span<const Interval> windows, TimeMs t) {
+  return static_cast<std::size_t>(
+      std::upper_bound(windows.begin(), windows.end(), t,
+                       [](TimeMs v, const Interval& w) {
+                         return v < w.begin;
+                       }) -
+      windows.begin());
+}
+
+}  // namespace
+
 double energy_saving_j(const NetworkActivity& activity,
                        const ProfitConfig& config) {
   return isolated_activity_energy(activity.duration, config.radio) -
@@ -37,76 +65,6 @@ TimeMs assignment_anchor(const Interval& slot, TimeMs activity_time) {
   return activity_time;  // activity already inside the slot
 }
 
-Instance build_instance(std::span<const Interval> active_slots,
-                        std::span<const NetworkActivity> pending,
-                        const mining::SlotPredictor& predictor,
-                        const ProfitConfig& config) {
-  Instance inst;
-  inst.slot_windows.assign(active_slots.begin(), active_slots.end());
-  std::sort(inst.slot_windows.begin(), inst.slot_windows.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
-  for (std::size_t i = 0; i < inst.slot_windows.size(); ++i) {
-    NM_REQUIRE(i == 0 ||
-                   inst.slot_windows[i].begin >= inst.slot_windows[i - 1].end,
-               "active slots must be disjoint");
-    inst.slots.push_back(
-        {static_cast<int>(i),
-         slot_capacity_bytes(inst.slot_windows[i], config)});
-  }
-
-  inst.num_cellular_slots = inst.slots.size();
-
-  int next_id = 0;
-  for (std::size_t a = 0; a < pending.size(); ++a) {
-    const NetworkActivity& act = pending[a];
-    NM_REQUIRE(act.deferrable, "only deferrable activities are schedulable");
-
-    // Locate the first slot beginning after the activity.
-    const auto after = std::upper_bound(
-        inst.slot_windows.begin(), inst.slot_windows.end(), act.start,
-        [](TimeMs t, const Interval& s) { return t < s.begin; });
-    const int next_slot =
-        after == inst.slot_windows.end()
-            ? -1
-            : static_cast<int>(after - inst.slot_windows.begin());
-    int prev_slot = -1;
-    if (after != inst.slot_windows.begin()) {
-      const auto before = std::prev(after);
-      if (before->end > act.start) continue;  // already inside a slot
-      prev_slot = static_cast<int>(before - inst.slot_windows.begin());
-    }
-    if (prev_slot < 0 && next_slot < 0) {
-      inst.unschedulable.push_back(a);
-      continue;
-    }
-
-    // The paper computes one ΔP per activity (the forward deferral
-    // window, Eq. 4) and reuses it for the duplicated copy; fall back
-    // to the prefetch window when no following slot exists.
-    const TimeMs anchor =
-        next_slot >= 0
-            ? assignment_anchor(
-                  inst.slot_windows[static_cast<std::size_t>(next_slot)],
-                  act.start)
-            : assignment_anchor(
-                  inst.slot_windows[static_cast<std::size_t>(prev_slot)],
-                  act.start);
-
-    OverlapItem item;
-    item.id = next_id++;
-    item.weight = act.total_bytes();
-    item.profit = energy_saving_j(act, config) -
-                  deferral_penalty_j(act.start, anchor, predictor, config);
-    item.prev_slot = prev_slot;
-    item.next_slot = next_slot;
-    inst.items.push_back(item);
-    inst.item_activity.push_back(a);
-  }
-  return inst;
-}
-
 DurationMs wifi_transfer_ms(const NetworkActivity& activity,
                             const ProfitConfig& config) {
   NM_REQUIRE(config.wifi_bandwidth_kbps > 0.0,
@@ -127,38 +85,27 @@ double wifi_offload_saving_j(const NetworkActivity& activity,
                                   config.wifi);
 }
 
-Instance build_multiradio_instance(std::span<const Interval> active_slots,
-                                   std::span<const Interval> wifi_windows,
-                                   std::span<const NetworkActivity> pending,
-                                   const mining::SlotPredictor& predictor,
-                                   const ProfitConfig& config) {
+Instance build_instance(std::span<const Interval> active_slots,
+                        std::span<const Interval> wifi_windows,
+                        std::span<const NetworkActivity> pending,
+                        const mining::SlotPredictor& predictor,
+                        const ProfitConfig& config) {
   Instance inst;
-  inst.slot_windows.assign(active_slots.begin(), active_slots.end());
-  std::sort(inst.slot_windows.begin(), inst.slot_windows.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
-  for (std::size_t i = 0; i < inst.slot_windows.size(); ++i) {
-    NM_REQUIRE(i == 0 ||
-                   inst.slot_windows[i].begin >= inst.slot_windows[i - 1].end,
-               "active slots must be disjoint");
+  inst.slot_windows = sorted_disjoint(active_slots,
+                                      "active slots must be disjoint");
+  const std::size_t num_cell = inst.slot_windows.size();
+  inst.num_cellular_slots = num_cell;
+  for (std::size_t i = 0; i < num_cell; ++i) {
     inst.slots.push_back(
         {static_cast<int>(i),
          slot_capacity_bytes(inst.slot_windows[i], config)});
   }
-  const std::size_t num_cell = inst.slot_windows.size();
-  inst.num_cellular_slots = num_cell;
 
   // Wi-Fi presence windows become knapsacks of their own, appended
   // after the cellular slots and sized by the WLAN goodput.
-  std::vector<Interval> wifi(wifi_windows.begin(), wifi_windows.end());
-  std::sort(wifi.begin(), wifi.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
+  const std::vector<Interval> wifi =
+      sorted_disjoint(wifi_windows, "wifi windows must be disjoint");
   for (std::size_t i = 0; i < wifi.size(); ++i) {
-    NM_REQUIRE(i == 0 || wifi[i].begin >= wifi[i - 1].end,
-               "wifi windows must be disjoint");
     OverlapSlot slot;
     slot.id = static_cast<int>(num_cell + i);
     slot.capacity = static_cast<std::int64_t>(
@@ -167,40 +114,31 @@ Instance build_multiradio_instance(std::span<const Interval> active_slots,
     inst.slots.push_back(slot);
     inst.slot_windows.push_back(wifi[i]);
   }
+  const std::span<const Interval> cell(inst.slot_windows.data(), num_cell);
 
   int next_id = 0;
   for (std::size_t a = 0; a < pending.size(); ++a) {
     const NetworkActivity& act = pending[a];
     NM_REQUIRE(act.deferrable, "only deferrable activities are schedulable");
 
-    // Cellular candidates, over the cellular prefix only — identical
-    // to build_instance's adjacent-slot search.
-    const auto cell_begin = inst.slot_windows.begin();
-    const auto cell_end = cell_begin + static_cast<std::ptrdiff_t>(num_cell);
-    const auto after = std::upper_bound(
-        cell_begin, cell_end, act.start,
-        [](TimeMs t, const Interval& s) { return t < s.begin; });
-    const int next_slot =
-        after == cell_end ? -1 : static_cast<int>(after - cell_begin);
+    // Cellular candidates: the adjacent active slots around the
+    // arrival. An arrival inside a slot runs for free and is no item.
+    const std::size_t after = first_begin_after(cell, act.start);
+    const int next_slot = after < num_cell ? static_cast<int>(after) : -1;
     int prev_slot = -1;
-    if (after != cell_begin) {
-      const auto before = std::prev(after);
-      if (before->end > act.start) continue;  // already inside a slot
-      prev_slot = static_cast<int>(before - cell_begin);
+    if (after > 0) {
+      if (cell[after - 1].end > act.start) continue;  // inside a slot
+      prev_slot = static_cast<int>(after - 1);
     }
 
     // Wi-Fi candidate: the presence window containing the arrival
     // (immediate offload, no deferral) or the next one after it.
+    const std::size_t wafter = first_begin_after(wifi, act.start);
     int wifi_slot = -1;
-    {
-      const auto wafter = std::upper_bound(
-          wifi.begin(), wifi.end(), act.start,
-          [](TimeMs t, const Interval& w) { return t < w.begin; });
-      if (wafter != wifi.begin() && std::prev(wafter)->end > act.start) {
-        wifi_slot = static_cast<int>(std::prev(wafter) - wifi.begin());
-      } else if (wafter != wifi.end()) {
-        wifi_slot = static_cast<int>(wafter - wifi.begin());
-      }
+    if (wafter > 0 && wifi[wafter - 1].end > act.start) {
+      wifi_slot = static_cast<int>(wafter - 1);
+    } else if (wafter < wifi.size()) {
+      wifi_slot = static_cast<int>(wafter);
     }
 
     if (prev_slot < 0 && next_slot < 0 && wifi_slot < 0) {
@@ -212,23 +150,21 @@ Instance build_multiradio_instance(std::span<const Interval> active_slots,
     item.id = next_id++;
     item.weight = act.total_bytes();
 
+    // The paper computes one ΔP per activity (the forward deferral
+    // window, Eq. 4) and reuses it for the duplicated copy; fall back
+    // to the prefetch window when no following slot exists.
+    const int cell_slot = next_slot >= 0 ? next_slot : prev_slot;
     double cell_profit = 0.0;
-    if (prev_slot >= 0 || next_slot >= 0) {
-      const TimeMs anchor =
-          next_slot >= 0
-              ? assignment_anchor(
-                    inst.slot_windows[static_cast<std::size_t>(next_slot)],
-                    act.start)
-              : assignment_anchor(
-                    inst.slot_windows[static_cast<std::size_t>(prev_slot)],
-                    act.start);
+    if (cell_slot >= 0) {
+      const TimeMs anchor = assignment_anchor(
+          cell[static_cast<std::size_t>(cell_slot)], act.start);
       cell_profit =
           energy_saving_j(act, config) -
           deferral_penalty_j(act.start, anchor, predictor, config);
     }
 
     if (wifi_slot < 0) {
-      // No Wi-Fi coverage: exactly the single-radio item.
+      // No Wi-Fi coverage: the paper's single-radio item.
       item.profit = cell_profit;
       item.prev_slot = prev_slot;
       item.next_slot = next_slot;
@@ -237,17 +173,15 @@ Instance build_multiradio_instance(std::span<const Interval> active_slots,
       // cellular slot (next if it exists, else the prefetch slot) and
       // the Wi-Fi window. The Eq. 4 deferral penalty applies to the
       // Wi-Fi deferral window the same way it does to a cellular one.
-      const Interval& wifi_win =
-          inst.slot_windows[num_cell + static_cast<std::size_t>(wifi_slot)];
-      const TimeMs wifi_anchor = assignment_anchor(wifi_win, act.start);
+      const TimeMs wifi_anchor = assignment_anchor(
+          wifi[static_cast<std::size_t>(wifi_slot)], act.start);
       const double wifi_profit =
           wifi_offload_saving_j(act, config) -
           deferral_penalty_j(act.start, wifi_anchor, predictor, config);
-      const int cell = next_slot >= 0 ? next_slot : prev_slot;
-      item.prev_slot = cell;  // may be -1: Wi-Fi-only coverage
+      item.prev_slot = cell_slot;  // may be -1: Wi-Fi-only coverage
       item.next_slot = static_cast<int>(num_cell) + wifi_slot;
-      item.profit = cell >= 0 ? cell_profit : wifi_profit;
-      if (cell >= 0) item.prev_profit = cell_profit;
+      item.profit = cell_slot >= 0 ? cell_profit : wifi_profit;
+      if (cell_slot >= 0) item.prev_profit = cell_profit;
       item.next_profit = wifi_profit;
     }
     inst.items.push_back(item);

@@ -9,10 +9,13 @@
 //              length and the integral of Pr[u(t)] across it,
 //   - C(ti)  = Eq. 5: carrier bandwidth times the slot length.
 //
+// One builder, `build_instance`, turns the predicted user-active slots
+// and Wi-Fi presence windows into the instance Algorithm 1 solves.
 // Items are built per activity with candidate slots = the adjacent
 // predicted user-active slots; the paper's convention computes ΔP (and
 // hence the item profit) once, for the forward deferral window, and
-// reuses it for the duplicated copy.
+// reuses it for the duplicated copy. With no Wi-Fi windows the
+// instance is exactly the paper's single-radio one.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +43,7 @@ struct ProfitConfig {
   /// Eq. 5 average carrier bandwidth in kB/s (WCDMA-era figure).
   double bandwidth_kbps = 25.0;
 
-  // Multi-radio co-scheduling (build_multiradio_instance only; the
-  // single-radio builder ignores these).
+  // Multi-radio co-scheduling (used only when Wi-Fi windows are given).
   /// Wi-Fi interface model, accounted independently of the cellular
   /// data switch.
   RadioModel wifi = RadioModel::wifi();
@@ -78,20 +80,9 @@ struct Instance {
   /// Activities that were not schedulable (no adjacent slot).
   std::vector<std::size_t> unschedulable;
   /// Slots [0, num_cellular_slots) are predicted user-active (cellular)
-  /// slots; anything after are Wi-Fi presence windows. The single-radio
-  /// builder leaves every slot cellular.
+  /// slots; anything after are Wi-Fi presence windows.
   std::size_t num_cellular_slots = 0;
 };
-
-/// Builds the overlapped-knapsack instance: one knapsack per predicted
-/// user-active slot, one item per pending deferrable activity, with
-/// candidate slots the nearest active slots before/after the activity.
-/// Activities already inside an active slot are excluded (they run
-/// for free) and reported in neither list.
-Instance build_instance(std::span<const Interval> active_slots,
-                        std::span<const NetworkActivity> pending,
-                        const mining::SlotPredictor& predictor,
-                        const ProfitConfig& config);
 
 /// The anchor time at which an activity assigned to a slot executes:
 /// the slot's end for a preceding slot (latest prefetch moment) and the
@@ -114,20 +105,21 @@ DurationMs wifi_transfer_ms(const NetworkActivity& activity,
 double wifi_offload_saving_j(const NetworkActivity& activity,
                              const ProfitConfig& config);
 
-/// Multi-radio instance: the cellular slots and candidate structure of
-/// build_instance, plus one knapsack per predicted Wi-Fi presence
-/// window (appended after the cellular slots, tagged RadioId::kWifi,
-/// capacity from the WLAN goodput). Each pending activity gets at most
-/// two candidates: its best cellular slot (the paper's forward-anchor
-/// convention) and the Wi-Fi window containing or next following its
-/// arrival, each carrying its own profit (per-candidate overrides on
-/// the OverlapItem). Activities with no cellular candidate can still be
-/// scheduled through a Wi-Fi window. With no Wi-Fi windows this reduces
-/// exactly to build_instance.
-Instance build_multiradio_instance(std::span<const Interval> active_slots,
-                                   std::span<const Interval> wifi_windows,
-                                   std::span<const NetworkActivity> pending,
-                                   const mining::SlotPredictor& predictor,
-                                   const ProfitConfig& config);
+/// Builds the overlapped-knapsack instance: one knapsack per predicted
+/// user-active slot, then one per predicted Wi-Fi presence window
+/// (tagged RadioId::kWifi, capacity from the WLAN goodput), and one item
+/// per pending deferrable activity. An activity's cellular candidates
+/// are the nearest active slots before and after it; activities already
+/// inside an active slot are excluded (they run for free) and reported
+/// in neither list. When a Wi-Fi window contains or next follows the
+/// arrival, the item instead gets two candidates with their own profits
+/// (per-candidate overrides on the OverlapItem): its forward cellular
+/// slot (the paper's anchor convention; none when no slot exists) and
+/// that window. Activities with no candidate at all are unschedulable.
+Instance build_instance(std::span<const Interval> active_slots,
+                        std::span<const Interval> wifi_windows,
+                        std::span<const NetworkActivity> pending,
+                        const mining::SlotPredictor& predictor,
+                        const ProfitConfig& config);
 
 }  // namespace netmaster::sched

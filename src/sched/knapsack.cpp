@@ -12,23 +12,14 @@ namespace netmaster::sched {
 
 namespace {
 
-/// Fills `order` with item indices sorted by profit/weight nonincreasing
-/// (zero-weight first). Reuses the caller's buffer.
+/// Fills `order` with item indices in `ratio_before` order. Reuses the
+/// caller's buffer.
 void ratio_order(std::span<const KnapItem> items,
                  std::vector<std::size_t>& order) {
   order.resize(items.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const KnapItem& x = items[a];
-    const KnapItem& y = items[b];
-    // Compare x.profit/x.weight vs y.profit/y.weight without division;
-    // zero-weight items sort first (infinite ratio).
-    if (x.weight == 0 || y.weight == 0) {
-      if (x.weight == 0 && y.weight == 0) return x.profit > y.profit;
-      return x.weight == 0;
-    }
-    return x.profit * static_cast<double>(y.weight) >
-           y.profit * static_cast<double>(x.weight);
+    return ratio_before(items[a], items[b]);
   });
 }
 
@@ -109,8 +100,7 @@ KnapResult knapsack_exact(std::span<const KnapItem> items,
 }
 
 KnapResult knapsack_greedy(std::span<const KnapItem> items,
-                           std::int64_t capacity, SchedWorkspace& ws,
-                           std::uint64_t* dp_cells) {
+                           std::int64_t capacity, SchedWorkspace& ws) {
   NM_REQUIRE(capacity >= 0, "capacity must be non-negative");
   validate_items(items);
   ratio_order(items, ws.order);
@@ -126,7 +116,6 @@ KnapResult knapsack_greedy(std::span<const KnapItem> items,
       remaining -= item.weight;
     }
   }
-  (void)dp_cells;  // no DP table; the greedy touches no cells
   return result;
 }
 
@@ -272,34 +261,17 @@ KnapResult knapsack_fptas(std::span<const KnapItem> items,
   return result;
 }
 
-// ---- Workspace-free entry points: delegate to the kernels above with
-// the calling thread's reusable workspace. ----
-
-KnapResult knapsack_exact(std::span<const KnapItem> items,
-                          std::int64_t capacity) {
-  return knapsack_exact(items, capacity, thread_workspace());
-}
-
-KnapResult knapsack_greedy(std::span<const KnapItem> items,
-                           std::int64_t capacity) {
-  return knapsack_greedy(items, capacity, thread_workspace());
-}
-
-KnapResult knapsack_fptas(std::span<const KnapItem> items,
-                          std::int64_t capacity, double eps) {
-  return knapsack_fptas(items, capacity, eps, thread_workspace());
-}
-
 double fractional_upper_bound(std::span<const KnapItem> items,
                               std::int64_t capacity) {
   NM_REQUIRE(capacity >= 0, "capacity must be non-negative");
   validate_items(items);
+  const bool sorted = std::is_sorted(items.begin(), items.end(), ratio_before);
   std::vector<std::size_t> order;
-  ratio_order(items, order);
+  if (!sorted) ratio_order(items, order);
   double bound = 0.0;
   std::int64_t remaining = capacity;
-  for (std::size_t idx : order) {
-    const KnapItem& item = items[idx];
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const KnapItem& item = items[sorted ? k : order[k]];
     if (item.profit <= 0.0) continue;
     if (item.weight <= remaining) {
       bound += item.profit;

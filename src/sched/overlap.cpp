@@ -12,9 +12,9 @@ namespace netmaster::sched {
 
 namespace {
 
-/// Per-item checks shared by every overlap solver. Id uniqueness is
+/// Per-item checks shared by both overlap solvers. Id uniqueness is
 /// checked separately (by `build_id_index` on the hot path, or a local
-/// sort for the baseline solvers) so the hot path never builds a map.
+/// sort for the brute-force solver) so the hot path never builds a map.
 void validate_instance_common(std::span<const OverlapSlot> slots,
                               std::span<const OverlapItem> items) {
   for (const OverlapSlot& slot : slots) {
@@ -111,26 +111,21 @@ void check_feasible_indexed(std::span<const OverlapSlot> slots,
              "reported profit does not match assignments");
 }
 
-/// Fractional (LP) bound over an already ratio-sorted per-slot itemset —
-/// same result as `fractional_upper_bound`, without re-sorting.
-double sorted_fractional_bound(const std::vector<KnapItem>& sorted,
-                               std::int64_t capacity) {
-  double bound = 0.0;
-  std::int64_t remaining = capacity;
-  for (const KnapItem& item : sorted) {
-    if (item.profit <= 0.0) continue;
-    if (item.weight <= remaining) {
-      bound += item.profit;
-      remaining -= item.weight;
-    } else {
-      if (item.weight > 0 && remaining > 0) {
-        bound += item.profit * static_cast<double>(remaining) /
-                 static_cast<double>(item.weight);
-      }
-      break;
-    }
-  }
-  return bound;
+/// kAuto's per-slot choice. The weight-indexed exact table
+/// n·(capacity+1) runs when it is at most kAutoExactCells and no larger
+/// than the FPTAS worst case n²·⌈n/ε⌉; doubles sidestep overflow on
+/// byte-scale capacities. The ceiling sits well under the exact
+/// kernel's hard 4e8-cell limit, so auto never throws on size.
+constexpr double kAutoExactCells = 1e6;
+
+SolverChoice auto_backend(std::size_t n, std::int64_t capacity, double eps) {
+  if (n == 0) return SolverChoice::kFptas;
+  const auto nd = static_cast<double>(n);
+  const double exact_cells = nd * (static_cast<double>(capacity) + 1.0);
+  const double fptas_cells = nd * nd * std::ceil(nd / eps);
+  return exact_cells <= kAutoExactCells && exact_cells <= fptas_cells
+             ? SolverChoice::kExact
+             : SolverChoice::kFptas;
 }
 
 }  // namespace
@@ -152,7 +147,6 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   build_id_index(items, ws);  // also enforces id uniqueness
   ++ws.solves_;
 
-  const SinKnapSolver& solver = solver_for(options.choice);
   SolveStats stats;
   stats.requested = options.choice;
   stats.items = items.size();
@@ -188,48 +182,43 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   // Step 2 (sorting) + step 3 (SinKnap per slot). The FPTAS does not
   // require sorted input, but we keep the paper's ordering so the
   // per-slot itemsets match Algorithm 1 line by line (and ties in the
-  // later greedy step resolve in ratio order). The backend choice is
-  // resolved per slot: identity for the concrete solvers, per-instance
-  // cost comparison for kAuto.
+  // later greedy step resolve in ratio order). kAuto picks its kernel
+  // per slot.
   auto& chosen_per_slot = ws.chosen_per_slot;
   if (chosen_per_slot.size() < slots.size()) {
     chosen_per_slot.resize(slots.size());
   }
   for (std::size_t s = 0; s < slots.size(); ++s) {
     auto& list = slot_items[s];
-    std::sort(list.begin(), list.end(),
-              [](const KnapItem& a, const KnapItem& b) {
-                if (a.weight == 0 || b.weight == 0) {
-                  if (a.weight == 0 && b.weight == 0)
-                    return a.profit > b.profit;
-                  return a.weight == 0;
-                }
-                return a.profit * static_cast<double>(b.weight) >
-                       b.profit * static_cast<double>(a.weight);
-              });
+    const std::int64_t capacity = slots[s].capacity;
+    std::sort(list.begin(), list.end(), ratio_before);
     stats.duplicated_items += list.size();
-    stats.upper_bound += sorted_fractional_bound(list, slots[s].capacity);
+    stats.upper_bound += fractional_upper_bound(list, capacity);
 
-    const SolverChoice resolved =
-        solver.resolve(list.size(), slots[s].capacity, options);
-    switch (resolved) {
+    const SolverChoice backend =
+        options.choice == SolverChoice::kAuto
+            ? auto_backend(list.size(), capacity, options.eps)
+            : options.choice;
+    switch (backend) {
       case SolverChoice::kFptas:
         ++stats.slot_solves_fptas;
+        chosen_per_slot[s] = knapsack_fptas(list, capacity, options.eps, ws,
+                                            &stats.dp_cells)
+                                 .chosen;
         break;
       case SolverChoice::kExact:
         ++stats.slot_solves_exact;
+        chosen_per_slot[s] =
+            knapsack_exact(list, capacity, ws, &stats.dp_cells).chosen;
         break;
       case SolverChoice::kGreedy:
         ++stats.slot_solves_greedy;
+        chosen_per_slot[s] = knapsack_greedy(list, capacity, ws).chosen;
         break;
       case SolverChoice::kAuto:
         NM_ASSERT(false, "auto must resolve to a concrete backend");
         break;
     }
-    chosen_per_slot[s] = solver_for(resolved)
-                             .solve(list, slots[s].capacity, options, ws,
-                                    stats.dp_cells)
-                             .chosen;
   }
 
   // Step 4a (filtering): an item selected in both slots keeps the slot
@@ -342,75 +331,6 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   metrics.gap.add(stats.gap);
 
   if (stats_out != nullptr) *stats_out = stats;
-  return solution;
-}
-
-OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
-                                 std::span<const OverlapItem> items,
-                                 double eps) {
-  SolverOptions options;
-  options.eps = eps;
-  return solve_overlapped(slots, items, options, thread_workspace());
-}
-
-OverlapSolution solve_overlapped_greedy(std::span<const OverlapSlot> slots,
-                                        std::span<const OverlapItem> items) {
-  validate_instance(slots, items);
-
-  // Order by the best candidate's profit/weight ratio (identical to the
-  // plain item ratio under the shared-profit convention).
-  const auto best_profit = [](const OverlapItem& item) {
-    double best = std::numeric_limits<double>::lowest();
-    for (int s : {item.prev_slot, item.next_slot}) {
-      if (s >= 0) best = std::max(best, item.profit_in(s));
-    }
-    return best;
-  };
-  std::vector<std::size_t> order(items.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const OverlapItem& x = items[a];
-    const OverlapItem& y = items[b];
-    const double px = best_profit(x);
-    const double py = best_profit(y);
-    if (x.weight == 0 || y.weight == 0) {
-      if (x.weight == 0 && y.weight == 0) return px > py;
-      return x.weight == 0;
-    }
-    return px * static_cast<double>(y.weight) >
-           py * static_cast<double>(x.weight);
-  });
-
-  OverlapSolution solution;
-  solution.slot_used.assign(slots.size(), 0);
-  for (std::size_t idx : order) {
-    const OverlapItem& item = items[idx];
-    int best = -1;
-    std::int64_t best_residual = 0;
-    double best_p = 0.0;
-    for (int s : {item.prev_slot, item.next_slot}) {
-      if (s < 0) continue;
-      const double p = item.profit_in(s);
-      if (p <= 0.0) continue;  // never pack an unprofitable candidate
-      const std::int64_t residual =
-          slots[static_cast<std::size_t>(s)].capacity -
-          solution.slot_used[static_cast<std::size_t>(s)];
-      if (residual < item.weight) continue;
-      // Prefer the higher-profit candidate; ties (the shared-profit
-      // convention) keep the tighter fit.
-      if (best < 0 || p > best_p || (p == best_p && residual < best_residual)) {
-        best = s;
-        best_residual = residual;
-        best_p = p;
-      }
-    }
-    if (best < 0) continue;
-    solution.assignments.push_back({item.id, best});
-    solution.slot_used[static_cast<std::size_t>(best)] += item.weight;
-    solution.total_profit += best_p;
-  }
-
-  check_feasible(slots, items, solution);
   return solution;
 }
 

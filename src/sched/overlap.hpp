@@ -12,6 +12,9 @@
 //      C(ti) − V(nj) and is deleted from the other; then GreedyAdd
 //      fills remaining capacity with unassigned items.
 //
+// This header holds the instance and solution types. The one
+// Algorithm 1 entry point, `solve_overlapped`, is declared in
+// sched/solver.hpp next to its backend choice and workspace;
 // `solve_overlapped_exact` is a brute-force ground truth for small
 // instances, used to verify the (1−ε)/2 bound empirically.
 #pragma once
@@ -82,26 +85,10 @@ struct OverlapSolution {
   std::vector<std::int64_t> slot_used;  ///< bytes packed per slot index
 };
 
-/// Algorithm 1. eps in (0,1); the result is feasible (per-slot weight
-/// within capacity, each item assigned at most once, only to one of its
-/// two candidate slots) and totals at least (1−ε)/2 of the optimum.
-/// Delegates to the backend-parameterized overload in sched/solver.hpp
-/// with the FPTAS backend and the calling thread's workspace.
-OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
-                                 std::span<const OverlapItem> items,
-                                 double eps);
-
 /// Exhaustive optimum (each item: prev / next / unassigned). Guarded to
 /// small instances (items <= 18).
 OverlapSolution solve_overlapped_exact(std::span<const OverlapSlot> slots,
                                        std::span<const OverlapItem> items);
-
-/// Naive baseline for the ablation benches: global ratio-greedy
-/// assignment (best profit/weight first, into whichever candidate slot
-/// has room, preferring the tighter fit). No approximation guarantee —
-/// this is what Algorithm 1's DP step buys over plain greedy.
-OverlapSolution solve_overlapped_greedy(std::span<const OverlapSlot> slots,
-                                        std::span<const OverlapItem> items);
 
 /// Validates feasibility of a solution against an instance; throws
 /// netmaster::Error on violation. Used by tests and by the policy layer

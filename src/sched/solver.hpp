@@ -1,20 +1,19 @@
-// Pluggable scheduler-solver layer.
+// Scheduler-solver layer: Algorithm 1 with a choice of SinKnap.
 //
 // The paper fixes one backend for SinKnap (the Ibarra–Kim FPTAS); this
-// layer turns that into a choice. A `SinKnapSolver` is a single-knapsack
-// backend behind Algorithm 1's per-slot DP step:
+// layer turns that into a choice. `solve_overlapped` runs Algorithm 1
+// and switches per slot over the knapsack.hpp kernels:
 //
 //   - `kFptas`  — the (1−ε) profit-scaling DP (the paper's SinKnap and
-//                 the default; preserves pre-refactor schedules
-//                 bit for bit),
+//                 the default),
 //   - `kExact`  — weight-indexed exact DP, for capacity-bounded
 //                 instances (tests, benches, small slots),
 //   - `kGreedy` — ratio greedy per slot, no guarantee, the cheap end of
 //                 the quality/cost tradeoff (EStreamer-style heuristic
 //                 burst shaping),
-//   - `kAuto`   — per-call choice: exact when the weight-indexed table
-//                 n·(capacity+1) is small enough to beat the
-//                 profit-scaling table, FPTAS otherwise.
+//   - `kAuto`   — per slot: exact when the weight-indexed table
+//                 n·(capacity+1) is at most 1e6 cells and no larger
+//                 than the profit-scaling table, FPTAS otherwise.
 //
 // `SchedWorkspace` is the reusable per-thread scratch behind every
 // solve: DP tables, the duplicated per-slot itemsets, and the flat
@@ -23,11 +22,11 @@
 // named by its position in that index, so Algorithm 1's filter and
 // GreedyAdd steps index flat per-position arrays instead of searching.
 // Fleet sweeps invoke the solver per slot × per user × per policy × per
-// sweep point; with a
-// reused workspace the steady state allocates nothing. Workspaces are
-// single-owner and not thread-safe: use `thread_workspace()` (one per
-// thread, including per `parallel_for` worker) or a locally owned
-// instance, never one workspace from two threads.
+// sweep point; with a reused workspace the steady state allocates
+// nothing. Workspaces are single-owner and not thread-safe: use
+// `thread_workspace()` (one per thread, including per `parallel_for`
+// worker) or a locally owned instance, never one workspace from two
+// threads.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +46,7 @@ enum class SolverChoice {
   kFptas,   ///< (1−ε) profit-scaling DP — the paper's SinKnap (default)
   kExact,   ///< exact weight-indexed DP (throws on oversized capacities)
   kGreedy,  ///< per-slot ratio greedy, no approximation guarantee
-  kAuto,    ///< exact when cheap enough, FPTAS otherwise
+  kAuto,    ///< exact when cheap enough (≤ 1e6 cells), FPTAS otherwise
 };
 
 /// Stable lower-case name ("fptas", "exact", "greedy", "auto").
@@ -61,10 +60,6 @@ SolverChoice parse_solver_choice(std::string_view name);
 struct SolverOptions {
   SolverChoice choice = SolverChoice::kFptas;
   double eps = 0.1;  ///< FPTAS quality knob (§V-C), in (0, 1)
-  /// kAuto ceiling on the exact DP table n·(capacity+1); above it the
-  /// FPTAS runs regardless of the cost comparison. Kept well under the
-  /// exact kernel's hard 4e8-cell limit so auto never throws on size.
-  std::int64_t auto_exact_cells = 1'000'000;
 
   /// Throws netmaster::Error on out-of-range values.
   void validate() const;
@@ -135,71 +130,17 @@ class SchedWorkspace {
   std::uint64_t solves_ = 0;  ///< bumped by solve_overlapped
 };
 
-/// The calling thread's workspace (function-local thread_local): one
-/// per thread, created on first use, destroyed at thread exit. Inside
-/// `parallel_for` each worker thread gets its own, reused across every
-/// task that worker runs within (and across) loop invocations on that
-/// thread.
-SchedWorkspace& thread_workspace();
-
-/// Single-knapsack backend interface (the paper's SinKnap, pluggable).
-/// Implementations are stateless; all scratch lives in the workspace.
-class SinKnapSolver {
- public:
-  virtual ~SinKnapSolver() = default;
-
-  virtual SolverChoice choice() const = 0;
-  const char* name() const { return to_string(choice()); }
-
-  /// The concrete backend this solver runs for an (n, capacity)
-  /// instance under `options` — the identity except for kAuto, which
-  /// resolves to kExact or kFptas per call.
-  virtual SolverChoice resolve(std::size_t /*n*/, std::int64_t /*capacity*/,
-                               const SolverOptions& /*options*/) const {
-    return choice();
-  }
-
-  /// Solves one 0/1 knapsack using `ws` scratch; adds the DP cells
-  /// touched to `dp_cells`. Result contract matches knapsack.hpp.
-  virtual KnapResult solve(std::span<const KnapItem> items,
-                           std::int64_t capacity,
-                           const SolverOptions& options, SchedWorkspace& ws,
-                           std::uint64_t& dp_cells) const = 0;
-};
-
-/// The (stateless, immortal) solver for a backend choice.
-const SinKnapSolver& solver_for(SolverChoice choice);
-
-/// Backend-parameterized Algorithm 1. Same contract as the
-/// overlap.hpp `solve_overlapped` (which delegates here with
-/// `SolverChoice::kFptas` and the calling thread's workspace), plus:
-/// the per-slot SinKnap step runs whichever backend `options` picks,
-/// all scratch comes from `ws`, and per-call solve stats are written
-/// to `*stats` (when non-null) and recorded through `obs::` either
-/// way. With default options the returned schedule is bit-for-bit
-/// identical to the pre-solver-layer implementation.
+/// Algorithm 1 (overlap.hpp). The result is feasible (per-slot weight
+/// within capacity, each item assigned at most once, only to one of its
+/// two candidate slots); with a guaranteed backend it totals at least
+/// (1−ε)/2 of the optimum. The per-slot SinKnap step runs the kernel
+/// `options` picks, all scratch comes from `ws`, and per-call solve
+/// stats are written to `*stats` (when non-null) and recorded through
+/// `obs::` either way.
 OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
                                  std::span<const OverlapItem> items,
-                                 const SolverOptions& options,
-                                 SchedWorkspace& ws,
+                                 const SolverOptions& options = {},
+                                 SchedWorkspace& ws = thread_workspace(),
                                  SolveStats* stats = nullptr);
-
-// ---- Workspace-parameterized kernels (implemented in knapsack.cpp).
-// The knapsack.hpp free functions delegate here with the calling
-// thread's workspace; hot paths pass an explicit workspace to skip even
-// the thread_local lookup. `dp_cells`, when non-null, accumulates the
-// DP cells touched. Results are bit-for-bit identical to the
-// allocation-per-call seed kernels. ----
-
-KnapResult knapsack_exact(std::span<const KnapItem> items,
-                          std::int64_t capacity, SchedWorkspace& ws,
-                          std::uint64_t* dp_cells = nullptr);
-KnapResult knapsack_greedy(std::span<const KnapItem> items,
-                           std::int64_t capacity, SchedWorkspace& ws,
-                           std::uint64_t* dp_cells = nullptr);
-KnapResult knapsack_fptas(std::span<const KnapItem> items,
-                          std::int64_t capacity, double eps,
-                          SchedWorkspace& ws,
-                          std::uint64_t* dp_cells = nullptr);
 
 }  // namespace netmaster::sched

@@ -97,7 +97,7 @@ TEST(BuildInstance, MapsItemsToAdjacentSlots) {
       activity(hour_start(0, 12)),   // between slots
       activity(hour_start(0, 22)),   // after last slot
   };
-  const Instance inst = build_instance(slots, pending, pred, cfg);
+  const Instance inst = build_instance(slots, {}, pending, pred, cfg);
   ASSERT_EQ(inst.items.size(), 3u);
   ASSERT_EQ(inst.slots.size(), 2u);
 
@@ -120,7 +120,7 @@ TEST(BuildInstance, ExcludesInSlotActivities) {
       {hour_start(0, 8), hour_start(0, 9)}};
   const std::vector<NetworkActivity> pending = {
       activity(hour_start(0, 8) + kMsPerMinute)};  // inside the slot
-  const Instance inst = build_instance(slots, pending, pred, {});
+  const Instance inst = build_instance(slots, {}, pending, pred, {});
   EXPECT_TRUE(inst.items.empty());
   EXPECT_TRUE(inst.unschedulable.empty());
 }
@@ -128,7 +128,7 @@ TEST(BuildInstance, ExcludesInSlotActivities) {
 TEST(BuildInstance, NoSlotsMeansUnschedulable) {
   const mining::SlotPredictor pred = make_predictor();
   const std::vector<NetworkActivity> pending = {activity(1000)};
-  const Instance inst = build_instance({}, pending, pred, {});
+  const Instance inst = build_instance({}, {}, pending, pred, {});
   EXPECT_TRUE(inst.items.empty());
   ASSERT_EQ(inst.unschedulable.size(), 1u);
   EXPECT_EQ(inst.unschedulable[0], 0u);
@@ -139,14 +139,14 @@ TEST(BuildInstance, RejectsNonDeferrable) {
   NetworkActivity n = activity(1000);
   n.deferrable = false;
   EXPECT_THROW(
-      build_instance({}, std::vector<NetworkActivity>{n}, pred, {}),
+      build_instance({}, {}, std::vector<NetworkActivity>{n}, pred, {}),
       Error);
 }
 
 TEST(BuildInstance, RejectsOverlappingSlots) {
   const mining::SlotPredictor pred = make_predictor();
   const std::vector<Interval> slots = {{0, 2000}, {1000, 3000}};
-  EXPECT_THROW(build_instance(slots, {}, pred, {}), Error);
+  EXPECT_THROW(build_instance(slots, {}, {}, pred, {}), Error);
 }
 
 TEST(BuildInstance, ProfitReflectsDistance) {
@@ -158,8 +158,8 @@ TEST(BuildInstance, ProfitReflectsDistance) {
   const std::vector<NetworkActivity> near = {
       activity(hour_start(0, 17) + 50 * kMsPerMinute)};
   const std::vector<NetworkActivity> far = {activity(hour_start(0, 9))};
-  const Instance inst_near = build_instance(slots, near, pred, {});
-  const Instance inst_far = build_instance(slots, far, pred, {});
+  const Instance inst_near = build_instance(slots, {}, near, pred, {});
+  const Instance inst_far = build_instance(slots, {}, far, pred, {});
   EXPECT_GE(inst_near.items[0].profit, inst_far.items[0].profit);
 }
 
@@ -190,38 +190,6 @@ TEST(WifiTransfer, OffloadSavingPositiveForBulkFlows) {
           isolated_activity_energy(wifi_transfer_ms(bulk, cfg), cfg.wifi));
 }
 
-TEST(BuildMultiradio, ReducesToSingleRadioWithNoWifiWindows) {
-  const mining::SlotPredictor pred = make_predictor();
-  const ProfitConfig cfg;
-  const std::vector<Interval> slots = {
-      {hour_start(0, 8), hour_start(0, 9)},
-      {hour_start(0, 18), hour_start(0, 19)},
-  };
-  const std::vector<NetworkActivity> pending = {
-      activity(hour_start(0, 3)),
-      activity(hour_start(0, 12)),
-      activity(hour_start(0, 22)),
-  };
-  const Instance single = build_instance(slots, pending, pred, cfg);
-  const Instance multi =
-      build_multiradio_instance(slots, {}, pending, pred, cfg);
-  ASSERT_EQ(multi.items.size(), single.items.size());
-  EXPECT_EQ(multi.slots.size(), single.slots.size());
-  EXPECT_EQ(multi.num_cellular_slots, single.num_cellular_slots);
-  for (std::size_t i = 0; i < single.items.size(); ++i) {
-    EXPECT_EQ(multi.items[i].id, single.items[i].id);
-    EXPECT_EQ(multi.items[i].weight, single.items[i].weight);
-    EXPECT_EQ(multi.items[i].profit, single.items[i].profit);  // bitwise
-    EXPECT_EQ(multi.items[i].prev_slot, single.items[i].prev_slot);
-    EXPECT_EQ(multi.items[i].next_slot, single.items[i].next_slot);
-    EXPECT_TRUE(std::isnan(multi.items[i].prev_profit));
-    EXPECT_TRUE(std::isnan(multi.items[i].next_profit));
-  }
-  for (const OverlapSlot& slot : multi.slots) {
-    EXPECT_EQ(slot.radio, RadioId::kCellular);
-  }
-}
-
 TEST(BuildMultiradio, WifiWindowBecomesTaggedSlot) {
   const mining::SlotPredictor pred = make_predictor();
   const ProfitConfig cfg;
@@ -231,8 +199,7 @@ TEST(BuildMultiradio, WifiWindowBecomesTaggedSlot) {
       {hour_start(0, 13), hour_start(0, 14)}};
   const std::vector<NetworkActivity> pending = {
       activity(hour_start(0, 12))};
-  const Instance inst =
-      build_multiradio_instance(slots, wifi, pending, pred, cfg);
+  const Instance inst = build_instance(slots, wifi, pending, pred, cfg);
   ASSERT_EQ(inst.slots.size(), 2u);
   EXPECT_EQ(inst.num_cellular_slots, 1u);
   EXPECT_EQ(inst.slots[0].radio, RadioId::kCellular);
@@ -263,14 +230,13 @@ TEST(BuildMultiradio, WifiWindowBecomesTaggedSlot) {
 TEST(BuildMultiradio, WifiOnlyCoverageStillSchedulable) {
   const mining::SlotPredictor pred = make_predictor();
   const ProfitConfig cfg;
-  // No cellular slots at all: under build_instance this activity would
-  // be unschedulable; a Wi-Fi presence window rescues it.
+  // No cellular slots at all: without Wi-Fi this activity would be
+  // unschedulable; a Wi-Fi presence window rescues it.
   const std::vector<Interval> wifi = {
       {hour_start(0, 13), hour_start(0, 14)}};
   const std::vector<NetworkActivity> pending = {
       activity(hour_start(0, 12))};
-  const Instance inst =
-      build_multiradio_instance({}, wifi, pending, pred, cfg);
+  const Instance inst = build_instance({}, wifi, pending, pred, cfg);
   EXPECT_TRUE(inst.unschedulable.empty());
   ASSERT_EQ(inst.items.size(), 1u);
   EXPECT_EQ(inst.items[0].prev_slot, -1);
@@ -285,8 +251,7 @@ TEST(BuildMultiradio, WifiOnlyCoverageStillSchedulable) {
   // penalty at all.
   const std::vector<NetworkActivity> inside = {
       activity(hour_start(0, 13) + kMsPerMinute)};
-  const Instance inst2 =
-      build_multiradio_instance({}, wifi, inside, pred, cfg);
+  const Instance inst2 = build_instance({}, wifi, inside, pred, cfg);
   ASSERT_EQ(inst2.items.size(), 1u);
   EXPECT_EQ(inst2.items[0].profit, wifi_offload_saving_j(inside[0], cfg));
 }
@@ -294,7 +259,7 @@ TEST(BuildMultiradio, WifiOnlyCoverageStillSchedulable) {
 TEST(BuildMultiradio, RejectsOverlappingWifiWindows) {
   const mining::SlotPredictor pred = make_predictor();
   const std::vector<Interval> wifi = {{0, 2000}, {1000, 3000}};
-  EXPECT_THROW(build_multiradio_instance({}, wifi, {}, pred, {}), Error);
+  EXPECT_THROW(build_instance({}, wifi, {}, pred, {}), Error);
 }
 
 }  // namespace

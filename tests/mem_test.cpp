@@ -1,6 +1,6 @@
 // Tests for the mem subsystem: arena allocation and alignment, packed
-// bit sets, and the SoA trace columns (build/materialize round trip,
-// AoS-compatible views, proxy iterators).
+// bit sets, and the SoA trace columns (round trip through the
+// oracles::materialize inverse, AoS-compatible views, proxy iterators).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include "mem/arena.hpp"
 #include "mem/soa.hpp"
 #include "obs/metrics.hpp"
+#include "oracles/materialize.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"
 #include "trace/trace.hpp"
@@ -117,7 +118,7 @@ TEST(SoaColumns, BuildMaterializeRoundTripsFixture) {
   const TraceColumns columns = TraceColumns::build(t, arena);
   EXPECT_EQ(columns.user, t.user);
   EXPECT_EQ(columns.num_days, t.num_days);
-  const UserTrace back = columns.materialize();
+  const UserTrace back = oracles::materialize(columns);
   EXPECT_EQ(back.user, t.user);
   EXPECT_EQ(back.num_days, t.num_days);
   EXPECT_EQ(back.app_names, t.app_names);
@@ -133,7 +134,8 @@ TEST(SoaColumns, BuildMaterializeRoundTripsSynthTraces) {
           synth::make_user(static_cast<synth::Archetype>(arch), 1), 7,
           seed);
       Arena arena;
-      const UserTrace back = TraceColumns::build(t, arena).materialize();
+      const UserTrace back =
+          oracles::materialize(TraceColumns::build(t, arena));
       EXPECT_EQ(back.sessions, t.sessions);
       EXPECT_EQ(back.usages, t.usages);
       EXPECT_EQ(back.activities, t.activities);
@@ -210,7 +212,7 @@ TEST(SoaColumns, EmptyTraceBuilds) {
   EXPECT_TRUE(columns.activities.empty());
   EXPECT_TRUE(columns.usages.empty());
   EXPECT_EQ(columns.app_names.size(), 0u);
-  const UserTrace back = columns.materialize();
+  const UserTrace back = oracles::materialize(columns);
   EXPECT_EQ(back.user, 3);
   EXPECT_TRUE(back.sessions.empty());
 }

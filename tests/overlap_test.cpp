@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sched/overlap.hpp"
+#include "sched/solver.hpp"
 
 namespace netmaster::sched {
 namespace {
@@ -57,7 +58,7 @@ TEST(Algorithm1, FeasibleAndSingleAssignment) {
     items.push_back({i, rng.uniform_int(1, 12), rng.uniform(0.5, 9.0),
                      prev, prev + 1});
   }
-  const OverlapSolution s = solve_overlapped(slots, items, 0.1);
+  const OverlapSolution s = solve_overlapped(slots, items);
   // check_feasible already ran inside; assert the invariants here too.
   std::vector<int> seen;
   for (const OverlapAssignment& a : s.assignments) {
@@ -75,33 +76,33 @@ TEST(Algorithm1, SingleCandidateSlotItems) {
   const std::vector<OverlapSlot> slots = {{0, 10}};
   const std::vector<OverlapItem> items = {{0, 4, 3.0, -1, 0},
                                           {1, 4, 2.0, 0, -1}};
-  const OverlapSolution s = solve_overlapped(slots, items, 0.1);
+  const OverlapSolution s = solve_overlapped(slots, items);
   EXPECT_DOUBLE_EQ(s.total_profit, 5.0);
 }
 
 TEST(Algorithm1, EmptyInstances) {
-  EXPECT_DOUBLE_EQ(solve_overlapped({}, {}, 0.1).total_profit, 0.0);
+  EXPECT_DOUBLE_EQ(solve_overlapped({}, {}).total_profit, 0.0);
   const std::vector<OverlapSlot> slots = {{0, 10}};
-  EXPECT_DOUBLE_EQ(solve_overlapped(slots, {}, 0.1).total_profit, 0.0);
+  EXPECT_DOUBLE_EQ(solve_overlapped(slots, {}).total_profit, 0.0);
 }
 
 TEST(Algorithm1, ValidationErrors) {
   const std::vector<OverlapSlot> slots = {{0, 10}, {1, -5}};
-  EXPECT_THROW(solve_overlapped(slots, {}, 0.1), Error);
+  EXPECT_THROW(solve_overlapped(slots, {}), Error);
 
   const std::vector<OverlapSlot> ok = {{0, 10}, {1, 10}};
   std::vector<OverlapItem> dup = {{7, 1, 1.0, 0, 1}, {7, 1, 1.0, 0, 1}};
-  EXPECT_THROW(solve_overlapped(ok, dup, 0.1), Error);
+  EXPECT_THROW(solve_overlapped(ok, dup), Error);
 
   std::vector<OverlapItem> oob = {{0, 1, 1.0, 0, 5}};
-  EXPECT_THROW(solve_overlapped(ok, oob, 0.1), Error);
+  EXPECT_THROW(solve_overlapped(ok, oob), Error);
 
   std::vector<OverlapItem> same = {{0, 1, 1.0, 1, 1}};
-  EXPECT_THROW(solve_overlapped(ok, same, 0.1), Error);
+  EXPECT_THROW(solve_overlapped(ok, same), Error);
 
   std::vector<OverlapItem> fine = {{0, 1, 1.0, 0, 1}};
-  EXPECT_THROW(solve_overlapped(ok, fine, 0.0), Error);
-  EXPECT_THROW(solve_overlapped(ok, fine, 1.0), Error);
+  EXPECT_THROW(solve_overlapped(ok, fine, {.eps = 0.0}), Error);
+  EXPECT_THROW(solve_overlapped(ok, fine, {.eps = 1.0}), Error);
 }
 
 TEST(Algorithm1, RejectsNonFiniteProfit) {
@@ -113,8 +114,7 @@ TEST(Algorithm1, RejectsNonFiniteProfit) {
   for (const double bad : {nan, inf, -inf}) {
     const std::vector<OverlapItem> items = {{0, 1, 2.0, 0, 1},
                                             {1, 1, bad, 0, 1}};
-    EXPECT_THROW(solve_overlapped(slots, items, 0.1), Error);
-    EXPECT_THROW(solve_overlapped_greedy(slots, items), Error);
+    EXPECT_THROW(solve_overlapped(slots, items), Error);
     EXPECT_THROW(solve_overlapped_exact(slots, items), Error);
   }
 }
@@ -149,53 +149,6 @@ TEST(CheckFeasible, CatchesViolations) {
   EXPECT_THROW(check_feasible(slots, items, unknown_item), Error);
 }
 
-TEST(GreedyBaseline, FeasibleAndReasonable) {
-  const std::vector<OverlapSlot> slots = {{0, 20}, {1, 15}};
-  const std::vector<OverlapItem> items = {
-      {0, 10, 8.0, 0, 1}, {1, 10, 6.0, 0, 1}, {2, 10, 4.0, 0, 1}};
-  const OverlapSolution s = solve_overlapped_greedy(slots, items);
-  // Ratio order: item 0 into the tighter slot 1; items 1 and 2 fill
-  // slot 0 (capacity 20).
-  EXPECT_DOUBLE_EQ(s.total_profit, 18.0);
-  EXPECT_EQ(s.assignments.size(), 3u);
-}
-
-TEST(GreedyBaseline, PrefersTighterSlot) {
-  const std::vector<OverlapSlot> slots = {{0, 100}, {1, 10}};
-  const std::vector<OverlapItem> items = {{0, 10, 5.0, 0, 1}};
-  const OverlapSolution s = solve_overlapped_greedy(slots, items);
-  ASSERT_EQ(s.assignments.size(), 1u);
-  EXPECT_EQ(s.assignments[0].slot_index, 1);
-}
-
-TEST(GreedyBaseline, NeverBeatsExactAndOftenTrailsAlgorithm1) {
-  Rng rng(77);
-  double greedy_sum = 0.0, algo1_sum = 0.0;
-  for (int run = 0; run < 50; ++run) {
-    const int n_slots = static_cast<int>(rng.uniform_int(2, 4));
-    std::vector<OverlapSlot> slots;
-    for (int s = 0; s < n_slots; ++s) {
-      slots.push_back({s, rng.uniform_int(20, 120)});
-    }
-    std::vector<OverlapItem> items;
-    for (int i = 0; i < 12; ++i) {
-      const int prev = static_cast<int>(rng.uniform_int(0, n_slots - 2));
-      items.push_back({i, rng.uniform_int(5, 60), rng.uniform(0.5, 40.0),
-                       prev, prev + 1});
-    }
-    const double exact =
-        solve_overlapped_exact(slots, items).total_profit;
-    const double greedy =
-        solve_overlapped_greedy(slots, items).total_profit;
-    const double algo1 = solve_overlapped(slots, items, 0.1).total_profit;
-    EXPECT_LE(greedy, exact + 1e-9);
-    greedy_sum += greedy;
-    algo1_sum += algo1;
-  }
-  // Aggregate quality: Algorithm 1's DP step beats plain greedy.
-  EXPECT_GE(algo1_sum, greedy_sum);
-}
-
 // ---- Per-candidate profit overrides (multi-radio candidates) ----
 
 TEST(PerCandidateProfit, ProfitInSelectsOverride) {
@@ -213,8 +166,8 @@ TEST(PerCandidateProfit, ProfitInSelectsOverride) {
 
 TEST(PerCandidateProfit, SolversPickTheRicherCandidate) {
   // Both slots have room for the single item; its Wi-Fi-style next
-  // candidate is worth 9 against 1 for the cellular prev — every
-  // solver must land it in slot 1.
+  // candidate is worth 9 against 1 for the cellular prev — both
+  // solvers must land it in slot 1.
   const std::vector<OverlapSlot> slots = {{0, 10},
                                           {1, 10, RadioId::kWifi}};
   OverlapItem item{0, 5, 1.0, 0, 1};
@@ -223,8 +176,7 @@ TEST(PerCandidateProfit, SolversPickTheRicherCandidate) {
   const std::vector<OverlapItem> items = {item};
   for (const OverlapSolution& s :
        {solve_overlapped_exact(slots, items),
-        solve_overlapped(slots, items, 0.1),
-        solve_overlapped_greedy(slots, items)}) {
+        solve_overlapped(slots, items)}) {
     ASSERT_EQ(s.assignments.size(), 1u);
     EXPECT_EQ(s.assignments[0].slot_index, 1);
     EXPECT_DOUBLE_EQ(s.total_profit, 9.0);
@@ -254,7 +206,7 @@ TEST(PerCandidateProfit, NegativeCandidateNeverChosen) {
 TEST(PerCandidateProfit, NanDefaultBitCompatibleWithSharedProfit) {
   // Explicitly setting both overrides to the shared value must produce
   // the same solutions (bitwise profits) as the NaN defaults, across
-  // random instances and all three solvers.
+  // random instances and both solvers.
   Rng rng(2026);
   for (int run = 0; run < 20; ++run) {
     const int n_slots = static_cast<int>(rng.uniform_int(2, 4));
@@ -273,14 +225,12 @@ TEST(PerCandidateProfit, NanDefaultBitCompatibleWithSharedProfit) {
       item.next_profit = item.profit;
       pinned.push_back(item);
     }
-    const OverlapSolution a = solve_overlapped(slots, plain, 0.1);
-    const OverlapSolution b = solve_overlapped(slots, pinned, 0.1);
+    const OverlapSolution a = solve_overlapped(slots, plain);
+    const OverlapSolution b = solve_overlapped(slots, pinned);
     EXPECT_EQ(a.total_profit, b.total_profit) << "run " << run;
     EXPECT_EQ(a.assignments.size(), b.assignments.size()) << "run " << run;
     EXPECT_EQ(solve_overlapped_exact(slots, plain).total_profit,
               solve_overlapped_exact(slots, pinned).total_profit);
-    EXPECT_EQ(solve_overlapped_greedy(slots, plain).total_profit,
-              solve_overlapped_greedy(slots, pinned).total_profit);
   }
 }
 
@@ -303,7 +253,7 @@ TEST(PerCandidateProfit, RejectsNonFiniteOverride) {
   OverlapItem item{0, 5, 1.0, 0, 1};
   item.next_profit = std::numeric_limits<double>::infinity();
   const std::vector<OverlapItem> items = {item};
-  EXPECT_THROW(solve_overlapped(slots, items, 0.1), Error);
+  EXPECT_THROW(solve_overlapped(slots, items), Error);
 }
 
 // Property suite: Algorithm 1 achieves at least (1−ε)/2 of the
@@ -334,7 +284,7 @@ TEST_P(Algorithm1Bound, AchievesHalfGuarantee) {
     const double exact =
         solve_overlapped_exact(slots, items).total_profit;
     const double approx =
-        solve_overlapped(slots, items, eps).total_profit;
+        solve_overlapped(slots, items, {.eps = eps}).total_profit;
     EXPECT_GE(approx, (1.0 - eps) / 2.0 * exact - 1e-9)
         << "eps=" << eps << " run=" << run;
     EXPECT_LE(approx, exact + 1e-9);

@@ -60,27 +60,59 @@ TEST(Helpers, IsDeferrableScreenOff) {
   EXPECT_FALSE(is_deferrable_screen_off(t, in_session));
 }
 
-TEST(Helpers, ClampRelease) {
-  EXPECT_EQ(clamp_release(500, 100, 1000, 200), 500);
-  EXPECT_EQ(clamp_release(100, 100, 1000, 200), 200);   // not before
-  EXPECT_EQ(clamp_release(5000, 100, 1000, 200), 900);  // fits horizon
-  EXPECT_THROW(clamp_release(0, 100, 1000, 950), Error);
-  EXPECT_THROW(clamp_release(0, -1, 1000, 0), Error);
+TEST(Helpers, DeferredRelease) {
+  // deferred_release(want, start, dur, horizon).
+  EXPECT_EQ(deferred_release(500, 200, 100, 1000), 500);
+  EXPECT_EQ(deferred_release(100, 200, 100, 1000), 200);   // not before
+  EXPECT_EQ(deferred_release(5000, 200, 100, 1000), 900);  // fits horizon
+  // No room after the arrival: the activity runs in place.
+  EXPECT_EQ(deferred_release(0, 950, 100, 1000), 950);
+  EXPECT_THROW(deferred_release(0, 0, -1, 1000), Error);
 }
 
-TEST(Helpers, ClampReleaseEdges) {
-  // A duration longer than the whole horizon can never fit.
-  EXPECT_THROW(clamp_release(0, 2000, 1000, 0), Error);
-  EXPECT_THROW(clamp_release(0, 1001, 1000, 0), Error);
-  // not_before past the horizon leaves no room even for zero work.
-  EXPECT_THROW(clamp_release(0, 0, 1000, 1001), Error);
+TEST(Helpers, DeferredReleaseEdges) {
+  // A copy longer than the whole horizon can never move: in place.
+  EXPECT_EQ(deferred_release(0, 0, 2000, 1000), 0);
+  EXPECT_EQ(deferred_release(0, 0, 1001, 1000), 0);
+  // An arrival past the horizon stays where it is, even for zero work.
+  EXPECT_EQ(deferred_release(0, 1001, 0, 1000), 1001);
   // Exactly at the boundary still fits (half-open horizon arithmetic).
-  EXPECT_EQ(clamp_release(1500, 0, 1000, 1000), 1000);
-  EXPECT_EQ(clamp_release(0, 1000, 1000, 0), 0);
-  // Zero-duration activities clamp into [not_before, horizon].
-  EXPECT_EQ(clamp_release(500, 0, 1000, 200), 500);
-  EXPECT_EQ(clamp_release(2000, 0, 1000, 200), 1000);
-  EXPECT_EQ(clamp_release(-50, 0, 1000, 200), 200);
+  EXPECT_EQ(deferred_release(1500, 1000, 0, 1000), 1000);
+  EXPECT_EQ(deferred_release(0, 0, 1000, 1000), 0);
+  // Zero-duration activities clamp into [start, horizon].
+  EXPECT_EQ(deferred_release(500, 200, 0, 1000), 500);
+  EXPECT_EQ(deferred_release(2000, 200, 0, 1000), 1000);
+  EXPECT_EQ(deferred_release(-50, 200, 0, 1000), 200);
+}
+
+TEST(Helpers, ArrivalInLastHalfSecondRunsInPlace) {
+  // A deferred copy runs for at least 500 ms (deferred_duration's
+  // floor), so a valid screen-off arrival 200 ms before the horizon
+  // leaves no room to defer it. Every fixed-interval baseline must run
+  // it in place instead of rejecting the trace.
+  UserTrace t = fixture();
+  NetworkActivity late = t.activities.back();
+  late.start = t.trace_end() - 200;
+  late.duration = 100;
+  t.activities.push_back(late);
+  ASSERT_EQ(t.first_violation(), nullptr);
+  const std::size_t late_index = t.activities.size() - 1;
+  const DelayPolicy delay(seconds(10));
+  const BatchPolicy batch(2);
+  const DelayBatchPolicy delay_batch(seconds(10));
+  for (const Policy* policy :
+       std::initializer_list<const Policy*>{&delay, &batch, &delay_batch}) {
+    sim::PolicyOutcome o;
+    ASSERT_NO_THROW(o = policy->run(t)) << policy->name();
+    bool found = false;
+    for (const sim::ExecutedTransfer& tr : o.transfers) {
+      if (tr.activity_index != late_index) continue;
+      found = true;
+      EXPECT_EQ(tr.start, late.start) << policy->name();
+      EXPECT_EQ(tr.duration, late.duration) << policy->name();
+    }
+    EXPECT_TRUE(found) << policy->name();
+  }
 }
 
 TEST(Helpers, DeferredDuration) {

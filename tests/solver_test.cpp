@@ -231,10 +231,9 @@ TEST(FrozenLegacy, DefaultPathIsBitForBit) {
     const OverlapSolution want =
         legacy::solve_overlapped(inst.slots, inst.items, 0.1);
 
-    // Legacy 3-arg API (thread workspace) and explicit workspace + stats
-    // must both reproduce the frozen reference exactly.
-    expect_same_solution(want,
-                         solve_overlapped(inst.slots, inst.items, 0.1));
+    // The default arguments (thread workspace) and an explicit
+    // workspace + stats must both reproduce the frozen reference.
+    expect_same_solution(want, solve_overlapped(inst.slots, inst.items));
     SchedWorkspace ws;
     SolverOptions options;  // kFptas, eps = 0.1: the default config
     SolveStats stats;
@@ -405,8 +404,6 @@ TEST(SolverChoiceNames, RoundTrip) {
        {SolverChoice::kFptas, SolverChoice::kExact, SolverChoice::kGreedy,
         SolverChoice::kAuto}) {
     EXPECT_EQ(parse_solver_choice(to_string(c)), c);
-    EXPECT_EQ(solver_for(c).choice(), c);
-    EXPECT_STREQ(solver_for(c).name(), to_string(c));
   }
   EXPECT_THROW(parse_solver_choice("simplex"), Error);
   EXPECT_THROW(parse_solver_choice(""), Error);
@@ -419,62 +416,75 @@ TEST(SolverOptionsValidation, RejectsOutOfRange) {
   EXPECT_THROW(options.validate(), Error);
   options.eps = 1.0;
   EXPECT_THROW(options.validate(), Error);
-  options.eps = 0.1;
-  options.auto_exact_cells = 0;
-  EXPECT_THROW(options.validate(), Error);
-  options.auto_exact_cells = 500'000'000;  // above the exact DP limit
-  EXPECT_THROW(options.validate(), Error);
+}
+
+/// The kernel `choice` ran on a one-slot instance of `n` unit items in
+/// a slot of `capacity` bytes (read back from the solve stats).
+SolverChoice kernel_run(SolverChoice choice, int n, std::int64_t capacity) {
+  const std::vector<OverlapSlot> slots = {{0, capacity}};
+  std::vector<OverlapItem> items;
+  for (int i = 0; i < n; ++i) items.push_back({i, 1, 1.0, 0, -1});
+  SolverOptions options;
+  options.choice = choice;
+  SchedWorkspace ws;
+  SolveStats stats;
+  (void)solve_overlapped(slots, items, options, ws, &stats);
+  EXPECT_EQ(stats.slot_solves_fptas + stats.slot_solves_exact +
+                stats.slot_solves_greedy,
+            1u);
+  if (stats.slot_solves_exact == 1) return SolverChoice::kExact;
+  if (stats.slot_solves_greedy == 1) return SolverChoice::kGreedy;
+  return SolverChoice::kFptas;
 }
 
 TEST(AutoResolve, PicksExactOnlyWhenCheapAndSmall) {
-  const SinKnapSolver& auto_solver = solver_for(SolverChoice::kAuto);
-  SolverOptions options;
+  constexpr SolverChoice kAuto = SolverChoice::kAuto;
   // Small capacity, enough items: the weight-indexed table beats the
   // profit-scaling estimate n^2 * ceil(n/eps).
-  EXPECT_EQ(auto_solver.resolve(20, 100, options), SolverChoice::kExact);
+  EXPECT_EQ(kernel_run(kAuto, 20, 100), SolverChoice::kExact);
   // Byte-scale capacity (a real slot): table over the ceiling -> FPTAS.
-  EXPECT_EQ(auto_solver.resolve(20, 180'000'000, options),
-            SolverChoice::kFptas);
-  // Tiny ceiling forces FPTAS regardless of the cost comparison.
-  options.auto_exact_cells = 1;
-  EXPECT_EQ(auto_solver.resolve(20, 100, options), SolverChoice::kFptas);
-  // Few items, big capacity: exact table n*(cap+1) dwarfs the FPTAS
-  // estimate, so the FPTAS runs even under the ceiling.
-  options.auto_exact_cells = 400'000'000;
-  EXPECT_EQ(auto_solver.resolve(2, 1'000'000, options),
-            SolverChoice::kFptas);
-  // Concrete solvers resolve to themselves.
-  EXPECT_EQ(solver_for(SolverChoice::kGreedy).resolve(20, 100, options),
-            SolverChoice::kGreedy);
+  EXPECT_EQ(kernel_run(kAuto, 20, 180'000'000), SolverChoice::kFptas);
+  // The constant 1e6-cell ceiling alone: at n = 50 the FPTAS estimate
+  // is 1.25e6 cells, so the cost comparison would take either table.
+  EXPECT_EQ(kernel_run(kAuto, 50, 19'999), SolverChoice::kExact);
+  EXPECT_EQ(kernel_run(kAuto, 50, 20'000), SolverChoice::kFptas);
+  // Few items, big capacity, under the ceiling (2 * 100001 cells): the
+  // exact table dwarfs the FPTAS estimate, so the cost comparison alone
+  // picks the FPTAS.
+  EXPECT_EQ(kernel_run(kAuto, 2, 100'000), SolverChoice::kFptas);
+  // Concrete choices run their own kernel.
+  for (const SolverChoice c : {SolverChoice::kFptas, SolverChoice::kExact,
+                               SolverChoice::kGreedy}) {
+    EXPECT_EQ(kernel_run(c, 20, 100), c);
+  }
 }
 
 TEST(AutoResolve, SolveMatchesDelegateBitForBit) {
   Rng rng(77);
-  const SinKnapSolver& auto_solver = solver_for(SolverChoice::kAuto);
-  SolverOptions options;
   SchedWorkspace ws;
   bool saw_exact = false, saw_fptas = false;
   for (int run = 0; run < 200; ++run) {
-    std::vector<KnapItem> items;
+    // One slot, so the auto choice is one kernel call.
+    OverlapInstance inst;
     const int n = static_cast<int>(rng.uniform_int(1, 30));
     for (int i = 0; i < n; ++i) {
-      items.push_back({i, rng.uniform(0.5, 60.0), rng.uniform_int(1, 80)});
+      const double profit = rng.uniform(0.5, 60.0);
+      inst.items.push_back({i, rng.uniform_int(1, 80), profit, 0, -1});
     }
     // Mix capacities around the auto threshold so both delegates fire.
-    const std::int64_t cap = rng.uniform_int(10, 200'000);
-    const SolverChoice resolved =
-        auto_solver.resolve(items.size(), cap, options);
-    (resolved == SolverChoice::kExact ? saw_exact : saw_fptas) = true;
-    std::uint64_t cells_auto = 0, cells_delegate = 0;
-    const KnapResult via_auto =
-        auto_solver.solve(items, cap, options, ws, cells_auto);
-    const KnapResult via_delegate =
-        solver_for(resolved).solve(items, cap, options, ws,
-                                   cells_delegate);
-    EXPECT_EQ(via_auto.chosen, via_delegate.chosen);
-    EXPECT_EQ(via_auto.profit, via_delegate.profit);
-    EXPECT_EQ(via_auto.weight, via_delegate.weight);
-    EXPECT_EQ(cells_auto, cells_delegate);
+    inst.slots.push_back({0, rng.uniform_int(10, 200'000)});
+    SolverOptions options;
+    options.choice = SolverChoice::kAuto;
+    SolveStats auto_stats, delegate_stats;
+    const OverlapSolution via_auto =
+        solve_overlapped(inst.slots, inst.items, options, ws, &auto_stats);
+    const bool exact = auto_stats.slot_solves_exact == 1;
+    (exact ? saw_exact : saw_fptas) = true;
+    options.choice = exact ? SolverChoice::kExact : SolverChoice::kFptas;
+    expect_same_solution(via_auto,
+                         solve_overlapped(inst.slots, inst.items, options,
+                                          ws, &delegate_stats));
+    EXPECT_EQ(auto_stats.dp_cells, delegate_stats.dp_cells);
   }
   EXPECT_TRUE(saw_exact);
   EXPECT_TRUE(saw_fptas);
@@ -611,7 +621,7 @@ TEST(Workspace, ThreadWorkspaceIsStableAndCounts) {
   const std::uint64_t before = ws.solves();
   const std::vector<OverlapSlot> slots = {{0, 10}, {1, 10}};
   const std::vector<OverlapItem> items = {{0, 5, 2.0, 0, 1}};
-  (void)solve_overlapped(slots, items, 0.1);  // legacy API rides it
+  (void)solve_overlapped(slots, items);  // the default rides it
   EXPECT_EQ(ws.solves(), before + 1);
 }
 
