@@ -105,7 +105,8 @@ void BM_AblationFull(benchmark::State& state) {
   const std::vector<synth::UserProfile> one = {
       synth::volunteer_population().front()};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::ablation_study(one, cfg));
+    const eval::EvalSession session(one, cfg);
+    benchmark::DoNotOptimize(eval::ablation_study(session));
   }
 }
 BENCHMARK(BM_AblationFull)->Unit(benchmark::kMillisecond);

@@ -14,8 +14,8 @@
 #include "common/stats.hpp"
 #include "eval/experiments.hpp"
 #include "eval/fleet.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
+#include "testkit/fault_plan.hpp"
+#include "testkit/injector.hpp"
 #include "fault/sanitize.hpp"
 #include "synth/presets.hpp"
 

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "channel/signal_model.hpp"
+#include "testkit/signal_model.hpp"
 #include "eval/experiments.hpp"
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"

@@ -55,8 +55,8 @@ void BM_ThresholdPoint(benchmark::State& state) {
   cfg.seed = bench::kDefaultSeed;
   const auto profiles = synth::volunteer_population();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eval::threshold_sweep(profiles, {0.2}, cfg));
+    const eval::EvalSession session(profiles, cfg);
+    benchmark::DoNotOptimize(eval::threshold_sweep(session, {0.2}));
   }
 }
 BENCHMARK(BM_ThresholdPoint)->Unit(benchmark::kMillisecond);

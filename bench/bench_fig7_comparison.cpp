@@ -111,8 +111,8 @@ void print_figure() {
 void BM_CompareOneVolunteer(benchmark::State& state) {
   const auto volunteers = synth::volunteer_population();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eval::compare_policies(volunteers.front(), config()));
+    const eval::EvalSession session({volunteers.front()}, config());
+    benchmark::DoNotOptimize(eval::compare_all(session));
   }
 }
 BENCHMARK(BM_CompareOneVolunteer)->Unit(benchmark::kMillisecond);

@@ -5,16 +5,13 @@
 // (c) the fraction of affected user activities grows with the interval,
 //     exceeding 40% at 600 s — delay alone cannot close the gap.
 //
-// Also measures what the EvalSession cache buys this figure: the sweep
-// used to pay trace generation + indexing + baseline accounting per
-// point; now the session is built once and all 13 points replay against
-// it in a single (point × user × policy) grid.
+// The session is built once and all 13 points replay against it in a
+// single (point × user × policy) grid.
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "eval/experiments.hpp"
 #include "eval/session.hpp"
-#include "obs/span.hpp"
 #include "synth/presets.hpp"
 
 namespace {
@@ -24,78 +21,20 @@ using namespace netmaster;
 const std::vector<double> kDelays = {0,  1,  2,  3,   4,   5,   10,
                                      20, 30, 60, 120, 300, 600};
 
-template <typename F>
-double best_of_ms(int reps, F&& f) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::ScopedTimer timer;
-    f();
-    const double ms = timer.stop();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-/// The pre-session cost model: every sweep point builds its own
-/// throwaway session (trace gen + index + baseline per profile), which
-/// is exactly what calling the profile-entry runner once per point did.
-std::vector<eval::SweepPoint> per_point_delay_sweep(
-    const std::vector<synth::UserProfile>& volunteers,
-    const eval::ExperimentConfig& cfg) {
-  std::vector<eval::SweepPoint> points;
-  points.reserve(kDelays.size());
-  for (const double d : kDelays) {
-    points.push_back(eval::delay_sweep(volunteers, {d}, cfg).front());
-  }
-  return points;
-}
-
-void print_amortization(const eval::EvalSession& session,
-                        const std::vector<eval::SweepPoint>& cached_points,
-                        const std::vector<synth::UserProfile>& volunteers,
-                        const eval::ExperimentConfig& cfg) {
-  const auto per_point = per_point_delay_sweep(volunteers, cfg);
-  bool identical = per_point.size() == cached_points.size();
-  for (std::size_t i = 0; identical && i < per_point.size(); ++i) {
-    identical = per_point[i].energy_saving == cached_points[i].energy_saving &&
-                per_point[i].radio_on_reduction ==
-                    cached_points[i].radio_on_reduction &&
-                per_point[i].bandwidth_increase ==
-                    cached_points[i].bandwidth_increase &&
-                per_point[i].affected_fraction ==
-                    cached_points[i].affected_fraction;
-  }
-
-  const double per_point_ms =
-      best_of_ms(2, [&] { per_point_delay_sweep(volunteers, cfg); });
-  const double cached_ms =
-      best_of_ms(2, [&] { eval::delay_sweep(session, kDelays); });
-  const double speedup = cached_ms > 0.0 ? per_point_ms / cached_ms : 0.0;
-  bench::record_scalar("session_sweep_speedup", speedup);
-  bench::record_scalar("per_point_sweep_ms", per_point_ms);
-  bench::record_scalar("cached_session_sweep_ms", cached_ms);
-
-  eval::Table t({"points", "per-point sessions (ms)",
-                 "cached session (ms)", "speedup", "results"});
-  t.add_row({std::to_string(kDelays.size()),
-             eval::Table::num(per_point_ms, 1),
-             eval::Table::num(cached_ms, 1),
-             eval::Table::num(speedup, 2) + "x",
-             identical ? "bit-identical" : "MISMATCH"});
-  bench::emit(t, "session_amortization");
-  std::cout << "expected shape: the cached session pays trace gen + "
-               "indexing + baseline once instead of once per point\n\n";
+const eval::EvalSession& shared_session() {
+  static const eval::EvalSession session = [] {
+    eval::ExperimentConfig cfg;
+    cfg.seed = bench::kDefaultSeed;
+    return eval::EvalSession(synth::volunteer_population(), cfg);
+  }();
+  return session;
 }
 
 void print_figure() {
   bench::banner("Fig. 8 — delay-interval sweep (0–600 s)",
                 "at 600 s: radio-on -36.7%, energy -9.2%, bandwidth "
                 "+33.05%, affected > 40%");
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto volunteers = synth::volunteer_population();
-  const eval::EvalSession session(volunteers, cfg);
-  const auto points = eval::delay_sweep(session, kDelays);
+  const auto points = eval::delay_sweep(shared_session(), kDelays);
 
   eval::Table t({"delay (s)", "energy saving", "radio-on reduction",
                  "bandwidth increase", "affected users"});
@@ -116,29 +55,7 @@ void print_figure() {
             << " (paper 33.05%), affected "
             << eval::Table::pct(last.affected_fraction)
             << " (paper > 40%)\n\n";
-
-  print_amortization(session, points, volunteers, cfg);
 }
-
-const eval::EvalSession& shared_session() {
-  static const eval::EvalSession session = [] {
-    eval::ExperimentConfig cfg;
-    cfg.seed = bench::kDefaultSeed;
-    return eval::EvalSession(synth::volunteer_population(), cfg);
-  }();
-  return session;
-}
-
-void BM_DelaySweepPoint(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto volunteers = synth::volunteer_population();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::delay_sweep(
-        volunteers, {static_cast<double>(state.range(0))}, cfg));
-  }
-}
-BENCHMARK(BM_DelaySweepPoint)->Arg(60)->Unit(benchmark::kMillisecond);
 
 void BM_DelaySweepPointCached(benchmark::State& state) {
   const eval::EvalSession& session = shared_session();

@@ -4,14 +4,12 @@
 // by up to 17.6%, but the curve flattens past 5 batched activities —
 // users rarely have more than 5 transfers outstanding at once.
 //
-// Like Fig. 8, the sweep runs against one cached EvalSession; the
-// amortization table quantifies the win over per-point sessions.
+// Like Fig. 8, the sweep runs against one cached EvalSession.
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "eval/experiments.hpp"
 #include "eval/session.hpp"
-#include "obs/span.hpp"
 #include "synth/presets.hpp"
 
 namespace {
@@ -20,74 +18,19 @@ using namespace netmaster;
 
 const std::vector<std::size_t> kSizes = {0, 1, 2, 3, 4, 5, 6, 8, 10};
 
-template <typename F>
-double best_of_ms(int reps, F&& f) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::ScopedTimer timer;
-    f();
-    const double ms = timer.stop();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-std::vector<eval::SweepPoint> per_point_batch_sweep(
-    const std::vector<synth::UserProfile>& volunteers,
-    const eval::ExperimentConfig& cfg) {
-  std::vector<eval::SweepPoint> points;
-  points.reserve(kSizes.size());
-  for (const std::size_t n : kSizes) {
-    points.push_back(eval::batch_sweep(volunteers, {n}, cfg).front());
-  }
-  return points;
-}
-
-void print_amortization(const eval::EvalSession& session,
-                        const std::vector<eval::SweepPoint>& cached_points,
-                        const std::vector<synth::UserProfile>& volunteers,
-                        const eval::ExperimentConfig& cfg) {
-  const auto per_point = per_point_batch_sweep(volunteers, cfg);
-  bool identical = per_point.size() == cached_points.size();
-  for (std::size_t i = 0; identical && i < per_point.size(); ++i) {
-    identical = per_point[i].energy_saving == cached_points[i].energy_saving &&
-                per_point[i].radio_on_reduction ==
-                    cached_points[i].radio_on_reduction &&
-                per_point[i].bandwidth_increase ==
-                    cached_points[i].bandwidth_increase &&
-                per_point[i].affected_fraction ==
-                    cached_points[i].affected_fraction;
-  }
-
-  const double per_point_ms =
-      best_of_ms(2, [&] { per_point_batch_sweep(volunteers, cfg); });
-  const double cached_ms =
-      best_of_ms(2, [&] { eval::batch_sweep(session, kSizes); });
-  const double speedup = cached_ms > 0.0 ? per_point_ms / cached_ms : 0.0;
-  bench::record_scalar("session_sweep_speedup", speedup);
-  bench::record_scalar("per_point_sweep_ms", per_point_ms);
-  bench::record_scalar("cached_session_sweep_ms", cached_ms);
-
-  eval::Table t({"points", "per-point sessions (ms)",
-                 "cached session (ms)", "speedup", "results"});
-  t.add_row({std::to_string(kSizes.size()),
-             eval::Table::num(per_point_ms, 1),
-             eval::Table::num(cached_ms, 1),
-             eval::Table::num(speedup, 2) + "x",
-             identical ? "bit-identical" : "MISMATCH"});
-  bench::emit(t, "session_amortization");
-  std::cout << "expected shape: the cached session pays trace gen + "
-               "indexing + baseline once instead of once per point\n\n";
+const eval::EvalSession& shared_session() {
+  static const eval::EvalSession session = [] {
+    eval::ExperimentConfig cfg;
+    cfg.seed = bench::kDefaultSeed;
+    return eval::EvalSession(synth::volunteer_population(), cfg);
+  }();
+  return session;
 }
 
 void print_figure() {
   bench::banner("Fig. 9 — batch-size sweep (0–10)",
                 "radio-on -17.7%, bandwidth +17.6%, plateau past 5");
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto volunteers = synth::volunteer_population();
-  const eval::EvalSession session(volunteers, cfg);
-  const auto points = eval::batch_sweep(session, kSizes);
+  const auto points = eval::batch_sweep(shared_session(), kSizes);
 
   eval::Table t({"batch size", "energy saving", "radio-on reduction",
                  "bandwidth increase", "affected users"});
@@ -107,29 +50,7 @@ void print_figure() {
             << eval::Table::pct(last.radio_on_reduction) << ", bandwidth "
             << eval::Table::pct(last.bandwidth_increase)
             << " (paper: -17.7% / +17.6%, flat past 5)\n\n";
-
-  print_amortization(session, points, volunteers, cfg);
 }
-
-const eval::EvalSession& shared_session() {
-  static const eval::EvalSession session = [] {
-    eval::ExperimentConfig cfg;
-    cfg.seed = bench::kDefaultSeed;
-    return eval::EvalSession(synth::volunteer_population(), cfg);
-  }();
-  return session;
-}
-
-void BM_BatchSweepPoint(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto volunteers = synth::volunteer_population();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::batch_sweep(
-        volunteers, {static_cast<std::size_t>(state.range(0))}, cfg));
-  }
-}
-BENCHMARK(BM_BatchSweepPoint)->Arg(5)->Unit(benchmark::kMillisecond);
 
 void BM_BatchSweepPointCached(benchmark::State& state) {
   const eval::EvalSession& session = shared_session();

@@ -8,22 +8,24 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "engine/trace_index.hpp"
 #include "eval/battery.hpp"
-#include "eval/experiments.hpp"
 #include "eval/fleet.hpp"
 #include "eval/session.hpp"
+#include "jobs/job_system.hpp"
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"
 #include "sim/accounting.hpp"
@@ -56,30 +58,31 @@ std::vector<UserResult> run_population(int n, unsigned max_threads = 0) {
   cfg.seed = bench::kDefaultSeed;
   const auto users = population(n);
   std::vector<UserResult> results(users.size());
-  parallel_for(
-      users.size(),
-      [&](std::size_t i) {
-        eval::ExperimentConfig user_cfg = cfg;
-        user_cfg.seed = cfg.seed + i;
-        const eval::VolunteerTraces traces =
-            eval::make_traces(users[i], user_cfg);
-        const RadioModel radio = cfg.netmaster.profit.radio;
-        const sim::SimReport base = sim::account(
-            traces.eval, policy::BaselinePolicy().run(traces.eval), radio);
-        const policy::NetMasterPolicy nm(traces.training, cfg.netmaster);
-        const sim::SimReport rep =
-            sim::account(traces.eval, nm.run(traces.eval), radio);
-        UserResult& r = results[i];
-        if (base.energy_j > 0.0) {
-          r.saving = 1.0 - rep.energy_j / base.energy_j;
-        }
-        r.affected = rep.affected_fraction;
-        r.baseline_battery = eval::battery_fraction_per_day(
-            base.energy_j, user_cfg.eval_days);
-        r.netmaster_battery = eval::battery_fraction_per_day(
-            rep.energy_j, user_cfg.eval_days);
-      },
-      max_threads);
+  jobs::TaskGraph graph;
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    graph.add([&, i] {
+      eval::ExperimentConfig user_cfg = cfg;
+      user_cfg.seed = cfg.seed + i;
+      const eval::VolunteerTraces traces =
+          eval::make_traces(users[i], user_cfg);
+      const RadioModel radio = cfg.netmaster.profit.radio;
+      const sim::SimReport base = sim::account(
+          traces.eval, policy::BaselinePolicy().run(traces.eval), radio);
+      const policy::NetMasterPolicy nm(traces.training, cfg.netmaster);
+      const sim::SimReport rep =
+          sim::account(traces.eval, nm.run(traces.eval), radio);
+      UserResult& r = results[i];
+      if (base.energy_j > 0.0) {
+        r.saving = 1.0 - rep.energy_j / base.energy_j;
+      }
+      r.affected = rep.affected_fraction;
+      r.baseline_battery = eval::battery_fraction_per_day(
+          base.energy_j, user_cfg.eval_days);
+      r.netmaster_battery = eval::battery_fraction_per_day(
+          rep.energy_j, user_cfg.eval_days);
+    });
+  }
+  jobs::run_graph(graph, max_threads);
   return results;
 }
 
@@ -136,15 +139,20 @@ std::vector<double> legacy_sweep_energy(
     const std::vector<eval::PolicySpec>& suite) {
   const RadioModel radio = cfg.netmaster.profit.radio;
   std::vector<double> energy(users.size() * suite.size());
-  parallel_for(users.size(), [&](std::size_t u) {
-    for (std::size_t p = 0; p < suite.size(); ++p) {
-      const eval::VolunteerTraces traces = eval::make_traces(users[u], cfg);
-      const auto pol = suite[p].make(traces.training);
-      const sim::SimReport rep =
-          sim::account(traces.eval, pol->run(traces.eval), radio);
-      energy[u * suite.size() + p] = rep.energy_j;
-    }
-  });
+  jobs::TaskGraph graph;
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    graph.add([&, u] {
+      for (std::size_t p = 0; p < suite.size(); ++p) {
+        const eval::VolunteerTraces traces =
+            eval::make_traces(users[u], cfg);
+        const auto pol = suite[p].make(traces.training);
+        const sim::SimReport rep =
+            sim::account(traces.eval, pol->run(traces.eval), radio);
+        energy[u * suite.size() + p] = rep.energy_j;
+      }
+    });
+  }
+  jobs::run_graph(graph);
   return energy;
 }
 
@@ -350,6 +358,45 @@ struct BarrierRun {
   std::vector<double> cell_ms;   ///< per-cell stage-2 task durations
   double wall_ms = 0.0;
 };
+
+/// The pre-job-system executor: a thread fan-out with a static
+/// stride partition (index i runs on worker i % W) and a full join
+/// barrier. A throwing worker abandons the rest of its stride, the
+/// others run to completion, and the failure at the lowest index is
+/// rethrown after the join.
+template <typename Fn>
+void static_parallel_for(std::size_t count, Fn&& fn, unsigned threads) {
+  const std::size_t workers =
+      std::min<std::size_t>(std::max(threads, 1u), count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
+  {
+    std::vector<std::jthread> pool;  // joins every worker at scope exit
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        for (std::size_t i = w; i < count; i += workers) {
+          try {
+            fn(i);
+          } catch (...) {
+            const std::lock_guard<std::mutex> lock(error_mutex);
+            if (i < first_error_index) {
+              first_error_index = i;
+              first_error = std::current_exception();
+            }
+            return;
+          }
+        }
+      });
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 /// The pre-job-system pipeline, replicated on static_parallel_for:
 /// stage 1 prepares every user's index behind a barrier, stage 2 runs

@@ -25,8 +25,13 @@ int main(int argc, char** argv) {
             << "', train " << config.train_days << "d, eval "
             << config.eval_days << "d, seed " << config.seed << "\n\n";
 
-  const eval::VolunteerComparison cmp =
-      eval::compare_policies(user, config);
+  const eval::EvalSession session({user}, config);
+  if (!session.ok(0)) {
+    std::cerr << "cannot prepare '" << user.name
+              << "': " << session.prep_error(0) << "\n";
+    return 1;
+  }
+  const eval::VolunteerComparison cmp = eval::compare_all(session).front();
 
   eval::Table table({"policy", "energy (J)", "saving", "radio-on (min)",
                      "avg down (kB/s)", "affected", "interrupts"});

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/error.hpp"
 #include "eval/fleet.hpp"
 #include "eval/sweep.hpp"
 #include "mining/habits.hpp"
@@ -104,20 +103,6 @@ std::vector<VolunteerComparison> compare_all(const EvalSession& session,
   return results;
 }
 
-std::vector<VolunteerComparison> compare_all(
-    const std::vector<synth::UserProfile>& profiles,
-    const ExperimentConfig& config, unsigned max_threads) {
-  const EvalSession session(profiles, config, max_threads);
-  return compare_all(session, max_threads);
-}
-
-VolunteerComparison compare_policies(const synth::UserProfile& profile,
-                                     const ExperimentConfig& config) {
-  const EvalSession session({profile}, config);
-  if (!session.ok(0)) throw Error(session.prep_error(0));
-  return std::move(compare_all(session).front());
-}
-
 std::vector<SweepPoint> delay_sweep(const EvalSession& session,
                                     const std::vector<double>& delays_s,
                                     unsigned max_threads) {
@@ -143,14 +128,6 @@ std::vector<SweepPoint> delay_sweep(const EvalSession& session,
       max_threads);
 }
 
-std::vector<SweepPoint> delay_sweep(
-    const std::vector<synth::UserProfile>& profiles,
-    const std::vector<double>& delays_s, const ExperimentConfig& config,
-    unsigned max_threads) {
-  const EvalSession session(profiles, config, max_threads);
-  return delay_sweep(session, delays_s, max_threads);
-}
-
 std::vector<SweepPoint> batch_sweep(const EvalSession& session,
                                     const std::vector<std::size_t>& sizes,
                                     unsigned max_threads) {
@@ -169,14 +146,6 @@ std::vector<SweepPoint> batch_sweep(const EvalSession& session,
         return reduce_sweep_point(static_cast<double>(n), session, report);
       },
       max_threads);
-}
-
-std::vector<SweepPoint> batch_sweep(
-    const std::vector<synth::UserProfile>& profiles,
-    const std::vector<std::size_t>& sizes, const ExperimentConfig& config,
-    unsigned max_threads) {
-  const EvalSession session(profiles, config, max_threads);
-  return batch_sweep(session, sizes, max_threads);
 }
 
 std::vector<ThresholdPoint> threshold_sweep(
@@ -246,14 +215,6 @@ std::vector<ThresholdPoint> threshold_sweep(
       max_threads);
 }
 
-std::vector<ThresholdPoint> threshold_sweep(
-    const std::vector<synth::UserProfile>& profiles,
-    const std::vector<double>& deltas, const ExperimentConfig& config,
-    unsigned max_threads) {
-  const EvalSession session(profiles, config, max_threads);
-  return threshold_sweep(session, deltas, max_threads);
-}
-
 namespace {
 
 /// One knock-out variant of the ablation study.
@@ -317,13 +278,6 @@ std::vector<AblationRow> ablation_study(const EvalSession& session,
       max_threads);
 }
 
-std::vector<AblationRow> ablation_study(
-    const std::vector<synth::UserProfile>& profiles,
-    const ExperimentConfig& config, unsigned max_threads) {
-  const EvalSession session(profiles, config, max_threads);
-  return ablation_study(session, max_threads);
-}
-
 std::vector<SolverAblationRow> solver_ablation_study(
     const EvalSession& session, unsigned max_threads) {
   const std::vector<PolicySpec> roster =
@@ -352,13 +306,6 @@ std::vector<SolverAblationRow> solver_ablation_study(
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-std::vector<SolverAblationRow> solver_ablation_study(
-    const std::vector<synth::UserProfile>& profiles,
-    const ExperimentConfig& config, unsigned max_threads) {
-  const EvalSession session(profiles, config, max_threads);
-  return solver_ablation_study(session, max_threads);
 }
 
 }  // namespace netmaster::eval

@@ -4,11 +4,9 @@
 // thread counts, and every one of them is a reduction over fleet runs:
 // the per-user traces/indexes/baselines live in an eval::EvalSession
 // (see session.hpp) and the replay grid goes through eval::run_fleet
-// via the generic sweep driver (see sweep.hpp). Each runner has two
-// overloads: a convenience form that builds a throwaway session from
-// profiles, and a session form that reuses a cached session so
-// consecutive figures or sweep invocations pay trace synthesis and
-// indexing exactly once.
+// via the generic sweep driver (see sweep.hpp). Each runner takes the
+// session the caller built, so consecutive figures or sweep
+// invocations pay trace synthesis and indexing exactly once.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +15,6 @@
 
 #include "eval/session.hpp"
 #include "sim/accounting.hpp"
-#include "synth/profiles.hpp"
 
 namespace netmaster::eval {
 
@@ -44,15 +41,8 @@ struct VolunteerComparison {
   std::vector<ComparisonRow> rows;
 };
 
-/// Throws netmaster::Error when the volunteer's traces cannot be
-/// prepared (the single-user form has no fleet to isolate into).
-VolunteerComparison compare_policies(const synth::UserProfile& profile,
-                                     const ExperimentConfig& config);
-
-/// Runs the comparison suite for every profile through one fleet grid.
-std::vector<VolunteerComparison> compare_all(
-    const std::vector<synth::UserProfile>& profiles,
-    const ExperimentConfig& config, unsigned max_threads = 0);
+/// Runs the comparison suite for every session user through one fleet
+/// grid.
 std::vector<VolunteerComparison> compare_all(const EvalSession& session,
                                              unsigned max_threads = 0);
 
@@ -67,19 +57,11 @@ struct SweepPoint {
 };
 
 /// Fig. 8: fixed-interval delay sweep.
-std::vector<SweepPoint> delay_sweep(
-    const std::vector<synth::UserProfile>& profiles,
-    const std::vector<double>& delays_s, const ExperimentConfig& config,
-    unsigned max_threads = 0);
 std::vector<SweepPoint> delay_sweep(const EvalSession& session,
                                     const std::vector<double>& delays_s,
                                     unsigned max_threads = 0);
 
 /// Fig. 9: batch-size sweep.
-std::vector<SweepPoint> batch_sweep(
-    const std::vector<synth::UserProfile>& profiles,
-    const std::vector<std::size_t>& sizes, const ExperimentConfig& config,
-    unsigned max_threads = 0);
 std::vector<SweepPoint> batch_sweep(const EvalSession& session,
                                     const std::vector<std::size_t>& sizes,
                                     unsigned max_threads = 0);
@@ -94,15 +76,11 @@ struct ThresholdPoint {
 /// Fig. 10c: δ sweep (same δ applied to weekdays and weekends so the
 /// x axis matches the paper's single-threshold plot).
 std::vector<ThresholdPoint> threshold_sweep(
-    const std::vector<synth::UserProfile>& profiles,
-    const std::vector<double>& deltas, const ExperimentConfig& config,
-    unsigned max_threads = 0);
-std::vector<ThresholdPoint> threshold_sweep(
     const EvalSession& session, const std::vector<double>& deltas,
     unsigned max_threads = 0);
 
 /// Component ablation (DESIGN.md's knock-out study): the full system
-/// and each component disabled in turn, averaged over profiles.
+/// and each component disabled in turn, averaged over the users.
 struct AblationRow {
   std::string variant;
   double energy_saving = 0.0;
@@ -111,9 +89,6 @@ struct AblationRow {
   double wake_count = 0.0;
 };
 
-std::vector<AblationRow> ablation_study(
-    const std::vector<synth::UserProfile>& profiles,
-    const ExperimentConfig& config, unsigned max_threads = 0);
 std::vector<AblationRow> ablation_study(const EvalSession& session,
                                         unsigned max_threads = 0);
 
@@ -129,9 +104,6 @@ struct SolverAblationRow {
   double mean_deferral_latency_s = 0.0;
 };
 
-std::vector<SolverAblationRow> solver_ablation_study(
-    const std::vector<synth::UserProfile>& profiles,
-    const ExperimentConfig& config, unsigned max_threads = 0);
 std::vector<SolverAblationRow> solver_ablation_study(
     const EvalSession& session, unsigned max_threads = 0);
 

@@ -288,7 +288,7 @@ FleetReport run_fleet(const std::vector<synth::UserProfile>& profiles,
     // trace_gen -> prepare -> pin chain and, hanging off each pin, that
     // user's M policy cells. User u's row replays while user v is
     // still synthesizing — the per-stage fleet-wide barriers of the
-    // old parallel_for pipeline are gone. Cells of a prep-failed user
+    // old staged pipeline are gone. Cells of a prep-failed user
     // still run (they record the row failure from prep_error).
     jobs::TaskGraph graph;
     std::vector<jobs::TaskId> prep_tasks;

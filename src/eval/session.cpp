@@ -52,8 +52,8 @@ EvalSession::EvalSession(const std::vector<synth::UserProfile>& profiles,
       users_(profiles.size()) {
   store_->resize(profiles.size());
   // Per-user trace_gen -> prepare chains instead of two barriered
-  // parallel_for stages: a user whose synthesis finishes early starts
-  // preparing immediately, it never waits for the slowest generator.
+  // stages: a user whose synthesis finishes early starts preparing
+  // immediately, it never waits for the slowest generator.
   jobs::TaskGraph graph;
   for (std::size_t u = 0; u < users_.size(); ++u) {
     schedule_user_build(graph, u, profiles[u]);

@@ -258,8 +258,8 @@ void WorkerPool::execute(const Item& item, unsigned slot) {
 
   // Pool workers never exit, so per-thread span aggregates must merge
   // before this task counts as complete — a snapshot taken after run()
-  // then sees every span (the join-visibility contract parallel_for's
-  // thread fan-out used to provide for free).
+  // then sees every span (the join-visibility contract a joined thread
+  // fan-out provides for free).
   obs::flush_thread_spans();
 
   for (const std::uint32_t d : task.dependents) {

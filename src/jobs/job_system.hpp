@@ -23,10 +23,9 @@
 //   graph completes, or state only its *dependents* read. Under that
 //   discipline results are bit-identical regardless of worker count,
 //   steal order, or how often a run is repeated — the scheduler decides
-//   *when* a task runs, never *what* it computes. The eval stack and
-//   the parallel_for shim both follow it (per-cell result slots, one
-//   reduce after run()), which is what keeps the fleet/sweep goldens
-//   exact at every thread count.
+//   *when* a task runs, never *what* it computes. The eval stack
+//   follows it (per-cell result slots, one reduce after run()), which
+//   is what keeps the fleet/sweep goldens exact at every thread count.
 //
 // Failure semantics
 //   A throwing task poisons its transitive dependents (they are
@@ -177,11 +176,11 @@ class WorkerPool {
   std::atomic<bool> stop_{false};
 };
 
-/// Runs `graph` honoring a parallel_for-style thread cap: 0 means
-/// default_max_threads(). When the cap does not bind below the shared
-/// pool's width the shared pool runs it; a smaller explicit cap gets a
-/// temporary pool of exactly that many workers (same cost shape as the
-/// thread fan-out the barrier parallel_for used to pay per call).
+/// Runs `graph` honoring a thread cap: 0 means default_max_threads().
+/// When the cap does not bind below the shared pool's width the shared
+/// pool runs it; a smaller explicit cap gets a temporary pool of
+/// exactly that many workers (the cost shape of a per-call thread
+/// fan-out).
 void run_graph(TaskGraph& graph, unsigned max_threads = 0);
 
 }  // namespace netmaster::jobs

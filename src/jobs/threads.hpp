@@ -1,4 +1,4 @@
-// Worker-count resolution shared by the job system and parallel_for.
+// Worker-count resolution for the job system.
 //
 // The default worker count comes from the NETMASTER_THREADS environment
 // variable (read once per process) falling back to hardware

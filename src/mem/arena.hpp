@@ -10,7 +10,7 @@
 //
 // Ownership rules (see DESIGN.md "Memory architecture"):
 //   - An Arena is single-owner and NOT thread-safe: exactly one
-//     parallel_for worker builds into a given arena (the fleet builds
+//     worker task builds into a given arena (the fleet builds
 //     one arena per user inside the per-user preparation task). After
 //     preparation the arena is immutable and may be read by any number
 //     of workers concurrently.

@@ -8,8 +8,8 @@
 // merged into the owning Registry when the thread exits or when
 // flush_thread_spans() is called (exporters do this automatically).
 // Spans recorded by threads that are still running and have not
-// flushed are invisible to a snapshot; parallel_for joins its workers,
-// so fleet/bench exports always see every worker's spans.
+// flushed are invisible to a snapshot; a job-system task flushes before
+// it completes, so fleet/bench exports always see every worker's spans.
 #pragma once
 
 #include <chrono>

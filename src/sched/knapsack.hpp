@@ -27,10 +27,9 @@ namespace netmaster::sched {
 class SchedWorkspace;  // sched/solver.hpp
 
 /// The calling thread's workspace (function-local thread_local): one
-/// per thread, created on first use, destroyed at thread exit. Inside
-/// `parallel_for` each worker thread gets its own, reused across every
-/// task that worker runs within (and across) loop invocations on that
-/// thread.
+/// per thread, created on first use, destroyed at thread exit. Each
+/// job-system worker thread gets its own, reused across every task that
+/// worker runs within (and across) graph runs.
 SchedWorkspace& thread_workspace();
 
 /// One knapsack item. `id` is an opaque caller tag carried through.

@@ -24,7 +24,7 @@
 // Fleet sweeps invoke the solver per slot × per user × per policy × per
 // sweep point; with a reused workspace the steady state allocates
 // nothing. Workspaces are single-owner and not thread-safe: use
-// `thread_workspace()` (one per thread, including per `parallel_for`
+// `thread_workspace()` (one per thread, including per job-system
 // worker) or a locally owned instance, never one workspace from two
 // threads.
 #pragma once

@@ -15,8 +15,8 @@
 #include "engine/trace_index.hpp"
 #include "eval/fleet.hpp"
 #include "eval/session.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
+#include "testkit/fault_plan.hpp"
+#include "testkit/injector.hpp"
 #include "fault/sanitize.hpp"
 #include "policy/netmaster.hpp"
 #include "sim/accounting.hpp"

@@ -2,7 +2,7 @@
 // post-pass (the paper's future-work extension).
 #include <gtest/gtest.h>
 
-#include "channel/signal_model.hpp"
+#include "testkit/signal_model.hpp"
 #include "common/error.hpp"
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"

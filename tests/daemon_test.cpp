@@ -18,12 +18,14 @@
 #include "daemon/loadgen.hpp"
 #include "daemon/netmasterd.hpp"
 #include "engine/trace_index.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
+#include "testkit/fault_plan.hpp"
+#include "testkit/injector.hpp"
 #include "mining/habits.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "policy/netmaster.hpp"
 #include "service/record_store.hpp"
 #include "synth/drift.hpp"
@@ -293,6 +295,48 @@ TEST(DaemonEquivalence, ScheduleIsCachedAndStableAcrossRepeats) {
   const ScheduleResult second = daemon.schedule(0);
   expect_outcomes_bitwise_equal(second.outcome, first.outcome, "repeat");
   EXPECT_EQ(second.model_version, first.model_version);
+}
+
+// ---- Telemetry. -------------------------------------------------------
+
+std::uint64_t span_count(const std::string& name) {
+  std::uint64_t total = 0;
+  for (const auto& row : obs::Registry::global().span_rows()) {
+    if (row.name == name) total += row.stats.count;
+  }
+  return total;
+}
+
+TEST(DaemonObs, DrainedReplayMovesCountersByExactlyItsWork) {
+  LoadConfig load;
+  load.users = 2;
+  load.train_days = 14;
+  load.eval_days = 7;
+  const LoadPlan plan = build_load_plan(load);
+  const auto users = static_cast<std::uint64_t>(plan.users.size());
+
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& events = reg.counter("daemon.ingest.events");
+  obs::Counter& days = reg.counter("daemon.fold.days");
+  obs::Counter& models = reg.counter("daemon.mine.models");
+  const std::uint64_t events_before = events.value();
+  const std::uint64_t days_before = days.value();
+  const std::uint64_t models_before = models.value();
+  obs::flush_thread_spans();
+  const std::uint64_t schedules_before = span_count("daemon.schedule");
+
+  Netmasterd daemon;
+  replay_plan(plan, daemon);
+  daemon.drain();
+  for (const LoadUser& user : plan.users) daemon.schedule(user.session.user);
+  // The schedule spans are recorded on the shard threads; shutdown
+  // joins them, which merges their spans into the registry.
+  daemon.shutdown();
+
+  EXPECT_EQ(events.value() - events_before, plan.events.size());
+  EXPECT_EQ(days.value() - days_before, users * 21u);
+  EXPECT_GE(models.value() - models_before, users);
+  EXPECT_EQ(span_count("daemon.schedule") - schedules_before, users);
 }
 
 // ---- Drift adaptation in the daemon. ---------------------------------

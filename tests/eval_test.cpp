@@ -71,11 +71,11 @@ TEST(MakeTraces, RequiresWholeWeekTraining) {
   EXPECT_THROW(make_traces(profile, cfg), Error);
 }
 
-TEST(ComparePolicies, ProducesExpectedRows) {
-  const auto profile =
-      synth::make_user(synth::Archetype::kOfficeWorker, 1);
-  const VolunteerComparison cmp =
-      compare_policies(profile, tiny_config());
+TEST(CompareAll, ProducesExpectedRows) {
+  const EvalSession session(
+      {synth::make_user(synth::Archetype::kOfficeWorker, 1)},
+      tiny_config());
+  const VolunteerComparison cmp = compare_all(session).front();
   ASSERT_EQ(cmp.rows.size(), 6u);
   EXPECT_EQ(cmp.rows[0].policy, "baseline");
   EXPECT_EQ(cmp.rows[1].policy, "oracle");
@@ -91,9 +91,10 @@ TEST(ComparePolicies, ProducesExpectedRows) {
 }
 
 TEST(DelaySweep, MonotoneUserImpact) {
-  const std::vector<synth::UserProfile> profiles = {
-      synth::make_user(synth::Archetype::kOfficeWorker, 1)};
-  const auto points = delay_sweep(profiles, {0, 30, 300}, tiny_config());
+  const EvalSession session(
+      {synth::make_user(synth::Archetype::kOfficeWorker, 1)},
+      tiny_config());
+  const auto points = delay_sweep(session, {0, 30, 300});
   ASSERT_EQ(points.size(), 3u);
   EXPECT_DOUBLE_EQ(points[0].affected_fraction, 0.0);
   EXPECT_LE(points[1].affected_fraction, points[2].affected_fraction);
@@ -101,19 +102,19 @@ TEST(DelaySweep, MonotoneUserImpact) {
 }
 
 TEST(BatchSweep, SizeZeroAndOneAreNeutral) {
-  const std::vector<synth::UserProfile> profiles = {
-      synth::make_user(synth::Archetype::kLightUser, 1)};
-  const auto points = batch_sweep(profiles, {0, 1, 4}, tiny_config());
+  const EvalSession session(
+      {synth::make_user(synth::Archetype::kLightUser, 1)}, tiny_config());
+  const auto points = batch_sweep(session, {0, 1, 4});
   EXPECT_NEAR(points[0].energy_saving, 0.0, 1e-9);
   EXPECT_NEAR(points[1].energy_saving, 0.0, 1e-9);
   EXPECT_GT(points[2].energy_saving, 0.0);
 }
 
 TEST(ThresholdSweep, AccuracyFallsSavingRises) {
-  const std::vector<synth::UserProfile> profiles = {
-      synth::make_user(synth::Archetype::kOfficeWorker, 1)};
-  const auto points =
-      threshold_sweep(profiles, {0.05, 0.45}, tiny_config());
+  const EvalSession session(
+      {synth::make_user(synth::Archetype::kOfficeWorker, 1)},
+      tiny_config());
+  const auto points = threshold_sweep(session, {0.05, 0.45});
   ASSERT_EQ(points.size(), 2u);
   EXPECT_GE(points[0].accuracy, points[1].accuracy);
   EXPECT_LE(points[0].energy_saving, points[1].energy_saving + 0.05);
@@ -131,9 +132,9 @@ TEST(Battery, FractionPerDay) {
 }
 
 TEST(AblationStudy, ReportsAllVariants) {
-  const std::vector<synth::UserProfile> profiles = {
-      synth::make_user(synth::Archetype::kStudent, 2)};
-  const auto rows = ablation_study(profiles, tiny_config());
+  const EvalSession session({synth::make_user(synth::Archetype::kStudent, 2)},
+                            tiny_config());
+  const auto rows = ablation_study(session);
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].variant, "full");
   // The full system has prediction-scale latency; the no-prediction

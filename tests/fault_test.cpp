@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "fault/fault_plan.hpp"
-#include "fault/injector.hpp"
+#include "testkit/fault_plan.hpp"
+#include "testkit/injector.hpp"
 #include "fault/sanitize.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"

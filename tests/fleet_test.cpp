@@ -80,10 +80,12 @@ TEST(Fleet, MatchesPerVolunteerComparison) {
   const auto users = small_fleet();
   const FleetReport report = run_fleet(users, suite, cfg);
 
-  // compare_policies runs the same suite in the same order (baseline,
-  // oracle, netmaster, delay&batch 10/20/60) on the same traces.
+  // compare_all on a one-user session runs the same suite in the same
+  // order (baseline, oracle, netmaster, delay&batch 10/20/60) on the
+  // same traces.
   for (std::size_t u = 0; u < users.size(); ++u) {
-    const VolunteerComparison comparison = compare_policies(users[u], cfg);
+    const EvalSession one({users[u]}, cfg);
+    const VolunteerComparison comparison = compare_all(one).front();
     ASSERT_EQ(comparison.rows.size(), suite.size());
     for (std::size_t p = 0; p < suite.size(); ++p) {
       EXPECT_DOUBLE_EQ(report.cell(u, p).report.energy_j,

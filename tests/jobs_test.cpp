@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "jobs/job_system.hpp"
+#include "jobs/threads.hpp"
 #include "obs/metrics.hpp"
 
 namespace netmaster::jobs {
@@ -238,22 +238,37 @@ TEST(WorkerPool, AdversarialSkewDoesNotStarveAndCountsTasks) {
   EXPECT_EQ(skewed, run(1));
 }
 
-TEST(WorkerPool, NestedParallelForInsideTaskCompletes) {
-  // A task that itself calls parallel_for must not deadlock: the
-  // waiting caller executes queued work instead of parking.
+TEST(WorkerPool, NestedGraphInsideTaskCompletes) {
+  // A task that itself runs a graph must not deadlock: the waiting
+  // caller executes queued work instead of parking.
   WorkerPool pool(4);
   TaskGraph graph;
   std::vector<std::atomic<int>> inner(64);
   std::atomic<int> outer{0};
   for (int t = 0; t < 4; ++t) {
     graph.add([&] {
-      parallel_for(inner.size(), [&](std::size_t i) { ++inner[i]; }, 2);
+      TaskGraph nested;
+      for (std::size_t i = 0; i < inner.size(); ++i) {
+        nested.add([&inner, i] { ++inner[i]; });
+      }
+      run_graph(nested, 2);
       ++outer;
     });
   }
   pool.run(graph);
   EXPECT_EQ(outer.load(), 4);
   for (const auto& h : inner) EXPECT_EQ(h.load(), 4);
+}
+
+TEST(RunGraph, DefaultMaxThreadsOverrideHook) {
+  // The explicit override beats NETMASTER_THREADS / hardware defaults;
+  // 0 restores them. This is the knob the thread-matrix tests and the
+  // single-threaded CI rerun share with the pool itself.
+  const unsigned ambient = default_max_threads();
+  set_default_max_threads(3);
+  EXPECT_EQ(default_max_threads(), 3u);
+  set_default_max_threads(0);
+  EXPECT_EQ(default_max_threads(), ambient);
 }
 
 TEST(RunGraph, HonorsThreadCapAndSharedPool) {

@@ -6,7 +6,7 @@
 
 #include "common/error.hpp"
 #include "engine/trace_index.hpp"
-#include "fault/injector.hpp"
+#include "testkit/injector.hpp"
 #include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"

@@ -1,5 +1,5 @@
 // Tests for the observability subsystem (src/obs/): registry and
-// instrument correctness, concurrent updates from parallel_for
+// instrument correctness, concurrent updates from job-system
 // workers, span aggregation and parent attribution, exporter formats,
 // and the end-to-end fleet snapshot via NETMASTER_METRICS_OUT.
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "eval/fleet.hpp"
+#include "jobs/job_system.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -138,15 +138,19 @@ TEST(ObsRegistry, LookupRegistersOnceAndSnapshots) {
   EXPECT_EQ(reg.histogram("h", {}).count(), 0u);  // bounds kept
 }
 
-TEST(ObsRegistry, ConcurrentUpdatesFromParallelForAreDeterministic) {
+TEST(ObsRegistry, ConcurrentUpdatesFromPoolTasksAreDeterministic) {
   Registry reg;
   Counter& hits = reg.counter("hits");
   Histogram& lat = reg.histogram("lat", {0.25, 0.5, 1.0});
   constexpr std::size_t kTasks = 1000;
-  parallel_for(kTasks, [&](std::size_t i) {
-    hits.add(1);
-    lat.add(static_cast<double>(i % 4) * 0.25);  // 0, .25, .5, .75
-  });
+  jobs::TaskGraph graph;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    graph.add([&hits, &lat, i] {
+      hits.add(1);
+      lat.add(static_cast<double>(i % 4) * 0.25);  // 0, .25, .5, .75
+    });
+  }
+  jobs::run_graph(graph);
   EXPECT_EQ(hits.value(), kTasks);
   EXPECT_EQ(lat.count(), kTasks);
   EXPECT_EQ(lat.bucket_count(0), 500u);  // <= 0.25 (i.e. 0 and .25)
@@ -200,7 +204,11 @@ TEST(ObsSpan, ParentAttributionAndAggregation) {
 
 TEST(ObsSpan, WorkerSpansMergeAfterJoin) {
   Registry reg;
-  parallel_for(64, [&](std::size_t) { SpanScope s(reg, "task"); });
+  jobs::TaskGraph graph;
+  for (int i = 0; i < 64; ++i) {
+    graph.add([&reg] { SpanScope s(reg, "task"); });
+  }
+  jobs::run_graph(graph);
   flush_thread_spans();  // main thread may have run tasks inline
   std::uint64_t total = 0;
   for (const auto& row : reg.span_rows()) {

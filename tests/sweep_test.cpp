@@ -314,9 +314,6 @@ TEST(GoldenFigures, DelaySweepMatchesSeedRunnerBitForBit) {
   const std::vector<double> delays = {0.0, 10.0, 60.0, 300.0};
 
   const auto want = legacy_delay_sweep(profiles, delays, cfg);
-  expect_points_identical(delay_sweep(profiles, delays, cfg, 1), want);
-  expect_points_identical(delay_sweep(profiles, delays, cfg), want);
-
   const EvalSession session(profiles, cfg);
   expect_points_identical(delay_sweep(session, delays, 1), want);
   expect_points_identical(delay_sweep(session, delays), want);
@@ -328,8 +325,9 @@ TEST(GoldenFigures, BatchSweepMatchesSeedRunnerBitForBit) {
   const std::vector<std::size_t> sizes = {0, 1, 3, 5};
 
   const auto want = legacy_batch_sweep(profiles, sizes, cfg);
-  expect_points_identical(batch_sweep(profiles, sizes, cfg, 1), want);
-  expect_points_identical(batch_sweep(profiles, sizes, cfg), want);
+  const EvalSession session(profiles, cfg);
+  expect_points_identical(batch_sweep(session, sizes, 1), want);
+  expect_points_identical(batch_sweep(session, sizes), want);
 }
 
 TEST(GoldenFigures, ThresholdSweepMatchesSeedRunnerBitForBit) {
@@ -338,8 +336,9 @@ TEST(GoldenFigures, ThresholdSweepMatchesSeedRunnerBitForBit) {
   const std::vector<double> deltas = {0.1, 0.3};
 
   const auto want = legacy_threshold_sweep(profiles, deltas, cfg);
+  const EvalSession session(profiles, cfg);
   for (const unsigned threads : {1u, 0u}) {
-    const auto got = threshold_sweep(profiles, deltas, cfg, threads);
+    const auto got = threshold_sweep(session, deltas, threads);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].delta, want[i].delta);
@@ -354,8 +353,9 @@ TEST(GoldenFigures, AblationStudyMatchesSeedRunnerBitForBit) {
   const auto profiles = golden_profiles();
 
   const auto want = legacy_ablation_study(profiles, cfg);
+  const EvalSession session(profiles, cfg);
   for (const unsigned threads : {1u, 0u}) {
-    const auto got = ablation_study(profiles, cfg, threads);
+    const auto got = ablation_study(session, threads);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t v = 0; v < got.size(); ++v) {
       EXPECT_EQ(got[v].variant, want[v].variant);
@@ -372,7 +372,8 @@ TEST(GoldenFigures, ComparisonMatchesSeedRunnerBitForBit) {
   const ExperimentConfig cfg = golden_config();
   for (const synth::UserProfile& profile : golden_profiles()) {
     const VolunteerComparison want = legacy_compare_policies(profile, cfg);
-    const VolunteerComparison got = compare_policies(profile, cfg);
+    const EvalSession session({profile}, cfg);
+    const VolunteerComparison got = compare_all(session).front();
     ASSERT_EQ(got.rows.size(), want.rows.size());
     EXPECT_EQ(got.baseline.energy_j, want.baseline.energy_j);
     for (std::size_t r = 0; r < got.rows.size(); ++r) {
