@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <exception>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -56,8 +56,20 @@ Shard& Netmasterd::shard_for(UserId user) {
 
 void Netmasterd::add_user(UserSessionConfig config) {
   NM_REQUIRE(!shutdown_.load(), "daemon is shut down");
+  // Reserve the slot before registering, so concurrent registrations
+  // cannot overshoot the cap; a registration that fails gives it back.
+  if (sessions_.fetch_add(1) >= config_.max_sessions) {
+    sessions_.fetch_sub(1);
+    obs::Registry::global().counter("daemon.sessions.rejected").add(1);
+    throw SessionLimitReached(config_.max_sessions);
+  }
   const UserId user = config.user;
-  shard_for(user).add_user(std::move(config));
+  try {
+    shard_for(user).add_user(std::move(config));
+  } catch (...) {
+    sessions_.fetch_sub(1);
+    throw;
+  }
   obs::Registry::global().counter("daemon.users").add(1);
 }
 
@@ -146,30 +158,44 @@ std::string Netmasterd::handle_line(const std::string& line,
         return net::ok_response();
       case net::RequestKind::kGetSchedule: {
         const ScheduleResult result = schedule(request.user);
-        std::ostringstream out;
-        out << "transfers=" << result.outcome.transfers.size()
-            << " interrupts=" << result.outcome.interrupts
-            << " duty_releases=" << result.outcome.duty_releases
-            << " model=" << result.model_version
-            << " degraded=" << (result.degraded ? 1 : 0) << " digest="
-            << std::hex << schedule_digest(result.outcome);
-        return net::ok_response(out.str());
+        std::string reply;
+        reply.reserve(160);
+        reply = "ok transfers=";
+        net::append_int(reply, result.outcome.transfers.size());
+        reply += " interrupts=";
+        net::append_int(reply, result.outcome.interrupts);
+        reply += " duty_releases=";
+        net::append_int(reply, result.outcome.duty_releases);
+        reply += " model=";
+        net::append_int(reply, result.model_version);
+        reply += result.degraded ? " degraded=1" : " degraded=0";
+        reply += " digest=";
+        net::append_int(reply, schedule_digest(result.outcome), 16);
+        return reply;
       }
       case net::RequestKind::kStats: {
         const DaemonStats s = stats();
-        std::ostringstream out;
-        out << "shards=" << s.num_shards << " users=" << s.totals.users
-            << " trained=" << s.totals.users_trained
-            << " finished=" << s.totals.users_finished
-            << " events=" << s.totals.events
-            << " late=" << s.totals.late_events
-            << " dropped=" << s.totals.dropped_events
-            << " folds=" << s.totals.days_folded
-            << " refreshes=" << s.totals.refreshes
-            << " alarms=" << s.totals.alarms
-            << " schedules=" << s.totals.schedules
-            << " queued=" << s.totals.queue_depth;
-        return net::ok_response(out.str());
+        const std::pair<const char*, std::uint64_t> fields[] = {
+            {"ok shards=", static_cast<std::uint64_t>(s.num_shards)},
+            {" users=", s.totals.users},
+            {" trained=", s.totals.users_trained},
+            {" finished=", s.totals.users_finished},
+            {" events=", s.totals.events},
+            {" late=", s.totals.late_events},
+            {" dropped=", s.totals.dropped_events},
+            {" folds=", s.totals.days_folded},
+            {" refreshes=", s.totals.refreshes},
+            {" alarms=", s.totals.alarms},
+            {" schedules=", s.totals.schedules},
+            {" queued=", s.totals.queue_depth},
+        };
+        std::string reply;
+        reply.reserve(320);
+        for (const auto& [name, value] : fields) {
+          reply += name;
+          net::append_int(reply, value);
+        }
+        return reply;
       }
       case net::RequestKind::kDrain:
         drain();

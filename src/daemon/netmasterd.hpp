@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "daemon/shard.hpp"
 #include "net/transport.hpp"
 
@@ -40,6 +41,10 @@ struct DaemonConfig {
   /// Per-shard command queue bound; full queues block producers
   /// (ingest backpressure).
   std::size_t queue_capacity = 8192;
+  /// Upper bound on registered sessions. Each `user` verb adds one,
+  /// so without it one peer could grow the daemon without limit. Past it add_user throws SessionLimitReached (an `err`
+  /// reply on the wire), counted in daemon.sessions.rejected.
+  std::size_t max_sessions = 4096;
   policy::NetMasterConfig policy;
   /// Drift adaptation of the serving models, on by default — the
   /// daemon is the online deployment the adaptation loop exists for.
@@ -47,6 +52,14 @@ struct DaemonConfig {
   service::AdaptationConfig adapt;
 
   DaemonConfig() { adapt.enable = true; }
+};
+
+/// Thrown by Netmasterd::add_user once max_sessions sessions exist.
+class SessionLimitReached : public Error {
+ public:
+  explicit SessionLimitReached(std::size_t max_sessions)
+      : Error("session limit reached (max_sessions=" +
+              std::to_string(max_sessions) + ")") {}
 };
 
 struct DaemonStats {
@@ -65,6 +78,7 @@ class Netmasterd {
   const DaemonConfig& config() const { return config_; }
 
   // ---- Direct API (thread-safe; all routes through the shards). ----
+  /// Throws SessionLimitReached once max_sessions sessions exist.
   void add_user(UserSessionConfig config);
   void ingest(UserId user, const service::Record& record);
   void finish_user(UserId user);
@@ -101,6 +115,7 @@ class Netmasterd {
   DaemonConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> shutdown_{false};
+  std::atomic<std::size_t> sessions_{0};  ///< registered or registering
 
   std::mutex serve_mutex_;
   std::condition_variable serve_cv_;  ///< signals worker exits

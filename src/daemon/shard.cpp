@@ -65,10 +65,13 @@ void Shard::post(Command command) {
   not_full_.wait(lock,
                  [&] { return stopping_ || queue_.size() < capacity_; });
   NM_REQUIRE(!stopping_, "command posted to a stopped shard");
+  const bool was_empty = queue_.empty();
   queue_.push_back(std::move(command));
   ShardMetrics::get().queue_depth.add(1.0);
   lock.unlock();
-  not_empty_.notify_one();
+  // The worker sleeps only on an empty queue: the rest of a burst
+  // finds it awake (or about to swap) and needs no wake-up.
+  if (was_empty) not_empty_.notify_one();
 }
 
 void Shard::add_user(UserSessionConfig config) {
@@ -129,6 +132,7 @@ void Shard::run() {
 
   std::deque<Command> batch;
   while (true) {
+    bool was_full = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       not_empty_.wait(lock,
@@ -136,11 +140,13 @@ void Shard::run() {
       if (queue_.empty() && stopping_) return;
       // Take the whole backlog in one swap: commands apply lock-free
       // and in order, producers get a burst of fresh capacity.
+      was_full = queue_.size() >= capacity_;
       batch.swap(queue_);
       ShardMetrics::get().queue_depth.add(
           -static_cast<double>(batch.size()));
     }
-    not_full_.notify_all();
+    // Producers sleep only on a full queue.
+    if (was_full) not_full_.notify_all();
     for (Command& command : batch) apply(command);
     batch.clear();
   }

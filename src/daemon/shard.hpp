@@ -8,6 +8,14 @@
 // touched by exactly one thread, so the ingest→fold→mine hot path
 // takes no locks beyond the queue's.
 //
+// Wake discipline (the same as net::LineQueue's): post wakes the
+// worker only on the empty -> non-empty transition, and the worker
+// wakes blocked producers only when its swap found the queue full.
+// Both flags are read under the queue lock, and each side sleeps only
+// in the state whose exit notifies, so no wake-up is lost. The worker
+// takes the whole backlog in one swap, so a burst of posts costs it one
+// lock and at most one wake-up.
+//
 // FIFO ordering makes drain trivial: a Drain command's promise
 // resolves only after everything enqueued before it was applied.
 // Synchronous requests (add-user, schedule, stats) ride the same

@@ -1,16 +1,17 @@
 #include "net/protocol.hpp"
 
 #include <charconv>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 namespace netmaster::net {
 
 namespace {
 
 /// Splits on runs of spaces (the grammar never produces empty tokens).
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
+/// The views point into `line`; `tokens` is the caller's reused storage.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
   std::size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && line[i] == ' ') ++i;
@@ -18,18 +19,17 @@ std::vector<std::string> tokenize(const std::string& line) {
     while (i < line.size() && line[i] != ' ') ++i;
     if (i > start) tokens.push_back(line.substr(start, i - start));
   }
-  return tokens;
 }
 
 template <typename Int>
-bool parse_int(const std::string& token, Int& out) {
+bool parse_int(std::string_view token, Int& out) {
   const char* first = token.data();
   const char* last = first + token.size();
   const auto [ptr, ec] = std::from_chars(first, last, out);
   return ec == std::errc() && ptr == last;
 }
 
-bool parse_bool(const std::string& token, bool& out) {
+bool parse_bool(std::string_view token, bool& out) {
   if (token == "0") {
     out = false;
     return true;
@@ -41,22 +41,26 @@ bool parse_bool(const std::string& token, bool& out) {
   return false;
 }
 
-bool fail(std::string& error, const std::string& message) {
+bool fail(std::string& error, std::string_view message) {
   error = message;
   return false;
 }
 
 }  // namespace
 
-bool parse_request(const std::string& line, Request& out,
+bool parse_request(std::string_view line, Request& out,
                    std::string& error) {
-  const std::vector<std::string> tok = tokenize(line);
+  // Reused across calls on this thread: an ingest line parses without
+  // allocating.
+  thread_local std::vector<std::string_view> tok;
+  tokenize(line, tok);
   if (tok.empty()) return fail(error, "empty request");
   out = Request{};
 
-  const std::string& verb = tok[0];
+  const std::string_view verb = tok[0];
   if (verb == "stats" || verb == "drain" || verb == "shutdown") {
-    if (tok.size() != 1) return fail(error, verb + " takes no arguments");
+    if (tok.size() != 1)
+      return fail(error, std::string(verb) + " takes no arguments");
     out.kind = verb == "stats"  ? RequestKind::kStats
                : verb == "drain" ? RequestKind::kDrain
                                  : RequestKind::kShutdown;
@@ -85,7 +89,7 @@ bool parse_request(const std::string& line, Request& out,
 
   if (verb == "finish" || verb == "get-schedule") {
     if (tok.size() != 2)
-      return fail(error, verb + " needs exactly <user>");
+      return fail(error, std::string(verb) + " needs exactly <user>");
     out.kind = verb == "finish" ? RequestKind::kFinish
                                 : RequestKind::kGetSchedule;
     if (!parse_int(tok[1], out.user)) return fail(error, "bad user id");
@@ -101,7 +105,7 @@ bool parse_request(const std::string& line, Request& out,
     service::Record& r = out.record;
     if (!parse_int(tok[3], r.time) || r.time < 0)
       return fail(error, "bad timestamp");
-    const std::string& kind = tok[2];
+    const std::string_view kind = tok[2];
     if (kind == "screen-on" || kind == "screen-off") {
       if (tok.size() != 4)
         return fail(error, "screen event takes only <t>");
@@ -139,14 +143,17 @@ bool parse_request(const std::string& line, Request& out,
         return fail(error, "bad deferrable flag");
       return true;
     }
-    return fail(error, "unknown ingest kind '" + kind + "'");
+    return fail(error, "unknown ingest kind '" + std::string(kind) + "'");
   }
 
-  return fail(error, "unknown verb '" + verb + "'");
+  return fail(error, "unknown verb '" + std::string(verb) + "'");
 }
 
 std::string format_request(const Request& request) {
-  std::ostringstream out;
+  // Reused across calls on this thread; the copy out is exactly sized,
+  // which matters to callers that keep many lines.
+  thread_local std::string out;
+  out.clear();
   switch (request.kind) {
     case RequestKind::kStats:
       return "stats";
@@ -155,37 +162,62 @@ std::string format_request(const Request& request) {
     case RequestKind::kShutdown:
       return "shutdown";
     case RequestKind::kFinish:
-      out << "finish " << request.user;
-      return out.str();
+      out += "finish ";
+      append_int(out, request.user);
+      return out;
     case RequestKind::kGetSchedule:
-      out << "get-schedule " << request.user;
-      return out.str();
+      out += "get-schedule ";
+      append_int(out, request.user);
+      return out;
     case RequestKind::kUser:
-      out << "user " << request.user << ' ' << request.train_days << ' '
-          << request.num_days;
-      for (const std::string& app : request.apps) out << ' ' << app;
-      return out.str();
+      out += "user ";
+      append_int(out, request.user);
+      out += ' ';
+      append_int(out, request.train_days);
+      out += ' ';
+      append_int(out, request.num_days);
+      for (const std::string& app : request.apps) {
+        out += ' ';
+        out += app;
+      }
+      return out;
     case RequestKind::kIngest: {
       const service::Record& r = request.record;
-      out << "ingest " << request.user << ' ';
+      out += "ingest ";
+      append_int(out, request.user);
       switch (r.kind) {
         case service::RecordKind::kScreenOn:
-          out << "screen-on " << r.time;
+          out += " screen-on ";
+          append_int(out, r.time);
           break;
         case service::RecordKind::kScreenOff:
-          out << "screen-off " << r.time;
+          out += " screen-off ";
+          append_int(out, r.time);
           break;
         case service::RecordKind::kAppForeground:
-          out << "app " << r.time << ' ' << r.app << ' ' << r.duration;
+          out += " app ";
+          append_int(out, r.time);
+          out += ' ';
+          append_int(out, r.app);
+          out += ' ';
+          append_int(out, r.duration);
           break;
         default:
-          out << "net " << r.time << ' ' << r.app << ' ' << r.duration
-              << ' ' << r.bytes_down << ' ' << r.bytes_up << ' '
-              << (r.user_initiated ? 1 : 0) << ' '
-              << (r.deferrable ? 1 : 0);
+          out += " net ";
+          append_int(out, r.time);
+          out += ' ';
+          append_int(out, r.app);
+          out += ' ';
+          append_int(out, r.duration);
+          out += ' ';
+          append_int(out, r.bytes_down);
+          out += ' ';
+          append_int(out, r.bytes_up);
+          out += r.user_initiated ? " 1" : " 0";
+          out += r.deferrable ? " 1" : " 0";
           break;
       }
-      return out.str();
+      return out;
     }
   }
   return "";

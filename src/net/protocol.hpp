@@ -26,8 +26,10 @@
 // event stream); daemon semantics live in src/daemon/.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/record_store.hpp"
@@ -65,13 +67,23 @@ struct Request {
 };
 
 /// Parses one request line. Returns false (and sets `error`) on
-/// malformed input; never throws on bad wire data.
-bool parse_request(const std::string& line, Request& out,
-                   std::string& error);
+/// malformed input; never throws on bad wire data. Tokens are views
+/// into `line` kept in per-thread storage, so only a `user` line (its
+/// app names) or a rejected line allocates.
+bool parse_request(std::string_view line, Request& out, std::string& error);
 
 /// Serializes a request back to its wire line (round-trips through
 /// parse_request). The load generator builds its streams with this.
 std::string format_request(const Request& request);
+
+/// Appends the digits of `v` (base 10, or lowercase base 16) to `out`:
+/// the formatting primitive of format_request and the daemon's replies.
+template <typename Int>
+void append_int(std::string& out, Int v, int base = 10) {
+  char digits[24];
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), v, base).ptr);
+}
 
 /// Response helpers.
 std::string ok_response(const std::string& payload = "");

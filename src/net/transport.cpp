@@ -45,23 +45,32 @@ std::unique_ptr<Connection> SocketListener::accept() {
 }
 
 bool LineQueue::push(const std::string& line) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || lines_.size() < capacity_; });
-  if (closed_) return false;
-  lines_.push_back(line);
-  lock.unlock();
-  cv_.notify_all();
+  bool was_empty = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_full_.wait(lock, [&] { return closed_ || lines_.size() < capacity_; });
+    if (closed_) return false;
+    was_empty = lines_.empty();
+    lines_.push_back(line);
+  }
+  // A consumer sleeps only on an empty queue, so only the first line
+  // of a burst needs to wake it.
+  if (was_empty) not_empty_.notify_one();
   return true;
 }
 
-bool LineQueue::pop(std::string& line) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || !lines_.empty(); });
-  if (lines_.empty()) return false;  // closed and drained
-  line = std::move(lines_.front());
-  lines_.pop_front();
-  lock.unlock();
-  cv_.notify_all();
+bool LineQueue::pop_all(std::deque<std::string>& out) {
+  NM_REQUIRE(out.empty(), "pop_all needs an empty batch");
+  bool was_full = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_empty_.wait(lock, [&] { return closed_ || !lines_.empty(); });
+    if (lines_.empty()) return false;  // closed and drained
+    was_full = lines_.size() >= capacity_;
+    out.swap(lines_);
+  }
+  // Producers sleep only on a full queue; the swap freed all of it.
+  if (was_full) not_full_.notify_all();
   return true;
 }
 
@@ -70,7 +79,15 @@ void LineQueue::close() {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
   }
-  cv_.notify_all();
+  not_empty_.notify_all();
+  not_full_.notify_all();
+}
+
+bool LocalConnection::read_line(std::string& line) {
+  if (batch_.empty() && !in_->pop_all(batch_)) return false;
+  line = std::move(batch_.front());
+  batch_.pop_front();
+  return true;
 }
 
 std::unique_ptr<Connection> LocalListener::connect() {

@@ -16,6 +16,27 @@
 // need no special shutdown signalling beyond closing connections.
 // A socket peer that sends more than kMaxLineBytes without a newline
 // gets LineTooLong instead of an ever-growing buffer.
+//
+// Wake discipline of the in-process queues. A line crosses threads
+// through a LineQueue, and a thread handoff (a futex wake and a
+// context switch) costs far more than the line's parse or its ingest.
+// So the queue wakes a sleeping thread only when that thread has
+// something to do:
+//   * push notifies consumers only on the empty -> non-empty
+//     transition, and pop_all notifies producers only when it found
+//     the queue full. Both read the transition flag under the lock, so
+//     no wake-up is lost: a thread sleeps only while the queue is
+//     empty (consumers) or full (producers), and leaving that state
+//     always notifies.
+//   * "not empty" and "not full" are separate condition variables, so
+//     a push never wakes a producer and a take never wakes a consumer.
+//   * The take is a batch: pop_all swaps out the whole backlog under
+//     one lock. LocalConnection::read_line serves lines from that
+//     private batch and refills it only when it runs dry, so a burst
+//     of lines costs the reader one lock and at most one wake-up.
+// The private batch makes each LocalConnection a one-reader endpoint:
+// one thread at a time calls read_line (any thread may write_line or
+// close).
 #pragma once
 
 #include <condition_variable>
@@ -111,27 +132,31 @@ class LineQueue {
 
   /// Blocks while full; returns false when closed.
   bool push(const std::string& line);
-  /// Blocks while empty; returns false when closed *and* drained.
-  bool pop(std::string& line);
+  /// Blocks while empty, then moves the whole backlog into `out`,
+  /// which must be empty, in arrival order. Returns false when closed
+  /// *and* drained.
+  bool pop_all(std::deque<std::string>& out);
   void close();
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable not_empty_;  ///< consumers wait here
+  std::condition_variable not_full_;   ///< producers wait here
   std::deque<std::string> lines_;
   std::size_t capacity_;
   bool closed_ = false;
 };
 
 /// In-process connection endpoint: reads from one queue, writes the
-/// other. Created in pairs by LocalListener::connect().
+/// other. Created in pairs by LocalListener::connect(). One thread at
+/// a time may read (see the wake discipline above).
 class LocalConnection final : public Connection {
  public:
   LocalConnection(std::shared_ptr<LineQueue> in,
                   std::shared_ptr<LineQueue> out)
       : in_(std::move(in)), out_(std::move(out)) {}
 
-  bool read_line(std::string& line) override { return in_->pop(line); }
+  bool read_line(std::string& line) override;
   void write_line(const std::string& line) override { out_->push(line); }
   void close() override {
     in_->close();
@@ -141,6 +166,7 @@ class LocalConnection final : public Connection {
  private:
   std::shared_ptr<LineQueue> in_;
   std::shared_ptr<LineQueue> out_;
+  std::deque<std::string> batch_;  ///< taken from in_, not yet read
 };
 
 /// In-process accept source. A client calls connect() and gets its end

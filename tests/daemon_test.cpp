@@ -549,6 +549,38 @@ TEST(DaemonWireBounds, OversizeLineGetsOneErrorThenClose) {
   server.join();
 }
 
+// Each `user` verb adds a session, so the daemon bounds them: past
+// max_sessions a registration gets an error reply and is counted.
+TEST(DaemonWireBounds, UserBeyondMaxSessionsGetsErrorReplyAndIsCounted) {
+  DaemonConfig config;
+  config.num_shards = 2;
+  config.max_sessions = 2;
+  Netmasterd daemon(config);
+  const obs::Counter& rejected =
+      obs::Registry::global().counter("daemon.sessions.rejected");
+  const std::uint64_t before = rejected.value();
+
+  EXPECT_EQ(daemon.handle_line("user 1 7 8 mail"), "ok");
+  // A registration that fails for another reason gives its slot back.
+  EXPECT_EQ(daemon.handle_line("user 1 7 8 mail").rfind("err ", 0), 0u);
+  EXPECT_EQ(daemon.handle_line("user 2 7 8 mail"), "ok");
+  for (const char* line : {"user 3 7 8 mail", "user 4 7 8 im"}) {
+    const std::string reply = daemon.handle_line(line);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
+    EXPECT_NE(reply.find("max_sessions=2"), std::string::npos) << reply;
+  }
+  EXPECT_EQ(rejected.value() - before, 2u);
+  EXPECT_THROW(daemon.add_user({.user = 5, .train_days = 7, .num_days = 8,
+                                .app_names = {"mail"}}),
+               SessionLimitReached);
+  EXPECT_EQ(rejected.value() - before, 3u);
+  // The refused users have no session: their events are dropped.
+  EXPECT_EQ(daemon.handle_line("ingest 3 screen-on 0"), "ok");
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.totals.users, 2u);
+  EXPECT_EQ(stats.totals.dropped_events, 1u);
+}
+
 // ---- Shard queue semantics. ------------------------------------------
 
 TEST(DaemonQueue, TinyQueueBackpressureStillProcessesEverything) {
@@ -566,6 +598,49 @@ TEST(DaemonQueue, TinyQueueBackpressureStillProcessesEverything) {
   const DaemonStats stats = daemon.stats();
   EXPECT_EQ(stats.totals.events, plan.events.size());
   EXPECT_EQ(stats.totals.queue_depth, 0u);
+}
+
+// Three threads post into one shard whose queue holds one command, so
+// nearly every post waits on "not full" and nearly every take finds
+// the queue full: a lost wake-up on either side hangs the test (its
+// ctest timeout turns that into a failure). Each thread streams one
+// user, so per-user order survives the interleaving and every schedule
+// matches a sequential replay.
+TEST(DaemonQueueStress, ThreePostersIntoACapacityOneShardThenDrain) {
+  LoadConfig load;
+  load.users = 3;
+  const LoadPlan plan = build_load_plan(load);
+
+  const DaemonConfig defaults;
+  Shard shard(0, 1, defaults.policy, defaults.adapt);
+  for (const LoadUser& user : plan.users) shard.add_user(user.session);
+  std::vector<std::thread> posters;
+  for (const LoadUser& user : plan.users) {
+    posters.emplace_back([&shard, &plan, id = user.session.user] {
+      for (const LoadEvent& event : plan.events) {
+        if (event.user == id) shard.ingest(id, event.record);
+      }
+      shard.finish(id);
+    });
+  }
+  for (std::thread& t : posters) t.join();
+  shard.drain().get();
+
+  const ShardStats stats = shard.stats();
+  EXPECT_EQ(stats.events, plan.events.size());
+  EXPECT_EQ(stats.users_finished, plan.users.size());
+  EXPECT_EQ(stats.dropped_events, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+
+  Netmasterd sequential;
+  replay_plan(plan, sequential);
+  for (const LoadUser& user : plan.users) {
+    const UserId id = user.session.user;
+    expect_outcomes_bitwise_equal(shard.schedule(id).outcome,
+                                  sequential.schedule(id).outcome,
+                                  "user " + std::to_string(id));
+  }
+  shard.stop();
 }
 
 TEST(DaemonQueue, LateEventsAreCountedNotRefolded) {

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,15 +28,20 @@ TEST(NetTransport, LineQueuePushPopAndClose) {
   LineQueue q(2);
   EXPECT_TRUE(q.push("a"));
   EXPECT_TRUE(q.push("b"));
-  std::string line;
-  EXPECT_TRUE(q.pop(line));
-  EXPECT_EQ(line, "a");
+  std::deque<std::string> batch;
+  EXPECT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, (std::deque<std::string>{"a", "b"}));
+  // The take needs an empty batch: leftovers would be swapped back in.
+  EXPECT_TRUE(q.push("c"));
+  EXPECT_THROW(q.pop_all(batch), Error);
+  batch.clear();
   q.close();
   // Closed but not drained: the remaining line is still delivered.
-  EXPECT_TRUE(q.pop(line));
-  EXPECT_EQ(line, "b");
-  EXPECT_FALSE(q.pop(line));
-  EXPECT_FALSE(q.push("c"));
+  EXPECT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, std::deque<std::string>{"c"});
+  batch.clear();
+  EXPECT_FALSE(q.pop_all(batch));
+  EXPECT_FALSE(q.push("d"));
 }
 
 TEST(NetTransport, LineQueueBlocksWhenFullUntilPopped) {
@@ -39,17 +49,110 @@ TEST(NetTransport, LineQueueBlocksWhenFullUntilPopped) {
   ASSERT_TRUE(q.push("first"));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    q.push("second");  // must block until the consumer pops
+    q.push("second");  // must block until the consumer takes
     pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
-  std::string line;
-  EXPECT_TRUE(q.pop(line));
+  std::deque<std::string> batch;
+  EXPECT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, std::deque<std::string>{"first"});
   producer.join();
   EXPECT_TRUE(pushed.load());
-  EXPECT_TRUE(q.pop(line));
-  EXPECT_EQ(line, "second");
+  batch.clear();
+  EXPECT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(batch, std::deque<std::string>{"second"});
+}
+
+TEST(NetTransport, LocalReadLineServesBatchesInOrder) {
+  auto in = std::make_shared<LineQueue>(4);
+  auto out = std::make_shared<LineQueue>(4);
+  LocalConnection reader(in, out);
+  ASSERT_TRUE(in->push("one"));
+  ASSERT_TRUE(in->push("two"));
+  std::string line;
+  ASSERT_TRUE(reader.read_line(line));  // takes both lines
+  EXPECT_EQ(line, "one");
+  ASSERT_TRUE(in->push("three"));
+  ASSERT_TRUE(reader.read_line(line));  // from the taken batch
+  EXPECT_EQ(line, "two");
+  ASSERT_TRUE(reader.read_line(line));  // refills
+  EXPECT_EQ(line, "three");
+  reader.close();
+  EXPECT_FALSE(reader.read_line(line));
+}
+
+// ---- Wake-up stress (the timeouts in tests/CMakeLists.txt turn a lost
+// wake-up into a failure instead of a hang). --------------------------
+
+constexpr std::size_t kStressCapacities[] = {1, 2, 1024};
+
+TEST(NetTransportStress, TwoProducersDeliverEveryLineOnceInOrder) {
+  constexpr int kProducers = 2;
+  constexpr int kLinesEach = 100'000;
+  for (const std::size_t capacity : kStressCapacities) {
+    auto in = std::make_shared<LineQueue>(capacity);
+    LocalConnection reader(in, std::make_shared<LineQueue>(1));
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&in, p] {
+        const std::string prefix = std::to_string(p) + ' ';
+        for (int i = 0; i < kLinesEach; ++i) {
+          if (!in->push(prefix + std::to_string(i))) return;
+        }
+      });
+    }
+    std::vector<int> next(kProducers, 0);
+    std::string line;
+    bool delivered = true;
+    bool in_order = true;
+    for (int k = 0; k < kProducers * kLinesEach && delivered; ++k) {
+      const int p = reader.read_line(line) ? line[0] - '0' : -1;
+      delivered = p >= 0 && p < kProducers;
+      if (delivered) {
+        in_order = in_order && line.substr(2) == std::to_string(next[p]);
+        ++next[p];
+      }
+    }
+    // Every line is read by now, unless the reader stopped early; the
+    // close then releases the producers instead of leaving them blocked.
+    in->close();
+    for (std::thread& t : producers) t.join();
+    EXPECT_TRUE(delivered) << "capacity " << capacity << ": " << line;
+    EXPECT_TRUE(in_order) << "capacity " << capacity;
+    EXPECT_EQ(next, std::vector<int>(kProducers, kLinesEach))
+        << "capacity " << capacity;
+    // Nothing beyond the sent lines: the reader sees the end.
+    EXPECT_FALSE(reader.read_line(line)) << "capacity " << capacity;
+  }
+}
+
+TEST(NetTransportStress, CloseReleasesBlockedProducerAndConsumer) {
+  for (const std::size_t capacity : kStressCapacities) {
+    // A producer blocked on a full queue returns false on close.
+    auto full = std::make_shared<LineQueue>(capacity);
+    for (std::size_t i = 0; i < capacity; ++i) ASSERT_TRUE(full->push("x"));
+    std::atomic<int> push_result{-1};
+    std::thread producer(
+        [&] { push_result.store(full->push("blocked") ? 1 : 0); });
+    // A consumer blocked on an empty queue returns false on close.
+    auto empty = std::make_shared<LineQueue>(capacity);
+    LocalConnection reader(empty, std::make_shared<LineQueue>(1));
+    std::atomic<int> read_result{-1};
+    std::thread consumer([&] {
+      std::string line;
+      read_result.store(reader.read_line(line) ? 1 : 0);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(push_result.load(), -1) << "capacity " << capacity;
+    EXPECT_EQ(read_result.load(), -1) << "capacity " << capacity;
+    full->close();
+    reader.close();
+    producer.join();
+    consumer.join();
+    EXPECT_EQ(push_result.load(), 0) << "capacity " << capacity;
+    EXPECT_EQ(read_result.load(), 0) << "capacity " << capacity;
+  }
 }
 
 TEST(NetTransport, LocalListenerConnectAcceptRoundTrip) {
@@ -228,6 +331,112 @@ TEST(NetProtocolBounds, UserBeyondMaxTraceDaysGetsErrorReply) {
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply;
     EXPECT_NE(reply.find("num_days"), std::string::npos) << reply;
   }
+}
+
+bool same_request(const Request& a, const Request& b) {
+  return a.kind == b.kind && a.user == b.user &&
+         a.train_days == b.train_days && a.num_days == b.num_days &&
+         a.apps == b.apps && a.record == b.record;
+}
+
+/// One random wire line: a well-formed line of a random verb, then up
+/// to three mutations (truncation, doubled spaces, huge or signed
+/// integers, non-ASCII and control bytes, dropped or repeated tokens).
+std::string fuzzed_line(std::mt19937_64& rng) {
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto number = [&]() -> std::string {
+    switch (pick(8)) {
+      case 0: return std::to_string(rng());  // up to 20 digits
+      case 1: return "99999999999999999999999";
+      case 2: return std::to_string(std::numeric_limits<std::int64_t>::min());
+      case 3: return "-" + std::to_string(pick(100));
+      case 4: return "0" + std::to_string(pick(1000));
+      default: return std::to_string(pick(1'000'000));
+    }
+  };
+  auto flag = [&]() -> std::string {
+    const char* flags[] = {"0", "1", "2", "-1", "01", ""};
+    return flags[pick(6)];
+  };
+  std::string line;
+  switch (pick(11)) {
+    case 0:
+      line = "user " + number() + ' ' + std::to_string(7 * (1 + pick(3))) +
+             ' ' + std::to_string(22 + pick(40));
+      for (std::size_t a = 0, n = 1 + pick(4); a < n; ++a) {
+        line += " app" + std::to_string(a);
+      }
+      break;
+    case 1:
+      line = "user " + number() + ' ' + number() + ' ' + number() + " mail";
+      break;
+    case 2: line = "ingest " + number() + " screen-on " + number(); break;
+    case 3: line = "ingest " + number() + " screen-off " + number(); break;
+    case 4:
+      line = "ingest " + number() + " app " + number() + ' ' + number() +
+             ' ' + number();
+      break;
+    case 5:
+      line = "ingest " + number() + " net " + number() + ' ' + number() +
+             ' ' + number() + ' ' + number() + ' ' + number() + ' ' +
+             flag() + ' ' + flag();
+      break;
+    case 6: line = "finish " + number(); break;
+    case 7: line = "get-schedule " + number(); break;
+    case 8: line = "stats"; break;
+    case 9: line = "drain"; break;
+    default: line = "shutdown"; break;
+  }
+  for (std::size_t m = 0, n = pick(4); m < n && !line.empty(); ++m) {
+    const std::size_t at = pick(line.size());
+    switch (pick(6)) {
+      case 0: line.resize(at); break;                  // truncation
+      case 1: line.insert(at, " "); break;             // doubled space
+      case 2:                                          // non-ASCII byte
+        line.insert(at, 1, static_cast<char>(0x80 + pick(128)));
+        break;
+      case 3: {                                        // control byte
+        const char controls[] = {'\0', '\t', '\r', '\x7f'};
+        line[at] = controls[pick(4)];
+        break;
+      }
+      case 4: line.erase(at, 1 + pick(6)); break;      // drop a span
+      default: line += line.substr(at); break;         // repeat a tail
+    }
+  }
+  return line;
+}
+
+// The wire parser is a trust boundary: whatever bytes arrive, it never
+// throws, a rejected line always explains itself, and an accepted line
+// means the same request after a format/parse round trip.
+TEST(NetProtocolBounds, FuzzedLinesNeverThrowAndRoundTrip) {
+  std::mt19937_64 rng(20141009);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 50'000; ++i) {
+    const std::string line = fuzzed_line(rng);
+    Request parsed;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = parse_request(line, parsed, error)) << line;
+    if (!ok) {
+      ++rejected;
+      ASSERT_FALSE(error.empty()) << line;
+      continue;
+    }
+    ++accepted;
+    const std::string formatted = format_request(parsed);
+    Request again;
+    ASSERT_TRUE(parse_request(formatted, again, error))
+        << line << " -> " << formatted << ": " << error;
+    ASSERT_TRUE(same_request(parsed, again)) << line << " -> " << formatted;
+  }
+  // The generator covers both sides of the boundary.
+  EXPECT_GT(accepted, 5'000);
+  EXPECT_GT(rejected, 5'000);
 }
 
 TEST(NetProtocol, FormatParsesBackBitIdentical) {
