@@ -45,13 +45,13 @@ Netmasterd::Netmasterd(DaemonConfig config) : config_(config) {
 
 Netmasterd::~Netmasterd() { shutdown(); }
 
-Shard& Netmasterd::shard_for(UserId user) {
+std::size_t Netmasterd::shard_index(UserId user) const {
   // Fibonacci hashing of the id; user ids are often small and dense,
   // and modulo alone would put a sequential fleet on few shards.
   const std::uint64_t h =
       static_cast<std::uint64_t>(user) * 11400714819323198485ULL;
-  return *shards_[static_cast<std::size_t>(
-      h % static_cast<std::uint64_t>(shards_.size()))];
+  return static_cast<std::size_t>(
+      h % static_cast<std::uint64_t>(shards_.size()));
 }
 
 void Netmasterd::add_user(UserSessionConfig config) {
@@ -135,6 +135,11 @@ std::string Netmasterd::handle_line(const std::string& line,
   if (!net::parse_request(line, request, error)) {
     return net::err_response(error);
   }
+  return handle(request, shutdown_requested);
+}
+
+std::string Netmasterd::handle(const net::Request& request,
+                               bool* shutdown_requested) {
   if (request.kind == net::RequestKind::kShutdown &&
       shutdown_requested != nullptr) {
     *shutdown_requested = true;
@@ -202,7 +207,7 @@ std::string Netmasterd::handle_line(const std::string& line,
         return net::ok_response("drained");
       case net::RequestKind::kShutdown:
         // The reply is written by the caller before shutdown closes
-        // the transport — see serve()'s connection loop.
+        // the transport — see serve_connection().
         return net::ok_response("shutting down");
     }
   } catch (const std::exception& e) {
@@ -235,16 +240,8 @@ void Netmasterd::serve(net::Listener& listener) {
     // long-lived daemon holds state only for live connections instead
     // of accumulating finished threads until serve() exits.
     std::thread([this, conn] {
-      std::string line;
       try {
-        while (conn->read_line(line)) {
-          bool stop = false;
-          conn->write_line(handle_line(line, &stop));
-          if (stop) {
-            shutdown();  // closes the listener and every connection
-            break;
-          }
-        }
+        serve_connection(*conn);
       } catch (const net::LineTooLong& e) {
         // An oversize line cannot be resynchronized: one error reply,
         // then the close below.
@@ -271,6 +268,63 @@ void Netmasterd::serve(net::Listener& listener) {
   std::unique_lock<std::mutex> lock(serve_mutex_);
   serve_cv_.wait(lock, [&] { return active_workers_ == 0; });
   listener_ = nullptr;
+}
+
+void Netmasterd::serve_connection(net::Connection& conn) {
+  net::LineBatch lines;
+  std::vector<std::string> replies;  // written by the next flush
+  // Per shard: the ingests parsed since the last flush, and where each
+  // one's reply sits in `replies`.
+  std::vector<std::vector<Shard::Ingest>> pending(shards_.size());
+  std::vector<std::vector<std::size_t>> reply_at(shards_.size());
+  net::Request request;
+  std::string error;
+
+  auto flush = [&] {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (pending[s].empty()) continue;
+      const std::size_t queued =
+          shutdown_.load() ? 0 : shards_[s]->ingest(pending[s]);
+      // An ingest the shard did not take (the daemon is stopping) gets
+      // the one-line path's reply: the same error handle_line gives.
+      for (std::size_t i = queued; i < pending[s].size(); ++i) {
+        net::Request single;
+        single.kind = net::RequestKind::kIngest;
+        single.user = pending[s][i].user;
+        single.record = pending[s][i].record;
+        replies[reply_at[s][i]] = handle(single, nullptr);
+      }
+      pending[s].clear();
+      reply_at[s].clear();
+    }
+    if (!replies.empty()) conn.write_lines(replies);
+    replies.clear();
+  };
+
+  while (conn.read_lines(lines)) {
+    for (const std::string& line : lines) {
+      const bool parsed = net::parse_request(line, request, error);
+      if (parsed && request.kind == net::RequestKind::kIngest) {
+        const std::size_t s = shard_index(request.user);
+        pending[s].push_back({request.user, request.record});
+        reply_at[s].push_back(replies.size());
+        replies.push_back(net::ok_response());
+        continue;
+      }
+      // Every other request sees the ingests before it applied in
+      // order, and its reply goes out right after it runs.
+      flush();
+      bool stop = false;
+      replies.push_back(parsed ? handle(request, &stop)
+                               : net::err_response(error));
+      flush();
+      if (stop) {
+        shutdown();  // closes the listener and every connection
+        return;
+      }
+    }
+    flush();
+  }
 }
 
 }  // namespace netmaster::daemon

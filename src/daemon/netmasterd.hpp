@@ -15,6 +15,19 @@
 //   * the line protocol (net/protocol.hpp) via handle_line(), served
 //     over any net::Listener (TCP or in-process) by serve().
 //
+// serve() handles each connection in batches: it takes every line the
+// transport already holds (net::Connection::read_lines), parses each
+// once, and applies the batch with one shard put per shard and one
+// reply write. An `ingest` line only joins its shard's pending batch
+// and queues its `ok`. Any other verb, or a rejected line, first
+// flushes the pending ingests to their shards and the queued replies
+// to the peer, then runs on its own and has its reply written at
+// once; the end of the batch flushes again. So a connection's requests
+// still apply in FIFO order, a `drain` or `get-schedule` observes
+// every ingest sent before it on the connection, and replies keep the
+// request order — while thread handoffs scale with batches, not lines.
+// An ingest reply `ok` means the event is queued on its shard.
+//
 // drain() resolves when every event enqueued before it has been fully
 // applied (folded, mined, reflected in schedules) — the FIFO shard
 // queues make that a token per shard. shutdown() drains, stops the
@@ -32,6 +45,7 @@
 
 #include "common/error.hpp"
 #include "daemon/shard.hpp"
+#include "net/protocol.hpp"
 #include "net/transport.hpp"
 
 namespace netmaster::daemon {
@@ -42,8 +56,9 @@ struct DaemonConfig {
   /// (ingest backpressure).
   std::size_t queue_capacity = 8192;
   /// Upper bound on registered sessions. Each `user` verb adds one,
-  /// so without it one peer could grow the daemon without limit. Past it add_user throws SessionLimitReached (an `err`
-  /// reply on the wire), counted in daemon.sessions.rejected.
+  /// so without it one peer could grow the daemon without limit. Past
+  /// it add_user throws SessionLimitReached (an `err` reply on the
+  /// wire), counted in daemon.sessions.rejected.
   std::size_t max_sessions = 4096;
   policy::NetMasterConfig policy;
   /// Drift adaptation of the serving models, on by default — the
@@ -99,17 +114,22 @@ class Netmasterd {
   std::string handle_line(const std::string& line,
                           bool* shutdown_requested = nullptr);
 
-  /// Accept loop: serves connections (one thread each) until the
-  /// listener closes — which shutdown() triggers, including via an
-  /// in-band `shutdown` request. Connection workers reap themselves
-  /// when their conversation ends (no per-connection state outlives
-  /// the peer), and serve() returns only after the last worker has
-  /// finished. Blocks; run it on its own thread for a
-  /// concurrently-driven daemon.
+  /// Accept loop: serves connections (one thread each, in batches as
+  /// described above) until the listener closes — which shutdown()
+  /// triggers, including via an in-band `shutdown` request. Connection
+  /// workers reap themselves when their conversation ends (no
+  /// per-connection state outlives the peer), and serve() returns only
+  /// after the last worker has finished. Blocks; run it on its own
+  /// thread for a concurrently-driven daemon.
   void serve(net::Listener& listener);
 
  private:
-  Shard& shard_for(UserId user);
+  std::size_t shard_index(UserId user) const;
+  Shard& shard_for(UserId user) { return *shards_[shard_index(user)]; }
+  /// handle_line past the parse: applies one well-formed request.
+  std::string handle(const net::Request& request, bool* shutdown_requested);
+  /// One connection's batched read-apply-reply loop (see above).
+  void serve_connection(net::Connection& conn);
   void close_connections();
 
   DaemonConfig config_;

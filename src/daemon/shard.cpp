@@ -1,5 +1,6 @@
 #include "daemon/shard.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -14,10 +15,10 @@ namespace {
 struct ShardMetrics {
   obs::Counter& ingested;
   obs::Counter& dropped;
-  /// Commands enqueued across *all* shards: every post adds one, every
-  /// worker subtracts the batch it drained. Deltas, not set() — a
-  /// last-writer-wins snapshot of one shard's size is meaningless once
-  /// num_shards > 1.
+  /// Commands enqueued across *all* shards: every chunk a put appends
+  /// adds its size, every worker subtracts the batch it drained.
+  /// Deltas, not set() — a last-writer-wins snapshot of one shard's
+  /// size is meaningless once num_shards > 1.
   obs::Gauge& queue_depth;
 
   static ShardMetrics& get() {
@@ -60,18 +61,34 @@ Shard::Shard(int index, std::size_t queue_capacity,
 
 Shard::~Shard() { stop(); }
 
+template <typename Make>
+std::size_t Shard::put(std::size_t count, Make make) {
+  std::size_t done = 0;
+  while (done < count) {
+    bool was_empty = false;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_full_.wait(lock,
+                     [&] { return stopping_ || queue_.size() < capacity_; });
+      if (stopping_) break;
+      was_empty = queue_.empty();
+      const std::size_t n =
+          std::min(count - done, capacity_ - queue_.size());
+      for (const std::size_t end = done + n; done < end; ++done) {
+        queue_.push_back(make(done));
+      }
+      ShardMetrics::get().queue_depth.add(static_cast<double>(n));
+    }
+    // The worker sleeps only on an empty queue: the rest of a burst
+    // finds it awake (or about to swap) and needs no wake-up.
+    if (was_empty) not_empty_.notify_one();
+  }
+  return done;
+}
+
 void Shard::post(Command command) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_full_.wait(lock,
-                 [&] { return stopping_ || queue_.size() < capacity_; });
-  NM_REQUIRE(!stopping_, "command posted to a stopped shard");
-  const bool was_empty = queue_.empty();
-  queue_.push_back(std::move(command));
-  ShardMetrics::get().queue_depth.add(1.0);
-  lock.unlock();
-  // The worker sleeps only on an empty queue: the rest of a burst
-  // finds it awake (or about to swap) and needs no wake-up.
-  if (was_empty) not_empty_.notify_one();
+  NM_REQUIRE(put(1, [&](std::size_t) { return std::move(command); }) == 1,
+             "command posted to a stopped shard");
 }
 
 void Shard::add_user(UserSessionConfig config) {
@@ -83,7 +100,12 @@ void Shard::add_user(UserSessionConfig config) {
 }
 
 void Shard::ingest(UserId user, const service::Record& record) {
-  post(IngestCmd{user, record});
+  post(Ingest{user, record});
+}
+
+std::size_t Shard::ingest(std::span<const Ingest> events) {
+  return put(events.size(),
+             [&](std::size_t i) -> Command { return events[i]; });
 }
 
 void Shard::finish(UserId user) { post(FinishCmd{user}); }
@@ -113,9 +135,6 @@ std::future<void> Shard::drain() {
 void Shard::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // Already stopping; just wait for the worker below.
-    }
     stopping_ = true;
   }
   not_empty_.notify_all();
@@ -153,7 +172,7 @@ void Shard::run() {
 }
 
 void Shard::apply(Command& command) {
-  if (auto* ingest = std::get_if<IngestCmd>(&command)) {
+  if (auto* ingest = std::get_if<Ingest>(&command)) {
     const auto it = sessions_.find(ingest->user);
     if (it == sessions_.end()) {
       ++dropped_events_;

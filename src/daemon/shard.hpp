@@ -8,13 +8,20 @@
 // touched by exactly one thread, so the ingest→fold→mine hot path
 // takes no locks beyond the queue's.
 //
-// Wake discipline (the same as net::LineQueue's): post wakes the
+// One put path. Every command enters through put(), which takes a
+// range of commands in FIFO order: it waits for capacity, appends as
+// much of the range as fits under one lock (one chunk), and repeats
+// until the range is in. A connection's batch of ingests for this
+// shard therefore costs one lock and at most one wake-up per chunk,
+// not per event; a single command is a range of one.
+//
+// Wake discipline (the same as net::LineQueue's): put wakes the
 // worker only on the empty -> non-empty transition, and the worker
 // wakes blocked producers only when its swap found the queue full.
 // Both flags are read under the queue lock, and each side sleeps only
 // in the state whose exit notifies, so no wake-up is lost. The worker
-// takes the whole backlog in one swap, so a burst of posts costs it one
-// lock and at most one wake-up.
+// takes the whole backlog in one swap, so a burst of commands costs
+// it one lock and at most one wake-up.
 //
 // FIFO ordering makes drain trivial: a Drain command's promise
 // resolves only after everything enqueued before it was applied.
@@ -30,6 +37,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <variant>
@@ -57,6 +65,12 @@ struct ShardStats {
 
 class Shard {
  public:
+  /// One monitoring record for one user: the payload of an ingest.
+  struct Ingest {
+    UserId user = 0;
+    service::Record record;
+  };
+
   Shard(int index, std::size_t queue_capacity,
         policy::NetMasterConfig policy_config,
         service::AdaptationConfig adapt);
@@ -71,6 +85,11 @@ class Shard {
   /// Enqueues one record for `user`; blocks while the queue is full.
   /// Unknown users are counted as dropped when the worker gets there.
   void ingest(UserId user, const service::Record& record);
+
+  /// Enqueues `events` in order, blocking while the queue is full.
+  /// Returns how many were enqueued: all of them, unless the shard
+  /// stopped first (then a prefix).
+  std::size_t ingest(std::span<const Ingest> events);
 
   /// Enqueues end-of-stream for `user`.
   void finish(UserId user);
@@ -92,10 +111,6 @@ class Shard {
     UserSessionConfig config;
     std::promise<void> done;
   };
-  struct IngestCmd {
-    UserId user = 0;
-    service::Record record;
-  };
   struct FinishCmd {
     UserId user = 0;
   };
@@ -109,9 +124,15 @@ class Shard {
   struct DrainCmd {
     std::promise<void> done;
   };
-  using Command = std::variant<IngestCmd, AddUserCmd, FinishCmd,
+  using Command = std::variant<Ingest, AddUserCmd, FinishCmd,
                                ScheduleCmd, StatsCmd, DrainCmd>;
 
+  /// The one enqueue path: appends make(0) .. make(count - 1) in
+  /// order, chunk by chunk. Returns how many were enqueued before the
+  /// shard stopped (count when it did not).
+  template <typename Make>
+  std::size_t put(std::size_t count, Make make);
+  /// A range of one; throws when the shard has stopped.
   void post(Command command);
   void run();
   void apply(Command& command);

@@ -1,20 +1,45 @@
 #include "net/transport.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "net/protocol.hpp"
 
 namespace netmaster::net {
 
-bool SocketConnection::read_line(std::string& line) {
+bool Connection::read_line(std::string& line) {
+  if (next_ == batch_.size()) {
+    next_ = 0;
+    if (!read_lines(batch_)) return false;
+  }
+  line = std::move(batch_[next_++]);
+  return true;
+}
+
+bool SocketConnection::read_lines(LineBatch& lines) {
+  lines.clear();
   while (true) {
-    const auto nl = buffer_.find('\n');
-    if (nl != std::string::npos && nl <= kMaxLineBytes) {
-      line.assign(buffer_, 0, nl);
-      buffer_.erase(0, nl + 1);
+    // Split every complete line out of the buffer, stopping at the
+    // first one (or the unterminated tail) longer than the limit.
+    std::size_t pos = 0;
+    bool too_long = false;
+    while (true) {
+      const std::size_t nl = buffer_.find('\n', pos);
+      const std::size_t end = nl == std::string::npos ? buffer_.size() : nl;
+      if (end - pos > kMaxLineBytes) {
+        too_long = true;
+        break;
+      }
+      if (nl == std::string::npos) break;
+      std::string& line = lines.emplace_back(buffer_, pos, nl - pos);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
+      pos = nl + 1;
     }
-    if (nl != std::string::npos || buffer_.size() > kMaxLineBytes) {
+    buffer_.erase(0, pos);
+    // The lines before an oversize one are delivered first; the next
+    // call finds it at the front and throws.
+    if (!lines.empty()) return true;
+    if (too_long) {
       // Bounded: the buffer never holds more than the limit plus one
       // receive chunk.
       buffer_.clear();
@@ -32,9 +57,12 @@ bool SocketConnection::read_line(std::string& line) {
   }
 }
 
-void SocketConnection::write_line(const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
+void SocketConnection::write_lines(std::span<const std::string> lines) {
+  std::string framed;
+  for (const std::string& line : lines) {
+    framed += line;
+    framed.push_back('\n');
+  }
   stream_.send_all(framed.data(), framed.size());
 }
 
@@ -44,22 +72,30 @@ std::unique_ptr<Connection> SocketListener::accept() {
   return std::make_unique<SocketConnection>(std::move(stream));
 }
 
-bool LineQueue::push(const std::string& line) {
-  bool was_empty = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] { return closed_ || lines_.size() < capacity_; });
-    if (closed_) return false;
-    was_empty = lines_.empty();
-    lines_.push_back(line);
+bool LineQueue::push_all(std::span<const std::string> lines) {
+  std::size_t sent = 0;
+  while (sent < lines.size()) {
+    bool was_empty = false;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_full_.wait(lock,
+                     [&] { return closed_ || lines_.size() < capacity_; });
+      if (closed_) return false;
+      was_empty = lines_.empty();
+      const std::size_t n =
+          std::min(lines.size() - sent, capacity_ - lines_.size());
+      lines_.insert(lines_.end(), lines.begin() + sent,
+                    lines.begin() + sent + n);
+      sent += n;
+    }
+    // A consumer sleeps only on an empty queue, so only the chunk that
+    // ends the emptiness needs to wake it.
+    if (was_empty) not_empty_.notify_one();
   }
-  // A consumer sleeps only on an empty queue, so only the first line
-  // of a burst needs to wake it.
-  if (was_empty) not_empty_.notify_one();
   return true;
 }
 
-bool LineQueue::pop_all(std::deque<std::string>& out) {
+bool LineQueue::pop_all(LineBatch& out) {
   NM_REQUIRE(out.empty(), "pop_all needs an empty batch");
   bool was_full = false;
   {
@@ -81,13 +117,6 @@ void LineQueue::close() {
   }
   not_empty_.notify_all();
   not_full_.notify_all();
-}
-
-bool LocalConnection::read_line(std::string& line) {
-  if (batch_.empty() && !in_->pop_all(batch_)) return false;
-  line = std::move(batch_.front());
-  batch_.pop_front();
-  return true;
 }
 
 std::unique_ptr<Connection> LocalListener::connect() {

@@ -1,56 +1,69 @@
 // Line-framed connection transports.
 //
 // The daemon speaks a line-delimited protocol (net/protocol.hpp) over
-// an abstract Connection: read_line blocks for the next '\n'-terminated
-// request, write_line sends one response. Two implementations:
+// an abstract Connection. Connections are batch-native: read_lines
+// blocks for at least one '\n'-terminated line, then takes every
+// complete line already received; write_lines sends a batch in order
+// with one queue push (in-process) or one send (TCP). Each transport
+// implements exactly that pair; read_line/write_line are non-virtual
+// adapters on the base (serving lines one at a time from a private
+// batch) for clients that talk one line at a time. Two transports:
 //
-//   SocketConnection — buffered line framing over a TcpStream (the
-//                      wire front-end);
+//   SocketConnection — line framing over a TcpStream (the wire
+//                      front-end): one recv, then every complete line
+//                      in the buffer;
 //   LocalConnection  — a pair of in-process bounded queues, so tests
 //                      and benches drive the daemon with zero sockets
 //                      and zero syscalls (the csp-channel idiom).
 //
 // Matching Listener implementations let Netmasterd::serve() accept
 // from either world through one interface. All blocking calls return
-// cleanly (read_line -> false) when the peer closes, so serve loops
+// cleanly (read_lines -> false) when the peer closes, so serve loops
 // need no special shutdown signalling beyond closing connections.
 // A socket peer that sends more than kMaxLineBytes without a newline
-// gets LineTooLong instead of an ever-growing buffer.
+// gets LineTooLong instead of an ever-growing buffer; the complete
+// lines before it are still delivered first.
 //
 // Wake discipline of the in-process queues. A line crosses threads
 // through a LineQueue, and a thread handoff (a futex wake and a
 // context switch) costs far more than the line's parse or its ingest.
-// So the queue wakes a sleeping thread only when that thread has
-// something to do:
-//   * push notifies consumers only on the empty -> non-empty
-//     transition, and pop_all notifies producers only when it found
-//     the queue full. Both read the transition flag under the lock, so
-//     no wake-up is lost: a thread sleeps only while the queue is
-//     empty (consumers) or full (producers), and leaving that state
-//     always notifies.
+// So the queue moves lines in batches and wakes a sleeping thread only
+// when that thread has something to do:
+//   * push_all appends a batch chunk by chunk (as much as fits per
+//     lock) and notifies consumers only on the empty -> non-empty
+//     transition; pop_all notifies producers only when it found the
+//     queue full. Both read the transition flag under the lock, so no
+//     wake-up is lost: a thread sleeps only while the queue is empty
+//     (consumers) or full (producers), and leaving that state always
+//     notifies.
 //   * "not empty" and "not full" are separate condition variables, so
 //     a push never wakes a producer and a take never wakes a consumer.
 //   * The take is a batch: pop_all swaps out the whole backlog under
-//     one lock. LocalConnection::read_line serves lines from that
-//     private batch and refills it only when it runs dry, so a burst
-//     of lines costs the reader one lock and at most one wake-up.
-// The private batch makes each LocalConnection a one-reader endpoint:
-// one thread at a time calls read_line (any thread may write_line or
-// close).
+//     one lock, so a burst of lines costs the reader one lock and at
+//     most one wake-up.
+// The adapter's private batch makes each Connection a one-reader
+// endpoint: one thread at a time reads, and a reader uses either
+// read_line or read_lines, not both (any thread may write or close).
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "net/socket.hpp"
 
 namespace netmaster::net {
 
-/// Thrown by SocketConnection::read_line when the peer sends more than
+/// A batch of lines, without their '\n's, in arrival order.
+using LineBatch = std::vector<std::string>;
+
+/// Thrown by SocketConnection::read_lines when the peer sends more than
 /// kMaxLineBytes (net/protocol.hpp) without a '\n'. The buffered bytes
 /// are discarded; the conversation cannot resynchronize, so the caller
 /// replies with an error and closes the connection.
@@ -64,16 +77,29 @@ class Connection {
  public:
   virtual ~Connection() = default;
 
-  /// Blocks for the next line (without the trailing '\n'). Returns
-  /// false on orderly peer close / transport shutdown. Throws
-  /// LineTooLong on an oversize line from an untrusted peer.
-  virtual bool read_line(std::string& line) = 0;
+  /// Blocks for at least one line, then replaces `lines` with every
+  /// complete line already received (without the trailing '\n's).
+  /// Returns false, with `lines` empty, on orderly peer close /
+  /// transport shutdown. Throws LineTooLong on an oversize line from
+  /// an untrusted peer.
+  virtual bool read_lines(LineBatch& lines) = 0;
 
-  /// Sends one line ('\n' appended).
-  virtual void write_line(const std::string& line) = 0;
+  /// Sends a batch of lines in order ('\n' appended to each).
+  virtual void write_lines(std::span<const std::string> lines) = 0;
 
   /// Closes both directions; pending and future reads return false.
   virtual void close() = 0;
+
+  /// One line at a time over read_lines: blocks for the next line.
+  /// Returns false on close; throws what read_lines throws.
+  bool read_line(std::string& line);
+
+  /// Sends one line: a batch of one.
+  void write_line(const std::string& line) { write_lines({&line, 1}); }
+
+ private:
+  LineBatch batch_;       ///< taken by read_line, not yet returned
+  std::size_t next_ = 0;  ///< read_line's position in batch_
 };
 
 /// Accept source for Netmasterd::serve().
@@ -94,9 +120,9 @@ class SocketConnection final : public Connection {
   explicit SocketConnection(TcpStream stream)
       : stream_(std::move(stream)) {}
 
-  bool read_line(std::string& line) override;
-  void write_line(const std::string& line) override;
-  /// Shuts the socket down (a thread blocked in read_line wakes and
+  bool read_lines(LineBatch& lines) override;
+  void write_lines(std::span<const std::string> lines) override;
+  /// Shuts the socket down (a thread blocked in read_lines wakes and
   /// returns false) but defers releasing the descriptor to the
   /// destructor — by then no thread can still be inside recv on it,
   /// so the kernel cannot hand the number to a new socket underneath
@@ -130,19 +156,21 @@ class LineQueue {
   explicit LineQueue(std::size_t capacity = 1024)
       : capacity_(capacity) {}
 
-  /// Blocks while full; returns false when closed.
-  bool push(const std::string& line);
+  /// Appends `lines` in order, blocking while full: each chunk takes
+  /// as much as fits. Returns false when closed, possibly mid-batch
+  /// (a prefix of the batch was then delivered).
+  bool push_all(std::span<const std::string> lines);
   /// Blocks while empty, then moves the whole backlog into `out`,
   /// which must be empty, in arrival order. Returns false when closed
   /// *and* drained.
-  bool pop_all(std::deque<std::string>& out);
+  bool pop_all(LineBatch& out);
   void close();
 
  private:
   std::mutex mutex_;
   std::condition_variable not_empty_;  ///< consumers wait here
   std::condition_variable not_full_;   ///< producers wait here
-  std::deque<std::string> lines_;
+  LineBatch lines_;
   std::size_t capacity_;
   bool closed_ = false;
 };
@@ -156,8 +184,13 @@ class LocalConnection final : public Connection {
                   std::shared_ptr<LineQueue> out)
       : in_(std::move(in)), out_(std::move(out)) {}
 
-  bool read_line(std::string& line) override;
-  void write_line(const std::string& line) override { out_->push(line); }
+  bool read_lines(LineBatch& lines) override {
+    lines.clear();
+    return in_->pop_all(lines);
+  }
+  void write_lines(std::span<const std::string> lines) override {
+    out_->push_all(lines);
+  }
   void close() override {
     in_->close();
     out_->close();
@@ -166,7 +199,6 @@ class LocalConnection final : public Connection {
  private:
   std::shared_ptr<LineQueue> in_;
   std::shared_ptr<LineQueue> out_;
-  std::deque<std::string> batch_;  ///< taken from in_, not yet read
 };
 
 /// In-process accept source. A client calls connect() and gets its end

@@ -470,6 +470,127 @@ TEST(DaemonProtocol, WireSchedulesMatchDirectApiDigests) {
   }
 }
 
+// The protocol script of a 2-user plan with every kind of in-band
+// failure woven in: a duplicate `user`, get-schedule before and after
+// training (and mid-stream), malformed and truncated ingests, an
+// ingest for an unknown user and a line with no verb; it ends with a
+// drain, then stats (after the drain, so `queued=` is deterministic).
+std::vector<std::string> mixed_script(const LoadPlan& plan) {
+  const std::vector<std::string> lines = plan_request_lines(plan);
+  const std::size_t users = plan.users.size();
+  const std::string first = std::to_string(plan.users[0].session.user);
+  const std::string last = std::to_string(plan.users.back().session.user);
+  std::vector<std::string> script(lines.begin(), lines.begin() + users);
+  script.push_back(lines[0]);  // duplicate registration
+  script.push_back("get-schedule " + first);  // untrained
+  const std::string bad[] = {
+      "ingest " + first + " net 5 0",     // truncated
+      "ingest " + first + " screen-on x", // malformed timestamp
+      "ingest 99 screen-on 5",            // unknown user
+      "ingest",                           // no fields
+      "get-schedule " + last,             // mid-stream read
+      "",                                 // empty line
+  };
+  std::size_t next_bad = 0;
+  for (std::size_t i = users; i < lines.size() - users; ++i) {
+    script.push_back(lines[i]);
+    if (i % 997 == 0) script.push_back(bad[next_bad++ % std::size(bad)]);
+  }
+  script.insert(script.end(), lines.end() - static_cast<long>(users),
+                lines.end());
+  for (const LoadUser& user : plan.users) {
+    script.push_back("get-schedule " + std::to_string(user.session.user));
+  }
+  script.push_back("drain");
+  script.push_back("stats");
+  return script;
+}
+
+// The batched serve loop must answer exactly as the one-line path: the
+// whole script goes out as one pipelined write, and every reply must
+// equal, line for line, that of a fresh daemon fed the same lines one
+// at a time through handle_line.
+TEST(DaemonProtocol, PipelinedServeRepliesEqualHandleLine) {
+  LoadConfig load;
+  load.users = 2;
+  const std::vector<std::string> script = mixed_script(build_load_plan(load));
+
+  Netmasterd reference;
+  std::vector<std::string> expected;
+  for (const std::string& line : script) {
+    expected.push_back(reference.handle_line(line));
+  }
+
+  Netmasterd daemon;
+  net::LocalListener listener;
+  std::thread server([&] { daemon.serve(listener); });
+  std::unique_ptr<net::Connection> client = listener.connect();
+  // Written on its own thread: the reply queue is bounded, so the
+  // script can only all go in while the replies are being read.
+  std::thread writer([&] { client->write_lines(script); });
+  std::vector<std::string> replies;
+  std::string reply;
+  while (replies.size() < script.size() && client->read_line(reply)) {
+    replies.push_back(reply);
+  }
+  writer.join();
+  ASSERT_EQ(replies.size(), expected.size());
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    EXPECT_EQ(replies[i], expected[i]) << "line " << i << ": " << script[i];
+  }
+  EXPECT_EQ(expected.back().rfind("ok shards=", 0), 0u) << expected.back();
+  EXPECT_NE(expected.back().find(" queued=0"), std::string::npos);
+  daemon.shutdown();
+  server.join();
+}
+
+// Pipelined over TCP: the whole plan, a drain and the reads go out in
+// one send_all, so the daemon's recv chunks cut lines at arbitrary
+// bytes; every line still gets exactly one reply, in order.
+TEST(DaemonProtocol, PipelinedTcpRepliesMatchDirectApiDigests) {
+  LoadConfig load;
+  load.users = 2;
+  const LoadPlan plan = build_load_plan(load);
+  std::vector<std::string> script = plan_request_lines(plan);
+  const std::size_t plan_lines = script.size();
+  script.push_back("drain");
+  for (const LoadUser& user : plan.users) {
+    script.push_back("get-schedule " + std::to_string(user.session.user));
+  }
+
+  Netmasterd daemon;
+  net::SocketListener listener(0);
+  std::thread server([&] { daemon.serve(listener); });
+  net::SocketConnection client(
+      net::TcpStream::connect("127.0.0.1", listener.port()));
+  std::thread sender([&] { client.write_lines(script); });
+  std::vector<std::string> replies;
+  std::string reply;
+  while (replies.size() < script.size() && client.read_line(reply)) {
+    replies.push_back(reply);
+  }
+  sender.join();
+  ASSERT_EQ(replies.size(), script.size());
+  for (std::size_t i = 0; i < plan_lines; ++i) {
+    ASSERT_EQ(replies[i], "ok") << script[i];
+  }
+  EXPECT_EQ(replies[plan_lines], "ok drained");
+
+  Netmasterd direct;
+  replay_plan(plan, direct);
+  for (std::size_t u = 0; u < plan.users.size(); ++u) {
+    const std::string& wire = replies[plan_lines + 1 + u];
+    EXPECT_EQ(wire, direct.handle_line(script[plan_lines + 1 + u]));
+    EXPECT_EQ(wire.rfind("ok transfers=", 0), 0u) << wire;
+  }
+  // No reply beyond one per line: the next is the shutdown's.
+  client.write_line("shutdown");
+  ASSERT_TRUE(client.read_line(reply));
+  EXPECT_EQ(reply, "ok shutting down");
+  EXPECT_FALSE(client.read_line(reply));
+  server.join();
+}
+
 TEST(DaemonProtocol, EndToEndOverTcpLoopback) {
   Netmasterd daemon;
   net::SocketListener listener(0);
@@ -641,6 +762,73 @@ TEST(DaemonQueueStress, ThreePostersIntoACapacityOneShardThenDrain) {
                                   "user " + std::to_string(id));
   }
   shard.stop();
+}
+
+// Three connections pipeline their users' plans into a daemon whose
+// shard queues hold one command, so every batched put waits for space
+// chunk by chunk while other connections' puts interleave; then a
+// drain. The schedules must equal a sequential replay's.
+TEST(DaemonQueueStress, ThreeConnectionsPipelineIntoCapacityOneShards) {
+  LoadConfig load;
+  load.users = 3;
+  const LoadPlan plan = build_load_plan(load);
+  const std::vector<std::string> lines = plan_request_lines(plan);
+
+  DaemonConfig config;
+  config.num_shards = 2;
+  config.queue_capacity = 1;
+  Netmasterd daemon(config);
+  net::LocalListener listener;
+  std::thread server([&] { daemon.serve(listener); });
+
+  std::vector<std::size_t> not_ok(plan.users.size(), 0);
+  std::vector<std::thread> clients;
+  for (std::size_t u = 0; u < plan.users.size(); ++u) {
+    std::vector<std::string> script;
+    for (const std::string& line : lines) {
+      net::Request request;
+      std::string error;
+      if (net::parse_request(line, request, error) &&
+          request.user == plan.users[u].session.user) {
+        script.push_back(line);
+      }
+    }
+    clients.emplace_back([&listener, &not_ok, u, script = std::move(script)] {
+      std::unique_ptr<net::Connection> conn = listener.connect();
+      std::thread writer([&] { conn->write_lines(script); });
+      std::string reply;
+      std::size_t replies = 0;
+      while (replies < script.size() && conn->read_line(reply)) {
+        ++replies;
+        if (reply != "ok") ++not_ok[u];
+      }
+      writer.join();
+      not_ok[u] += script.size() - replies;
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(not_ok, std::vector<std::size_t>(plan.users.size(), 0));
+
+  std::unique_ptr<net::Connection> control = listener.connect();
+  control->write_line("drain");
+  std::string reply;
+  ASSERT_TRUE(control->read_line(reply));
+  EXPECT_EQ(reply, "ok drained");
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.totals.events, plan.events.size());
+  EXPECT_EQ(stats.totals.users_finished, plan.users.size());
+  EXPECT_EQ(stats.totals.queue_depth, 0u);
+
+  Netmasterd sequential;
+  replay_plan(plan, sequential);
+  for (const LoadUser& user : plan.users) {
+    const UserId id = user.session.user;
+    expect_outcomes_bitwise_equal(daemon.schedule(id).outcome,
+                                  sequential.schedule(id).outcome,
+                                  "user " + std::to_string(id));
+  }
+  daemon.shutdown();
+  server.join();
 }
 
 TEST(DaemonQueue, LateEventsAreCountedNotRefolded) {

@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <random>
@@ -24,56 +24,61 @@ namespace {
 
 // ---- In-process transport. -------------------------------------------
 
+/// One line into the queue: a batch of one.
+bool push_one(LineQueue& q, const std::string& line) {
+  return q.push_all({&line, 1});
+}
+
 TEST(NetTransport, LineQueuePushPopAndClose) {
   LineQueue q(2);
-  EXPECT_TRUE(q.push("a"));
-  EXPECT_TRUE(q.push("b"));
-  std::deque<std::string> batch;
+  EXPECT_TRUE(push_one(q, "a"));
+  EXPECT_TRUE(push_one(q, "b"));
+  LineBatch batch;
   EXPECT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, (std::deque<std::string>{"a", "b"}));
+  EXPECT_EQ(batch, (LineBatch{"a", "b"}));
   // The take needs an empty batch: leftovers would be swapped back in.
-  EXPECT_TRUE(q.push("c"));
+  EXPECT_TRUE(push_one(q, "c"));
   EXPECT_THROW(q.pop_all(batch), Error);
   batch.clear();
   q.close();
   // Closed but not drained: the remaining line is still delivered.
   EXPECT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, std::deque<std::string>{"c"});
+  EXPECT_EQ(batch, LineBatch{"c"});
   batch.clear();
   EXPECT_FALSE(q.pop_all(batch));
-  EXPECT_FALSE(q.push("d"));
+  EXPECT_FALSE(push_one(q, "d"));
 }
 
 TEST(NetTransport, LineQueueBlocksWhenFullUntilPopped) {
   LineQueue q(1);
-  ASSERT_TRUE(q.push("first"));
+  ASSERT_TRUE(push_one(q, "first"));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    q.push("second");  // must block until the consumer takes
+    push_one(q, "second");  // must block until the consumer takes
     pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
-  std::deque<std::string> batch;
+  LineBatch batch;
   EXPECT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, std::deque<std::string>{"first"});
+  EXPECT_EQ(batch, LineBatch{"first"});
   producer.join();
   EXPECT_TRUE(pushed.load());
   batch.clear();
   EXPECT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, std::deque<std::string>{"second"});
+  EXPECT_EQ(batch, LineBatch{"second"});
 }
 
 TEST(NetTransport, LocalReadLineServesBatchesInOrder) {
   auto in = std::make_shared<LineQueue>(4);
   auto out = std::make_shared<LineQueue>(4);
   LocalConnection reader(in, out);
-  ASSERT_TRUE(in->push("one"));
-  ASSERT_TRUE(in->push("two"));
+  ASSERT_TRUE(push_one(*in, "one"));
+  ASSERT_TRUE(push_one(*in, "two"));
   std::string line;
   ASSERT_TRUE(reader.read_line(line));  // takes both lines
   EXPECT_EQ(line, "one");
-  ASSERT_TRUE(in->push("three"));
+  ASSERT_TRUE(push_one(*in, "three"));
   ASSERT_TRUE(reader.read_line(line));  // from the taken batch
   EXPECT_EQ(line, "two");
   ASSERT_TRUE(reader.read_line(line));  // refills
@@ -98,7 +103,7 @@ TEST(NetTransportStress, TwoProducersDeliverEveryLineOnceInOrder) {
       producers.emplace_back([&in, p] {
         const std::string prefix = std::to_string(p) + ' ';
         for (int i = 0; i < kLinesEach; ++i) {
-          if (!in->push(prefix + std::to_string(i))) return;
+          if (!push_one(*in, prefix + std::to_string(i))) return;
         }
       });
     }
@@ -131,10 +136,12 @@ TEST(NetTransportStress, CloseReleasesBlockedProducerAndConsumer) {
   for (const std::size_t capacity : kStressCapacities) {
     // A producer blocked on a full queue returns false on close.
     auto full = std::make_shared<LineQueue>(capacity);
-    for (std::size_t i = 0; i < capacity; ++i) ASSERT_TRUE(full->push("x"));
+    for (std::size_t i = 0; i < capacity; ++i) {
+      ASSERT_TRUE(push_one(*full, "x"));
+    }
     std::atomic<int> push_result{-1};
     std::thread producer(
-        [&] { push_result.store(full->push("blocked") ? 1 : 0); });
+        [&] { push_result.store(push_one(*full, "blocked") ? 1 : 0); });
     // A consumer blocked on an empty queue returns false on close.
     auto empty = std::make_shared<LineQueue>(capacity);
     LocalConnection reader(empty, std::make_shared<LineQueue>(1));
@@ -152,6 +159,95 @@ TEST(NetTransportStress, CloseReleasesBlockedProducerAndConsumer) {
     consumer.join();
     EXPECT_EQ(push_result.load(), 0) << "capacity " << capacity;
     EXPECT_EQ(read_result.load(), 0) << "capacity " << capacity;
+  }
+}
+
+// Batch producers: each push_all is one random-sized batch of 1-5000
+// lines, so chunks of a batch interleave with the other producer's and
+// the reader takes whatever mix is queued with read_lines.
+TEST(NetTransportStress, TwoBatchProducersDeliverEveryLineOnceInOrder) {
+  constexpr int kProducers = 2;
+  constexpr int kLinesEach = 60'000;
+  for (const std::size_t capacity : kStressCapacities) {
+    auto in = std::make_shared<LineQueue>(capacity);
+    LocalConnection reader(in, std::make_shared<LineQueue>(1));
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&in, p, capacity] {
+        std::mt19937 rng(static_cast<std::uint32_t>(capacity * 10 + p));
+        std::uniform_int_distribution<int> size(1, 5000);
+        const std::string prefix = std::to_string(p) + ' ';
+        LineBatch batch;
+        for (int i = 0; i < kLinesEach;) {
+          batch.clear();
+          for (int n = size(rng); n > 0 && i < kLinesEach; --n, ++i) {
+            batch.push_back(prefix + std::to_string(i));
+          }
+          if (!in->push_all(batch)) return;
+        }
+      });
+    }
+    std::vector<int> next(kProducers, 0);
+    LineBatch lines;
+    std::string bad;
+    int received = 0;
+    while (received < kProducers * kLinesEach && bad.empty() &&
+           reader.read_lines(lines)) {
+      if (lines.empty()) bad = "empty batch";
+      for (const std::string& line : lines) {
+        const int p = line[0] - '0';
+        if (p < 0 || p >= kProducers ||
+            line.substr(2) != std::to_string(next[p])) {
+          bad = line;
+          break;
+        }
+        ++next[p];
+        ++received;
+      }
+    }
+    // The close releases the producers if the reader stopped early.
+    in->close();
+    for (std::thread& t : producers) t.join();
+    EXPECT_EQ(bad, "") << "capacity " << capacity;
+    EXPECT_EQ(next, std::vector<int>(kProducers, kLinesEach))
+        << "capacity " << capacity;
+    // Nothing beyond the sent lines: the reader sees the end.
+    EXPECT_FALSE(reader.read_lines(lines)) << "capacity " << capacity;
+    EXPECT_TRUE(lines.empty()) << "capacity " << capacity;
+  }
+}
+
+TEST(NetTransportStress, CloseReleasesProducerBlockedMidBatch) {
+  for (const std::size_t capacity : kStressCapacities) {
+    auto q = std::make_shared<LineQueue>(capacity);
+    LineBatch batch;
+    for (std::size_t i = 0; i < 2 * capacity + 1; ++i) {
+      batch.push_back(std::to_string(i));
+    }
+    std::atomic<int> push_result{-1};
+    std::thread producer(
+        [&] { push_result.store(q->push_all(batch) ? 1 : 0); });
+    // The first chunk fills the empty queue; taking it proves the
+    // producer is mid-batch. What is left cannot fit without another
+    // take, so the producer is (or soon will be) blocked.
+    LineBatch got;
+    ASSERT_TRUE(q->pop_all(got));
+    EXPECT_EQ(got, LineBatch(batch.begin(), batch.begin() + capacity))
+        << "capacity " << capacity;
+    q->close();
+    producer.join();
+    EXPECT_EQ(push_result.load(), 0) << "capacity " << capacity;
+    // Whatever fit before the close is delivered in order.
+    LineBatch rest;
+    if (q->pop_all(rest)) {
+      EXPECT_LE(rest.size(), capacity);
+      EXPECT_TRUE(std::equal(rest.begin(), rest.end(),
+                             batch.begin() + capacity))
+          << "capacity " << capacity;
+      rest.clear();
+    }
+    EXPECT_FALSE(q->pop_all(rest)) << "capacity " << capacity;
+    EXPECT_FALSE(q->push_all(batch)) << "capacity " << capacity;
   }
 }
 
@@ -210,6 +306,36 @@ TEST(NetTransport, TcpLoopbackLineRoundTrip) {
   EXPECT_EQ(line, "echo world");
   client.close();
   server.join();
+  listener.close();
+}
+
+// read_lines takes every complete line already received, strips a
+// '\r', and delivers the lines before an oversize one ahead of its
+// LineTooLong.
+TEST(NetTransport, TcpReadLinesDeliversCompleteLinesThenTooLong) {
+  SocketListener listener(0);
+  TcpStream peer = TcpStream::connect("127.0.0.1", listener.port());
+  std::unique_ptr<Connection> conn = listener.accept();
+  ASSERT_TRUE(conn);
+  std::thread sender([&] {
+    const std::string payload =
+        "a\r\nb\nc\n" + std::string(kMaxLineBytes + 1, 'x');
+    try {
+      peer.send_all(payload.data(), payload.size());
+    } catch (const Error&) {
+      // The reader stopped at the limit and closed first.
+    }
+  });
+  LineBatch got;
+  LineBatch lines;
+  while (got.size() < 3 && conn->read_lines(lines)) {
+    EXPECT_FALSE(lines.empty());
+    got.insert(got.end(), lines.begin(), lines.end());
+  }
+  EXPECT_EQ(got, (LineBatch{"a", "b", "c"}));
+  EXPECT_THROW(conn->read_lines(lines), LineTooLong);
+  conn->close();
+  sender.join();
   listener.close();
 }
 
