@@ -1,6 +1,5 @@
 #include "daemon/shard.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -15,8 +14,9 @@ namespace {
 struct ShardMetrics {
   obs::Counter& ingested;
   obs::Counter& dropped;
-  /// Commands enqueued across *all* shards: every chunk a put appends
-  /// adds its size, every worker subtracts the batch it drained.
+  /// Commands enqueued across *all* shards: every put adds its count
+  /// up front and subtracts the part the stopped shard refused, every
+  /// worker subtracts the batch it took, so it never reads below zero.
   /// Deltas, not set() — a last-writer-wins snapshot of one shard's
   /// size is meaningless once num_shards > 1.
   obs::Gauge& queue_depth;
@@ -53,9 +53,9 @@ Shard::Shard(int index, std::size_t queue_capacity,
              policy::NetMasterConfig policy_config,
              service::AdaptationConfig adapt)
     : index_(index),
-      capacity_(queue_capacity == 0 ? 1 : queue_capacity),
       policy_config_(policy_config),
-      adapt_(adapt) {
+      adapt_(adapt),
+      queue_(queue_capacity) {
   worker_ = std::thread([this] { run(); });
 }
 
@@ -63,26 +63,10 @@ Shard::~Shard() { stop(); }
 
 template <typename Make>
 std::size_t Shard::put(std::size_t count, Make make) {
-  std::size_t done = 0;
-  while (done < count) {
-    bool was_empty = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_full_.wait(lock,
-                     [&] { return stopping_ || queue_.size() < capacity_; });
-      if (stopping_) break;
-      was_empty = queue_.empty();
-      const std::size_t n =
-          std::min(count - done, capacity_ - queue_.size());
-      for (const std::size_t end = done + n; done < end; ++done) {
-        queue_.push_back(make(done));
-      }
-      ShardMetrics::get().queue_depth.add(static_cast<double>(n));
-    }
-    // The worker sleeps only on an empty queue: the rest of a burst
-    // finds it awake (or about to swap) and needs no wake-up.
-    if (was_empty) not_empty_.notify_one();
-  }
+  obs::Gauge& depth = ShardMetrics::get().queue_depth;
+  depth.add(static_cast<double>(count));
+  const std::size_t done = queue_.put(count, make);
+  if (done < count) depth.add(-static_cast<double>(count - done));
   return done;
 }
 
@@ -91,12 +75,26 @@ void Shard::post(Command command) {
              "command posted to a stopped shard");
 }
 
+template <typename Work>
+std::future<void> Shard::call(Work work) {
+  std::packaged_task<void()> task(std::move(work));
+  std::future<void> done = task.get_future();
+  post(std::move(task));
+  return done;
+}
+
+void Shard::count_dropped() {
+  ++dropped_events_;
+  ShardMetrics::get().dropped.add(1);
+}
+
 void Shard::add_user(UserSessionConfig config) {
-  AddUserCmd cmd;
-  cmd.config = std::move(config);
-  std::future<void> done = cmd.done.get_future();
-  post(std::move(cmd));
-  done.get();
+  call([&] {
+    const UserId id = config.user;
+    NM_REQUIRE(!sessions_.contains(id), "user already registered");
+    sessions_.emplace(id, std::make_unique<UserSession>(
+                              std::move(config), policy_config_, adapt_));
+  }).get();
 }
 
 void Shard::ingest(UserId user, const service::Record& record) {
@@ -108,37 +106,61 @@ std::size_t Shard::ingest(std::span<const Ingest> events) {
              [&](std::size_t i) -> Command { return events[i]; });
 }
 
-void Shard::finish(UserId user) { post(FinishCmd{user}); }
+void Shard::finish(UserId user) {
+  // Not awaited: a finish for an unknown user, or one that fails,
+  // counts as dropped.
+  call([this, user] {
+    const auto it = sessions_.find(user);
+    if (it == sessions_.end()) {
+      count_dropped();
+      return;
+    }
+    try {
+      it->second->finish();
+    } catch (const std::exception&) {
+      count_dropped();
+    }
+  });
+}
 
 ScheduleResult Shard::schedule(UserId user) {
-  ScheduleCmd cmd;
-  cmd.user = user;
-  std::future<ScheduleResult> result = cmd.result.get_future();
-  post(std::move(cmd));
-  return result.get();
+  ScheduleResult result;
+  call([&] {
+    const auto it = sessions_.find(user);
+    NM_REQUIRE(it != sessions_.end(), "unknown user");
+    result = it->second->schedule();
+    ++schedules_served_;
+  }).get();
+  return result;
 }
 
 ShardStats Shard::stats() {
-  StatsCmd cmd;
-  std::future<ShardStats> result = cmd.result.get_future();
-  post(std::move(cmd));
-  return result.get();
+  ShardStats out;
+  call([&] {
+    out.users = sessions_.size();
+    for (const auto& [id, session] : sessions_) {
+      const UserSessionStats& s = session->stats();
+      out.users_trained += s.trained ? 1 : 0;
+      out.users_finished += s.finished ? 1 : 0;
+      out.events += s.events;
+      out.late_events += s.late_events;
+      out.days_folded += s.days_folded;
+      out.refreshes += s.refreshes;
+      out.alarms += s.alarms;
+    }
+    out.dropped_events = dropped_events_;
+    out.schedules = schedules_served_;
+    out.queue_depth = queue_.size();
+  }).get();
+  return out;
 }
 
 std::future<void> Shard::drain() {
-  DrainCmd cmd;
-  std::future<void> done = cmd.done.get_future();
-  post(std::move(cmd));
-  return done;
+  return call([] {});
 }
 
 void Shard::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
+  queue_.close();
   if (worker_.joinable()) worker_.join();
 }
 
@@ -149,116 +171,31 @@ void Shard::run() {
     ~SpanFlush() { obs::flush_thread_spans(); }
   } flush;
 
-  std::deque<Command> batch;
-  while (true) {
-    bool was_full = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_empty_.wait(lock,
-                      [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty() && stopping_) return;
-      // Take the whole backlog in one swap: commands apply lock-free
-      // and in order, producers get a burst of fresh capacity.
-      was_full = queue_.size() >= capacity_;
-      batch.swap(queue_);
-      ShardMetrics::get().queue_depth.add(
-          -static_cast<double>(batch.size()));
-    }
-    // Producers sleep only on a full queue.
-    if (was_full) not_full_.notify_all();
+  std::vector<Command> batch;
+  while (queue_.pop_all(batch)) {
+    ShardMetrics::get().queue_depth.add(-static_cast<double>(batch.size()));
     for (Command& command : batch) apply(command);
     batch.clear();
   }
 }
 
 void Shard::apply(Command& command) {
-  if (auto* ingest = std::get_if<Ingest>(&command)) {
-    const auto it = sessions_.find(ingest->user);
-    if (it == sessions_.end()) {
-      ++dropped_events_;
-      ShardMetrics::get().dropped.add(1);
-      return;
-    }
-    try {
-      it->second->ingest(ingest->record);
-      ShardMetrics::get().ingested.add(1);
-    } catch (const std::exception&) {
-      ++dropped_events_;
-      ShardMetrics::get().dropped.add(1);
-    }
+  if (auto* task = std::get_if<std::packaged_task<void()>>(&command)) {
+    (*task)();
     return;
   }
-  if (auto* add = std::get_if<AddUserCmd>(&command)) {
-    try {
-      const UserId id = add->config.user;
-      NM_REQUIRE(sessions_.find(id) == sessions_.end(),
-                 "user already registered");
-      sessions_.emplace(id, std::make_unique<UserSession>(
-                                add->config, policy_config_, adapt_));
-      add->done.set_value();
-    } catch (...) {
-      add->done.set_exception(std::current_exception());
-    }
+  const Ingest& ingest = std::get<Ingest>(command);
+  const auto it = sessions_.find(ingest.user);
+  if (it == sessions_.end()) {
+    count_dropped();
     return;
   }
-  if (auto* fin = std::get_if<FinishCmd>(&command)) {
-    const auto it = sessions_.find(fin->user);
-    if (it == sessions_.end()) {
-      ++dropped_events_;
-      ShardMetrics::get().dropped.add(1);
-      return;
-    }
-    try {
-      it->second->finish();
-    } catch (const std::exception&) {
-      ++dropped_events_;
-      ShardMetrics::get().dropped.add(1);
-    }
-    return;
+  try {
+    it->second->ingest(ingest.record);
+    ShardMetrics::get().ingested.add(1);
+  } catch (const std::exception&) {
+    count_dropped();
   }
-  if (auto* sched = std::get_if<ScheduleCmd>(&command)) {
-    try {
-      const auto it = sessions_.find(sched->user);
-      NM_REQUIRE(it != sessions_.end(), "unknown user");
-      sched->result.set_value(it->second->schedule());
-      ++schedules_served_;
-    } catch (...) {
-      sched->result.set_exception(std::current_exception());
-    }
-    return;
-  }
-  if (auto* stats = std::get_if<StatsCmd>(&command)) {
-    stats->result.set_value(snapshot_locked_free());
-    return;
-  }
-  if (auto* drain = std::get_if<DrainCmd>(&command)) {
-    drain->done.set_value();
-    return;
-  }
-}
-
-ShardStats Shard::snapshot_locked_free() const {
-  // Runs on the worker thread: session state needs no lock; only the
-  // queue depth peek takes the queue mutex.
-  ShardStats out;
-  out.users = sessions_.size();
-  for (const auto& [id, session] : sessions_) {
-    const UserSessionStats& s = session->stats();
-    out.users_trained += s.trained ? 1 : 0;
-    out.users_finished += s.finished ? 1 : 0;
-    out.events += s.events;
-    out.late_events += s.late_events;
-    out.days_folded += s.days_folded;
-    out.refreshes += s.refreshes;
-    out.alarms += s.alarms;
-  }
-  out.dropped_events = dropped_events_;
-  out.schedules = schedules_served_;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.queue_depth = queue_.size();
-  }
-  return out;
 }
 
 }  // namespace netmaster::daemon

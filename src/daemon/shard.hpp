@@ -1,47 +1,34 @@
 // One daemon shard: a worker thread owning the UserSessions of every
 // user with hash(user) % num_shards == index.
 //
-// All mutation flows through a bounded MPSC command queue: producers
-// (connection threads, the direct API) block when the queue is full —
-// that blocking IS the daemon's backpressure — and the worker applies
-// commands strictly in arrival order. Per-user state is therefore
-// touched by exactly one thread, so the ingest→fold→mine hot path
-// takes no locks beyond the queue's.
+// All mutation flows through one bounded command queue, a BatchQueue
+// (common/batch_queue.hpp, which states its wake discipline):
+// producers (connection threads, the direct API) block when it is full
+// — that blocking IS the daemon's backpressure — and the worker takes
+// the whole backlog at once and applies it strictly in arrival order.
+// Per-user state is therefore touched by exactly one thread, so the
+// ingest→fold→mine hot path takes no locks beyond the queue's.
 //
-// One put path. Every command enters through put(), which takes a
-// range of commands in FIFO order: it waits for capacity, appends as
-// much of the range as fits under one lock (one chunk), and repeats
-// until the range is in. A connection's batch of ingests for this
-// shard therefore costs one lock and at most one wake-up per chunk,
-// not per event; a single command is a range of one.
-//
-// Wake discipline (the same as net::LineQueue's): put wakes the
-// worker only on the empty -> non-empty transition, and the worker
-// wakes blocked producers only when its swap found the queue full.
-// Both flags are read under the queue lock, and each side sleeps only
-// in the state whose exit notifies, so no wake-up is lost. The worker
-// takes the whole backlog in one swap, so a burst of commands costs
-// it one lock and at most one wake-up.
-//
-// FIFO ordering makes drain trivial: a Drain command's promise
-// resolves only after everything enqueued before it was applied.
-// Synchronous requests (add-user, schedule, stats) ride the same
-// queue with a promise/future round trip, so they linearize with the
-// event stream — a schedule request observes every event ingested
-// before it on the same connection.
+// A command is either an Ingest (the hot path: a plain value, one
+// chunked put per batch of events) or a task that runs on the worker.
+// Every other request is one such task: add-user, schedule, stats,
+// finish and drain (an empty task). FIFO order makes drain trivial —
+// its future resolves only after everything enqueued before it was
+// applied — and makes the synchronous requests linearize with the
+// event stream: a schedule request observes every event ingested
+// before it on the same connection. A task's exception reaches the
+// caller through its future.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <unordered_map>
 #include <variant>
 
+#include "common/batch_queue.hpp"
 #include "daemon/user_session.hpp"
 
 namespace netmaster::daemon {
@@ -107,25 +94,7 @@ class Shard {
   void stop();
 
  private:
-  struct AddUserCmd {
-    UserSessionConfig config;
-    std::promise<void> done;
-  };
-  struct FinishCmd {
-    UserId user = 0;
-  };
-  struct ScheduleCmd {
-    UserId user = 0;
-    std::promise<ScheduleResult> result;
-  };
-  struct StatsCmd {
-    std::promise<ShardStats> result;
-  };
-  struct DrainCmd {
-    std::promise<void> done;
-  };
-  using Command = std::variant<Ingest, AddUserCmd, FinishCmd,
-                               ScheduleCmd, StatsCmd, DrainCmd>;
+  using Command = std::variant<Ingest, std::packaged_task<void()>>;
 
   /// The one enqueue path: appends make(0) .. make(count - 1) in
   /// order, chunk by chunk. Returns how many were enqueued before the
@@ -134,20 +103,18 @@ class Shard {
   std::size_t put(std::size_t count, Make make);
   /// A range of one; throws when the shard has stopped.
   void post(Command command);
+  /// Posts `work` as a task; the future reports its end or exception.
+  template <typename Work>
+  std::future<void> call(Work work);
   void run();
   void apply(Command& command);
-  ShardStats snapshot_locked_free() const;
+  void count_dropped();
 
   const int index_;
-  const std::size_t capacity_;
   policy::NetMasterConfig policy_config_;
   service::AdaptationConfig adapt_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<Command> queue_;
-  bool stopping_ = false;
+  BatchQueue<Command> queue_;
 
   /// Worker-thread-only state (no lock needed).
   std::unordered_map<UserId, std::unique_ptr<UserSession>> sessions_;

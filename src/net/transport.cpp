@@ -1,7 +1,5 @@
 #include "net/transport.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "net/protocol.hpp"
 
@@ -72,56 +70,10 @@ std::unique_ptr<Connection> SocketListener::accept() {
   return std::make_unique<SocketConnection>(std::move(stream));
 }
 
-bool LineQueue::push_all(std::span<const std::string> lines) {
-  std::size_t sent = 0;
-  while (sent < lines.size()) {
-    bool was_empty = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_full_.wait(lock,
-                     [&] { return closed_ || lines_.size() < capacity_; });
-      if (closed_) return false;
-      was_empty = lines_.empty();
-      const std::size_t n =
-          std::min(lines.size() - sent, capacity_ - lines_.size());
-      lines_.insert(lines_.end(), lines.begin() + sent,
-                    lines.begin() + sent + n);
-      sent += n;
-    }
-    // A consumer sleeps only on an empty queue, so only the chunk that
-    // ends the emptiness needs to wake it.
-    if (was_empty) not_empty_.notify_one();
-  }
-  return true;
-}
-
-bool LineQueue::pop_all(LineBatch& out) {
-  NM_REQUIRE(out.empty(), "pop_all needs an empty batch");
-  bool was_full = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !lines_.empty(); });
-    if (lines_.empty()) return false;  // closed and drained
-    was_full = lines_.size() >= capacity_;
-    out.swap(lines_);
-  }
-  // Producers sleep only on a full queue; the swap freed all of it.
-  if (was_full) not_full_.notify_all();
-  return true;
-}
-
-void LineQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-}
-
 std::unique_ptr<Connection> LocalListener::connect() {
-  auto to_server = std::make_shared<LineQueue>();
-  auto to_client = std::make_shared<LineQueue>();
+  constexpr std::size_t kLinesPerDirection = 1024;
+  auto to_server = std::make_shared<LineQueue>(kLinesPerDirection);
+  auto to_client = std::make_shared<LineQueue>(kLinesPerDirection);
   auto client =
       std::make_unique<LocalConnection>(to_client, to_server);
   auto server =

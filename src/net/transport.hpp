@@ -24,23 +24,11 @@
 // gets LineTooLong instead of an ever-growing buffer; the complete
 // lines before it are still delivered first.
 //
-// Wake discipline of the in-process queues. A line crosses threads
-// through a LineQueue, and a thread handoff (a futex wake and a
-// context switch) costs far more than the line's parse or its ingest.
-// So the queue moves lines in batches and wakes a sleeping thread only
-// when that thread has something to do:
-//   * push_all appends a batch chunk by chunk (as much as fits per
-//     lock) and notifies consumers only on the empty -> non-empty
-//     transition; pop_all notifies producers only when it found the
-//     queue full. Both read the transition flag under the lock, so no
-//     wake-up is lost: a thread sleeps only while the queue is empty
-//     (consumers) or full (producers), and leaving that state always
-//     notifies.
-//   * "not empty" and "not full" are separate condition variables, so
-//     a push never wakes a producer and a take never wakes a consumer.
-//   * The take is a batch: pop_all swaps out the whole backlog under
-//     one lock, so a burst of lines costs the reader one lock and at
-//     most one wake-up.
+// A line crosses threads in-process through a LineQueue, the shared
+// BatchQueue (common/batch_queue.hpp, which states its wake
+// discipline): lines move in batches, and a thread is woken only when
+// it has something to do.
+//
 // The adapter's private batch makes each Connection a one-reader
 // endpoint: one thread at a time reads, and a reader uses either
 // read_line or read_lines, not both (any thread may write or close).
@@ -55,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/batch_queue.hpp"
 #include "common/error.hpp"
 #include "net/socket.hpp"
 
@@ -150,34 +139,11 @@ class SocketListener final : public Listener {
 };
 
 /// One direction of an in-process connection: a bounded line queue.
-/// close() wakes both producers and consumers.
-class LineQueue {
- public:
-  explicit LineQueue(std::size_t capacity = 1024)
-      : capacity_(capacity) {}
-
-  /// Appends `lines` in order, blocking while full: each chunk takes
-  /// as much as fits. Returns false when closed, possibly mid-batch
-  /// (a prefix of the batch was then delivered).
-  bool push_all(std::span<const std::string> lines);
-  /// Blocks while empty, then moves the whole backlog into `out`,
-  /// which must be empty, in arrival order. Returns false when closed
-  /// *and* drained.
-  bool pop_all(LineBatch& out);
-  void close();
-
- private:
-  std::mutex mutex_;
-  std::condition_variable not_empty_;  ///< consumers wait here
-  std::condition_variable not_full_;   ///< producers wait here
-  LineBatch lines_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
+using LineQueue = BatchQueue<std::string>;
 
 /// In-process connection endpoint: reads from one queue, writes the
 /// other. Created in pairs by LocalListener::connect(). One thread at
-/// a time may read (see the wake discipline above).
+/// a time may read (see above).
 class LocalConnection final : public Connection {
  public:
   LocalConnection(std::shared_ptr<LineQueue> in,
@@ -189,7 +155,7 @@ class LocalConnection final : public Connection {
     return in_->pop_all(lines);
   }
   void write_lines(std::span<const std::string> lines) override {
-    out_->push_all(lines);
+    out_->put(lines.size(), [&](std::size_t i) { return lines[i]; });
   }
   void close() override {
     in_->close();

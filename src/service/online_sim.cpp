@@ -44,7 +44,7 @@ struct Event {
 struct PendingTransfer {
   std::size_t index;
   TimeMs arrival;
-  DurationMs duration;
+  DurationMs duration;  // original duration
 };
 
 }  // namespace
@@ -130,19 +130,27 @@ OnlineSimResult run_online(const UserTrace& training,
     return config.enable_prediction && today_slots.contains(t);
   };
 
-  auto execute = [&](std::size_t activity, TimeMs at, DurationMs duration,
+  auto execute = [&](std::size_t activity, TimeMs start, DurationMs duration,
                      TimeMs arrival) {
-    const TimeMs release = std::clamp<TimeMs>(
-        std::max(at, arrival), arrival, horizon - duration);
-    out.transfers.push_back({activity, release, duration});
-    if (release > arrival) {
-      out.deferral_latency_s.push_back(to_seconds(release - arrival));
+    out.transfers.push_back({activity, start, duration});
+    if (start > arrival) {
+      out.deferral_latency_s.push_back(to_seconds(start - arrival));
     }
   };
 
+  // A held transfer's deferred copy (deferred_duration) starts at
+  // deferred_release(at, ...); with no room for the copy before the
+  // horizon it runs in place with its original duration.
   auto release_all_pending = [&](TimeMs at) {
     for (const PendingTransfer& p : pending) {
-      execute(p.index, at, p.duration, p.arrival);
+      const DurationMs dur = policy::deferred_duration(p.duration);
+      if (horizon - dur < p.arrival) {
+        execute(p.index, p.arrival, p.duration, p.arrival);
+      } else {
+        execute(p.index,
+                policy::deferred_release(at, p.arrival, dur, horizon), dur,
+                p.arrival);
+      }
     }
     const bool any = !pending.empty();
     pending.clear();
@@ -212,8 +220,7 @@ OnlineSimResult run_online(const UserTrace& training,
           break;
         }
         // Deferrable, screen off: hold for the next radio opportunity.
-        pending.push_back({ev.index, act.start,
-                           policy::deferred_duration(act.duration)});
+        pending.push_back({ev.index, act.start, act.duration});
         if (!config.enable_duty && !config.enable_prediction) {
           // Nothing will ever release it: run in place (ablation).
           release_all_pending(act.start);

@@ -709,16 +709,21 @@ TEST(DaemonQueue, TinyQueueBackpressureStillProcessesEverything) {
   load.users = 2;
   const LoadPlan plan = build_load_plan(load);
 
-  DaemonConfig config;
-  config.num_shards = 2;
-  config.queue_capacity = 1;  // every ingest hits the full-queue path
-  Netmasterd daemon(config);
-  replay_plan(plan, daemon);
-  daemon.drain();
+  // A queue_capacity of 0 acts as 1: every ingest hits the full-queue
+  // path, and nothing blocks forever.
+  for (const std::size_t capacity : {0, 1}) {
+    DaemonConfig config;
+    config.num_shards = 2;
+    config.queue_capacity = capacity;
+    Netmasterd daemon(config);
+    replay_plan(plan, daemon);
+    daemon.drain();
 
-  const DaemonStats stats = daemon.stats();
-  EXPECT_EQ(stats.totals.events, plan.events.size());
-  EXPECT_EQ(stats.totals.queue_depth, 0u);
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.totals.events, plan.events.size())
+        << "capacity " << capacity;
+    EXPECT_EQ(stats.totals.queue_depth, 0u) << "capacity " << capacity;
+  }
 }
 
 // Three threads post into one shard whose queue holds one command, so

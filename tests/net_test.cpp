@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,9 +25,15 @@ namespace {
 
 // ---- In-process transport. -------------------------------------------
 
+/// Appends `lines` in order; false when the queue closed first.
+bool push_all(LineQueue& q, std::span<const std::string> lines) {
+  return q.put(lines.size(), [&](std::size_t i) { return lines[i]; }) ==
+         lines.size();
+}
+
 /// One line into the queue: a batch of one.
 bool push_one(LineQueue& q, const std::string& line) {
-  return q.push_all({&line, 1});
+  return push_all(q, {&line, 1});
 }
 
 TEST(NetTransport, LineQueuePushPopAndClose) {
@@ -50,23 +57,26 @@ TEST(NetTransport, LineQueuePushPopAndClose) {
 }
 
 TEST(NetTransport, LineQueueBlocksWhenFullUntilPopped) {
-  LineQueue q(1);
-  ASSERT_TRUE(push_one(q, "first"));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    push_one(q, "second");  // must block until the consumer takes
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  LineBatch batch;
-  EXPECT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, LineBatch{"first"});
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  batch.clear();
-  EXPECT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, LineBatch{"second"});
+  // A capacity of 0 acts as 1: the first line goes in, the second waits.
+  for (const std::size_t capacity : {0, 1}) {
+    LineQueue q(capacity);
+    ASSERT_TRUE(push_one(q, "first"));
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+      push_one(q, "second");  // must block until the consumer takes
+      pushed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(pushed.load()) << "capacity " << capacity;
+    LineBatch batch;
+    EXPECT_TRUE(q.pop_all(batch));
+    EXPECT_EQ(batch, LineBatch{"first"});
+    producer.join();
+    EXPECT_TRUE(pushed.load());
+    batch.clear();
+    EXPECT_TRUE(q.pop_all(batch));
+    EXPECT_EQ(batch, LineBatch{"second"});
+  }
 }
 
 TEST(NetTransport, LocalReadLineServesBatchesInOrder) {
@@ -183,7 +193,7 @@ TEST(NetTransportStress, TwoBatchProducersDeliverEveryLineOnceInOrder) {
           for (int n = size(rng); n > 0 && i < kLinesEach; --n, ++i) {
             batch.push_back(prefix + std::to_string(i));
           }
-          if (!in->push_all(batch)) return;
+          if (!push_all(*in, batch)) return;
         }
       });
     }
@@ -226,7 +236,7 @@ TEST(NetTransportStress, CloseReleasesProducerBlockedMidBatch) {
     }
     std::atomic<int> push_result{-1};
     std::thread producer(
-        [&] { push_result.store(q->push_all(batch) ? 1 : 0); });
+        [&] { push_result.store(push_all(*q, batch) ? 1 : 0); });
     // The first chunk fills the empty queue; taking it proves the
     // producer is mid-batch. What is left cannot fit without another
     // take, so the producer is (or soon will be) blocked.
@@ -247,7 +257,7 @@ TEST(NetTransportStress, CloseReleasesProducerBlockedMidBatch) {
       rest.clear();
     }
     EXPECT_FALSE(q->pop_all(rest)) << "capacity " << capacity;
-    EXPECT_FALSE(q->push_all(batch)) << "capacity " << capacity;
+    EXPECT_FALSE(push_all(*q, batch)) << "capacity " << capacity;
   }
 }
 

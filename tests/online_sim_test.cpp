@@ -2,6 +2,8 @@
 // cross-validation against the plan-based policy path.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"
 #include "service/online_sim.hpp"
@@ -91,12 +93,32 @@ TEST(OnlineSim, InterruptsMatchPolicyPath) {
 TEST(OnlineSim, CausalityNeverViolated) {
   // Unlike the plan-based path (whose prefetch is an explicitly
   // sanctioned acausality), the online loop may never execute a
-  // transfer before its arrival.
-  const Traces tr = make_traces();
-  const OnlineSimResult r =
-      run_online(tr.training, tr.eval, policy::NetMasterConfig{});
-  for (const sim::ExecutedTransfer& t : r.outcome.transfers) {
-    EXPECT_GE(t.start, tr.eval.activities[t.activity_index].start);
+  // transfer before its arrival, nor let one run past the horizon.
+  std::vector<Traces> inputs = {make_traces()};
+  // A deferrable screen-off transfer arriving 200 ms before the
+  // horizon: too late for a deferred copy (at least 500 ms), so it
+  // must run in place.
+  Traces& edge = inputs.emplace_back();
+  edge.training.user = 1;
+  edge.training.num_days = 7;
+  edge.training.app_names = {"a"};
+  edge.eval = edge.training;
+  NetworkActivity late;
+  late.app = 0;
+  late.start = edge.eval.trace_end() - 200;
+  late.duration = 100;
+  late.bytes_down = 50;
+  late.deferrable = true;
+  edge.eval.activities.push_back(late);
+
+  for (const Traces& tr : inputs) {
+    const OnlineSimResult r =
+        run_online(tr.training, tr.eval, policy::NetMasterConfig{});
+    ASSERT_EQ(r.outcome.transfers.size(), tr.eval.activities.size());
+    for (const sim::ExecutedTransfer& t : r.outcome.transfers) {
+      EXPECT_GE(t.start, tr.eval.activities[t.activity_index].start);
+      EXPECT_LE(t.start + t.duration, tr.eval.trace_end());
+    }
   }
 }
 
