@@ -23,6 +23,8 @@
 //     one lock, so a burst of items costs the consumer one lock and at
 //     most one wake-up, and producers get a burst of fresh capacity.
 //     Swapping back and forth between two vectors reuses both buffers.
+//     A consumer with other work pending takes without waiting
+//     (pop_all with wait = false) and sleeps only once it has none.
 #pragma once
 
 #include <algorithm>
@@ -70,16 +72,19 @@ class BatchQueue {
     return done;
   }
 
-  /// Blocks while empty, then moves the whole backlog into `out`,
-  /// which must be empty, in FIFO order. Returns false only when the
-  /// queue is closed *and* drained.
-  bool pop_all(std::vector<T>& out) {
+  /// Moves the whole backlog into `out`, which must be empty, in FIFO
+  /// order. With `wait`, blocks while the queue is empty; without, an
+  /// empty open queue returns true at once with `out` still empty.
+  /// Returns false only when the queue is closed *and* drained.
+  bool pop_all(std::vector<T>& out, bool wait = true) {
     NM_REQUIRE(out.empty(), "pop_all needs an empty batch");
     bool was_full = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return false;  // closed and drained
+      if (wait) {
+        not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+      }
+      if (items_.empty()) return !closed_;  // false: closed and drained
       was_full = items_.size() >= capacity_;
       out.swap(items_);
     }

@@ -1,10 +1,14 @@
 #include "daemon/netmasterd.hpp"
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <future>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "net/protocol.hpp"
@@ -97,11 +101,15 @@ DaemonStats Netmasterd::stats() {
 }
 
 void Netmasterd::drain() {
-  NM_REQUIRE(!shutdown_.load(), "daemon is shut down");
   std::vector<std::future<void>> tokens;
   tokens.reserve(shards_.size());
-  for (auto& shard : shards_) tokens.push_back(shard->drain());
+  post_drain(tokens);
   for (auto& token : tokens) token.get();
+}
+
+void Netmasterd::post_drain(std::vector<std::future<void>>& tokens) {
+  NM_REQUIRE(!shutdown_.load(), "daemon is shut down");
+  for (auto& shard : shards_) tokens.push_back(shard->drain());
 }
 
 void Netmasterd::shutdown() {
@@ -272,15 +280,26 @@ void Netmasterd::serve(net::Listener& listener) {
 
 void Netmasterd::serve_connection(net::Connection& conn) {
   net::LineBatch lines;
-  std::vector<std::string> replies;  // written by the next flush
-  // Per shard: the ingests parsed since the last flush, and where each
-  // one's reply sits in `replies`.
+  // Replies not yet written, in request order. A drain's reply is
+  // held until its tokens resolve, and so is every reply behind it.
+  std::vector<std::string> replies;
+  // Per shard: the ingests parsed since they were last posted, and
+  // where each one's reply sits in `replies`.
   std::vector<std::vector<Shard::Ingest>> pending(shards_.size());
   std::vector<std::vector<std::size_t>> reply_at(shards_.size());
+  // The posted drains whose replies are held, oldest first: where the
+  // reply sits in `replies` and where the drain's tokens (one per
+  // shard) end in `tokens`.
+  struct HeldDrain {
+    std::size_t reply;
+    std::size_t tokens_end;
+  };
+  std::vector<HeldDrain> held;
+  std::vector<std::future<void>> tokens;
   net::Request request;
   std::string error;
 
-  auto flush = [&] {
+  auto post_pending = [&] {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (pending[s].empty()) continue;
       const std::size_t queued =
@@ -297,11 +316,59 @@ void Netmasterd::serve_connection(net::Connection& conn) {
       pending[s].clear();
       reply_at[s].clear();
     }
-    if (!replies.empty()) conn.write_lines(replies);
-    replies.clear();
   };
 
-  while (conn.read_lines(lines)) {
+  // Posts the pending ingests, then writes every reply up to the first
+  // held drain with an unresolved token. With `wait` it waits for every
+  // token instead, so everything goes out.
+  auto release = [&](bool wait) {
+    post_pending();
+    std::size_t resolved = 0;  // leading held drains with every token done
+    for (std::size_t t = 0; resolved < held.size(); ++resolved) {
+      for (; t < held[resolved].tokens_end; ++t) {
+        if (wait) {
+          tokens[t].wait();
+        } else if (tokens[t].wait_for(std::chrono::seconds(0)) !=
+                   std::future_status::ready) {
+          break;
+        }
+      }
+      if (t < held[resolved].tokens_end) break;
+    }
+    const std::size_t written =
+        resolved < held.size() ? held[resolved].reply : replies.size();
+    if (written > 0) {
+      conn.write_lines({replies.data(), written});
+      replies.erase(replies.begin(),
+                    replies.begin() + static_cast<std::ptrdiff_t>(written));
+    }
+    const std::size_t done = resolved > 0 ? held[resolved - 1].tokens_end : 0;
+    tokens.erase(tokens.begin(),
+                 tokens.begin() + static_cast<std::ptrdiff_t>(done));
+    held.erase(held.begin(),
+               held.begin() + static_cast<std::ptrdiff_t>(resolved));
+    for (HeldDrain& d : held) {
+      d.reply -= written;
+      d.tokens_end -= done;
+    }
+  };
+
+  while (true) {
+    // Sleep for input only when no reply is held: a client that waits
+    // for its drain reply before sending more must get it.
+    bool open = false;
+    try {
+      open = conn.read_lines(lines, held.empty());
+    } catch (const net::LineTooLong&) {
+      release(true);  // the replies to the lines before it go first
+      throw;
+    }
+    if (!open) break;
+    if (lines.empty()) {
+      // Nothing more to read yet: the held replies go out first.
+      release(true);
+      continue;
+    }
     for (const std::string& line : lines) {
       const bool parsed = net::parse_request(line, request, error);
       if (parsed && request.kind == net::RequestKind::kIngest) {
@@ -311,20 +378,38 @@ void Netmasterd::serve_connection(net::Connection& conn) {
         replies.push_back(net::ok_response());
         continue;
       }
+      if (parsed && request.kind == net::RequestKind::kDrain) {
+        // A posted barrier: its tokens queue behind the ingests before
+        // it, and its reply is held until they resolve.
+        post_pending();
+        const std::size_t first = tokens.size();
+        try {
+          post_drain(tokens);
+        } catch (const std::exception& e) {
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(first),
+                       tokens.end());
+          replies.push_back(net::err_response(e.what()));
+          continue;
+        }
+        held.push_back({replies.size(), tokens.size()});
+        replies.push_back(net::ok_response("drained"));
+        continue;
+      }
       // Every other request sees the ingests before it applied in
       // order, and its reply goes out right after it runs.
-      flush();
+      release(true);
       bool stop = false;
       replies.push_back(parsed ? handle(request, &stop)
                                : net::err_response(error));
-      flush();
+      release(true);
       if (stop) {
         shutdown();  // closes the listener and every connection
         return;
       }
     }
-    flush();
+    release(false);
   }
+  release(true);
 }
 
 }  // namespace netmaster::daemon

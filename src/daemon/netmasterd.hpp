@@ -19,18 +19,29 @@
 // transport already holds (net::Connection::read_lines), parses each
 // once, and applies the batch with one shard put per shard and one
 // reply write. An `ingest` line only joins its shard's pending batch
-// and queues its `ok`. Any other verb, or a rejected line, first
-// flushes the pending ingests to their shards and the queued replies
-// to the peer, then runs on its own and has its reply written at
-// once; the end of the batch flushes again. So a connection's requests
-// still apply in FIFO order, a `drain` or `get-schedule` observes
-// every ingest sent before it on the connection, and replies keep the
-// request order — while thread handoffs scale with batches, not lines.
-// An ingest reply `ok` means the event is queued on its shard.
+// and queues its `ok`. A `drain` is a posted barrier: it puts the
+// pending ingests in, posts one token per shard behind them, and
+// holds its `ok drained` — and every reply behind it — until those
+// tokens resolve, without waiting. Any other verb, or a rejected line,
+// first flushes: the pending ingests go to their shards, the worker
+// waits on every outstanding token, and the queued replies go to the
+// peer; then it runs on its own and has its reply written at once. At
+// the end of a batch the worker checks the tokens without blocking
+// and writes every reply up to the first unresolved drain. It blocks
+// for input only when no reply is held; with replies held and no
+// further line received, it waits on the tokens and writes them first.
+// So a connection's requests still apply in FIFO order, a
+// `get-schedule` observes every ingest sent before it on the
+// connection, a drain's reply means every ingest sent before it has
+// been applied, and replies keep the request order — while thread
+// handoffs scale with batches, not lines, and no watermark stalls the
+// connection. An ingest reply `ok` means the event is queued on its
+// shard.
 //
 // drain() resolves when every event enqueued before it has been fully
 // applied (folded, mined, reflected in schedules) — the FIFO shard
-// queues make that a token per shard. shutdown() drains, stops the
+// queues make that a token per shard; it blocks on them, where the
+// connection loop only posts them. shutdown() drains, stops the
 // shards, and closes the listener and every open connection, so a
 // blocked serve() returns.
 #pragma once
@@ -38,6 +49,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -128,6 +140,10 @@ class Netmasterd {
   Shard& shard_for(UserId user) { return *shards_[shard_index(user)]; }
   /// handle_line past the parse: applies one well-formed request.
   std::string handle(const net::Request& request, bool* shutdown_requested);
+  /// Appends one drain token per shard to `tokens`; each resolves once
+  /// its shard has applied everything enqueued before it. Throws when
+  /// the daemon is shut down.
+  void post_drain(std::vector<std::future<void>>& tokens);
   /// One connection's batched read-apply-reply loop (see above).
   void serve_connection(net::Connection& conn);
   void close_connections();

@@ -122,15 +122,14 @@ mining::DayContribution UserSession::summarize_window(int day) const {
   // `day`, summarized in the absolute day's regime.
   const TimeMs lo = day_start(day - 1);
   const TimeMs hi = day_start(day + 1);
-  service::RecordStore window;
-  for (const service::Record& r : window_records_) {
+  service::TraceRebuilder window(config_.user, 2, config_.app_names);
+  for (service::Record r : window_records_) {
     if (r.time < lo || r.time >= hi) continue;
-    service::Record shifted = r;
-    shifted.time -= lo;
-    window.append(shifted);
+    r.time -= lo;
+    window.add(r);
   }
   const engine::TraceIndex index(
-      window.to_trace_tolerant(config_.user, 2, config_.app_names).trace);
+      fault::sanitize_trace(std::move(window).finish()).trace);
   return mining::IncrementalHabitMiner::summarize_day(
       day, index.day_buckets(1), index.num_apps());
 }
@@ -195,37 +194,37 @@ void UserSession::attempt_refresh(int eval_day) {
 }
 
 UserTrace UserSession::training_trace() const {
-  service::RecordStore store;
-  for (service::Record r : store_.all_records()) {
-    if (r.time >= train_end_) continue;
+  service::TraceRebuilder training(config_.user, config_.train_days,
+                                   config_.app_names);
+  store_.for_each([&](service::Record r) {
+    if (r.time >= train_end_) return;
     if (r.kind == service::RecordKind::kNetworkActivity &&
         r.time + r.duration > train_end_) {
       // slice_days clips transfers at the slice edge; match it so the
       // miner sees the same training window the batch path mines.
       r.duration = train_end_ - r.time;
     }
-    store.append(r);
-  }
-  return store.reconstruct(config_.user, config_.train_days,
-                           config_.app_names);
+    training.add(r);
+  });
+  return std::move(training).finish();
 }
 
 fault::SanitizeResult UserSession::eval_trace(int horizon_days) const {
   const TimeMs hi = train_end_ + day_start(horizon_days);
-  service::RecordStore store;
+  service::TraceRebuilder eval(config_.user, horizon_days,
+                               config_.app_names);
   if (eval_screen_open_) {
     // A session straddling the training boundary appears in the
     // evaluation slice clipped to its start; re-open it at the epoch.
-    store.append({service::RecordKind::kScreenOn, 0, -1, 0, 0, 0, false,
-                  false});
+    eval.add({service::RecordKind::kScreenOn, 0, -1, 0, 0, 0, false, false});
   }
-  for (service::Record r : store_.all_records()) {
-    if (r.time < train_end_ || r.time >= hi) continue;
+  // The store is read in place: no copy of the history per read.
+  store_.for_each([&](service::Record r) {
+    if (r.time < train_end_ || r.time >= hi) return;
     r.time -= train_end_;
-    store.append(r);
-  }
-  return store.to_trace_tolerant(config_.user, horizon_days,
-                                 config_.app_names);
+    eval.add(r);
+  });
+  return fault::sanitize_trace(std::move(eval).finish());
 }
 
 const ScheduleResult& UserSession::schedule() {

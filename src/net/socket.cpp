@@ -71,12 +71,23 @@ void TcpStream::send_all(const char* data, std::size_t len) {
 }
 
 std::size_t TcpStream::recv_some(char* data, std::size_t len) {
+  return *recv_with(data, len, 0);
+}
+
+std::optional<std::size_t> TcpStream::try_recv_some(char* data,
+                                                    std::size_t len) {
+  return recv_with(data, len, MSG_DONTWAIT);
+}
+
+std::optional<std::size_t> TcpStream::recv_with(char* data, std::size_t len,
+                                                int flags) {
   const int fd = fd_.load(std::memory_order_relaxed);
   NM_REQUIRE(fd >= 0, "recv on a closed stream");
   while (true) {
-    const ssize_t n = ::recv(fd, data, len, 0);
+    const ssize_t n = ::recv(fd, data, len, flags);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
       // A peer that vanished mid-conversation reads as EOF, not a
       // daemon-side failure.
       if (errno == ECONNRESET) return 0;

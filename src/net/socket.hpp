@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace netmaster::net {
@@ -55,6 +56,9 @@ class TcpStream {
   /// Reads at most `len` bytes; returns 0 on orderly peer shutdown.
   std::size_t recv_some(char* data, std::size_t len);
 
+  /// recv_some without blocking: nullopt when no byte has arrived yet.
+  std::optional<std::size_t> try_recv_some(char* data, std::size_t len);
+
   /// Half-closes both directions without releasing the descriptor: a
   /// thread blocked in recv_some() wakes with EOF. Safe to call
   /// concurrently with recv_some/send_all on another thread.
@@ -65,6 +69,10 @@ class TcpStream {
   void close();
 
  private:
+  /// One recv with `flags`; nullopt when it would block.
+  std::optional<std::size_t> recv_with(char* data, std::size_t len,
+                                       int flags);
+
   std::atomic<int> fd_{-1};
 };
 

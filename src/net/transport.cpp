@@ -1,5 +1,7 @@
 #include "net/transport.hpp"
 
+#include <optional>
+
 #include "common/error.hpp"
 #include "net/protocol.hpp"
 
@@ -8,14 +10,15 @@ namespace netmaster::net {
 bool Connection::read_line(std::string& line) {
   if (next_ == batch_.size()) {
     next_ = 0;
-    if (!read_lines(batch_)) return false;
+    if (!read_lines(batch_, true)) return false;
   }
   line = std::move(batch_[next_++]);
   return true;
 }
 
-bool SocketConnection::read_lines(LineBatch& lines) {
+bool SocketConnection::read_lines(LineBatch& lines, bool wait) {
   lines.clear();
+  bool received = false;  // without wait: at most one recv
   while (true) {
     // Split every complete line out of the buffer, stopping at the
     // first one (or the unterminated tail) longer than the limit.
@@ -44,8 +47,18 @@ bool SocketConnection::read_lines(LineBatch& lines) {
       throw LineTooLong();
     }
     if (!stream_.valid()) return false;
+    if (received) return true;
     char chunk[4096];
-    const std::size_t n = stream_.recv_some(chunk, sizeof(chunk));
+    std::size_t n = 0;
+    if (wait) {
+      n = stream_.recv_some(chunk, sizeof(chunk));
+    } else {
+      const std::optional<std::size_t> got =
+          stream_.try_recv_some(chunk, sizeof(chunk));
+      if (!got) return true;  // nothing yet
+      n = *got;
+      received = true;
+    }
     if (n == 0) {
       // Orderly close; a trailing unterminated fragment is dropped —
       // the protocol is strictly line-framed.

@@ -2,19 +2,23 @@
 //
 // The daemon speaks a line-delimited protocol (net/protocol.hpp) over
 // an abstract Connection. Connections are batch-native: read_lines
-// blocks for at least one '\n'-terminated line, then takes every
-// complete line already received; write_lines sends a batch in order
-// with one queue push (in-process) or one send (TCP). Each transport
+// takes every complete '\n'-terminated line already received, and
+// either blocks until there is at least one (wait) or returns at once,
+// possibly with none (no wait: a reader that holds other work checks
+// for input without sleeping); write_lines sends a batch in order with
+// one queue push (in-process) or one send (TCP). Each transport
 // implements exactly that pair; read_line/write_line are non-virtual
 // adapters on the base (serving lines one at a time from a private
 // batch) for clients that talk one line at a time. Two transports:
 //
 //   SocketConnection — line framing over a TcpStream (the wire
-//                      front-end): one recv, then every complete line
-//                      in the buffer;
+//                      front-end): the complete lines already
+//                      buffered, else one recv (MSG_DONTWAIT when not
+//                      waiting) and every complete line it completes;
 //   LocalConnection  — a pair of in-process bounded queues, so tests
 //                      and benches drive the daemon with zero sockets
-//                      and zero syscalls (the csp-channel idiom).
+//                      and zero syscalls (the csp-channel idiom); a
+//                      read is one BatchQueue::pop_all.
 //
 // Matching Listener implementations let Netmasterd::serve() accept
 // from either world through one interface. All blocking calls return
@@ -66,12 +70,13 @@ class Connection {
  public:
   virtual ~Connection() = default;
 
-  /// Blocks for at least one line, then replaces `lines` with every
-  /// complete line already received (without the trailing '\n's).
-  /// Returns false, with `lines` empty, on orderly peer close /
+  /// Replaces `lines` with every complete line already received
+  /// (without the trailing '\n's). With `wait`, blocks until there is
+  /// at least one; without, returns true at once, `lines` possibly
+  /// empty. Returns false, with `lines` empty, on orderly peer close /
   /// transport shutdown. Throws LineTooLong on an oversize line from
   /// an untrusted peer.
-  virtual bool read_lines(LineBatch& lines) = 0;
+  virtual bool read_lines(LineBatch& lines, bool wait) = 0;
 
   /// Sends a batch of lines in order ('\n' appended to each).
   virtual void write_lines(std::span<const std::string> lines) = 0;
@@ -109,7 +114,7 @@ class SocketConnection final : public Connection {
   explicit SocketConnection(TcpStream stream)
       : stream_(std::move(stream)) {}
 
-  bool read_lines(LineBatch& lines) override;
+  bool read_lines(LineBatch& lines, bool wait) override;
   void write_lines(std::span<const std::string> lines) override;
   /// Shuts the socket down (a thread blocked in read_lines wakes and
   /// returns false) but defers releasing the descriptor to the
@@ -150,9 +155,9 @@ class LocalConnection final : public Connection {
                   std::shared_ptr<LineQueue> out)
       : in_(std::move(in)), out_(std::move(out)) {}
 
-  bool read_lines(LineBatch& lines) override {
+  bool read_lines(LineBatch& lines, bool wait) override {
     lines.clear();
-    return in_->pop_all(lines);
+    return in_->pop_all(lines, wait);
   }
   void write_lines(std::span<const std::string> lines) override {
     out_->put(lines.size(), [&](std::size_t i) { return lines[i]; });

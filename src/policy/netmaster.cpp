@@ -342,7 +342,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
       release = sess_begin >= 0
                     ? sess_begin
                     : std::max(slot.begin, slot.end - dur);
-      release = std::clamp<TimeMs>(release, 0, horizon - dur);
+      release = placed_release(release, dur, horizon);
       outcome.transfers.push_back({pending_index[p], release, dur});
       continue;
     }

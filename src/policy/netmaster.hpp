@@ -15,7 +15,8 @@
 //     transfer piggybacks on the real session;
 //   * activities assigned to a preceding slot are prefetched: the app
 //     is triggered to sync during the slot (the transfer executes at
-//     the end of the slot);
+//     the end of the slot, kept inside the horizon by
+//     policy::placed_release, the rule the oracle's placement shares);
 //   * unassigned / unpredicted activities fall back to the duty-cycle
 //     path: they release at the next wake-up probe (exponential
 //     back-off by default, §IV-C.2);

@@ -68,7 +68,7 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
     TimeMs release = target == prev_idx
                          ? std::max(s.begin, s.end - dur)
                          : s.begin;
-    release = std::clamp<TimeMs>(release, 0, horizon - dur);
+    release = placed_release(release, dur, horizon);
     outcome.transfers.push_back({i, release, dur});
     outcome.deferral_latency_s.push_back(
         to_seconds(std::max<TimeMs>(release - act.start, 0)));

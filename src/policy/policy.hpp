@@ -84,6 +84,19 @@ inline TimeMs deferred_release(TimeMs want, TimeMs start, DurationMs dur,
   return std::clamp(want, start, horizon - dur);
 }
 
+/// Release instant of a placed copy of `dur` ms that wants to start at
+/// `want` and, unlike a deferral, may start before its activity
+/// arrived: NetMaster's prefetch and the oracle's session placement.
+/// Clamped to [0, horizon − dur]. Precondition: horizon >= dur — the
+/// copy fits the horizon (whole-day horizons and deferred durations of
+/// seconds keep it); a violating input throws Error instead of handing
+/// std::clamp inverted bounds.
+inline TimeMs placed_release(TimeMs want, DurationMs dur, TimeMs horizon) {
+  NM_REQUIRE(dur >= 0 && horizon >= dur,
+             "a placed copy must fit the horizon");
+  return std::clamp<TimeMs>(want, 0, horizon - dur);
+}
+
 /// A deferrable screen-off activity a baseline policy (delay, batch,
 /// delay&batch) holds for a later release.
 struct HeldActivity {

@@ -1,6 +1,7 @@
 #include "service/record_store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -23,12 +24,6 @@ void RecordStore::flush() {
   cache_.clear();
 }
 
-std::vector<Record> RecordStore::all_records() const {
-  std::vector<Record> out = flash_;
-  out.insert(out.end(), cache_.begin(), cache_.end());
-  return out;
-}
-
 UserTrace RecordStore::to_trace(UserId user, int num_days,
                                 std::vector<std::string> app_names) const {
   UserTrace trace = reconstruct(user, num_days, std::move(app_names));
@@ -46,62 +41,69 @@ fault::SanitizeResult RecordStore::to_trace_tolerant(
 UserTrace RecordStore::reconstruct(
     UserId user, int num_days,
     std::vector<std::string> app_names) const {
-  UserTrace trace;
-  trace.user = user;
-  trace.num_days = num_days;
-  trace.app_names = std::move(app_names);
-  const TimeMs horizon = trace.trace_end();
+  TraceRebuilder rebuild(user, num_days, std::move(app_names));
+  for_each([&](const Record& r) { rebuild.add(r); });
+  return std::move(rebuild).finish();
+}
 
-  TimeMs screen_on_since = -1;
-  for (const Record& r : all_records()) {
-    switch (r.kind) {
-      case RecordKind::kScreenOn:
-        if (screen_on_since < 0) screen_on_since = r.time;
-        break;
-      case RecordKind::kScreenOff:
-        if (screen_on_since >= 0 && r.time > screen_on_since) {
-          trace.sessions.push_back({screen_on_since, r.time});
-        }
-        screen_on_since = -1;
-        break;
-      case RecordKind::kAppForeground:
-        trace.usages.push_back({r.app, r.time, r.duration});
-        break;
-      case RecordKind::kNetworkActivity: {
-        NetworkActivity n;
-        n.app = r.app;
-        n.start = r.time;
-        n.duration = r.duration;
-        n.bytes_down = r.bytes_down;
-        n.bytes_up = r.bytes_up;
-        n.user_initiated = r.user_initiated;
-        n.deferrable = r.deferrable;
-        trace.activities.push_back(n);
-        break;
+TraceRebuilder::TraceRebuilder(UserId user, int num_days,
+                               std::vector<std::string> app_names) {
+  trace_.user = user;
+  trace_.num_days = num_days;
+  trace_.app_names = std::move(app_names);
+}
+
+void TraceRebuilder::add(const Record& r) {
+  switch (r.kind) {
+    case RecordKind::kScreenOn:
+      if (screen_on_since_ < 0) screen_on_since_ = r.time;
+      break;
+    case RecordKind::kScreenOff:
+      if (screen_on_since_ >= 0 && r.time > screen_on_since_) {
+        trace_.sessions.push_back({screen_on_since_, r.time});
       }
-      case RecordKind::kNetworkSample:
-        // Counter samples inform live decisions; the reconstructed
-        // trace uses the per-activity records instead.
-        break;
+      screen_on_since_ = -1;
+      break;
+    case RecordKind::kAppForeground:
+      trace_.usages.push_back({r.app, r.time, r.duration});
+      break;
+    case RecordKind::kNetworkActivity: {
+      NetworkActivity n;
+      n.app = r.app;
+      n.start = r.time;
+      n.duration = r.duration;
+      n.bytes_down = r.bytes_down;
+      n.bytes_up = r.bytes_up;
+      n.user_initiated = r.user_initiated;
+      n.deferrable = r.deferrable;
+      trace_.activities.push_back(n);
+      break;
     }
+    case RecordKind::kNetworkSample:
+      // Counter samples inform live decisions; the reconstructed
+      // trace uses the per-activity records instead.
+      break;
   }
-  if (screen_on_since >= 0 && screen_on_since < horizon) {
-    trace.sessions.push_back({screen_on_since, horizon});
-  }
+}
 
-  std::stable_sort(trace.sessions.begin(), trace.sessions.end(),
-            [](const ScreenSession& a, const ScreenSession& b) {
-              return a.begin < b.begin;
-            });
-  std::stable_sort(trace.usages.begin(), trace.usages.end(),
-            [](const AppUsage& a, const AppUsage& b) {
-              return a.time < b.time;
-            });
-  std::stable_sort(trace.activities.begin(), trace.activities.end(),
-            [](const NetworkActivity& a, const NetworkActivity& b) {
-              return a.start < b.start;
-            });
-  return trace;
+UserTrace TraceRebuilder::finish() && {
+  const TimeMs horizon = trace_.trace_end();
+  if (screen_on_since_ >= 0 && screen_on_since_ < horizon) {
+    trace_.sessions.push_back({screen_on_since_, horizon});
+  }
+  std::stable_sort(trace_.sessions.begin(), trace_.sessions.end(),
+                   [](const ScreenSession& a, const ScreenSession& b) {
+                     return a.begin < b.begin;
+                   });
+  std::stable_sort(trace_.usages.begin(), trace_.usages.end(),
+                   [](const AppUsage& a, const AppUsage& b) {
+                     return a.time < b.time;
+                   });
+  std::stable_sort(trace_.activities.begin(), trace_.activities.end(),
+                   [](const NetworkActivity& a, const NetworkActivity& b) {
+                     return a.start < b.start;
+                   });
+  return std::move(trace_);
 }
 
 }  // namespace netmaster::service

@@ -70,6 +70,29 @@ void for_each_record(const UserTrace& trace, Emit&& emit,
   }
 }
 
+/// Rebuilds a UserTrace from records fed in append order: screen edges
+/// pair in that order (the first ON opens, the first OFF closes; a
+/// session still open at the end closes at the horizon), and each
+/// stream is stably sorted by time. Makes no validity promises —
+/// HabitModel::mine and NetMasterPolicy accept the raw result and
+/// repair it themselves. A caller that filters or shifts a store's
+/// records feeds them here directly instead of copying them into a
+/// second store first.
+class TraceRebuilder {
+ public:
+  TraceRebuilder(UserId user, int num_days,
+                 std::vector<std::string> app_names);
+
+  void add(const Record& record);
+
+  /// The rebuilt trace; the rebuilder is spent.
+  UserTrace finish() &&;
+
+ private:
+  UserTrace trace_;
+  TimeMs screen_on_since_ = -1;
+};
+
 /// Append-only store with a bounded memory write-cache.
 class RecordStore {
  public:
@@ -82,10 +105,14 @@ class RecordStore {
   /// Forces any cached records to flash.
   void flush();
 
-  /// All durably-stored records plus whatever is still cached, in
-  /// append order. (Reads see the cache — queries must not lose the
-  /// most recent events.)
-  std::vector<Record> all_records() const;
+  /// Calls visit(record) for every durably-stored record, then for
+  /// whatever is still cached: append order. (Reads see the cache —
+  /// queries must not lose the most recent events.) Nothing is copied.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const Record& r : flash_) visit(r);
+    for (const Record& r : cache_) visit(r);
+  }
 
   std::size_t size() const { return flash_.size() + cache_.size(); }
   std::size_t cached() const { return cache_.size(); }
@@ -97,11 +124,8 @@ class RecordStore {
   std::size_t bytes_flushed() const { return bytes_flushed_; }
 
   /// Rebuilds a UserTrace (for the mining component) from the records,
-  /// given the app table and day count: screen edges pair in append
-  /// order (a session still open at the end closes at the horizon), and
-  /// each stream is stably sorted by time. Makes no validity promises —
-  /// HabitModel::mine and NetMasterPolicy accept the raw result and
-  /// repair it themselves.
+  /// given the app table and day count: a TraceRebuilder fed every
+  /// record in append order.
   UserTrace reconstruct(UserId user, int num_days,
                         std::vector<std::string> app_names) const;
 

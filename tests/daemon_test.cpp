@@ -473,8 +473,10 @@ TEST(DaemonProtocol, WireSchedulesMatchDirectApiDigests) {
 // The protocol script of a 2-user plan with every kind of in-band
 // failure woven in: a duplicate `user`, get-schedule before and after
 // training (and mid-stream), malformed and truncated ingests, an
-// ingest for an unknown user and a line with no verb; it ends with a
-// drain, then stats (after the drain, so `queued=` is deterministic).
+// ingest for an unknown user and a line with no verb, and back-to-back
+// drains mid-stream; the final reads follow a drain directly. It ends
+// with a drain, stats (after the drain, so `queued=` is
+// deterministic), an in-band shutdown and a drain after it.
 std::vector<std::string> mixed_script(const LoadPlan& plan) {
   const std::vector<std::string> lines = plan_request_lines(plan);
   const std::size_t users = plan.users.size();
@@ -495,21 +497,30 @@ std::vector<std::string> mixed_script(const LoadPlan& plan) {
   for (std::size_t i = users; i < lines.size() - users; ++i) {
     script.push_back(lines[i]);
     if (i % 997 == 0) script.push_back(bad[next_bad++ % std::size(bad)]);
+    if (i % 1499 == 0) {
+      script.push_back("drain");
+      script.push_back("drain");
+    }
   }
   script.insert(script.end(), lines.end() - static_cast<long>(users),
                 lines.end());
+  script.push_back("drain");
   for (const LoadUser& user : plan.users) {
     script.push_back("get-schedule " + std::to_string(user.session.user));
   }
   script.push_back("drain");
   script.push_back("stats");
+  script.push_back("shutdown");
+  script.push_back("drain");
   return script;
 }
 
 // The batched serve loop must answer exactly as the one-line path: the
 // whole script goes out as one pipelined write, and every reply must
 // equal, line for line, that of a fresh daemon fed the same lines one
-// at a time through handle_line.
+// at a time through handle_line and shut down where serve shuts down.
+// The drain after the in-band shutdown is never answered: serve stops
+// reading that connection at the shutdown and closes it.
 TEST(DaemonProtocol, PipelinedServeRepliesEqualHandleLine) {
   LoadConfig load;
   load.users = 2;
@@ -518,8 +529,17 @@ TEST(DaemonProtocol, PipelinedServeRepliesEqualHandleLine) {
   Netmasterd reference;
   std::vector<std::string> expected;
   for (const std::string& line : script) {
-    expected.push_back(reference.handle_line(line));
+    bool stop = false;
+    expected.push_back(reference.handle_line(line, &stop));
+    if (stop) reference.shutdown();
   }
+  ASSERT_EQ(expected.back().rfind("err ", 0), 0u) << expected.back();
+  EXPECT_NE(expected.back().find("daemon is shut down"), std::string::npos);
+  expected.pop_back();  // the drain after the shutdown
+  ASSERT_EQ(expected.back(), "ok shutting down");
+  const std::string& stats = expected[expected.size() - 2];
+  EXPECT_EQ(stats.rfind("ok shards=", 0), 0u) << stats;
+  EXPECT_NE(stats.find(" queued=0"), std::string::npos) << stats;
 
   Netmasterd daemon;
   net::LocalListener listener;
@@ -530,16 +550,73 @@ TEST(DaemonProtocol, PipelinedServeRepliesEqualHandleLine) {
   std::thread writer([&] { client->write_lines(script); });
   std::vector<std::string> replies;
   std::string reply;
-  while (replies.size() < script.size() && client->read_line(reply)) {
-    replies.push_back(reply);
-  }
+  while (client->read_line(reply)) replies.push_back(reply);
   writer.join();
+  server.join();
   ASSERT_EQ(replies.size(), expected.size());
-  for (std::size_t i = 0; i < script.size(); ++i) {
+  for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(replies[i], expected[i]) << "line " << i << ": " << script[i];
   }
-  EXPECT_EQ(expected.back().rfind("ok shards=", 0), 0u) << expected.back();
-  EXPECT_NE(expected.back().find(" queued=0"), std::string::npos);
+}
+
+// A pipelined drain is a posted barrier, but its reply still means
+// "applied": when a drain's reply arrives, the shards have applied
+// every ingest sent before it on the connection. One pipelined write
+// interleaves runs of ingests with drains (some back to back), and the
+// applied-events counter is read directly as each drain reply arrives.
+TEST(DaemonProtocol, PipelinedDrainReplyMeansEveryEarlierIngestApplied) {
+  LoadConfig load;
+  load.users = 2;
+  const LoadPlan plan = build_load_plan(load);
+  const std::vector<std::string> lines = plan_request_lines(plan);
+  const std::size_t users = plan.users.size();
+
+  std::vector<std::string> script(lines.begin(), lines.begin() + users);
+  std::vector<std::size_t> ingests_before;  // per script line; drains only
+  ingests_before.assign(users, 0);
+  std::size_t ingests = 0;
+  for (std::size_t i = users; i < lines.size() - users; ++i) {
+    script.push_back(lines[i]);
+    ingests_before.push_back(0);
+    ++ingests;
+    if (ingests % 613 == 0 || ingests + 1 == plan.events.size()) {
+      const int drains = ingests % 3 == 0 ? 2 : 1;
+      for (int d = 0; d < drains; ++d) {
+        script.push_back("drain");
+        ingests_before.push_back(ingests);
+      }
+    }
+  }
+  ASSERT_EQ(ingests, plan.events.size());
+
+  const obs::Counter& applied =
+      obs::Registry::global().counter("daemon.ingest.events");
+  DaemonConfig config;
+  config.num_shards = 2;
+  Netmasterd daemon(config);
+  const std::uint64_t before = applied.value();
+  net::LocalListener listener;
+  std::thread server([&] { daemon.serve(listener); });
+  std::unique_ptr<net::Connection> client = listener.connect();
+  std::thread writer([&] { client->write_lines(script); });
+  std::size_t k = 0;
+  std::size_t drains = 0;
+  std::string reply;
+  while (k < script.size() && client->read_line(reply)) {
+    if (script[k] == "drain") {
+      const std::uint64_t seen = applied.value() - before;
+      ASSERT_EQ(reply, "ok drained") << "line " << k;
+      ASSERT_GE(seen, ingests_before[k])
+          << "drain at line " << k << " replied before its ingests applied";
+      ++drains;
+    } else {
+      ASSERT_EQ(reply, "ok") << "line " << k << ": " << script[k];
+    }
+    ++k;
+  }
+  writer.join();
+  EXPECT_EQ(k, script.size());
+  EXPECT_GT(drains, 50u);
   daemon.shutdown();
   server.join();
 }
@@ -551,7 +628,14 @@ TEST(DaemonProtocol, PipelinedTcpRepliesMatchDirectApiDigests) {
   LoadConfig load;
   load.users = 2;
   const LoadPlan plan = build_load_plan(load);
-  std::vector<std::string> script = plan_request_lines(plan);
+  // Drains, some back to back, between the ingests: the daemon's
+  // non-waiting reads of the socket meet them at arbitrary cuts.
+  std::vector<std::string> script;
+  for (const std::string& line : plan_request_lines(plan)) {
+    script.push_back(line);
+    if (script.size() % 211 == 0) script.push_back("drain");
+    if (script.size() % 1009 == 0) script.push_back("drain");
+  }
   const std::size_t plan_lines = script.size();
   script.push_back("drain");
   for (const LoadUser& user : plan.users) {
@@ -572,7 +656,8 @@ TEST(DaemonProtocol, PipelinedTcpRepliesMatchDirectApiDigests) {
   sender.join();
   ASSERT_EQ(replies.size(), script.size());
   for (std::size_t i = 0; i < plan_lines; ++i) {
-    ASSERT_EQ(replies[i], "ok") << script[i];
+    ASSERT_EQ(replies[i], script[i] == "drain" ? "ok drained" : "ok")
+        << "line " << i << ": " << script[i];
   }
   EXPECT_EQ(replies[plan_lines], "ok drained");
 
@@ -832,6 +917,73 @@ TEST(DaemonQueueStress, ThreeConnectionsPipelineIntoCapacityOneShards) {
                                   sequential.schedule(id).outcome,
                                   "user " + std::to_string(id));
   }
+  daemon.shutdown();
+  server.join();
+}
+
+// Three connections pipeline their users' plans, each with a drain
+// every few ingests, into capacity-1 shards: the drain tokens queue
+// behind other connections' ingests and every reply is held until they
+// resolve. Every reply must still arrive, in request order; a lost one
+// hangs the test (its ctest timeout turns that into a failure).
+TEST(DaemonQueueStress, ThreeConnectionsWithDrainsGetEveryReplyInOrder) {
+  LoadConfig load;
+  load.users = 3;
+  const LoadPlan plan = build_load_plan(load);
+  const std::vector<std::string> lines = plan_request_lines(plan);
+
+  DaemonConfig config;
+  config.num_shards = 2;
+  config.queue_capacity = 1;
+  Netmasterd daemon(config);
+  net::LocalListener listener;
+  std::thread server([&] { daemon.serve(listener); });
+
+  std::vector<std::string> mismatch(plan.users.size());
+  std::vector<std::thread> clients;
+  for (std::size_t u = 0; u < plan.users.size(); ++u) {
+    std::vector<std::string> script;
+    std::vector<std::string> expected;
+    for (const std::string& line : lines) {
+      net::Request request;
+      std::string error;
+      if (!net::parse_request(line, request, error) ||
+          request.user != plan.users[u].session.user) {
+        continue;
+      }
+      script.push_back(line);
+      expected.push_back("ok");
+      if (script.size() % (5 + u) == 0) {
+        script.push_back("drain");
+        expected.push_back("ok drained");
+      }
+    }
+    clients.emplace_back([&listener, &mismatch, u, script = std::move(script),
+                          expected = std::move(expected)] {
+      std::unique_ptr<net::Connection> conn = listener.connect();
+      std::thread writer([&] { conn->write_lines(script); });
+      std::string reply;
+      std::size_t k = 0;
+      while (k < expected.size() && conn->read_line(reply)) {
+        if (reply != expected[k] && mismatch[u].empty()) {
+          mismatch[u] = "reply " + std::to_string(k) + ": " + reply;
+        }
+        ++k;
+      }
+      writer.join();
+      if (k < expected.size() && mismatch[u].empty()) {
+        mismatch[u] = "only " + std::to_string(k) + " replies";
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatch, std::vector<std::string>(plan.users.size()));
+
+  daemon.drain();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.totals.events, plan.events.size());
+  EXPECT_EQ(stats.totals.users_finished, plan.users.size());
+  EXPECT_EQ(stats.totals.queue_depth, 0u);
   daemon.shutdown();
   server.join();
 }

@@ -202,7 +202,7 @@ TEST(NetTransportStress, TwoBatchProducersDeliverEveryLineOnceInOrder) {
     std::string bad;
     int received = 0;
     while (received < kProducers * kLinesEach && bad.empty() &&
-           reader.read_lines(lines)) {
+           reader.read_lines(lines, true)) {
       if (lines.empty()) bad = "empty batch";
       for (const std::string& line : lines) {
         const int p = line[0] - '0';
@@ -222,7 +222,7 @@ TEST(NetTransportStress, TwoBatchProducersDeliverEveryLineOnceInOrder) {
     EXPECT_EQ(next, std::vector<int>(kProducers, kLinesEach))
         << "capacity " << capacity;
     // Nothing beyond the sent lines: the reader sees the end.
-    EXPECT_FALSE(reader.read_lines(lines)) << "capacity " << capacity;
+    EXPECT_FALSE(reader.read_lines(lines, true)) << "capacity " << capacity;
     EXPECT_TRUE(lines.empty()) << "capacity " << capacity;
   }
 }
@@ -277,6 +277,26 @@ TEST(NetTransport, LocalListenerConnectAcceptRoundTrip) {
 
   client->close();
   EXPECT_FALSE(server->read_line(line));
+}
+
+// Without wait, read_lines returns at once: true with no lines while
+// the connection is open and nothing is queued, false once it closed.
+TEST(NetTransport, LocalReadLinesWithoutWaitReturnsAtOnce) {
+  LocalListener listener;
+  std::unique_ptr<Connection> client = listener.connect();
+  std::unique_ptr<Connection> server = listener.accept();
+  ASSERT_TRUE(client && server);
+  LineBatch lines;
+  EXPECT_TRUE(server->read_lines(lines, false));
+  EXPECT_TRUE(lines.empty());
+  client->write_lines(LineBatch{"a", "b"});
+  EXPECT_TRUE(server->read_lines(lines, false));
+  EXPECT_EQ(lines, (LineBatch{"a", "b"}));
+  EXPECT_TRUE(server->read_lines(lines, false));
+  EXPECT_TRUE(lines.empty());
+  client->close();
+  EXPECT_FALSE(server->read_lines(lines, false));
+  EXPECT_TRUE(lines.empty());
 }
 
 TEST(NetTransport, ClosedLocalListenerUnblocksAcceptAndRejectsConnect) {
@@ -338,14 +358,55 @@ TEST(NetTransport, TcpReadLinesDeliversCompleteLinesThenTooLong) {
   });
   LineBatch got;
   LineBatch lines;
-  while (got.size() < 3 && conn->read_lines(lines)) {
+  while (got.size() < 3 && conn->read_lines(lines, true)) {
     EXPECT_FALSE(lines.empty());
     got.insert(got.end(), lines.begin(), lines.end());
   }
   EXPECT_EQ(got, (LineBatch{"a", "b", "c"}));
-  EXPECT_THROW(conn->read_lines(lines), LineTooLong);
+  EXPECT_THROW(conn->read_lines(lines, true), LineTooLong);
   conn->close();
   sender.join();
+  listener.close();
+}
+
+// Without wait, a socket read splits what is buffered, else makes one
+// non-blocking receive: an unterminated tail stays buffered, and the
+// peer's close reads as false.
+TEST(NetTransport, TcpReadLinesWithoutWaitReturnsAtOnce) {
+  SocketListener listener(0);
+  TcpStream peer = TcpStream::connect("127.0.0.1", listener.port());
+  std::unique_ptr<Connection> conn = listener.accept();
+  ASSERT_TRUE(conn);
+  LineBatch lines;
+  EXPECT_TRUE(conn->read_lines(lines, false));
+  EXPECT_TRUE(lines.empty());
+
+  // Loopback delivery is not instant: poll until the bytes are in.
+  auto poll = [&] {
+    bool open = true;
+    for (int i = 0; i < 5000 && open && lines.empty(); ++i) {
+      open = conn->read_lines(lines, false);
+      if (open && lines.empty()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return open;
+  };
+  const std::string first = "a\r\nb";
+  peer.send_all(first.data(), first.size());
+  ASSERT_TRUE(poll());
+  EXPECT_EQ(lines, LineBatch{"a"});
+  // "b" has no newline yet: nothing to deliver, and no wait for it.
+  EXPECT_TRUE(conn->read_lines(lines, false));
+  EXPECT_TRUE(lines.empty());
+  peer.send_all("\n", 1);
+  ASSERT_TRUE(poll());
+  EXPECT_EQ(lines, LineBatch{"b"});
+  peer.close();
+  lines.clear();
+  EXPECT_FALSE(poll());
+  EXPECT_TRUE(lines.empty());
+  conn->close();
   listener.close();
 }
 

@@ -70,6 +70,20 @@ TEST(Helpers, DeferredRelease) {
   EXPECT_THROW(deferred_release(0, 0, -1, 1000), Error);
 }
 
+TEST(Helpers, PlacedRelease) {
+  // placed_release(want, dur, horizon): may precede the arrival, never
+  // the epoch, and the copy ends by the horizon.
+  EXPECT_EQ(placed_release(500, 100, 1000), 500);
+  EXPECT_EQ(placed_release(-50, 100, 1000), 0);
+  EXPECT_EQ(placed_release(5000, 100, 1000), 900);
+  EXPECT_EQ(placed_release(700, 1000, 1000), 0);
+  // A copy longer than the horizon violates the stated precondition:
+  // a typed error, not inverted std::clamp bounds.
+  EXPECT_THROW(placed_release(0, 1001, 1000), Error);
+  EXPECT_THROW(placed_release(0, 500, 0), Error);
+  EXPECT_THROW(placed_release(0, -1, 1000), Error);
+}
+
 TEST(Helpers, DeferredReleaseEdges) {
   // A copy longer than the whole horizon can never move: in place.
   EXPECT_EQ(deferred_release(0, 0, 2000, 1000), 0);
