@@ -8,6 +8,7 @@
 // its overhead on fleet-scale runs stays visible.
 #include <algorithm>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -83,7 +84,7 @@ void print_figure() {
                  "worst affected", "degraded users", "failed rows"});
   for (const double rate : {0.0, 0.05, 0.1, 0.2, 0.4, 0.7}) {
     const eval::FleetReport report =
-        eval::run_fleet(chaos_volunteers(rate), suite, cfg);
+        eval::run_fleet(eval::EvalSession(chaos_volunteers(rate), cfg), suite);
     StreamingStats saving;
     double worst_affected = 0.0;
     for (std::size_t u = 0; u < report.num_users; ++u) {
@@ -114,8 +115,8 @@ void print_figure() {
       volunteers[u].training =
           fault::inject_faults(volunteers[u].training, plan).trace;
     }
-    const eval::FleetReport report =
-        eval::run_fleet(volunteers, suite, cfg);
+    const eval::FleetReport report = eval::run_fleet(
+        eval::EvalSession(std::move(volunteers), cfg), suite);
     StreamingStats saving;
     double worst_affected = 0.0;
     for (std::size_t u = 0; u < report.num_users; ++u) {
@@ -185,7 +186,8 @@ void BM_ChaosFleet8(benchmark::State& state) {
   const auto suite = eval::standard_policy_suite(cfg.netmaster);
   const auto volunteers = chaos_volunteers(0.2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::run_fleet(volunteers, suite, cfg));
+    benchmark::DoNotOptimize(
+        eval::run_fleet(eval::EvalSession(volunteers, cfg), suite));
   }
 }
 BENCHMARK(BM_ChaosFleet8)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -9,15 +9,6 @@
 
 namespace netmaster::engine {
 
-TraceIndex::TraceIndex(const UserTrace& trace)
-    : owned_arena_(std::make_unique<mem::Arena>()) {
-  build(trace, *owned_arena_);
-}
-
-TraceIndex::TraceIndex(const UserTrace& trace, mem::Arena& arena) {
-  build(trace, arena);
-}
-
 namespace {
 
 /// UserTrace::screen_on_at for a stream of instants over sessions
@@ -55,8 +46,10 @@ class ScreenCursor {
 
 }  // namespace
 
-void TraceIndex::build(const UserTrace& trace, mem::Arena& arena) {
+TraceIndex::TraceIndex(const UserTrace& trace)
+    : arena_(std::make_unique<mem::Arena>()) {
   const obs::SpanScope span("engine.index_build");
+  mem::Arena& arena = *arena_;
   horizon_ = trace.trace_end();
 
   // SoA copies of the trace columns — after this the index never needs

@@ -11,13 +11,15 @@
 // O(n log s) scans.
 //
 // Memory model: at construction the index copies the trace's
-// session/usage/activity columns into ONE arena as structure-of-arrays
-// (mem::TraceColumns) and builds its derived columns — packed
-// classification bits, u32 deferrable list, hour buckets — into the
-// same arena. It keeps no reference to the source trace: replay and
-// accounting (sim::trace_totals, sim::account) read only arena memory,
-// so the source UserTrace may be destroyed or evicted to disk
-// (eval::UserStore) while policies keep replaying.
+// session/usage/activity columns into ONE arena it owns as
+// structure-of-arrays (mem::TraceColumns) and builds its derived
+// columns — packed classification bits, u32 deferrable list, hour
+// buckets — into the same arena. It keeps no reference to the source
+// trace: replay and accounting (sim::trace_totals, sim::account) read
+// only arena memory, so the source UserTrace may be destroyed or
+// evicted to disk (eval::UserStore) while policies keep replaying.
+// Moving the index moves the arena with it; the column views stay
+// valid.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +41,6 @@ class TraceIndex {
   /// policies accept the same traces they always did; call
   /// trace.validate() for strict checking.
   explicit TraceIndex(const UserTrace& trace);
-
-  /// Fleet overload: builds every column into the caller's per-user
-  /// `arena`, which must outlive the index and must not be reset while
-  /// the index is alive.
-  TraceIndex(const UserTrace& trace, mem::Arena& arena);
 
   TraceIndex(TraceIndex&&) = default;
   TraceIndex& operator=(TraceIndex&&) = default;
@@ -118,10 +115,10 @@ class TraceIndex {
   static void fold_buckets(const UserTrace& trace,
                            std::span<HourBucket> buckets);
 
-  /// Bytes of arena memory backing this index's columns (0 when the
-  /// caller supplied the arena — the owner accounts for it there).
-  std::size_t owned_arena_bytes() const {
-    return owned_arena_ ? owned_arena_->bytes_reserved() : 0;
+  /// Bytes of arena memory backing this index's columns (0 once moved
+  /// from).
+  std::size_t arena_bytes() const {
+    return arena_ ? arena_->bytes_reserved() : 0;
   }
 
   /// Throws netmaster::Error when an internal invariant is broken
@@ -132,9 +129,7 @@ class TraceIndex {
   void check_invariants(const UserTrace& source) const;
 
  private:
-  void build(const UserTrace& trace, mem::Arena& arena);
-
-  std::unique_ptr<mem::Arena> owned_arena_;  ///< null on the fleet path
+  std::unique_ptr<mem::Arena> arena_;  ///< backs every column below
   TimeMs horizon_ = 0;
   mem::TraceColumns columns_;             ///< SoA trace copy, one arena
   mem::BitSpan deferrable_flags_;         ///< per activity index

@@ -202,120 +202,63 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
   }
 }
 
-/// Evaluates the N×M grid over `session` on `graph`, which may already
-/// hold the session's deferred build chains. Per user it adds one pin
-/// task (after the user's prepare task when `prep_tasks` is non-null)
-/// and hangs the user's M cell tasks off it. The pin is the row's only
-/// trip to the UserStore: a spilled user is rehydrated once per grid,
-/// not once per cell. Finished continuations run LIFO on the worker
-/// that unlocked them, so a row replays on the worker that pinned it
-/// while thieves take other users' pin tasks; a wide grid (few users,
-/// many policies) still spreads one row's cells across workers.
-FleetReport evaluate(const EvalSession& session,
-                     const std::vector<PolicySpec>& policies,
-                     jobs::TaskGraph& graph,
-                     const std::vector<jobs::TaskId>* prep_tasks,
-                     unsigned max_threads) {
-  NM_REQUIRE(!policies.empty(), "fleet needs at least one policy");
-  const std::size_t n = session.num_users();
-  const std::size_t m = policies.size();
-  FleetReport report;
-  report.num_users = n;
-  report.num_policies = m;
-  report.cells.resize(n * m);
-  std::vector<RowPin> rows(n);
-  // Pin tasks first: the pool seeds ready tasks round-robin by
-  // submission index, so consecutive pins spread over the workers.
-  std::vector<jobs::TaskId> pins(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    RowPin& row = rows[u];
-    row.cells_left.store(m, std::memory_order_relaxed);
-    // Never throws: a failed pin becomes every row cell's error rather
-    // than cancelling the cells and failing the whole run.
-    pins[u] = graph.add([&session, &row, u] {
-      if (!session.ok(u)) return;
-      try {
-        row.traces = session.traces(u);
-      } catch (const std::exception& e) {
-        row.error = e.what();
-      }
-    });
-    if (prep_tasks != nullptr) {
-      graph.add_dependency((*prep_tasks)[u], pins[u]);
-    }
-  }
-  for (std::size_t c = 0; c < n * m; ++c) {
-    RowPin& row = rows[c / m];
-    const jobs::TaskId cell =
-        graph.add([&session, &policies, &report, &row, c, m] {
-          run_cell(session, policies[c % m], c / m, row, report.cells[c]);
-          if (row.cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            row.traces = {};
-          }
-        });
-    graph.add_dependency(pins[c / m], cell);
-  }
-  jobs::run_graph(graph, max_threads);
-  finalize_report(session, report, /*count_rows=*/true);
-  return report;
-}
-
 }  // namespace
 
+/// Per user one pin task with the user's M cell tasks hanging off it.
+/// The pin is the row's only trip to the UserStore: a spilled user is
+/// rehydrated once per grid, not once per cell. Finished continuations
+/// run LIFO on the worker that unlocked them, so a row replays on the
+/// worker that pinned it while thieves take other users' pin tasks; a
+/// wide grid (few users, many policies) still spreads one row's cells
+/// across workers.
 FleetReport run_fleet(const EvalSession& session,
                       const std::vector<PolicySpec>& policies,
                       unsigned max_threads) {
   FleetReport report;
   {
     const obs::SpanScope span("eval.run_fleet");
+    NM_REQUIRE(!policies.empty(), "fleet needs at least one policy");
+    const std::size_t n = session.num_users();
+    const std::size_t m = policies.size();
+    report.num_users = n;
+    report.num_policies = m;
+    report.cells.resize(n * m);
     jobs::TaskGraph graph;
-    report = evaluate(session, policies, graph, nullptr, max_threads);
+    std::vector<RowPin> rows(n);
+    // Pin tasks first: the pool seeds ready tasks round-robin by
+    // submission index, so consecutive pins spread over the workers.
+    std::vector<jobs::TaskId> pins(n);
+    for (std::size_t u = 0; u < n; ++u) {
+      RowPin& row = rows[u];
+      row.cells_left.store(m, std::memory_order_relaxed);
+      // Never throws: a failed pin becomes every row cell's error
+      // rather than cancelling the cells and failing the whole run.
+      pins[u] = graph.add([&session, &row, u] {
+        if (!session.ok(u)) return;
+        try {
+          row.traces = session.traces(u);
+        } catch (const std::exception& e) {
+          row.error = e.what();
+        }
+      });
+    }
+    for (std::size_t c = 0; c < n * m; ++c) {
+      RowPin& row = rows[c / m];
+      const jobs::TaskId cell =
+          graph.add([&session, &policies, &report, &row, c, m] {
+            run_cell(session, policies[c % m], c / m, row, report.cells[c]);
+            if (row.cells_left.fetch_sub(1, std::memory_order_acq_rel) ==
+                1) {
+              row.traces = {};
+            }
+          });
+      graph.add_dependency(pins[c / m], cell);
+    }
+    jobs::run_graph(graph, max_threads);
+    finalize_report(session, report, /*count_rows=*/true);
   }
   // Snapshot hook: a fleet run is the natural export boundary, so a
   // driver only has to set NETMASTER_METRICS_OUT to get telemetry.
-  obs::maybe_export_env();
-  return report;
-}
-
-FleetReport run_fleet(const std::vector<synth::UserProfile>& profiles,
-                      const std::vector<PolicySpec>& policies,
-                      const ExperimentConfig& config,
-                      unsigned max_threads) {
-  FleetReport report;
-  {
-    const obs::SpanScope span("eval.run_fleet");
-    // Fused build+evaluate: one graph carries every user's
-    // trace_gen -> prepare -> pin chain and, hanging off each pin, that
-    // user's M policy cells. User u's row replays while user v is
-    // still synthesizing — the per-stage fleet-wide barriers of the
-    // old staged pipeline are gone. Cells of a prep-failed user
-    // still run (they record the row failure from prep_error).
-    jobs::TaskGraph graph;
-    std::vector<jobs::TaskId> prep_tasks;
-    const EvalSession session(DeferBuild{}, profiles, config, graph,
-                              prep_tasks);
-    report = evaluate(session, policies, graph, &prep_tasks, max_threads);
-  }
-  obs::maybe_export_env();
-  return report;
-}
-
-FleetReport run_fleet(const std::vector<VolunteerTraces>& volunteers,
-                      const std::vector<PolicySpec>& policies,
-                      const ExperimentConfig& config,
-                      unsigned max_threads) {
-  FleetReport report;
-  {
-    const obs::SpanScope span("eval.run_fleet");
-    // Same fused graph as the profile overload, minus trace_gen tasks:
-    // volunteer admission is inline (it consumes the traces), so each
-    // user's chain is prepare -> pin -> M cells.
-    jobs::TaskGraph graph;
-    std::vector<jobs::TaskId> prep_tasks;
-    const EvalSession session(DeferBuild{}, volunteers, config, graph,
-                              prep_tasks);
-    report = evaluate(session, policies, graph, &prep_tasks, max_threads);
-  }
   obs::maybe_export_env();
   return report;
 }

@@ -1,12 +1,14 @@
 // Fleet-scale batch evaluation: N users × M policies in one run.
 //
-// run_fleet is the one replay engine under every §VI figure runner:
-// the per-user state (traces, engine::TraceIndex, baseline report)
-// lives in an eval::EvalSession built exactly once, then all M
-// policies replay against the shared indexes, parallelized over the
-// full N×M cell grid. Results come back both per cell and aggregated
-// per policy across the fleet, with per-user failures isolated into a
-// ledger instead of aborting the run.
+// run_fleet is the one replay engine under every §VI figure runner,
+// and it has one entry point: the per-user state (traces,
+// engine::TraceIndex, baseline report) lives in an eval::EvalSession
+// built exactly once, then all M policies replay against the shared
+// indexes, parallelized over the full N×M cell grid. A one-off run is
+// `run_fleet(EvalSession(users, config), policies)`. Results come back
+// both per cell and aggregated per policy across the fleet, with
+// per-user failures isolated into a ledger instead of aborting the
+// run.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +23,6 @@
 #include "eval/session.hpp"
 #include "policy/policy.hpp"
 #include "sim/accounting.hpp"
-#include "synth/profiles.hpp"
 
 namespace netmaster::eval {
 
@@ -133,39 +134,19 @@ struct FleetReport {
   }
 };
 
-/// Evaluates every policy on every prepared user of the session. The
-/// session's traces/indexes/baselines are shared read-only state; only
-/// the N×M cell grid runs here, as independent tasks on the
+/// Evaluates every policy on every prepared user of the session — the
+/// one fleet evaluation path: build an EvalSession (from profiles or
+/// from recorded volunteer traces), then call this, once or many times.
+/// The session's traces/indexes/baselines are shared read-only state;
+/// only the N×M cell grid runs here, as independent tasks on the
 /// work-stealing pool writing pre-allocated result slots, so results
 /// are deterministic in (session, policies) regardless of worker count
-/// or steal order (`max_threads` = 0 means hardware concurrency,
-/// overridable via NETMASTER_THREADS / set_default_max_threads). Per-
-/// user errors are isolated into FleetReport::failures; the run itself
-/// never throws on bad user data.
+/// or steal order (`max_threads` = 0 means NETMASTER_THREADS when set,
+/// else hardware concurrency). Per-user errors are isolated into
+/// FleetReport::failures; the run itself never throws on bad user
+/// data.
 FleetReport run_fleet(const EvalSession& session,
                       const std::vector<PolicySpec>& policies,
-                      unsigned max_threads = 0);
-
-/// Fused build+evaluate: one task graph carries every user's
-/// trace_gen -> prepare chain with that user's M policy cells hanging
-/// off the prepare task, so a prepared user's row replays while slower
-/// users are still synthesizing — no fleet-wide stage barrier. Results
-/// are bit-identical to building an EvalSession first and calling the
-/// session overload. Prefer the session overload when running more
-/// than one grid (sweeps, repeated figures) — the session amortizes
-/// trace generation and indexing across runs.
-FleetReport run_fleet(const std::vector<synth::UserProfile>& profiles,
-                      const std::vector<PolicySpec>& policies,
-                      const ExperimentConfig& config,
-                      unsigned max_threads = 0);
-
-/// Same grid over pre-built trace pairs — the entry point for replaying
-/// recorded (possibly corrupted) volunteer data instead of synthesizing
-/// from profiles. Each user's traces are consumed as-is; a trace that
-/// cannot be evaluated fails only its own row.
-FleetReport run_fleet(const std::vector<VolunteerTraces>& volunteers,
-                      const std::vector<PolicySpec>& policies,
-                      const ExperimentConfig& config,
                       unsigned max_threads = 0);
 
 /// Extracts the policy columns [first, first + count) of `report` into

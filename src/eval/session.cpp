@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "jobs/job_system.hpp"
 #include "obs/span.hpp"
 #include "policy/baseline.hpp"
 #include "synth/generator.hpp"
@@ -56,7 +57,19 @@ EvalSession::EvalSession(const std::vector<synth::UserProfile>& profiles,
   // immediately, it never waits for the slowest generator.
   jobs::TaskGraph graph;
   for (std::size_t u = 0; u < users_.size(); ++u) {
-    schedule_user_build(graph, u, profiles[u]);
+    const synth::UserProfile& profile = profiles[u];
+    const jobs::TaskId gen = graph.add([this, u, &profile] {
+      const obs::SpanScope gen_span("fleet.trace_gen");
+      users_[u].id = profile.id;
+      users_[u].profile_name = profile.name;
+      try {
+        store_->admit(u, make_traces(profile, config_));
+      } catch (const std::exception& e) {
+        users_[u].prep_error = e.what();
+      }
+    });
+    const jobs::TaskId prep = graph.add([this, u] { prepare_user(u); });
+    graph.add_dependency(gen, prep);
   }
   jobs::run_graph(graph, max_threads);
 }
@@ -70,47 +83,8 @@ EvalSession::EvalSession(std::vector<VolunteerTraces> volunteers,
   store_->resize(volunteers.size());
   // Admission consumes the traces, so it stays inline; only the
   // per-user preparation fans out onto the graph.
-  for (std::size_t u = 0; u < users_.size(); ++u) {
-    users_[u].id = volunteers[u].eval.user;
-    users_[u].profile_name = "volunteer";
-    try {
-      store_->admit(u, std::move(volunteers[u]));
-    } catch (const std::exception& e) {
-      users_[u].prep_error = e.what();
-    }
-  }
   jobs::TaskGraph graph;
   for (std::size_t u = 0; u < users_.size(); ++u) {
-    schedule_user_prepare(graph, u);
-  }
-  jobs::run_graph(graph, max_threads);
-}
-
-EvalSession::EvalSession(DeferBuild,
-                         const std::vector<synth::UserProfile>& profiles,
-                         const ExperimentConfig& config,
-                         jobs::TaskGraph& graph,
-                         std::vector<jobs::TaskId>& prepare_tasks)
-    : config_(config),
-      store_(std::make_unique<UserStore>(config.store)),
-      users_(profiles.size()) {
-  store_->resize(profiles.size());
-  prepare_tasks.reserve(prepare_tasks.size() + users_.size());
-  for (std::size_t u = 0; u < users_.size(); ++u) {
-    prepare_tasks.push_back(schedule_user_build(graph, u, profiles[u]));
-  }
-}
-
-EvalSession::EvalSession(DeferBuild, std::vector<VolunteerTraces> volunteers,
-                         const ExperimentConfig& config,
-                         jobs::TaskGraph& graph,
-                         std::vector<jobs::TaskId>& prepare_tasks)
-    : config_(config),
-      store_(std::make_unique<UserStore>(config.store)),
-      users_(volunteers.size()) {
-  store_->resize(volunteers.size());
-  prepare_tasks.reserve(prepare_tasks.size() + users_.size());
-  for (std::size_t u = 0; u < users_.size(); ++u) {
     users_[u].id = volunteers[u].eval.user;
     users_[u].profile_name = "volunteer";
     try {
@@ -118,34 +92,9 @@ EvalSession::EvalSession(DeferBuild, std::vector<VolunteerTraces> volunteers,
     } catch (const std::exception& e) {
       users_[u].prep_error = e.what();
     }
-    prepare_tasks.push_back(schedule_user_prepare(graph, u));
+    graph.add([this, u] { prepare_user(u); });
   }
-}
-
-jobs::TaskId EvalSession::schedule_user_build(
-    jobs::TaskGraph& graph, std::size_t u,
-    const synth::UserProfile& profile) {
-  // The tasks capture `this` and `&profile`: the session is built in
-  // place and the deferred-build contract (session.hpp) keeps both
-  // alive and unmoved until the graph runs.
-  const jobs::TaskId gen = graph.add([this, u, &profile] {
-    const obs::SpanScope gen_span("fleet.trace_gen");
-    users_[u].id = profile.id;
-    users_[u].profile_name = profile.name;
-    try {
-      store_->admit(u, make_traces(profile, config_));
-    } catch (const std::exception& e) {
-      users_[u].prep_error = e.what();
-    }
-  });
-  const jobs::TaskId prep = graph.add([this, u] { prepare_user(u); });
-  graph.add_dependency(gen, prep);
-  return prep;
-}
-
-jobs::TaskId EvalSession::schedule_user_prepare(jobs::TaskGraph& graph,
-                                                std::size_t u) {
-  return graph.add([this, u] { prepare_user(u); });
+  jobs::run_graph(graph, max_threads);
 }
 
 void EvalSession::prepare_user(std::size_t u) {
@@ -159,9 +108,7 @@ void EvalSession::prepare_user(std::size_t u) {
     // its columns once here instead of once per cell.
     const UserStore::Pin pin = store_->pin(u);
     pin.eval().validate();
-    state.arena = std::make_unique<mem::Arena>();
-    state.index = std::make_unique<engine::TraceIndex>(pin.eval(),
-                                                       *state.arena);
+    state.index = std::make_unique<engine::TraceIndex>(pin.eval());
     state.totals = sim::trace_totals(*state.index);
     const policy::BaselinePolicy base;
     const obs::SpanScope account_span("fleet.account");
@@ -206,7 +153,7 @@ const sim::SimReport& EvalSession::baseline(std::size_t u) const {
 std::size_t EvalSession::arena_bytes() const {
   std::size_t total = 0;
   for (const UserState& state : users_) {
-    if (state.arena) total += state.arena->bytes_reserved();
+    if (state.index) total += state.index->arena_bytes();
   }
   return total;
 }

@@ -6,15 +6,17 @@
 // SimReport. A fleet cell replays and accounts from the index and the
 // totals alone; it pins the store only for the training trace its
 // policy mines.
-// Built once (in parallel), immutable afterwards, and shared by
-// reference across every sweep point and policy cell, so a 12-point
-// sweep pays trace synthesis and indexing exactly once instead of 12
-// times.
+// Built once (in parallel: the constructor runs one job graph of
+// per-user build chains to completion), immutable afterwards, and
+// shared by reference across every sweep point and policy cell, so a
+// 12-point sweep pays trace synthesis and indexing exactly once
+// instead of 12 times. Every fleet run evaluates a built session.
 //
-// Memory model: each user's replay working set lives in one mem::Arena
-// owned by the session; the AoS traces live in the UserStore, which —
-// when a cache cap is configured — keeps only the hot users hydrated
-// and rehydrates the rest from compact UserBlob spill files on demand.
+// Memory model: each user's replay working set lives in the one
+// mem::Arena its TraceIndex owns; the AoS traces live in the UserStore,
+// which — when a cache cap is configured — keeps only the hot users
+// hydrated and rehydrates the rest from compact UserBlob spill files
+// on demand.
 // Serialization is lossless, so fleet results are bit-for-bit
 // identical whatever the cap.
 //
@@ -31,7 +33,6 @@
 
 #include "engine/trace_index.hpp"
 #include "eval/user_store.hpp"
-#include "jobs/job_system.hpp"
 #include "policy/netmaster.hpp"
 #include "sim/accounting.hpp"
 #include "synth/drift.hpp"
@@ -67,16 +68,9 @@ VolunteerTraces make_drifting_traces(const synth::UserProfile& profile,
                                      const ExperimentConfig& config,
                                      const synth::DriftSpec& spec);
 
-/// Tag selecting the graph-native deferred-build constructors: the
-/// session schedules its per-user build chains into a caller-owned
-/// TaskGraph instead of running them, so callers (the fused run_fleet
-/// path) can hang policy-cell tasks off each user's prepare task and
-/// run everything as one graph with no stage barrier.
-struct DeferBuild {};
-
 /// Immutable per-user evaluation state shared across sweep points and
-/// policy cells. Movable, non-copyable (it owns one TraceIndex and one
-/// arena per user, plus the trace store).
+/// policy cells. Movable, non-copyable (it owns one TraceIndex per
+/// user, plus the trace store).
 class EvalSession {
  public:
   /// Synthesizes, splits, indexes and baseline-accounts every profile
@@ -90,23 +84,6 @@ class EvalSession {
   /// Same, over pre-built (possibly recorded/corrupted) trace pairs.
   EvalSession(std::vector<VolunteerTraces> volunteers,
               const ExperimentConfig& config, unsigned max_threads = 0);
-
-  /// Graph-native construction: appends each user's trace_gen ->
-  /// prepare chain to `graph` without running it and returns the
-  /// per-user *prepare* TaskIds (index u) for dependents. The session
-  /// and `profiles` must stay alive and unmoved until the graph runs;
-  /// every accessor except num_users()/config() is valid only after it
-  /// completes.
-  EvalSession(DeferBuild, const std::vector<synth::UserProfile>& profiles,
-              const ExperimentConfig& config, jobs::TaskGraph& graph,
-              std::vector<jobs::TaskId>& prepare_tasks);
-
-  /// Graph-native volunteer construction: admission happens inline
-  /// (it consumes the traces), the per-user prepare tasks land in
-  /// `graph`. Same lifetime rules as the profile overload.
-  EvalSession(DeferBuild, std::vector<VolunteerTraces> volunteers,
-              const ExperimentConfig& config, jobs::TaskGraph& graph,
-              std::vector<jobs::TaskId>& prepare_tasks);
 
   EvalSession(EvalSession&&) = default;
   EvalSession& operator=(EvalSession&&) = default;
@@ -143,14 +120,14 @@ class EvalSession {
 
   /// The trace cache (resident bytes, eviction counts — bench fodder).
   const UserStore& store() const { return *store_; }
-  /// Total bytes reserved by the per-user replay arenas.
+  /// Total bytes reserved by the per-user replay arenas (one per
+  /// prepared user's index).
   std::size_t arena_bytes() const;
 
  private:
   struct UserState {
     UserId id = 0;
     std::string profile_name;
-    std::unique_ptr<mem::Arena> arena;  ///< backs the index columns
     std::unique_ptr<engine::TraceIndex> index;
     sim::TraceTotals totals;
     sim::SimReport baseline;
@@ -158,12 +135,6 @@ class EvalSession {
   };
 
   const UserState& user(std::size_t u) const;
-  /// Appends user u's trace_gen task (synthesize + admit) followed by
-  /// its prepare task to `graph`; returns the prepare TaskId.
-  jobs::TaskId schedule_user_build(jobs::TaskGraph& graph, std::size_t u,
-                                   const synth::UserProfile& profile);
-  /// Appends user u's prepare task (validate, index, baseline) only.
-  jobs::TaskId schedule_user_prepare(jobs::TaskGraph& graph, std::size_t u);
   /// The per-user prepare body: validate, build the arena-backed
   /// index and the trace totals, account the baseline. Never throws;
   /// failures land in prep_error.

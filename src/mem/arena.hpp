@@ -18,7 +18,7 @@
 //     destructors run on reset().
 //   - reset() and destruction bump the arena's generation, invalidating
 //     every span handed out before. The owner of the arena (one fleet
-//     user's EvalSession slot) outlives every reader of its spans.
+//     user's engine::TraceIndex) outlives every reader of its spans.
 #pragma once
 
 #include <cstddef>

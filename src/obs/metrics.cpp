@@ -126,90 +126,6 @@ void Histogram::reset() noexcept {
   max_.store(-kInf, std::memory_order_relaxed);
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  NM_REQUIRE(q > 0.0 && q < 1.0, "P2 quantile must be in (0, 1)");
-  pos_[0] = 1.0;
-  pos_[1] = 2.0;
-  pos_[2] = 3.0;
-  pos_[3] = 4.0;
-  pos_[4] = 5.0;
-  want_[0] = 1.0;
-  want_[1] = 1.0 + 2.0 * q_;
-  want_[2] = 1.0 + 4.0 * q_;
-  want_[3] = 3.0 + 2.0 * q_;
-  want_[4] = 5.0;
-  dwant_[0] = 0.0;
-  dwant_[1] = q_ / 2.0;
-  dwant_[2] = q_;
-  dwant_[3] = (1.0 + q_) / 2.0;
-  dwant_[4] = 1.0;
-}
-
-void P2Quantile::add(double x) {
-  if (std::isnan(x)) return;
-  if (count_ < 5) {
-    height_[count_++] = x;
-    if (count_ == 5) std::sort(height_, height_ + 5);
-    return;
-  }
-
-  // Locate the cell containing x, saturating the extreme markers.
-  std::size_t cell;
-  if (x < height_[0]) {
-    height_[0] = x;
-    cell = 0;
-  } else if (x >= height_[4]) {
-    height_[4] = std::max(height_[4], x);
-    cell = 3;
-  } else {
-    cell = 0;
-    while (cell < 3 && x >= height_[cell + 1]) ++cell;
-  }
-  for (std::size_t i = cell + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) want_[i] += dwant_[i];
-  ++count_;
-
-  // Adjust the three interior markers toward their desired positions
-  // (parabolic step, linear fallback when the parabola overshoots).
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double d = want_[i] - pos_[i];
-    if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-        (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-      const double sign = d >= 0.0 ? 1.0 : -1.0;
-      const double qp =
-          height_[i] +
-          sign / (pos_[i + 1] - pos_[i - 1]) *
-              ((pos_[i] - pos_[i - 1] + sign) *
-                   (height_[i + 1] - height_[i]) /
-                   (pos_[i + 1] - pos_[i]) +
-               (pos_[i + 1] - pos_[i] - sign) *
-                   (height_[i] - height_[i - 1]) /
-                   (pos_[i] - pos_[i - 1]));
-      if (height_[i - 1] < qp && qp < height_[i + 1]) {
-        height_[i] = qp;
-      } else {
-        const std::size_t j =
-            sign > 0.0 ? i + 1 : i - 1;
-        height_[i] += sign * (height_[j] - height_[i]) /
-                      (pos_[j] - pos_[i]);
-      }
-      pos_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ >= 5) return height_[2];
-  // Exact small-sample quantile (nearest-rank on the sorted prefix).
-  double sorted[5];
-  std::copy(height_, height_ + count_, sorted);
-  std::sort(sorted, sorted + count_);
-  const auto rank = static_cast<std::size_t>(
-      q_ * static_cast<double>(count_ - 1) + 0.5);
-  return sorted[std::min(rank, count_ - 1)];
-}
-
 std::vector<double> latency_bounds_ms() {
   return {0.05, 0.1, 0.25, 0.5, 1.0,    2.5,    5.0,   10.0,  25.0,
           50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0};

@@ -1,10 +1,10 @@
 // Observability core: a thread-safe metrics registry.
 //
 // Instruments are cheap enough for hot paths: counters and gauges are
-// single relaxed atomics, histograms are fixed-bucket arrays of atomics
-// (lock-free add), and the streaming P² quantile estimator is a
-// constant-space single-owner sketch. The registry itself takes a mutex
-// only on instrument *registration*; call sites cache the returned
+// single relaxed atomics, and histograms are fixed-bucket arrays of
+// atomics (lock-free add) whose interpolated quantiles are the only
+// quantiles the repo exports. The registry itself takes a mutex only
+// on instrument *registration*; call sites cache the returned
 // reference (instruments live as long as their registry), so steady
 // state never touches the registry lock.
 //
@@ -99,30 +99,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;
   std::atomic<double> max_;
-};
-
-/// Streaming quantile estimator (Jain & Chlamtac's P² algorithm):
-/// constant space, no stored samples. Exact below 5 observations,
-/// then a 5-marker parabolic sketch. Single-owner: add() is NOT
-/// thread-safe — aggregate per thread (or behind a caller lock) and
-/// keep the concurrent path on Histogram instead.
-class P2Quantile {
- public:
-  /// q in (0, 1), e.g. 0.5 for the median.
-  explicit P2Quantile(double q);
-
-  void add(double x);  // NaN samples are ignored
-  std::size_t count() const { return count_; }
-  /// Current estimate; 0 when no samples yet.
-  double value() const;
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  double height_[5];   // marker heights (ascending)
-  double pos_[5];      // actual marker positions (1-based)
-  double want_[5];     // desired marker positions
-  double dwant_[5];    // desired-position increments per sample
 };
 
 /// Standard bucket layouts.

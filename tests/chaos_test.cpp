@@ -245,7 +245,7 @@ TEST(ChaosFleet, PoisonedUserFailsAloneInTheGrid) {
   ASSERT_THROW(volunteers[1].eval.validate(), Error);
 
   const eval::FleetReport report =
-      eval::run_fleet(volunteers, suite, cfg);
+      eval::run_fleet(eval::EvalSession(volunteers, cfg), suite);
 
   // The run completed, the poisoned row is a failure ledger entry, and
   // every cell of the other two users is healthy.
@@ -286,7 +286,7 @@ TEST(ChaosFleet, DegradedUserIsVisibleInTheFleetReport) {
       fault::inject_faults(volunteers[1].training, plan).trace;
 
   const eval::FleetReport report =
-      eval::run_fleet(volunteers, suite, cfg);
+      eval::run_fleet(eval::EvalSession(volunteers, cfg), suite);
   EXPECT_TRUE(report.failures.empty());
 
   // Exactly the NetMaster cell of the cold-start user runs degraded,
@@ -401,7 +401,7 @@ TEST(ChaosFleet, ProfileFleetSurvivesSanitizedChaosSweep) {
   }
 
   const eval::FleetReport report =
-      eval::run_fleet(volunteers, suite, cfg);
+      eval::run_fleet(eval::EvalSession(volunteers, cfg), suite);
   EXPECT_TRUE(report.failures.empty());
   for (const eval::FleetCell& cell : report.cells) {
     EXPECT_FALSE(cell.failed) << cell.policy;

@@ -32,7 +32,7 @@ std::vector<synth::UserProfile> small_fleet() {
 TEST(Fleet, GridShapeAndBaselineReference) {
   const ExperimentConfig cfg = small_config();
   const auto suite = standard_policy_suite(cfg.netmaster);
-  const FleetReport report = run_fleet(small_fleet(), suite, cfg);
+  const FleetReport report = run_fleet(EvalSession(small_fleet(), cfg), suite);
 
   ASSERT_EQ(report.num_users, 3u);
   ASSERT_EQ(report.num_policies, suite.size());
@@ -56,7 +56,7 @@ TEST(Fleet, GridShapeAndBaselineReference) {
 TEST(Fleet, AggregatesFoldTheCells) {
   const ExperimentConfig cfg = small_config();
   const auto suite = standard_policy_suite(cfg.netmaster);
-  const FleetReport report = run_fleet(small_fleet(), suite, cfg);
+  const FleetReport report = run_fleet(EvalSession(small_fleet(), cfg), suite);
 
   for (std::size_t p = 0; p < report.num_policies; ++p) {
     const FleetAggregate& agg = report.aggregates[p];
@@ -78,7 +78,7 @@ TEST(Fleet, MatchesPerVolunteerComparison) {
   const ExperimentConfig cfg = small_config();
   const auto suite = standard_policy_suite(cfg.netmaster);
   const auto users = small_fleet();
-  const FleetReport report = run_fleet(users, suite, cfg);
+  const FleetReport report = run_fleet(EvalSession(users, cfg), suite);
 
   // compare_all on a one-user session runs the same suite in the same
   // order (baseline, oracle, netmaster, delay&batch 10/20/60) on the
@@ -98,66 +98,46 @@ TEST(Fleet, MatchesPerVolunteerComparison) {
 }
 
 TEST(Fleet, DeterministicAcrossThreadCounts) {
+  // Building the session and evaluating it are both job graphs; at
+  // every worker count the grid must equal the serial run bit for bit.
   const ExperimentConfig cfg = small_config();
   const auto suite = standard_policy_suite(cfg.netmaster);
   const auto users = small_fleet();
-  const FleetReport serial = run_fleet(users, suite, cfg, 1);
-  const FleetReport threaded = run_fleet(users, suite, cfg, 4);
-
-  ASSERT_EQ(serial.cells.size(), threaded.cells.size());
-  for (std::size_t c = 0; c < serial.cells.size(); ++c) {
-    EXPECT_EQ(serial.cells[c].policy, threaded.cells[c].policy);
-    EXPECT_EQ(serial.cells[c].report.energy_j,
-              threaded.cells[c].report.energy_j);
-    EXPECT_EQ(serial.cells[c].report.radio_on_ms,
-              threaded.cells[c].report.radio_on_ms);
-    EXPECT_EQ(serial.cells[c].energy_saving,
-              threaded.cells[c].energy_saving);
-  }
-}
-
-TEST(Fleet, FusedGraphMatchesStagedSessionAtEveryWorkerCount) {
-  // The fused run_fleet path (one graph: trace_gen -> prepare -> cells
-  // per user, no stage barrier) must be bit-identical to building the
-  // session first and running the grid over it — at every worker count.
-  const ExperimentConfig cfg = small_config();
-  const auto suite = standard_policy_suite(cfg.netmaster);
-  const auto users = small_fleet();
-  const EvalSession session(users, cfg, 1);
-  const FleetReport staged = run_fleet(session, suite, 1);
+  const FleetReport serial = run_fleet(EvalSession(users, cfg, 1), suite, 1);
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    const FleetReport fused = run_fleet(users, suite, cfg, threads);
-    ASSERT_EQ(fused.cells.size(), staged.cells.size()) << threads;
-    for (std::size_t c = 0; c < staged.cells.size(); ++c) {
-      EXPECT_EQ(fused.cells[c].policy, staged.cells[c].policy);
-      EXPECT_EQ(fused.cells[c].report.energy_j,
-                staged.cells[c].report.energy_j)
+    const FleetReport threaded =
+        run_fleet(EvalSession(users, cfg, threads), suite, threads);
+    ASSERT_EQ(threaded.cells.size(), serial.cells.size()) << threads;
+    for (std::size_t c = 0; c < serial.cells.size(); ++c) {
+      EXPECT_EQ(threaded.cells[c].policy, serial.cells[c].policy);
+      EXPECT_EQ(threaded.cells[c].report.energy_j,
+                serial.cells[c].report.energy_j)
           << "threads=" << threads << " cell=" << c;
-      EXPECT_EQ(fused.cells[c].report.radio_on_ms,
-                staged.cells[c].report.radio_on_ms);
-      EXPECT_EQ(fused.cells[c].energy_saving,
-                staged.cells[c].energy_saving);
-      EXPECT_EQ(fused.cells[c].report.affected_usages,
-                staged.cells[c].report.affected_usages);
+      EXPECT_EQ(threaded.cells[c].report.radio_on_ms,
+                serial.cells[c].report.radio_on_ms);
+      EXPECT_EQ(threaded.cells[c].energy_saving,
+                serial.cells[c].energy_saving);
+      EXPECT_EQ(threaded.cells[c].report.affected_usages,
+                serial.cells[c].report.affected_usages);
     }
-    ASSERT_EQ(fused.aggregates.size(), staged.aggregates.size());
-    for (std::size_t p = 0; p < staged.aggregates.size(); ++p) {
-      EXPECT_EQ(fused.aggregates[p].total_energy_j,
-                staged.aggregates[p].total_energy_j);
+    ASSERT_EQ(threaded.aggregates.size(), serial.aggregates.size());
+    for (std::size_t p = 0; p < serial.aggregates.size(); ++p) {
+      EXPECT_EQ(threaded.aggregates[p].total_energy_j,
+                serial.aggregates[p].total_energy_j);
     }
   }
 }
 
 TEST(Fleet, RejectsEmptyPolicySuite) {
   const ExperimentConfig cfg = small_config();
-  EXPECT_THROW(run_fleet(small_fleet(), {}, cfg), Error);
+  EXPECT_THROW(run_fleet(EvalSession(small_fleet(), cfg), {}), Error);
 }
 
 TEST(Fleet, BoundsCheckedAtMatchesRawCell) {
   const ExperimentConfig cfg = small_config();
   const auto suite = standard_policy_suite(cfg.netmaster);
-  const FleetReport report = run_fleet(small_fleet(), suite, cfg);
+  const FleetReport report = run_fleet(EvalSession(small_fleet(), cfg), suite);
 
   for (std::size_t u = 0; u < report.num_users; ++u) {
     for (std::size_t p = 0; p < report.num_policies; ++p) {
@@ -190,7 +170,7 @@ TEST(Fleet, SessionIsReusableAcrossRuns) {
 
   // Two runs over the same session agree with the throwaway-session
   // entry point bit for bit — the cache changes cost, not results.
-  const FleetReport fresh = run_fleet(small_fleet(), suite, cfg);
+  const FleetReport fresh = run_fleet(EvalSession(small_fleet(), cfg), suite);
   const FleetReport first = run_fleet(session, suite);
   const FleetReport second = run_fleet(session, suite);
   ASSERT_EQ(first.cells.size(), fresh.cells.size());

@@ -13,7 +13,6 @@
 
 #include "common/error.hpp"
 #include "jobs/job_system.hpp"
-#include "jobs/threads.hpp"
 #include "obs/metrics.hpp"
 
 namespace netmaster::jobs {
@@ -258,17 +257,6 @@ TEST(WorkerPool, NestedGraphInsideTaskCompletes) {
   pool.run(graph);
   EXPECT_EQ(outer.load(), 4);
   for (const auto& h : inner) EXPECT_EQ(h.load(), 4);
-}
-
-TEST(RunGraph, DefaultMaxThreadsOverrideHook) {
-  // The explicit override beats NETMASTER_THREADS / hardware defaults;
-  // 0 restores them. This is the knob the thread-matrix tests and the
-  // single-threaded CI rerun share with the pool itself.
-  const unsigned ambient = default_max_threads();
-  set_default_max_threads(3);
-  EXPECT_EQ(default_max_threads(), 3u);
-  set_default_max_threads(0);
-  EXPECT_EQ(default_max_threads(), ambient);
 }
 
 TEST(RunGraph, HonorsThreadCapAndSharedPool) {

@@ -93,24 +93,6 @@ TEST(ObsHistogram, BadBoundsThrow) {
   EXPECT_THROW(Histogram({1.0, 1.0}), Error);
 }
 
-TEST(ObsP2Quantile, ExactBelowFiveSamples) {
-  P2Quantile med(0.5);
-  EXPECT_DOUBLE_EQ(med.value(), 0.0);
-  med.add(3.0);
-  med.add(1.0);
-  med.add(2.0);
-  EXPECT_DOUBLE_EQ(med.value(), 2.0);
-  EXPECT_EQ(med.count(), 3u);
-}
-
-TEST(ObsP2Quantile, ApproximatesStreamingMedian) {
-  P2Quantile med(0.5);
-  for (int i = 1; i <= 1001; ++i) med.add(static_cast<double>(i));
-  EXPECT_NEAR(med.value(), 501.0, 25.0);
-  EXPECT_THROW(P2Quantile(0.0), Error);
-  EXPECT_THROW(P2Quantile(1.0), Error);
-}
-
 // ---- Registry. -------------------------------------------------------
 
 TEST(ObsRegistry, LookupRegistersOnceAndSnapshots) {
@@ -481,9 +463,10 @@ TEST(ObsIntegration, FleetRunWritesParseableSnapshot) {
 
   const auto suite = eval::standard_policy_suite(cfg.netmaster);
   const eval::FleetReport report = eval::run_fleet(
-      {synth::make_user(synth::Archetype::kOfficeWorker, 1),
-       synth::make_user(synth::Archetype::kNightOwl, 2)},
-      suite, cfg);
+      eval::EvalSession({synth::make_user(synth::Archetype::kOfficeWorker, 1),
+                         synth::make_user(synth::Archetype::kNightOwl, 2)},
+                        cfg),
+      suite);
   ::unsetenv("NETMASTER_METRICS_OUT");
   ASSERT_EQ(report.cells.size(), 2 * suite.size());
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -242,21 +243,30 @@ TEST(TraceIndex, PolicyOutcomesBitIdenticalViaSharedIndex) {
 TEST(TraceIndex, ReplaysAfterTheSourceTraceIsGone) {
   // The index keeps no reference to its source: a fleet user's trace
   // may be evicted to disk (or destroyed) while the arena-backed
-  // columns keep replaying. Under ASan a stray read of the freed trace
-  // fails here.
+  // columns keep replaying — also after the index itself was moved,
+  // which carries its arena along. Under ASan a stray read of the
+  // freed trace or of a dropped arena fails here.
   auto source = std::make_unique<UserTrace>(fixture());
   const UserTrace copy = *source;
-  mem::Arena arena;
-  const TraceIndex index(*source, arena);
-  index.check_invariants(copy);
+  TraceIndex built(*source);
+  built.check_invariants(copy);
+  const std::size_t bytes = built.arena_bytes();
+  EXPECT_GT(bytes, 0u);
   source.reset();
 
-  EXPECT_EQ(index.sessions().size(), copy.sessions.size());
-  EXPECT_EQ(index.activities().size(), copy.activities.size());
-  EXPECT_TRUE(index.screen_on_at(seconds(110)));
-  EXPECT_EQ(index.deferrable_screen_off().size(), 3u);
-  EXPECT_EQ(index.num_days(), copy.num_days);
-  index.check_invariants(copy);
+  const auto expect_replays = [&copy](const TraceIndex& index) {
+    EXPECT_EQ(index.sessions().size(), copy.sessions.size());
+    EXPECT_EQ(index.activities().size(), copy.activities.size());
+    EXPECT_TRUE(index.screen_on_at(seconds(110)));
+    EXPECT_EQ(index.deferrable_screen_off().size(), 3u);
+    EXPECT_EQ(index.num_days(), copy.num_days);
+    index.check_invariants(copy);
+  };
+  expect_replays(built);
+
+  const TraceIndex moved(std::move(built));
+  EXPECT_EQ(moved.arena_bytes(), bytes);
+  expect_replays(moved);
 }
 
 TEST(TraceIndex, BucketAccessorRejectsOutOfRange) {
