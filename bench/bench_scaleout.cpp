@@ -242,6 +242,10 @@ void print_memory_figure() {
   eval::ExperimentConfig resident_cfg;
   resident_cfg.seed = bench::kDefaultSeed;
   const auto suite = eval::standard_policy_suite(resident_cfg.netmaster);
+  std::vector<eval::PolicySpec> training_free = suite;
+  std::erase_if(training_free, [](const eval::PolicySpec& spec) {
+    return spec.name == "netmaster";
+  });
   constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
   constexpr double kMiB = 1024.0 * 1024.0;
   for (int n : {8, 16, 32}) {
@@ -268,11 +272,26 @@ void print_memory_figure() {
     const double replay_ms = timer.stop();
     const std::uint64_t grid_rehydrations =
         rehydrations.value() - rehydrations_before;
+    NM_REQUIRE(spilled.store().evictions() > 0,
+               "the spill bench must actually exceed its cache cap");
+
+    // The training-free columns replay from the resident index alone:
+    // their grid must not decode a single spilled user.
+    const std::uint64_t training_free_before = rehydrations.value();
+    eval::run_fleet(spilled, training_free);
+    const std::uint64_t training_free_rehydrations =
+        rehydrations.value() - training_free_before;
+
+    // Which users a grid leaves hydrated depends on which of its cells
+    // finished last. Pin every user once, serially in id order, so
+    // "after" is the store's footprint after a walk over the whole
+    // fleet: the hydrations the cap keeps (the last users in id order,
+    // at least the last one, since a pin never evicts the user it
+    // hydrates) plus every user's index arena.
+    for (std::size_t u = 0; u < spilled.num_users(); ++u) spilled.traces(u);
     const double after_bytes =
         static_cast<double>(spilled.store().resident_bytes()) +
         static_cast<double>(spilled.arena_bytes());
-    NM_REQUIRE(spilled.store().evictions() > 0,
-               "the spill bench must actually exceed its cache cap");
 
     bool identical = report.cells.size() == golden.cells.size();
     for (std::size_t c = 0; identical && c < report.cells.size(); ++c) {
@@ -300,6 +319,8 @@ void print_memory_figure() {
                          static_cast<double>(spilled.store().evictions()));
     bench::record_scalar("mem_store_rehydrations" + tag,
                          static_cast<double>(grid_rehydrations));
+    bench::record_scalar("mem_store_rehydrations_training_free" + tag,
+                         static_cast<double>(training_free_rehydrations));
     bench::record_scalar("mem_spill_bit_identical" + tag,
                          identical ? 1.0 : 0.0);
     t.add_row({std::to_string(n), eval::Table::num(before_bytes / kMiB, 1),

@@ -75,7 +75,7 @@ SweepPoint reduce_sweep_point(double x, const EvalSession& session,
 
 PolicySpec baseline_spec() {
   return {"baseline",
-          [](const UserTrace&) {
+          [](TrainingTrace) {
             return std::make_unique<policy::BaselinePolicy>();
           },
           {}};
@@ -115,7 +115,7 @@ std::vector<SweepPoint> delay_sweep(const EvalSession& session,
         } else {
           specs.push_back(
               {"delay-" + std::to_string(static_cast<int>(d)) + "s",
-               [d](const UserTrace&) {
+               [d](TrainingTrace) {
                  return std::make_unique<policy::DelayPolicy>(seconds(d));
                },
                {}});
@@ -136,7 +136,7 @@ std::vector<SweepPoint> batch_sweep(const EvalSession& session,
       [](std::size_t n) {
         std::vector<PolicySpec> specs;
         specs.push_back({"batch-" + std::to_string(n),
-                         [n](const UserTrace&) {
+                         [n](TrainingTrace) {
                            return std::make_unique<policy::BatchPolicy>(n);
                          },
                          {}});
@@ -156,7 +156,7 @@ std::vector<ThresholdPoint> threshold_sweep(
   std::vector<PolicySpec> oracle_suite;
   oracle_suite.push_back(
       {"oracle",
-       [profit = session.config().netmaster.profit](const UserTrace&) {
+       [profit = session.config().netmaster.profit](TrainingTrace) {
          return std::make_unique<policy::OraclePolicy>(profit);
        },
        {}});

@@ -1,6 +1,8 @@
 #include "eval/fleet.hpp"
 
 #include <atomic>
+#include <exception>
+#include <mutex>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,16 +16,66 @@
 
 namespace netmaster::eval {
 
+/// One user's row of the grid: the lazy, single-flight pin its cells
+/// share. The first cell that reads the row's traces (a mining factory
+/// or a probe) takes the row's only UserStore::Pin inside call_once;
+/// a concurrent reader waits for that one decode and later readers
+/// reuse it. A failed pin is not retried: its exception is kept and
+/// rethrown to every reader in the row. Which cell pins is up to the
+/// scheduler, but what it pins (or the error it raises) depends only on
+/// the user, so the handoff cannot change a result. The row's last cell
+/// drops the pin, so a hydration stays above the store's cache cap only
+/// while its row is in flight.
+class RowPin {
+ public:
+  void bind(const EvalSession& session, std::size_t u, std::size_t cells) {
+    session_ = &session;
+    user_ = u;
+    cells_left_.store(cells, std::memory_order_relaxed);
+  }
+
+  const VolunteerTraces& traces() {
+    std::call_once(once_, [this] {
+      try {
+        pin_ = session_->traces(user_);
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+    });
+    if (error_) std::rethrow_exception(error_);
+    return pin_.get();
+  }
+
+  /// Called once per finished cell; the last one releases the pin.
+  void cell_done() {
+    if (cells_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pin_ = {};
+    }
+  }
+
+ private:
+  const EvalSession* session_ = nullptr;
+  std::size_t user_ = 0;
+  std::once_flag once_;
+  UserStore::Pin pin_;
+  std::exception_ptr error_;
+  std::atomic<std::size_t> cells_left_{0};
+};
+
+TrainingTrace::operator const UserTrace&() const {
+  return trace_ != nullptr ? *trace_ : row_->traces().training;
+}
+
 std::vector<PolicySpec> standard_policy_suite(
     const policy::NetMasterConfig& config) {
   std::vector<PolicySpec> suite;
   suite.push_back({"baseline",
-                   [](const UserTrace&) {
+                   [](TrainingTrace) {
                      return std::make_unique<policy::BaselinePolicy>();
                    },
                    {}});
   suite.push_back({"oracle",
-                   [profit = config.profit](const UserTrace&) {
+                   [profit = config.profit](TrainingTrace) {
                      return std::make_unique<policy::OraclePolicy>(profit);
                    },
                    {}});
@@ -36,7 +88,7 @@ std::vector<PolicySpec> standard_policy_suite(
   for (const double d : {10.0, 20.0, 60.0}) {
     suite.push_back({"delay&batch-" + std::to_string(static_cast<int>(d)) +
                          "s",
-                     [d](const UserTrace&) {
+                     [d](TrainingTrace) {
                        return std::make_unique<policy::DelayBatchPolicy>(
                            seconds(d));
                      },
@@ -117,18 +169,6 @@ void finalize_report(const EvalSession& session, FleetReport& report,
   }
 }
 
-/// One user's row of the grid: the traces its pin task hydrated, or
-/// the error that pinning raised, shared by the row's M cells. The pin
-/// task writes it and only its dependents (the cells) read it, which
-/// keeps the handoff inside the job system's determinism contract.
-/// The row's last cell drops the pin, so at most about one row per
-/// worker stays pinned above the store's cache cap.
-struct RowPin {
-  UserStore::Pin traces;
-  std::string error;  ///< non-empty = pinning threw; every cell fails
-  std::atomic<std::size_t> cells_left{0};
-};
-
 void fail_cell(FleetCell& cell, std::string error) {
   cell.failed = true;
   cell.error = std::move(error);
@@ -138,10 +178,11 @@ void fail_cell(FleetCell& cell, std::string error) {
 /// The body of one (user, policy) cell: mine, schedule, account. Writes
 /// only its own pre-allocated cell — the deterministic result slot that
 /// makes fleet output bit-identical regardless of worker count or steal
-/// order. A throwing cell fails alone; a user whose preparation or pin
-/// failed poisons only its own row.
+/// order. A throwing cell fails alone; a user whose preparation failed
+/// poisons its own row, and one whose pin failed fails the row's cells
+/// that read its traces.
 void run_cell(const EvalSession& session, const PolicySpec& spec,
-              std::size_t u, const RowPin& row, FleetCell& cell) {
+              std::size_t u, RowPin& row, FleetCell& cell) {
   cell.user = session.user_id(u);
   cell.profile_name = session.profile_name(u);
   cell.policy = spec.name;
@@ -150,21 +191,16 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
     cell.error = session.prep_error(u);
     return;
   }
-  if (!row.error.empty()) {
-    fail_cell(cell, row.error);
-    return;
-  }
   const obs::SpanScope cell_span("fleet.cell");
-  const UserStore::Pin& traces = row.traces;
   const engine::TraceIndex& index = session.index(u);
   try {
     std::unique_ptr<policy::Policy> pol;
     {
       const obs::SpanScope mine_span("fleet.mine");
-      pol = spec.make(traces.training());
+      pol = spec.make(TrainingTrace(row));
     }
     if (spec.probe) {
-      cell.probe_value = spec.probe(*pol, traces);
+      cell.probe_value = spec.probe(*pol, row.traces());
     }
     sim::PolicyOutcome outcome;
     {
@@ -204,13 +240,11 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
 
 }  // namespace
 
-/// Per user one pin task with the user's M cell tasks hanging off it.
-/// The pin is the row's only trip to the UserStore: a spilled user is
-/// rehydrated once per grid, not once per cell. Finished continuations
-/// run LIFO on the worker that unlocked them, so a row replays on the
-/// worker that pinned it while thieves take other users' pin tasks; a
-/// wide grid (few users, many policies) still spreads one row's cells
-/// across workers.
+/// One task per (user, policy) cell and no edges: nothing a cell needs
+/// is produced inside the grid. The index, totals and baseline are the
+/// session's; the traces come from the row's lazy pin. The pool seeds
+/// the cells round-robin by submission index and idle workers steal the
+/// rest, so a row's cells spread over the workers.
 FleetReport run_fleet(const EvalSession& session,
                       const std::vector<PolicySpec>& policies,
                       unsigned max_threads) {
@@ -223,36 +257,15 @@ FleetReport run_fleet(const EvalSession& session,
     report.num_users = n;
     report.num_policies = m;
     report.cells.resize(n * m);
-    jobs::TaskGraph graph;
     std::vector<RowPin> rows(n);
-    // Pin tasks first: the pool seeds ready tasks round-robin by
-    // submission index, so consecutive pins spread over the workers.
-    std::vector<jobs::TaskId> pins(n);
-    for (std::size_t u = 0; u < n; ++u) {
-      RowPin& row = rows[u];
-      row.cells_left.store(m, std::memory_order_relaxed);
-      // Never throws: a failed pin becomes every row cell's error
-      // rather than cancelling the cells and failing the whole run.
-      pins[u] = graph.add([&session, &row, u] {
-        if (!session.ok(u)) return;
-        try {
-          row.traces = session.traces(u);
-        } catch (const std::exception& e) {
-          row.error = e.what();
-        }
-      });
-    }
+    for (std::size_t u = 0; u < n; ++u) rows[u].bind(session, u, m);
+    jobs::TaskGraph graph;
     for (std::size_t c = 0; c < n * m; ++c) {
-      RowPin& row = rows[c / m];
-      const jobs::TaskId cell =
-          graph.add([&session, &policies, &report, &row, c, m] {
-            run_cell(session, policies[c % m], c / m, row, report.cells[c]);
-            if (row.cells_left.fetch_sub(1, std::memory_order_acq_rel) ==
-                1) {
-              row.traces = {};
-            }
-          });
-      graph.add_dependency(pins[c / m], cell);
+      graph.add([&session, &policies, &report, &rows, c, m] {
+        RowPin& row = rows[c / m];
+        run_cell(session, policies[c % m], c / m, row, report.cells[c]);
+        row.cell_done();
+      });
     }
     jobs::run_graph(graph, max_threads);
     finalize_report(session, report, /*count_rows=*/true);

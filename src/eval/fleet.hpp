@@ -9,6 +9,13 @@
 // both per cell and aggregated per policy across the fleet, with
 // per-user failures isolated into a ledger instead of aborting the
 // run.
+//
+// A cell replays and accounts from the session's resident index,
+// totals and baseline; only a policy that mines (or a probe) reads the
+// user's traces. Its factory receives a TrainingTrace handle that pins
+// the row's traces in the UserStore on first use, once per row, so a
+// grid of training-free policies over a spilled session never
+// rehydrates a user.
 #pragma once
 
 #include <cstddef>
@@ -26,17 +33,41 @@
 
 namespace netmaster::eval {
 
+class RowPin;  // one grid row's lazy, single-flight pin (fleet.cpp)
+
+/// A cell's handle on its user's training trace. Converts implicitly
+/// from an already-hydrated `const UserTrace&` (eager) and to
+/// `const UserTrace&`, so a factory written against the trace itself
+/// keeps working. Inside run_fleet the handle is lazy: the first read
+/// pins the row's traces in the UserStore (rehydrating a spilled user)
+/// and every later read in the row reuses that pin. A factory that
+/// never reads the handle costs its row no pin at all. A failed pin
+/// throws its error from every read in the row.
+class TrainingTrace {
+ public:
+  TrainingTrace(const UserTrace& trace) : trace_(&trace) {}
+  explicit TrainingTrace(RowPin& row) : row_(&row) {}
+
+  operator const UserTrace&() const;
+
+ private:
+  const UserTrace* trace_ = nullptr;  ///< set = eager
+  RowPin* row_ = nullptr;             ///< set = lazy
+};
+
 /// A named policy factory. NetMaster trains per user, so the factory
-/// receives the user's training trace; stateless policies ignore it.
-/// Invoked once per (user, policy) cell.
+/// receives the user's training trace; stateless policies take the
+/// handle and never read it, which keeps their cells off the
+/// UserStore. Invoked once per (user, policy) cell.
 ///
 /// `probe`, when set, is evaluated on the constructed policy before the
 /// replay and lands in FleetCell::probe_value — the hook for
 /// policy-level metrics that are not part of the SimReport (e.g. the
-/// Fig. 10c prediction accuracy).
+/// Fig. 10c prediction accuracy). A probe reads the hydrated traces,
+/// so it pins its row.
 struct PolicySpec {
   std::string name;
-  std::function<std::unique_ptr<policy::Policy>(const UserTrace& training)>
+  std::function<std::unique_ptr<policy::Policy>(TrainingTrace training)>
       make;
   std::function<double(const policy::Policy& policy,
                        const VolunteerTraces& traces)>
@@ -50,7 +81,7 @@ struct PolicySpec {
   /// the session baseline as denominator — cross-profile comparisons
   /// should ratio raw cell energies against a baseline column carrying
   /// the same override.
-  std::optional<RadioSet> radios;
+  std::optional<RadioSet> radios = std::nullopt;
 };
 
 /// The §VI comparison suite: baseline, oracle, NetMaster, and
@@ -142,9 +173,11 @@ struct FleetReport {
 /// work-stealing pool writing pre-allocated result slots, so results
 /// are deterministic in (session, policies) regardless of worker count
 /// or steal order (`max_threads` = 0 means NETMASTER_THREADS when set,
-/// else hardware concurrency). Per-user errors are isolated into
-/// FleetReport::failures; the run itself never throws on bad user
-/// data.
+/// else hardware concurrency). A row's traces are pinned at most once,
+/// by the first of its cells that reads them, and dropped by its last
+/// cell. Per-user errors are isolated into FleetReport::failures: a
+/// user whose spill file cannot be decoded fails only the cells that
+/// read its traces. The run itself never throws on bad user data.
 FleetReport run_fleet(const EvalSession& session,
                       const std::vector<PolicySpec>& policies,
                       unsigned max_threads = 0);

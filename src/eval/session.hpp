@@ -108,8 +108,8 @@ class EvalSession {
   /// Hydrated train/eval traces for user u. Returns a Pin: rehydrates
   /// from the spill file when the user is cold and keeps the traces
   /// alive while held. Pin once per unit of work, not per field
-  /// access: run_fleet pins once per row and shares it across the row's
-  /// cells.
+  /// access: run_fleet pins a row at most once, on the first read of
+  /// its training trace, and shares the pin across the row's cells.
   UserStore::Pin traces(std::size_t u) const { return store_->pin(u); }
   /// The shared evaluation-trace index, its policy-invariant report
   /// fields, and the baseline reference report. Contract: only valid

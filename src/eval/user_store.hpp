@@ -13,12 +13,14 @@
 // shared_ptr to the hydration, so a concurrent eviction never frees
 // memory out from under a reader — eviction just drops the store's
 // strong reference. Nothing else points into a hydration: the replay
-// index and the accountant read the user's arena columns. Two
-// concurrent pins of the same cold user both decode its blob and one
-// copy is dropped; pin() does not single-flight, because making the
-// second caller wait on the first decode gains nothing. Callers avoid
-// the duplicate decode by pinning once per unit of work: run_fleet
-// pins each row once and shares the Pin across the row's cells.
+// index and the accountant read the user's arena columns, so a reader
+// that does not need the AoS traces never pins. Two concurrent pins of
+// the same cold user both decode its blob and one copy is dropped;
+// pin() does not single-flight. Callers avoid the duplicate decode by
+// pinning once per unit of work: run_fleet pins a row on the first read
+// of its training trace (single-flight per row) and shares that Pin
+// with the row's other cells, so a row whose cells never read the
+// traces is never rehydrated.
 //
 // With cache_cap_bytes == 0 (the default) the store is a plain
 // in-memory table: nothing is written to disk and nothing is ever

@@ -1,22 +1,26 @@
 // Tests for eval::UserStore and the spill-to-disk fleet path: LRU
 // eviction under a byte cap, lossless rehydration, Pin safety across
 // evictions, the replay index serving its columns while the traces are
-// spilled, bit-for-bit fleet determinism with and without spilling, one
-// rehydration per user per grid, and a corrupted spill file failing
-// only its own row.
+// spilled, bit-for-bit fleet determinism with and without spilling, at
+// most one rehydration per user per grid and none for a training-free
+// roster, and a corrupted spill file failing only the cells that read
+// its row's traces.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "eval/experiments.hpp"
 #include "eval/fleet.hpp"
 #include "eval/session.hpp"
 #include "eval/user_store.hpp"
 #include "mem/blob.hpp"
 #include "obs/metrics.hpp"
+#include "policy/baseline.hpp"
 #include "synth/presets.hpp"
 
 namespace netmaster::eval {
@@ -195,9 +199,10 @@ std::uint64_t counter_value(const char* name) {
 }
 
 TEST(SpillFleet, GridRehydratesEachUserAtMostOnce) {
-  // Each row pins its user once and shares the pin across its cells,
-  // so a grid over a fully spilled fleet decodes every blob at most
-  // once, at any worker count — not once per (user, policy) cell.
+  // A row pins its user at most once, when its NetMaster cell mines,
+  // and shares the pin across its cells, so a grid over a fully spilled
+  // fleet decodes every blob at most once, at any worker count — not
+  // once per (user, policy) cell.
   const std::vector<synth::UserProfile> profiles = small_fleet(6);
   const std::vector<PolicySpec> suite =
       standard_policy_suite(small_config().netmaster);
@@ -220,14 +225,105 @@ TEST(SpillFleet, GridRehydratesEachUserAtMostOnce) {
   }
 }
 
+TEST(SpillFleet, TrainingFreeRosterNeverRehydrates) {
+  // A cell replays from the session's resident index, totals and
+  // baseline; only a factory that reads its training trace pins the
+  // row. A roster without NetMaster, and a delay sweep, therefore run
+  // over a fully spilled fleet without decoding a single blob, at any
+  // worker count, and still match the resident run bit for bit.
+  const std::vector<synth::UserProfile> profiles = small_fleet(6);
+  std::vector<PolicySpec> suite =
+      standard_policy_suite(small_config().netmaster);
+  std::erase_if(suite,
+                [](const PolicySpec& s) { return s.name == "netmaster"; });
+  const std::vector<double> delays = {0.0, 30.0, 120.0};
+  const EvalSession resident_session(profiles, small_config());
+  const FleetReport resident = run_fleet(resident_session, suite);
+  const std::vector<SweepPoint> resident_sweep =
+      delay_sweep(resident_session, delays);
+
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;  // below any single user
+  const EvalSession spilled(profiles, config);
+  ASSERT_LT(spilled.store().resident_count(), spilled.num_users());
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    const std::uint64_t before = counter_value("store.rehydrations");
+    const FleetReport report = run_fleet(spilled, suite, workers);
+    const std::vector<SweepPoint> points =
+        delay_sweep(spilled, delays, workers);
+    EXPECT_EQ(counter_value("store.rehydrations") - before, 0u)
+        << workers << " workers";
+    ASSERT_EQ(report.cells.size(), resident.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      expect_same_cell(resident.cells[c], report.cells[c], c);
+    }
+    ASSERT_EQ(points.size(), resident_sweep.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(points[i].energy_saving, resident_sweep[i].energy_saving);
+      EXPECT_EQ(points[i].radio_on_reduction,
+                resident_sweep[i].radio_on_reduction);
+      EXPECT_EQ(points[i].bandwidth_increase,
+                resident_sweep[i].bandwidth_increase);
+      EXPECT_EQ(points[i].affected_fraction,
+                resident_sweep[i].affected_fraction);
+    }
+  }
+}
+
+TEST(SpillFleet, TraceTakingFactoryReceivesTheHydratedTrace) {
+  // A factory written against `const UserTrace&` still converts from
+  // the lazy TrainingTrace handle, and what it receives is the user's
+  // rehydrated training trace — equal to the resident one.
+  const std::vector<synth::UserProfile> profiles = small_fleet(4);
+  const EvalSession resident(profiles, small_config());
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;
+  const EvalSession spilled(profiles, config);
+
+  // One slot per row, written only by that row's cell.
+  std::vector<UserTrace> seen(profiles.size());
+  PolicySpec spec;
+  spec.name = "recording-baseline";
+  spec.make = [&seen](const UserTrace& training) {
+    seen[static_cast<std::size_t>(training.user) - 1] = training;
+    return std::make_unique<policy::BaselinePolicy>();
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    seen.assign(profiles.size(), UserTrace{});
+    const std::uint64_t before = counter_value("store.rehydrations");
+    const FleetReport report = run_fleet(spilled, {spec}, workers);
+    EXPECT_TRUE(report.failures.empty());
+    EXPECT_GT(counter_value("store.rehydrations") - before, 0u);
+    for (std::size_t u = 0; u < profiles.size(); ++u) {
+      const UserStore::Pin pin = resident.traces(u);
+      EXPECT_EQ(seen[u].user, pin.training().user) << "user " << u;
+      EXPECT_EQ(seen[u].activities, pin.training().activities)
+          << "user " << u;
+      EXPECT_EQ(seen[u].sessions, pin.training().sessions) << "user " << u;
+    }
+  }
+
+  // The eager direction: a hydrated trace passes straight through.
+  const UserStore::Pin pin = resident.traces(0);
+  const TrainingTrace handle = pin.training();
+  EXPECT_EQ(&static_cast<const UserTrace&>(handle), &pin.training());
+}
+
 TEST(SpillFleet, CorruptedBlobFailsOnlyItsRow) {
   // A spill file damaged on disk fails the rehydrating pin with a
-  // BlobError. The row's cells all record that error; the grid itself
-  // neither throws nor disturbs any other row.
+  // BlobError. Only a cell that reads the damaged row's training trace
+  // (the NetMaster column) records that error; the row's training-free
+  // cells replay from the resident index as if nothing happened, and
+  // the grid itself neither throws nor disturbs any other row.
   const std::vector<synth::UserProfile> profiles = small_fleet(4);
   const std::vector<PolicySpec> suite =
       standard_policy_suite(small_config().netmaster);
   const std::size_t m = suite.size();
+  std::size_t netmaster = m;
+  for (std::size_t p = 0; p < m; ++p) {
+    if (suite[p].name == "netmaster") netmaster = p;
+  }
+  ASSERT_LT(netmaster, m);
   const FleetReport resident =
       run_fleet(EvalSession(profiles, small_config()), suite);
 
@@ -260,17 +356,19 @@ TEST(SpillFleet, CorruptedBlobFailsOnlyItsRow) {
     const std::uint64_t failed_before = counter_value("fleet.cells_failed");
     FleetReport report;
     ASSERT_NO_THROW(report = run_fleet(spilled, suite, workers));
-    EXPECT_EQ(counter_value("fleet.cells_failed") - failed_before, m);
+    EXPECT_EQ(counter_value("fleet.cells_failed") - failed_before, 1u);
     ASSERT_EQ(report.cells.size(), resident.cells.size());
     for (std::size_t c = 0; c < report.cells.size(); ++c) {
-      if (c / m == kBad) {
+      if (c == kBad * m + netmaster) {
         EXPECT_TRUE(report.cells[c].failed) << "cell " << c;
         EXPECT_EQ(report.cells[c].error, blob_error) << "cell " << c;
       } else {
         expect_same_cell(resident.cells[c], report.cells[c], c);
       }
     }
-    EXPECT_EQ(report.failures.size(), m);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].policy, "netmaster");
+    EXPECT_EQ(report.failures[0].error, blob_error);
   }
 }
 
