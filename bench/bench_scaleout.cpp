@@ -257,15 +257,20 @@ void print_memory_figure() {
         static_cast<double>(resident.store().resident_bytes()) +
         static_cast<double>(resident.arena_bytes());
 
+    // Set-up prepares each user from the traces it admits, so building
+    // the spilled session must not decode a single blob.
+    const obs::Counter& rehydrations =
+        obs::Registry::global().counter("store.rehydrations");
+    const std::uint64_t setup_before = rehydrations.value();
     eval::ExperimentConfig spill_cfg = resident_cfg;
     spill_cfg.store.cache_cap_bytes = 256 * 1024;
     const eval::EvalSession spilled(users, spill_cfg);
+    const std::uint64_t setup_rehydrations =
+        rehydrations.value() - setup_before;
     std::size_t events = 0;
     for (std::size_t u = 0; u < spilled.num_users(); ++u) {
       events += spilled.index(u).activities().size();
     }
-    const obs::Counter& rehydrations =
-        obs::Registry::global().counter("store.rehydrations");
     const std::uint64_t rehydrations_before = rehydrations.value();
     obs::ScopedTimer timer;
     const eval::FleetReport report = eval::run_fleet(spilled, suite);
@@ -321,6 +326,8 @@ void print_memory_figure() {
                          static_cast<double>(grid_rehydrations));
     bench::record_scalar("mem_store_rehydrations_training_free" + tag,
                          static_cast<double>(training_free_rehydrations));
+    bench::record_scalar("mem_store_rehydrations_setup" + tag,
+                         static_cast<double>(setup_rehydrations));
     bench::record_scalar("mem_spill_bit_identical" + tag,
                          identical ? 1.0 : 0.0);
     t.add_row({std::to_string(n), eval::Table::num(before_bytes / kMiB, 1),

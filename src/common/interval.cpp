@@ -56,6 +56,18 @@ IntervalSet::IntervalSet(std::vector<Interval> intervals) {
 void IntervalSet::add(TimeMs begin, TimeMs end) {
   if (begin >= end) return;
 
+  // The tail, as the constructor's run does it: past the last interval
+  // appends, from its begin on extends it. Only an add that reaches
+  // further back searches.
+  if (intervals_.empty() || begin > intervals_.back().end) {
+    intervals_.push_back(Interval{begin, end});
+    return;
+  }
+  if (begin >= intervals_.back().begin) {
+    intervals_.back().end = std::max(intervals_.back().end, end);
+    return;
+  }
+
   // Find the first existing interval whose end reaches begin (candidates
   // for merging) and the first whose begin exceeds end.
   auto first = std::lower_bound(

@@ -54,11 +54,12 @@ class IntervalSet {
   explicit IntervalSet(std::vector<Interval> intervals);
 
   /// Adds [begin, end), merging with existing intervals as needed.
-  /// No-op when the interval is empty. O(log n) to locate the position
-  /// plus the vector shift: O(1) when appending past the last interval,
-  /// O(n) for an insert or merge before it. Bulk callers build a set
-  /// with the constructor and union once (add(const IntervalSet&))
-  /// instead of adding in a loop.
+  /// No-op when the interval is empty. O(1) when `begin` lies at or
+  /// after the last interval's begin (an append past it, or an
+  /// extension of it: no search); otherwise O(log n) to locate the
+  /// position plus the vector shift, O(n) for an insert or merge before
+  /// the tail. Bulk callers build a set with the constructor and union
+  /// once (add(const IntervalSet&)) instead of adding in a loop.
   void add(TimeMs begin, TimeMs end);
   void add(const Interval& iv) { add(iv.begin, iv.end); }
 

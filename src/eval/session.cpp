@@ -10,6 +10,20 @@
 
 namespace netmaster::eval {
 
+namespace {
+
+/// Runs the per-user set-up tasks to completion. Which hydrations the
+/// cap kept depends on the order the workers admitted in, so a build
+/// that overflowed the cap keeps none: what stays hydrated is the same
+/// at every worker count, and a fleet that fits stays fully hydrated.
+void run_set_up(jobs::TaskGraph& graph, unsigned max_threads,
+                UserStore& store) {
+  jobs::run_graph(graph, max_threads);
+  if (store.evictions() > 0) store.evict_all();
+}
+
+}  // namespace
+
 VolunteerTraces make_traces(const synth::UserProfile& profile,
                             const ExperimentConfig& config) {
   NM_REQUIRE(config.train_days > 0 && config.eval_days > 0,
@@ -52,26 +66,33 @@ EvalSession::EvalSession(const std::vector<synth::UserProfile>& profiles,
       store_(std::make_unique<UserStore>(config.store)),
       users_(profiles.size()) {
   store_->resize(profiles.size());
-  // Per-user trace_gen -> prepare chains instead of two barriered
-  // stages: a user whose synthesis finishes early starts preparing
-  // immediately, it never waits for the slowest generator.
+  // Per-user trace_gen -> prepare chains: generation admits the traces
+  // and hands the Pin admission returns to its prepare, which runs next
+  // on the same worker unless an idle one steals it (a finer grain at
+  // the tail than one task per user). A user whose synthesis finishes
+  // early prepares at once; it never waits for the slowest generator.
   jobs::TaskGraph graph;
+  std::vector<UserStore::Pin> admitted(users_.size());
   for (std::size_t u = 0; u < users_.size(); ++u) {
     const synth::UserProfile& profile = profiles[u];
-    const jobs::TaskId gen = graph.add([this, u, &profile] {
+    const jobs::TaskId gen = graph.add([this, u, &profile, &admitted] {
       const obs::SpanScope gen_span("fleet.trace_gen");
       users_[u].id = profile.id;
       users_[u].profile_name = profile.name;
       try {
-        store_->admit(u, make_traces(profile, config_));
+        admitted[u] = store_->admit(u, make_traces(profile, config_));
       } catch (const std::exception& e) {
         users_[u].prep_error = e.what();
       }
     });
-    const jobs::TaskId prep = graph.add([this, u] { prepare_user(u); });
+    const jobs::TaskId prep = graph.add([this, u, &admitted] {
+      if (!users_[u].prep_error.empty()) return;
+      prepare_user(u, admitted[u]);
+      admitted[u] = {};
+    });
     graph.add_dependency(gen, prep);
   }
-  jobs::run_graph(graph, max_threads);
+  run_set_up(graph, max_threads, *store_);
 }
 
 EvalSession::EvalSession(std::vector<VolunteerTraces> volunteers,
@@ -81,34 +102,36 @@ EvalSession::EvalSession(std::vector<VolunteerTraces> volunteers,
       store_(std::make_unique<UserStore>(config.store)),
       users_(volunteers.size()) {
   store_->resize(volunteers.size());
-  // Admission consumes the traces, so it stays inline; only the
-  // per-user preparation fans out onto the graph.
+  // One task per user: admit its traces (each task moves out its own
+  // element), then prepare from the admitted traces.
   jobs::TaskGraph graph;
   for (std::size_t u = 0; u < users_.size(); ++u) {
-    users_[u].id = volunteers[u].eval.user;
-    users_[u].profile_name = "volunteer";
-    try {
-      store_->admit(u, std::move(volunteers[u]));
-    } catch (const std::exception& e) {
-      users_[u].prep_error = e.what();
-    }
-    graph.add([this, u] { prepare_user(u); });
+    graph.add([this, u, &volunteers] {
+      users_[u].id = volunteers[u].eval.user;
+      users_[u].profile_name = "volunteer";
+      UserStore::Pin pin;
+      try {
+        pin = store_->admit(u, std::move(volunteers[u]));
+      } catch (const std::exception& e) {
+        users_[u].prep_error = e.what();
+        return;
+      }
+      prepare_user(u, pin);
+    });
   }
-  jobs::run_graph(graph, max_threads);
+  run_set_up(graph, max_threads, *store_);
 }
 
-void EvalSession::prepare_user(std::size_t u) {
+void EvalSession::prepare_user(std::size_t u, const VolunteerTraces& traces) {
   UserState& state = users_[u];
-  if (!state.prep_error.empty()) return;
   const obs::SpanScope span("fleet.prepare");
   try {
-    // Pin the traces for the preparation only: the index copies the
-    // eval trace into the per-user arena and is self-contained from
-    // then on, and the policy-invariant report fields are folded from
-    // its columns once here instead of once per cell.
-    const UserStore::Pin pin = store_->pin(u);
-    pin.eval().validate();
-    state.index = std::make_unique<engine::TraceIndex>(pin.eval());
+    // The index copies the eval trace into the per-user arena and is
+    // self-contained from then on, and the policy-invariant report
+    // fields are folded from its columns once here instead of once per
+    // cell.
+    traces.eval.validate();
+    state.index = std::make_unique<engine::TraceIndex>(traces.eval);
     state.totals = sim::trace_totals(*state.index);
     const policy::BaselinePolicy base;
     const obs::SpanScope account_span("fleet.account");

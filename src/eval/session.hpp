@@ -7,7 +7,7 @@
 // totals alone; it pins the store only for the training trace its
 // policy mines.
 // Built once (in parallel: the constructor runs one job graph of
-// per-user build chains to completion), immutable afterwards, and
+// per-user set-up work to completion), immutable afterwards, and
 // shared by reference across every sweep point and policy cell, so a
 // 12-point sweep pays trace synthesis and indexing exactly once
 // instead of 12 times. Every fleet run evaluates a built session.
@@ -19,6 +19,14 @@
 // on demand.
 // Serialization is lossless, so fleet results are bit-for-bit
 // identical whatever the cap.
+//
+// Set-up decodes no blob: each user's traces (synthesized, or handed
+// in) are admitted and prepared from the Pin admission returns, which
+// is then dropped, so a capped build frees each user's traces as its
+// preparation ends. Residency after construction is the same at every
+// worker count: a build that overflowed the cap (evicted anyone)
+// leaves no user hydrated, counting the drops as evictions; a fleet
+// that fits the cap stays fully hydrated.
 //
 // Per-user preparation failures (a poisoned trace, a baseline that
 // cannot replay) are captured in the session instead of thrown: the
@@ -75,13 +83,16 @@ class EvalSession {
  public:
   /// Synthesizes, splits, indexes and baseline-accounts every profile
   /// on the work-stealing pool as independent per-user
-  /// trace_gen -> prepare chains. A profile whose preparation throws is
-  /// marked failed (`ok(u)` false) — construction itself never throws
-  /// on bad user data.
+  /// trace_gen -> prepare chains. A
+  /// profile whose synthesis, spill or preparation throws is marked
+  /// failed (`ok(u)` false) — construction itself never throws on bad
+  /// user data or a failing spill directory.
   EvalSession(const std::vector<synth::UserProfile>& profiles,
               const ExperimentConfig& config, unsigned max_threads = 0);
 
-  /// Same, over pre-built (possibly recorded/corrupted) trace pairs.
+  /// Same, over pre-built (possibly recorded/corrupted) trace pairs,
+  /// one task per user that moves its pair into the store and
+  /// prepares.
   EvalSession(std::vector<VolunteerTraces> volunteers,
               const ExperimentConfig& config, unsigned max_threads = 0);
 
@@ -135,10 +146,10 @@ class EvalSession {
   };
 
   const UserState& user(std::size_t u) const;
-  /// The per-user prepare body: validate, build the arena-backed
-  /// index and the trace totals, account the baseline. Never throws;
-  /// failures land in prep_error.
-  void prepare_user(std::size_t u);
+  /// The per-user prepare body, on the traces its task just admitted:
+  /// validate, build the arena-backed index and the trace totals,
+  /// account the baseline. Never throws; failures land in prep_error.
+  void prepare_user(std::size_t u, const VolunteerTraces& traces);
 
   ExperimentConfig config_;
   std::unique_ptr<UserStore> store_;

@@ -59,8 +59,9 @@ void UserStore::resize(std::size_t n) {
   entries_.resize(n);
 }
 
-void UserStore::admit(std::size_t slot, VolunteerTraces traces) {
+UserStore::Pin UserStore::admit(std::size_t slot, VolunteerTraces traces) {
   const std::size_t bytes = pair_footprint(traces);
+  auto hydration = std::make_shared<const VolunteerTraces>(std::move(traces));
 
   // Spill first, outside the lock: once the blob is on disk an
   // eviction is a pure drop of the strong reference.
@@ -72,25 +73,24 @@ void UserStore::admit(std::size_t slot, VolunteerTraces traces) {
       ensure_spill_dir();
     }
     blob = blob_path(slot);
-    const UserTrace pair[] = {traces.training, traces.eval};
+    const UserTrace* const pair[] = {&hydration->training, &hydration->eval};
     mem::UserBlob::write_file(blob.string(), pair);
     StoreMetrics::get().spilled_bytes.add(
         std::filesystem::file_size(blob));
   }
-
-  auto hydration = std::make_shared<const VolunteerTraces>(std::move(traces));
 
   const std::lock_guard<std::mutex> lock(mutex_);
   NM_REQUIRE(slot < entries_.size(), "UserStore slot out of range");
   Entry& entry = entries_[slot];
   NM_REQUIRE(entry.resident == nullptr && entry.blob.empty(),
              "UserStore slot admitted twice");
-  entry.resident = std::move(hydration);
+  entry.resident = hydration;
   entry.blob = std::move(blob);
   entry.bytes = bytes;
   entry.last_touch = ++clock_;
   resident_bytes_ += bytes;
   evict_over_cap(slot);
+  return Pin(std::move(hydration));
 }
 
 UserStore::Pin UserStore::pin(std::size_t slot) const {
@@ -139,6 +139,13 @@ UserStore::Pin UserStore::pin(std::size_t slot) const {
   return Pin(entry.resident);
 }
 
+void UserStore::evict_all() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (Entry& entry : entries_) {
+    if (entry.resident != nullptr && !entry.blob.empty()) evict(entry);
+  }
+}
+
 std::size_t UserStore::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
@@ -179,13 +186,17 @@ void UserStore::evict_over_cap(std::size_t protect) const {
       }
     }
     if (victim == nullptr) break;  // only the protected slot is left
-    // Drop the store's reference; any outstanding Pin still keeps the
-    // bytes alive.
-    victim->resident.reset();
-    resident_bytes_ -= victim->bytes;
-    ++evictions_;
-    StoreMetrics::get().evictions.add(1);
+    evict(*victim);
   }
+}
+
+void UserStore::evict(Entry& entry) const {
+  // Drop the store's reference; any outstanding Pin still keeps the
+  // bytes alive.
+  entry.resident.reset();
+  resident_bytes_ -= entry.bytes;
+  ++evictions_;
+  StoreMetrics::get().evictions.add(1);
 }
 
 std::filesystem::path UserStore::blob_path(std::size_t slot) const {
@@ -195,9 +206,11 @@ std::filesystem::path UserStore::blob_path(std::size_t slot) const {
 
 void UserStore::ensure_spill_dir() const {
   if (!spill_dir_.empty()) return;
+  // spill_dir_ is set only once the directory exists, so a directory
+  // that cannot be created fails every admission with the same error.
   if (!config_.spill_dir.empty()) {
+    std::filesystem::create_directories(config_.spill_dir);
     spill_dir_ = config_.spill_dir;
-    std::filesystem::create_directories(spill_dir_);
     return;
   }
   // Unique auto directory: pid + random suffix avoids collisions with
@@ -205,9 +218,11 @@ void UserStore::ensure_spill_dir() const {
   std::random_device rd;
   const auto tag = static_cast<unsigned long>(rd()) ^
                    (static_cast<unsigned long>(rd()) << 16);
-  spill_dir_ = std::filesystem::temp_directory_path() /
-               ("netmaster_store_" + std::to_string(tag));
-  std::filesystem::create_directories(spill_dir_);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("netmaster_store_" + std::to_string(tag));
+  std::filesystem::create_directories(dir);
+  spill_dir_ = dir;
   owns_spill_dir_ = true;
 }
 

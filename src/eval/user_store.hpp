@@ -9,6 +9,11 @@
 // columns, CRC-guarded), so results are bit-for-bit identical no
 // matter which users happen to be resident when.
 //
+// Admission takes the traces the caller built, spills them by
+// encoding the pair in place (no copy), and hands them back as a Pin:
+// EvalSession prepares each user from that Pin on the worker that
+// admitted it, so setting a fleet up decodes no blob.
+//
 // Concurrency: admit() and pin() are thread-safe. A Pin holds a
 // shared_ptr to the hydration, so a concurrent eviction never frees
 // memory out from under a reader — eviction just drops the store's
@@ -84,11 +89,21 @@ class UserStore {
   /// Grows the table to `n` slots (slot == EvalSession user index).
   void resize(std::size_t n);
 
-  /// Installs slot `slot`'s traces. With spilling enabled the blob is
-  /// written immediately (evictions later are a pure drop), then the
-  /// cache is trimmed back under the cap. Thread-safe across distinct
-  /// slots; admitting the same slot twice is an error.
-  void admit(std::size_t slot, VolunteerTraces traces);
+  /// Installs slot `slot`'s traces and returns a Pin on the hydration
+  /// it installed, so the caller can keep reading the traces it handed
+  /// over without a decode. With spilling enabled the blob is encoded
+  /// from the pair in place and written immediately (evictions later
+  /// are a pure drop), then the cache is trimmed back under the cap;
+  /// the returned Pin keeps the traces alive even if that trim, or a
+  /// later one, drops the store's reference. Thread-safe across
+  /// distinct slots; admitting the same slot twice is an error. A
+  /// failed spill write throws and leaves the slot unadmitted.
+  Pin admit(std::size_t slot, VolunteerTraces traces);
+
+  /// Drops every spilled hydration the store still holds, counted as
+  /// evictions; outstanding Pins keep theirs alive. Slots that never
+  /// spilled (cap 0) stay resident.
+  void evict_all();
 
   /// Hydrated traces for `slot`, rehydrating from the spill file when
   /// the user is cold. Touches the LRU clock and trims the cache.
@@ -114,6 +129,8 @@ class UserStore {
   /// Requires mutex_ held. Drops least-recently-used hydrations (never
   /// slot `protect`) until the resident set fits the cap.
   void evict_over_cap(std::size_t protect) const;
+  /// Requires mutex_ held; drops one spilled entry's hydration.
+  void evict(Entry& entry) const;
   std::filesystem::path blob_path(std::size_t slot) const;
   /// Requires mutex_ held; creates the auto spill dir on first use.
   void ensure_spill_dir() const;

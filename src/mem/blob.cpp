@@ -1,6 +1,5 @@
 #include "mem/blob.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -74,6 +73,20 @@ class Writer {
     const std::size_t at = out_.size();
     out_.resize(at + n * sizeof(T));
     if (n > 0) std::memcpy(out_.data() + at, data, n * sizeof(T));
+  }
+
+  /// Appends the n-element column field(0), ..., field(n - 1) as T,
+  /// gathered straight into the image.
+  template <typename T, typename Field>
+  void put_column(std::size_t n, Field&& field) {
+    align8();
+    const std::size_t at = out_.size();
+    out_.resize(at + n * sizeof(T));
+    std::byte* p = out_.data() + at;
+    for (std::size_t i = 0; i < n; ++i, p += sizeof(T)) {
+      const T v = static_cast<T>(field(i));
+      std::memcpy(p, &v, sizeof(T));
+    }
   }
 
  private:
@@ -164,37 +177,39 @@ void encode_trace(Writer& w, const UserTrace& trace) {
   const std::size_t ns = trace.sessions.size();
   const std::size_t nu = trace.usages.size();
   const std::size_t na = trace.activities.size();
-  std::vector<std::int64_t> col64(std::max({ns, nu, na}));
-  std::vector<std::int32_t> col32(std::max(nu, na));
-  std::vector<std::uint8_t> flags(na);
+  const auto& sess = trace.sessions;
+  const auto& use = trace.usages;
+  const auto& act = trace.activities;
 
-  auto put64 = [&](auto&& field, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) col64[i] = field(i);
-    w.put_array(col64.data(), n);
-  };
-  auto put32 = [&](auto&& field, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) col32[i] = field(i);
-    w.put_array(col32.data(), n);
-  };
+  w.put_column<std::int64_t>(ns, [&](auto i) { return sess[i].begin; });
+  w.put_column<std::int64_t>(ns, [&](auto i) { return sess[i].end; });
 
-  put64([&](std::size_t i) { return trace.sessions[i].begin; }, ns);
-  put64([&](std::size_t i) { return trace.sessions[i].end; }, ns);
+  w.put_column<std::int32_t>(nu, [&](auto i) { return use[i].app; });
+  w.put_column<std::int64_t>(nu, [&](auto i) { return use[i].time; });
+  w.put_column<std::int64_t>(nu, [&](auto i) { return use[i].duration; });
 
-  put32([&](std::size_t i) { return trace.usages[i].app; }, nu);
-  put64([&](std::size_t i) { return trace.usages[i].time; }, nu);
-  put64([&](std::size_t i) { return trace.usages[i].duration; }, nu);
+  w.put_column<std::int32_t>(na, [&](auto i) { return act[i].app; });
+  w.put_column<std::int64_t>(na, [&](auto i) { return act[i].start; });
+  w.put_column<std::int64_t>(na, [&](auto i) { return act[i].duration; });
+  w.put_column<std::int64_t>(na, [&](auto i) { return act[i].bytes_down; });
+  w.put_column<std::int64_t>(na, [&](auto i) { return act[i].bytes_up; });
+  w.put_column<std::uint8_t>(na, [&](auto i) {
+    const NetworkActivity& a = act[i];
+    return (a.user_initiated ? kFlagUserInitiated : 0) |
+           (a.deferrable ? kFlagDeferrable : 0);
+  });
+}
 
-  put32([&](std::size_t i) { return trace.activities[i].app; }, na);
-  put64([&](std::size_t i) { return trace.activities[i].start; }, na);
-  put64([&](std::size_t i) { return trace.activities[i].duration; }, na);
-  put64([&](std::size_t i) { return trace.activities[i].bytes_down; }, na);
-  put64([&](std::size_t i) { return trace.activities[i].bytes_up; }, na);
-  for (std::size_t i = 0; i < na; ++i) {
-    const NetworkActivity& a = trace.activities[i];
-    flags[i] = (a.user_initiated ? kFlagUserInitiated : 0) |
-               (a.deferrable ? kFlagDeferrable : 0);
-  }
-  w.put_array(flags.data(), na);
+/// Upper bound on encode_trace's output for `trace`: the 48-byte
+/// section header, its twelve arrays (name offsets 4 bytes each, the
+/// name chars, 16 bytes per session, 20 per usage, 37 per activity)
+/// and up to 7 bytes of alignment ahead of the section and each array.
+std::size_t section_bytes_bound(const UserTrace& trace) {
+  std::size_t names_bytes = 0;
+  for (const std::string& name : trace.app_names) names_bytes += name.size();
+  return 13 * 7 + 48 + (trace.app_names.size() + 1) * 4 + names_bytes +
+         trace.sessions.size() * 16 + trace.usages.size() * 20 +
+         trace.activities.size() * 37;
 }
 
 UserTrace decode_trace(Reader& r) {
@@ -266,6 +281,14 @@ UserTrace decode_trace(Reader& r) {
   return trace;
 }
 
+/// The traces as references, for the span-of-values overloads.
+std::vector<const UserTrace*> refs_of(std::span<const UserTrace> traces) {
+  std::vector<const UserTrace*> refs;
+  refs.reserve(traces.size());
+  for (const UserTrace& trace : traces) refs.push_back(&trace);
+  return refs;
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> bytes) {
@@ -292,7 +315,16 @@ std::uint32_t crc32(std::span<const std::byte> bytes) {
 }
 
 std::vector<std::byte> UserBlob::encode(std::span<const UserTrace> traces) {
+  return encode(refs_of(traces));
+}
+
+std::vector<std::byte> UserBlob::encode(
+    std::span<const UserTrace* const> traces) {
+  // One allocation for the whole image instead of a doubling series.
+  std::size_t bound = kHeaderBytes;
+  for (const UserTrace* trace : traces) bound += section_bytes_bound(*trace);
   std::vector<std::byte> out;
+  out.reserve(bound);
   Writer w(out);
   w.put<std::uint32_t>(kBlobMagic);
   w.put<std::uint32_t>(kBlobVersion);
@@ -300,7 +332,8 @@ std::vector<std::byte> UserBlob::encode(std::span<const UserTrace> traces) {
   w.put<std::uint32_t>(0);  // payload crc32, patched below
   w.put<std::uint32_t>(static_cast<std::uint32_t>(traces.size()));
   NM_ASSERT(out.size() == kHeaderBytes, "blob header layout drifted");
-  for (const UserTrace& trace : traces) encode_trace(w, trace);
+  for (const UserTrace* trace : traces) encode_trace(w, *trace);
+  NM_ASSERT(out.size() <= bound, "blob size bound drifted from the layout");
 
   const std::span<const std::byte> payload{out.data() + kHeaderBytes,
                                            out.size() - kHeaderBytes};
@@ -345,6 +378,11 @@ std::vector<UserTrace> UserBlob::decode(std::span<const std::byte> bytes) {
 
 void UserBlob::write_file(const std::string& path,
                           std::span<const UserTrace> traces) {
+  write_file(path, refs_of(traces));
+}
+
+void UserBlob::write_file(const std::string& path,
+                          std::span<const UserTrace* const> traces) {
   const std::vector<std::byte> image = encode(traces);
   const std::string tmp = path + ".tmp";
   {

@@ -10,6 +10,11 @@
 // not validate() its payload, so even invariant-violating edge traces
 // survive the round trip (the consumers that care re-validate).
 //
+// Encoding reads the traces in place (the pointer-span overloads take
+// them from wherever the caller holds them) into one image allocated
+// once at an upper bound of its size; the bytes do not depend on which
+// overload wrote them.
+//
 // The layout is mmap-friendly: all array offsets are 8-aligned, so
 // read_file() maps the file and decodes straight out of the mapping
 // (falling back to a buffered read where mmap is unavailable).
@@ -41,6 +46,11 @@ class UserBlob {
  public:
   /// Serializes the traces into one flat blob image.
   static std::vector<std::byte> encode(std::span<const UserTrace> traces);
+  /// The same image from references to the traces, in order: a caller
+  /// that holds them elsewhere (the UserStore's train/eval pair)
+  /// encodes without copying them into a contiguous array first.
+  static std::vector<std::byte> encode(
+      std::span<const UserTrace* const> traces);
 
   /// Parses a blob image back into traces. Throws BlobError on any
   /// corruption; never reads outside `bytes`.
@@ -51,6 +61,8 @@ class UserBlob {
   /// netmaster::Error on I/O failure.
   static void write_file(const std::string& path,
                          std::span<const UserTrace> traces);
+  static void write_file(const std::string& path,
+                         std::span<const UserTrace* const> traces);
 
   /// Reads and decodes a blob file, via mmap when the platform has it.
   static std::vector<UserTrace> read_file(const std::string& path);

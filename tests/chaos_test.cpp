@@ -225,23 +225,31 @@ TEST(ChaosDegradation, HealthyTrainingStaysOnNormalPath) {
 
 // ---- Fleet isolation: one poisoned user fails alone. -----------------
 
-TEST(ChaosFleet, PoisonedUserFailsAloneInTheGrid) {
-  const eval::ExperimentConfig cfg = chaos_config();
-  const auto suite = eval::standard_policy_suite(cfg.netmaster);
-
+/// Three volunteers, user 1 (index 1) poisoned: raw field corruption
+/// on the eval trace, deliberately NOT sanitized — an invalid replay
+/// input.
+std::vector<eval::VolunteerTraces> poisoned_volunteers(
+    const eval::ExperimentConfig& cfg) {
   std::vector<eval::VolunteerTraces> volunteers;
   for (UserId id = 1; id <= 3; ++id) {
     volunteers.push_back(eval::make_traces(
         synth::make_user(static_cast<synth::Archetype>(id - 1), id),
         cfg));
   }
-  // Poison user 1 (index 1): raw field corruption on the eval trace,
-  // deliberately NOT sanitized — an invalid replay input.
   fault::FaultPlan plan;
   plan.seed = 11;
   plan.with(fault::FaultKind::kFieldCorruption, 0.5);
   volunteers[1].eval =
       fault::inject_faults(volunteers[1].eval, plan).trace;
+  return volunteers;
+}
+
+TEST(ChaosFleet, PoisonedUserFailsAloneInTheGrid) {
+  const eval::ExperimentConfig cfg = chaos_config();
+  const auto suite = eval::standard_policy_suite(cfg.netmaster);
+
+  const std::vector<eval::VolunteerTraces> volunteers =
+      poisoned_volunteers(cfg);
   ASSERT_THROW(volunteers[1].eval.validate(), Error);
 
   const eval::FleetReport report =
@@ -265,6 +273,50 @@ TEST(ChaosFleet, PoisonedUserFailsAloneInTheGrid) {
     // Failed cells are counted out of the aggregates, not folded in.
     EXPECT_EQ(report.aggregates[p].failed_cells, 1u);
     EXPECT_EQ(report.aggregates[p].energy_saving.count(), 2u);
+  }
+}
+
+TEST(ChaosFleet, PoisonedUserFailsAloneUnderACappedStore) {
+  // The same poisoned fleet over a trace cache far below one user:
+  // the poisoned user is still admitted and spilled, its prepare fails
+  // with the same error, and the grid's cells and failure ledger equal
+  // the uncapped session's at every worker count.
+  const eval::ExperimentConfig cfg = chaos_config();
+  const auto suite = eval::standard_policy_suite(cfg.netmaster);
+  const std::vector<eval::VolunteerTraces> volunteers =
+      poisoned_volunteers(cfg);
+  const eval::EvalSession uncapped(volunteers, cfg);
+  ASSERT_FALSE(uncapped.ok(1));
+  const eval::FleetReport expected = eval::run_fleet(uncapped, suite);
+
+  eval::ExperimentConfig capped_cfg = cfg;
+  capped_cfg.store.cache_cap_bytes = 4096;
+  for (const unsigned workers : {1u, 4u}) {
+    const eval::EvalSession capped(volunteers, capped_cfg, workers);
+    EXPECT_EQ(capped.store().size(), volunteers.size());
+    EXPECT_EQ(capped.store().evictions(), volunteers.size());
+    for (std::size_t u = 0; u < volunteers.size(); ++u) {
+      EXPECT_EQ(capped.ok(u), uncapped.ok(u)) << "user " << u;
+      EXPECT_EQ(capped.prep_error(u), uncapped.prep_error(u)) << "user " << u;
+    }
+    const eval::FleetReport report = eval::run_fleet(capped, suite, workers);
+    ASSERT_EQ(report.cells.size(), expected.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      const eval::FleetCell& got = report.cells[c];
+      const eval::FleetCell& want = expected.cells[c];
+      EXPECT_EQ(got.failed, want.failed) << "cell " << c;
+      EXPECT_EQ(got.error, want.error) << "cell " << c;
+      EXPECT_EQ(got.report.energy_j, want.report.energy_j) << "cell " << c;
+      EXPECT_EQ(got.report.radio_on_ms, want.report.radio_on_ms)
+          << "cell " << c;
+      EXPECT_EQ(got.energy_saving, want.energy_saving) << "cell " << c;
+    }
+    ASSERT_EQ(report.failures.size(), expected.failures.size());
+    for (std::size_t f = 0; f < report.failures.size(); ++f) {
+      EXPECT_EQ(report.failures[f].user, expected.failures[f].user);
+      EXPECT_EQ(report.failures[f].policy, expected.failures[f].policy);
+      EXPECT_EQ(report.failures[f].error, expected.failures[f].error);
+    }
   }
 }
 

@@ -155,6 +155,95 @@ TEST(IntervalSet, ConstructorMatchesOneByOneAdds) {
   check({{10, 20}, {0, 100}, {30, 40}, {-5, 0}}, "nested after the run");
 }
 
+/// The canonical form of a union over [0, 512), by brute force: mark
+/// every covered millisecond, then read off the maximal runs.
+std::vector<Interval> covered_runs(const std::vector<Interval>& ivs) {
+  std::vector<bool> covered(512, false);
+  for (const Interval& iv : ivs) {
+    for (TimeMs t = iv.begin; t < iv.end; ++t) {
+      covered[static_cast<std::size_t>(t)] = true;
+    }
+  }
+  std::vector<Interval> runs;
+  for (TimeMs t = 0; t < 512; ++t) {
+    if (!covered[static_cast<std::size_t>(t)]) continue;
+    if (!runs.empty() && runs.back().end == t) {
+      ++runs.back().end;
+    } else {
+      runs.push_back({t, t + 1});
+    }
+  }
+  return runs;
+}
+
+TEST(IntervalSet, AddTailFastPathKeepsTheCanonicalForm) {
+  // add() appends past the last interval and extends it from its begin
+  // on without a search; only an add reaching further back searches.
+  // Whatever the stream's shape, adding one at a time must give the
+  // constructor's canonical set and the brute-force union.
+  Rng rng(2929);
+  enum class Shape { kInOrder, kTouching, kNested, kOutOfOrder, kMixed };
+  for (const Shape shape : {Shape::kInOrder, Shape::kTouching, Shape::kNested,
+                            Shape::kOutOfOrder, Shape::kMixed}) {
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<Interval> ivs;
+      TimeMs cursor = rng.uniform_int(0, 20);
+      for (int k = 0; k < 30; ++k) {
+        const Interval last = ivs.empty() ? Interval{0, 0} : ivs.back();
+        Shape step = shape;
+        if (shape == Shape::kMixed) {
+          step = static_cast<Shape>(rng.uniform_int(0, 3));
+        }
+        TimeMs lo = 0;
+        TimeMs hi = 0;
+        switch (step) {
+          case Shape::kInOrder:  // begins at or after the last begin
+            lo = cursor + rng.uniform_int(0, 12);
+            hi = lo + rng.uniform_int(-2, 14);
+            break;
+          case Shape::kTouching:  // begins exactly at the last end
+            lo = ivs.empty() ? cursor : last.end;
+            hi = lo + rng.uniform_int(0, 10);
+            break;
+          case Shape::kNested:  // inside, or stretching, the last one
+            lo = ivs.empty() ? cursor
+                             : rng.uniform_int(last.begin,
+                                               std::max(last.begin, last.end));
+            hi = lo + rng.uniform_int(0, 8);
+            break;
+          case Shape::kOutOfOrder:
+          case Shape::kMixed:
+            lo = rng.uniform_int(0, 400);
+            hi = lo + rng.uniform_int(-3, 25);
+            break;
+        }
+        lo = std::clamp<TimeMs>(lo, 0, 511);
+        hi = std::clamp<TimeMs>(hi, 0, 511);
+        ivs.push_back({lo, hi});
+        cursor = std::max(cursor, lo);
+      }
+      IntervalSet added;
+      for (const Interval& iv : ivs) added.add(iv);
+      const std::string tag = "shape " +
+                              std::to_string(static_cast<int>(shape)) +
+                              " trial " + std::to_string(trial);
+      ASSERT_EQ(added.intervals(), IntervalSet(ivs).intervals()) << tag;
+      ASSERT_EQ(added.intervals(), covered_runs(ivs)) << tag;
+    }
+  }
+
+  // The three tail cases by hand.
+  IntervalSet set;
+  set.add(10, 20);
+  set.add(20, 25);  // touching the tail: extends it
+  set.add(12, 18);  // nested in the tail: no change
+  set.add(15, 30);  // from inside the tail past its end: extends it
+  set.add(31, 40);  // past the tail: appends
+  set.add(0, 5);    // before the tail: the searched path
+  EXPECT_EQ(set.intervals(),
+            (std::vector<Interval>{{0, 5}, {10, 30}, {31, 40}}));
+}
+
 TEST(IntervalSet, Contains) {
   IntervalSet set;
   set.add(10, 20);

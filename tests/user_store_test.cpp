@@ -4,9 +4,12 @@
 // spilled, bit-for-bit fleet determinism with and without spilling, at
 // most one rehydration per user per grid and none for a training-free
 // roster, and a corrupted spill file failing only the cells that read
-// its row's traces.
+// its row's traces. Set-up itself decodes no blob, leaves the same
+// users hydrated at every worker count, and fails every user alike
+// when the spill directory cannot be created.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -370,6 +373,172 @@ TEST(SpillFleet, CorruptedBlobFailsOnlyItsRow) {
     EXPECT_EQ(report.failures[0].policy, "netmaster");
     EXPECT_EQ(report.failures[0].error, blob_error);
   }
+}
+
+template <typename A, typename B>
+void expect_same_column(const A& a, const B& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << what;
+}
+
+/// Bit-for-bit equality of what set-up leaves per user: the index
+/// columns, the trace totals and the baseline report.
+void expect_same_prepared(const EvalSession& a, const EvalSession& b,
+                          std::size_t u, const std::string& context) {
+  const std::string at = context + " user " + std::to_string(u);
+  ASSERT_TRUE(a.ok(u)) << at;
+  ASSERT_TRUE(b.ok(u)) << at;
+  const engine::TraceIndex& x = a.index(u);
+  const engine::TraceIndex& y = b.index(u);
+  EXPECT_EQ(x.user(), y.user()) << at;
+  EXPECT_EQ(x.num_days(), y.num_days()) << at;
+  EXPECT_EQ(x.horizon(), y.horizon()) << at;
+  expect_same_column(x.sessions().begins(), y.sessions().begins(), at);
+  expect_same_column(x.sessions().ends(), y.sessions().ends(), at);
+  expect_same_column(x.usages().apps(), y.usages().apps(), at);
+  expect_same_column(x.usages().times(), y.usages().times(), at);
+  expect_same_column(x.usages().durations(), y.usages().durations(), at);
+  expect_same_column(x.activities(), y.activities(), at);
+  ASSERT_EQ(x.num_apps(), y.num_apps()) << at;
+  for (std::size_t i = 0; i < x.num_apps(); ++i) {
+    EXPECT_EQ(x.app_names().name(i), y.app_names().name(i)) << at;
+  }
+  expect_same_column(x.deferrable_screen_off(), y.deferrable_screen_off(),
+                     at);
+  ASSERT_EQ(x.buckets().size(), y.buckets().size()) << at;
+  for (std::size_t i = 0; i < x.buckets().size(); ++i) {
+    EXPECT_EQ(x.buckets()[i].usage_count, y.buckets()[i].usage_count) << at;
+    EXPECT_EQ(x.buckets()[i].net_count, y.buckets()[i].net_count) << at;
+    EXPECT_EQ(x.buckets()[i].net_bytes, y.buckets()[i].net_bytes) << at;
+    EXPECT_EQ(x.buckets()[i].distinct_net_apps,
+              y.buckets()[i].distinct_net_apps)
+        << at;
+  }
+
+  const sim::TraceTotals& tx = a.totals(u);
+  const sim::TraceTotals& ty = b.totals(u);
+  EXPECT_EQ(tx.horizon_ms, ty.horizon_ms) << at;
+  EXPECT_EQ(tx.num_activities, ty.num_activities) << at;
+  EXPECT_EQ(tx.bytes_down, ty.bytes_down) << at;
+  EXPECT_EQ(tx.bytes_up, ty.bytes_up) << at;
+  EXPECT_EQ(tx.peak_down_rate_kbps, ty.peak_down_rate_kbps) << at;
+  EXPECT_EQ(tx.peak_up_rate_kbps, ty.peak_up_rate_kbps) << at;
+  EXPECT_EQ(tx.total_usages, ty.total_usages) << at;
+  EXPECT_EQ(tx.screen_on_ms, ty.screen_on_ms) << at;
+
+  const sim::SimReport& rx = a.baseline(u);
+  const sim::SimReport& ry = b.baseline(u);
+  EXPECT_EQ(rx.policy_name, ry.policy_name) << at;
+  EXPECT_EQ(rx.energy_j, ry.energy_j) << at;
+  EXPECT_EQ(rx.transfer_energy_j, ry.transfer_energy_j) << at;
+  EXPECT_EQ(rx.duty_energy_j, ry.duty_energy_j) << at;
+  EXPECT_EQ(rx.radio_on_ms, ry.radio_on_ms) << at;
+  EXPECT_EQ(rx.radio.energy_j, ry.radio.energy_j) << at;
+  EXPECT_EQ(rx.radio.tail_tier_ms, ry.radio.tail_tier_ms) << at;
+  EXPECT_EQ(rx.radio.promotions, ry.radio.promotions) << at;
+  EXPECT_EQ(rx.wake_count, ry.wake_count) << at;
+  EXPECT_EQ(rx.bytes_down, ry.bytes_down) << at;
+  EXPECT_EQ(rx.bytes_up, ry.bytes_up) << at;
+  EXPECT_EQ(rx.avg_down_rate_kbps, ry.avg_down_rate_kbps) << at;
+  EXPECT_EQ(rx.avg_up_rate_kbps, ry.avg_up_rate_kbps) << at;
+  EXPECT_EQ(rx.total_usages, ry.total_usages) << at;
+  EXPECT_EQ(rx.affected_usages, ry.affected_usages) << at;
+  EXPECT_EQ(rx.interrupts, ry.interrupts) << at;
+  EXPECT_EQ(rx.affected_fraction, ry.affected_fraction) << at;
+  EXPECT_EQ(rx.deferred_count, ry.deferred_count) << at;
+  EXPECT_EQ(rx.screen_on_ms, ry.screen_on_ms) << at;
+}
+
+TEST(SpillFleet, SetupNeverRehydrates) {
+  // Each set-up task prepares its user from the traces it just
+  // admitted, so building a session decodes no blob, whatever the cap
+  // and the worker count. What stays hydrated afterwards is fixed by
+  // the rule in EvalSession's class comment: a build that overflowed
+  // the cap keeps no hydration (each spilled user evicted exactly
+  // once), a fleet that fits keeps every one (no eviction).
+  const std::vector<synth::UserProfile> profiles = small_fleet(6);
+  std::vector<VolunteerTraces> volunteers;
+  for (const synth::UserProfile& profile : profiles) {
+    volunteers.push_back(make_traces(profile, small_config()));
+  }
+  const EvalSession uncapped(profiles, small_config());
+  const std::size_t n = profiles.size();
+
+  struct Cap {
+    std::size_t bytes;
+    std::size_t resident;
+    std::uint64_t evictions;
+  };
+  for (const Cap cap : {Cap{4096, 0, n}, Cap{std::size_t{1} << 30, n, 0}}) {
+    for (const bool from_profiles : {true, false}) {
+      for (const unsigned workers : {1u, 2u, 8u}) {
+        const std::string context =
+            std::string(from_profiles ? "profiles" : "volunteers") +
+            " cap " + std::to_string(cap.bytes) + ", " +
+            std::to_string(workers) + " workers";
+        ExperimentConfig config = small_config();
+        config.store.cache_cap_bytes = cap.bytes;
+        const std::uint64_t before = counter_value("store.rehydrations");
+        const EvalSession session =
+            from_profiles ? EvalSession(profiles, config, workers)
+                          : EvalSession(volunteers, config, workers);
+        EXPECT_EQ(counter_value("store.rehydrations") - before, 0u)
+            << context;
+        EXPECT_EQ(session.store().resident_count(), cap.resident) << context;
+        EXPECT_EQ(session.store().evictions(), cap.evictions) << context;
+        ASSERT_EQ(session.num_users(), n) << context;
+        for (std::size_t u = 0; u < n; ++u) {
+          expect_same_prepared(uncapped, session, u, context);
+        }
+      }
+    }
+  }
+}
+
+TEST(SpillFleet, UncreatableSpillDirFailsEveryUser) {
+  // A spill directory under a regular file cannot be created: every
+  // user's admission fails with that I/O error, the constructor does
+  // not throw, and a grid over the session reports each row failed.
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() / "nm_store_test_not_a_dir";
+  std::filesystem::remove_all(file);
+  std::ofstream(file) << "a regular file";
+  const std::filesystem::path dir = file / "spill";
+  std::string io_error;
+  try {
+    std::filesystem::create_directories(dir);
+  } catch (const std::exception& e) {
+    io_error = e.what();
+  }
+  ASSERT_FALSE(io_error.empty());
+
+  const std::vector<synth::UserProfile> profiles = small_fleet(3);
+  std::vector<VolunteerTraces> volunteers;
+  for (const synth::UserProfile& profile : profiles) {
+    volunteers.push_back(make_traces(profile, small_config()));
+  }
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;
+  config.store.spill_dir = dir.string();
+  for (const bool from_profiles : {true, false}) {
+    for (const unsigned workers : {1u, 4u}) {
+      std::unique_ptr<EvalSession> session;
+      ASSERT_NO_THROW(session = from_profiles
+                                    ? std::make_unique<EvalSession>(
+                                          profiles, config, workers)
+                                    : std::make_unique<EvalSession>(
+                                          volunteers, config, workers));
+      EXPECT_EQ(session->num_ok(), 0u);
+      for (std::size_t u = 0; u < session->num_users(); ++u) {
+        EXPECT_EQ(session->prep_error(u), io_error) << "user " << u;
+      }
+      EXPECT_EQ(session->store().resident_count(), 0u);
+      const FleetReport report =
+          run_fleet(*session, standard_policy_suite(config.netmaster));
+      EXPECT_EQ(report.failures.size(), profiles.size());
+    }
+  }
+  std::filesystem::remove_all(file);
 }
 
 TEST(SpillFleet, VolunteerSessionsSpillToo) {
