@@ -6,6 +6,7 @@
 // is also a measure of a union.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -84,6 +85,11 @@ class IntervalSet {
   bool empty() const { return intervals_.empty(); }
   std::size_t size() const { return intervals_.size(); }
   const std::vector<Interval>& intervals() const { return intervals_; }
+
+  /// Hands the canonical intervals (and their storage) back to the
+  /// caller, leaving this set empty: a builder that canonicalizes into
+  /// reused storage takes it back when done.
+  std::vector<Interval> release() && { return std::move(intervals_); }
 
   /// Complement of this set within the clip window [begin, end).
   IntervalSet complement(TimeMs begin, TimeMs end) const;

@@ -71,152 +71,158 @@ constexpr double energy_joules(double mw, DurationMs ms) {
   return mw * static_cast<double>(ms) * 1e-6;
 }
 
-constexpr TimeMs kFar = std::numeric_limits<TimeMs>::max() / 4;
+/// End of the allowed window holding t, t itself when no window holds
+/// it, far past any horizon on the stock radio (`allowed` null). The
+/// queries must not decrease: `cursor` only moves forward.
+TimeMs allowed_until(const std::vector<Interval>* allowed,
+                     std::size_t& cursor, TimeMs t) {
+  if (allowed == nullptr) return std::numeric_limits<TimeMs>::max() / 4;
+  while (cursor < allowed->size() && (*allowed)[cursor].end <= t) ++cursor;
+  if (cursor < allowed->size() && (*allowed)[cursor].begin <= t) {
+    return (*allowed)[cursor].end;
+  }
+  return t;
+}
+
+/// Drains a tail span through the tier chain (clamped per tier).
+void charge_tail(const RadioModel& model,
+                 std::array<DurationMs, kMaxRadioTiers>& tail_ms,
+                 DurationMs span) {
+  for (std::size_t i = 0; i < model.num_tails; ++i) {
+    const DurationMs d = std::min(span, model.tails[i].duration_ms);
+    tail_ms[i] += d;
+    span -= d;
+  }
+}
 
 }  // namespace
 
-RadioAccounting account_columns(std::span<const TimeMs> begins,
-                                std::span<const TimeMs> ends,
-                                const RadioModel& model,
-                                TimeMs horizon_end,
-                                const IntervalSet* radio_allowed) {
-  model.validate();
-  const std::size_t n = begins.size();
-  NM_REQUIRE(n == ends.size(),
-             "transfer columns must have equal lengths");
+RrcIntegrator::RrcIntegrator(const RadioModel& model, TimeMs horizon_end,
+                             const IntervalSet* radio_allowed)
+    : model_(model),
+      horizon_(horizon_end),
+      allowed_(radio_allowed != nullptr ? &radio_allowed->intervals()
+                                        : nullptr) {
+  model_.validate();
+}
 
-  const std::vector<Interval>* allowed =
-      radio_allowed != nullptr ? &radio_allowed->intervals() : nullptr;
+void RrcIntegrator::integrate_closed() {
+  // The totals live in locals for the loop.
+  const RadioModel& m = model_;
+  const DurationMs total_tail = m.total_tail_ms();
+  TimeMs connected_until = connected_until_;
+  DurationMs active_ms = active_ms_;
+  std::array<DurationMs, kMaxRadioTiers> tail_ms = tail_ms_;
+  DurationMs promo_ms = promo_ms_;
+  DurationMs assoc_ms = assoc_ms_;
+  int promotions = promotions_;
+  int associations = associations_;
+  bool connected = connected_;
 
-  // Validation pass, in index order so a doubly-invalid input raises
-  // the same error the reference implementation would. The canonical
-  // columns are sorted, so the allowed-set membership check is one
-  // monotone merge cursor instead of n binary searches.
-  {
-    std::size_t j = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      NM_REQUIRE(ends[k] <= horizon_end,
-                 "transfer extends beyond the accounting horizon");
-      if (allowed != nullptr) {
-        const TimeMs b = begins[k];
-        while (j < allowed->size() && (*allowed)[j].end <= b) ++j;
-        NM_REQUIRE(j < allowed->size() && (*allowed)[j].begin <= b,
-                   "transfer outside the radio-allowed set");
+  for (std::size_t k = 0; k < num_closed_; ++k) {
+    const TimeMs b = closed_[k].begin;
+    const TimeMs e = closed_[k].end;
+    NM_REQUIRE(e <= horizon_,
+               "transfer extends beyond the accounting horizon");
+    if (allowed_ != nullptr) {
+      const std::vector<Interval>& ivs = *allowed_;
+      while (check_cursor_ < ivs.size() && ivs[check_cursor_].end <= b) {
+        ++check_cursor_;
+      }
+      NM_REQUIRE(check_cursor_ < ivs.size() && ivs[check_cursor_].begin <= b,
+                 "transfer outside the radio-allowed set");
+    }
+    const DurationMs dur = e - b;
+    active_ms += dur;
+    DurationMs promo = 0;
+    bool cold = !connected;
+    if (connected) {
+      const TimeMs prev = connected_until;
+      if (b <= prev) {
+        // Arrives while the connected period (or its promotion shift)
+        // is still running: the period simply extends, nothing is paid.
+        connected_until = prev + dur;
+        continue;
+      }
+      // The radio was tailing. The tail runs until the transfer, the
+      // allowed cut or the end of the chain, whichever comes first; a
+      // transfer inside a surviving tier pays that tier's re-promotion.
+      const TimeMs cut = allowed_until(allowed_, cut_cursor_, prev);
+      const TimeMs warm_end = prev + total_tail;
+      charge_tail(m, tail_ms, std::min({b, cut, warm_end}) - prev);
+      if (b <= cut && b < warm_end) {
+        TimeMs boundary = prev;
+        for (std::size_t i = 0; i < m.num_tails; ++i) {
+          boundary += m.tails[i].duration_ms;
+          if (b < boundary) {
+            promo = m.tails[i].promo_ms;
+            break;
+          }
+        }
+      } else {
+        cold = true;
       }
     }
+    connected = true;
+    DurationMs assoc = 0;
+    if (cold) {
+      // A cold attach from IDLE: the association burst, if the model
+      // has one, then the promotion.
+      promo = m.promo_idle_ms;
+      assoc = m.assoc_ms;
+      assoc_ms += assoc;
+      associations += assoc > 0;
+    }
+    promotions += promo > 0;
+    promo_ms += promo;
+    connected_until = b + assoc + promo + dur;
   }
 
-  const std::size_t nt = model.num_tails;
-  const DurationMs total_tail = model.total_tail_ms();
-  DurationMs active_ms = 0;
-  std::array<DurationMs, kMaxRadioTiers> tail_ms = {0, 0, 0, 0};
-  DurationMs promo_ms = 0;
-  DurationMs assoc_total = 0;
-  int promotions = 0;
-  int associations = 0;
+  num_closed_ = 0;
+  connected_ = connected;
+  connected_until_ = connected_until;
+  active_ms_ = active_ms;
+  tail_ms_ = tail_ms;
+  promo_ms_ = promo_ms;
+  assoc_ms_ = assoc_ms;
+  promotions_ = promotions;
+  associations_ = associations;
+}
 
-  // End-of-allowed-window cursor. Query points (the running
-  // connected_until) are non-decreasing, so one forward scan serves
-  // every lookup including the trailing tail.
-  std::size_t aj = 0;
-  const auto allowed_until = [&](TimeMs t) -> TimeMs {
-    if (allowed == nullptr) return kFar;
-    while (aj < allowed->size() && (*allowed)[aj].end <= t) ++aj;
-    if (aj < allowed->size() && (*allowed)[aj].begin <= t) {
-      return (*allowed)[aj].end;
-    }
-    return t;
-  };
-
-  // Drains a tail span through the tier chain (clamped per tier).
-  const auto charge_tail = [&](DurationMs span) {
-    for (std::size_t i = 0; i < nt; ++i) {
-      const DurationMs d = std::min(span, model.tails[i].duration_ms);
-      tail_ms[i] += d;
-      span -= d;
-    }
-  };
-
-  TimeMs connected_until = 0;
-  if (n > 0) {
-    // Peel the first transfer: always a cold attach from IDLE
-    // (association burst, if the model has one, then the promotion).
-    const DurationMs promo0 = model.promo_idle_ms;
-    promotions += promo0 > 0;
-    promo_ms += promo0;
-    assoc_total += model.assoc_ms;
-    associations += model.assoc_ms > 0;
-    const DurationMs dur0 = ends[0] - begins[0];
-    active_ms += dur0;
-    connected_until = begins[0] + model.assoc_ms + promo0 + dur0;
-
-    for (std::size_t k = 1; k < n; ++k) {
-      const TimeMs b = begins[k];
-      const DurationMs dur = ends[k] - b;
-      const TimeMs prev = connected_until;
-      const TimeMs cut = allowed_until(prev);
-      const TimeMs warm_end = prev + total_tail;
-
-      // Inter-transfer tail: runs from prev to min(b, cut, tail
-      // expiry). The no-gap case (b <= prev: the connected period
-      // simply extends) clamps the span to zero — no branch.
-      const TimeMs tail_stop = std::min({b, cut, warm_end});
-      charge_tail(std::max<DurationMs>(tail_stop - prev, 0));
-
-      // Promotion class by boolean arithmetic: a monotone scan over
-      // the tier boundaries selects the surviving tier the transfer
-      // lands in (paying that tier's re-promotion); a gap past the
-      // chain — or past the allowed cut — is a cold attach.
-      const bool gap = b > prev;
-      const bool within = b <= cut;
-      DurationMs promo = 0;
-      bool matched = false;
-      TimeMs boundary = prev;
-      for (std::size_t i = 0; i < nt; ++i) {
-        boundary += model.tails[i].duration_ms;
-        const bool in_tier = gap & within & !matched & (b < boundary);
-        promo += static_cast<DurationMs>(in_tier) * model.tails[i].promo_ms;
-        matched |= in_tier;
-      }
-      const bool cold = gap & !matched;
-      promo += static_cast<DurationMs>(cold) * model.promo_idle_ms;
-      const DurationMs assoc =
-          static_cast<DurationMs>(cold) * model.assoc_ms;
-      assoc_total += assoc;
-      associations += assoc > 0;
-      promotions += promo > 0;
-      promo_ms += promo;
-      active_ms += dur;
-      connected_until = std::max(b, prev) + assoc + promo + dur;
-    }
-
-    // Trailing tail after the final transfer, clipped at the horizon
-    // and the allowed window.
-    if (connected_until < horizon_end) {
-      const TimeMs cut = allowed_until(connected_until);
-      const TimeMs stop =
-          std::min({horizon_end, cut, connected_until + total_tail});
-      charge_tail(std::max<DurationMs>(stop - connected_until, 0));
-    }
+RadioAccounting RrcIntegrator::finish() {
+  if (open_) {
+    closed_[num_closed_++] = run_;
+    open_ = false;
+  }
+  integrate_closed();
+  // Trailing tail after the final transfer, clipped at the horizon and
+  // the allowed window.
+  if (connected_ && connected_until_ < horizon_) {
+    const TimeMs cut = allowed_until(allowed_, cut_cursor_, connected_until_);
+    const TimeMs stop = std::min(
+        {horizon_, cut, connected_until_ + model_.total_tail_ms()});
+    charge_tail(model_, tail_ms_,
+                std::max<DurationMs>(stop - connected_until_, 0));
   }
 
   // Energy falls out of the integer totals exactly as in the
   // reference — same terms, same order, bit-identical doubles.
+  const std::size_t nt = model_.num_tails;
   RadioAccounting acc;
-  acc.active_ms = active_ms;
-  acc.tail_tier_ms = tail_ms;
-  acc.promo_ms = promo_ms;
-  acc.assoc_ms = assoc_total;
-  acc.promotions = promotions;
-  acc.associations = associations;
-  acc.radio_on_ms = active_ms + promo_ms + assoc_total;
-  for (std::size_t i = 0; i < nt; ++i) acc.radio_on_ms += tail_ms[i];
-  acc.energy_j = energy_joules(model.active_mw, acc.active_ms);
+  acc.active_ms = active_ms_;
+  acc.tail_tier_ms = tail_ms_;
+  acc.promo_ms = promo_ms_;
+  acc.assoc_ms = assoc_ms_;
+  acc.promotions = promotions_;
+  acc.associations = associations_;
+  acc.radio_on_ms = active_ms_ + promo_ms_ + assoc_ms_;
+  for (std::size_t i = 0; i < nt; ++i) acc.radio_on_ms += tail_ms_[i];
+  acc.energy_j = energy_joules(model_.active_mw, acc.active_ms);
   for (std::size_t i = 0; i < nt; ++i) {
-    acc.energy_j += energy_joules(model.tails[i].power_mw, tail_ms[i]);
+    acc.energy_j += energy_joules(model_.tails[i].power_mw, tail_ms_[i]);
   }
-  acc.energy_j += energy_joules(model.promo_mw, acc.promo_ms);
-  acc.energy_j += energy_joules(model.assoc_mw, acc.assoc_ms);
+  acc.energy_j += energy_joules(model_.promo_mw, acc.promo_ms);
+  acc.energy_j += energy_joules(model_.assoc_mw, acc.assoc_ms);
   return acc;
 }
 
@@ -224,21 +230,10 @@ RadioAccounting account_interval_set(const IntervalSet& transfers,
                                      const RadioModel& model,
                                      TimeMs horizon_end,
                                      const IntervalSet* radio_allowed) {
-  // Scatter the AoS intervals into reusable per-thread columns: the
-  // kernel wants SoA and the accounting hot path must not allocate in
-  // steady state.
-  thread_local std::vector<TimeMs> begins;
-  thread_local std::vector<TimeMs> ends;
-  const std::vector<Interval>& ivs = transfers.intervals();
-  begins.clear();
-  ends.clear();
-  begins.reserve(ivs.size());
-  ends.reserve(ivs.size());
-  for (const Interval& iv : ivs) {
-    begins.push_back(iv.begin);
-    ends.push_back(iv.end);
-  }
-  return account_columns(begins, ends, model, horizon_end, radio_allowed);
+  RrcIntegrator integrator(model, horizon_end, radio_allowed);
+  // A canonical set is in start order: every interval is fed.
+  integrator.add(transfers.intervals());
+  return integrator.finish();
 }
 
 }  // namespace netmaster::engine

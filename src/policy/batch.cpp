@@ -20,6 +20,7 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
   const TimeMs horizon = eval.horizon();
   const mem::ActivityColumns& activities = eval.activities();
   const mem::SessionColumns& sessions = eval.sessions();
+  outcome.transfers.reserve(activities.size());
 
   std::vector<HeldActivity> queue;
 

@@ -22,6 +22,7 @@ sim::PolicyOutcome DelayPolicy::run(const engine::TraceIndex& eval) const {
   outcome.policy_name = name();
   const TimeMs horizon = eval.horizon();
   const mem::ActivityColumns& activities = eval.activities();
+  outcome.transfers.reserve(activities.size());
 
   for (std::size_t i = 0; i < activities.size(); ++i) {
     const NetworkActivity act = activities[i];

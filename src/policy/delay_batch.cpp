@@ -26,6 +26,7 @@ sim::PolicyOutcome DelayBatchPolicy::run(
   const TimeMs horizon = eval.horizon();
   const mem::ActivityColumns& activities = eval.activities();
   const mem::SessionColumns& sessions = eval.sessions();
+  outcome.transfers.reserve(activities.size());
 
   std::vector<HeldActivity> queue;
 

@@ -17,6 +17,7 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
   const TimeMs horizon = eval.horizon();
   const mem::SessionColumns& sessions = eval.sessions();
   const mem::ActivityColumns& activities = eval.activities();
+  outcome.transfers.reserve(activities.size());
 
   // Per-session residual capacity (Eq. 5 over the real sessions).
   std::vector<std::int64_t> residual;

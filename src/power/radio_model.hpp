@@ -19,8 +19,8 @@
 // unchanged. Factory profiles cover WCDMA, LTE CDRX, NR CDRX, and
 // Wi-Fi PSM.
 //
-// engine::account_columns (engine/radio_timeline.hpp) integrates state
-// power over the trajectory a set of transfer intervals induces — the
+// engine::RrcIntegrator (engine/radio_timeline.hpp) integrates state
+// power over the trajectory a stream of transfer intervals induces — the
 // single source of truth for radio energy and radio-on time across the
 // simulator and the oracle baseline; the scheduler's profit model uses
 // the closed forms below.

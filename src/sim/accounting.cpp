@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
 #include "engine/trace_index.hpp"
+#include "obs/metrics.hpp"
 
 namespace netmaster::sim {
 
@@ -30,33 +31,113 @@ void add_activity(TraceTotals& totals, std::int64_t bytes_down,
                static_cast<double>(bytes_up) / 1000.0 / s);
 }
 
-/// Number of `times` covered by `blocked`: IntervalSet::contains for a
-/// stream of instants. A non-decreasing query walks the cursor forward,
-/// O(u + b) in total; a backwards step (unvalidated traces may hold
-/// unsorted usages) re-seeks with contains' own lower_bound, so the
-/// count equals the per-usage contains count whatever the order.
-std::size_t count_covered(const IntervalSet& blocked,
-                          std::span<const TimeMs> times) {
-  const std::vector<Interval>& iv = blocked.intervals();
-  if (iv.empty()) return 0;
-  std::size_t covered = 0;
-  std::size_t next = 0;  // first interval with end > last
-  TimeMs last = std::numeric_limits<TimeMs>::min();
-  for (const TimeMs t : times) {
-    if (t < last) {
-      next = static_cast<std::size_t>(
-          std::lower_bound(iv.begin(), iv.end(), t,
+/// IntervalSet's point and window queries for a stream of query
+/// instants over one canonical interval list. A non-decreasing stream
+/// walks one cursor forward, O(n + q) in total; a backwards step
+/// (unvalidated traces may hold unsorted usages) re-seeks with the
+/// set's own lower_bound, so every answer equals the per-query binary
+/// search's whatever the order.
+class ForwardCursor {
+ public:
+  explicit ForwardCursor(const std::vector<Interval>& intervals)
+      : iv_(intervals) {}
+
+  /// IntervalSet::contains.
+  bool contains(TimeMs t) {
+    const std::size_t i = seek(t);
+    return i < iv_.size() && iv_[i].begin <= t;
+  }
+
+  /// IntervalSet::overlap_length.
+  DurationMs overlap_length(TimeMs begin, TimeMs end) {
+    if (begin >= end) return 0;
+    DurationMs total = 0;
+    for (std::size_t i = seek(begin); i < iv_.size() && iv_[i].begin < end;
+         ++i) {
+      total += intersect(iv_[i], Interval{begin, end}).length();
+    }
+    return total;
+  }
+
+ private:
+  /// First interval with end > t.
+  std::size_t seek(TimeMs t) {
+    if (t < last_) {
+      next_ = static_cast<std::size_t>(
+          std::lower_bound(iv_.begin(), iv_.end(), t,
                            [](const Interval& i, TimeMs v) {
                              return i.end <= v;
                            }) -
-          iv.begin());
+          iv_.begin());
     } else {
-      while (next < iv.size() && iv[next].end <= t) ++next;
+      while (next_ < iv_.size() && iv_[next_].end <= t) ++next_;
     }
-    last = t;
-    if (next < iv.size() && iv[next].begin <= t) ++covered;
+    last_ = t;
+    return next_;
   }
-  return covered;
+
+  const std::vector<Interval>& iv_;
+  std::size_t next_ = 0;  // first interval with end > last_
+  TimeMs last_ = std::numeric_limits<TimeMs>::min();
+};
+
+/// The materializing path: canonicalizes each radio partition once, in
+/// the caller's reused storage (handed back on return), integrates the
+/// cellular set under the policy's data switch when it drives one and
+/// the Wi-Fi set on its own machine, and charges the duty wakes.
+void account_canonicalized(std::vector<Interval>& cellular,
+                           std::vector<Interval>& wifi,
+                           const PolicyOutcome& outcome,
+                           const RadioSet& radios, SimReport& report) {
+  static obs::Counter& canonicalized =
+      obs::Registry::global().counter("sim.account.canonicalized");
+  canonicalized.add(1);
+  report.wifi_transfer_count = wifi.size();
+  IntervalSet executed(std::move(cellular));
+  IntervalSet executed_wifi(std::move(wifi));
+
+  if (outcome.radio_allowed.has_value()) {
+    // One canonical allowed-set construction: the policy's extra
+    // windows, the executed cellular transfers themselves, and the
+    // duty probes. Wi-Fi transfers do not extend the cellular switch.
+    engine::RadioTimeline timeline(report.horizon_ms);
+    timeline.allow(*outcome.radio_allowed);
+    timeline.allow(executed);
+    timeline.allow_wakes(outcome.wakes);
+    const IntervalSet allowed = std::move(timeline).build();
+    report.radio = engine::account_interval_set(
+        executed, radios.cellular, report.horizon_ms, &allowed);
+  } else {
+    report.radio = engine::account_interval_set(executed, radios.cellular,
+                                                report.horizon_ms);
+  }
+
+  // The Wi-Fi interface is not behind the cellular data switch: its
+  // PSM tails always run to completion, and every cold attach pays the
+  // scan/associate burst the model describes.
+  if (!executed_wifi.empty()) {
+    report.wifi = engine::account_interval_set(executed_wifi, radios.wifi,
+                                               report.horizon_ms);
+    report.wifi_energy_j = report.wifi.energy_j;
+    report.wifi_on_ms = report.wifi.radio_on_ms;
+  }
+
+  // Duty-cycle wake overhead: probes run the cellular radio at
+  // FACH-level power (network attach, no dedicated channel). Fruitful
+  // wakes overlap transfers and are not double-charged: only the
+  // non-overlap part of each probe window is added.
+  ForwardCursor transfers(executed.intervals());
+  for (const duty::WakeEvent& w : outcome.wakes) {
+    const DurationMs overlap =
+        transfers.overlap_length(w.time, w.time + w.window);
+    const DurationMs extra = w.window - overlap;
+    report.duty_energy_j +=
+        radios.cellular.probe_mw() * static_cast<double>(extra) * 1e-6;
+    report.radio_on_ms += extra;
+  }
+
+  cellular = std::move(executed).release();
+  wifi = std::move(executed_wifi).release();
 }
 
 }  // namespace
@@ -132,17 +213,15 @@ SimReport account(const TraceTotals& totals,
   report.screen_on_ms = totals.screen_on_ms;
 
   // Consistency: every activity executed exactly once, inside the
-  // horizon. Transfers are partitioned by their assigned radio — each
-  // interface runs an independent state machine — and each partition
-  // is canonicalized once (a sorted schedule skips the sort).
+  // horizon, checked in transfer order in the same pass that feeds the
+  // accountant.
   const std::size_t n = totals.num_activities;
   NM_REQUIRE(outcome.transfers.size() == n,
              "outcome must execute every activity exactly once");
-  std::vector<std::uint64_t> seen((n + 63) / 64, 0);
-  std::vector<Interval> cellular;  // executed cellular transfers
-  std::vector<Interval> wifi;      // Wi-Fi offloads
-  cellular.reserve(n);
-  for (const ExecutedTransfer& t : outcome.transfers) {
+  thread_local std::vector<std::uint64_t> seen;
+  seen.assign((n + 63) / 64, 0);
+  bool any_wifi = false;
+  const auto checked = [&](const ExecutedTransfer& t) {
     NM_REQUIRE(t.activity_index < n,
                "transfer references unknown activity");
     std::uint64_t& word = seen[t.activity_index >> 6];
@@ -151,59 +230,47 @@ SimReport account(const TraceTotals& totals,
     word |= bit;
     NM_REQUIRE(t.start >= 0 && t.start + t.duration <= report.horizon_ms,
                "transfer outside the accounting horizon");
-    if (t.radio == RadioId::kWifi) {
-      wifi.push_back({t.start, t.start + t.duration});
-    } else {
-      cellular.push_back({t.start, t.start + t.duration});
+    any_wifi |= t.radio == RadioId::kWifi;
+    // A Wi-Fi transfer feeds the cellular machine nothing; any_wifi
+    // sends the outcome down the partitioning path below.
+    return t.radio == RadioId::kWifi ? Interval{}
+                                     : Interval{t.start, t.start + t.duration};
+  };
+
+  // The stock radio without duty wakes needs only the cellular
+  // integrator: an in-order all-cellular schedule (baseline, delay,
+  // batch, delay&batch) streams straight into it. A data switch or
+  // wakes need the executed set itself, and a Wi-Fi transfer or an
+  // out-of-order arrival a canonicalization: those outcomes are
+  // partitioned by radio (each interface runs an independent state
+  // machine) into reused per-thread storage instead.
+  const std::span<const ExecutedTransfer> transfers(outcome.transfers);
+  std::size_t unchecked = 0;  // first transfer not yet checked
+  bool streamed = false;
+  if (!outcome.radio_allowed.has_value() && outcome.wakes.empty()) {
+    engine::RrcIntegrator integrator(radios.cellular, report.horizon_ms);
+    const std::size_t fed = integrator.add(transfers, checked);
+    streamed = fed == n && !any_wifi;
+    if (streamed) report.radio = integrator.finish();
+    unchecked = std::min(fed + 1, n);  // a refused arrival was checked
+  }
+  if (!streamed) {
+    thread_local std::vector<Interval> cellular;
+    thread_local std::vector<Interval> wifi;
+    cellular.clear();
+    wifi.clear();
+    const auto partition = [&](const ExecutedTransfer& t) {
+      (t.radio == RadioId::kWifi ? wifi : cellular)
+          .push_back({t.start, t.start + t.duration});
+    };
+    for (std::size_t k = 0; k < unchecked; ++k) partition(transfers[k]);
+    for (std::size_t k = unchecked; k < n; ++k) {
+      checked(transfers[k]);
+      partition(transfers[k]);
     }
-  }
-  report.wifi_transfer_count = wifi.size();
-  const IntervalSet executed(std::move(cellular));
-  const IntervalSet executed_wifi(std::move(wifi));
-
-  // Cellular RRC energy over the executed schedule, under the policy's
-  // data switch when it drives one. The vectorized engine kernel is
-  // bit-identical to the branchy reference accountant the differential
-  // tests fuzz it against (tests/oracles/account_transfers.hpp).
-  if (outcome.radio_allowed.has_value()) {
-    // One canonical allowed-set construction: the policy's extra
-    // windows, the executed cellular transfers themselves, and the
-    // duty probes. Wi-Fi transfers do not extend the cellular switch.
-    engine::RadioTimeline timeline(report.horizon_ms);
-    timeline.allow(*outcome.radio_allowed);
-    timeline.allow(executed);
-    timeline.allow_wakes(outcome.wakes);
-    const IntervalSet allowed = std::move(timeline).build();
-    report.radio = engine::account_interval_set(
-        executed, radios.cellular, report.horizon_ms, &allowed);
-  } else {
-    report.radio = engine::account_interval_set(executed, radios.cellular,
-                                                report.horizon_ms);
-  }
-
-  // The Wi-Fi interface is not behind the cellular data switch: its
-  // PSM tails always run to completion, and every cold attach pays the
-  // scan/associate burst the model describes.
-  if (!executed_wifi.empty()) {
-    report.wifi = engine::account_interval_set(executed_wifi, radios.wifi,
-                                               report.horizon_ms);
-    report.wifi_energy_j = report.wifi.energy_j;
-    report.wifi_on_ms = report.wifi.radio_on_ms;
+    account_canonicalized(cellular, wifi, outcome, radios, report);
   }
   report.transfer_energy_j = report.radio.energy_j + report.wifi_energy_j;
-
-  // Duty-cycle wake overhead: probes run the cellular radio at
-  // FACH-level power (network attach, no dedicated channel). Fruitful
-  // wakes overlap transfers and are not double-charged: only the
-  // non-overlap part of each probe window is added.
-  for (const duty::WakeEvent& w : outcome.wakes) {
-    const DurationMs overlap =
-        executed.overlap_length(w.time, w.time + w.window);
-    const DurationMs extra = w.window - overlap;
-    report.duty_energy_j +=
-        radios.cellular.probe_mw() * static_cast<double>(extra) * 1e-6;
-    report.radio_on_ms += extra;
-  }
   report.wake_count = outcome.wakes.size();
   report.radio_on_ms += report.radio.radio_on_ms + report.wifi_on_ms;
   report.energy_j = report.transfer_energy_j + report.duty_energy_j;
@@ -218,7 +285,12 @@ SimReport account(const TraceTotals& totals,
   }
 
   // User experience.
-  report.affected_usages = count_covered(outcome.blocked, usage_times);
+  if (!outcome.blocked.empty()) {
+    ForwardCursor blocked(outcome.blocked.intervals());
+    for (const TimeMs t : usage_times) {
+      report.affected_usages += blocked.contains(t);
+    }
+  }
   report.interrupts = outcome.interrupts;
   if (report.total_usages > 0) {
     report.affected_fraction =

@@ -12,8 +12,12 @@
 // screen/usage context are properties of the trace alone: TraceTotals
 // holds them, computed once per user (eval::EvalSession keeps them next
 // to the baseline report), and the accounting core does only the
-// per-outcome work — validation, the executed sets, the RRC kernels and
-// the affected-usage count.
+// per-outcome work — validation, the RRC integration and the
+// affected-usage count. An in-order, all-cellular, stock-radio outcome
+// without duty wakes streams from the validation pass straight into
+// engine::RrcIntegrator; any other outcome is partitioned and
+// canonicalized once in reused per-thread storage first (counted in
+// `sim.account.canonicalized`).
 #pragma once
 
 #include <cstdint>
@@ -97,8 +101,8 @@ struct SimReport {
 
 /// The accounting core: `totals` and `usage_times` (the usage start
 /// column, in any order) describe the evaluation trace. Transfers are
-/// partitioned by their assigned RadioId and each interface's state
-/// machine is integrated independently — the cellular partition under
+/// validated in order, each interface's state machine is integrated
+/// independently — the cellular partition under
 /// the policy's data switch, the Wi-Fi partition with free-running PSM
 /// tails and per-cold-attach association costs. Outcomes with no Wi-Fi
 /// transfers reproduce the single-radio report bit for bit. Throws

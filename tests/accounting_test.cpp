@@ -18,8 +18,11 @@
 #include "testkit/fault_plan.hpp"
 #include "testkit/injector.hpp"
 #include "fault/sanitize.hpp"
+#include "obs/metrics.hpp"
+#include "oracles/account_outcome.hpp"
 #include "policy/netmaster.hpp"
 #include "sim/accounting.hpp"
+#include "random_radio_model.hpp"
 #include "synth/presets.hpp"
 
 namespace netmaster::sim {
@@ -486,6 +489,233 @@ TEST(AccountingEquivalence, UnsortedUsagesCountLikePerUsageContains) {
     const SimReport r = account(t, o, RadioModel::wcdma());
     EXPECT_EQ(r.affected_usages, expected) << "round " << round;
   }
+}
+
+// ---- Streaming accountant vs the materializing reference ----
+
+/// The message of a netmaster::Error, without the failed condition and
+/// its source location (the reference spells its checks differently).
+std::string message_of(const std::string& what) {
+  const std::size_t dash = what.find("\u2014");
+  return dash == std::string::npos ? what : what.substr(dash);
+}
+
+std::uint64_t canonicalized_count() {
+  return obs::Registry::global().counter("sim.account.canonicalized").value();
+}
+
+/// One random accounting input: a trace summary, its usage times, and
+/// an outcome mixing in-order, touching, overlapping, zero-length and
+/// late transfers, with Wi-Fi offloads, duty wakes and a data switch
+/// each on some draws.
+struct RandomCase {
+  TraceTotals totals;
+  std::vector<TimeMs> usage_times;
+  PolicyOutcome outcome;
+  RadioSet radios;
+};
+
+RandomCase random_case(std::mt19937_64& rng) {
+  RandomCase c;
+  TraceTotals& tt = c.totals;
+  tt.horizon_ms = 10'000 + static_cast<TimeMs>(rng() % 5'000'000);
+  tt.num_activities = rng() % 8 == 0 ? rng() % 3 : rng() % 600;
+  tt.bytes_down = static_cast<std::int64_t>(rng() % 10'000'000);
+  tt.bytes_up = static_cast<std::int64_t>(rng() % 1'000'000);
+  tt.peak_down_rate_kbps = static_cast<double>(rng() % 5000) / 7.0;
+  tt.peak_up_rate_kbps = static_cast<double>(rng() % 500) / 7.0;
+  tt.screen_on_ms = static_cast<DurationMs>(rng() % 100'000);
+  const std::size_t usages = rng() % 50;
+  for (std::size_t i = 0; i < usages; ++i) {
+    c.usage_times.push_back(static_cast<TimeMs>(
+        rng() % static_cast<std::uint64_t>(tt.horizon_ms)));
+  }
+  if (rng() % 2 == 0) std::sort(c.usage_times.begin(), c.usage_times.end());
+  tt.total_usages = c.usage_times.size() + rng() % 3;
+
+  PolicyOutcome& o = c.outcome;
+  o.policy_name = "random-policy-with-a-long-name";
+  o.path = rng() % 4 == 0 ? ExecutionPath::kDegradedFallback
+                          : ExecutionPath::kNormal;
+  if (o.path == ExecutionPath::kDegradedFallback) o.degraded_reason = "why";
+  o.drift_score = static_cast<double>(rng() % 1000) / 1000.0;
+  o.interrupts = rng() % 3;
+
+  // Executed times in start order: same begin, touching, overlapping,
+  // nested or gapped; then a few late arrivals (sometimes the last one)
+  // that begin before the schedule reached them.
+  const std::size_t n = tt.num_activities;
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), rng);
+  const TimeMs horizon = tt.horizon_ms;
+  const TimeMs step_scale = std::max<TimeMs>(1, horizon / (2 * (n + 1)));
+  TimeMs t = static_cast<TimeMs>(rng() % static_cast<std::uint64_t>(
+                                              step_scale));
+  for (std::size_t k = 0; k < n; ++k) {
+    DurationMs dur = rng() % 10 == 0 ? 0
+                                     : static_cast<DurationMs>(rng() % 4000);
+    TimeMs start = std::min<TimeMs>(t, horizon);
+    dur = std::min<DurationMs>(dur, horizon - start);
+    o.transfers.push_back({order[k], start, dur});
+    switch (rng() % 5) {
+      case 0: break;
+      case 1: t += dur; break;
+      case 2: t += dur / 2; break;
+      default:
+        t += dur + static_cast<TimeMs>(
+                       rng() % static_cast<std::uint64_t>(2 * step_scale));
+    }
+  }
+  if (n > 0 && rng() % 3 == 0) {
+    const std::size_t late = 1 + rng() % 3;
+    for (std::size_t l = 0; l < late; ++l) {
+      const std::size_t k = rng() % 2 == 0 ? n - 1 : rng() % n;
+      ExecutedTransfer& x = o.transfers[k];
+      x.start = static_cast<TimeMs>(
+          rng() % static_cast<std::uint64_t>(x.start + 1));
+    }
+  }
+  if (rng() % 4 == 0) {
+    for (ExecutedTransfer& x : o.transfers) {
+      if (rng() % 3 == 0) x.radio = RadioId::kWifi;
+    }
+  }
+  if (rng() % 4 == 0) {
+    const std::size_t wakes = rng() % 40;
+    TimeMs w = 0;
+    for (std::size_t i = 0; i < wakes; ++i) {
+      w += static_cast<TimeMs>(rng() % static_cast<std::uint64_t>(
+                                           horizon / 20 + 1));
+      // Mostly in time order; sometimes a step back.
+      const TimeMs at = rng() % 8 == 0 ? w / 2 : w;
+      o.wakes.push_back({at, static_cast<DurationMs>(rng() % 5000),
+                         rng() % 2 == 0});
+    }
+  }
+  if (rng() % 4 == 0) {
+    IntervalSet allowed;
+    const std::size_t windows = rng() % 30;
+    for (std::size_t i = 0; i < windows; ++i) {
+      const TimeMs b = static_cast<TimeMs>(
+          rng() % static_cast<std::uint64_t>(horizon + 5000)) - 2000;
+      allowed.add(b, b + static_cast<DurationMs>(rng() % 60'000));
+    }
+    o.radio_allowed = std::move(allowed);
+  }
+  const std::size_t blocked = rng() % 10;
+  for (std::size_t i = 0; i < blocked; ++i) {
+    const TimeMs b = static_cast<TimeMs>(
+        rng() % static_cast<std::uint64_t>(horizon));
+    o.blocked.add(b, b + static_cast<DurationMs>(rng() % 600'000));
+  }
+  const std::size_t deferred = rng() % 20;
+  for (std::size_t i = 0; i < deferred; ++i) {
+    o.deferral_latency_s.push_back(static_cast<double>(rng() % 10'000) / 3.0);
+  }
+
+  c.radios.cellular = rng() % 2 == 0 ? random_model(rng) : RadioModel::wcdma();
+  c.radios.wifi = rng() % 2 == 0 ? random_model(rng) : RadioModel::wifi();
+  return c;
+}
+
+TEST(AccountingProperty, CanonicalizedCounterCountsTheMaterializingPath) {
+  const UserTrace t = fixture();
+  const auto bumps = [&](const PolicyOutcome& o) {
+    const std::uint64_t before = canonicalized_count();
+    account(t, o, RadioModel::wcdma());
+    return canonicalized_count() - before;
+  };
+  PolicyOutcome o = in_place_outcome(t);
+  EXPECT_EQ(bumps(o), 0u);  // in order, stock radio: streamed
+  std::swap(o.transfers.front(), o.transfers.back());
+  EXPECT_EQ(bumps(o), 1u);  // a late arrival
+  o = in_place_outcome(t);
+  o.radio_allowed = IntervalSet{};
+  EXPECT_EQ(bumps(o), 1u);  // a data switch
+  o = in_place_outcome(t);
+  o.wakes.push_back({seconds(30), seconds(1), false});
+  EXPECT_EQ(bumps(o), 1u);  // duty wakes
+}
+
+TEST(AccountingProperty, MatchesTheMaterializingReferenceBitForBit) {
+  std::mt19937_64 rng(20261019);
+  std::size_t streamed = 0;
+  std::size_t canonicalized = 0;
+  std::size_t refused = 0;  // stock, cellular-only, yet canonicalized
+  for (int iter = 0; iter < 600; ++iter) {
+    const RandomCase c = random_case(rng);
+    const std::string context = "iter " + std::to_string(iter);
+    const std::uint64_t before = canonicalized_count();
+    const SimReport got =
+        account(c.totals, c.usage_times, c.outcome, c.radios);
+    const bool canonical = canonicalized_count() != before;
+    const SimReport want = oracles::account_outcome(
+        c.totals, c.usage_times, c.outcome, c.radios);
+    expect_reports_identical(got, want, context);
+    ++(canonical ? canonicalized : streamed);
+    const bool stock = !c.outcome.radio_allowed.has_value() &&
+                       c.outcome.wakes.empty() &&
+                       got.wifi_transfer_count == 0;
+    refused += stock && canonical;
+  }
+  // Both paths, and the fall-back from a refused arrival, are covered.
+  EXPECT_GT(streamed, 100u);
+  EXPECT_GT(canonicalized, 100u);
+  EXPECT_GT(refused, 20u);
+}
+
+TEST(AccountingProperty, InvalidOutcomesThrowLikeTheReference) {
+  std::mt19937_64 rng(20261020);
+  std::size_t thrown = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    RandomCase c = random_case(rng);
+    PolicyOutcome& o = c.outcome;
+    // One or two defects at random positions, so the first one in
+    // transfer order decides the message.
+    const std::size_t defects = 1 + rng() % 2;
+    for (std::size_t d = 0; d < defects; ++d) {
+      const std::size_t n = o.transfers.size();
+      const std::size_t k = n == 0 ? 0 : rng() % n;
+      switch (rng() % 5) {
+        case 0:  // count mismatch
+          if (rng() % 2 == 0 && n > 0) {
+            o.transfers.pop_back();
+          } else {
+            o.transfers.push_back({0, 0, 0});
+          }
+          break;
+        case 1:  // unknown activity
+          if (n > 0) {
+            o.transfers[k].activity_index =
+                c.totals.num_activities + rng() % 5;
+          }
+          break;
+        case 2:  // duplicate
+          if (n > 1) {
+            o.transfers[k].activity_index =
+                o.transfers[(k + 1) % n].activity_index;
+          }
+          break;
+        case 3:  // beyond the horizon
+          if (n > 0) {
+            o.transfers[k].start = c.totals.horizon_ms - 1;
+            o.transfers[k].duration = 2 + static_cast<DurationMs>(rng() % 9);
+          }
+          break;
+        default:  // before the horizon
+          if (n > 0) o.transfers[k].start = -1;
+      }
+    }
+    const std::string got = thrown_error(
+        [&] { account(c.totals, c.usage_times, o, c.radios); });
+    const std::string want = thrown_error([&] {
+      oracles::account_outcome(c.totals, c.usage_times, o, c.radios);
+    });
+    EXPECT_EQ(message_of(got), message_of(want)) << "iter " << iter;
+    thrown += !want.empty();
+  }
+  EXPECT_GT(thrown, 400u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The branchy reference RRC accountant, kept as a test oracle.
 //
-// The simulator accounts every schedule with the vectorized
-// engine::account_columns kernel. This is the straightforward
+// The simulator accounts every schedule with the streaming
+// engine::RrcIntegrator. This is the straightforward
 // transfer-by-transfer integration it replaced, frozen here so the
 // differential tests (radio_timeline_test fuzzes random 1-4-tier
 // models against it) and the hand-computed trajectories of

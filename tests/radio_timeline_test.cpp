@@ -3,7 +3,9 @@
 // builders matching the hand-assembled IntervalSets they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "common/error.hpp"
 #include "engine/radio_timeline.hpp"
 #include "oracles/account_transfers.hpp"
+#include "random_radio_model.hpp"
 
 namespace netmaster::engine {
 namespace {
@@ -170,11 +173,12 @@ TEST(RadioTimeline, RejectsNegativeHorizon) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: the vectorized SoA accounting kernel
-// (account_columns / account_interval_set) against the reference
-// branchy implementation (tests/oracles/account_transfers.hpp).
-// The contract is bit-for-bit equality — every integer field AND the
-// energy double — on every input.
+// Differential tests: the streaming RRC integrator (RrcIntegrator, fed
+// canonical sets through account_interval_set or raw in-order arrivals
+// through add) against the reference transfer-by-transfer accountant
+// (tests/oracles/account_transfers.hpp). The contract is bit-for-bit
+// equality — every integer field AND the energy double — on every
+// input.
 
 void expect_accounting_equal(const RadioAccounting& got,
                              const RadioAccounting& want,
@@ -189,8 +193,8 @@ void expect_accounting_equal(const RadioAccounting& got,
   EXPECT_EQ(got.assoc_ms, want.assoc_ms) << context;
   EXPECT_EQ(got.associations, want.associations) << context;
   EXPECT_EQ(got.radio_on_ms, want.radio_on_ms) << context;
-  // Bitwise, not approximate: the kernel derives energy from the same
-  // integer totals with the same expression.
+  // Bitwise, not approximate: the integrator derives energy from the
+  // same integer totals with the same expression.
   EXPECT_EQ(got.energy_j, want.energy_j) << context;
 }
 
@@ -221,7 +225,7 @@ std::vector<RadioPowerParams> param_suite() {
   return suite;
 }
 
-TEST(AccountColumns, MatchesReferenceOnEdgeCases) {
+TEST(RrcIntegrator, MatchesReferenceOnEdgeCases) {
   const TimeMs horizon = 100000;
   std::vector<std::pair<std::string, IntervalSet>> cases;
   cases.emplace_back("empty", IntervalSet{});
@@ -269,7 +273,7 @@ TEST(AccountColumns, MatchesReferenceOnEdgeCases) {
   }
 }
 
-TEST(AccountColumns, FuzzMatchesReference) {
+TEST(RrcIntegrator, FuzzMatchesReference) {
   std::mt19937_64 rng(20260808);
   const std::vector<RadioPowerParams> params = param_suite();
   for (int iter = 0; iter < 400; ++iter) {
@@ -305,44 +309,10 @@ TEST(AccountColumns, FuzzMatchesReference) {
   }
 }
 
-/// A random generalized model: 1–4 tail tiers with monotone
-/// non-increasing powers, random (possibly zero) durations and
-/// promotion costs, and an association cost on about a third of the
-/// draws — the full descriptive space the N-tier machine admits, well
-/// beyond the two-tail instantiations in param_suite().
-RadioModel random_model(std::mt19937_64& rng) {
-  RadioModel m;
-  m.idle_mw = static_cast<double>(rng() % 30);
-  m.active_mw = 400.0 + static_cast<double>(rng() % 1400);
-  m.promo_mw = 100.0 + static_cast<double>(rng() % 800);
-  m.promo_idle_ms = static_cast<DurationMs>(rng() % 3000);
-  if (rng() % 3 == 0) {
-    m.assoc_mw = 100.0 + static_cast<double>(rng() % 600);
-    m.assoc_ms = static_cast<DurationMs>(rng() % 4000);
-  } else {
-    m.assoc_mw = 0.0;
-    m.assoc_ms = 0;
-  }
-  m.num_tails = 1 + rng() % kMaxRadioTiers;
-  double power = m.active_mw;
-  for (std::size_t tier = 0; tier < m.num_tails; ++tier) {
-    // Keep the chain non-increasing; tier 0 may sit at active power
-    // (the WCDMA shape) and any tier may have a zero-length window.
-    power -= static_cast<double>(rng() % 300);
-    if (power < 1.0) power = 1.0;
-    m.tails[tier].power_mw = power;
-    m.tails[tier].duration_ms = static_cast<DurationMs>(rng() % 15000);
-    m.tails[tier].promo_ms =
-        tier == 0 ? 0 : static_cast<DurationMs>(rng() % 2000);
-  }
-  m.validate();
-  return m;
-}
-
-TEST(AccountColumns, ZeroLengthTailTiersDegenerate) {
+TEST(RrcIntegrator, ZeroLengthTailTiersDegenerate) {
   // Every tail window empty: the connected period is exactly
-  // promo + active, and any gap re-promotes from idle. The vectorized
-  // tier scan must not divide the zero-width windows into spurious
+  // promo + active, and any gap re-promotes from idle. The tier scan
+  // must not divide the zero-width windows into spurious
   // residency or misclassify the promotion tier.
   RadioModel m = RadioModel::nr_cdrx();
   for (std::size_t tier = 0; tier < m.num_tails; ++tier) {
@@ -372,7 +342,7 @@ TEST(AccountColumns, ZeroLengthTailTiersDegenerate) {
   expect_matches_reference(probes, hollow, 200000, nullptr, "hollow-tier");
 }
 
-TEST(AccountColumns, FuzzMatchesReferenceOnRandomTierModels) {
+TEST(RrcIntegrator, FuzzMatchesReferenceOnRandomTierModels) {
   std::mt19937_64 rng(20260809);
   for (int iter = 0; iter < 400; ++iter) {
     const RadioModel model = random_model(rng);
@@ -405,7 +375,7 @@ TEST(AccountColumns, FuzzMatchesReferenceOnRandomTierModels) {
   }
 }
 
-TEST(AccountColumns, RejectsInvalidInputLikeReference) {
+TEST(RrcIntegrator, RejectsInvalidInputLikeReference) {
   const RadioPowerParams params = RadioPowerParams::wcdma();
   {
     IntervalSet past;  // extends beyond the horizon
@@ -425,11 +395,132 @@ TEST(AccountColumns, RejectsInvalidInputLikeReference) {
                  Error);
   }
   {
-    // Mismatched column lengths (the span entry point only).
-    const std::vector<TimeMs> begins = {0, 100};
-    const std::vector<TimeMs> ends = {50};
-    EXPECT_THROW(account_columns(begins, ends, params, 1000), Error);
+    // In-order arrivals that coalesce into one run reaching past the
+    // horizon: the run is checked whole, as the reference checks the
+    // canonical interval.
+    RrcIntegrator integrator(params, 1000);
+    const std::vector<Interval> arrivals = {{100, 600}, {600, 1500}};
+    EXPECT_EQ(integrator.add(arrivals), arrivals.size());
+    EXPECT_THROW(integrator.finish(), Error);
+    IntervalSet merged;
+    merged.add(100, 1500);
+    EXPECT_THROW(account_transfers(merged, params, 1000), Error);
   }
+}
+
+/// Random arrivals in start order: touching, overlapping, nested,
+/// zero-length and gapped transfers (the canonical form is left to the
+/// integrator), often more runs than one integration batch holds.
+std::vector<Interval> random_arrivals(std::mt19937_64& rng, TimeMs horizon) {
+  std::vector<Interval> out;
+  const int n = static_cast<int>(rng() % 400);
+  TimeMs t = static_cast<TimeMs>(rng() % 2000);
+  for (int k = 0; k < n && t < horizon; ++k) {
+    const DurationMs dur = static_cast<DurationMs>(rng() % 4000);
+    out.push_back({t, std::min<TimeMs>(t + dur, horizon)});
+    switch (rng() % 5) {
+      case 0: break;                                 // same begin
+      case 1: t += dur; break;                       // touching
+      case 2: t += dur / 2; break;                   // overlapping
+      default: t += dur + static_cast<TimeMs>(rng() % 25000);  // gap
+    }
+  }
+  return out;
+}
+
+/// Feeds `arrivals` in a few random chunks (the open run and the batch
+/// carry over between add calls); every arrival must be accepted.
+void feed_in_chunks(RrcIntegrator& integrator,
+                    std::span<const Interval> arrivals, std::mt19937_64& rng,
+                    const std::string& context) {
+  while (!arrivals.empty()) {
+    const std::size_t chunk = 1 + rng() % arrivals.size();
+    ASSERT_EQ(integrator.add(arrivals.first(chunk)), chunk) << context;
+    arrivals = arrivals.subspan(chunk);
+  }
+}
+
+TEST(RrcIntegrator, StreamedArrivalsMatchReference) {
+  // Feeding raw in-order arrivals must equal the reference over their
+  // canonical set: the integrator coalesces exactly as IntervalSet's
+  // constructor does.
+  std::mt19937_64 rng(20260810);
+  std::size_t coalesced = 0;
+  std::size_t longest = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const RadioModel model =
+        iter % 2 == 0 ? random_model(rng)
+                      : RadioModel(param_suite()[iter / 2 % 4]);
+    const TimeMs horizon = 50000 + static_cast<TimeMs>(rng() % 5000000);
+    const std::vector<Interval> arrivals = random_arrivals(rng, horizon);
+    const IntervalSet canonical(arrivals);
+    coalesced += arrivals.size() - canonical.size();
+    longest = std::max(longest, canonical.size());
+    const std::string context = "streamed iter " + std::to_string(iter);
+
+    RrcIntegrator stock(model, horizon);
+    feed_in_chunks(stock, arrivals, rng, context);
+    expect_accounting_equal(stock.finish(),
+                            account_transfers(canonical, model, horizon),
+                            context);
+
+    RadioTimeline timeline(horizon);
+    timeline.allow(canonical);
+    for (const Interval& iv : canonical.intervals()) {
+      timeline.allow(iv.begin,
+                     iv.end + static_cast<DurationMs>(rng() % 30000));
+    }
+    const IntervalSet allowed = std::move(timeline).build();
+    RrcIntegrator switched(model, horizon, &allowed);
+    feed_in_chunks(switched, arrivals, rng, context + "+allowed");
+    expect_accounting_equal(
+        switched.finish(),
+        account_transfers(canonical, model, horizon, &allowed),
+        context + "+allowed");
+  }
+  EXPECT_GT(coalesced, 0u);  // the arrivals really were non-canonical
+  EXPECT_GT(longest, 128u);  // and filled several 64-run batches
+}
+
+TEST(RrcIntegrator, RefusesAnArrivalBeforeTheOpenRun) {
+  // An out-of-order arrival is refused and feeds nothing: the result is
+  // the reference over the accepted arrivals alone.
+  const RadioModel model = RadioModel::wcdma();
+  RrcIntegrator integrator(model, 100000);
+  const std::vector<Interval> arrivals = {
+      {1000, 2000},
+      {30000, 31000},
+      {30500, 30600},  // inside the open run
+      {40000, 40000},  // empty: ignored
+      {20000, 21000},  // before the open run: refused
+      {50000, 52000},
+  };
+  EXPECT_EQ(integrator.add(arrivals), 4u);
+  EXPECT_EQ(integrator.add(std::span(arrivals).subspan(5)), 1u);
+  IntervalSet accepted;
+  accepted.add(1000, 2000);
+  accepted.add(30000, 31000);
+  accepted.add(50000, 52000);
+  expect_accounting_equal(integrator.finish(),
+                          account_transfers(accepted, model, 100000),
+                          "refused arrival");
+}
+
+TEST(RrcIntegrator, CoalescesTouchingArrivalsBeforeCheckingThem) {
+  // Touching arrivals form one canonical run, and only its begin must
+  // lie in the allowed set, as in the reference: [2000, 3000) joins
+  // [1000, 2000) instead of being checked at 2000.
+  const RadioModel model = RadioModel::wcdma();
+  IntervalSet allowed;
+  allowed.add(1000, 1001);
+  RrcIntegrator integrator(model, 100000, &allowed);
+  const std::vector<Interval> arrivals = {{1000, 2000}, {2000, 3000}};
+  EXPECT_EQ(integrator.add(arrivals), 2u);
+  IntervalSet canonical;
+  canonical.add(1000, 3000);
+  expect_accounting_equal(
+      integrator.finish(),
+      account_transfers(canonical, model, 100000, &allowed), "touching");
 }
 
 }  // namespace
