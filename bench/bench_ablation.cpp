@@ -54,9 +54,9 @@ void print_figure() {
         std::vector<eval::PolicySpec> specs;
         specs.push_back(
             {"netmaster-eps",
-             [nm](const UserTrace& training) {
-               return std::make_unique<policy::NetMasterPolicy>(training,
-                                                                nm);
+             [nm](eval::TrainingTrace training) {
+               return std::make_unique<policy::NetMasterPolicy>(
+                   training.habits(), nm);
              },
              {}});
         return specs;

@@ -66,15 +66,15 @@ std::vector<eval::PolicySpec> point_roster(
 
   std::vector<eval::PolicySpec> roster;
   roster.push_back({"baseline[" + point.name + "]",
-                    [](const UserTrace&) {
+                    [](eval::TrainingTrace) {
                       return std::make_unique<policy::BaselinePolicy>();
                     },
                     {},
                     radios});
   roster.push_back({"netmaster[" + point.name + "]",
-                    [nm](const UserTrace& training) {
+                    [nm](eval::TrainingTrace training) {
                       return std::make_unique<policy::NetMasterPolicy>(
-                          training, nm);
+                          training.habits(), nm);
                     },
                     {},
                     radios});
@@ -159,9 +159,9 @@ void print_figure() {
   // per-spec radio override, the exact pre-multi-radio code path).
   std::vector<eval::PolicySpec> plain;
   plain.push_back({"netmaster",
-                   [nm = cfg.netmaster](const UserTrace& training) {
+                   [nm = cfg.netmaster](eval::TrainingTrace training) {
                      return std::make_unique<policy::NetMasterPolicy>(
-                         training, nm);
+                         training.habits(), nm);
                    },
                    {}});
   const eval::FleetReport golden = eval::run_fleet(session, plain);

@@ -1,13 +1,24 @@
-# Runs an example and compares its stdout byte for byte with the
-# committed golden file; on a mismatch the actual output is kept next
-# to the build for diffing.
+# Runs an example (or a figure bench) and compares its stdout byte for
+# byte with the committed golden file; on a mismatch the actual output
+# is kept next to the build for diffing.
 #
 #   cmake -DEXAMPLE=<binary> -DGOLDEN=<file> -DACTUAL=<file> \
+#         ["-DARGS=<arg|arg|...>"] ["-DEXCLUDE=<regex>"] \
 #         -P compare_golden.cmake
-execute_process(COMMAND ${EXAMPLE} OUTPUT_FILE ${ACTUAL}
+#
+# ARGS are passed to the binary. Lines matching EXCLUDE (timings, which
+# no two runs share) are dropped from the output before the comparison;
+# the golden file is stored without them.
+string(REPLACE "|" ";" args "${ARGS}")
+execute_process(COMMAND ${EXAMPLE} ${args} OUTPUT_FILE ${ACTUAL}
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${EXAMPLE} exited with ${status}")
+endif()
+if(DEFINED EXCLUDE AND NOT EXCLUDE STREQUAL "")
+  file(READ ${ACTUAL} out)
+  string(REGEX REPLACE "[^\n]*(${EXCLUDE})[^\n]*\n" "" out "${out}")
+  file(WRITE ${ACTUAL} "${out}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${ACTUAL}
                 RESULT_VARIABLE differs)

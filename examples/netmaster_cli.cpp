@@ -8,11 +8,15 @@
 //
 // Policies for `evaluate`: baseline, oracle, netmaster (default),
 // delay:<seconds>, batch:<n>, delaybatch:<seconds>.
-#include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "eval/battery.hpp"
 #include "eval/experiments.hpp"
@@ -72,18 +76,26 @@ std::unique_ptr<policy::Policy> make_policy(const std::string& spec,
   throw Error("unknown policy spec: " + spec);
 }
 
-/// Parses a whole decimal integer in [lo, hi]; anything else (empty,
-/// trailing characters, out of range) throws with the argument's name.
-int parse_int_arg(const char* text, int lo, int hi, const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+/// Parses a whole decimal integer of type T in [lo, hi]; anything else
+/// (empty, a sign on an unsigned T, spaces, trailing characters, out of
+/// range) throws with the argument's name.
+template <typename T>
+T parse_int_arg(const char* text, T lo, T hi, const std::string& what) {
+  const char* const last = text + std::strlen(text);
+  T value{};
+  const auto [end, ec] = std::from_chars(text, last, value);
+  if (end == text || end != last || ec != std::errc() || value < lo ||
       value > hi) {
     throw Error(what + " must be an integer in [" + std::to_string(lo) +
                 ", " + std::to_string(hi) + "], got '" + text + "'");
   }
-  return static_cast<int>(value);
+  return value;
+}
+
+/// A generator seed: any 64-bit unsigned integer.
+std::uint64_t parse_seed_arg(const char* text) {
+  return parse_int_arg<std::uint64_t>(
+      text, 0, std::numeric_limits<std::uint64_t>::max(), "seed");
 }
 
 int cmd_generate(int argc, char** argv) {
@@ -91,7 +103,7 @@ int cmd_generate(int argc, char** argv) {
   const auto archetype =
       static_cast<synth::Archetype>(parse_int_arg(argv[2], 0, 7, "archetype"));
   const int days = parse_int_arg(argv[3], 1, kMaxTraceDays, "days");
-  const auto seed = std::strtoull(argv[4], nullptr, 10);
+  const std::uint64_t seed = parse_seed_arg(argv[4]);
   const synth::UserProfile profile = synth::make_user(archetype, 1);
   const UserTrace trace = synth::generate_trace(profile, days, seed);
   save_trace(argv[5], trace);
@@ -162,7 +174,7 @@ int cmd_evaluate(int argc, char** argv) {
 
 int cmd_compare(int argc, char** argv) {
   eval::ExperimentConfig cfg;
-  if (argc > 2) cfg.seed = std::strtoull(argv[2], nullptr, 10);
+  if (argc > 2) cfg.seed = parse_seed_arg(argv[2]);
   const eval::EvalSession session(synth::volunteer_population(), cfg);
   const auto results = eval::compare_all(session);
   eval::Table t({"volunteer", "policy", "saving", "affected"});

@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
 
   auto suite = eval::standard_policy_suite(cfg.netmaster);
   suite.push_back({"delay-60s",
-                   [](const UserTrace&) {
+                   [](eval::TrainingTrace) {
                      return std::make_unique<policy::DelayPolicy>(
                          seconds(60));
                    },
                    {}});
   suite.push_back({"batch-5",
-                   [](const UserTrace&) {
+                   [](eval::TrainingTrace) {
                      return std::make_unique<policy::BatchPolicy>(5);
                    },
                    {}});

@@ -106,15 +106,6 @@ class TraceIndex {
   /// Every bucket, day-major: bucket (d, h) is at d * kHoursPerDay + h.
   std::span<const HourBucket> buckets() const { return buckets_; }
 
-  /// Accumulates `trace`'s per-(day, hour) buckets into `buckets` (one
-  /// per (day, hour), day-major, zeroed by the caller). The one bucket
-  /// fold: the index build calls it, and so does HabitModel::mine on a
-  /// valid trace, which then needs no index at all. Events outside
-  /// [0, horizon) are skipped; screen state is read with a monotone
-  /// session cursor, O(sessions + events) on a time-ordered trace.
-  static void fold_buckets(const UserTrace& trace,
-                           std::span<HourBucket> buckets);
-
   /// Bytes of arena memory backing this index's columns (0 once moved
   /// from).
   std::size_t arena_bytes() const {
@@ -129,6 +120,15 @@ class TraceIndex {
   void check_invariants(const UserTrace& source) const;
 
  private:
+  /// Accumulates `trace`'s per-(day, hour) buckets into `buckets` (one
+  /// per (day, hour), day-major, zeroed by the caller). Events outside
+  /// [0, horizon) are skipped so the build stays total on any trace;
+  /// screen state is read with a monotone session cursor,
+  /// O(sessions + events) on a time-ordered trace. (mining::mine_habits
+  /// folds the same buckets from a valid trace in its validating pass.)
+  static void fold_buckets(const UserTrace& trace,
+                           std::span<HourBucket> buckets);
+
   std::unique_ptr<mem::Arena> arena_;  ///< backs every column below
   TimeMs horizon_ = 0;
   mem::TraceColumns columns_;             ///< SoA trace copy, one arena

@@ -173,9 +173,9 @@ std::vector<ThresholdPoint> threshold_sweep(
         std::vector<PolicySpec> specs;
         specs.push_back(
             {"netmaster",
-             [nm](const UserTrace& training) {
-               return std::make_unique<policy::NetMasterPolicy>(training,
-                                                                nm);
+             [nm](TrainingTrace training) {
+               return std::make_unique<policy::NetMasterPolicy>(
+                   training.habits(), nm);
              },
              // Fig. 10c's y axis that lives on the policy, not in the
              // SimReport: the predictor's accuracy on the eval trace.
@@ -244,9 +244,9 @@ std::vector<AblationRow> ablation_study(const EvalSession& session,
         std::vector<PolicySpec> specs;
         specs.push_back(
             {variant.name,
-             [nm](const UserTrace& training) {
-               return std::make_unique<policy::NetMasterPolicy>(training,
-                                                                nm);
+             [nm](TrainingTrace training) {
+               return std::make_unique<policy::NetMasterPolicy>(
+                   training.habits(), nm);
              },
              {}});
         return specs;

@@ -46,6 +46,13 @@ class RowPin {
     return pin_.get();
   }
 
+  /// The session's mined habits for this row's user; the first mine
+  /// of the session reads the training trace through this row's pin.
+  const mining::MinedHabits& habits() {
+    return session_->habits(
+        user_, [this]() -> const UserTrace& { return traces().training; });
+  }
+
   /// Called once per finished cell; the last one releases the pin.
   void cell_done() {
     if (cells_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -66,6 +73,10 @@ TrainingTrace::operator const UserTrace&() const {
   return trace_ != nullptr ? *trace_ : row_->traces().training;
 }
 
+mining::MinedHabits TrainingTrace::habits() const {
+  return trace_ != nullptr ? mining::mine_habits(*trace_) : row_->habits();
+}
+
 std::vector<PolicySpec> standard_policy_suite(
     const policy::NetMasterConfig& config) {
   std::vector<PolicySpec> suite;
@@ -80,9 +91,9 @@ std::vector<PolicySpec> standard_policy_suite(
                    },
                    {}});
   suite.push_back({"netmaster",
-                   [config](const UserTrace& training) {
+                   [config](TrainingTrace training) {
                      return std::make_unique<policy::NetMasterPolicy>(
-                         training, config);
+                         training.habits(), config);
                    },
                    {}});
   for (const double d : {10.0, 20.0, 60.0}) {
@@ -107,9 +118,9 @@ std::vector<PolicySpec> solver_ablation_suite(
     variant.solver = backend;
     suite.push_back(
         {std::string("netmaster[") + sched::to_string(backend) + "]",
-         [variant](const UserTrace& training) {
-           return std::make_unique<policy::NetMasterPolicy>(training,
-                                                            variant);
+         [variant](TrainingTrace training) {
+           return std::make_unique<policy::NetMasterPolicy>(
+               training.habits(), variant);
          },
          {}});
   }
@@ -175,7 +186,8 @@ void fail_cell(FleetCell& cell, std::string error) {
   obs::Registry::global().counter("fleet.cells_failed").add(1);
 }
 
-/// The body of one (user, policy) cell: mine, schedule, account. Writes
+/// The body of one (user, policy) cell: make the policy (a NetMaster
+/// factory from the session's mined habits), schedule, account. Writes
 /// only its own pre-allocated cell — the deterministic result slot that
 /// makes fleet output bit-identical regardless of worker count or steal
 /// order. A throwing cell fails alone; a user whose preparation failed

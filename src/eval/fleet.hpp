@@ -11,11 +11,13 @@
 // run.
 //
 // A cell replays and accounts from the session's resident index,
-// totals and baseline; only a policy that mines (or a probe) reads the
-// user's traces. Its factory receives a TrainingTrace handle that pins
-// the row's traces in the UserStore on first use, once per row, so a
-// grid of training-free policies over a spilled session never
-// rehydrates a user.
+// totals and baseline; only a probe, a factory that reads the trace
+// itself, or the session's first mine of a user reads the user's
+// traces. Its factory receives a TrainingTrace handle that pins the
+// row's traces in the UserStore on first use, once per row, so a grid
+// of training-free policies over a spilled session never rehydrates a
+// user, and neither does a later grid of NetMaster columns, which
+// build from the session's mined habits.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +45,13 @@ class RowPin;  // one grid row's lazy, single-flight pin (fleet.cpp)
 /// and every later read in the row reuses that pin. A factory that
 /// never reads the handle costs its row no pin at all. A failed pin
 /// throws its error from every read in the row.
+///
+/// habits() is the trace mined by mining::mine_habits, the input every
+/// NetMaster factory builds from. On a lazy handle it serves the
+/// session's memo (EvalSession::habits), so a session mines each user
+/// once whatever the number of NetMaster columns and grids, and only
+/// the first mine reads (and pins) the trace. On an eager handle it
+/// mines the trace now.
 class TrainingTrace {
  public:
   TrainingTrace(const UserTrace& trace) : trace_(&trace) {}
@@ -50,15 +59,18 @@ class TrainingTrace {
 
   operator const UserTrace&() const;
 
+  mining::MinedHabits habits() const;
+
  private:
   const UserTrace* trace_ = nullptr;  ///< set = eager
   RowPin* row_ = nullptr;             ///< set = lazy
 };
 
 /// A named policy factory. NetMaster trains per user, so the factory
-/// receives the user's training trace; stateless policies take the
-/// handle and never read it, which keeps their cells off the
-/// UserStore. Invoked once per (user, policy) cell.
+/// receives the user's training trace and builds from its habits();
+/// stateless policies take the handle and never read it, which keeps
+/// their cells off the UserStore. Invoked once per (user, policy)
+/// cell.
 ///
 /// `probe`, when set, is evaluated on the constructed policy before the
 /// replay and lands in FleetCell::probe_value — the hook for

@@ -173,6 +173,26 @@ const sim::SimReport& EvalSession::baseline(std::size_t u) const {
   return state.baseline;
 }
 
+const mining::MinedHabits& EvalSession::habits(
+    std::size_t u,
+    const std::function<const UserTrace&()>& read_training) const {
+  const UserState& state = user(u);
+  NM_REQUIRE(state.prep_error.empty(),
+             "EvalSession::habits on a failed user — check ok(u) first");
+  // Double-checked under the user's mutex rather than std::call_once:
+  // a throw must leave the memo unset so the next caller retries, and
+  // ThreadSanitizer's pthread_once interceptor hangs every later caller
+  // of a once_flag whose callable threw.
+  if (!state.habits_ready.load(std::memory_order_acquire)) {
+    const std::lock_guard<std::mutex> lock(state.habits_mutex);
+    if (!state.habits_ready.load(std::memory_order_relaxed)) {
+      state.habits.emplace(mining::mine_habits(read_training()));
+      state.habits_ready.store(true, std::memory_order_release);
+    }
+  }
+  return *state.habits;
+}
+
 std::size_t EvalSession::arena_bytes() const {
   std::size_t total = 0;
   for (const UserState& state : users_) {

@@ -2,12 +2,15 @@
 // against: the train/eval trace split (held in a UserStore, possibly
 // spilled to disk), the engine::TraceIndex over the evaluation trace
 // (arena-backed, self-contained), the evaluation trace's
-// policy-invariant sim::TraceTotals, and the baseline reference
-// SimReport. A fleet cell replays and accounts from the index and the
-// totals alone; it pins the store only for the training trace its
-// policy mines.
+// policy-invariant sim::TraceTotals, the baseline reference SimReport,
+// and one lazy memo of the user's mined training trace
+// (mining::MinedHabits). A fleet cell replays and accounts from the
+// index and the totals alone; a NetMaster cell builds its policy from
+// the memo, so a session mines each user at most once, on the first
+// grid that asks, and pins the store for mining only then.
 // Built once (in parallel: the constructor runs one job graph of
-// per-user set-up work to completion), immutable afterwards, and
+// per-user set-up work to completion), immutable afterwards apart
+// from the habit memo (written at most once per user), and
 // shared by reference across every sweep point and policy cell, so a
 // 12-point sweep pays trace synthesis and indexing exactly once
 // instead of 12 times. Every fleet run evaluates a built session.
@@ -34,13 +37,18 @@
 // that row as an isolated FleetFailure.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/trace_index.hpp"
 #include "eval/user_store.hpp"
+#include "mining/habits.hpp"
 #include "policy/netmaster.hpp"
 #include "sim/accounting.hpp"
 #include "synth/drift.hpp"
@@ -129,6 +137,18 @@ class EvalSession {
   const sim::TraceTotals& totals(std::size_t u) const;
   const sim::SimReport& baseline(std::size_t u) const;
 
+  /// User u's training trace mined by mining::mine_habits, once per
+  /// session: a lazy, single-flight memo. The first caller mines the
+  /// trace `read_training` returns (a fleet cell passes its row's pin,
+  /// so later grids pin no row to mine); concurrent callers wait for
+  /// that one mine and later ones read the memo without a lock. If the
+  /// read or the mine throws, nothing is kept: the exception reaches
+  /// that caller and the next call retries. Contract: only valid when
+  /// `ok(u)`.
+  const mining::MinedHabits& habits(
+      std::size_t u,
+      const std::function<const UserTrace&()>& read_training) const;
+
   /// The trace cache (resident bytes, eviction counts — bench fodder).
   const UserStore& store() const { return *store_; }
   /// Total bytes reserved by the per-user replay arenas (one per
@@ -143,6 +163,11 @@ class EvalSession {
     sim::TraceTotals totals;
     sim::SimReport baseline;
     std::string prep_error;  ///< empty = usable
+    /// habits()' memo: written at most once, under habits_mutex, and
+    /// published to lock-free readers by habits_ready.
+    mutable std::mutex habits_mutex;
+    mutable std::atomic<bool> habits_ready{false};
+    mutable std::optional<mining::MinedHabits> habits;
   };
 
   const UserState& user(std::size_t u) const;

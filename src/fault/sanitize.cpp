@@ -71,7 +71,7 @@ SanitizeResult sanitize_trace(const UserTrace& raw) {
       a.duration = 0;
       clamped = true;
     }
-    if (a.start + a.duration > end) {
+    if (a.duration > end - a.start) {
       a.duration = end - a.start;
       clamped = true;
     }

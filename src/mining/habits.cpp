@@ -37,27 +37,74 @@ HabitModel mine_days(std::span<const engine::TraceIndex::HourBucket> buckets,
   return miner.snapshot();
 }
 
+/// The direct mine of mine_habits: UserTrace::visit_valid's checks
+/// with TraceIndex::fold_buckets' bucket fold and SpecialApps::detect's
+/// evidence riding on them. Returns false at the first violation; the
+/// partial folds are then garbage. Validation demands sorted, disjoint,
+/// in-horizon, in-range records, so a forward session cursor answers
+/// every screen query, and one hour's activities arrive together, so a
+/// per-app stamp of the last bucket it was counted in replaces the
+/// per-(bucket, app) seen set.
+bool fold_valid(const UserTrace& t,
+                std::span<engine::TraceIndex::HourBucket> buckets,
+                std::vector<bool>& used, std::vector<bool>& networked) {
+  constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> counted_in(t.app_names.size(), kNoBucket);
+  std::size_t next_session = 0;  // first session ending after the last start
+  const auto fold_usage = [&](const AppUsage& u) {
+    ++buckets[static_cast<std::size_t>(u.time / kMsPerHour)].usage_count;
+    used[static_cast<std::size_t>(u.app)] = true;
+  };
+  const auto fold_activity = [&](const NetworkActivity& n) {
+    const auto app = static_cast<std::size_t>(n.app);
+    networked[app] = true;
+    while (next_session < t.sessions.size() &&
+           t.sessions[next_session].end <= n.start) {
+      ++next_session;
+    }
+    if (next_session < t.sessions.size() &&
+        t.sessions[next_session].begin <= n.start) {
+      return;  // screen-on: not part of Eq. 3
+    }
+    const auto b = static_cast<std::size_t>(n.start / kMsPerHour);
+    engine::TraceIndex::HourBucket& bucket = buckets[b];
+    ++bucket.net_count;
+    bucket.net_bytes += static_cast<double>(n.total_bytes());
+    if (counted_in[app] != b) {
+      counted_in[app] = b;
+      ++bucket.distinct_net_apps;
+    }
+  };
+  return t.visit_valid(fold_usage, fold_activity) == nullptr;
+}
+
 }  // namespace
 
-HabitModel HabitModel::mine(const UserTrace& history) {
-  // A valid trace is a fixed point of sanitize_trace with quality 1.0:
-  // validation already demands sorted, disjoint, in-horizon, in-range
-  // records, so the repair would drop, clamp, re-sort and merge nothing.
-  // Fold its buckets straight from the trace — no copy, no index.
-  if (history.first_violation() == nullptr) {
-    static obs::Counter& direct =
-        obs::Registry::global().counter("mining.mine.direct");
-    direct.add(1);
+MinedHabits mine_habits(const UserTrace& history) {
+  // visit_valid rejects the same day counts; checking them first keeps
+  // the bucket allocation bounded.
+  if (history.num_days > 0 && history.num_days <= kMaxTraceDays) {
+    const std::size_t num_apps = history.app_names.size();
     std::vector<engine::TraceIndex::HourBucket> buckets(
         static_cast<std::size_t>(history.num_days) * kHoursPerDay);
-    engine::TraceIndex::fold_buckets(history, buckets);
-    return mine_days(buckets, history.app_names.size(), 0,
-                     history.num_days);
+    std::vector<bool> used(num_apps, false);
+    std::vector<bool> networked(num_apps, false);
+    if (fold_valid(history, buckets, used, networked)) {
+      static obs::Counter& direct =
+          obs::Registry::global().counter("mining.mine.direct");
+      direct.add(1);
+      return {mine_days(buckets, num_apps, 0, history.num_days),
+              SpecialApps::from_evidence(used, networked)};
+    }
   }
   const fault::SanitizeResult repaired = fault::sanitize_trace(history);
-  HabitModel model = mine(engine::TraceIndex(repaired.trace));
-  model.data_quality_ = repaired.report.quality();
-  return model;
+  HabitModel model = HabitModel::mine(engine::TraceIndex(repaired.trace));
+  model.scale_confidence(repaired.report.quality());
+  return {std::move(model), SpecialApps::detect(history)};
+}
+
+HabitModel HabitModel::mine(const UserTrace& history) {
+  return mine_habits(history).model;
 }
 
 HabitModel HabitModel::mine(const engine::TraceIndex& history) {

@@ -21,6 +21,7 @@
 #include "common/interval.hpp"
 #include "common/time.hpp"
 #include "engine/trace_index.hpp"
+#include "mining/special_apps.hpp"
 #include "trace/trace.hpp"
 
 namespace netmaster::mining {
@@ -70,13 +71,8 @@ struct HourStats {
 /// returns its snapshot — the one Eqs. 2–3 fold (incremental.hpp).
 class HabitModel {
  public:
-  /// Mines a training trace (all its days). A valid trace (no
-  /// UserTrace::first_violation) is folded directly — no sanitized copy,
-  /// no index — and counted in `mining.mine.direct`. Tolerant:
-  /// corrupted input is repaired through fault::sanitize_trace first,
-  /// and the repair ledger's quality score scales the model's
-  /// confidence. Either way the model is bit-identical to
-  /// mine(TraceIndex(sanitize_trace(history).trace)) at that quality.
+  /// Mines a training trace (all its days): mine_habits(history).model,
+  /// so the same one-pass fold and the same repair path.
   static HabitModel mine(const UserTrace& history);
 
   /// Mines from a prebuilt index (the per-hour buckets are exactly the
@@ -136,6 +132,26 @@ class HabitModel {
   std::array<HourStats, 2> stats_{};
   double data_quality_ = 1.0;
 };
+
+/// Everything NetMaster learns from one training trace (§IV-A's mined
+/// habits and §IV-C.2's special apps).
+struct MinedHabits {
+  HabitModel model;
+  SpecialApps special;
+};
+
+/// Mines a training trace into its habit model and special apps. A
+/// valid trace (UserTrace::first_violation() == nullptr) takes one
+/// pass: UserTrace::visit_valid checks every invariant while its
+/// visitors fold the hour buckets and the used / networked app flags
+/// — no sanitized copy, no index, no second scan — and the mine counts
+/// in `mining.mine.direct`. At the first violation the partial folds
+/// are dropped and the trace takes the repair path: sanitize, index,
+/// mine, with the repair ledger's quality score scaling the model's
+/// confidence, and SpecialApps::detect on the raw trace. Either way the
+/// result is bit-identical to {mine(TraceIndex(sanitize_trace(history)
+/// .trace)) at that quality, SpecialApps::detect(history)}.
+MinedHabits mine_habits(const UserTrace& history);
 
 /// Configuration of the slot predictor.
 struct PredictorConfig {

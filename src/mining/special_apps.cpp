@@ -2,10 +2,11 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+
 namespace netmaster::mining {
 
 SpecialApps SpecialApps::detect(const UserTrace& history) {
-  SpecialApps result;
   const std::size_t n = history.app_names.size();
   std::vector<bool> used(n, false);
   std::vector<bool> networked(n, false);
@@ -22,8 +23,16 @@ SpecialApps SpecialApps::detect(const UserTrace& history) {
       networked[static_cast<std::size_t>(a.app)] = true;
     }
   }
-  result.special_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  return from_evidence(used, networked);
+}
+
+SpecialApps SpecialApps::from_evidence(const std::vector<bool>& used,
+                                       const std::vector<bool>& networked) {
+  NM_REQUIRE(used.size() == networked.size(),
+             "special-app evidence needs one flag per app");
+  SpecialApps result;
+  result.special_.resize(used.size());
+  for (std::size_t i = 0; i < used.size(); ++i) {
     result.special_[i] = used[i] && networked[i];
   }
   return result;

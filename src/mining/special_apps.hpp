@@ -19,6 +19,13 @@ class SpecialApps {
   /// Detects special apps from a training trace.
   static SpecialApps detect(const UserTrace& history);
 
+  /// The special apps of per-app evidence (equal sizes, one flag per
+  /// app): app i is special when it was both used and networked. The
+  /// tail of detect(), shared with mining::mine_habits, which gathers
+  /// the evidence in its own pass over the trace.
+  static SpecialApps from_evidence(const std::vector<bool>& used,
+                                   const std::vector<bool>& networked);
+
   /// True for special apps; also true for app ids beyond the training
   /// population (newly installed apps are special until observed).
   bool is_special(AppId app) const;

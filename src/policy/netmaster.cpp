@@ -75,13 +75,17 @@ void release_fallback(sim::PolicyOutcome& outcome,
 
 }  // namespace
 
+// Delegation keeps the mine outside the member initializers: the
+// mined pair is complete before predictor_ and then special_ take
+// their halves.
 NetMasterPolicy::NetMasterPolicy(const UserTrace& training,
                                  NetMasterConfig config)
-    : config_(config),
-      predictor_(mining::HabitModel::mine(training), config.predictor),
-      special_(mining::SpecialApps::detect(training)) {
-  validate_and_gate();
-}
+    : NetMasterPolicy(mining::mine_habits(training), config) {}
+
+NetMasterPolicy::NetMasterPolicy(mining::MinedHabits habits,
+                                 NetMasterConfig config)
+    : NetMasterPolicy(std::move(habits.model), std::move(habits.special),
+                      config) {}
 
 NetMasterPolicy::NetMasterPolicy(mining::HabitModel model,
                                  mining::SpecialApps special,

@@ -1,6 +1,7 @@
 // NetMasterPolicy — the paper's full system as an online policy.
 //
-// Construction mines the training trace (habit model + special apps).
+// Construction mines the training trace (habit model + special apps,
+// one pass: mining::mine_habits), or takes an already-mined one.
 // At run time, for each evaluation day it predicts the user-active slot
 // set U (Eq. 2 with the δ thresholds) and the screen-off network-active
 // structure, builds the overlapped-knapsack instance over the pending
@@ -118,6 +119,13 @@ class NetMasterPolicy final : public Policy {
   /// app population and weekday alignment (slice evaluation windows at
   /// multiples of 7 days so Eq. 2's weekday/weekend split stays valid).
   NetMasterPolicy(const UserTrace& training, NetMasterConfig config);
+
+  /// Construction from an already-mined training trace
+  /// (mining::mine_habits), through the same validation and
+  /// degradation gate: bit-identical to the trace constructor on the
+  /// trace `habits` was mined from. The fleet evaluator builds every
+  /// NetMaster cell this way from its session's one mine per user.
+  NetMasterPolicy(mining::MinedHabits habits, NetMasterConfig config);
 
   /// Model-injection construction: runs on an externally-mined model
   /// and special-app set instead of mining a training trace, through

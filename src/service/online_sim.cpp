@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -70,9 +71,9 @@ OnlineSimResult run_online(const UserTrace& training,
 
   // ---- Mined state (the §V mining broadcast). ----
   // Mutable: the drift-adaptation loop may hot-swap a re-mined model.
-  mining::SlotPredictor predictor(mining::HabitModel::mine(training),
-                                  config.predictor);
-  const mining::SpecialApps special = mining::SpecialApps::detect(training);
+  mining::MinedHabits mined = mining::mine_habits(training);
+  mining::SlotPredictor predictor(std::move(mined.model), config.predictor);
+  const mining::SpecialApps special = std::move(mined.special);
 
   OnlineSimResult result;
   sim::PolicyOutcome& out = result.outcome;

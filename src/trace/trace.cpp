@@ -25,50 +25,7 @@ bool UserTrace::screen_on_at(TimeMs t) const {
 }
 
 const char* UserTrace::first_violation() const {
-  if (num_days <= 0) return "trace must cover at least one day";
-  if (num_days > kMaxTraceDays) {
-    return "trace must cover at most kMaxTraceDays (3650) days";
-  }
-  const TimeMs end = trace_end();
-
-  TimeMs prev_end = 0;
-  for (const ScreenSession& s : sessions) {
-    if (s.begin >= s.end) return "screen session must be non-empty";
-    if (s.begin < prev_end) {
-      return "screen sessions must be sorted and disjoint";
-    }
-    if (s.end > end) return "screen session beyond trace end";
-    prev_end = s.end;
-  }
-
-  TimeMs prev = 0;
-  for (const AppUsage& u : usages) {
-    if (u.time < prev) return "app usages must be sorted by time";
-    if (u.time < 0 || u.time >= end) return "app usage outside trace";
-    if (u.duration < 0) return "app usage duration must be non-negative";
-    if (u.app < 0 || static_cast<std::size_t>(u.app) >= app_names.size()) {
-      return "app usage references unknown app id";
-    }
-    prev = u.time;
-  }
-
-  prev = 0;
-  for (const NetworkActivity& n : activities) {
-    if (n.start < prev) return "activities must be sorted by start";
-    if (n.start < 0 || n.start >= end) return "activity outside trace";
-    if (n.duration < 0) return "activity duration must be non-negative";
-    if (n.start + n.duration > end) {
-      return "activity must finish within the trace";
-    }
-    if (n.bytes_down < 0 || n.bytes_up < 0) {
-      return "activity byte counts must be non-negative";
-    }
-    if (n.app < 0 || static_cast<std::size_t>(n.app) >= app_names.size()) {
-      return "activity references unknown app id";
-    }
-    prev = n.start;
-  }
-  return nullptr;
+  return visit_valid([](const AppUsage&) {}, [](const NetworkActivity&) {});
 }
 
 void UserTrace::validate() const {

@@ -1,6 +1,7 @@
 // Tests for habit mining, slot prediction (Eqs. 2–3) and special apps.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -372,6 +373,146 @@ TEST(MineDirect, EdgeCasesMatchTheRepairPath) {
     EXPECT_DOUBLE_EQ(model.stats(DayKind::kWeekday).mean_net_count[9],
                      1.0 / 5.0);
   }
+}
+
+
+// ---- mine_habits: the one-pass miner vs its separate passes. --------
+
+/// mine_habits(t) against the passes it fuses, bit for bit: the model
+/// of HabitModel::mine and of the repair path spelled out (sanitize ->
+/// index -> mine, a fold independent of the one-pass loop), the special
+/// apps of SpecialApps::detect, and the direct path taken exactly when
+/// UserTrace::first_violation() finds nothing.
+void expect_one_pass_matches(const UserTrace& t, const std::string& context) {
+  // A trace the repair cannot make valid (more than kMaxTraceDays days)
+  // fails both ways with the same error.
+  std::string repair_error;
+  try {
+    mine_via_repair(t);
+  } catch (const Error& e) {
+    repair_error = e.what();
+  }
+  if (!repair_error.empty()) {
+    try {
+      mine_habits(t);
+      ADD_FAILURE() << context << ": mine_habits accepted the trace";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), repair_error) << context;
+    }
+    return;
+  }
+  obs::Counter& direct = obs::Registry::global().counter("mining.mine.direct");
+  const std::uint64_t before = direct.value();
+  const MinedHabits mined = mine_habits(t);
+  EXPECT_EQ(direct.value() - before,
+            t.first_violation() == nullptr ? 1u : 0u)
+      << context;
+  expect_models_bitwise_equal(mined.model, HabitModel::mine(t), context);
+  expect_models_bitwise_equal(mined.model, mine_via_repair(t), context);
+  EXPECT_EQ(mined.special.flags(), SpecialApps::detect(t).flags())
+      << context;
+}
+
+TEST(MineHabits, RandomValidTracesMatchTheSeparatePasses) {
+  for (int arch = 0; arch < 8; ++arch) {
+    for (const std::uint64_t seed : {5u, 19u, 77u}) {
+      const int days = 7 * (1 + static_cast<int>(seed % 3));
+      const UserTrace trace = synth::generate_trace(
+          synth::make_user(static_cast<synth::Archetype>(arch), arch + 1),
+          days, seed);
+      ASSERT_EQ(trace.first_violation(), nullptr);
+      expect_one_pass_matches(trace, "archetype " + std::to_string(arch) +
+                                         " seed " + std::to_string(seed));
+    }
+  }
+  expect_one_pass_matches(fixture(), "fixture");
+}
+
+TEST(MineHabits, FaultedTracesMatchTheSeparatePasses) {
+  const UserTrace clean = synth::generate_trace(
+      synth::make_user(synth::Archetype::kHeavyMessenger, 6), 14, 31);
+  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      fault::FaultPlan plan;
+      plan.seed = seed;
+      plan.with(kind, 0.3);
+      expect_one_pass_matches(fault::inject_faults(clean, plan).trace,
+                              std::string(fault::kind_name(kind)) +
+                                  " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(MineHabits, EveryViolationRuleTakesTheRepairPath) {
+  // One planted violation per first_violation rule, each on the valid
+  // fixture (7 days, apps 0 and 1, sessions at hours 9/11/20, one
+  // screen-off activity at hour 3 of every day).
+  struct Plant {
+    const char* rule;
+    void (*apply)(UserTrace&);
+  };
+  const Plant plants[] = {
+      {"num_days 0", [](UserTrace& t) { t.num_days = 0; }},
+      {"num_days > kMaxTraceDays",
+       [](UserTrace& t) { t.num_days = kMaxTraceDays + 1; }},
+      {"empty session",
+       [](UserTrace& t) { t.sessions[2].end = t.sessions[2].begin; }},
+      {"overlapping sessions",
+       [](UserTrace& t) { t.sessions[3].begin = t.sessions[2].begin; }},
+      {"session past the end",
+       [](UserTrace& t) { t.sessions.back().end = t.trace_end() + 1; }},
+      {"unsorted usages",
+       [](UserTrace& t) { std::swap(t.usages[1], t.usages[4]); }},
+      {"usage before 0", [](UserTrace& t) { t.usages[0].time = -1; }},
+      {"usage at the end",
+       [](UserTrace& t) { t.usages.back().time = t.trace_end(); }},
+      {"negative usage duration",
+       [](UserTrace& t) { t.usages[3].duration = -5; }},
+      {"negative usage app", [](UserTrace& t) { t.usages[2].app = -1; }},
+      {"usage app past the table",
+       [](UserTrace& t) { t.usages[2].app = 2; }},
+      {"unsorted activities",
+       [](UserTrace& t) { std::swap(t.activities[0], t.activities[5]); }},
+      {"activity before 0", [](UserTrace& t) { t.activities[0].start = -1; }},
+      {"activity at the end",
+       [](UserTrace& t) { t.activities.back().start = t.trace_end(); }},
+      {"negative activity duration",
+       [](UserTrace& t) { t.activities[2].duration = -1; }},
+      {"activity past the end",
+       [](UserTrace& t) {
+         t.activities.back().duration =
+             t.trace_end() - t.activities.back().start + 1;
+       }},
+      {"negative bytes down",
+       [](UserTrace& t) { t.activities[1].bytes_down = -1; }},
+      {"negative bytes up",
+       [](UserTrace& t) { t.activities[1].bytes_up = -1; }},
+      {"negative activity app",
+       [](UserTrace& t) { t.activities[4].app = -3; }},
+      {"activity app past the table",
+       [](UserTrace& t) { t.activities[4].app = 7; }},
+  };
+  for (const Plant& plant : plants) {
+    UserTrace t = fixture();
+    plant.apply(t);
+    ASSERT_NE(t.first_violation(), nullptr) << plant.rule;
+    expect_one_pass_matches(t, plant.rule);
+  }
+  // The last record of each stream is checked too: a violation there
+  // follows a fully folded prefix that must be dropped.
+  UserTrace t = fixture();
+  t.activities.push_back(t.activities.back());
+  t.activities.back().app = 9;
+  expect_one_pass_matches(t, "violation in the last activity");
+}
+
+TEST(MineHabits, ActivityEndCheckDoesNotOverflow) {
+  // A duration that would overflow start + duration is rejected, not
+  // wrapped into a "valid" trace.
+  UserTrace t = fixture();
+  t.activities[0].duration = std::numeric_limits<DurationMs>::max();
+  ASSERT_NE(t.first_violation(), nullptr);
+  expect_one_pass_matches(t, "overflowing duration");
 }
 
 }  // namespace

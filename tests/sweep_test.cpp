@@ -401,8 +401,9 @@ TEST(GoldenFigures, SolverKnobDefaultMatchesExplicitFptasBitForBit) {
                            const policy::NetMasterConfig& nm) {
     PolicySpec spec;
     spec.name = name;
-    spec.make = [nm](const UserTrace& training) {
-      return std::make_unique<policy::NetMasterPolicy>(training, nm);
+    spec.make = [nm](TrainingTrace training) {
+      return std::make_unique<policy::NetMasterPolicy>(training.habits(),
+                                                       nm);
     };
     return spec;
   };

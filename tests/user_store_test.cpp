@@ -4,7 +4,8 @@
 // spilled, bit-for-bit fleet determinism with and without spilling, at
 // most one rehydration per user per grid and none for a training-free
 // roster, and a corrupted spill file failing only the cells that read
-// its row's traces. Set-up itself decodes no blob, leaves the same
+// its row's traces. The session's habit memo spares later NetMaster
+// grids every rehydration and retries a user whose pin failed. Set-up itself decodes no blob, leaves the same
 // users hydrated at every worker count, and fails every user alike
 // when the spill directory cannot be created.
 #include <gtest/gtest.h>
@@ -372,6 +373,92 @@ TEST(SpillFleet, CorruptedBlobFailsOnlyItsRow) {
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures[0].policy, "netmaster");
     EXPECT_EQ(report.failures[0].error, blob_error);
+  }
+}
+
+/// The NetMaster columns alone: every cell mines (or reads the memo).
+std::vector<PolicySpec> netmaster_only() {
+  return solver_ablation_suite(small_config().netmaster);
+}
+
+TEST(SpillFleet, SecondNetMasterGridRehydratesNoUser) {
+  // The session mines each user once, on the first grid that asks, and
+  // keeps the result: a later NetMaster-only grid over the spilled
+  // fleet builds every policy from the memo and decodes no blob.
+  const std::vector<synth::UserProfile> profiles = small_fleet(6);
+  const std::vector<PolicySpec> suite = netmaster_only();
+  const FleetReport resident =
+      run_fleet(EvalSession(profiles, small_config()), suite);
+
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;  // below any single user
+  const EvalSession spilled(profiles, config);
+  ASSERT_EQ(spilled.store().resident_count(), 0u);
+  for (const unsigned workers : {2u, 1u, 8u}) {
+    const std::uint64_t before = counter_value("store.rehydrations");
+    const FleetReport report = run_fleet(spilled, suite, workers);
+    const std::uint64_t rehydrations =
+        counter_value("store.rehydrations") - before;
+    if (workers == 2u) {
+      EXPECT_EQ(rehydrations, spilled.num_users()) << "first grid";
+    } else {
+      EXPECT_EQ(rehydrations, 0u) << workers << " workers";
+    }
+    ASSERT_EQ(report.cells.size(), resident.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      expect_same_cell(resident.cells[c], report.cells[c], c);
+    }
+  }
+}
+
+TEST(SpillFleet, FailedTrainingPinIsRetriedByTheNextGrid) {
+  // A row whose pin fails leaves its user unmined: the memo keeps no
+  // error. Once the spill file is whole again, the next grid pins the
+  // row, mines that user (and only that user) and matches the resident
+  // run everywhere.
+  const std::vector<synth::UserProfile> profiles = small_fleet(4);
+  const std::vector<PolicySpec> suite = netmaster_only();
+  const FleetReport resident =
+      run_fleet(EvalSession(profiles, small_config()), suite);
+
+  ExperimentConfig config = small_config();
+  config.store.cache_cap_bytes = 4096;
+  const EvalSession spilled(profiles, config);
+  constexpr std::size_t kBad = 2;
+  const std::filesystem::path blob =
+      spilled.store().spill_dir() / ("user_" + std::to_string(kBad) + ".nmub");
+  ASSERT_TRUE(std::filesystem::exists(blob));
+  std::string original(8, '\0');
+  {
+    std::fstream file(blob, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(64);
+    file.read(original.data(), 8);
+    file.seekp(64);
+    file.write("corrupt!", 8);
+  }
+  const std::size_t m = suite.size();
+  FleetReport report;
+  ASSERT_NO_THROW(report = run_fleet(spilled, suite, 4));
+  ASSERT_EQ(report.failures.size(), m);
+  for (std::size_t p = 0; p < m; ++p) {
+    EXPECT_TRUE(report.cell(kBad, p).failed) << suite[p].name;
+  }
+
+  {
+    std::fstream file(blob, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(64);
+    file.write(original.data(), 8);
+  }
+  obs::Counter& direct = obs::Registry::global().counter("mining.mine.direct");
+  const std::uint64_t mined_before = direct.value();
+  const std::uint64_t pins_before = counter_value("store.rehydrations");
+  ASSERT_NO_THROW(report = run_fleet(spilled, suite, 4));
+  EXPECT_TRUE(report.failures.empty());
+  EXPECT_EQ(direct.value() - mined_before, 1u);
+  EXPECT_EQ(counter_value("store.rehydrations") - pins_before, 1u);
+  ASSERT_EQ(report.cells.size(), resident.cells.size());
+  for (std::size_t c = 0; c < report.cells.size(); ++c) {
+    expect_same_cell(resident.cells[c], report.cells[c], c);
   }
 }
 
