@@ -3,9 +3,9 @@
 // and scheme trade radio overhead against wake-up latency.
 //
 //   $ ./duty_cycle_tuning [seed]
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "duty/duty_cycle.hpp"
 #include "eval/experiments.hpp"
 #include "eval/table.hpp"
@@ -15,8 +15,7 @@
 int main(int argc, char** argv) {
   using namespace netmaster;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg_or_exit(argc, argv, 1, 42);
 
   // Part 1: pure idle window (8-hour night), all schemes and intervals.
   std::cout << "8-hour idle night: wake-ups and radio-on by scheme\n\n";

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "eval/table.hpp"
 #include "mining/habits.hpp"
 #include "mining/pearson.hpp"
@@ -18,8 +19,7 @@ int main(int argc, char** argv) {
   using namespace netmaster;
 
   const int kind = argc > 1 ? std::atoi(argv[1]) : 0;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg_or_exit(argc, argv, 2, 42);
   const auto archetype = static_cast<synth::Archetype>(kind % 8);
 
   const synth::UserProfile profile = synth::make_user(archetype, 1);

@@ -7,9 +7,9 @@
 // to end.
 //
 //   $ ./middleware_service [seed]
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "eval/table.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
@@ -25,8 +25,7 @@
 int main(int argc, char** argv) {
   using namespace netmaster;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = examples::seed_arg_or_exit(argc, argv, 1, 42);
   const auto profile = synth::make_user(synth::Archetype::kOfficeWorker, 1);
   const UserTrace full = synth::generate_trace(profile, 21, seed);
   const UserTrace training = full.slice_days(0, 14);

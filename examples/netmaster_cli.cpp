@@ -8,16 +8,13 @@
 //
 // Policies for `evaluate`: baseline, oracle, netmaster (default),
 // delay:<seconds>, batch:<n>, delaybatch:<seconds>.
-#include <charconv>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
-#include <system_error>
 
+#include "cli_args.hpp"
 #include "eval/battery.hpp"
 #include "eval/experiments.hpp"
 #include "eval/session.hpp"
@@ -36,6 +33,19 @@
 namespace {
 
 using namespace netmaster;
+using examples::parse_int_arg;
+using examples::parse_seed_arg;
+
+/// Longest delay window a spec may ask for: the longest trace.
+constexpr double kMaxDelaySeconds =
+    static_cast<double>(kMaxTraceDays) * kMsPerDay / kMsPerSecond;
+
+/// A `delay:<s>` / `delaybatch:<s>` window, at least one millisecond.
+DurationMs parse_delay_arg(const std::string& arg) {
+  return seconds(examples::parse_double_arg(arg.c_str(), 0.001,
+                                            kMaxDelaySeconds,
+                                            "delay seconds"));
+}
 
 int usage() {
   std::cerr
@@ -62,40 +72,17 @@ std::unique_ptr<policy::Policy> make_policy(const std::string& spec,
         training, policy::NetMasterConfig{});
   }
   if (kind == "delay") {
-    return std::make_unique<policy::DelayPolicy>(
-        seconds(std::strtod(arg.c_str(), nullptr)));
+    return std::make_unique<policy::DelayPolicy>(parse_delay_arg(arg));
   }
   if (kind == "batch") {
-    return std::make_unique<policy::BatchPolicy>(
-        static_cast<std::size_t>(std::strtoul(arg.c_str(), nullptr, 10)));
+    return std::make_unique<policy::BatchPolicy>(parse_int_arg<std::size_t>(
+        arg.c_str(), 0, std::numeric_limits<std::size_t>::max(),
+        "batch size"));
   }
   if (kind == "delaybatch") {
-    return std::make_unique<policy::DelayBatchPolicy>(
-        seconds(std::strtod(arg.c_str(), nullptr)));
+    return std::make_unique<policy::DelayBatchPolicy>(parse_delay_arg(arg));
   }
   throw Error("unknown policy spec: " + spec);
-}
-
-/// Parses a whole decimal integer of type T in [lo, hi]; anything else
-/// (empty, a sign on an unsigned T, spaces, trailing characters, out of
-/// range) throws with the argument's name.
-template <typename T>
-T parse_int_arg(const char* text, T lo, T hi, const std::string& what) {
-  const char* const last = text + std::strlen(text);
-  T value{};
-  const auto [end, ec] = std::from_chars(text, last, value);
-  if (end == text || end != last || ec != std::errc() || value < lo ||
-      value > hi) {
-    throw Error(what + " must be an integer in [" + std::to_string(lo) +
-                ", " + std::to_string(hi) + "], got '" + text + "'");
-  }
-  return value;
-}
-
-/// A generator seed: any 64-bit unsigned integer.
-std::uint64_t parse_seed_arg(const char* text) {
-  return parse_int_arg<std::uint64_t>(
-      text, 0, std::numeric_limits<std::uint64_t>::max(), "seed");
 }
 
 int cmd_generate(int argc, char** argv) {

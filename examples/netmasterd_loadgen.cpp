@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "daemon/loadgen.hpp"
 #include "net/transport.hpp"
 
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   if (argc > 2) load.users = std::atoi(argv[2]);
   if (argc > 3) load.train_days = std::atoi(argv[3]);
   if (argc > 4) load.eval_days = std::atoi(argv[4]);
-  if (argc > 5) load.seed = std::strtoull(argv[5], nullptr, 10);
+  load.seed = examples::seed_arg_or_exit(argc, argv, 5, load.seed);
 
   try {
     const daemon::LoadPlan plan = daemon::build_load_plan(load);

@@ -9,10 +9,10 @@
 // averages from the per-policy aggregates.
 //
 //   $ ./policy_comparison [seed]
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
+#include "cli_args.hpp"
 #include "eval/fleet.hpp"
 #include "eval/session.hpp"
 #include "eval/table.hpp"
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   using namespace netmaster;
 
   eval::ExperimentConfig cfg;
-  if (argc > 1) cfg.seed = std::strtoull(argv[1], nullptr, 10);
+  cfg.seed = examples::seed_arg_or_exit(argc, argv, 1, cfg.seed);
 
   std::cout << "Policy comparison over the 8-user study population "
             << "(train " << cfg.train_days << "d, eval " << cfg.eval_days

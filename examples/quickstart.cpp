@@ -4,9 +4,9 @@
 //
 //   $ ./quickstart [seed]
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "eval/battery.hpp"
 #include "eval/experiments.hpp"
 #include "eval/table.hpp"
@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace netmaster;
 
   eval::ExperimentConfig config;
-  if (argc > 1) config.seed = std::strtoull(argv[1], nullptr, 10);
+  config.seed = examples::seed_arg_or_exit(argc, argv, 1, config.seed);
 
   const synth::UserProfile user =
       synth::make_user(synth::Archetype::kOfficeWorker, 1);

@@ -1,18 +1,13 @@
 #include "policy/batch.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 namespace netmaster::policy {
 
-BatchPolicy::BatchPolicy(std::size_t max_batch) : max_batch_(max_batch) {}
-
-std::string BatchPolicy::name() const {
-  std::ostringstream os;
-  os << "batch(" << max_batch_ << ")";
-  return os.str();
-}
+BatchPolicy::BatchPolicy(std::size_t max_batch)
+    : max_batch_(max_batch),
+      name_("batch(" + std::to_string(max_batch) + ")") {}
 
 sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
   sim::PolicyOutcome outcome;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "policy/policy.hpp"
 
@@ -17,13 +18,14 @@ class BatchPolicy final : public Policy {
 
   using Policy::run;
 
-  std::string name() const override;
+  std::string name() const override { return name_; }
   sim::PolicyOutcome run(const engine::TraceIndex& eval) const override;
 
   std::size_t max_batch() const { return max_batch_; }
 
  private:
   std::size_t max_batch_;
+  std::string name_;  ///< formatted once: run() stamps every outcome
 };
 
 }  // namespace netmaster::policy

@@ -1,20 +1,13 @@
 #include "policy/delay.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace netmaster::policy {
 
 DelayPolicy::DelayPolicy(DurationMs interval_ms)
-    : interval_ms_(interval_ms) {
+    : interval_ms_(interval_ms),
+      name_("delay(" + std::to_string(interval_ms / kMsPerSecond) + "s)") {
   NM_REQUIRE(interval_ms > 0, "delay interval must be positive");
-}
-
-std::string DelayPolicy::name() const {
-  std::ostringstream os;
-  os << "delay(" << interval_ms_ / kMsPerSecond << "s)";
-  return os.str();
 }
 
 sim::PolicyOutcome DelayPolicy::run(const engine::TraceIndex& eval) const {

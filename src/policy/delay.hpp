@@ -5,6 +5,8 @@
 // §VI-C sweep varies d from 1 s to 600 s (Fig. 8).
 #pragma once
 
+#include <string>
+
 #include "common/time.hpp"
 #include "policy/policy.hpp"
 
@@ -16,13 +18,14 @@ class DelayPolicy final : public Policy {
 
   using Policy::run;
 
-  std::string name() const override;
+  std::string name() const override { return name_; }
   sim::PolicyOutcome run(const engine::TraceIndex& eval) const override;
 
   DurationMs interval_ms() const { return interval_ms_; }
 
  private:
   DurationMs interval_ms_;
+  std::string name_;  ///< formatted once: run() stamps every outcome
 };
 
 }  // namespace netmaster::policy

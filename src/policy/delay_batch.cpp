@@ -1,7 +1,6 @@
 #include "policy/delay_batch.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -9,14 +8,9 @@
 namespace netmaster::policy {
 
 DelayBatchPolicy::DelayBatchPolicy(DurationMs interval_ms)
-    : interval_ms_(interval_ms) {
+    : interval_ms_(interval_ms),
+      name_("delay&batch(" + std::to_string(interval_ms / kMsPerSecond) + "s)") {
   NM_REQUIRE(interval_ms > 0, "delay interval must be positive");
-}
-
-std::string DelayBatchPolicy::name() const {
-  std::ostringstream os;
-  os << "delay&batch(" << interval_ms_ / kMsPerSecond << "s)";
-  return os.str();
 }
 
 sim::PolicyOutcome DelayBatchPolicy::run(

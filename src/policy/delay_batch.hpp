@@ -6,6 +6,8 @@
 // compares against (22.54% average energy saving).
 #pragma once
 
+#include <string>
+
 #include "common/time.hpp"
 #include "policy/policy.hpp"
 
@@ -17,13 +19,14 @@ class DelayBatchPolicy final : public Policy {
 
   using Policy::run;
 
-  std::string name() const override;
+  std::string name() const override { return name_; }
   sim::PolicyOutcome run(const engine::TraceIndex& eval) const override;
 
   DurationMs interval_ms() const { return interval_ms_; }
 
  private:
   DurationMs interval_ms_;
+  std::string name_;  ///< formatted once: run() stamps every outcome
 };
 
 }  // namespace netmaster::policy

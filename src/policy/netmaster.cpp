@@ -132,12 +132,16 @@ void NetMasterPolicy::validate_and_gate() {
                               config.robustness.drift_score);
   const double effective_confidence =
       model.overall_confidence() * drift_discount;
-  std::ostringstream why;
+  // The reason is formatted only when the gate trips; a passing gate
+  // leaves it empty.
   bool drift_degraded = false;
   if (model.training_days() < config.robustness.min_training_days) {
+    std::ostringstream why;
     why << "training days " << model.training_days() << " < "
         << config.robustness.min_training_days;
+    degraded_reason_ = why.str();
   } else if (effective_confidence < config.robustness.min_confidence) {
+    std::ostringstream why;
     why << "model confidence " << effective_confidence << " < "
         << config.robustness.min_confidence << " (data quality "
         << model.data_quality() << ")";
@@ -146,8 +150,8 @@ void NetMasterPolicy::validate_and_gate() {
       drift_degraded =
           model.overall_confidence() >= config.robustness.min_confidence;
     }
+    degraded_reason_ = why.str();
   }
-  degraded_reason_ = why.str();
   NetMasterMetrics& metrics = NetMasterMetrics::get();
   metrics.models_mined.add(1);
   if (degraded()) metrics.degraded_models.add(1);

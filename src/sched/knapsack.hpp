@@ -86,8 +86,8 @@ KnapResult knapsack_fptas(std::span<const KnapItem> items,
                           std::uint64_t* dp_cells = nullptr);
 
 /// Upper bound from the fractional (LP) relaxation; >= OPT always.
-/// Input already in `ratio_before` order (Algorithm 1's per-slot
-/// itemsets) is walked as given; anything else is sorted first.
+/// Input already in `ratio_before` order (Algorithm 1's binding
+/// per-slot itemsets) is walked as given; anything else is sorted first.
 double fractional_upper_bound(std::span<const KnapItem> items,
                               std::int64_t capacity);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -54,16 +55,21 @@ void validate_instance(std::span<const OverlapSlot> slots,
 
 /// Rebuilds the workspace's flat id→item index (sorted by id). This is
 /// the replacement for the seed-era `std::map<int, const OverlapItem*>`
-/// that was built twice per solve: one reused vector, one sort, binary
-/// search lookups, and iterating positions 0..n−1 walks items in
+/// that was built twice per solve: one reused vector, sorted only when
+/// the ids are not already ascending (`build_instance` emits 0..n−1),
+/// binary search lookups, and iterating positions 0..n−1 walks items in
 /// ascending-id order exactly like map iteration did.
 void build_id_index(std::span<const OverlapItem> items, SchedWorkspace& ws) {
   auto& index = ws.id_index;
   index.clear();
   index.reserve(items.size());
   for (const OverlapItem& item : items) index.emplace_back(item.id, &item);
-  std::sort(index.begin(), index.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(index.begin(), index.end(), by_id)) {
+    std::sort(index.begin(), index.end(), by_id);
+  }
   for (std::size_t i = 1; i < index.size(); ++i) {
     NM_REQUIRE(index[i - 1].first != index[i].first,
                "item ids must be unique");
@@ -83,16 +89,23 @@ std::size_t index_position(const SchedWorkspace& ws, int id) {
 }
 
 /// check_feasible body against an already-built ws.id_index.
+/// `position_of(k)` names the index position of assignment k: the
+/// public check searches for its id, the solver passes the position it
+/// emitted the assignment from. Either way the position must hold the
+/// assignment's id.
+template <typename PositionOf>
 void check_feasible_indexed(std::span<const OverlapSlot> slots,
                             std::span<const OverlapItem> items,
                             const OverlapSolution& solution,
-                            SchedWorkspace& ws) {
+                            SchedWorkspace& ws, PositionOf position_of) {
   ws.used.assign(slots.size(), 0);
   ws.times_assigned.assign(items.size(), 0);
   double profit = 0.0;
-  for (const OverlapAssignment& a : solution.assignments) {
-    const std::size_t pos = index_position(ws, a.item_id);
-    NM_REQUIRE(pos != static_cast<std::size_t>(-1),
+  for (std::size_t k = 0; k < solution.assignments.size(); ++k) {
+    const OverlapAssignment& a = solution.assignments[k];
+    const std::size_t pos = position_of(k);
+    NM_REQUIRE(pos < ws.id_index.size() &&
+                   ws.id_index[pos].first == a.item_id,
                "assignment references unknown item");
     const OverlapItem& item = *ws.id_index[pos].second;
     NM_REQUIRE(a.slot_index == item.prev_slot ||
@@ -109,6 +122,31 @@ void check_feasible_indexed(std::span<const OverlapSlot> slots,
   NM_REQUIRE(std::abs(profit - solution.total_profit) <=
                  1e-6 * std::max(1.0, std::abs(profit)),
              "reported profit does not match assignments");
+}
+
+/// Whether a slot's capacity cannot bind: its positive-profit copies
+/// fit together, and none of their profits is small enough next to
+/// their sum (under 2^-50 of it) for a running floating-point sum to
+/// absorb it. On such a slot each backend's chosen set does not depend
+/// on the copies' order — the FPTAS takes every positive-scaled copy,
+/// the exact DP and greedy every positive one — and the fractional
+/// bound is the positive profit sum, written to `bound`. A positive
+/// copy heavier than the slot makes it binding.
+bool slack_slot(std::span<const KnapItem> list, std::int64_t capacity,
+                double& bound) {
+  std::int64_t weight = 0;
+  double sum = 0.0;
+  double least = std::numeric_limits<double>::infinity();
+  for (const KnapItem& ki : list) {
+    if (ki.profit <= 0.0) continue;
+    if (ki.weight > capacity - weight) return false;
+    weight += ki.weight;
+    sum += ki.profit;
+    least = std::min(least, ki.profit);
+  }
+  if (least < std::ldexp(sum, -50)) return false;
+  bound = sum;
+  return true;
 }
 
 /// kAuto's per-slot choice. The weight-indexed exact table
@@ -135,7 +173,9 @@ void check_feasible(std::span<const OverlapSlot> slots,
                     const OverlapSolution& solution) {
   SchedWorkspace& ws = thread_workspace();
   build_id_index(items, ws);
-  check_feasible_indexed(slots, items, solution, ws);
+  check_feasible_indexed(slots, items, solution, ws, [&](std::size_t k) {
+    return index_position(ws, solution.assignments[k].item_id);
+  });
 }
 
 OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
@@ -180,20 +220,29 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   }
 
   // Step 2 (sorting) + step 3 (SinKnap per slot). The FPTAS does not
-  // require sorted input, but we keep the paper's ordering so the
-  // per-slot itemsets match Algorithm 1 line by line (and ties in the
-  // later greedy step resolve in ratio order). kAuto picks its kernel
-  // per slot.
+  // require sorted input, but a binding slot keeps the paper's ordering
+  // so its itemset matches Algorithm 1 line by line (and ties in the
+  // later greedy step resolve in ratio order). A slack slot skips the
+  // sort: its kernel's chosen set is the same in any order, and
+  // GreedyAdd below orders only the slot's leftovers. kAuto picks its
+  // kernel per slot.
   auto& chosen_per_slot = ws.chosen_per_slot;
   if (chosen_per_slot.size() < slots.size()) {
     chosen_per_slot.resize(slots.size());
   }
+  ws.slot_sorted.assign(slots.size(), 0);
   for (std::size_t s = 0; s < slots.size(); ++s) {
     auto& list = slot_items[s];
     const std::int64_t capacity = slots[s].capacity;
-    std::sort(list.begin(), list.end(), ratio_before);
     stats.duplicated_items += list.size();
-    stats.upper_bound += fractional_upper_bound(list, capacity);
+    double bound = 0.0;
+    if (!slack_slot(list, capacity, bound)) {
+      std::sort(list.begin(), list.end(), ratio_before);
+      ws.slot_sorted[s] = 1;
+      ++stats.slot_sorts;
+      bound = fractional_upper_bound(list, capacity);
+    }
+    stats.upper_bound += bound;
 
     const SolverChoice backend =
         options.choice == SolverChoice::kAuto
@@ -243,6 +292,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
 
   OverlapSolution solution;
   solution.slot_used.assign(slots.size(), 0);
+  ws.assignment_pos.clear();
   for (std::size_t pos = 0; pos < n; ++pos) {
     if (ws.cand_count[pos] == 0) continue;
     const OverlapItem& item = *ws.id_index[pos].second;
@@ -267,6 +317,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
       }
     }
     solution.assignments.push_back({item.id, slot});
+    ws.assignment_pos.push_back(pos);
     solution.slot_used[static_cast<std::size_t>(slot)] += item.weight;
     solution.total_profit += item.profit_in(slot);
     ws.assigned[pos] = 1;
@@ -275,15 +326,42 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   // Capacity cannot overflow after filtering: each slot only lost items
   // relative to its feasible SinKnap packing.
   // Step 4b (GreedyAdd): fill residual capacity with still-unassigned
-  // items, best ratio first.
+  // items, best ratio first. On a slack slot every leftover fits, so
+  // only their order matters: sorting just the leftovers gives the
+  // order they hold in the sorted itemset, unless two tie in ratio and
+  // the full sort's tie order decides, so then the itemset is sorted.
   for (std::size_t s = 0; s < slots.size(); ++s) {
     std::int64_t residual = slots[s].capacity - solution.slot_used[s];
-    for (const KnapItem& ki : slot_items[s]) {  // already ratio-sorted
+    std::span<const KnapItem> walk = slot_items[s];
+    if (ws.slot_sorted[s] == 0) {
+      auto& leftovers = ws.leftovers;
+      leftovers.clear();
+      for (const KnapItem& ki : slot_items[s]) {
+        if (ws.assigned[static_cast<std::size_t>(ki.id)] == 0 &&
+            ki.profit > 0.0) {
+          leftovers.push_back(ki);
+        }
+      }
+      std::sort(leftovers.begin(), leftovers.end(), ratio_before);
+      const bool tie =
+          std::adjacent_find(leftovers.begin(), leftovers.end(),
+                             [](const KnapItem& a, const KnapItem& b) {
+                               return !ratio_before(a, b);
+                             }) != leftovers.end();
+      if (tie) {
+        std::sort(slot_items[s].begin(), slot_items[s].end(), ratio_before);
+        ++stats.slot_sorts;
+      } else {
+        walk = leftovers;
+      }
+    }
+    for (const KnapItem& ki : walk) {
       const auto pos = static_cast<std::size_t>(ki.id);
       if (ws.assigned[pos] != 0 || ki.profit <= 0.0) continue;
       if (ki.weight <= residual) {
         solution.assignments.push_back(
             {ws.id_index[pos].first, static_cast<int>(s)});
+        ws.assignment_pos.push_back(pos);
         solution.slot_used[s] += ki.weight;
         solution.total_profit += ki.profit;
         residual -= ki.weight;
@@ -292,7 +370,10 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
     }
   }
 
-  check_feasible_indexed(slots, items, solution, ws);
+  // Every assignment above came from an index position: check by it.
+  check_feasible_indexed(slots, items, solution, ws, [&](std::size_t k) {
+    return ws.assignment_pos[k];
+  });
 
   stats.profit = solution.total_profit;
   if (stats.upper_bound > 0.0) {
@@ -305,6 +386,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
     obs::Counter& items;
     obs::Counter& slots;
     obs::Counter& dp_cells;
+    obs::Counter& slot_sorts;
     obs::Counter& backend_fptas;
     obs::Counter& backend_exact;
     obs::Counter& backend_greedy;
@@ -315,6 +397,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
       obs::Registry::global().counter("sched.solver.items"),
       obs::Registry::global().counter("sched.solver.slots"),
       obs::Registry::global().counter("sched.solver.dp_cells"),
+      obs::Registry::global().counter("sched.solver.slot_sorts"),
       obs::Registry::global().counter("sched.solver.slot_solves.fptas"),
       obs::Registry::global().counter("sched.solver.slot_solves.exact"),
       obs::Registry::global().counter("sched.solver.slot_solves.greedy"),
@@ -325,6 +408,7 @@ OverlapSolution solve_overlapped(std::span<const OverlapSlot> slots,
   metrics.items.add(stats.items);
   metrics.slots.add(stats.slots);
   metrics.dp_cells.add(stats.dp_cells);
+  metrics.slot_sorts.add(stats.slot_sorts);
   metrics.backend_fptas.add(stats.slot_solves_fptas);
   metrics.backend_exact.add(stats.slot_solves_exact);
   metrics.backend_greedy.add(stats.slot_solves_greedy);

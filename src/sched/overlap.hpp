@@ -6,7 +6,8 @@
 // per-slot itemsets overlap. Algorithm 1 solves this with a
 // (1−ε)/2-approximation:
 //   1. Duplication — put each item into both candidate slots.
-//   2. Sorting — order each slot's items by profit/weight.
+//   2. Sorting — order each slot's items by profit/weight (only where
+//      the capacity binds; a slack slot's answer needs no order).
 //   3. Dynamic programming — run SinKnap (the (1−ε) FPTAS) per slot.
 //   4. Filtering — an item chosen twice keeps the slot with smaller
 //      C(ti) − V(nj) and is deleted from the other; then GreedyAdd

@@ -76,9 +76,14 @@ struct SolveStats {
   std::size_t slot_solves_exact = 0;
   std::size_t slot_solves_greedy = 0;
   std::uint64_t dp_cells = 0;  ///< DP cells touched across all slots
+  /// Per-slot ratio sorts of a duplicated itemset: one per slot whose
+  /// capacity binds, plus any slack slot whose GreedyAdd leftovers tie
+  /// in ratio. Slack slots skip the sort.
+  std::size_t slot_sorts = 0;
   double profit = 0.0;         ///< solution profit
   /// Σ per-slot fractional bounds over the duplicated itemsets — an
-  /// upper bound on the overlapped optimum (loose by up to 2×).
+  /// upper bound on the overlapped optimum (loose by up to 2×). A slack
+  /// slot's bound is its positive profit sum, added in input order.
   double upper_bound = 0.0;
   /// (upper_bound − profit) / upper_bound, clamped to [0, 1]; 0 when
   /// the bound is non-positive.
@@ -114,6 +119,9 @@ class SchedWorkspace {
   /// steps index the per-position scratch below without a search.
   std::vector<std::vector<KnapItem>> slot_items;
   std::vector<std::vector<int>> chosen_per_slot;  ///< positions per slot
+  /// Per slot: 1 when its itemset was ratio-sorted (capacity binds).
+  std::vector<std::uint8_t> slot_sorted;
+  std::vector<KnapItem> leftovers;  ///< a slack slot's GreedyAdd items
   /// Flat id→item index, sorted by id: replaces the per-call
   /// `std::map<int, const OverlapItem*>`s. A position in it is an
   /// item's handle inside a solve; `.first` maps it back to the id.
@@ -124,6 +132,9 @@ class SchedWorkspace {
   std::vector<int> cand_slot[2];          ///< per position: chosen slots
   std::vector<std::uint8_t> cand_count;   ///< per position: 0, 1 or 2
   std::vector<std::uint8_t> assigned;     ///< per position: taken flag
+  /// Per assignment: the `id_index` position it was emitted from, so
+  /// the solver's own feasibility check needs no id search.
+  std::vector<std::size_t> assignment_pos;
   std::vector<std::int64_t> used;         ///< feasibility check scratch
   std::vector<std::uint8_t> times_assigned;
 

@@ -644,5 +644,297 @@ TEST(SolveStats, ReportsBackendMixUnderAuto) {
   EXPECT_EQ(stats.duplicated_items, 24u);
 }
 
+
+// ---------------------------------------------------------------------
+// Slack slots skip the ratio sort. The reference below is Algorithm 1
+// with every slot's itemset ratio-sorted, as it ran before slack slots
+// skipped the sort: the knapsack.hpp kernels, kAuto resolved per slot
+// by the same cost rule, per-candidate profits, and std::map id walks.
+// Every backend must match it bit for bit, and `slot_sorts` must count
+// exactly the slots whose positive-profit copies do not fit together.
+// ---------------------------------------------------------------------
+namespace sort_always {
+
+SolverChoice resolve(SolverChoice choice, std::size_t n,
+                     std::int64_t capacity, double eps) {
+  if (choice != SolverChoice::kAuto) return choice;
+  if (n == 0) return SolverChoice::kFptas;
+  const auto nd = static_cast<double>(n);
+  const double exact_cells = nd * (static_cast<double>(capacity) + 1.0);
+  const double fptas_cells = nd * nd * std::ceil(nd / eps);
+  return exact_cells <= 1e6 && exact_cells <= fptas_cells
+             ? SolverChoice::kExact
+             : SolverChoice::kFptas;
+}
+
+OverlapSolution solve(std::span<const OverlapSlot> slots,
+                      std::span<const OverlapItem> items,
+                      const SolverOptions& options,
+                      double* upper_bound = nullptr) {
+  std::map<int, const OverlapItem*> by_id;
+  for (const OverlapItem& item : items) by_id[item.id] = &item;
+
+  std::vector<std::vector<KnapItem>> slot_items(slots.size());
+  for (const OverlapItem& item : items) {
+    for (int s : {item.prev_slot, item.next_slot}) {
+      if (s >= 0) {
+        slot_items[static_cast<std::size_t>(s)].push_back(
+            {item.id, item.profit_in(s), item.weight});
+      }
+    }
+  }
+
+  SchedWorkspace ws;
+  double bound = 0.0;
+  std::map<int, std::vector<int>> slots_of_item;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    auto& list = slot_items[s];
+    const std::int64_t capacity = slots[s].capacity;
+    std::sort(list.begin(), list.end(), ratio_before);
+    bound += fractional_upper_bound(list, capacity);
+    std::vector<int> chosen;
+    switch (resolve(options.choice, list.size(), capacity, options.eps)) {
+      case SolverChoice::kExact:
+        chosen = knapsack_exact(list, capacity, ws).chosen;
+        break;
+      case SolverChoice::kGreedy:
+        chosen = knapsack_greedy(list, capacity, ws).chosen;
+        break;
+      default:
+        chosen = knapsack_fptas(list, capacity, options.eps, ws).chosen;
+        break;
+    }
+    for (int id : chosen) slots_of_item[id].push_back(static_cast<int>(s));
+  }
+
+  OverlapSolution solution;
+  solution.slot_used.assign(slots.size(), 0);
+  std::map<int, bool> assigned;
+  for (const auto& [id, cand] : slots_of_item) {
+    const OverlapItem& item = *by_id.at(id);
+    int slot = cand.front();
+    if (cand.size() == 2) {
+      const double p0 = item.profit_in(cand[0]);
+      const double p1 = item.profit_in(cand[1]);
+      if (p0 != p1) {
+        slot = p0 > p1 ? cand[0] : cand[1];
+      } else {
+        const std::int64_t r0 =
+            slots[static_cast<std::size_t>(cand[0])].capacity - item.weight;
+        const std::int64_t r1 =
+            slots[static_cast<std::size_t>(cand[1])].capacity - item.weight;
+        slot = r0 <= r1 ? cand[0] : cand[1];
+      }
+    }
+    solution.assignments.push_back({id, slot});
+    solution.slot_used[static_cast<std::size_t>(slot)] += item.weight;
+    solution.total_profit += item.profit_in(slot);
+    assigned[id] = true;
+  }
+
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    std::int64_t residual = slots[s].capacity - solution.slot_used[s];
+    for (const KnapItem& ki : slot_items[s]) {
+      if (assigned.count(ki.id) || ki.profit <= 0.0) continue;
+      if (ki.weight <= residual) {
+        solution.assignments.push_back({ki.id, static_cast<int>(s)});
+        solution.slot_used[s] += ki.weight;
+        solution.total_profit += ki.profit;
+        residual -= ki.weight;
+        assigned[ki.id] = true;
+      }
+    }
+  }
+  if (upper_bound != nullptr) *upper_bound = bound;
+  return solution;
+}
+
+}  // namespace sort_always
+
+/// Slots whose positive-profit copies do not fit together.
+std::size_t binding_slots(const OverlapInstance& inst) {
+  std::vector<std::int64_t> weight(inst.slots.size(), 0);
+  for (const OverlapItem& item : inst.items) {
+    for (int s : {item.prev_slot, item.next_slot}) {
+      if (s >= 0 && item.profit_in(s) > 0.0) {
+        weight[static_cast<std::size_t>(s)] += item.weight;
+      }
+    }
+  }
+  std::size_t binding = 0;
+  for (std::size_t s = 0; s < inst.slots.size(); ++s) {
+    if (weight[s] > inst.slots[s].capacity) ++binding;
+  }
+  return binding;
+}
+
+constexpr SolverChoice kAllBackends[] = {
+    SolverChoice::kFptas, SolverChoice::kExact, SolverChoice::kGreedy,
+    SolverChoice::kAuto};
+
+/// Solves `inst` under every backend and checks each against the
+/// sort-always reference; returns the slot sorts of the last backend.
+std::size_t expect_all_backends_match(const OverlapInstance& inst,
+                                      SchedWorkspace& ws) {
+  std::size_t sorts = 0;
+  for (const SolverChoice backend : kAllBackends) {
+    SolverOptions options;
+    options.choice = backend;
+    double want_bound = 0.0;
+    const OverlapSolution want =
+        sort_always::solve(inst.slots, inst.items, options, &want_bound);
+    SolveStats stats;
+    expect_same_solution(
+        want, solve_overlapped(inst.slots, inst.items, options, ws, &stats));
+    // Slack slots add their bound in input order: equal up to rounding.
+    EXPECT_NEAR(stats.upper_bound, want_bound,
+                1e-12 * std::max(1.0, want_bound));
+    sorts = stats.slot_sorts;
+  }
+  return sorts;
+}
+
+/// A random instance mixing slack and binding slots. Items draw
+/// zero-scaled profits (far below the slot's largest), zero weights and
+/// per-candidate profits; ids are dense and ascending, or strided and
+/// shuffled.
+OverlapInstance mixed_instance(Rng& rng, bool dense_ids) {
+  OverlapInstance inst;
+  const int n_slots = static_cast<int>(rng.uniform_int(2, 7));
+  for (int s = 0; s < n_slots; ++s) {
+    const bool roomy = rng.bernoulli(0.5);
+    inst.slots.push_back(
+        {s, roomy ? rng.uniform_int(3000, 6000) : rng.uniform_int(20, 200)});
+  }
+  const int n_items = static_cast<int>(rng.uniform_int(1, 30));
+  for (int i = 0; i < n_items; ++i) {
+    const int prev = static_cast<int>(rng.uniform_int(-1, n_slots - 2));
+    OverlapItem item;
+    item.id = dense_ids ? i : i * 5 + static_cast<int>(rng.uniform_int(0, 3));
+    item.weight = rng.bernoulli(0.1) ? 0 : rng.uniform_int(1, 120);
+    const double kind = rng.uniform();
+    item.profit = kind < 0.15   ? rng.uniform(-5.0, 0.0)
+                  : kind < 0.45 ? rng.uniform(0.01, 0.5)  // zero-scaled
+                                : rng.uniform(20.0, 60.0);
+    item.prev_slot = prev;
+    item.next_slot = prev + 1;
+    if (rng.bernoulli(0.2)) item.next_profit = rng.uniform(0.01, 60.0);
+    inst.items.push_back(item);
+  }
+  if (!dense_ids) {
+    for (std::size_t i = inst.items.size(); i > 1; --i) {
+      std::swap(inst.items[i - 1],
+                inst.items[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+    }
+  }
+  return inst;
+}
+
+TEST(SlackSlots, EveryBackendMatchesSortAlwaysOnMixedInstances) {
+  Rng rng(4242);
+  SchedWorkspace ws;
+  std::size_t slack_slots = 0, binding = 0;
+  for (int run = 0; run < 300; ++run) {
+    const OverlapInstance inst = mixed_instance(rng, run % 2 == 0);
+    const std::size_t want_sorts = binding_slots(inst);
+    EXPECT_EQ(expect_all_backends_match(inst, ws), want_sorts);
+    binding += want_sorts;
+    slack_slots += inst.slots.size() - want_sorts;
+  }
+  // The sweep exercised both kinds of slot.
+  EXPECT_GT(binding, 100u);
+  EXPECT_GT(slack_slots, 100u);
+}
+
+TEST(SlackSlots, PositiveItemHeavierThanARoomySlotBinds) {
+  // Slot 0 holds the light items many times over, but one positive
+  // item outweighs it: the fractional bound breaks at that item, so
+  // the slot must take the sorted path.
+  OverlapInstance inst;
+  inst.slots = {{0, 1000}, {1, 5000}};
+  inst.items = {{0, 10, 5.0, 0, 1},
+                {1, 20, 8.0, 0, 1},
+                {2, 1500, 30.0, 0, 1},
+                {3, 0, 2.0, 0, 1}};
+  SchedWorkspace ws;
+  EXPECT_EQ(binding_slots(inst), 1u);
+  EXPECT_EQ(expect_all_backends_match(inst, ws), 1u);
+}
+
+TEST(SlackSlots, ZeroScaledLeftoversKeepRatioOrder) {
+  // One slack slot: the FPTAS scales the small profits to 0 and leaves
+  // them to GreedyAdd, which must place them best ratio first even
+  // though the itemset itself is never sorted. Twenty leftovers, so
+  // the order is not the input order by accident.
+  OverlapInstance inst;
+  inst.slots = {{0, 1'000'000}};
+  inst.items.push_back({100, 50, 1000.0, 0, -1});
+  Rng rng(17);
+  for (int i = 0; i < 20; ++i) {
+    inst.items.push_back({i, rng.uniform_int(1, 90), rng.uniform(0.1, 4.0),
+                          0, -1});
+  }
+  SchedWorkspace ws;
+  SolverOptions options;
+  SolveStats stats;
+  const OverlapSolution sol =
+      solve_overlapped(inst.slots, inst.items, options, ws, &stats);
+  expect_same_solution(sort_always::solve(inst.slots, inst.items, options),
+                       sol);
+  EXPECT_EQ(stats.slot_sorts, 0u);
+  EXPECT_EQ(sol.assignments.size(), inst.items.size());
+  EXPECT_EQ(expect_all_backends_match(inst, ws), 0u);
+}
+
+TEST(SlackSlots, TiedLeftoversFallBackToTheSortedItemset) {
+  // Two zero-scaled leftovers with equal ratio: the full sort decides
+  // their order, so the slack slot sorts its itemset (one slot sort)
+  // and still matches the reference.
+  OverlapInstance inst;
+  inst.slots = {{0, 1'000'000}};
+  inst.items.push_back({0, 50, 1000.0, 0, -1});
+  for (int i = 1; i <= 20; ++i) {
+    inst.items.push_back({i, 2 * i, 0.5 * i, 0, -1});  // all ratio 1/4
+  }
+  SchedWorkspace ws;
+  SolverOptions options;
+  SolveStats stats;
+  expect_same_solution(
+      sort_always::solve(inst.slots, inst.items, options),
+      solve_overlapped(inst.slots, inst.items, options, ws, &stats));
+  EXPECT_EQ(stats.slot_sorts, 1u);
+}
+
+TEST(SlackSlots, ZeroWeightItemsAndAbsorbedProfits) {
+  SchedWorkspace ws;
+  // Zero-weight items only, in two overlapping slack slots.
+  OverlapInstance free_items;
+  free_items.slots = {{0, 0}, {1, 10}};
+  free_items.items = {{3, 0, 1.0, 0, 1}, {1, 0, 4.0, 0, 1},
+                      {2, 0, -1.0, 0, 1}, {0, 0, 2.5, -1, 1}};
+  EXPECT_EQ(expect_all_backends_match(free_items, ws), 0u);
+  // A profit a running sum would absorb (1e-20 next to 1): the copies
+  // fit, but the exact DP takes the tiny copy only when it comes first,
+  // so its choice depends on order and the slot takes the sorted path.
+  OverlapInstance absorbed;
+  absorbed.slots = {{0, 100}};
+  absorbed.items = {{1, 5, 1e-20, 0, -1}, {0, 5, 1.0, 0, -1},
+                    {2, 5, 2.0, 0, -1}};
+  EXPECT_EQ(expect_all_backends_match(absorbed, ws), 1u);
+}
+
+TEST(SlackSlots, CounterTracksStats) {
+  const std::uint64_t before = counter_value("sched.solver.slot_sorts");
+  OverlapInstance inst;
+  inst.slots = {{0, 15}, {1, 1000}};  // slot 0 binds, slot 1 is slack
+  inst.items = {{0, 10, 5.0, 0, 1}, {1, 10, 6.0, 0, 1}};
+  SchedWorkspace ws;
+  SolveStats stats;
+  (void)solve_overlapped(inst.slots, inst.items, {}, ws, &stats);
+  EXPECT_EQ(stats.slot_sorts, 1u);
+  EXPECT_EQ(counter_value("sched.solver.slot_sorts"), before + 1);
+}
+
 }  // namespace
 }  // namespace netmaster::sched
