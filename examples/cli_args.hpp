@@ -60,18 +60,28 @@ inline std::uint64_t parse_seed_arg(const char* text) {
       text, 0, std::numeric_limits<std::uint64_t>::max(), "seed");
 }
 
-/// The optional seed argument `argv[index]`, or `fallback` when it is
-/// absent. A malformed seed prints the typed error and exits with
-/// status 1.
-inline std::uint64_t seed_arg_or_exit(int argc, char** argv, int index,
-                                      std::uint64_t fallback) {
+/// The optional integer argument `argv[index]`, in [lo, hi], or
+/// `fallback` when it is absent. A malformed or out-of-range argument
+/// prints the typed error and exits with status 1.
+template <typename T>
+T int_arg_or_exit(int argc, char** argv, int index, T fallback, T lo, T hi,
+                  const std::string& what) {
   if (argc <= index) return fallback;
   try {
-    return parse_seed_arg(argv[index]);
+    return parse_int_arg<T>(argv[index], lo, hi, what);
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     std::exit(1);
   }
+}
+
+/// The optional seed argument `argv[index]`, or `fallback` when it is
+/// absent; a malformed seed exits as int_arg_or_exit does.
+inline std::uint64_t seed_arg_or_exit(int argc, char** argv, int index,
+                                      std::uint64_t fallback) {
+  return int_arg_or_exit<std::uint64_t>(
+      argc, argv, index, fallback, 0,
+      std::numeric_limits<std::uint64_t>::max(), "seed");
 }
 
 }  // namespace netmaster::examples

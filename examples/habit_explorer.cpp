@@ -4,7 +4,6 @@
 // apps.
 //
 //   $ ./habit_explorer [archetype 0-7] [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "cli_args.hpp"
@@ -18,9 +17,9 @@
 int main(int argc, char** argv) {
   using namespace netmaster;
 
-  const int kind = argc > 1 ? std::atoi(argv[1]) : 0;
+  const auto archetype = static_cast<synth::Archetype>(
+      examples::int_arg_or_exit(argc, argv, 1, 0, 0, 7, "archetype"));
   const std::uint64_t seed = examples::seed_arg_or_exit(argc, argv, 2, 42);
-  const auto archetype = static_cast<synth::Archetype>(kind % 8);
 
   const synth::UserProfile profile = synth::make_user(archetype, 1);
   const UserTrace trace = synth::generate_trace(profile, 21, seed);

@@ -8,20 +8,23 @@
 //   $ printf 'user 1 14 21 mail im\nstats\nshutdown\n' | nc 127.0.0.1 4242
 //
 //   usage: netmasterd [port] [shards]
-//     port    TCP port to listen on; 0 picks an ephemeral one (default 0)
-//     shards  worker shards owning per-user state (default 4)
-#include <cstdlib>
+//     port    TCP port to listen on, 0-65535; 0 picks an ephemeral one
+//             (default 0)
+//     shards  worker shards owning per-user state, 1-256 (default 4)
+#include <cstdint>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "daemon/netmasterd.hpp"
 #include "net/transport.hpp"
 
 int main(int argc, char** argv) {
   using namespace netmaster;
 
-  const auto port = static_cast<std::uint16_t>(
-      argc > 1 ? std::atoi(argv[1]) : 0);
-  const int shards = argc > 2 ? std::atoi(argv[2]) : 4;
+  const auto port = examples::int_arg_or_exit<std::uint16_t>(
+      argc, argv, 1, 0, 0, 65535, "port");
+  const int shards =
+      examples::int_arg_or_exit(argc, argv, 2, 4, 1, 256, "shards");
 
   daemon::DaemonConfig config;
   config.num_shards = shards;

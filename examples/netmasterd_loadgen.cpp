@@ -8,9 +8,12 @@
 //
 //   usage: netmasterd_loadgen <port> [users] [train_days] [eval_days]
 //                             [seed] [--shutdown]
+//     port        the daemon's TCP port, 1-65535
+//     users       synthetic users, 1-100000 (default 8)
+//     train_days  a multiple of 7 up to 3650 (default 14)
+//     eval_days   1-3650 (default 7)
 //     --shutdown  also stop the daemon after the run
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -32,12 +35,15 @@ int main(int argc, char** argv) {
     shutdown_after = true;
     --argc;
   }
-  const auto port =
-      static_cast<std::uint16_t>(std::atoi(argv[1]));
+  const auto port = examples::int_arg_or_exit<std::uint16_t>(
+      argc, argv, 1, 0, 1, 65535, "port");
   daemon::LoadConfig load;
-  if (argc > 2) load.users = std::atoi(argv[2]);
-  if (argc > 3) load.train_days = std::atoi(argv[3]);
-  if (argc > 4) load.eval_days = std::atoi(argv[4]);
+  load.users = examples::int_arg_or_exit(argc, argv, 2, load.users, 1,
+                                         100'000, "users");
+  load.train_days = examples::int_arg_or_exit(
+      argc, argv, 3, load.train_days, 1, kMaxTraceDays, "train_days");
+  load.eval_days = examples::int_arg_or_exit(
+      argc, argv, 4, load.eval_days, 1, kMaxTraceDays, "eval_days");
   load.seed = examples::seed_arg_or_exit(argc, argv, 5, load.seed);
 
   try {

@@ -116,18 +116,6 @@ void IntervalSet::add(const IntervalSet& other) {
   intervals_ = std::move(merged);
 }
 
-IntervalSet IntervalSet::clipped(TimeMs begin, TimeMs end) const {
-  IntervalSet out;
-  if (begin >= end) return out;
-  auto it = std::lower_bound(
-      intervals_.begin(), intervals_.end(), begin,
-      [](const Interval& iv, TimeMs b) { return iv.end <= b; });
-  for (; it != intervals_.end() && it->begin < end; ++it) {
-    out.intervals_.push_back(intersect(*it, Interval{begin, end}));
-  }
-  return out;
-}
-
 DurationMs IntervalSet::total_length() const {
   DurationMs total = 0;
   for (const Interval& iv : intervals_) total += iv.length();

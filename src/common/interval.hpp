@@ -70,9 +70,6 @@ class IntervalSet {
   /// intervals in turn would (the canonical form of a union is unique).
   void add(const IntervalSet& other);
 
-  /// Intersection of this set with the clip window [begin, end).
-  IntervalSet clipped(TimeMs begin, TimeMs end) const;
-
   /// Total measure of the union, in ms.
   DurationMs total_length() const;
 

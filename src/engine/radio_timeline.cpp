@@ -2,66 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace netmaster::engine {
-
-RadioTimeline::RadioTimeline(TimeMs horizon) : horizon_(horizon) {
-  NM_REQUIRE(horizon >= 0, "timeline horizon must be non-negative");
-}
-
-void RadioTimeline::allow(TimeMs begin, TimeMs end) {
-  begin = std::max<TimeMs>(begin, 0);
-  end = std::min(end, horizon_);
-  if (begin < end) allowed_.add(begin, end);
-}
-
-void RadioTimeline::allow(const IntervalSet& set) {
-  allowed_.add(set.clipped(0, horizon_));
-}
-
-void RadioTimeline::allow_windows(const std::vector<Interval>& windows) {
-  allow_clamped(windows);
-}
-
-void RadioTimeline::allow_transfers(
-    const std::vector<sim::ExecutedTransfer>& transfers, DurationMs grace) {
-  std::vector<Interval> windows;
-  windows.reserve(transfers.size());
-  for (const sim::ExecutedTransfer& t : transfers) {
-    if (t.radio != RadioId::kCellular) continue;
-    windows.push_back({t.start, t.start + t.duration + grace});
-  }
-  allow_clamped(std::move(windows));
-}
-
-void RadioTimeline::allow_wakes(const std::vector<duty::WakeEvent>& wakes) {
-  std::vector<Interval> windows;
-  windows.reserve(wakes.size());
-  for (const duty::WakeEvent& w : wakes) {
-    windows.push_back({w.time, w.time + w.window});
-  }
-  allow_clamped(std::move(windows));
-}
-
-void RadioTimeline::allow_clamped(std::vector<Interval> windows) {
-  for (Interval& w : windows) {
-    w.begin = std::max<TimeMs>(w.begin, 0);
-    w.end = std::min(w.end, horizon_);
-  }
-  // The constructor drops the windows the clamp emptied and canonicalizes
-  // the rest in O(n + k log k); the union then costs one linear merge,
-  // or nothing when the timeline was still empty.
-  IntervalSet set(std::move(windows));
-  if (allowed_.empty()) {
-    allowed_ = std::move(set);
-  } else {
-    allowed_.add(set);
-  }
-}
 
 namespace {
 

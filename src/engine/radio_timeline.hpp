@@ -1,15 +1,8 @@
-// The radio on/off timeline and the RRC integrator that accounts it.
-//
-// Policies that drive the data switch (NetMaster, the oracle, the
-// online event loop) all need the same construction: the set of windows
-// in which the radio may be non-IDLE — executed transfers extended by
-// the dormancy-signalling grace, duty-cycle wake probes, predicted
-// active slots. Each used to assemble that IntervalSet by hand;
-// RadioTimeline is the one shared builder, clamping every window to
-// [0, horizon) and keeping the set canonical. RrcIntegrator is the one
-// radio accountant: sim/accounting.cpp streams executed transfers
-// through it, with a RadioTimeline-built allowed set when the policy
-// drives the data switch.
+// The radio accountant: RrcIntegrator integrates a schedule's executed
+// transfers through the RRC tail chain, optionally under a data switch's
+// allowed set. sim/accounting.cpp streams executed transfers through it
+// and, for an outcome that drives the data switch, derives the allowed
+// set itself from the canonical schedule.
 #pragma once
 
 #include <algorithm>
@@ -20,55 +13,9 @@
 
 #include "common/interval.hpp"
 #include "common/time.hpp"
-#include "duty/duty_cycle.hpp"
 #include "power/radio_model.hpp"
-#include "sim/outcome.hpp"
 
 namespace netmaster::engine {
-
-class RadioTimeline {
- public:
-  explicit RadioTimeline(TimeMs horizon);
-
-  TimeMs horizon() const { return horizon_; }
-
-  /// Allows the radio inside [begin, end), clamped to [0, horizon).
-  void allow(TimeMs begin, TimeMs end);
-  void allow(const Interval& window) { allow(window.begin, window.end); }
-
-  /// Union with an existing canonical set, clipped to [0, horizon)
-  /// first: one linear merge instead of an insert per interval.
-  void allow(const IntervalSet& set);
-
-  /// The bulk builders below clamp their windows into one vector,
-  /// canonicalize it once (IntervalSet's run-adaptive constructor, so
-  /// mostly-sorted input costs O(n + k log k)) and union it once: the
-  /// same set as allowing each window in turn, without an O(n) vector
-  /// shift per window that lands before the set's end.
-  void allow_windows(const std::vector<Interval>& windows);
-
-  /// Allows each executed transfer's interval, extended by `grace`
-  /// (the release-signalling delay before the forced dormancy drop).
-  /// Transfers assigned to a non-cellular radio are skipped: this
-  /// timeline models the cellular data switch, and a Wi-Fi transfer
-  /// does not hold the cellular radio open.
-  void allow_transfers(const std::vector<sim::ExecutedTransfer>& transfers,
-                       DurationMs grace = 0);
-
-  /// Allows each duty-cycle probe window.
-  void allow_wakes(const std::vector<duty::WakeEvent>& wakes);
-
-  const IntervalSet& allowed() const { return allowed_; }
-  IntervalSet build() const& { return allowed_; }
-  IntervalSet build() && { return std::move(allowed_); }
-
- private:
-  /// Clamps `windows` to [0, horizon), canonicalizes, unions once.
-  void allow_clamped(std::vector<Interval> windows);
-
-  TimeMs horizon_;
-  IntervalSet allowed_;
-};
 
 /// Streaming RRC state-residency integrator — the one radio accountant
 /// of the simulator, over the N-tier tail chain. Transfers arrive as

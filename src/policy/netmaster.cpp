@@ -3,8 +3,9 @@
 // activities with forward cursors over the predicted slots and the
 // session column; Algorithm 1's assignments land in a vector indexed by
 // pending position; the duty walk is one merge over the inactive
-// windows; and the radio-allowed set is canonicalized once from the
-// executed transfers (RadioTimeline::allow_transfers). The order of
+// windows; and the outcome only states that NetMaster drives the data
+// switch: the accountant derives the allowed set from the executed
+// transfers (sim/accounting.hpp). The order of
 // `outcome.transfers` (classification, then the knapsack releases, then
 // the duty releases) is part of the contract: the daemon's get-schedule
 // digest hashes it.
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "engine/radio_timeline.hpp"
 #include "obs/metrics.hpp"
 #include "policy/delay_batch.hpp"
 #include "sched/overlap.hpp"
@@ -187,11 +187,11 @@ sim::PolicyOutcome NetMasterPolicy::run(
   // NetMaster drives the data switch ("turns off radio whenever
   // necessary", §VI-A): after each transfer the radio keeps a short
   // dormancy grace, then the real-time adjustment forces it down —
-  // during screen-off time *and* inside user active slots. The timeline
-  // collects the allowed windows (slots when slot-powered, per-transfer
-  // grace at the end of run()); the accountant adds the transfers and
-  // duty probes themselves.
-  engine::RadioTimeline timeline(horizon);
+  // during screen-off time *and* inside user active slots. The
+  // accountant derives the grace windows and the duty probes from the
+  // outcome; radio_allowed lists only the predicted slots, and only
+  // when they power the radio.
+  outcome.radio_allowed = IntervalSet{};
 
   // ---- Prediction: the user-active slot set U over the horizon. ----
   IntervalSet active;
@@ -200,8 +200,8 @@ sim::PolicyOutcome NetMasterPolicy::run(
       active.add(predictor_.predict_day(day).active_slots);
     }
   }
+  if (config_.slot_powered_radio) outcome.radio_allowed = active;
   const std::vector<Interval>& slot_windows = active.intervals();
-  if (config_.slot_powered_radio) timeline.allow_windows(slot_windows);
 
   // ---- Wi-Fi presence prediction (multi-radio co-scheduling). ----
   // The habit model's high-probability hours proxy for being at a
@@ -388,8 +388,6 @@ sim::PolicyOutcome NetMasterPolicy::run(
   auto finalize = [&]() {
     metrics.interrupts.add(outcome.interrupts);
     metrics.duty_releases.add(outcome.duty_releases);
-    timeline.allow_transfers(outcome.transfers, kDormancyGraceMs);
-    outcome.radio_allowed = std::move(timeline).build();
     return std::move(outcome);
   };
 

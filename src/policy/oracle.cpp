@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
-
-#include "engine/radio_timeline.hpp"
 
 namespace netmaster::policy {
 
@@ -27,6 +26,12 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
         sched::slot_capacity_bytes(s.interval(), profit_));
   }
 
+  // Arrivals come in start order on any validated trace, so the
+  // session lookup is a forward cursor; a backwards step past a session
+  // (TraceIndex does not validate ordering) re-seeks with the binary
+  // search.
+  const std::span<const TimeMs> begins = sessions.begins();
+  std::size_t after = 0;  // first session with begin >= the arrival
   for (std::size_t i = 0; i < activities.size(); ++i) {
     const NetworkActivity act = activities[i];
     if (!eval.is_deferrable_screen_off(i) || sessions.empty()) {
@@ -35,7 +40,10 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
     }
 
     // Nearest sessions before/after the arrival.
-    const std::size_t after = eval.first_session_at_or_after(act.start);
+    if (after > 0 && begins[after - 1] >= act.start) {
+      after = eval.first_session_at_or_after(act.start);
+    }
+    while (after < begins.size() && begins[after] < act.start) ++after;
     const std::ptrdiff_t next_idx =
         after == sessions.size() ? -1 : static_cast<std::ptrdiff_t>(after);
     const std::ptrdiff_t prev_idx =
@@ -78,9 +86,8 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
   // The oracle drives the data switch perfectly: after each transfer
   // the radio stays up only for a short dormancy grace (it cannot cut
   // instantly — release signalling takes a moment), then drops to IDLE.
-  engine::RadioTimeline timeline(horizon);
-  timeline.allow_transfers(outcome.transfers, kDormancyGraceMs);
-  outcome.radio_allowed = std::move(timeline).build();
+  // The accountant derives those windows; the oracle adds none.
+  outcome.radio_allowed = IntervalSet{};
   return outcome;
 }
 

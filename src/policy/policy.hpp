@@ -52,12 +52,6 @@ class Policy {
 bool is_deferrable_screen_off(const UserTrace& trace,
                               const NetworkActivity& activity);
 
-/// How long a radio-switch-driving policy (NetMaster, oracle) keeps the
-/// radio up after a transfer before forcing dormancy — the release
-/// signalling delay of the §IV-C.2 real-time adjustment ("turning off
-/// the radio in the user active slots timely").
-inline constexpr DurationMs kDormancyGraceMs = 3000;
-
 /// Screen-off trickle transfers run on the slow shared channel (FACH)
 /// under stock Android — that is why Fig. 1b's screen-off rates sit
 /// below 1 kB/s. When a policy defers such a transfer and releases it

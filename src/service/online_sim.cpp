@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "duty/duty_cycle.hpp"
-#include "engine/radio_timeline.hpp"
 #include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/incremental.hpp"
@@ -78,6 +77,8 @@ OnlineSimResult run_online(const UserTrace& training,
   OnlineSimResult result;
   sim::PolicyOutcome& out = result.outcome;
   out.policy_name = "netmaster-online";
+  // Drives the data switch, as the policy path does; the accountant
+  // derives the dormancy-grace windows from the executed transfers.
   out.radio_allowed = IntervalSet{};
 
   // ---- Event queue seeding. ----
@@ -263,11 +264,6 @@ OnlineSimResult run_online(const UserTrace& training,
   // No midnight tick follows the last day; close it here so the
   // detector score is the one at the horizon.
   if (eval.num_days > 0) close_day(eval.num_days - 1);
-
-  // Dormancy-grace windows for the data switch, as in the policy path.
-  engine::RadioTimeline timeline(horizon);
-  timeline.allow_transfers(out.transfers, policy::kDormancyGraceMs);
-  out.radio_allowed = std::move(timeline).build();
 
   // All zero (and -1) when adaptation is off.
   result.final_drift_score = lifecycle.score();

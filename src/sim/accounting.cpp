@@ -1,7 +1,9 @@
 #include "sim/accounting.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <ranges>
 #include <vector>
 
 #include "common/error.hpp"
@@ -81,12 +83,67 @@ class ForwardCursor {
   TimeMs last_ = std::numeric_limits<TimeMs>::min();
 };
 
+/// Files one executed transfer under its radio's partition. A
+/// zero-length cellular transfer runs nothing, so the canonical
+/// schedule drops it, yet a data switch still holds the radio up for
+/// the grace after it: its window goes to `held` instead.
+void partition_transfer(const ExecutedTransfer& t,
+                        std::vector<Interval>& cellular,
+                        std::vector<Interval>& wifi,
+                        std::vector<Interval>& held) {
+  const Interval iv{t.start, t.start + t.duration};
+  if (t.radio == RadioId::kWifi) {
+    wifi.push_back(iv);
+  } else if (!iv.empty()) {
+    cellular.push_back(iv);
+  } else {
+    held.push_back({iv.begin, iv.end + kDormancyGraceMs});
+  }
+}
+
+/// The data switch's allowed windows, sorted by begin, into `out`; the
+/// IntervalSet constructor coalesces them in one pass. `runs` is the
+/// canonical executed cellular schedule. `held` (reused storage, handed
+/// back) holds the zero-length transfers' grace windows; it gains the
+/// outcome's extra windows and duty wakes, all clamped to [0, horizon)
+/// and canonicalized. One merge in begin order then adds each run
+/// extended by the grace and clamped. The canonical form of a union is
+/// unique, so this is the union of the per-transfer grace windows:
+/// every transfer of a run starts inside it, and the one ending last
+/// ends with it.
+void derive_allowed(const std::vector<Interval>& runs,
+                    std::vector<Interval>& held, const PolicyOutcome& outcome,
+                    TimeMs horizon, std::vector<Interval>& out) {
+  NM_REQUIRE(horizon >= 0, "data-switch horizon must be non-negative");
+  if (outcome.radio_allowed.has_value()) {
+    const std::vector<Interval>& extra = outcome.radio_allowed->intervals();
+    held.insert(held.end(), extra.begin(), extra.end());
+  }
+  for (const duty::WakeEvent& w : outcome.wakes) {
+    held.push_back({w.time, w.time + w.window});
+  }
+  const auto clamp = [horizon](const Interval& iv) {
+    return Interval{std::max<TimeMs>(iv.begin, 0), std::min(iv.end, horizon)};
+  };
+  std::ranges::transform(held, held.begin(), clamp);
+  IntervalSet windows(std::move(held));  // drops the clamped-away ones
+  const auto with_grace = [&](const Interval& run) {
+    return clamp({run.begin, run.end + kDormancyGraceMs});
+  };
+  out.clear();
+  std::ranges::merge(runs | std::views::transform(with_grace),
+                     windows.intervals(), std::back_inserter(out), {},
+                     &Interval::begin, &Interval::begin);
+  held = std::move(windows).release();
+}
+
 /// The materializing path: canonicalizes each radio partition once, in
 /// the caller's reused storage (handed back on return), integrates the
-/// cellular set under the policy's data switch when it drives one and
+/// cellular set under the data switch when the policy drives one and
 /// the Wi-Fi set on its own machine, and charges the duty wakes.
 void account_canonicalized(std::vector<Interval>& cellular,
                            std::vector<Interval>& wifi,
+                           std::vector<Interval>& held,
                            const PolicyOutcome& outcome,
                            const RadioSet& radios, SimReport& report) {
   static obs::Counter& canonicalized =
@@ -97,16 +154,13 @@ void account_canonicalized(std::vector<Interval>& cellular,
   IntervalSet executed_wifi(std::move(wifi));
 
   if (outcome.radio_allowed.has_value()) {
-    // One canonical allowed-set construction: the policy's extra
-    // windows, the executed cellular transfers themselves, and the
-    // duty probes. Wi-Fi transfers do not extend the cellular switch.
-    engine::RadioTimeline timeline(report.horizon_ms);
-    timeline.allow(*outcome.radio_allowed);
-    timeline.allow(executed);
-    timeline.allow_wakes(outcome.wakes);
-    const IntervalSet allowed = std::move(timeline).build();
+    thread_local std::vector<Interval> allowed_storage;
+    derive_allowed(executed.intervals(), held, outcome, report.horizon_ms,
+                   allowed_storage);
+    IntervalSet allowed(std::move(allowed_storage));
     report.radio = engine::account_interval_set(
         executed, radios.cellular, report.horizon_ms, &allowed);
+    allowed_storage = std::move(allowed).release();
   } else {
     report.radio = engine::account_interval_set(executed, radios.cellular,
                                                 report.horizon_ms);
@@ -141,6 +195,20 @@ void account_canonicalized(std::vector<Interval>& cellular,
 }
 
 }  // namespace
+
+IntervalSet data_switch_allowed(const PolicyOutcome& outcome,
+                                TimeMs horizon) {
+  std::vector<Interval> cellular;
+  std::vector<Interval> wifi;
+  std::vector<Interval> held;
+  std::vector<Interval> allowed;
+  for (const ExecutedTransfer& t : outcome.transfers) {
+    partition_transfer(t, cellular, wifi, held);
+  }
+  derive_allowed(IntervalSet(std::move(cellular)).intervals(), held, outcome,
+                 horizon, allowed);
+  return IntervalSet(std::move(allowed));
+}
 
 TraceTotals trace_totals(const UserTrace& eval) {
   TraceTotals totals;
@@ -230,6 +298,7 @@ SimReport account(const TraceTotals& totals,
     word |= bit;
     NM_REQUIRE(t.start >= 0 && t.start + t.duration <= report.horizon_ms,
                "transfer outside the accounting horizon");
+    NM_REQUIRE(t.duration >= 0, "transfer has a negative duration");
     any_wifi |= t.radio == RadioId::kWifi;
     // A Wi-Fi transfer feeds the cellular machine nothing; any_wifi
     // sends the outcome down the partitioning path below.
@@ -257,18 +326,18 @@ SimReport account(const TraceTotals& totals,
   if (!streamed) {
     thread_local std::vector<Interval> cellular;
     thread_local std::vector<Interval> wifi;
+    thread_local std::vector<Interval> held;
     cellular.clear();
     wifi.clear();
-    const auto partition = [&](const ExecutedTransfer& t) {
-      (t.radio == RadioId::kWifi ? wifi : cellular)
-          .push_back({t.start, t.start + t.duration});
-    };
-    for (std::size_t k = 0; k < unchecked; ++k) partition(transfers[k]);
+    held.clear();
+    for (std::size_t k = 0; k < unchecked; ++k) {
+      partition_transfer(transfers[k], cellular, wifi, held);
+    }
     for (std::size_t k = unchecked; k < n; ++k) {
       checked(transfers[k]);
-      partition(transfers[k]);
+      partition_transfer(transfers[k], cellular, wifi, held);
     }
-    account_canonicalized(cellular, wifi, outcome, radios, report);
+    account_canonicalized(cellular, wifi, held, outcome, radios, report);
   }
   report.transfer_energy_j = report.radio.energy_j + report.wifi_energy_j;
   report.wake_count = outcome.wakes.size();

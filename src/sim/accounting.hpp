@@ -17,7 +17,11 @@
 // without duty wakes streams from the validation pass straight into
 // engine::RrcIntegrator; any other outcome is partitioned and
 // canonicalized once in reused per-thread storage first (counted in
-// `sim.account.canonicalized`).
+// `sim.account.canonicalized`). For an outcome that drives the data
+// switch, the accountant also derives the allowed set from that
+// canonical schedule, in one merge: each executed cellular run held
+// open for sim::kDormancyGraceMs, the duty wakes and the policy's extra
+// windows.
 #pragma once
 
 #include <cstdint>
@@ -108,10 +112,20 @@ struct SimReport {
 /// transfers reproduce the single-radio report bit for bit. Throws
 /// netmaster::Error when the outcome is inconsistent with the trace
 /// (missing/duplicate/unknown activities, transfers beyond the
-/// horizon).
+/// horizon or with a negative duration).
 SimReport account(const TraceTotals& totals,
                   std::span<const TimeMs> usage_times,
                   const PolicyOutcome& outcome, const RadioSet& radios);
+
+/// The allowed set of an outcome that drives the data switch, the one
+/// the accountant integrates the cellular radio under: each executed
+/// cellular transfer held open for kDormancyGraceMs after it ends, each
+/// duty wake window and the outcome's extra windows (radio_allowed,
+/// when set), all clamped to [0, horizon). Wi-Fi transfers do not hold
+/// the cellular switch open. Throws netmaster::Error when `horizon` is
+/// negative.
+IntervalSet data_switch_allowed(const PolicyOutcome& outcome,
+                                TimeMs horizon);
 
 /// Runs the accountant for a single-radio (cellular-only) outcome.
 /// Throws netmaster::Error when the outcome is inconsistent with the

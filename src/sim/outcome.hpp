@@ -22,6 +22,13 @@
 
 namespace netmaster::sim {
 
+/// How long the data switch keeps the radio up after a cellular
+/// transfer before forcing dormancy: the release-signalling delay of
+/// the §IV-C.2 real-time adjustment ("turning off the radio in the user
+/// active slots timely"). The accountant applies it to every outcome
+/// that drives the switch (PolicyOutcome::radio_allowed set).
+inline constexpr DurationMs kDormancyGraceMs = 3000;
+
 /// One network activity as actually executed by a policy.
 struct ExecutedTransfer {
   std::size_t activity_index = 0;  ///< into the eval trace's activities
@@ -76,11 +83,14 @@ struct PolicyOutcome {
   std::vector<duty::WakeEvent> wakes;
 
   /// When set, the policy drives a data switch (svc data enable/
-  /// disable): the radio may be non-IDLE only inside this set, so RRC
-  /// tails are cut at its boundaries. The accountant automatically
-  /// unions the executed transfer intervals in, so policies only list
-  /// the *extra* allowed time (real screen sessions, wake probes).
-  /// Unset models the stock radio with full tails.
+  /// disable): the radio may be non-IDLE only inside the allowed set,
+  /// so RRC tails are cut at its boundaries. The accountant derives
+  /// that set itself: each executed cellular transfer held open for
+  /// kDormancyGraceMs after it ends, and each duty wake window. This
+  /// field lists only the *extra* allowed time (NetMaster's predicted
+  /// slots when they power the radio); it is empty for a policy that
+  /// just drives the switch. Unset models the stock radio with full
+  /// tails.
   std::optional<IntervalSet> radio_allowed;
 
   /// Explicit wrong decisions: the user had to manually re-enable data

@@ -206,9 +206,6 @@ std::size_t apply_channel_awareness(sim::PolicyOutcome& outcome,
       for (std::size_t i : batch) {
         sim::ExecutedTransfer& t = outcome.transfers[i];
         t.start += best_delta;
-        if (outcome.radio_allowed.has_value()) {
-          outcome.radio_allowed->add(t.start, t.start + t.duration);
-        }
         ++moved;
       }
     }

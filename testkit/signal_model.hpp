@@ -78,9 +78,12 @@ double signal_energy_penalty_j(
 /// batch consisting purely of policy-deferred transfers may shift as a
 /// unit by up to ±window — never before any member's arrival, always
 /// inside the horizon — to the nearby position with the least
-/// signal-power cost. Shifting whole batches preserves the RRC
-/// structure exactly (same promotions, same tails), so every move is a
-/// pure win. Returns the number of transfers moved.
+/// signal-power cost. Shifting a whole batch keeps its own promotions
+/// and tails, and under a data switch the accountant's dormancy grace
+/// follows each moved transfer; the RRC energy can still move a little
+/// where a batch lands nearer to or farther from other transfers and
+/// duty wakes (bench_ext_channel). Returns the number of transfers
+/// moved.
 std::size_t apply_channel_awareness(sim::PolicyOutcome& outcome,
                                     const UserTrace& eval,
                                     const SignalTrace& signal,

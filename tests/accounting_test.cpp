@@ -160,7 +160,7 @@ TEST(Accounting, RadioAllowedCutsEnergy) {
   const SimReport full = account(t, stock, RadioPowerParams::wcdma());
 
   PolicyOutcome switched = in_place_outcome(t);
-  switched.radio_allowed = IntervalSet{};  // transfers only, no tails
+  switched.radio_allowed = IntervalSet{};  // tails cut after the grace
   const SimReport cut = account(t, switched, RadioPowerParams::wcdma());
   EXPECT_LT(cut.energy_j, full.energy_j);
   EXPECT_LT(cut.radio_on_ms, full.radio_on_ms);
@@ -229,14 +229,92 @@ TEST(Accounting, WifiNotBehindCellularDataSwitch) {
   const RadioSet radios;
   const SimReport free_running = account(t, o, radios);
   o.radio_allowed = IntervalSet{};
-  for (const ExecutedTransfer& tr : o.transfers) {
-    if (tr.radio == RadioId::kCellular) {
-      o.radio_allowed->add(tr.start, tr.start + tr.duration);
-    }
-  }
   const SimReport switched = account(t, o, radios);
   EXPECT_EQ(switched.wifi_energy_j, free_running.wifi_energy_j);
   EXPECT_LT(switched.radio.energy_j, free_running.radio.energy_j);
+}
+
+// ---- The data switch's allowed set (data_switch_allowed) ----
+
+TEST(DataSwitchAllowed, ClampsWindowsToHorizon) {
+  PolicyOutcome o;
+  o.radio_allowed = IntervalSet{};
+  o.radio_allowed->add(-100, 50);   // clipped at 0
+  o.radio_allowed->add(2000, 3000);  // fully past the horizon: dropped
+  o.transfers = {ExecutedTransfer{0, 900, 50}};  // grace clipped
+  duty::WakeEvent probe;
+  probe.time = 400;
+  probe.window = 0;  // empty: dropped
+  o.wakes = {probe};
+  const IntervalSet set = data_switch_allowed(o, 1000);
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.intervals()[0], (Interval{0, 50}));
+  EXPECT_EQ(set.intervals()[1], (Interval{900, 1000}));
+}
+
+TEST(DataSwitchAllowed, UnionIsCanonicalRegardlessOfOrder) {
+  // Overlapping and touching transfers, in both orders, one run: the
+  // grace follows the transfer that ends last.
+  PolicyOutcome forward;
+  forward.radio_allowed = IntervalSet{};
+  forward.transfers = {ExecutedTransfer{0, 100, 100},
+                       ExecutedTransfer{1, 150, 150},
+                       ExecutedTransfer{2, 300, 100},
+                       ExecutedTransfer{3, 50, 70}};
+  PolicyOutcome reverse = forward;
+  std::reverse(reverse.transfers.begin(), reverse.transfers.end());
+  const IntervalSet a = data_switch_allowed(forward, 100'000);
+  EXPECT_EQ(a.intervals(), data_switch_allowed(reverse, 100'000).intervals());
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.intervals()[0], (Interval{50, 400 + kDormancyGraceMs}));
+}
+
+TEST(DataSwitchAllowed, TransfersExtendByGrace) {
+  PolicyOutcome o;
+  o.radio_allowed = IntervalSet{};
+  o.transfers = {
+      ExecutedTransfer{0, 1000, 500},  // -> [1000, 1500 + grace)
+      ExecutedTransfer{1, 8500, 0},    // zero-length: grace only
+      ExecutedTransfer{2, 9500, 500},  // ends at the horizon
+  };
+  const IntervalSet set = data_switch_allowed(o, 10'000);
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.intervals()[0], (Interval{1000, 1500 + kDormancyGraceMs}));
+  EXPECT_EQ(set.intervals()[1], (Interval{8500, 10'000}));
+  // A zero-length transfer at the horizon opens nothing.
+  o.transfers = {ExecutedTransfer{0, 10'000, 0}};
+  EXPECT_TRUE(data_switch_allowed(o, 10'000).empty());
+}
+
+TEST(DataSwitchAllowed, WifiTransfersDoNotOpenTheSwitch) {
+  PolicyOutcome o;
+  o.radio_allowed = IntervalSet{};
+  o.transfers = {ExecutedTransfer{0, 1000, 500},
+                 ExecutedTransfer{1, 20'000, 500}};
+  o.transfers[1].radio = RadioId::kWifi;
+  const IntervalSet set = data_switch_allowed(o, 100'000);
+  ASSERT_EQ(set.size(), 1u);
+  EXPECT_EQ(set.intervals()[0], (Interval{1000, 1500 + kDormancyGraceMs}));
+}
+
+TEST(DataSwitchAllowed, WakesCoverProbeWindows) {
+  PolicyOutcome o;
+  o.radio_allowed = IntervalSet{};
+  o.wakes.resize(2);
+  o.wakes[0].time = 100;
+  o.wakes[0].window = 50;
+  o.wakes[1].time = 4990;
+  o.wakes[1].window = 100;  // clipped at the horizon
+  const IntervalSet set = data_switch_allowed(o, 5000);
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.intervals()[0], (Interval{100, 150}));
+  EXPECT_EQ(set.intervals()[1], (Interval{4990, 5000}));
+}
+
+TEST(DataSwitchAllowed, RejectsNegativeHorizon) {
+  PolicyOutcome o;
+  o.radio_allowed = IntervalSet{};
+  EXPECT_THROW(data_switch_allowed(o, -1), Error);
 }
 
 TEST(Accounting, SingleRadioOverloadRejectsWifiTransfers) {
@@ -665,6 +743,52 @@ TEST(AccountingProperty, MatchesTheMaterializingReferenceBitForBit) {
   EXPECT_GT(refused, 20u);
 }
 
+TEST(AccountingProperty, DerivedAllowedSetMatchesThePerTransferWindows) {
+  // The accountant derives the data switch's allowed set in one merge
+  // over the canonical schedule; it must equal the per-transfer grace
+  // windows the policies once built, interval for interval, and the
+  // report must equal the reference's. Every case drives the switch;
+  // the first transfers are planted on the edges: a run ending at the
+  // horizon and zero-length transfers at the horizon and at 0.
+  std::mt19937_64 rng(20261021);
+  std::size_t zero_length = 0;
+  std::size_t with_extras = 0;
+  std::size_t with_wakes = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    RandomCase c = random_case(rng);
+    PolicyOutcome& o = c.outcome;
+    const TimeMs horizon = c.totals.horizon_ms;
+    if (!o.radio_allowed.has_value()) o.radio_allowed = IntervalSet{};
+    if (o.transfers.size() >= 3 && rng() % 2 == 0) {
+      o.transfers[0].start = horizon - 500;
+      o.transfers[0].duration = 500;
+      o.transfers[1].start = horizon;
+      o.transfers[1].duration = 0;
+      o.transfers[2].start = 0;
+      o.transfers[2].duration = 0;
+      for (std::size_t k = 0; k < 3; ++k) {
+        o.transfers[k].radio = RadioId::kCellular;
+      }
+    }
+    for (const ExecutedTransfer& t : o.transfers) {
+      zero_length += t.duration == 0 && t.radio == RadioId::kCellular;
+    }
+    with_extras += !o.radio_allowed->empty();
+    with_wakes += !o.wakes.empty();
+    const std::string context = "iter " + std::to_string(iter);
+    ASSERT_EQ(data_switch_allowed(o, horizon).intervals(),
+              oracles::per_transfer_allowed(o, horizon).intervals())
+        << context;
+    expect_reports_identical(
+        account(c.totals, c.usage_times, o, c.radios),
+        oracles::account_outcome(c.totals, c.usage_times, o, c.radios),
+        context);
+  }
+  EXPECT_GT(zero_length, 1000u);
+  EXPECT_GT(with_extras, 100u);
+  EXPECT_GT(with_wakes, 100u);
+}
+
 TEST(AccountingProperty, InvalidOutcomesThrowLikeTheReference) {
   std::mt19937_64 rng(20261020);
   std::size_t thrown = 0;
@@ -716,6 +840,30 @@ TEST(AccountingProperty, InvalidOutcomesThrowLikeTheReference) {
     thrown += !want.empty();
   }
   EXPECT_GT(thrown, 400u);
+}
+
+TEST(AccountingProperty, NegativeDurationThrowsLikeTheReference) {
+  // A negative duration at a random position, sometimes behind a
+  // transfer that leaves the horizon: the first defect in transfer
+  // order decides the message, on both accountants.
+  std::mt19937_64 rng(20261022);
+  std::size_t negative = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    RandomCase c = random_case(rng);
+    std::vector<ExecutedTransfer>& transfers = c.outcome.transfers;
+    if (transfers.empty()) continue;
+    const std::size_t k = rng() % transfers.size();
+    transfers[k].duration = -1 - static_cast<DurationMs>(rng() % 5000);
+    if (rng() % 3 == 0) transfers[rng() % transfers.size()].start = -1;
+    const std::string got = thrown_error(
+        [&] { account(c.totals, c.usage_times, c.outcome, c.radios); });
+    const std::string want = thrown_error([&] {
+      oracles::account_outcome(c.totals, c.usage_times, c.outcome, c.radios);
+    });
+    EXPECT_EQ(message_of(got), message_of(want)) << "iter " << iter;
+    negative += want.find("negative duration") != std::string::npos;
+  }
+  EXPECT_GT(negative, 100u);
 }
 
 }  // namespace

@@ -338,15 +338,6 @@ TEST(IntervalSet, UnionMatchesOneByOneAddsOnRandomSets) {
   }
 }
 
-TEST(IntervalSet, ClippedIntersectsWithWindow) {
-  const IntervalSet set = set_of({{0, 10}, {20, 30}, {40, 50}});
-  EXPECT_EQ(set.clipped(5, 45).intervals(),
-            (std::vector<Interval>{{5, 10}, {20, 30}, {40, 45}}));
-  EXPECT_EQ(set.clipped(10, 20).intervals(), std::vector<Interval>{});
-  EXPECT_EQ(set.clipped(-5, 100).intervals(), set.intervals());
-  EXPECT_TRUE(set.clipped(30, 25).empty());
-}
-
 TEST(IntervalSet, ComplementBasic) {
   IntervalSet set;
   set.add(10, 20);

@@ -93,11 +93,34 @@ TEST(NetMaster, DrivesTheDataSwitch) {
   const NetMasterPolicy policy(tr.training, NetMasterConfig{});
   const sim::PolicyOutcome o = policy.run(tr.eval);
   ASSERT_TRUE(o.radio_allowed.has_value());
-  // Every transfer is covered once the accountant unions them in; the
-  // grace windows alone must already cover each transfer start.
+  // Without slot-powered radio the policy lists no extra windows: the
+  // accountant derives the allowed set, which holds every transfer and
+  // its dormancy grace (clamped to the horizon) and every wake probe.
+  EXPECT_TRUE(o.radio_allowed->empty());
+  const TimeMs horizon = tr.eval.trace_end();
+  const IntervalSet allowed = sim::data_switch_allowed(o, horizon);
   for (const sim::ExecutedTransfer& t : o.transfers) {
-    EXPECT_TRUE(o.radio_allowed->contains(t.start));
+    const TimeMs end =
+        std::min(t.start + t.duration + sim::kDormancyGraceMs, horizon);
+    EXPECT_EQ(allowed.overlap_length(t.start, end), end - t.start)
+        << "transfer at " << t.start;
   }
+  for (const duty::WakeEvent& w : o.wakes) {
+    const TimeMs end = std::min(w.time + w.window, horizon);
+    EXPECT_EQ(allowed.overlap_length(w.time, end), end - w.time)
+        << "wake at " << w.time;
+  }
+  // Slot-powered radio lists the predicted slots as extra windows.
+  NetMasterConfig slot_powered;
+  slot_powered.slot_powered_radio = true;
+  const NetMasterPolicy powered(tr.training, slot_powered);
+  const sim::PolicyOutcome p = powered.run(tr.eval);
+  IntervalSet active;
+  for (int day = 0; day < tr.eval.num_days; ++day) {
+    active.add(powered.predictor().predict_day(day).active_slots);
+  }
+  ASSERT_TRUE(p.radio_allowed.has_value());
+  EXPECT_EQ(p.radio_allowed->intervals(), active.intervals());
 }
 
 TEST(NetMaster, SpecialAppAblationRaisesInterrupts) {

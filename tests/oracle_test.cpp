@@ -1,6 +1,8 @@
 // Tests for the clairvoyant oracle policy.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "policy/baseline.hpp"
 #include "policy/oracle.hpp"
 #include "sim/accounting.hpp"
@@ -60,6 +62,28 @@ TEST(Oracle, PrefersCloserSessionAnchor) {
       EXPECT_LT(tr.start, seconds(530));
     }
   }
+}
+
+TEST(Oracle, OutOfOrderArrivalReseeksTheSessionCursor) {
+  // TraceIndex does not validate ordering. The 300 s arrival comes
+  // after the 700 s one, a step back past a session: the session
+  // cursor must re-seek and place it as the sorted trace does
+  // (prefetched into session 1), not from the cursor left past the
+  // last session.
+  const UserTrace sorted = fixture();
+  UserTrace stepped = sorted;
+  std::swap(stepped.activities[1], stepped.activities[2]);
+  const sim::PolicyOutcome want = OraclePolicy().run(sorted);
+  const sim::PolicyOutcome got = OraclePolicy().run(stepped);
+  ASSERT_EQ(got.transfers.size(), 3u);
+  const std::size_t in_sorted[] = {0, 2, 1};
+  for (const sim::ExecutedTransfer& tr : got.transfers) {
+    const sim::ExecutedTransfer& w =
+        want.transfers[in_sorted[tr.activity_index]];
+    EXPECT_EQ(tr.start, w.start) << "activity " << tr.activity_index;
+    EXPECT_EQ(tr.duration, w.duration) << "activity " << tr.activity_index;
+  }
+  EXPECT_LT(got.transfers[2].start, seconds(160));
 }
 
 TEST(Oracle, RespectsCapacity) {

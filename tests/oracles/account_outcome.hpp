@@ -4,24 +4,52 @@
 // RrcIntegrator and canonicalizes the rest into reused storage. This is
 // the straightforward construction it must reproduce bit for bit:
 // partition the transfers into fresh vectors, build each radio's
-// IntervalSet, build the allowed set with a RadioTimeline, integrate
-// with the transfer-by-transfer reference (account_transfers.hpp), and
-// answer every wake overlap and blocked usage with its own binary
-// search. Same checks, same messages, same order. Nothing outside
-// tests/ calls it.
+// IntervalSet, build the data switch's allowed set window by window the
+// way the policies once did (each cellular transfer extended by the
+// dormancy grace, the policy's extra windows, the duty wakes, each
+// clamped to the horizon), integrate with the transfer-by-transfer
+// reference (account_transfers.hpp), and answer every wake overlap and
+// blocked usage with its own binary search. Same checks, same messages,
+// same order. Nothing outside tests/ calls it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/interval.hpp"
-#include "engine/radio_timeline.hpp"
 #include "account_transfers.hpp"
 #include "sim/accounting.hpp"
 
 namespace netmaster::oracles {
+
+/// The data switch's allowed set, window by window, as the policies
+/// once built it: each cellular transfer extended by the dormancy
+/// grace, then the outcome's extra windows and the duty wakes, each
+/// clamped to [0, horizon) and added in turn.
+inline IntervalSet per_transfer_allowed(const sim::PolicyOutcome& outcome,
+                                        TimeMs horizon) {
+  NM_REQUIRE(horizon >= 0, "data-switch horizon must be non-negative");
+  IntervalSet allowed;
+  const auto allow = [&](TimeMs begin, TimeMs end) {
+    allowed.add(std::max<TimeMs>(begin, 0), std::min(end, horizon));
+  };
+  for (const sim::ExecutedTransfer& t : outcome.transfers) {
+    if (t.radio == RadioId::kWifi) continue;
+    allow(t.start, t.start + t.duration + sim::kDormancyGraceMs);
+  }
+  if (outcome.radio_allowed.has_value()) {
+    for (const Interval& iv : outcome.radio_allowed->intervals()) {
+      allow(iv.begin, iv.end);
+    }
+  }
+  for (const duty::WakeEvent& w : outcome.wakes) {
+    allow(w.time, w.time + w.window);
+  }
+  return allowed;
+}
 
 inline sim::SimReport account_outcome(const sim::TraceTotals& totals,
                                       std::span<const TimeMs> usage_times,
@@ -54,6 +82,7 @@ inline sim::SimReport account_outcome(const sim::TraceTotals& totals,
     seen[t.activity_index] = true;
     NM_REQUIRE(t.start >= 0 && t.start + t.duration <= report.horizon_ms,
                "transfer outside the accounting horizon");
+    NM_REQUIRE(t.duration >= 0, "transfer has a negative duration");
     (t.radio == RadioId::kWifi ? wifi : cellular)
         .push_back({t.start, t.start + t.duration});
   }
@@ -62,11 +91,8 @@ inline sim::SimReport account_outcome(const sim::TraceTotals& totals,
   const IntervalSet executed_wifi(std::move(wifi));
 
   if (outcome.radio_allowed.has_value()) {
-    engine::RadioTimeline timeline(report.horizon_ms);
-    timeline.allow(*outcome.radio_allowed);
-    timeline.allow(executed);
-    timeline.allow_wakes(outcome.wakes);
-    const IntervalSet allowed = std::move(timeline).build();
+    const IntervalSet allowed =
+        per_transfer_allowed(outcome, report.horizon_ms);
     report.radio = account_transfers(executed, radios.cellular,
                                      report.horizon_ms, &allowed);
   } else {

@@ -1,6 +1,6 @@
-// Tests for engine::RadioTimeline: horizon clamping, the canonical
-// (order-independent) union, and the transfer/wake convenience
-// builders matching the hand-assembled IntervalSets they replaced.
+// Tests for engine::RrcIntegrator, the streaming RRC accountant,
+// against the transfer-by-transfer reference. The data switch's allowed
+// set that sim::account derives is tested in accounting_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,156 +20,10 @@ namespace {
 
 using oracles::account_transfers;
 
-TEST(RadioTimeline, ClampsWindowsToHorizon) {
-  RadioTimeline timeline(1000);
-  timeline.allow(-100, 50);    // clipped at 0
-  timeline.allow(900, 5000);   // clipped at the horizon
-  timeline.allow(400, 400);    // empty: dropped
-  timeline.allow(300, 200);    // inverted: dropped
-  timeline.allow(2000, 3000);  // fully past the horizon: dropped
-  const IntervalSet set = timeline.build();
-  ASSERT_EQ(set.intervals().size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{0, 50}));
-  EXPECT_EQ(set.intervals()[1], (Interval{900, 1000}));
-}
-
-TEST(RadioTimeline, UnionIsCanonicalRegardlessOfOrder) {
-  const std::vector<Interval> windows = {
-      {100, 200}, {150, 300}, {300, 400}, {50, 120}};
-  RadioTimeline forward(1000);
-  for (const Interval& w : windows) forward.allow(w);
-  RadioTimeline reverse(1000);
-  for (auto it = windows.rbegin(); it != windows.rend(); ++it) {
-    reverse.allow(*it);
-  }
-  EXPECT_EQ(forward.allowed().intervals(), reverse.allowed().intervals());
-  // Touching/overlapping windows merge into one canonical interval.
-  ASSERT_EQ(forward.allowed().intervals().size(), 1u);
-  EXPECT_EQ(forward.allowed().intervals()[0], (Interval{50, 400}));
-}
-
-TEST(RadioTimeline, TransfersExtendByGrace) {
-  RadioTimeline timeline(10000);
-  const std::vector<sim::ExecutedTransfer> transfers = {
-      {0, 1000, 500},   // -> [1000, 1500 + grace)
-      {1, 8500, 1000},  // -> clipped at the horizon
-  };
-  timeline.allow_transfers(transfers, 3000);
-  const IntervalSet set = timeline.build();
-  ASSERT_EQ(set.intervals().size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{1000, 4500}));
-  EXPECT_EQ(set.intervals()[1], (Interval{8500, 10000}));
-
-  // Zero grace covers exactly the execution windows.
-  RadioTimeline bare(10000);
-  bare.allow_transfers(transfers);
-  EXPECT_EQ(bare.allowed().intervals()[0], (Interval{1000, 1500}));
-}
-
-TEST(RadioTimeline, WakesCoverProbeWindows) {
-  RadioTimeline timeline(5000);
-  std::vector<duty::WakeEvent> wakes(2);
-  wakes[0].time = 100;
-  wakes[0].window = 50;
-  wakes[1].time = 4990;
-  wakes[1].window = 100;  // clipped at the horizon
-  timeline.allow_wakes(wakes);
-  const IntervalSet set = timeline.build();
-  ASSERT_EQ(set.intervals().size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{100, 150}));
-  EXPECT_EQ(set.intervals()[1], (Interval{4990, 5000}));
-}
-
-TEST(RadioTimeline, MatchesHandAssembledSet) {
-  // The construction the policies used to do by hand: transfer windows
-  // plus grace, unioned with an existing allowed set.
-  const std::vector<sim::ExecutedTransfer> transfers = {{0, 100, 200},
-                                                        {1, 600, 100}};
-  IntervalSet by_hand;
-  for (const sim::ExecutedTransfer& tr : transfers) {
-    by_hand.add(tr.start, std::min<TimeMs>(tr.start + tr.duration + 300,
-                                           2000));
-  }
-  by_hand.add(1500, 1800);
-
-  RadioTimeline timeline(2000);
-  IntervalSet prior;
-  prior.add(1500, 1800);
-  timeline.allow(prior);
-  timeline.allow_transfers(transfers, 300);
-  EXPECT_EQ(timeline.build().intervals(), by_hand.intervals());
-}
-
-TEST(RadioTimeline, BulkAllowsMatchThePerWindowPath) {
-  // Random windows straddling 0 and the horizon, unioned into a
-  // timeline that already holds windows: the set union (allow(set)),
-  // the batched slot windows, wakes and transfers must equal clamping
-  // and adding window by window. Transfers carry a grace and a random
-  // radio; Wi-Fi ones must not open the cellular switch.
-  constexpr TimeMs kHorizon = 1000;
-  std::mt19937_64 rng(2024);
-  std::uniform_int_distribution<TimeMs> start(-150, kHorizon + 50);
-  std::uniform_int_distribution<DurationMs> length(0, 120);
-  std::uniform_int_distribution<DurationMs> grace_ms(0, 200);
-  std::bernoulli_distribution on_wifi(0.25);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<Interval> prior;
-    std::vector<Interval> windows;
-    std::vector<duty::WakeEvent> wakes;
-    std::vector<sim::ExecutedTransfer> transfers;
-    for (int k = 0; k < 15; ++k) {
-      const TimeMs p = start(rng);
-      prior.push_back({p, p + length(rng)});
-      const TimeMs w = start(rng);
-      windows.push_back({w, w + length(rng)});
-      duty::WakeEvent wake;
-      wake.time = start(rng);
-      wake.window = length(rng);
-      wakes.push_back(wake);
-      sim::ExecutedTransfer t;
-      t.activity_index = static_cast<std::size_t>(k);
-      t.start = start(rng);
-      t.duration = length(rng);
-      t.radio = on_wifi(rng) ? RadioId::kWifi : RadioId::kCellular;
-      transfers.push_back(t);
-    }
-    const DurationMs grace = grace_ms(rng);
-
-    RadioTimeline per_window(kHorizon);
-    for (const Interval& iv : prior) per_window.allow(iv);
-    for (const Interval& iv : windows) per_window.allow(iv);
-    for (const duty::WakeEvent& w : wakes) {
-      per_window.allow(w.time, w.time + w.window);
-    }
-    for (const sim::ExecutedTransfer& t : transfers) {
-      if (t.radio == RadioId::kWifi) continue;
-      per_window.allow(t.start, t.start + t.duration + grace);
-    }
-
-    RadioTimeline bulk(kHorizon);
-    bulk.allow_windows(prior);
-    bulk.allow(IntervalSet(windows));  // unclamped: crosses 0 / horizon
-    bulk.allow_wakes(wakes);
-    bulk.allow_transfers(transfers, grace);
-    ASSERT_EQ(bulk.allowed().intervals(), per_window.allowed().intervals())
-        << "trial " << trial;
-
-    // Transfers alone, into an empty timeline.
-    RadioTimeline transfers_only(kHorizon);
-    transfers_only.allow_transfers(transfers, grace);
-    RadioTimeline transfers_per_window(kHorizon);
-    for (const sim::ExecutedTransfer& t : transfers) {
-      if (t.radio == RadioId::kWifi) continue;
-      transfers_per_window.allow(t.start, t.start + t.duration + grace);
-    }
-    ASSERT_EQ(transfers_only.allowed().intervals(),
-              transfers_per_window.allowed().intervals())
-        << "trial " << trial;
-  }
-}
-
-TEST(RadioTimeline, RejectsNegativeHorizon) {
-  EXPECT_THROW(RadioTimeline(-1), Error);
+/// Adds [begin, end) to `set`, clamped to [0, horizon): the allowed
+/// sets below model a data switch over the accounting horizon.
+void allow(IntervalSet& set, TimeMs begin, TimeMs end, TimeMs horizon) {
+  set.add(std::max<TimeMs>(begin, 0), std::min(end, horizon));
 }
 
 // ---------------------------------------------------------------------------
@@ -261,12 +115,10 @@ TEST(RrcIntegrator, MatchesReferenceOnEdgeCases) {
     for (const auto& [name, set] : cases) {
       expect_matches_reference(set, params, horizon, nullptr, name);
       // With an allowed set cutting shortly after each transfer.
-      RadioTimeline timeline(horizon);
-      timeline.allow(set);
+      IntervalSet allowed = set;
       for (const Interval& iv : set.intervals()) {
-        timeline.allow(iv.begin, iv.end + 700);
+        allow(allowed, iv.begin, iv.end + 700, horizon);
       }
-      const IntervalSet allowed = std::move(timeline).build();
       expect_matches_reference(set, params, horizon, &allowed,
                                name + "+allowed");
     }
@@ -293,17 +145,15 @@ TEST(RrcIntegrator, FuzzMatchesReference) {
 
     // Allowed set: the transfers themselves plus random extra windows,
     // so tails are cut at random boundaries.
-    RadioTimeline timeline(horizon);
-    timeline.allow(transfers);
+    IntervalSet allowed = transfers;
     for (const Interval& iv : transfers.intervals()) {
-      timeline.allow(iv.begin, iv.end + static_cast<DurationMs>(
-                                             rng() % 30000));
+      allow(allowed, iv.begin,
+            iv.end + static_cast<DurationMs>(rng() % 30000), horizon);
     }
     for (int w = 0; w < 4; ++w) {
       const TimeMs b = static_cast<TimeMs>(rng() % horizon);
-      timeline.allow(b, b + static_cast<DurationMs>(rng() % 10000));
+      allow(allowed, b, b + static_cast<DurationMs>(rng() % 10000), horizon);
     }
-    const IntervalSet allowed = std::move(timeline).build();
     expect_matches_reference(transfers, p, horizon, &allowed,
                              context + "+allowed");
   }
@@ -359,17 +209,15 @@ TEST(RrcIntegrator, FuzzMatchesReferenceOnRandomTierModels) {
     const std::string context = "tier-model iter " + std::to_string(iter);
     expect_matches_reference(transfers, model, horizon, nullptr, context);
 
-    RadioTimeline timeline(horizon);
-    timeline.allow(transfers);
+    IntervalSet allowed = transfers;
     for (const Interval& iv : transfers.intervals()) {
-      timeline.allow(iv.begin, iv.end + static_cast<DurationMs>(
-                                             rng() % 30000));
+      allow(allowed, iv.begin,
+            iv.end + static_cast<DurationMs>(rng() % 30000), horizon);
     }
     for (int w = 0; w < 4; ++w) {
       const TimeMs b = static_cast<TimeMs>(rng() % horizon);
-      timeline.allow(b, b + static_cast<DurationMs>(rng() % 10000));
+      allow(allowed, b, b + static_cast<DurationMs>(rng() % 10000), horizon);
     }
-    const IntervalSet allowed = std::move(timeline).build();
     expect_matches_reference(transfers, model, horizon, &allowed,
                              context + "+allowed");
   }
@@ -464,13 +312,11 @@ TEST(RrcIntegrator, StreamedArrivalsMatchReference) {
                             account_transfers(canonical, model, horizon),
                             context);
 
-    RadioTimeline timeline(horizon);
-    timeline.allow(canonical);
+    IntervalSet allowed = canonical;
     for (const Interval& iv : canonical.intervals()) {
-      timeline.allow(iv.begin,
-                     iv.end + static_cast<DurationMs>(rng() % 30000));
+      allow(allowed, iv.begin,
+            iv.end + static_cast<DurationMs>(rng() % 30000), horizon);
     }
-    const IntervalSet allowed = std::move(timeline).build();
     RrcIntegrator switched(model, horizon, &allowed);
     feed_in_chunks(switched, arrivals, rng, context + "+allowed");
     expect_accounting_equal(
