@@ -10,7 +10,6 @@
 // delay:<seconds>, batch:<n>, delaybatch:<seconds>.
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -36,17 +35,6 @@ using namespace netmaster;
 using examples::parse_int_arg;
 using examples::parse_seed_arg;
 
-/// Longest delay window a spec may ask for: the longest trace.
-constexpr double kMaxDelaySeconds =
-    static_cast<double>(kMaxTraceDays) * kMsPerDay / kMsPerSecond;
-
-/// A `delay:<s>` / `delaybatch:<s>` window, at least one millisecond.
-DurationMs parse_delay_arg(const std::string& arg) {
-  return seconds(examples::parse_double_arg(arg.c_str(), 0.001,
-                                            kMaxDelaySeconds,
-                                            "delay seconds"));
-}
-
 int usage() {
   std::cerr
       << "usage:\n"
@@ -61,28 +49,16 @@ int usage() {
 
 std::unique_ptr<policy::Policy> make_policy(const std::string& spec,
                                             const UserTrace& training) {
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  const std::string arg =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  if (kind == "baseline") return std::make_unique<policy::BaselinePolicy>();
-  if (kind == "oracle") return std::make_unique<policy::OraclePolicy>();
-  if (kind == "netmaster") {
+  const examples::PolicySpecArg p = examples::parse_policy_spec(spec);
+  if (p.kind == "baseline") return std::make_unique<policy::BaselinePolicy>();
+  if (p.kind == "oracle") return std::make_unique<policy::OraclePolicy>();
+  if (p.kind == "netmaster") {
     return std::make_unique<policy::NetMasterPolicy>(
         training, policy::NetMasterConfig{});
   }
-  if (kind == "delay") {
-    return std::make_unique<policy::DelayPolicy>(parse_delay_arg(arg));
-  }
-  if (kind == "batch") {
-    return std::make_unique<policy::BatchPolicy>(parse_int_arg<std::size_t>(
-        arg.c_str(), 0, std::numeric_limits<std::size_t>::max(),
-        "batch size"));
-  }
-  if (kind == "delaybatch") {
-    return std::make_unique<policy::DelayBatchPolicy>(parse_delay_arg(arg));
-  }
-  throw Error("unknown policy spec: " + spec);
+  if (p.kind == "delay") return std::make_unique<policy::DelayPolicy>(p.delay);
+  if (p.kind == "batch") return std::make_unique<policy::BatchPolicy>(p.batch);
+  return std::make_unique<policy::DelayBatchPolicy>(p.delay);
 }
 
 int cmd_generate(int argc, char** argv) {

@@ -1,9 +1,78 @@
 #include "common/interval.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace netmaster {
+
+namespace {
+
+/// Merges two lists sorted by begin into `out`, coalescing overlapping
+/// and touching intervals into the last one written: canonical inputs
+/// give a canonical output. `out` overlaps neither input, or trails the
+/// unread part of `a` by at least the length of `b`. Returns past the
+/// last interval written.
+Interval* merge_coalesced(std::span<const Interval> a,
+                          std::span<const Interval> b, Interval* out) {
+  Interval* o = out;
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() || y != b.end()) {
+    const Interval iv =
+        (y == b.end() || (x != a.end() && x->begin <= y->begin)) ? *x++ : *y++;
+    if (o != out && iv.begin <= o[-1].end) {
+      o[-1].end = std::max(o[-1].end, iv.end);
+    } else {
+      *o++ = iv;
+    }
+  }
+  return o;
+}
+
+/// Sorts non-empty intervals that arrive as a few ascending runs of
+/// begins (a policy's releases append in time order): each natural run
+/// is coalesced in place, then the runs are merged pairwise, bottom up,
+/// coalescing as they go. O(n log r) for r runs.
+void merge_runs(std::vector<Interval>& v) {
+  thread_local std::vector<std::size_t> bounds;  // run starts, then the end
+  thread_local std::vector<Interval> scratch;
+  bounds.assign(1, 0);
+  std::size_t out = 0;
+  for (const Interval& iv : v) {
+    if (out > 0 && iv.begin >= v[out - 1].begin &&
+        iv.begin <= v[out - 1].end) {
+      v[out - 1].end = std::max(v[out - 1].end, iv.end);
+    } else {
+      if (out > 0 && iv.begin < v[out - 1].begin) bounds.push_back(out);
+      v[out++] = iv;
+    }
+  }
+  v.resize(out);
+  bounds.push_back(out);
+  if (bounds.size() == 2) return;  // one run: already sorted
+  scratch.resize(v.size());
+  while (bounds.size() > 2) {
+    std::size_t written = 0;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k + 1 < bounds.size(); k += 2) {
+      const Interval* run = v.data() + bounds[k];
+      const Interval* mid = v.data() + bounds[k + 1];
+      const Interval* end =
+          k + 2 < bounds.size() ? v.data() + bounds[k + 2] : mid;
+      bounds[kept++] = written;
+      written = static_cast<std::size_t>(
+          merge_coalesced({run, mid}, {mid, end}, scratch.data() + written) -
+          scratch.data());
+    }
+    bounds[kept++] = written;
+    bounds.resize(kept);
+    v.swap(scratch);
+  }
+  v.resize(bounds.back());
+}
+
+}  // namespace
 
 IntervalSet::IntervalSet(std::vector<Interval> intervals) {
   // One pass drops the empties and coalesces every arrival that begins
@@ -24,30 +93,15 @@ IntervalSet::IntervalSet(std::vector<Interval> intervals) {
     }
   }
   if (!late.empty()) {
-    std::sort(late.begin(), late.end(),
-              [](const Interval& a, const Interval& b) {
-                return a.begin < b.begin;
-              });
+    merge_runs(late);
     // Park the run at the tail, then merge it with the sorted arrivals
-    // into the front. The write cursor never passes the run's read
-    // cursor: run + late fit in the input's size.
-    auto a = std::move_backward(
-        intervals.begin(),
-        intervals.begin() + static_cast<std::ptrdiff_t>(run), intervals.end());
-    auto b = late.cbegin();
-    std::size_t out = 0;
-    while (a != intervals.end() || b != late.cend()) {
-      const Interval iv = (b == late.cend() ||
-                           (a != intervals.end() && a->begin <= b->begin))
-                              ? *a++
-                              : *b++;
-      if (out > 0 && iv.begin <= intervals[out - 1].end) {
-        intervals[out - 1].end = std::max(intervals[out - 1].end, iv.end);
-      } else {
-        intervals[out++] = iv;
-      }
-    }
-    run = out;
+    // into the front. The write cursor never passes the run's
+    // read cursor: run + late fit in the input's size.
+    Interval* const data = intervals.data();
+    Interval* const a = std::move_backward(data, data + run,
+                                           data + intervals.size());
+    run = static_cast<std::size_t>(
+        merge_coalesced({a, data + intervals.size()}, late, data) - data);
   }
   intervals.resize(run);
   intervals_ = std::move(intervals);
@@ -98,21 +152,10 @@ void IntervalSet::add(const IntervalSet& other) {
   // Both inputs are sorted by begin: walk them in begin order and
   // coalesce into the output's last interval, exactly the constructor's
   // canonicalization minus the sort.
-  std::vector<Interval> merged;
-  merged.reserve(intervals_.size() + other.intervals_.size());
-  auto a = intervals_.cbegin();
-  auto b = other.intervals_.cbegin();
-  const auto a_end = intervals_.cend();
-  const auto b_end = other.intervals_.cend();
-  while (a != a_end || b != b_end) {
-    const Interval& iv =
-        (b == b_end || (a != a_end && a->begin <= b->begin)) ? *a++ : *b++;
-    if (!merged.empty() && iv.begin <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, iv.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
+  std::vector<Interval> merged(intervals_.size() + other.intervals_.size());
+  merged.resize(static_cast<std::size_t>(
+      merge_coalesced(intervals_, other.intervals_, merged.data()) -
+      merged.data()));
   intervals_ = std::move(merged);
 }
 

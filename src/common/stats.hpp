@@ -71,7 +71,6 @@ class Histogram {
 
   void add(double x);
 
-  std::size_t bin_count() const { return counts_.size(); }
   std::size_t count(std::size_t bin) const;
   std::size_t total() const { return total_; }
   /// NaN samples seen and ignored by add().

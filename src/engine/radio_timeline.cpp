@@ -1,8 +1,6 @@
 #include "engine/radio_timeline.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -16,19 +14,6 @@ constexpr double energy_joules(double mw, DurationMs ms) {
   return mw * static_cast<double>(ms) * 1e-6;
 }
 
-/// End of the allowed window holding t, t itself when no window holds
-/// it, far past any horizon on the stock radio (`allowed` null). The
-/// queries must not decrease: `cursor` only moves forward.
-TimeMs allowed_until(const std::vector<Interval>* allowed,
-                     std::size_t& cursor, TimeMs t) {
-  if (allowed == nullptr) return std::numeric_limits<TimeMs>::max() / 4;
-  while (cursor < allowed->size() && (*allowed)[cursor].end <= t) ++cursor;
-  if (cursor < allowed->size() && (*allowed)[cursor].begin <= t) {
-    return (*allowed)[cursor].end;
-  }
-  return t;
-}
-
 /// Drains a tail span through the tier chain (clamped per tier).
 void charge_tail(const RadioModel& model,
                  std::array<DurationMs, kMaxRadioTiers>& tail_ms,
@@ -40,19 +25,62 @@ void charge_tail(const RadioModel& model,
   }
 }
 
+/// The stock radio's cut: far past any horizon.
+constexpr TimeMs kStockCut = std::numeric_limits<TimeMs>::max() / 4;
+
 }  // namespace
 
 RrcIntegrator::RrcIntegrator(const RadioModel& model, TimeMs horizon_end,
-                             const IntervalSet* radio_allowed)
-    : model_(model),
-      horizon_(horizon_end),
-      allowed_(radio_allowed != nullptr ? &radio_allowed->intervals()
-                                        : nullptr) {
+                             const DataSwitch* data_switch)
+    : model_(model), horizon_(horizon_end) {
   model_.validate();
+  if (data_switch == nullptr) return;
+  switched_ = true;
+  grace_ = data_switch->grace;
+  windows_ = data_switch->windows;
+  NM_REQUIRE(horizon_ >= 0, "data-switch horizon must be non-negative");
+  NM_REQUIRE(windows_.empty() || (windows_.front().begin >= 0 &&
+                                  windows_.back().end <= horizon_),
+             "data-switch windows must lie within the horizon");
+}
+
+TimeMs RrcIntegrator::cut_at(TimeMs t) {
+  if (!switched_) return kStockCut;
+  if (t < chain_end_) return chain_end_;
+  // Past the chain only a window can hold t; the windows that end by t
+  // are behind every later query and run.
+  while (window_ < windows_.size() && windows_[window_].end <= t) ++window_;
+  if (window_ < windows_.size() && windows_[window_].begin <= t) {
+    return windows_[window_].end;
+  }
+  return t;
+}
+
+void RrcIntegrator::chain_run(TimeMs b, TimeMs e) {
+  const TimeMs hold = std::min(e + grace_, horizon_);
+  NM_ASSERT(b < hold, "a run begins where the data switch is open");
+  if (b > chain_end_) {
+    // A new chain: the windows that end before b touch none of it.
+    while (window_ < windows_.size() && windows_[window_].end < b) ++window_;
+    chain_end_ = hold;
+  } else {
+    chain_end_ = std::max(chain_end_, hold);
+  }
+  // Coalesce every window that overlaps or touches the chain.
+  while (window_ < windows_.size() && windows_[window_].begin <= chain_end_) {
+    chain_end_ = std::max(chain_end_, windows_[window_].end);
+    ++window_;
+  }
 }
 
 void RrcIntegrator::integrate_closed() {
-  // The totals live in locals for the loop.
+  switched_ ? integrate_runs<true>() : integrate_runs<false>();
+}
+
+template <bool kSwitched>
+void RrcIntegrator::integrate_runs() {
+  // The totals live in locals for the loop. The stock radio gets its
+  // own instantiation: the chain costs its loop nothing.
   const RadioModel& m = model_;
   const DurationMs total_tail = m.total_tail_ms();
   TimeMs connected_until = connected_until_;
@@ -69,14 +97,6 @@ void RrcIntegrator::integrate_closed() {
     const TimeMs e = closed_[k].end;
     NM_REQUIRE(e <= horizon_,
                "transfer extends beyond the accounting horizon");
-    if (allowed_ != nullptr) {
-      const std::vector<Interval>& ivs = *allowed_;
-      while (check_cursor_ < ivs.size() && ivs[check_cursor_].end <= b) {
-        ++check_cursor_;
-      }
-      NM_REQUIRE(check_cursor_ < ivs.size() && ivs[check_cursor_].begin <= b,
-                 "transfer outside the radio-allowed set");
-    }
     const DurationMs dur = e - b;
     active_ms += dur;
     DurationMs promo = 0;
@@ -87,12 +107,14 @@ void RrcIntegrator::integrate_closed() {
         // Arrives while the connected period (or its promotion shift)
         // is still running: the period simply extends, nothing is paid.
         connected_until = prev + dur;
+        if constexpr (kSwitched) chain_run(b, e);
         continue;
       }
       // The radio was tailing. The tail runs until the transfer, the
-      // allowed cut or the end of the chain, whichever comes first; a
+      // switch's cut or the end of the chain, whichever comes first; a
       // transfer inside a surviving tier pays that tier's re-promotion.
-      const TimeMs cut = allowed_until(allowed_, cut_cursor_, prev);
+      // The cut is taken before this run joins the chain.
+      const TimeMs cut = kSwitched ? cut_at(prev) : kStockCut;
       const TimeMs warm_end = prev + total_tail;
       charge_tail(m, tail_ms, std::min({b, cut, warm_end}) - prev);
       if (b <= cut && b < warm_end) {
@@ -121,6 +143,7 @@ void RrcIntegrator::integrate_closed() {
     promotions += promo > 0;
     promo_ms += promo;
     connected_until = b + assoc + promo + dur;
+    if constexpr (kSwitched) chain_run(b, e);
   }
 
   num_closed_ = 0;
@@ -141,9 +164,9 @@ RadioAccounting RrcIntegrator::finish() {
   }
   integrate_closed();
   // Trailing tail after the final transfer, clipped at the horizon and
-  // the allowed window.
+  // the switch's cut.
   if (connected_ && connected_until_ < horizon_) {
-    const TimeMs cut = allowed_until(allowed_, cut_cursor_, connected_until_);
+    const TimeMs cut = cut_at(connected_until_);
     const TimeMs stop = std::min(
         {horizon_, cut, connected_until_ + model_.total_tail_ms()});
     charge_tail(model_, tail_ms_,
@@ -174,8 +197,8 @@ RadioAccounting RrcIntegrator::finish() {
 RadioAccounting account_interval_set(const IntervalSet& transfers,
                                      const RadioModel& model,
                                      TimeMs horizon_end,
-                                     const IntervalSet* radio_allowed) {
-  RrcIntegrator integrator(model, horizon_end, radio_allowed);
+                                     const DataSwitch* data_switch) {
+  RrcIntegrator integrator(model, horizon_end, data_switch);
   // A canonical set is in start order: every interval is fed.
   integrator.add(transfers.intervals());
   return integrator.finish();

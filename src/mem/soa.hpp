@@ -124,8 +124,6 @@ class UsageColumns {
   AppUsage operator[](std::size_t i) const {
     return {apps_[i], times_[i], durations_[i]};
   }
-  AppId app_at(std::size_t i) const { return apps_[i]; }
-  TimeMs time_at(std::size_t i) const { return times_[i]; }
 
   std::span<const AppId> apps() const { return apps_; }
   std::span<const TimeMs> times() const { return times_; }
@@ -160,16 +158,8 @@ class ActivityColumns {
             bytes_up_[i],      user_initiated_.test(i),
             deferrable_.test(i)};
   }
-  AppId app_at(std::size_t i) const { return apps_[i]; }
   TimeMs start_at(std::size_t i) const { return starts_[i]; }
   DurationMs duration_at(std::size_t i) const { return durations_[i]; }
-  std::int64_t total_bytes_at(std::size_t i) const {
-    return bytes_down_[i] + bytes_up_[i];
-  }
-  bool user_initiated_at(std::size_t i) const {
-    return user_initiated_.test(i);
-  }
-  bool deferrable_at(std::size_t i) const { return deferrable_.test(i); }
 
   std::span<const AppId> apps() const { return apps_; }
   std::span<const TimeMs> starts() const { return starts_; }

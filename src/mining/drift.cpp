@@ -93,8 +93,6 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
     slow_.observe_summary(pending_.front().second);
     pending_.pop_front();
   }
-  last_day_ = day;
-
   const DayKind kind = day_kind(day);
   RegimeState& st = states_[static_cast<std::size_t>(kind)];
 

@@ -121,7 +121,6 @@ class DriftDetector {
   void observe_index(const engine::TraceIndex& index);
 
   int days_observed() const { return fast_.days_observed(); }
-  int last_observed_day() const { return last_day_; }
 
   /// Latest per-day divergence of the regime (0 before warmup data).
   double divergence(DayKind kind) const {
@@ -186,7 +185,6 @@ class DriftDetector {
   /// an eval index whose days start at 0 again).
   std::deque<std::pair<int, DayContribution>> pending_;
   std::array<RegimeState, 2> states_{};
-  int last_day_ = -1;
   int tick_ = 0;  ///< total observe_day calls, immune to day restarts
 };
 

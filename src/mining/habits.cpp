@@ -218,15 +218,21 @@ IntervalSet SlotPredictor::presence_windows(int day,
 double SlotPredictor::active_probability_integral(TimeMs from,
                                                   TimeMs to) const {
   NM_REQUIRE(from >= 0 && to >= from, "integral bounds must be ordered");
+  // The regime is resolved once per day and the hour once at `from`;
+  // then each hour boundary steps through the regime's Pr[u] table. The
+  // terms, and the order they are added in, are those of a per-hour
+  // pr_active_at lookup, so the sum is bit-identical to it.
   double integral = 0.0;
   TimeMs t = from;
   while (t < to) {
-    // Advance to the next hour boundary (or `to`, whichever first).
-    const TimeMs hour_end =
-        (t / kMsPerHour + 1) * kMsPerHour;
-    const TimeMs seg_end = std::min(hour_end, to);
-    integral += model_.pr_active_at(t) * to_seconds(seg_end - t);
-    t = seg_end;
+    const int day = day_of(t);
+    const std::array<double, kHoursPerDay>& pr =
+        model_.stats(day_kind(day)).pr_active;
+    for (int h = hour_of(t); h < kHoursPerDay && t < to; ++h) {
+      const TimeMs seg_end = std::min(hour_start(day, h + 1), to);
+      integral += pr[static_cast<std::size_t>(h)] * to_seconds(seg_end - t);
+      t = seg_end;
+    }
   }
   return integral;
 }

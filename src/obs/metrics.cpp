@@ -126,11 +126,6 @@ void Histogram::reset() noexcept {
   max_.store(-kInf, std::memory_order_relaxed);
 }
 
-std::vector<double> latency_bounds_ms() {
-  return {0.05, 0.1, 0.25, 0.5, 1.0,    2.5,    5.0,   10.0,  25.0,
-          50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0};
-}
-
 std::vector<double> fraction_bounds() {
   return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 }

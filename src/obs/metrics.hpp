@@ -102,8 +102,7 @@ class Histogram {
 };
 
 /// Standard bucket layouts.
-std::vector<double> latency_bounds_ms();  ///< ~geometric 0.05 ms … 10 s
-std::vector<double> fraction_bounds();    ///< 0.1 … 1.0 in tenths
+std::vector<double> fraction_bounds();  ///< 0.1 … 1.0 in tenths
 
 /// Wall/CPU aggregate of one span name under one parent.
 struct SpanStats {

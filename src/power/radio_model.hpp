@@ -40,23 +40,9 @@ namespace netmaster {
 /// its time; accounting keeps an independent state machine per radio.
 enum class RadioId : std::uint8_t { kCellular = 0, kWifi = 1 };
 
-constexpr const char* radio_id_name(RadioId id) {
-  return id == RadioId::kWifi ? "wifi" : "cellular";
-}
-
 /// Technology family of a RadioModel — descriptive only; the accounting
 /// never branches on it.
 enum class RadioKind : std::uint8_t { kWcdma, kLteCdrx, kNrCdrx, kWifi };
-
-constexpr const char* radio_kind_name(RadioKind kind) {
-  switch (kind) {
-    case RadioKind::kWcdma: return "wcdma";
-    case RadioKind::kLteCdrx: return "lte_cdrx";
-    case RadioKind::kNrCdrx: return "nr_cdrx";
-    case RadioKind::kWifi: return "wifi";
-  }
-  return "unknown";
-}
 
 /// Maximum inactivity-tail tiers a RadioModel may chain. Four covers
 /// every profile in the literature (NR CDRX: inactivity + short DRX +

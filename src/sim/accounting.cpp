@@ -1,9 +1,7 @@
 #include "sim/accounting.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
-#include <ranges>
 #include <vector>
 
 #include "common/error.hpp"
@@ -101,46 +99,15 @@ void partition_transfer(const ExecutedTransfer& t,
   }
 }
 
-/// The data switch's allowed windows, sorted by begin, into `out`; the
-/// IntervalSet constructor coalesces them in one pass. `runs` is the
-/// canonical executed cellular schedule. `held` (reused storage, handed
-/// back) holds the zero-length transfers' grace windows; it gains the
-/// outcome's extra windows and duty wakes, all clamped to [0, horizon)
-/// and canonicalized. One merge in begin order then adds each run
-/// extended by the grace and clamped. The canonical form of a union is
-/// unique, so this is the union of the per-transfer grace windows:
-/// every transfer of a run starts inside it, and the one ending last
-/// ends with it.
-void derive_allowed(const std::vector<Interval>& runs,
-                    std::vector<Interval>& held, const PolicyOutcome& outcome,
-                    TimeMs horizon, std::vector<Interval>& out) {
-  NM_REQUIRE(horizon >= 0, "data-switch horizon must be non-negative");
-  if (outcome.radio_allowed.has_value()) {
-    const std::vector<Interval>& extra = outcome.radio_allowed->intervals();
-    held.insert(held.end(), extra.begin(), extra.end());
-  }
-  for (const duty::WakeEvent& w : outcome.wakes) {
-    held.push_back({w.time, w.time + w.window});
-  }
-  const auto clamp = [horizon](const Interval& iv) {
-    return Interval{std::max<TimeMs>(iv.begin, 0), std::min(iv.end, horizon)};
-  };
-  std::ranges::transform(held, held.begin(), clamp);
-  IntervalSet windows(std::move(held));  // drops the clamped-away ones
-  const auto with_grace = [&](const Interval& run) {
-    return clamp({run.begin, run.end + kDormancyGraceMs});
-  };
-  out.clear();
-  std::ranges::merge(runs | std::views::transform(with_grace),
-                     windows.intervals(), std::back_inserter(out), {},
-                     &Interval::begin, &Interval::begin);
-  held = std::move(windows).release();
-}
-
 /// The materializing path: canonicalizes each radio partition once, in
 /// the caller's reused storage (handed back on return), integrates the
 /// cellular set under the data switch when the policy drives one and
-/// the Wi-Fi set on its own machine, and charges the duty wakes.
+/// the Wi-Fi set on its own machine, and charges the duty wakes. The
+/// switch is handed over as the grace and its windows that are not
+/// runs: the zero-length transfers' grace windows `held` holds, the
+/// outcome's extra windows and the duty wakes, each clamped to
+/// [0, horizon) and canonicalized. The integrator chains the executed
+/// runs with them as it goes; the allowed set is never built.
 void account_canonicalized(std::vector<Interval>& cellular,
                            std::vector<Interval>& wifi,
                            std::vector<Interval>& held,
@@ -153,25 +120,31 @@ void account_canonicalized(std::vector<Interval>& cellular,
   IntervalSet executed(std::move(cellular));
   IntervalSet executed_wifi(std::move(wifi));
 
-  if (outcome.radio_allowed.has_value()) {
-    thread_local std::vector<Interval> allowed_storage;
-    derive_allowed(executed.intervals(), held, outcome, report.horizon_ms,
-                   allowed_storage);
-    IntervalSet allowed(std::move(allowed_storage));
-    report.radio = engine::account_interval_set(
-        executed, radios.cellular, report.horizon_ms, &allowed);
-    allowed_storage = std::move(allowed).release();
+  const TimeMs horizon = report.horizon_ms;
+  const bool switched = outcome.radio_allowed.has_value();
+  if (!switched) {
+    held.clear();  // no switch for the grace windows to hold open
   } else {
-    report.radio = engine::account_interval_set(executed, radios.cellular,
-                                                report.horizon_ms);
+    const std::vector<Interval>& extra = outcome.radio_allowed->intervals();
+    held.insert(held.end(), extra.begin(), extra.end());
+    for (const duty::WakeEvent& w : outcome.wakes) {
+      held.push_back({w.time, w.time + w.window});
+    }
+    for (Interval& iv : held) {
+      iv = {std::max<TimeMs>(iv.begin, 0), std::min(iv.end, horizon)};
+    }
   }
+  IntervalSet windows(std::move(held));  // drops the clamped-away ones
+  const engine::DataSwitch data_switch{kDormancyGraceMs, windows.intervals()};
+  report.radio = engine::account_interval_set(
+      executed, radios.cellular, horizon, switched ? &data_switch : nullptr);
 
   // The Wi-Fi interface is not behind the cellular data switch: its
   // PSM tails always run to completion, and every cold attach pays the
   // scan/associate burst the model describes.
   if (!executed_wifi.empty()) {
-    report.wifi = engine::account_interval_set(executed_wifi, radios.wifi,
-                                               report.horizon_ms);
+    report.wifi =
+        engine::account_interval_set(executed_wifi, radios.wifi, horizon);
     report.wifi_energy_j = report.wifi.energy_j;
     report.wifi_on_ms = report.wifi.radio_on_ms;
   }
@@ -192,23 +165,10 @@ void account_canonicalized(std::vector<Interval>& cellular,
 
   cellular = std::move(executed).release();
   wifi = std::move(executed_wifi).release();
+  held = std::move(windows).release();
 }
 
 }  // namespace
-
-IntervalSet data_switch_allowed(const PolicyOutcome& outcome,
-                                TimeMs horizon) {
-  std::vector<Interval> cellular;
-  std::vector<Interval> wifi;
-  std::vector<Interval> held;
-  std::vector<Interval> allowed;
-  for (const ExecutedTransfer& t : outcome.transfers) {
-    partition_transfer(t, cellular, wifi, held);
-  }
-  derive_allowed(IntervalSet(std::move(cellular)).intervals(), held, outcome,
-                 horizon, allowed);
-  return IntervalSet(std::move(allowed));
-}
 
 TraceTotals trace_totals(const UserTrace& eval) {
   TraceTotals totals;

@@ -18,10 +18,12 @@
 // engine::RrcIntegrator; any other outcome is partitioned and
 // canonicalized once in reused per-thread storage first (counted in
 // `sim.account.canonicalized`). For an outcome that drives the data
-// switch, the accountant also derives the allowed set from that
-// canonical schedule, in one merge: each executed cellular run held
-// open for sim::kDormancyGraceMs, the duty wakes and the policy's extra
-// windows.
+// switch, the accountant builds no allowed set: it hands the integrator
+// sim::kDormancyGraceMs and one canonical list of the switch's windows
+// that are not runs (zero-length cellular transfers' grace windows, the
+// policy's extra windows and the duty wakes, clamped to the horizon),
+// and the integrator derives each tail cut from the runs it has
+// integrated so far, each held open for the grace.
 #pragma once
 
 #include <cstdint>
@@ -116,16 +118,6 @@ struct SimReport {
 SimReport account(const TraceTotals& totals,
                   std::span<const TimeMs> usage_times,
                   const PolicyOutcome& outcome, const RadioSet& radios);
-
-/// The allowed set of an outcome that drives the data switch, the one
-/// the accountant integrates the cellular radio under: each executed
-/// cellular transfer held open for kDormancyGraceMs after it ends, each
-/// duty wake window and the outcome's extra windows (radio_allowed,
-/// when set), all clamped to [0, horizon). Wi-Fi transfers do not hold
-/// the cellular switch open. Throws netmaster::Error when `horizon` is
-/// negative.
-IntervalSet data_switch_allowed(const PolicyOutcome& outcome,
-                                TimeMs horizon);
 
 /// Runs the accountant for a single-radio (cellular-only) outcome.
 /// Throws netmaster::Error when the outcome is inconsistent with the

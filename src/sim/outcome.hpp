@@ -49,10 +49,6 @@ enum class ExecutionPath {
   kDegradedFallback = 1,  ///< safe fallback schedule was substituted
 };
 
-inline const char* execution_path_name(ExecutionPath path) {
-  return path == ExecutionPath::kNormal ? "normal" : "degraded-fallback";
-}
-
 /// Everything a policy did over the evaluation window.
 struct PolicyOutcome {
   std::string policy_name;

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -232,89 +234,6 @@ TEST(Accounting, WifiNotBehindCellularDataSwitch) {
   const SimReport switched = account(t, o, radios);
   EXPECT_EQ(switched.wifi_energy_j, free_running.wifi_energy_j);
   EXPECT_LT(switched.radio.energy_j, free_running.radio.energy_j);
-}
-
-// ---- The data switch's allowed set (data_switch_allowed) ----
-
-TEST(DataSwitchAllowed, ClampsWindowsToHorizon) {
-  PolicyOutcome o;
-  o.radio_allowed = IntervalSet{};
-  o.radio_allowed->add(-100, 50);   // clipped at 0
-  o.radio_allowed->add(2000, 3000);  // fully past the horizon: dropped
-  o.transfers = {ExecutedTransfer{0, 900, 50}};  // grace clipped
-  duty::WakeEvent probe;
-  probe.time = 400;
-  probe.window = 0;  // empty: dropped
-  o.wakes = {probe};
-  const IntervalSet set = data_switch_allowed(o, 1000);
-  ASSERT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{0, 50}));
-  EXPECT_EQ(set.intervals()[1], (Interval{900, 1000}));
-}
-
-TEST(DataSwitchAllowed, UnionIsCanonicalRegardlessOfOrder) {
-  // Overlapping and touching transfers, in both orders, one run: the
-  // grace follows the transfer that ends last.
-  PolicyOutcome forward;
-  forward.radio_allowed = IntervalSet{};
-  forward.transfers = {ExecutedTransfer{0, 100, 100},
-                       ExecutedTransfer{1, 150, 150},
-                       ExecutedTransfer{2, 300, 100},
-                       ExecutedTransfer{3, 50, 70}};
-  PolicyOutcome reverse = forward;
-  std::reverse(reverse.transfers.begin(), reverse.transfers.end());
-  const IntervalSet a = data_switch_allowed(forward, 100'000);
-  EXPECT_EQ(a.intervals(), data_switch_allowed(reverse, 100'000).intervals());
-  ASSERT_EQ(a.size(), 1u);
-  EXPECT_EQ(a.intervals()[0], (Interval{50, 400 + kDormancyGraceMs}));
-}
-
-TEST(DataSwitchAllowed, TransfersExtendByGrace) {
-  PolicyOutcome o;
-  o.radio_allowed = IntervalSet{};
-  o.transfers = {
-      ExecutedTransfer{0, 1000, 500},  // -> [1000, 1500 + grace)
-      ExecutedTransfer{1, 8500, 0},    // zero-length: grace only
-      ExecutedTransfer{2, 9500, 500},  // ends at the horizon
-  };
-  const IntervalSet set = data_switch_allowed(o, 10'000);
-  ASSERT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{1000, 1500 + kDormancyGraceMs}));
-  EXPECT_EQ(set.intervals()[1], (Interval{8500, 10'000}));
-  // A zero-length transfer at the horizon opens nothing.
-  o.transfers = {ExecutedTransfer{0, 10'000, 0}};
-  EXPECT_TRUE(data_switch_allowed(o, 10'000).empty());
-}
-
-TEST(DataSwitchAllowed, WifiTransfersDoNotOpenTheSwitch) {
-  PolicyOutcome o;
-  o.radio_allowed = IntervalSet{};
-  o.transfers = {ExecutedTransfer{0, 1000, 500},
-                 ExecutedTransfer{1, 20'000, 500}};
-  o.transfers[1].radio = RadioId::kWifi;
-  const IntervalSet set = data_switch_allowed(o, 100'000);
-  ASSERT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.intervals()[0], (Interval{1000, 1500 + kDormancyGraceMs}));
-}
-
-TEST(DataSwitchAllowed, WakesCoverProbeWindows) {
-  PolicyOutcome o;
-  o.radio_allowed = IntervalSet{};
-  o.wakes.resize(2);
-  o.wakes[0].time = 100;
-  o.wakes[0].window = 50;
-  o.wakes[1].time = 4990;
-  o.wakes[1].window = 100;  // clipped at the horizon
-  const IntervalSet set = data_switch_allowed(o, 5000);
-  ASSERT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.intervals()[0], (Interval{100, 150}));
-  EXPECT_EQ(set.intervals()[1], (Interval{4990, 5000}));
-}
-
-TEST(DataSwitchAllowed, RejectsNegativeHorizon) {
-  PolicyOutcome o;
-  o.radio_allowed = IntervalSet{};
-  EXPECT_THROW(data_switch_allowed(o, -1), Error);
 }
 
 TEST(Accounting, SingleRadioOverloadRejectsWifiTransfers) {
@@ -569,6 +488,270 @@ TEST(AccountingEquivalence, UnsortedUsagesCountLikePerUsageContains) {
   }
 }
 
+// ---- The derived data switch ----
+//
+// sim::account never builds the allowed set: the integrator chains the
+// executed runs, each held open for kDormancyGraceMs, with the
+// switch's other windows as it goes. Each case accounts a switched
+// outcome and compares the report with the materializing reference,
+// which builds the allowed set window by window, bit for bit; the hand
+// numbers say which cut the case is about.
+
+/// The report of a switched outcome over `horizon`, checked against
+/// the reference bit for bit.
+SimReport switched_report(PolicyOutcome o, TimeMs horizon,
+                          const RadioModel& cellular,
+                          const std::string& context) {
+  if (!o.radio_allowed.has_value()) o.radio_allowed = IntervalSet{};
+  TraceTotals totals;
+  totals.horizon_ms = horizon;
+  totals.num_activities = o.transfers.size();
+  RadioSet radios;
+  radios.cellular = cellular;
+  const SimReport got = account(totals, {}, o, radios);
+  expect_reports_identical(
+      got, oracles::account_outcome(totals, {}, o, radios), context);
+  return got;
+}
+
+/// WCDMA without the IDLE promotion: a transfer's connected period ends
+/// with it, so a trailing tail is exactly the switch's hold.
+RadioModel instant_wcdma() {
+  RadioModel m = RadioModel::wcdma();
+  m.promo_idle_ms = 0;
+  return m;
+}
+
+DurationMs tail_ms(const SimReport& r) {
+  DurationMs total = 0;
+  for (const DurationMs d : r.radio.tail_tier_ms) total += d;
+  return total;
+}
+
+std::vector<ExecutedTransfer> cellular_transfers(
+    std::initializer_list<std::pair<TimeMs, DurationMs>> times) {
+  std::vector<ExecutedTransfer> out;
+  for (const auto& [start, duration] : times) {
+    out.push_back({out.size(), start, duration});
+  }
+  return out;
+}
+
+TEST(DerivedDataSwitch, ClampsWindowsToHorizon) {
+  // The extra windows and a grace reaching past [0, horizon) are
+  // clamped before the integrator sees them (it rejects a window past
+  // the horizon); the trailing grace is cut at the horizon.
+  IntervalSet extra;
+  extra.add(-100, 50);    // clipped at 0
+  extra.add(2000, 3000);  // fully past the horizon: dropped
+  PolicyOutcome o;
+  o.radio_allowed = extra;
+  o.transfers = cellular_transfers({{900, 50}});
+  o.wakes = {{400, 0, false}};  // empty: dropped
+  const SimReport r = switched_report(o, 1000, instant_wcdma(), "clamp");
+  EXPECT_EQ(tail_ms(r), 50);
+}
+
+TEST(DerivedDataSwitch, OneRunHoldsTheGraceRegardlessOfOrder) {
+  // Overlapping and touching transfers, in both orders, form one run:
+  // the grace follows the transfer that ends last.
+  PolicyOutcome forward;
+  forward.transfers = cellular_transfers(
+      {{100, 100}, {150, 150}, {300, 100}, {50, 70}});
+  PolicyOutcome reverse = forward;
+  std::reverse(reverse.transfers.begin(), reverse.transfers.end());
+  const SimReport a =
+      switched_report(forward, 100'000, instant_wcdma(), "forward");
+  const SimReport b =
+      switched_report(reverse, 100'000, instant_wcdma(), "reverse");
+  expect_reports_identical(a, b, "order");
+  EXPECT_EQ(tail_ms(a), kDormancyGraceMs);
+}
+
+TEST(DerivedDataSwitch, TransfersExtendByGrace) {
+  // [1000, 1500) holds the switch to 4500, so the gap to 9500 is cut
+  // after the grace. The zero-length transfer at 8500 opens
+  // [8500, 10'000), which the run ending at the horizon joins.
+  PolicyOutcome o;
+  o.transfers = cellular_transfers({{1000, 500}, {8500, 0}, {9500, 500}});
+  const SimReport r = switched_report(o, 10'000, instant_wcdma(), "grace");
+  EXPECT_EQ(tail_ms(r), kDormancyGraceMs);
+  // A zero-length transfer at the horizon opens nothing.
+  o.transfers = cellular_transfers({{10'000, 0}});
+  EXPECT_EQ(switched_report(o, 10'000, instant_wcdma(), "at horizon")
+                .radio.radio_on_ms,
+            0);
+}
+
+TEST(DerivedDataSwitch, WifiTransfersDoNotOpenTheSwitch) {
+  // A Wi-Fi transfer right after the cellular run would hold a switch
+  // it opened until 12'000; the cellular tail still ends with the
+  // grace.
+  PolicyOutcome o;
+  o.transfers = cellular_transfers({{1000, 500}, {1500, 7500}});
+  o.transfers[1].radio = RadioId::kWifi;
+  const SimReport r = switched_report(o, 100'000, instant_wcdma(), "wifi");
+  EXPECT_EQ(tail_ms(r), kDormancyGraceMs);
+  EXPECT_EQ(r.wifi_transfer_count, 1u);
+}
+
+TEST(DerivedDataSwitch, WakesCoverProbeWindows) {
+  // A probe before any transfer, and one clipped at the horizon that
+  // overlaps the last run's hold.
+  PolicyOutcome o;
+  o.transfers = cellular_transfers({{4000, 500}});
+  o.wakes = {{100, 50, false}, {4990, 100, false}};
+  const SimReport r = switched_report(o, 5000, instant_wcdma(), "wakes");
+  EXPECT_EQ(tail_ms(r), 500);
+  EXPECT_EQ(r.wake_count, 2u);
+}
+
+TEST(DerivedDataSwitch, RejectsNegativeHorizon) {
+  PolicyOutcome o;
+  o.radio_allowed = IntervalSet{};
+  TraceTotals totals;
+  totals.horizon_ms = -1;
+  const RadioSet radios;
+  EXPECT_THROW(account(totals, {}, o, radios), Error);
+  EXPECT_THROW(oracles::account_outcome(totals, {}, o, radios), Error);
+}
+
+TEST(DerivedDataSwitch, GraceWindowBridgesTwoWakes) {
+  // [2000, 2500) holds the switch to 5500, which touches the second
+  // wake: [1000, 7000) is one chain, so the transfer at 6800 re-enters
+  // the DCH tail (one promotion). Without the second wake the chain
+  // ends at 5500 and the transfer attaches cold.
+  PolicyOutcome o;
+  o.transfers = cellular_transfers({{2000, 500}, {6800, 100}});
+  o.wakes = {{1000, 1000, false}, {5500, 1500, false}};
+  const SimReport bridged =
+      switched_report(o, 100'000, RadioModel::wcdma(), "bridged");
+  EXPECT_EQ(bridged.radio.promotions, 1);
+  o.wakes.pop_back();
+  const SimReport cut = switched_report(o, 100'000, RadioModel::wcdma(), "cut");
+  EXPECT_EQ(cut.radio.promotions, 2);
+}
+
+TEST(DerivedDataSwitch, WakeBeginningWhereTheChainEndsJoinsIt) {
+  // [1000, 1500) holds the switch to 4500 and the wake begins exactly
+  // there: touching windows coalesce, so the chain runs to 8000 and
+  // the transfer at 7000 stays warm. One millisecond later it would
+  // not.
+  PolicyOutcome o;
+  o.transfers = cellular_transfers({{1000, 500}, {7000, 100}});
+  o.wakes = {{4500, 3500, false}};
+  EXPECT_EQ(switched_report(o, 100'000, RadioModel::wcdma(), "touching")
+                .radio.promotions,
+            1);
+  o.wakes[0].time = 4501;
+  o.wakes[0].window = 3499;
+  EXPECT_EQ(switched_report(o, 100'000, RadioModel::wcdma(), "gap")
+                .radio.promotions,
+            2);
+}
+
+TEST(DerivedDataSwitch, ShiftPastTheGraceFallsToTheWindows) {
+  // A long IDLE promotion (and, second, an association burst) pushes
+  // connected_until past end + grace: the chain no longer holds the
+  // tail's start, so only a window can keep the switch open there.
+  for (const bool assoc : {false, true}) {
+    RadioModel m = RadioModel::wcdma();
+    if (assoc) {
+      m.assoc_ms = 4000;
+      m.assoc_mw = 300.0;
+    } else {
+      m.promo_idle_ms = 6000;
+    }
+    const std::string context = assoc ? "association" : "promotion";
+    PolicyOutcome o;
+    o.transfers = cellular_transfers({{1000, 500}, {9500, 100}});
+    const SimReport closed = switched_report(o, 100'000, m, context);
+    EXPECT_EQ(tail_ms(closed), 0) << context;
+    // A wake holding the tail's start keeps the radio warm until 9500.
+    o.wakes = {{7000, 3000, false}};
+    const SimReport held = switched_report(o, 100'000, m, context + " held");
+    EXPECT_GT(tail_ms(held), 0) << context;
+    EXPECT_EQ(held.radio.promotions, 1) << context;
+  }
+}
+
+TEST(DerivedDataSwitch, ZeroLengthTransferInTheLastGracePeriod) {
+  // [16'000, 16'500) holds the switch to 19'500; a zero-length transfer
+  // at 19'000 opens [19'000, 20'000), so the trailing tail runs to the
+  // horizon instead of stopping after the grace.
+  PolicyOutcome o;
+  o.transfers = cellular_transfers({{16'000, 500}, {19'000, 0}});
+  EXPECT_EQ(tail_ms(switched_report(o, 20'000, instant_wcdma(), "held")),
+            3500);
+  o.transfers[1].start = 15'000;
+  EXPECT_EQ(tail_ms(switched_report(o, 20'000, instant_wcdma(), "earlier")),
+            kDormancyGraceMs);
+}
+
+TEST(DerivedDataSwitch, SlotPoweredExtraWindows) {
+  // Slot-powered radio: the predicted slots are extra windows. Inside
+  // one, tails run to completion; a run's hold that reaches a slot
+  // joins it; outside, tails end with the grace.
+  IntervalSet slots;
+  slots.add(kMsPerHour, 2 * kMsPerHour);
+  slots.add(3 * kMsPerHour, 4 * kMsPerHour);
+  PolicyOutcome o;
+  o.radio_allowed = slots;
+  o.transfers = cellular_transfers({
+      {1000, 500},                      // outside: cut after the grace
+      {kMsPerHour - 2000, 500},         // its hold reaches the slot
+      {kMsPerHour + 60'000, 800},       // inside: the full chain
+      {kMsPerHour + 70'000, 800},
+      {2 * kMsPerHour - 1000, 400},     // tail cut at the slot's end
+      {3 * kMsPerHour - 100, 5000},     // runs into the next slot
+      {4 * kMsPerHour + 10'000, 100},
+  });
+  const TimeMs horizon = 5 * kMsPerHour;
+  const SimReport instant =
+      switched_report(o, horizon, instant_wcdma(), "instant");
+  const SimReport wcdma =
+      switched_report(o, horizon, RadioModel::wcdma(), "wcdma");
+  EXPECT_GT(tail_ms(wcdma), 0);
+  EXPECT_GT(tail_ms(instant), 0);
+  for (const RadioModel& m : {RadioModel::lte_cdrx(), RadioModel::nr_cdrx()}) {
+    switched_report(o, horizon, m, "tiers");
+  }
+}
+
+TEST(DerivedDataSwitch, TiedAndManyRunLateArrivals) {
+  // Late arrivals in many descending blocks, with tied begins, canonicalize
+  // to the same schedule as their sorted order.
+  std::mt19937_64 rng(20261022);
+  for (int iter = 0; iter < 50; ++iter) {
+    PolicyOutcome o;
+    const std::size_t blocks = 1 + rng() % 60;
+    TimeMs block_start = 5'000'000;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      block_start -= 1000 + static_cast<TimeMs>(rng() % 80'000);
+      TimeMs t = block_start;
+      const std::size_t n = 1 + rng() % 20;
+      for (std::size_t k = 0; k < n; ++k) {
+        const DurationMs dur = static_cast<DurationMs>(rng() % 3000);
+        o.transfers.push_back({o.transfers.size(), t, dur});
+        if (rng() % 3 != 0) t += static_cast<TimeMs>(rng() % 9000);  // else tied
+      }
+    }
+    if (rng() % 2 == 0) o.wakes = {{block_start + 500, 2000, false}};
+    PolicyOutcome sorted = o;
+    std::stable_sort(sorted.transfers.begin(), sorted.transfers.end(),
+                     [](const ExecutedTransfer& x, const ExecutedTransfer& y) {
+                       return x.start < y.start;
+                     });
+    const std::string context = "iter " + std::to_string(iter);
+    for (const RadioModel& m : {instant_wcdma(), RadioModel::wcdma()}) {
+      expect_reports_identical(
+          switched_report(o, 5'100'000, m, context),
+          switched_report(sorted, 5'100'000, m, context + " sorted"),
+          context);
+    }
+  }
+}
+
 // ---- Streaming accountant vs the materializing reference ----
 
 /// The message of a netmaster::Error, without the failed condition and
@@ -743,12 +926,12 @@ TEST(AccountingProperty, MatchesTheMaterializingReferenceBitForBit) {
   EXPECT_GT(refused, 20u);
 }
 
-TEST(AccountingProperty, DerivedAllowedSetMatchesThePerTransferWindows) {
-  // The accountant derives the data switch's allowed set in one merge
-  // over the canonical schedule; it must equal the per-transfer grace
-  // windows the policies once built, interval for interval, and the
-  // report must equal the reference's. Every case drives the switch;
-  // the first transfers are planted on the edges: a run ending at the
+TEST(AccountingProperty, DerivedSwitchMatchesThePerTransferWindows) {
+  // The integrator derives the data switch's cuts from the runs it has
+  // integrated and the switch's other windows; the report must equal
+  // the reference's, which integrates under the per-transfer grace
+  // windows the policies once built. Every case drives the switch; the
+  // first transfers are planted on the edges: a run ending at the
   // horizon and zero-length transfers at the horizon and at 0.
   std::mt19937_64 rng(20261021);
   std::size_t zero_length = 0;
@@ -776,9 +959,6 @@ TEST(AccountingProperty, DerivedAllowedSetMatchesThePerTransferWindows) {
     with_extras += !o.radio_allowed->empty();
     with_wakes += !o.wakes.empty();
     const std::string context = "iter " + std::to_string(iter);
-    ASSERT_EQ(data_switch_allowed(o, horizon).intervals(),
-              oracles::per_transfer_allowed(o, horizon).intervals())
-        << context;
     expect_reports_identical(
         account(c.totals, c.usage_times, o, c.radios),
         oracles::account_outcome(c.totals, c.usage_times, o, c.radios),

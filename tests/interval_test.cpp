@@ -155,6 +155,36 @@ TEST(IntervalSet, ConstructorMatchesOneByOneAdds) {
   check({{10, 20}, {0, 100}, {30, 40}, {-5, 0}}, "nested after the run");
 }
 
+TEST(IntervalSet, ConstructorMergesManyLateRunsLikeOneByOneAdds) {
+  // A schedule followed by late releases in many ascending runs (the
+  // shape of NetMaster's knapsack and duty releases), with tied,
+  // touching and nested begins: the late runs are merged, not sorted,
+  // and the result must still be the one-by-one union.
+  Rng rng(4161);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Interval> ivs;
+    TimeMs t = 0;
+    const int head = static_cast<int>(rng.uniform_int(0, 60));
+    for (int k = 0; k < head; ++k) {
+      const DurationMs len = rng.uniform_int(0, 30);
+      ivs.push_back({t, t + len});
+      t += rng.uniform_int(0, 40);
+    }
+    const int runs = static_cast<int>(rng.uniform_int(1, 70));
+    for (int r = 0; r < runs; ++r) {
+      TimeMs u = rng.uniform_int(-10, t + 50);
+      const int n = static_cast<int>(rng.uniform_int(1, 25));
+      for (int k = 0; k < n; ++k) {
+        const DurationMs len = rng.bernoulli(0.1) ? 0 : rng.uniform_int(1, 60);
+        ivs.push_back({u, u + len});
+        if (!rng.bernoulli(0.3)) u += rng.uniform_int(0, 50);  // else tied
+      }
+    }
+    EXPECT_EQ(IntervalSet(ivs).intervals(), add_one_by_one(ivs).intervals())
+        << "trial " << trial;
+  }
+}
+
 /// The canonical form of a union over [0, 512), by brute force: mark
 /// every covered millisecond, then read off the maximal runs.
 std::vector<Interval> covered_runs(const std::vector<Interval>& ivs) {

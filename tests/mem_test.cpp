@@ -158,12 +158,6 @@ TEST(SoaColumns, ViewsMatchAosAccess) {
   ASSERT_EQ(columns.activities.size(), t.activities.size());
   for (std::size_t i = 0; i < t.activities.size(); ++i) {
     EXPECT_EQ(columns.activities[i], t.activities[i]);
-    EXPECT_EQ(columns.activities.total_bytes_at(i),
-              t.activities[i].total_bytes());
-    EXPECT_EQ(columns.activities.user_initiated_at(i),
-              t.activities[i].user_initiated);
-    EXPECT_EQ(columns.activities.deferrable_at(i),
-              t.activities[i].deferrable);
   }
   ASSERT_EQ(columns.usages.size(), t.usages.size());
   for (std::size_t i = 0; i < t.usages.size(); ++i) {

@@ -1,7 +1,11 @@
 // Tests for habit mining, slot prediction (Eqs. 2–3) and special apps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 
@@ -165,6 +169,62 @@ TEST(SlotPredictor, ActiveProbabilityIntegral) {
   // Degenerate and invalid windows.
   EXPECT_DOUBLE_EQ(pred.active_probability_integral(100, 100), 0.0);
   EXPECT_THROW(pred.active_probability_integral(100, 50), Error);
+}
+
+/// The per-hour loop that active_probability_integral replaced: one
+/// pr_active_at lookup per hour segment.
+double per_hour_integral(const HabitModel& model, TimeMs from, TimeMs to) {
+  NM_REQUIRE(from >= 0 && to >= from, "integral bounds must be ordered");
+  double integral = 0.0;
+  TimeMs t = from;
+  while (t < to) {
+    const TimeMs hour_end = (t / kMsPerHour + 1) * kMsPerHour;
+    const TimeMs seg_end = std::min(hour_end, to);
+    integral += model.pr_active_at(t) * to_seconds(seg_end - t);
+    t = seg_end;
+  }
+  return integral;
+}
+
+TEST(SlotPredictor, ActiveProbabilityIntegralMatchesThePerHourLoop) {
+  // Bit for bit, over spans that cross hour, day and weekend
+  // boundaries, start or end on them, or are zero-length, sub-hour or
+  // the whole horizon.
+  const auto profile = synth::make_user(synth::Archetype::kStudent, 3);
+  const HabitModel model =
+      HabitModel::mine(synth::generate_trace(profile, 14, 77));
+  ASSERT_NE(model.stats(DayKind::kWeekday).pr_active,
+            model.stats(DayKind::kWeekend).pr_active);
+  const SlotPredictor pred(model, PredictorConfig{});
+  const auto expect_same = [&](TimeMs from, TimeMs to) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  pred.active_probability_integral(from, to)),
+              std::bit_cast<std::uint64_t>(per_hour_integral(model, from, to)))
+        << "[" << from << ", " << to << ")";
+  };
+  const TimeMs horizon = 21 * kMsPerDay;
+  std::mt19937_64 rng(20261023);
+  for (int iter = 0; iter < 4000; ++iter) {
+    TimeMs from = static_cast<TimeMs>(rng() % horizon);
+    if (rng() % 4 == 0) from -= from % kMsPerHour;  // on an hour boundary
+    if (rng() % 8 == 0) from -= from % kMsPerDay;   // on midnight
+    DurationMs len = 0;
+    switch (rng() % 4) {
+      case 0: len = static_cast<DurationMs>(rng() % kMsPerHour); break;
+      case 1: len = static_cast<DurationMs>(rng() % (3 * kMsPerDay)); break;
+      case 2: len = static_cast<DurationMs>(rng() % (10 * kMsPerDay)); break;
+      default: len = static_cast<DurationMs>(rng() % 3) * kMsPerHour; break;
+    }
+    expect_same(from, from + len);
+  }
+  expect_same(0, horizon);
+  expect_same(0, 0);
+  expect_same(horizon, horizon);
+  expect_same(4 * kMsPerDay + 5, 5 * kMsPerDay + 5);  // into the weekend
+  EXPECT_THROW(pred.active_probability_integral(-1, 10), Error);
+  EXPECT_THROW(per_hour_integral(model, -1, 10), Error);
+  EXPECT_THROW(pred.active_probability_integral(100, 50), Error);
+  EXPECT_THROW(per_hour_integral(model, 100, 50), Error);
 }
 
 TEST(SlotPredictor, RejectsBadDeltas) {

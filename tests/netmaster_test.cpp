@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
+#include "oracles/account_outcome.hpp"
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"
 #include "sim/accounting.hpp"
@@ -88,28 +90,36 @@ TEST(NetMaster, DutyWakesOnlyOutsidePredictedSlots) {
   }
 }
 
+/// The accountant's cellular report of a switched outcome equals the
+/// materializing reference's, bit for bit.
+void expect_switch_matches_reference(const UserTrace& eval,
+                                     const sim::PolicyOutcome& o) {
+  std::vector<TimeMs> usage_times;
+  for (const AppUsage& u : eval.usages) usage_times.push_back(u.time);
+  const RadioSet radios;
+  const RadioAccounting got = sim::account(eval, o, radios).radio;
+  const RadioAccounting want =
+      oracles::account_outcome(sim::trace_totals(eval), usage_times, o,
+                               radios)
+          .radio;
+  EXPECT_EQ(got.energy_j, want.energy_j);
+  EXPECT_EQ(got.radio_on_ms, want.radio_on_ms);
+  EXPECT_EQ(got.tail_tier_ms, want.tail_tier_ms);
+  EXPECT_EQ(got.promotions, want.promotions);
+  EXPECT_GT(got.tail_tier_ms[0], 0);
+}
+
 TEST(NetMaster, DrivesTheDataSwitch) {
   const Traces tr = make_traces();
   const NetMasterPolicy policy(tr.training, NetMasterConfig{});
   const sim::PolicyOutcome o = policy.run(tr.eval);
   ASSERT_TRUE(o.radio_allowed.has_value());
   // Without slot-powered radio the policy lists no extra windows: the
-  // accountant derives the allowed set, which holds every transfer and
-  // its dormancy grace (clamped to the horizon) and every wake probe.
+  // accountant derives the switch from every transfer and its dormancy
+  // grace (clamped to the horizon) and every wake probe, and integrates
+  // exactly as the reference does under that allowed set.
   EXPECT_TRUE(o.radio_allowed->empty());
-  const TimeMs horizon = tr.eval.trace_end();
-  const IntervalSet allowed = sim::data_switch_allowed(o, horizon);
-  for (const sim::ExecutedTransfer& t : o.transfers) {
-    const TimeMs end =
-        std::min(t.start + t.duration + sim::kDormancyGraceMs, horizon);
-    EXPECT_EQ(allowed.overlap_length(t.start, end), end - t.start)
-        << "transfer at " << t.start;
-  }
-  for (const duty::WakeEvent& w : o.wakes) {
-    const TimeMs end = std::min(w.time + w.window, horizon);
-    EXPECT_EQ(allowed.overlap_length(w.time, end), end - w.time)
-        << "wake at " << w.time;
-  }
+  expect_switch_matches_reference(tr.eval, o);
   // Slot-powered radio lists the predicted slots as extra windows.
   NetMasterConfig slot_powered;
   slot_powered.slot_powered_radio = true;
@@ -121,6 +131,7 @@ TEST(NetMaster, DrivesTheDataSwitch) {
   }
   ASSERT_TRUE(p.radio_allowed.has_value());
   EXPECT_EQ(p.radio_allowed->intervals(), active.intervals());
+  expect_switch_matches_reference(tr.eval, p);
 }
 
 TEST(NetMaster, SpecialAppAblationRaisesInterrupts) {

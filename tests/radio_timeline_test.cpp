@@ -1,6 +1,8 @@
 // Tests for engine::RrcIntegrator, the streaming RRC accountant,
-// against the transfer-by-transfer reference. The data switch's allowed
-// set that sim::account derives is tested in accounting_test.
+// against the transfer-by-transfer reference. Under a data switch the
+// integrator takes the dormancy grace and the switch's other windows,
+// and the reference the allowed set they stand for; the accountant's
+// switched outcomes are tested in accounting_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +22,51 @@ namespace {
 
 using oracles::account_transfers;
 
-/// Adds [begin, end) to `set`, clamped to [0, horizon): the allowed
-/// sets below model a data switch over the accounting horizon.
+/// Adds [begin, end) to `set`, clamped to [0, horizon): the switch
+/// windows below lie within the accounting horizon.
 void allow(IntervalSet& set, TimeMs begin, TimeMs end, TimeMs horizon) {
   set.add(std::max<TimeMs>(begin, 0), std::min(end, horizon));
+}
+
+/// A data switch as the accountant hands it to the integrator: each run
+/// held open for `grace`, plus the canonical `windows`.
+struct Switch {
+  DurationMs grace = 0;
+  IntervalSet windows;
+
+  DataSwitch view() const { return {grace, windows.intervals()}; }
+
+  /// The allowed set the reference integrates under: each run of
+  /// `transfers` held open for the grace (clamped to the horizon), and
+  /// the windows.
+  IntervalSet allowed(const IntervalSet& transfers, TimeMs horizon) const {
+    IntervalSet set = windows;
+    for (const Interval& iv : transfers.intervals()) {
+      allow(set, iv.begin, iv.end + grace, horizon);
+    }
+    return set;
+  }
+};
+
+/// A random switch over `transfers`: a grace of 0 to 30 s, windows
+/// stretching some runs' holds by up to 30 s (they touch or overlap
+/// the hold), and a few windows anywhere, so tails are cut at random
+/// boundaries.
+Switch random_switch(std::mt19937_64& rng, const IntervalSet& transfers,
+                     TimeMs horizon) {
+  Switch sw;
+  sw.grace = rng() % 4 == 0 ? 0 : static_cast<DurationMs>(rng() % 30000);
+  for (const Interval& iv : transfers.intervals()) {
+    if (rng() % 2 == 0) continue;
+    const TimeMs from = std::min(iv.end + sw.grace, horizon);
+    allow(sw.windows, from - static_cast<TimeMs>(rng() % 2) * (from - iv.end),
+          from + static_cast<DurationMs>(rng() % 30000), horizon);
+  }
+  for (int w = 0; w < 4; ++w) {
+    const TimeMs b = static_cast<TimeMs>(rng() % horizon);
+    allow(sw.windows, b, b + static_cast<DurationMs>(rng() % 10000), horizon);
+  }
+  return sw;
 }
 
 // ---------------------------------------------------------------------------
@@ -32,7 +75,8 @@ void allow(IntervalSet& set, TimeMs begin, TimeMs end, TimeMs horizon) {
 // through add) against the reference transfer-by-transfer accountant
 // (tests/oracles/account_transfers.hpp). The contract is bit-for-bit
 // equality — every integer field AND the energy double — on every
-// input.
+// input, with the integrator deriving each cut from its chain and the
+// reference reading it from the materialized allowed set.
 
 void expect_accounting_equal(const RadioAccounting& got,
                              const RadioAccounting& want,
@@ -55,13 +99,19 @@ void expect_accounting_equal(const RadioAccounting& got,
 void expect_matches_reference(const IntervalSet& transfers,
                               const RadioModel& model,
                               TimeMs horizon,
-                              const IntervalSet* allowed,
+                              const Switch* sw,
                               const std::string& context) {
-  const RadioAccounting want =
-      account_transfers(transfers, model, horizon, allowed);
-  const RadioAccounting got =
-      account_interval_set(transfers, model, horizon, allowed);
-  expect_accounting_equal(got, want, context);
+  if (sw == nullptr) {
+    expect_accounting_equal(
+        account_interval_set(transfers, model, horizon),
+        account_transfers(transfers, model, horizon), context);
+    return;
+  }
+  const IntervalSet allowed = sw->allowed(transfers, horizon);
+  const DataSwitch view = sw->view();
+  expect_accounting_equal(
+      account_interval_set(transfers, model, horizon, &view),
+      account_transfers(transfers, model, horizon, &allowed), context);
 }
 
 std::vector<RadioPowerParams> param_suite() {
@@ -114,13 +164,9 @@ TEST(RrcIntegrator, MatchesReferenceOnEdgeCases) {
   for (const RadioPowerParams& params : param_suite()) {
     for (const auto& [name, set] : cases) {
       expect_matches_reference(set, params, horizon, nullptr, name);
-      // With an allowed set cutting shortly after each transfer.
-      IntervalSet allowed = set;
-      for (const Interval& iv : set.intervals()) {
-        allow(allowed, iv.begin, iv.end + 700, horizon);
-      }
-      expect_matches_reference(set, params, horizon, &allowed,
-                               name + "+allowed");
+      // With a switch cutting shortly after each transfer.
+      const Switch sw{700, {}};
+      expect_matches_reference(set, params, horizon, &sw, name + "+switch");
     }
   }
 }
@@ -142,20 +188,8 @@ TEST(RrcIntegrator, FuzzMatchesReference) {
     const RadioPowerParams& p = params[iter % params.size()];
     const std::string context = "iter " + std::to_string(iter);
     expect_matches_reference(transfers, p, horizon, nullptr, context);
-
-    // Allowed set: the transfers themselves plus random extra windows,
-    // so tails are cut at random boundaries.
-    IntervalSet allowed = transfers;
-    for (const Interval& iv : transfers.intervals()) {
-      allow(allowed, iv.begin,
-            iv.end + static_cast<DurationMs>(rng() % 30000), horizon);
-    }
-    for (int w = 0; w < 4; ++w) {
-      const TimeMs b = static_cast<TimeMs>(rng() % horizon);
-      allow(allowed, b, b + static_cast<DurationMs>(rng() % 10000), horizon);
-    }
-    expect_matches_reference(transfers, p, horizon, &allowed,
-                             context + "+allowed");
+    const Switch sw = random_switch(rng, transfers, horizon);
+    expect_matches_reference(transfers, p, horizon, &sw, context + "+switch");
   }
 }
 
@@ -208,18 +242,9 @@ TEST(RrcIntegrator, FuzzMatchesReferenceOnRandomTierModels) {
     }
     const std::string context = "tier-model iter " + std::to_string(iter);
     expect_matches_reference(transfers, model, horizon, nullptr, context);
-
-    IntervalSet allowed = transfers;
-    for (const Interval& iv : transfers.intervals()) {
-      allow(allowed, iv.begin,
-            iv.end + static_cast<DurationMs>(rng() % 30000), horizon);
-    }
-    for (int w = 0; w < 4; ++w) {
-      const TimeMs b = static_cast<TimeMs>(rng() % horizon);
-      allow(allowed, b, b + static_cast<DurationMs>(rng() % 10000), horizon);
-    }
-    expect_matches_reference(transfers, model, horizon, &allowed,
-                             context + "+allowed");
+    const Switch sw = random_switch(rng, transfers, horizon);
+    expect_matches_reference(transfers, model, horizon, &sw,
+                             context + "+switch");
   }
 }
 
@@ -232,15 +257,27 @@ TEST(RrcIntegrator, RejectsInvalidInputLikeReference) {
     EXPECT_THROW(account_transfers(past, params, 1000), Error);
   }
   {
-    IntervalSet transfers;  // outside the allowed set
+    // A transfer outside the allowed set: the reference rejects it. The
+    // integrator cannot be given one (every run opens the switch
+    // itself); it rejects switch windows outside [0, horizon) and a
+    // negative horizon instead.
+    IntervalSet transfers;
     transfers.add(100, 200);
     transfers.add(5000, 6000);
     IntervalSet allowed;
     allowed.add(100, 200);
-    EXPECT_THROW(account_interval_set(transfers, params, 10000, &allowed),
-                 Error);
     EXPECT_THROW(account_transfers(transfers, params, 10000, &allowed),
                  Error);
+    const std::vector<Interval> past = {{100, 200}, {9000, 10001}};
+    const std::vector<Interval> before = {{-1, 200}};
+    for (const DataSwitch& bad : {DataSwitch{0, past}, DataSwitch{0, before}}) {
+      EXPECT_THROW(account_interval_set(transfers, params, 10000, &bad),
+                   Error);
+    }
+    const DataSwitch none{0, {}};
+    EXPECT_THROW(account_interval_set(IntervalSet{}, params, -1, &none), Error);
+    const DataSwitch inside{0, allowed.intervals()};
+    EXPECT_NO_THROW(account_interval_set(transfers, params, 10000, &inside));
   }
   {
     // In-order arrivals that coalesce into one run reaching past the
@@ -312,17 +349,15 @@ TEST(RrcIntegrator, StreamedArrivalsMatchReference) {
                             account_transfers(canonical, model, horizon),
                             context);
 
-    IntervalSet allowed = canonical;
-    for (const Interval& iv : canonical.intervals()) {
-      allow(allowed, iv.begin,
-            iv.end + static_cast<DurationMs>(rng() % 30000), horizon);
-    }
-    RrcIntegrator switched(model, horizon, &allowed);
-    feed_in_chunks(switched, arrivals, rng, context + "+allowed");
+    const Switch sw = random_switch(rng, canonical, horizon);
+    const IntervalSet allowed = sw.allowed(canonical, horizon);
+    const DataSwitch view = sw.view();
+    RrcIntegrator switched(model, horizon, &view);
+    feed_in_chunks(switched, arrivals, rng, context + "+switch");
     expect_accounting_equal(
         switched.finish(),
         account_transfers(canonical, model, horizon, &allowed),
-        context + "+allowed");
+        context + "+switch");
   }
   EXPECT_GT(coalesced, 0u);  // the arrivals really were non-canonical
   EXPECT_GT(longest, 128u);  // and filled several 64-run batches
@@ -352,18 +387,24 @@ TEST(RrcIntegrator, RefusesAnArrivalBeforeTheOpenRun) {
                           "refused arrival");
 }
 
-TEST(RrcIntegrator, CoalescesTouchingArrivalsBeforeCheckingThem) {
-  // Touching arrivals form one canonical run, and only its begin must
-  // lie in the allowed set, as in the reference: [2000, 3000) joins
-  // [1000, 2000) instead of being checked at 2000.
+TEST(RrcIntegrator, CoalescesTouchingArrivalsBeforeHoldingThem) {
+  // Touching arrivals form one canonical run, and the switch holds that
+  // run, as in the reference: [2000, 3000) joins [1000, 2000), so the
+  // hold runs from 3000, not from 2000 (where the window at its begin
+  // alone would have cut it).
   const RadioModel model = RadioModel::wcdma();
-  IntervalSet allowed;
-  allowed.add(1000, 1001);
-  RrcIntegrator integrator(model, 100000, &allowed);
+  const Switch sw{0, [] {
+                    IntervalSet w;
+                    w.add(1000, 1001);
+                    return w;
+                  }()};
+  const DataSwitch view = sw.view();
+  RrcIntegrator integrator(model, 100000, &view);
   const std::vector<Interval> arrivals = {{1000, 2000}, {2000, 3000}};
   EXPECT_EQ(integrator.add(arrivals), 2u);
   IntervalSet canonical;
   canonical.add(1000, 3000);
+  const IntervalSet allowed = sw.allowed(canonical, 100000);
   expect_accounting_equal(
       integrator.finish(),
       account_transfers(canonical, model, 100000, &allowed), "touching");
