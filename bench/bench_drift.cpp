@@ -240,13 +240,14 @@ void BM_DetectorSeedAndMonitor(benchmark::State& state) {
   const eval::VolunteerTraces traces = eval::make_drifting_traces(
       synth::make_user(kUsers[0].base, 1), cfg,
       spec_for(synth::DriftKind::kAbrupt, kUsers[0].target));
-  const engine::TraceIndex train_idx(traces.training);
-  const engine::TraceIndex eval_idx(traces.eval);
+  const mining::HourBuckets train_buckets =
+      mining::fold_buckets(traces.training);
+  const mining::HourBuckets eval_buckets = mining::fold_buckets(traces.eval);
   for (auto _ : state) {
     mining::DriftDetector detector;
-    detector.observe_index(train_idx);
+    detector.observe_all(train_buckets);
     detector.notify_adapted();
-    detector.observe_index(eval_idx);
+    detector.observe_all(eval_buckets);
     benchmark::DoNotOptimize(detector.score());
   }
 }
@@ -256,10 +257,10 @@ void BM_IncrementalFoldDay(benchmark::State& state) {
   const eval::ExperimentConfig cfg = config();
   const eval::VolunteerTraces traces = eval::make_traces(
       synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg);
-  const engine::TraceIndex index(traces.training);
+  const mining::HourBuckets buckets = mining::fold_buckets(traces.training);
   const mining::DayContribution day =
-      mining::IncrementalHabitMiner::summarize_day(0, index.day_buckets(0),
-                                                   index.num_apps());
+      mining::IncrementalHabitMiner::summarize_day(0, buckets.day(0),
+                                                   buckets.num_apps);
   mining::IncrementalHabitMiner miner(mining::IncrementalConfig{0.12});
   for (auto _ : state) {
     miner.observe_summary(day);

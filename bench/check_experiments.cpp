@@ -58,19 +58,6 @@ const Unprinted kUnprinted[] = {
     {"capacity slack", "0", "sched.solver.slot_sorts counter of perfbench"},
     {"capacity slack", "89990",
      "sched.solver.slot_sorts counter of bench_knapsack_quality"},
-    {"Multi-radio", "80.4",
-     "bench_multiradio has no golden; CI's bench smoke step gates its JSON"},
-    {"Multi-radio", "82.0", "bench_multiradio has no golden"},
-    {"Multi-radio", "80.5", "bench_multiradio has no golden"},
-    {"Multi-radio", "82.8", "bench_multiradio has no golden"},
-    {"Multi-radio", "79.9", "bench_multiradio has no golden"},
-    {"Multi-radio", "83.0", "bench_multiradio has no golden"},
-    {"Population scale-out", "68.2",
-     "bench_scaleout has no golden (its memory figure is timing-dependent); "
-     "CI's bench smoke step gates its JSON"},
-    {"Population scale-out", "0.00", "bench_scaleout has no golden"},
-    {"Population scale-out", "18", "bench_scaleout has no golden"},
-    {"Population scale-out", "6", "bench_scaleout has no golden"},
 };
 
 /// A decimal number as written: its digits without the point, and how

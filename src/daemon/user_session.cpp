@@ -118,7 +118,7 @@ mining::DayContribution UserSession::summarize_window(int day) const {
   // Reconstruct days [day-1, day] (an evaluation day, so day >= 7)
   // shifted to a 2-day window: sessions spanning the leading midnight
   // pair up, sessions still open at the window's end clamp to it —
-  // exactly the screen coverage the full-history index derives for
+  // exactly the screen coverage the full-history fold derives for
   // `day`, summarized in the absolute day's regime.
   const TimeMs lo = day_start(day - 1);
   const TimeMs hi = day_start(day + 1);
@@ -128,10 +128,10 @@ mining::DayContribution UserSession::summarize_window(int day) const {
     r.time -= lo;
     window.add(r);
   }
-  const engine::TraceIndex index(
+  const mining::HourBuckets buckets = mining::fold_buckets(
       fault::sanitize_trace(std::move(window).finish()).trace);
-  return mining::IncrementalHabitMiner::summarize_day(
-      day, index.day_buckets(1), index.num_apps());
+  return mining::IncrementalHabitMiner::summarize_day(day, buckets.day(1),
+                                                      buckets.num_apps);
 }
 
 void UserSession::fold_day(int day) {
@@ -165,12 +165,7 @@ void UserSession::complete_training() {
   const UserTrace training = training_trace();
   policy_ =
       std::make_unique<policy::NetMasterPolicy>(training, policy_config_);
-  if (lifecycle_.enabled()) {
-    // Drift is measured against the training history as the miner saw
-    // it (sanitized), as in service::run_online.
-    lifecycle_.anchor(
-        engine::TraceIndex(fault::sanitize_trace(training).trace));
-  }
+  if (lifecycle_.enabled()) lifecycle_.anchor(training);
   eval_screen_open_ =
       screen_open_since_ >= 0 && screen_open_since_ < train_end_;
   stats_.trained = true;

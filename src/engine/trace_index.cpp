@@ -73,47 +73,6 @@ TraceIndex::TraceIndex(const UserTrace& trace)
     }
   }
   deferrable_ = arena.copy_array<std::uint32_t>(deferrable);
-
-  const std::span<HourBucket> buckets = arena.alloc_zeroed<HourBucket>(
-      static_cast<std::size_t>(std::max(trace.num_days, 0)) * kHoursPerDay);
-  fold_buckets(trace, buckets);
-  buckets_ = buckets;
-}
-
-void TraceIndex::fold_buckets(const UserTrace& trace,
-                              std::span<HourBucket> buckets) {
-  NM_REQUIRE(buckets.size() ==
-                 static_cast<std::size_t>(std::max(trace.num_days, 0)) *
-                     kHoursPerDay,
-             "fold_buckets needs one bucket per (day, hour)");
-  // Events outside [0, horizon) are skipped so the fold stays total on
-  // malformed traces (validate() still rejects them where strictness
-  // matters). Inside it, bucket (day_of(t), hour_of(t)) is bucket
-  // t / kMsPerHour.
-  const TimeMs horizon = trace.trace_end();
-  const std::size_t num_apps = trace.app_names.size();
-  for (const AppUsage& u : trace.usages) {
-    if (u.time < 0 || u.time >= horizon) continue;
-    ++buckets[static_cast<std::size_t>(u.time / kMsPerHour)].usage_count;
-  }
-  std::vector<bool> app_seen(buckets.size() * num_apps, false);
-  ScreenCursor screen(trace.sessions);
-  for (const NetworkActivity& act : trace.activities) {
-    if (act.start < 0 || act.start >= horizon) continue;
-    if (screen.screen_on_at(act.start)) continue;  // screen-off only (Eq. 3)
-    const auto b = static_cast<std::size_t>(act.start / kMsPerHour);
-    HourBucket& bucket = buckets[b];
-    ++bucket.net_count;
-    bucket.net_bytes += static_cast<double>(act.total_bytes());
-    if (act.app >= 0 && static_cast<std::size_t>(act.app) < num_apps) {
-      const std::size_t bit =
-          b * num_apps + static_cast<std::size_t>(act.app);
-      if (!app_seen[bit]) {
-        app_seen[bit] = true;
-        ++bucket.distinct_net_apps;
-      }
-    }
-  }
 }
 
 bool TraceIndex::screen_on_at(TimeMs t) const {
@@ -144,19 +103,6 @@ TimeMs TraceIndex::last_session_begin_in(TimeMs lo, TimeMs hi) const {
   if (idx == 0) return -1;
   const TimeMs begin = columns_.sessions.begin_at(idx - 1);
   return begin >= lo ? begin : -1;
-}
-
-const TraceIndex::HourBucket& TraceIndex::bucket(int day, int hour) const {
-  NM_REQUIRE(hour >= 0 && hour < kHoursPerDay, "bucket hour out of range");
-  return day_buckets(day)[static_cast<std::size_t>(hour)];
-}
-
-std::span<const TraceIndex::HourBucket, kHoursPerDay>
-TraceIndex::day_buckets(int day) const {
-  NM_REQUIRE(day >= 0 && day < columns_.num_days,
-             "bucket day out of range");
-  return buckets_.subspan(static_cast<std::size_t>(day) * kHoursPerDay)
-      .first<kHoursPerDay>();
 }
 
 void TraceIndex::check_invariants(const UserTrace& source) const {
@@ -205,34 +151,6 @@ void TraceIndex::check_invariants(const UserTrace& source) const {
     NM_REQUIRE(k == 0 || deferrable_[k - 1] < deferrable_[k],
                "index: deferrable list not strictly ascending");
   }
-
-  // Bucket totals match the in-range event counts.
-  int usage_total = 0;
-  int net_total = 0;
-  for (const HourBucket& b : buckets_) {
-    NM_REQUIRE(b.usage_count >= 0 && b.net_count >= 0 &&
-                   b.net_bytes >= 0.0 && b.distinct_net_apps >= 0,
-               "index: negative bucket counter");
-    NM_REQUIRE(b.distinct_net_apps <= b.net_count,
-               "index: more distinct apps than activities in bucket");
-    usage_total += b.usage_count;
-    net_total += b.net_count;
-  }
-  int usage_expected = 0;
-  for (const AppUsage& u : source.usages) {
-    if (u.time >= 0 && u.time < horizon_) ++usage_expected;
-  }
-  int net_expected = 0;
-  for (const NetworkActivity& n : source.activities) {
-    if (n.start >= 0 && n.start < horizon_ &&
-        !source.screen_on_at(n.start)) {
-      ++net_expected;
-    }
-  }
-  NM_REQUIRE(usage_total == usage_expected,
-             "index: usage bucket totals drifted from the trace");
-  NM_REQUIRE(net_total == net_expected,
-             "index: network bucket totals drifted from the trace");
 }
 
 }  // namespace netmaster::engine

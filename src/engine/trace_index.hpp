@@ -3,21 +3,21 @@
 //
 // Every policy, the online event loop and the accountant need the same
 // handful of derived facts about an evaluation trace: binary-searchable
-// screen session boundaries, the set of deferrable screen-off
-// activities (the class the paper's optimizations target), and
-// per-(day, hour) activity buckets (the mining substrate). A TraceIndex
-// computes all of them once; N policies replaying the same user then
-// share one index instead of re-deriving the facts with per-policy
-// O(n log s) scans.
+// screen session boundaries and the set of deferrable screen-off
+// activities (the class the paper's optimizations target). A TraceIndex
+// computes them once; N policies replaying the same user then share one
+// index instead of re-deriving the facts with per-policy O(n log s)
+// scans. It is the replay index only: the per-(day, hour) buckets
+// habit mining reads are folded by mining::fold_buckets.
 //
 // Memory model: at construction the index copies the trace's
 // session/usage/activity columns into ONE arena it owns as
 // structure-of-arrays (mem::TraceColumns) and builds its derived
-// columns — packed classification bits, u32 deferrable list, hour
-// buckets — into the same arena. It keeps no reference to the source
-// trace: replay and accounting (sim::trace_totals, sim::account) read
-// only arena memory, so the source UserTrace may be destroyed or
-// evicted to disk (eval::UserStore) while policies keep replaying.
+// columns — packed classification bits, u32 deferrable list — into the
+// same arena. It keeps no reference to the source trace: replay and
+// accounting (sim::trace_totals, sim::account) read only arena memory,
+// so the source UserTrace may be destroyed or evicted to disk
+// (eval::UserStore) while policies keep replaying.
 // Moving the index moves the arena with it; the column views stay
 // valid.
 #pragma once
@@ -48,7 +48,6 @@ class TraceIndex {
   TimeMs horizon() const { return horizon_; }
   int num_days() const { return columns_.num_days; }
   UserId user() const { return columns_.user; }
-  std::size_t num_apps() const { return columns_.app_names.size(); }
 
   /// Columnar views into the arena — the replay read path.
   const mem::SessionColumns& sessions() const { return columns_.sessions; }
@@ -56,7 +55,6 @@ class TraceIndex {
     return columns_.activities;
   }
   const mem::UsageColumns& usages() const { return columns_.usages; }
-  const mem::AppNameTable& app_names() const { return columns_.app_names; }
 
   // ---- Session lookups (binary search over the sorted columns). ----
 
@@ -89,23 +87,6 @@ class TraceIndex {
     return deferrable_;
   }
 
-  // ---- Per-(day, hour) buckets (the mining substrate). ----
-
-  struct HourBucket {
-    int usage_count = 0;  ///< foreground interactions starting this hour
-    int net_count = 0;    ///< screen-off network activities
-    double net_bytes = 0.0;      ///< bytes moved by those activities
-    int distinct_net_apps = 0;   ///< apps with screen-off traffic
-  };
-
-  const HourBucket& bucket(int day, int hour) const;
-
-  /// Day `day`'s 24 hour buckets (one row of buckets()).
-  std::span<const HourBucket, kHoursPerDay> day_buckets(int day) const;
-
-  /// Every bucket, day-major: bucket (d, h) is at d * kHoursPerDay + h.
-  std::span<const HourBucket> buckets() const { return buckets_; }
-
   /// Bytes of arena memory backing this index's columns (0 once moved
   /// from).
   std::size_t arena_bytes() const {
@@ -114,27 +95,16 @@ class TraceIndex {
 
   /// Throws netmaster::Error when an internal invariant is broken
   /// (columns differing from `source`, sessions unsorted/overlapping,
-  /// classification inconsistent with the trace, bucket totals not
-  /// matching the event counts). `source` is the trace the index was
-  /// built from.
+  /// classification inconsistent with the trace). `source` is the trace
+  /// the index was built from.
   void check_invariants(const UserTrace& source) const;
 
  private:
-  /// Accumulates `trace`'s per-(day, hour) buckets into `buckets` (one
-  /// per (day, hour), day-major, zeroed by the caller). Events outside
-  /// [0, horizon) are skipped so the build stays total on any trace;
-  /// screen state is read with a monotone session cursor,
-  /// O(sessions + events) on a time-ordered trace. (mining::mine_habits
-  /// folds the same buckets from a valid trace in its validating pass.)
-  static void fold_buckets(const UserTrace& trace,
-                           std::span<HourBucket> buckets);
-
   std::unique_ptr<mem::Arena> arena_;  ///< backs every column below
   TimeMs horizon_ = 0;
   mem::TraceColumns columns_;             ///< SoA trace copy, one arena
   mem::BitSpan deferrable_flags_;         ///< per activity index
   std::span<const std::uint32_t> deferrable_;  ///< ascending indices
-  std::span<const HourBucket> buckets_;   ///< num_days * kHoursPerDay
 };
 
 }  // namespace netmaster::engine

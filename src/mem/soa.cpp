@@ -1,9 +1,5 @@
 #include "mem/soa.hpp"
 
-#include <string>
-
-#include "common/error.hpp"
-
 namespace netmaster::mem {
 
 SessionColumns SessionColumns::build(
@@ -70,32 +66,10 @@ ActivityColumns ActivityColumns::build(
   return out;
 }
 
-AppNameTable AppNameTable::build(std::span<const std::string> names,
-                                 Arena& arena) {
-  const std::size_t n = names.size();
-  std::span<std::uint32_t> offsets = arena.alloc_array<std::uint32_t>(n + 1);
-  std::size_t total = 0;
-  for (const std::string& name : names) total += name.size();
-  NM_REQUIRE(total <= UINT32_MAX, "app name table exceeds 4 GiB");
-  std::span<char> chars = arena.alloc_array<char>(total);
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    offsets[i] = static_cast<std::uint32_t>(at);
-    for (const char c : names[i]) chars[at++] = c;
-  }
-  offsets[n] = static_cast<std::uint32_t>(at);
-  AppNameTable out;
-  out.offsets_ = offsets;
-  out.chars_ = chars;
-  out.size_ = n;
-  return out;
-}
-
 TraceColumns TraceColumns::build(const UserTrace& trace, Arena& arena) {
   TraceColumns out;
   out.user = trace.user;
   out.num_days = trace.num_days;
-  out.app_names = AppNameTable::build(trace.app_names, arena);
   out.sessions = SessionColumns::build(trace.sessions, arena);
   out.usages = UsageColumns::build(trace.usages, arena);
   out.activities = ActivityColumns::build(trace.activities, arena);

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 #include "mem/arena.hpp"
 #include "trace/trace.hpp"
@@ -180,30 +179,11 @@ class ActivityColumns {
   BitSpan deferrable_;
 };
 
-/// App-id → name table as one char blob plus an offsets column.
-class AppNameTable {
- public:
-  AppNameTable() = default;
-
-  static AppNameTable build(std::span<const std::string> names,
-                            Arena& arena);
-
-  std::size_t size() const { return size_; }
-  std::string_view name(std::size_t i) const {
-    return {chars_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-  }
-
- private:
-  std::span<const std::uint32_t> offsets_;  ///< size + 1 entries
-  std::span<const char> chars_;
-  std::size_t size_ = 0;
-};
-
-/// The full columnar form of one UserTrace, built into one arena.
+/// The columnar form of one UserTrace's records, built into one arena
+/// (the app-name table stays with the AoS trace: replay never reads it).
 struct TraceColumns {
   UserId user = 0;
   int num_days = 0;
-  AppNameTable app_names;
   SessionColumns sessions;
   UsageColumns usages;
   ActivityColumns activities;

@@ -77,10 +77,9 @@ DriftDetector::DriftDetector(DriftConfig config)
              "reference_lag_days must be non-negative");
 }
 
-void DriftDetector::observe_day(int day,
-                                const engine::TraceIndex& index) {
+void DriftDetector::observe_day(int day, const HourBuckets& buckets) {
   observe_summary(day, IncrementalHabitMiner::summarize_day(
-                           day, index.day_buckets(day), index.num_apps()));
+                           day, buckets.day(day), buckets.num_apps));
 }
 
 void DriftDetector::observe_summary(int day, DayContribution today) {
@@ -183,8 +182,8 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
   metrics.score.add(score());
 }
 
-void DriftDetector::observe_index(const engine::TraceIndex& index) {
-  for (int d = 0; d < index.num_days(); ++d) observe_day(d, index);
+void DriftDetector::observe_all(const HourBuckets& buckets) {
+  for (int d = 0; d < buckets.num_days(); ++d) observe_day(d, buckets);
 }
 
 double DriftDetector::score(DayKind kind) const {
@@ -272,7 +271,7 @@ void DriftDetector::notify_adapted() {
     st.ph_cum = 0.0;
     st.ph_min = 0.0;
     st.ph = 0.0;
-    // -1 sentinel: caller day numbers may restart on the next index
+    // -1 sentinel: caller day numbers may restart on the next history
     // (seed → monitor), so the pre-adaptation day is meaningless as a
     // changepoint reference; "never dipped" maps to onset day 0.
     st.ph_min_day = -1;

@@ -33,7 +33,7 @@
 #include <deque>
 #include <utility>
 
-#include "engine/trace_index.hpp"
+#include "mining/habits.hpp"
 #include "mining/incremental.hpp"
 
 namespace netmaster::mining {
@@ -107,18 +107,19 @@ class DriftDetector {
 
   const DriftConfig& config() const { return config_; }
 
-  /// Folds day `day` of the index into both banks and updates the
+  /// Folds day `day` of the buckets into both banks and updates the
   /// day-regime's divergence and Page–Hinkley state.
-  void observe_day(int day, const engine::TraceIndex& index);
+  void observe_day(int day, const HourBuckets& buckets);
 
   /// Same, from an already-summarized day (the streaming daemon builds
   /// contributions from its 2-day reconstruction window instead of a
-  /// full-history index). `day` supplies the regime/changepoint day
+  /// whole-history fold). `day` supplies the regime/changepoint day
   /// number; `summary.kind` must match day_kind(day).
   void observe_summary(int day, DayContribution summary);
 
-  /// Seeds the detector with a whole history index (training window).
-  void observe_index(const engine::TraceIndex& index);
+  /// Folds every day of the buckets in order (seeds the detector with
+  /// the training window).
+  void observe_all(const HourBuckets& buckets);
 
   int days_observed() const { return fast_.days_observed(); }
 
@@ -179,10 +180,10 @@ class DriftDetector {
   IncrementalHabitMiner slow_;
   /// Completed days waiting out the reference lag before entering the
   /// slow bank (front = oldest), stamped with the monotone observation
-  /// tick. Stored as detached contributions so the source index need
+  /// tick. Stored as detached contributions so the source buckets need
   /// not outlive the call, and tick-stamped because caller day numbers
-  /// restart between indexes (seed with a training index, then monitor
-  /// an eval index whose days start at 0 again).
+  /// restart between histories (seed with the training buckets, then
+  /// monitor evaluation days that start at 0 again).
   std::deque<std::pair<int, DayContribution>> pending_;
   std::array<RegimeState, 2> states_{};
   int tick_ = 0;  ///< total observe_day calls, immune to day restarts

@@ -21,43 +21,26 @@ double slot_confidence(double k, double p) {
 
 namespace {
 
-/// Eqs. 2–3 over days [first_day, last_day) of day-major (day, hour)
-/// buckets: each day row goes through the one fold, a decay-0
-/// IncrementalHabitMiner.
-HabitModel mine_days(std::span<const engine::TraceIndex::HourBucket> buckets,
-                     std::size_t num_apps, int first_day, int last_day) {
-  IncrementalHabitMiner miner;
-  for (int d = first_day; d < last_day; ++d) {
-    miner.observe_summary(IncrementalHabitMiner::summarize_day(
-        d,
-        buckets.subspan(static_cast<std::size_t>(d) * kHoursPerDay)
-            .first<kHoursPerDay>(),
-        num_apps));
-  }
-  return miner.snapshot();
-}
-
-/// The direct mine of mine_habits: UserTrace::visit_valid's checks
-/// with TraceIndex::fold_buckets' bucket fold and SpecialApps::detect's
-/// evidence riding on them. Returns false at the first violation; the
-/// partial folds are then garbage. Validation demands sorted, disjoint,
-/// in-horizon, in-range records, so a forward session cursor answers
-/// every screen query, and one hour's activities arrive together, so a
-/// per-app stamp of the last bucket it was counted in replaces the
-/// per-(bucket, app) seen set.
-bool fold_valid(const UserTrace& t,
-                std::span<engine::TraceIndex::HourBucket> buckets,
-                std::vector<bool>& used, std::vector<bool>& networked) {
+/// The bucket fold riding on UserTrace::visit_valid's checks; returns
+/// the first violation (the partial fold is then garbage). `on_usage` /
+/// `on_activity` see each record the fold counts, so mine_habits'
+/// special-app evidence shares the pass. Validation demands sorted,
+/// disjoint, in-horizon, in-range records, so a forward session cursor
+/// answers every screen query, and one hour's activities arrive
+/// together, so a per-app stamp of the last bucket it was counted in
+/// replaces a per-(bucket, app) seen set.
+template <typename OnUsage, typename OnActivity>
+const char* fold_valid(const UserTrace& t, std::span<HourBucket> buckets,
+                       OnUsage&& on_usage, OnActivity&& on_activity) {
   constexpr std::size_t kNoBucket = static_cast<std::size_t>(-1);
   std::vector<std::size_t> counted_in(t.app_names.size(), kNoBucket);
   std::size_t next_session = 0;  // first session ending after the last start
   const auto fold_usage = [&](const AppUsage& u) {
     ++buckets[static_cast<std::size_t>(u.time / kMsPerHour)].usage_count;
-    used[static_cast<std::size_t>(u.app)] = true;
+    on_usage(u);
   };
   const auto fold_activity = [&](const NetworkActivity& n) {
-    const auto app = static_cast<std::size_t>(n.app);
-    networked[app] = true;
+    on_activity(n);
     while (next_session < t.sessions.size() &&
            t.sessions[next_session].end <= n.start) {
       ++next_session;
@@ -67,38 +50,71 @@ bool fold_valid(const UserTrace& t,
       return;  // screen-on: not part of Eq. 3
     }
     const auto b = static_cast<std::size_t>(n.start / kMsPerHour);
-    engine::TraceIndex::HourBucket& bucket = buckets[b];
+    HourBucket& bucket = buckets[b];
     ++bucket.net_count;
     bucket.net_bytes += static_cast<double>(n.total_bytes());
+    const auto app = static_cast<std::size_t>(n.app);
     if (counted_in[app] != b) {
       counted_in[app] = b;
       ++bucket.distinct_net_apps;
     }
   };
-  return t.visit_valid(fold_usage, fold_activity) == nullptr;
+  return t.visit_valid(fold_usage, fold_activity);
+}
+
+/// Zeroed buckets for `t`, or none when its day count is out of range
+/// (visit_valid rejects it; checking first bounds the allocation).
+HourBuckets sized_buckets(const UserTrace& t) {
+  HourBuckets out;
+  out.num_apps = t.app_names.size();
+  if (t.num_days > 0 && t.num_days <= kMaxTraceDays) {
+    out.cells.resize(static_cast<std::size_t>(t.num_days) * kHoursPerDay);
+  }
+  return out;
 }
 
 }  // namespace
 
+std::span<const HourBucket, kHoursPerDay> HourBuckets::day(int day) const {
+  NM_REQUIRE(day >= 0 && day < num_days(), "bucket day out of range");
+  return std::span<const HourBucket>(cells)
+      .subspan(static_cast<std::size_t>(day) * kHoursPerDay)
+      .first<kHoursPerDay>();
+}
+
+HourBuckets fold_buckets(const UserTrace& trace) {
+  HourBuckets out = sized_buckets(trace);
+  const auto ignore = [](const auto&) {};
+  if (out.cells.empty() ||
+      fold_valid(trace, out.cells, ignore, ignore) != nullptr) {
+    trace.validate();  // throws naming the violation
+  }
+  return out;
+}
+
 MinedHabits mine_habits(const UserTrace& history) {
-  // visit_valid rejects the same day counts; checking them first keeps
-  // the bucket allocation bounded.
-  if (history.num_days > 0 && history.num_days <= kMaxTraceDays) {
-    const std::size_t num_apps = history.app_names.size();
-    std::vector<engine::TraceIndex::HourBucket> buckets(
-        static_cast<std::size_t>(history.num_days) * kHoursPerDay);
-    std::vector<bool> used(num_apps, false);
-    std::vector<bool> networked(num_apps, false);
-    if (fold_valid(history, buckets, used, networked)) {
+  HourBuckets buckets = sized_buckets(history);
+  if (!buckets.cells.empty()) {
+    std::vector<bool> used(buckets.num_apps, false);
+    std::vector<bool> networked(buckets.num_apps, false);
+    if (fold_valid(
+            history, buckets.cells,
+            [&](const AppUsage& u) {
+              used[static_cast<std::size_t>(u.app)] = true;
+            },
+            [&](const NetworkActivity& n) {
+              networked[static_cast<std::size_t>(n.app)] = true;
+            }) == nullptr) {
       static obs::Counter& direct =
           obs::Registry::global().counter("mining.mine.direct");
       direct.add(1);
-      return {mine_days(buckets, num_apps, 0, history.num_days),
+      return {HabitModel::mine(buckets, 0, history.num_days),
               SpecialApps::from_evidence(used, networked)};
     }
   }
   const fault::SanitizeResult repaired = fault::sanitize_trace(history);
-  HabitModel model = HabitModel::mine(engine::TraceIndex(repaired.trace));
+  HabitModel model = HabitModel::mine(fold_buckets(repaired.trace), 0,
+                                      repaired.trace.num_days);
   model.scale_confidence(repaired.report.quality());
   return {std::move(model), SpecialApps::detect(history)};
 }
@@ -107,17 +123,14 @@ HabitModel HabitModel::mine(const UserTrace& history) {
   return mine_habits(history).model;
 }
 
-HabitModel HabitModel::mine(const engine::TraceIndex& history) {
-  return mine(history, 0, history.num_days());
-}
-
-HabitModel HabitModel::mine(const engine::TraceIndex& history,
-                            int first_day, int last_day) {
+HabitModel HabitModel::mine(const HourBuckets& history, int first_day,
+                            int last_day) {
   NM_REQUIRE(first_day >= 0 && first_day <= last_day &&
                  last_day <= history.num_days(),
              "mining window out of range");
-  return mine_days(history.buckets(), history.num_apps(), first_day,
-                   last_day);
+  IncrementalHabitMiner miner;
+  for (int d = first_day; d < last_day; ++d) miner.observe_day(d, history);
+  return miner.snapshot();
 }
 
 void HabitModel::scale_confidence(double factor) {

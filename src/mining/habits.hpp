@@ -15,12 +15,13 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/interval.hpp"
 #include "common/time.hpp"
-#include "engine/trace_index.hpp"
 #include "mining/special_apps.hpp"
 #include "trace/trace.hpp"
 
@@ -51,6 +52,36 @@ inline constexpr double kSingleDayRegimePenalty = 0.4;
 /// decay = 0 reproduces batch confidences bit for bit.
 double slot_confidence(double k, double p);
 
+/// One (day, hour) cell of the statistic Eqs. 2–3 mine.
+struct HourBucket {
+  int usage_count = 0;  ///< foreground interactions starting this hour
+  int net_count = 0;    ///< screen-off network activities
+  double net_bytes = 0.0;      ///< bytes moved by those activities
+  int distinct_net_apps = 0;   ///< apps with screen-off traffic
+};
+
+/// A trace's per-(day, hour) buckets and the app-table size Eq. 3
+/// divides by.
+struct HourBuckets {
+  std::vector<HourBucket> cells;  ///< (d, h) at d * kHoursPerDay + h
+  std::size_t num_apps = 0;
+
+  int num_days() const {
+    return static_cast<int>(cells.size() / kHoursPerDay);
+  }
+
+  /// Day `day`'s 24 buckets; throws netmaster::Error out of range.
+  std::span<const HourBucket, kHoursPerDay> day(int day) const;
+};
+
+/// The bucket fold: one pass over a valid trace (UserTrace::validate()
+/// holds — sanitize_trace guarantees it) counting each usage in the
+/// hour it starts and each screen-off activity, its bytes and its app
+/// in the hour it starts. Throws netmaster::Error naming the first
+/// violation of an invalid trace; callers holding input that may be
+/// invalid sanitize it first.
+HourBuckets fold_buckets(const UserTrace& trace);
+
 /// Per-hour habit statistics for one day regime.
 struct HourStats {
   std::array<double, kHoursPerDay> pr_active{};   ///< Eq. 2 numerator/k
@@ -66,28 +97,22 @@ struct HourStats {
   int days_observed = 0;
 };
 
-/// Mined habit model of one user. Every mine overload feeds its day
-/// rows of (day, hour) buckets to a decay-0 IncrementalHabitMiner and
-/// returns its snapshot — the one Eqs. 2–3 fold (incremental.hpp).
+/// Mined habit model of one user. Both mine overloads feed day rows of
+/// (day, hour) buckets to a decay-0 IncrementalHabitMiner and return
+/// its snapshot — the one Eqs. 2–3 fold (incremental.hpp).
 class HabitModel {
  public:
   /// Mines a training trace (all its days): mine_habits(history).model,
   /// so the same one-pass fold and the same repair path.
   static HabitModel mine(const UserTrace& history);
 
-  /// Mines from a prebuilt index (the per-hour buckets are exactly the
-  /// statistics Eqs. 2–3 consume); shares the index across consumers
-  /// instead of rescanning the trace. The caller vouches for the
-  /// indexed trace (fleet paths validate before indexing).
-  static HabitModel mine(const engine::TraceIndex& history);
-
-  /// Windowed mine: folds only the days in [first_day, last_day) of the
-  /// index, keeping their absolute day kinds (weekday/weekend phase is
-  /// preserved, days outside the window contribute nothing — not even
-  /// as empty observations). This is the drift-adaptation refresh path:
-  /// re-mine from the post-changepoint window of the monitored history.
-  /// mine(index) == mine(index, 0, index.num_days()) bit for bit.
-  static HabitModel mine(const engine::TraceIndex& history, int first_day,
+  /// Mines days [first_day, last_day) of folded buckets, keeping their
+  /// absolute day kinds (weekday/weekend phase is preserved, days
+  /// outside the window contribute nothing — not even as empty
+  /// observations). With the whole range it is the batch mine; a
+  /// sub-window is the drift-adaptation refresh: re-mine from the
+  /// post-changepoint window of the monitored history.
+  static HabitModel mine(const HourBuckets& history, int first_day,
                          int last_day);
 
   /// Scales the model's data-quality factor by `factor` in [0, 1] —
@@ -142,15 +167,15 @@ struct MinedHabits {
 
 /// Mines a training trace into its habit model and special apps. A
 /// valid trace (UserTrace::first_violation() == nullptr) takes one
-/// pass: UserTrace::visit_valid checks every invariant while its
-/// visitors fold the hour buckets and the used / networked app flags
-/// — no sanitized copy, no index, no second scan — and the mine counts
-/// in `mining.mine.direct`. At the first violation the partial folds
-/// are dropped and the trace takes the repair path: sanitize, index,
-/// mine, with the repair ledger's quality score scaling the model's
-/// confidence, and SpecialApps::detect on the raw trace. Either way the
-/// result is bit-identical to {mine(TraceIndex(sanitize_trace(history)
-/// .trace)) at that quality, SpecialApps::detect(history)}.
+/// pass: fold_buckets' validating fold with the used / networked app
+/// flags riding on it — no sanitized copy, no second scan — and the
+/// mine counts in `mining.mine.direct`. At the first violation the
+/// partial folds are dropped and the trace takes the repair path:
+/// sanitize, fold, mine, with the repair ledger's quality score scaling
+/// the model's confidence, and SpecialApps::detect on the raw trace.
+/// Either way the result is bit-identical to {mine(fold_buckets(
+/// sanitize_trace(history).trace), 0, days) at that quality,
+/// SpecialApps::detect(history)}.
 MinedHabits mine_habits(const UserTrace& history);
 
 /// Configuration of the slot predictor.

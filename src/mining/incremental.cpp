@@ -14,13 +14,12 @@ IncrementalHabitMiner::IncrementalHabitMiner(IncrementalConfig config)
 }
 
 DayContribution IncrementalHabitMiner::summarize_day(
-    int day,
-    std::span<const engine::TraceIndex::HourBucket, kHoursPerDay> row,
+    int day, std::span<const HourBucket, kHoursPerDay> row,
     std::size_t num_apps) {
   DayContribution c;
   c.kind = day_kind(day);
   for (int h = 0; h < kHoursPerDay; ++h) {
-    const engine::TraceIndex::HourBucket& bucket = row[h];
+    const HourBucket& bucket = row[h];
     if (bucket.usage_count > 0) c.active[h] = 1.0;
     c.intensity[h] = bucket.usage_count;
     c.net_count[h] = bucket.net_count;
@@ -63,14 +62,8 @@ void IncrementalHabitMiner::observe_summary(const DayContribution& day) {
 }
 
 void IncrementalHabitMiner::observe_day(int day,
-                                        const engine::TraceIndex& index) {
-  observe_summary(
-      summarize_day(day, index.day_buckets(day), index.num_apps()));
-}
-
-void IncrementalHabitMiner::observe_index(
-    const engine::TraceIndex& index) {
-  for (int d = 0; d < index.num_days(); ++d) observe_day(d, index);
+                                        const HourBuckets& buckets) {
+  observe_summary(summarize_day(day, buckets.day(day), buckets.num_apps));
 }
 
 void IncrementalHabitMiner::rescale_weights(double target_days) {

@@ -12,10 +12,10 @@
 // applied per regime when a day of that regime arrives. Estimates are
 // sums / weight, so decay = 0 degenerates to the plain per-day sums: it
 // is the one Eqs. 2–3 fold, and every HabitModel::mine overload is a
-// decay-0 miner fed its day rows (mining_test's hand-computed cases are
-// the independent oracle). The decayed `weight` is the effective day
-// count feeding the shared confidence formula: a heavily-decayed
-// history is worth fewer days of evidence.
+// decay-0 miner fed the day rows of mining::fold_buckets (mining_test's
+// hand-computed cases are the independent oracle). The decayed `weight`
+// is the effective day count feeding the shared confidence formula: a
+// heavily-decayed history is worth fewer days of evidence.
 //
 // The drift detector runs two banks of these counters at different
 // decays (drift.hpp).
@@ -27,7 +27,6 @@
 #include <span>
 
 #include "common/time.hpp"
-#include "engine/trace_index.hpp"
 #include "mining/habits.hpp"
 
 namespace netmaster::mining {
@@ -41,9 +40,9 @@ struct IncrementalConfig {
 };
 
 /// One day's additive contribution to the per-slot counters, detached
-/// from the TraceIndex it came from. Lets a caller buffer days and
-/// fold them later (the drift detector feeds its reference bank with a
-/// lag, long after the source index may be gone).
+/// from the buckets it came from. Lets a caller buffer days and fold
+/// them later (the drift detector feeds its reference bank with a lag,
+/// long after the source buckets may be gone).
 struct DayContribution {
   DayKind kind = DayKind::kWeekday;
   std::array<double, kHoursPerDay> active{};
@@ -61,26 +60,22 @@ class IncrementalHabitMiner {
   const IncrementalConfig& config() const { return config_; }
 
   /// The one bucket-row → contribution transform: summarizes a day's
-  /// 24 hour buckets (a row of TraceIndex::buckets(), or of a bucket
-  /// fold with no index) without folding it anywhere. `day` is the
-  /// absolute day the row belongs to (it picks the regime); `num_apps`
-  /// is the app-table size Eq. 3's denominator uses.
+  /// 24 hour buckets (a row of HourBuckets) without folding it
+  /// anywhere. `day` is the absolute day the row belongs to (it picks
+  /// the regime); `num_apps` is the app-table size Eq. 3's denominator
+  /// uses.
   static DayContribution summarize_day(
-      int day,
-      std::span<const engine::TraceIndex::HourBucket, kHoursPerDay> row,
+      int day, std::span<const HourBucket, kHoursPerDay> row,
       std::size_t num_apps);
 
   /// Folds one extracted day into its regime (decay, then add).
   void observe_summary(const DayContribution& day);
 
-  /// Folds day `day` of the index into the day's regime. Days must be
+  /// Folds day `day` of the buckets into the day's regime. Days must be
   /// fed in increasing order for the decay semantics to mean "recent
   /// days weigh more" (not enforced — the counters themselves are
   /// order-agnostic in the decay=0 case).
-  void observe_day(int day, const engine::TraceIndex& index);
-
-  /// Folds every day of the index in order (seed from batch history).
-  void observe_index(const engine::TraceIndex& index);
+  void observe_day(int day, const HourBuckets& buckets);
 
   /// Replaces this miner's accumulated counters with `other`'s while
   /// keeping its own decay config. The drift detector uses this to

@@ -41,7 +41,6 @@ void RadioPowerParams::validate() const {
 }
 
 RadioModel::RadioModel(const RadioPowerParams& params) {
-  kind = RadioKind::kWcdma;
   idle_mw = params.idle_mw;
   active_mw = params.dch_mw;
   promo_mw = params.promo_mw;
@@ -59,9 +58,7 @@ RadioModel::RadioModel(const RadioPowerParams& params) {
 RadioModel RadioModel::wcdma() { return RadioModel(RadioPowerParams::wcdma()); }
 
 RadioModel RadioModel::lte_cdrx() {
-  RadioModel m(RadioPowerParams::lte());
-  m.kind = RadioKind::kLteCdrx;
-  return m;
+  return RadioModel(RadioPowerParams::lte());
 }
 
 RadioModel RadioModel::nr_cdrx() {
@@ -69,7 +66,6 @@ RadioModel RadioModel::nr_cdrx() {
   // connected state, then inactivity -> short DRX -> long DRX before
   // RRC_IDLE, each tier cheaper and slower to wake from than the last.
   RadioModel m;
-  m.kind = RadioKind::kNrCdrx;
   m.idle_mw = 15.0;
   m.active_mw = 1650.0;
   m.promo_mw = 1650.0;
@@ -89,7 +85,6 @@ RadioModel RadioModel::wifi() {
   // cellular, the tail is a short PSM-exit linger, but a cold attach
   // pays a scan + associate burst before any data moves.
   RadioModel m;
-  m.kind = RadioKind::kWifi;
   m.idle_mw = 10.0;
   m.active_mw = 350.0;
   m.promo_mw = 300.0;

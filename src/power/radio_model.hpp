@@ -40,10 +40,6 @@ namespace netmaster {
 /// its time; accounting keeps an independent state machine per radio.
 enum class RadioId : std::uint8_t { kCellular = 0, kWifi = 1 };
 
-/// Technology family of a RadioModel — descriptive only; the accounting
-/// never branches on it.
-enum class RadioKind : std::uint8_t { kWcdma, kLteCdrx, kNrCdrx, kWifi };
-
 /// Maximum inactivity-tail tiers a RadioModel may chain. Four covers
 /// every profile in the literature (NR CDRX: inactivity + short DRX +
 /// long DRX + release tail) and keeps RadioAccounting a flat struct.
@@ -90,9 +86,9 @@ struct RadioPowerParams {
 /// Descriptive N-tier radio power model: connected/active power, a cold
 /// IDLE promotion, an ordered inactivity-tail chain, and an optional
 /// association cost paid on every cold attach (Wi-Fi scan + associate;
-/// zero for cellular). Default-constructed it is the WCDMA profile.
+/// zero for cellular). Default-constructed it is the WCDMA profile; the
+/// factories below name the others.
 struct RadioModel {
-  RadioKind kind = RadioKind::kWcdma;
   double idle_mw = 0.0;     ///< radio share while fully idle
   double active_mw = 800.0; ///< connected power while moving data
   double promo_mw = 550.0;  ///< power during promotions and association

@@ -22,8 +22,9 @@ ModelLifecycle::ModelLifecycle(const AdaptationConfig& adapt,
              "confidence_ramp_days must be positive");
 }
 
-void ModelLifecycle::anchor(const engine::TraceIndex& training) {
-  detector_.observe_index(training);
+void ModelLifecycle::anchor(const UserTrace& training) {
+  detector_.observe_all(
+      mining::fold_buckets(fault::sanitize_trace(training).trace));
   detector_.notify_adapted();
 }
 
@@ -49,7 +50,7 @@ std::optional<mining::HabitModel> ModelLifecycle::refresh(
       std::clamp(detector_.changepoint_day(), 0, day - 1);
   const int start = std::max(changepoint, day - adapt_.window_days);
   mining::HabitModel fresh =
-      mining::HabitModel::mine(engine::TraceIndex(seen.trace), start, day);
+      mining::HabitModel::mine(mining::fold_buckets(seen.trace), start, day);
   fresh.scale_confidence(seen.report.quality());
   fresh.scale_confidence(
       std::min(1.0, static_cast<double>(day - start) /

@@ -13,12 +13,13 @@
 // Both online drivers run this one loop — service::run_online at its
 // midnight tick, daemon::UserSession at each evaluation-day fold — and
 // enter it the same way, with a day summary
-// (IncrementalHabitMiner::summarize_day). They differ only in where
-// the summarized bucket row comes from:
+// (IncrementalHabitMiner::summarize_day) of a mining::fold_buckets
+// row. They differ only in which trace the row is folded from:
 //
-//   * run_online summarizes the day's row of the full evaluation index;
-//     the daemon summarizes it from its 2-day reconstruction window.
-//     The two agree on clean streams (drift_test's cross-driver grid).
+//   * run_online summarizes the day's row of the whole evaluation
+//     trace's fold; the daemon summarizes it from the fold of its 2-day
+//     reconstruction window, sanitized first. The two agree on clean
+//     streams (drift_test's cross-driver grid).
 //   * a refresh re-mines the tolerant reconstruction of the records of
 //     days [0, day). A screen session straddling that horizon reaches
 //     run_online's reconstruction with both edges, so the sanitizer
@@ -31,7 +32,6 @@
 #include <cstddef>
 #include <optional>
 
-#include "engine/trace_index.hpp"
 #include "fault/sanitize.hpp"
 #include "mining/drift.hpp"
 #include "mining/habits.hpp"
@@ -75,10 +75,10 @@ class ModelLifecycle {
   bool enabled() const { return adapt_.enable; }
 
   /// Seeds the detector with the training history the deployed model
-  /// was mined from, then re-anchors it: drift is measured relative to
-  /// those habits, and every later changepoint estimate lands in
-  /// evaluation-day space.
-  void anchor(const engine::TraceIndex& training);
+  /// was mined from — sanitized, as the miner saw it — then re-anchors
+  /// it: drift is measured relative to those habits, and every later
+  /// changepoint estimate lands in evaluation-day space.
+  void anchor(const UserTrace& training);
 
   /// The midnight step after evaluation day `day` completed: folds the
   /// day's summary, counts a newly raised alarm, and returns true when

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "duty/duty_cycle.hpp"
-#include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/incremental.hpp"
 #include "mining/special_apps.hpp"
@@ -103,19 +102,21 @@ OnlineSimResult run_online(const UserTrace& training,
   std::vector<PendingTransfer> pending;
 
   // ---- Drift adaptation (the continued §V mining loop). ----
-  // Each completed day feeds the lifecycle at its closing midnight; a
-  // due refresh re-mines from the monitoring records of the days seen
-  // so far, derived from the evaluation trace on demand.
+  // Each completed day feeds the lifecycle at its closing midnight with
+  // its row of the evaluation trace's bucket fold (eval.validate() above
+  // makes `eval` a trace the fold takes); a due refresh re-mines from
+  // the monitoring records of the days seen so far, derived from the
+  // evaluation trace on demand.
+  mining::HourBuckets eval_buckets;
   if (lifecycle.enabled()) {
-    // Drift is measured against the training history as the miner saw
-    // it (sanitized).
-    lifecycle.anchor(
-        engine::TraceIndex(fault::sanitize_trace(training).trace));
+    lifecycle.anchor(training);
+    eval_buckets = mining::fold_buckets(eval);
   }
   auto close_day = [&](int day) {
-    if (!lifecycle.observe_summary(
+    if (!lifecycle.enabled() ||
+        !lifecycle.observe_summary(
             day, mining::IncrementalHabitMiner::summarize_day(
-                     day, index.day_buckets(day), index.num_apps()))) {
+                     day, eval_buckets.day(day), eval_buckets.num_apps))) {
       return;
     }
     RecordStore store;

@@ -15,9 +15,10 @@
 //
 // With adaptation enabled, the loop also drives the model's drift
 // lifecycle (service/model_lifecycle.hpp): each completed day is closed
-// at its midnight tick — the last day right after the loop — and an
-// adopted refresh hot-swaps the predictor. daemon::UserSession runs the
-// same lifecycle over a streamed record feed.
+// at its midnight tick — the last day right after the loop — with its
+// row of the evaluation trace's bucket fold (mining::fold_buckets), and
+// an adopted refresh hot-swaps the predictor. daemon::UserSession runs
+// the same lifecycle over a streamed record feed.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +54,8 @@ OnlineSimResult run_online(const UserTrace& training,
 /// `adapt` (enable == false) no detector or store runs; otherwise the
 /// loop drives the drift lifecycle of ModelLifecycle, and `eval` must
 /// share the training trace's weekday phase (slice at multiples of 7
-/// days), as for NetMasterPolicy.
+/// days), as for NetMasterPolicy; the loop then folds `eval`'s buckets
+/// once for its midnight summaries.
 OnlineSimResult run_online(const UserTrace& training,
                            const UserTrace& eval,
                            const engine::TraceIndex& index,

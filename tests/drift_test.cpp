@@ -35,6 +35,12 @@ constexpr synth::Archetype kAllArchetypes[] = {
 };
 constexpr std::uint64_t kSeeds[] = {1, 7, 31};
 
+/// Folds every day of `buckets` into `miner`, in order.
+void observe_all(mining::IncrementalHabitMiner& miner,
+                 const mining::HourBuckets& buckets) {
+  for (int d = 0; d < buckets.num_days(); ++d) miner.observe_day(d, buckets);
+}
+
 // ---- Incremental miner: batch equivalence. ---------------------------
 
 TEST(IncrementalMiner, DecayZeroReproducesBatchBitForBit) {
@@ -42,11 +48,11 @@ TEST(IncrementalMiner, DecayZeroReproducesBatchBitForBit) {
     for (const std::uint64_t seed : kSeeds) {
       const synth::UserProfile profile = synth::make_user(arch, 1);
       const UserTrace trace = synth::generate_trace(profile, 14, seed);
-      const engine::TraceIndex index(trace);
+      const mining::HourBuckets buckets = mining::fold_buckets(trace);
 
-      const mining::HabitModel batch = mining::HabitModel::mine(index);
+      const mining::HabitModel batch = mining::HabitModel::mine(trace);
       mining::IncrementalHabitMiner miner;  // decay = 0
-      miner.observe_index(index);
+      observe_all(miner, buckets);
       expect_models_bitwise_equal(
           batch, miner.snapshot(),
           "archetype " + profile.name + " seed " + std::to_string(seed));
@@ -57,15 +63,15 @@ TEST(IncrementalMiner, DecayZeroReproducesBatchBitForBit) {
 TEST(IncrementalMiner, WindowedBatchMineMatchesFullMine) {
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kStudent, 2), 21, 9);
-  const engine::TraceIndex index(trace);
-  expect_models_bitwise_equal(mining::HabitModel::mine(index),
-                              mining::HabitModel::mine(index, 0, 21),
+  const mining::HourBuckets buckets = mining::fold_buckets(trace);
+  expect_models_bitwise_equal(mining::HabitModel::mine(trace),
+                              mining::HabitModel::mine(buckets, 0, 21),
                               "full window");
 
   // A strict sub-window equals incremental observation of those days.
   mining::IncrementalHabitMiner miner;
-  for (int d = 7; d < 18; ++d) miner.observe_day(d, index);
-  expect_models_bitwise_equal(mining::HabitModel::mine(index, 7, 18),
+  for (int d = 7; d < 18; ++d) miner.observe_day(d, buckets);
+  expect_models_bitwise_equal(mining::HabitModel::mine(buckets, 7, 18),
                               miner.snapshot(), "days [7, 18)");
 }
 
@@ -78,14 +84,12 @@ TEST(IncrementalMiner, DecayShiftsEstimatesTowardRecentDays) {
   const UserTrace early = synth::generate_trace(office, 14, 3);
   const UserTrace late = synth::generate_trace(
       synth::make_user(synth::Archetype::kNightOwl, 1), 14, 4);
-  const engine::TraceIndex early_idx(early);
-  const engine::TraceIndex late_idx(late);
-
   mining::IncrementalHabitMiner plain;
   mining::IncrementalHabitMiner decayed({0.3});
-  for (const auto* idx : {&early_idx, &late_idx}) {
-    plain.observe_index(*idx);
-    decayed.observe_index(*idx);
+  for (const UserTrace* t : {&early, &late}) {
+    const mining::HourBuckets buckets = mining::fold_buckets(*t);
+    observe_all(plain, buckets);
+    observe_all(decayed, buckets);
   }
   ASSERT_EQ(plain.days_observed(), 28);
   EXPECT_LT(decayed.effective_days(mining::DayKind::kWeekday),
@@ -104,9 +108,9 @@ TEST(IncrementalMiner, DuplicateDayFoldsLeaveDecayZeroEstimatesExact) {
   // because sums and weight scale by exactly the same power of two.
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kCommuter, 3), 7, 5);
-  const engine::TraceIndex index(trace);
+  const mining::HourBuckets buckets = mining::fold_buckets(trace);
   const auto day = mining::IncrementalHabitMiner::summarize_day(
-      1, index.day_buckets(1), index.num_apps());
+      1, buckets.day(1), buckets.num_apps);
 
   mining::IncrementalHabitMiner once;
   once.observe_summary(day);
@@ -133,13 +137,13 @@ TEST(IncrementalMiner, OutOfOrderFoldsAgreeAtDecayZero) {
   // tight relative tolerance.
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kStudent, 4), 7, 11);
-  const engine::TraceIndex index(trace);
+  const mining::HourBuckets buckets = mining::fold_buckets(trace);
 
   mining::IncrementalHabitMiner forward;
-  for (int d = 0; d < 7; ++d) forward.observe_day(d, index);
+  for (int d = 0; d < 7; ++d) forward.observe_day(d, buckets);
   mining::IncrementalHabitMiner shuffled;
   for (const int d : {4, 0, 6, 2, 5, 1, 3}) {
-    shuffled.observe_day(d, index);
+    shuffled.observe_day(d, buckets);
   }
 
   EXPECT_EQ(shuffled.days_observed(), forward.days_observed());
@@ -160,12 +164,12 @@ TEST(IncrementalMiner, OutOfOrderFoldsAgreeAtDecayZero) {
 TEST(IncrementalMiner, AdoptCountersCopiesStateAcrossDecayConfigs) {
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kHeavyMessenger, 5), 14, 13);
-  const engine::TraceIndex index(trace);
+  const mining::HourBuckets buckets = mining::fold_buckets(trace);
 
   mining::IncrementalHabitMiner source({0.2});
-  source.observe_index(index);
+  observe_all(source, buckets);
   mining::IncrementalHabitMiner sink({0.05});
-  sink.observe_day(0, index);  // pre-existing state must be replaced
+  sink.observe_day(0, buckets);  // pre-existing state must be replaced
 
   sink.adopt_counters(source);
   // The adopted counters are a verbatim copy; only the decay config
@@ -187,10 +191,8 @@ TEST(IncrementalMiner, AdoptCountersCopiesStateAcrossDecayConfigs) {
 TEST(IncrementalMiner, RescaleWeightsMovesInertiaNotEstimates) {
   const UserTrace trace = synth::generate_trace(
       synth::make_user(synth::Archetype::kRetiree, 6), 14, 17);
-  const engine::TraceIndex index(trace);
-
   mining::IncrementalHabitMiner miner;
-  miner.observe_index(index);
+  observe_all(miner, mining::fold_buckets(trace));
   std::array<double, kHoursPerDay> before{};
   for (int h = 0; h < kHoursPerDay; ++h) {
     before[h] = miner.pr_active(mining::DayKind::kWeekday, h);
@@ -329,9 +331,9 @@ TEST(SynthDrift, SpecValidationRejectsBadKnobs) {
 
 // ---- Drift detector: true positives. ---------------------------------
 
-mining::DriftDetector seeded_detector(const engine::TraceIndex& train) {
+mining::DriftDetector seeded_detector(const UserTrace& train) {
   mining::DriftDetector detector;
-  detector.observe_index(train);
+  detector.observe_all(mining::fold_buckets(train));
   detector.notify_adapted();
   return detector;
 }
@@ -352,11 +354,11 @@ TEST(DriftDetector, AlarmsWithinDaysOfAnAbruptChange) {
         synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg, spec);
 
     mining::DriftDetector detector =
-        seeded_detector(engine::TraceIndex(traces.training));
-    const engine::TraceIndex eval_idx(traces.eval);
+        seeded_detector(traces.training);
+    const mining::HourBuckets eval_buckets = mining::fold_buckets(traces.eval);
     int alarm_after = -1;
     for (int d = 0; d < cfg.eval_days; ++d) {
-      detector.observe_day(d, eval_idx);
+      detector.observe_day(d, eval_buckets);
       if (detector.alarmed()) {
         alarm_after = d;
         break;
@@ -383,8 +385,8 @@ TEST(DriftDetector, AlarmsOnAGradualShift) {
       synth::make_user(synth::Archetype::kCommuter, 1), cfg, spec);
 
   mining::DriftDetector detector =
-      seeded_detector(engine::TraceIndex(traces.training));
-  detector.observe_index(engine::TraceIndex(traces.eval));
+      seeded_detector(traces.training);
+  detector.observe_all(mining::fold_buckets(traces.eval));
   EXPECT_TRUE(detector.alarmed());
 }
 
@@ -401,8 +403,8 @@ TEST(DriftDetector, StaysQuietOnEveryStationaryArchetype) {
       const eval::VolunteerTraces traces = eval::make_traces(
           synth::make_user(arch, 1), cfg);
       mining::DriftDetector detector =
-          seeded_detector(engine::TraceIndex(traces.training));
-      detector.observe_index(engine::TraceIndex(traces.eval));
+          seeded_detector(traces.training);
+      detector.observe_all(mining::fold_buckets(traces.eval));
       const std::string context = "archetype " +
                                   std::to_string(static_cast<int>(arch)) +
                                   " seed " + std::to_string(seed);
@@ -426,9 +428,9 @@ TEST(DriftDetector, NotifyAdaptedClearsTheAlarm) {
       synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg, spec);
 
   mining::DriftDetector detector =
-      seeded_detector(engine::TraceIndex(traces.training));
-  const engine::TraceIndex eval_idx(traces.eval);
-  detector.observe_index(eval_idx);
+      seeded_detector(traces.training);
+  const mining::HourBuckets eval_buckets = mining::fold_buckets(traces.eval);
+  detector.observe_all(eval_buckets);
   ASSERT_TRUE(detector.alarmed());
   detector.notify_adapted();
   EXPECT_FALSE(detector.alarmed());
@@ -703,13 +705,14 @@ TEST(DriftCalibration, PrintSignalLevels) {
 
     for (const auto* traces : {&still, &drifted}) {
       mining::DriftDetector detector =
-          seeded_detector(engine::TraceIndex(traces->training));
-      const engine::TraceIndex eval_idx(traces->eval);
+          seeded_detector(traces->training);
+      const mining::HourBuckets eval_buckets =
+          mining::fold_buckets(traces->eval);
       std::printf("%s seed %llu:\n",
                   traces == &still ? "stationary" : "abrupt",
                   static_cast<unsigned long long>(seed));
       for (int d = 0; d < cfg.eval_days; ++d) {
-        detector.observe_day(d, eval_idx);
+        detector.observe_day(d, eval_buckets);
         const mining::DayKind kind = mining::day_kind(d);
         std::printf(
             "  day %2d kind %d div %.4f mean %.4f ph %.4f score %.3f "

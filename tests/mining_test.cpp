@@ -10,13 +10,13 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "engine/trace_index.hpp"
 #include "testkit/injector.hpp"
 #include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
 #include "model_equality.hpp"
 #include "obs/metrics.hpp"
+#include "oracles/hour_buckets.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"
 
@@ -303,13 +303,180 @@ INSTANTIATE_TEST_SUITE_P(DeltaGrid, DeltaMonotonicity,
                          ::testing::Values(0.0, 0.1, 0.2, 0.3, 0.4, 0.5,
                                            0.6, 0.7));
 
-// ---- mine(UserTrace): direct fold vs the sanitize -> index path. -----
+// ---- fold_buckets: the one bucket fold vs the total reference. ------
 
-/// The repair path spelled out: sanitize, index, mine, scale by the
-/// ledger's quality (1.0 * q == q exactly).
+/// One day, two sessions, activities on both sides of every boundary.
+UserTrace one_day_fixture() {
+  UserTrace t;
+  t.user = 7;
+  t.num_days = 1;
+  t.app_names = {"a", "b"};
+  t.sessions = {{seconds(100), seconds(160)}, {seconds(300), seconds(400)}};
+  t.usages = {{0, seconds(110), seconds(5)},
+              {1, seconds(310), seconds(5)}};
+  auto act = [](int app, TimeMs start, bool deferrable) {
+    NetworkActivity n;
+    n.app = static_cast<AppId>(app);
+    n.start = start;
+    n.duration = seconds(4);
+    n.bytes_down = 1000;
+    n.deferrable = deferrable;
+    n.user_initiated = !deferrable;
+    return n;
+  };
+  t.activities = {act(0, seconds(10), true),    // screen off
+                  act(0, seconds(100), true),   // session edge: screen on
+                  act(1, seconds(120), false),  // foreground
+                  act(0, seconds(160), true),   // end edge: screen off
+                  act(1, seconds(350), true),   // inside 2nd session
+                  act(0, seconds(500), true)};  // tail, screen off
+  return t;
+}
+
+void expect_buckets_equal(const HourBuckets& a, const HourBuckets& b,
+                          const std::string& context) {
+  ASSERT_EQ(a.num_apps, b.num_apps) << context;
+  ASSERT_EQ(a.cells.size(), b.cells.size()) << context;
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    EXPECT_EQ(a.cells[i].usage_count, b.cells[i].usage_count)
+        << context << " bucket " << i;
+    EXPECT_EQ(a.cells[i].net_count, b.cells[i].net_count)
+        << context << " bucket " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cells[i].net_bytes),
+              std::bit_cast<std::uint64_t>(b.cells[i].net_bytes))
+        << context << " bucket " << i;
+    EXPECT_EQ(a.cells[i].distinct_net_apps, b.cells[i].distinct_net_apps)
+        << context << " bucket " << i;
+  }
+}
+
+/// The fold against the reference, plus its totals: every usage and
+/// screen-off activity of the valid trace is counted exactly once, and
+/// no bucket counts more apps than activities.
+void expect_fold_matches_reference(const UserTrace& t,
+                                   const std::string& context) {
+  const HourBuckets folded = fold_buckets(t);
+  expect_buckets_equal(folded, oracles::fold_buckets_total(t), context);
+  EXPECT_EQ(folded.num_days(), t.num_days) << context;
+  std::size_t usages = 0;
+  std::size_t screen_off = 0;
+  for (const HourBucket& b : folded.cells) {
+    EXPECT_LE(b.distinct_net_apps, b.net_count) << context;
+    usages += static_cast<std::size_t>(b.usage_count);
+    screen_off += static_cast<std::size_t>(b.net_count);
+  }
+  EXPECT_EQ(usages, t.usages.size()) << context;
+  EXPECT_EQ(screen_off,
+            static_cast<std::size_t>(std::count_if(
+                t.activities.begin(), t.activities.end(),
+                [&](const NetworkActivity& n) {
+                  return !t.screen_on_at(n.start);
+                })))
+      << context;
+}
+
+TEST(HourBuckets, MatchManualRecount) {
+  const HourBuckets buckets = fold_buckets(one_day_fixture());
+  ASSERT_EQ(buckets.num_days(), 1);
+  EXPECT_EQ(buckets.num_apps, 2u);
+  const HourBucket& h0 = buckets.day(0)[0];
+  // Both usages start in hour 0; the screen-off activities are the
+  // trio at 10 s, 160 s (a session's end is screen-off) and 500 s, all
+  // from app 0.
+  EXPECT_EQ(h0.usage_count, 2);
+  EXPECT_EQ(h0.net_count, 3);
+  EXPECT_DOUBLE_EQ(h0.net_bytes, 3000.0);
+  EXPECT_EQ(h0.distinct_net_apps, 1);
+  for (int h = 1; h < kHoursPerDay; ++h) {
+    EXPECT_EQ(buckets.day(0)[h].usage_count, 0) << h;
+    EXPECT_EQ(buckets.day(0)[h].net_count, 0) << h;
+  }
+}
+
+TEST(HourBuckets, DayAccessorRejectsOutOfRange) {
+  const HourBuckets buckets = fold_buckets(one_day_fixture());
+  EXPECT_THROW(buckets.day(-1), Error);
+  EXPECT_THROW(buckets.day(1), Error);
+  EXPECT_NO_THROW(buckets.day(0));
+  EXPECT_THROW(HabitModel::mine(buckets, 0, 2), Error);
+  EXPECT_THROW(HabitModel::mine(buckets, 1, 0), Error);
+}
+
+TEST(HourBuckets, FoldRejectsInvalidTracesLikeValidate) {
+  UserTrace reversed = one_day_fixture();
+  std::reverse(reversed.activities.begin(), reversed.activities.end());
+  UserTrace no_days = one_day_fixture();
+  no_days.num_days = 0;
+  UserTrace too_many_days = one_day_fixture();
+  too_many_days.num_days = kMaxTraceDays + 1;
+  for (const UserTrace* t : {&reversed, &no_days, &too_many_days}) {
+    std::string expected;
+    try {
+      t->validate();
+    } catch (const Error& e) {
+      expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty());
+    try {
+      fold_buckets(*t);
+      ADD_FAILURE() << "fold_buckets accepted: " << expected;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+  // Reversal only permutes the records: sanitized, it folds to the
+  // fixture's buckets.
+  expect_buckets_equal(fold_buckets(fault::sanitize_trace(reversed).trace),
+                       fold_buckets(one_day_fixture()), "reversed");
+}
+
+TEST(HourBuckets, FoldMatchesTheReferenceOnEveryArchetype) {
+  for (int arch = 0; arch < 8; ++arch) {
+    for (const std::uint64_t seed : {2u, 13u, 58u}) {
+      const int days = 7 * (1 + static_cast<int>(seed % 3));
+      const UserTrace t = synth::generate_trace(
+          synth::make_user(static_cast<synth::Archetype>(arch), arch + 2),
+          days, seed);
+      expect_fold_matches_reference(t, "archetype " + std::to_string(arch) +
+                                           " seed " + std::to_string(seed));
+    }
+  }
+  expect_fold_matches_reference(fixture(), "fixture");
+  expect_fold_matches_reference(one_day_fixture(), "one-day fixture");
+}
+
+TEST(HourBuckets, FoldMatchesTheReferenceOnSanitizedFaults) {
+  for (const synth::Archetype arch :
+       {synth::Archetype::kStudent, synth::Archetype::kHeavyMessenger}) {
+    const UserTrace clean =
+        synth::generate_trace(synth::make_user(arch, 3), 14, 41);
+    for (const fault::FaultKind kind : fault::all_fault_kinds()) {
+      for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        fault::FaultPlan plan;
+        plan.seed = seed;
+        plan.with(kind, 0.1 * static_cast<double>(seed));
+        const UserTrace repaired =
+            fault::sanitize_trace(fault::inject_faults(clean, plan).trace)
+                .trace;
+        expect_fold_matches_reference(
+            repaired, std::string(fault::kind_name(kind)) + " seed " +
+                          std::to_string(seed) + " archetype " +
+                          std::to_string(static_cast<int>(arch)));
+      }
+    }
+  }
+}
+
+// ---- mine(UserTrace): direct fold vs the sanitize -> reference path. --
+
+/// The repair path spelled out: sanitize, fold with the total reference
+/// (independent of the one-pass loop), mine, scale by the ledger's
+/// quality (1.0 * q == q exactly).
 HabitModel mine_via_repair(const UserTrace& trace) {
   const fault::SanitizeResult repaired = fault::sanitize_trace(trace);
-  HabitModel model = HabitModel::mine(engine::TraceIndex(repaired.trace));
+  HabitModel model =
+      HabitModel::mine(oracles::fold_buckets_total(repaired.trace), 0,
+                       repaired.trace.num_days);
   model.scale_confidence(repaired.report.quality());
   return model;
 }
@@ -440,7 +607,7 @@ TEST(MineDirect, EdgeCasesMatchTheRepairPath) {
 
 /// mine_habits(t) against the passes it fuses, bit for bit: the model
 /// of HabitModel::mine and of the repair path spelled out (sanitize ->
-/// index -> mine, a fold independent of the one-pass loop), the special
+/// reference fold -> mine, independent of the one-pass loop), the special
 /// apps of SpecialApps::detect, and the direct path taken exactly when
 /// UserTrace::first_violation() finds nothing.
 void expect_one_pass_matches(const UserTrace& t, const std::string& context) {

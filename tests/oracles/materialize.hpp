@@ -11,15 +11,12 @@
 
 namespace netmaster::oracles {
 
-/// Reconstructs the AoS trace (exactly equal to the build() input).
+/// Reconstructs the AoS trace: equal to the build() input in every
+/// field but the app-name table, which the columns do not carry.
 inline UserTrace materialize(const mem::TraceColumns& columns) {
   UserTrace trace;
   trace.user = columns.user;
   trace.num_days = columns.num_days;
-  trace.app_names.reserve(columns.app_names.size());
-  for (std::size_t i = 0; i < columns.app_names.size(); ++i) {
-    trace.app_names.emplace_back(columns.app_names.name(i));
-  }
   trace.sessions.assign(columns.sessions.begin(), columns.sessions.end());
   trace.usages.assign(columns.usages.begin(), columns.usages.end());
   trace.activities.assign(columns.activities.begin(),

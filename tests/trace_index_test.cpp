@@ -1,7 +1,8 @@
 // Tests for engine::TraceIndex: structural invariants, session lookups
-// against the linear-scan ground truth, bucket totals, and the
-// bit-identity of policy outcomes between the shared-index path and the
-// one-shot UserTrace path.
+// against the linear-scan ground truth, and the bit-identity of policy
+// outcomes between the shared-index path and the one-shot UserTrace
+// path. (The hour buckets habit mining reads are mining::fold_buckets',
+// tested in mining_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 
 #include "common/error.hpp"
 #include "engine/trace_index.hpp"
-#include "mining/habits.hpp"
 #include "policy/baseline.hpp"
 #include "policy/batch.hpp"
 #include "policy/delay.hpp"
@@ -121,22 +121,6 @@ TEST(TraceIndex, ClassifiesEveryActivityExactlyOnce) {
             (std::vector<std::uint32_t>{0, 3, 5}));
 }
 
-TEST(TraceIndex, HourBucketsMatchManualRecount) {
-  const UserTrace t = fixture();
-  const TraceIndex index(t);
-  const TraceIndex::HourBucket& h0 = index.bucket(0, 0);
-  // Both usages start in hour 0; screen-off net activities are the
-  // deferrable-screen-off trio, all from app 0.
-  EXPECT_EQ(h0.usage_count, 2);
-  EXPECT_EQ(h0.net_count, 3);
-  EXPECT_DOUBLE_EQ(h0.net_bytes, 3000.0);
-  EXPECT_EQ(h0.distinct_net_apps, 1);
-  for (int h = 1; h < kHoursPerDay; ++h) {
-    EXPECT_EQ(index.bucket(0, h).usage_count, 0) << h;
-    EXPECT_EQ(index.bucket(0, h).net_count, 0) << h;
-  }
-}
-
 TEST(TraceIndex, ClassificationCursorHandlesOutOfOrderStarts) {
   // Activity starts that step backwards (here reversed, then a synth
   // trace shuffled by a stride) force the screen cursor to re-seek;
@@ -162,10 +146,6 @@ TEST(TraceIndex, ClassificationCursorHandlesOutOfOrderStarts) {
           << "activity " << i;
     }
   }
-  // Reversal only permutes the inputs of the fixture's buckets.
-  const TraceIndex index(reversed);
-  EXPECT_EQ(index.bucket(0, 0).net_count, 3);
-  EXPECT_EQ(index.bucket(0, 0).distinct_net_apps, 1);
 }
 
 void expect_outcome_eq(const sim::PolicyOutcome& a,
@@ -218,18 +198,7 @@ TEST(TraceIndex, PolicyOutcomesBitIdenticalViaSharedIndex) {
       expect_outcome_eq(p->run(eval), p->run(index));
     }
 
-    // The mining fold and the online event loop agree across the two
-    // entry points as well.
-    const mining::HabitModel via_trace = mining::HabitModel::mine(eval);
-    const mining::HabitModel via_index =
-        mining::HabitModel::mine(TraceIndex(eval));
-    for (const mining::DayKind kind :
-         {mining::DayKind::kWeekday, mining::DayKind::kWeekend}) {
-      for (int h = 0; h < kHoursPerDay; ++h) {
-        EXPECT_DOUBLE_EQ(via_trace.pr_active(kind, h),
-                         via_index.pr_active(kind, h));
-      }
-    }
+    // The online event loop agrees across the two entry points as well.
     const service::OnlineSimResult online_trace =
         service::run_online(training, eval, nm_config);
     const service::OnlineSimResult online_index =
@@ -267,14 +236,6 @@ TEST(TraceIndex, ReplaysAfterTheSourceTraceIsGone) {
   const TraceIndex moved(std::move(built));
   EXPECT_EQ(moved.arena_bytes(), bytes);
   expect_replays(moved);
-}
-
-TEST(TraceIndex, BucketAccessorRejectsOutOfRange) {
-  const UserTrace t = fixture();
-  const TraceIndex index(t);
-  EXPECT_THROW(index.bucket(-1, 0), Error);
-  EXPECT_THROW(index.bucket(0, kHoursPerDay), Error);
-  EXPECT_THROW(index.bucket(1, 0), Error);
 }
 
 }  // namespace

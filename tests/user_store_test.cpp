@@ -486,21 +486,8 @@ void expect_same_prepared(const EvalSession& a, const EvalSession& b,
   expect_same_column(x.usages().times(), y.usages().times(), at);
   expect_same_column(x.usages().durations(), y.usages().durations(), at);
   expect_same_column(x.activities(), y.activities(), at);
-  ASSERT_EQ(x.num_apps(), y.num_apps()) << at;
-  for (std::size_t i = 0; i < x.num_apps(); ++i) {
-    EXPECT_EQ(x.app_names().name(i), y.app_names().name(i)) << at;
-  }
   expect_same_column(x.deferrable_screen_off(), y.deferrable_screen_off(),
                      at);
-  ASSERT_EQ(x.buckets().size(), y.buckets().size()) << at;
-  for (std::size_t i = 0; i < x.buckets().size(); ++i) {
-    EXPECT_EQ(x.buckets()[i].usage_count, y.buckets()[i].usage_count) << at;
-    EXPECT_EQ(x.buckets()[i].net_count, y.buckets()[i].net_count) << at;
-    EXPECT_EQ(x.buckets()[i].net_bytes, y.buckets()[i].net_bytes) << at;
-    EXPECT_EQ(x.buckets()[i].distinct_net_apps,
-              y.buckets()[i].distinct_net_apps)
-        << at;
-  }
 
   const sim::TraceTotals& tx = a.totals(u);
   const sim::TraceTotals& ty = b.totals(u);
