@@ -7,16 +7,12 @@
 //   optimum: the paper proves a (1−ε)/2 bound for the FPTAS path and
 //   observes the real gap is far smaller (≤ 11.2% worst case, < 5% in
 //   81.6% of runs);
-// * the reusable-SchedWorkspace speedup (steady-state solves with one
-//   workspace vs. a fresh workspace per call);
 // * solver timing across instance sizes and backends (the bench part).
 //
 // Scalars recorded for CI: `approx_ratio_<backend>` (worst observed
 // Algorithm 1 ratio vs. optimum, asserted ≥ (1−ε)/2 for the guaranteed
 // backends), `auto_exact_slot_solves` (slots the `auto` backend solved
-// with the exact DP, asserted > 0) and `workspace_reuse_speedup`
-// (asserted ≥ 1.0).
-#include <chrono>
+// with the exact DP, asserted > 0).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -61,31 +57,6 @@ OverlapInstance random_overlap(Rng& rng, int n_items, int n_slots) {
 constexpr sched::SolverChoice kBackends[] = {
     sched::SolverChoice::kFptas, sched::SolverChoice::kExact,
     sched::SolverChoice::kGreedy, sched::SolverChoice::kAuto};
-
-/// Wall time of `iterations` Algorithm 1 solves. `reuse` keeps one
-/// workspace across calls (the steady state of a fleet sweep); fresh
-/// mode constructs a workspace per call, which is what every solve paid
-/// before the solver layer (maps + DP tables reallocated each time).
-double time_solves_ms(const OverlapInstance& inst, int iterations,
-                      bool reuse) {
-  sched::SolverOptions options;  // fptas, eps = 0.1
-  sched::SchedWorkspace shared;
-  // Warm-up outside the timed region (first-touch allocations, caches).
-  sched::solve_overlapped(inst.slots, inst.items, options, shared);
-  const auto begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    if (reuse) {
-      benchmark::DoNotOptimize(
-          sched::solve_overlapped(inst.slots, inst.items, options, shared));
-    } else {
-      sched::SchedWorkspace fresh;
-      benchmark::DoNotOptimize(
-          sched::solve_overlapped(inst.slots, inst.items, options, fresh));
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(end - begin).count();
-}
 
 void print_figure() {
   bench::banner("§IV-B — approximation quality per solver backend",
@@ -162,32 +133,6 @@ void print_figure() {
   bench::emit(o, "backend_comparison");
   std::cout << "paper: worst observed gap 11.2%, within 5% of optimal in "
                "81.6% of tests\n";
-
-  // Workspace reuse: the satellite perf claim, measured. One warm
-  // workspace across 500 solves vs. a fresh workspace per solve, on the
-  // realistic fleet shape — many predicted slots, a few pending items
-  // each — where per-call allocation (maps, per-slot vectors, DP rows)
-  // is a large share of the solve.
-  std::cout << "\nSchedWorkspace reuse (Algorithm 1, 80 items, 60 slots, "
-               "500 solves)\n";
-  Rng rng(bench::kDefaultSeed + 2);
-  const OverlapInstance inst = random_overlap(rng, 80, 60);
-  const int kIters = 500;
-  double reused_ms = 1e300, fresh_ms = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {  // best-of-3 to shed scheduler noise
-    reused_ms = std::min(reused_ms, time_solves_ms(inst, kIters, true));
-    fresh_ms = std::min(fresh_ms, time_solves_ms(inst, kIters, false));
-  }
-  const double speedup = fresh_ms > 0.0 ? fresh_ms / reused_ms : 1.0;
-  eval::Table w({"mode", "time for 500 solves (ms)", "per solve (us)"});
-  w.add_row({"fresh workspace per call", eval::Table::num(fresh_ms, 2),
-             eval::Table::num(1000.0 * fresh_ms / kIters, 1)});
-  w.add_row({"reused workspace", eval::Table::num(reused_ms, 2),
-             eval::Table::num(1000.0 * reused_ms / kIters, 1)});
-  bench::emit(w, "workspace_reuse");
-  std::cout << "workspace-reuse speedup: " << eval::Table::num(speedup, 2)
-            << "x (steady-state fleet sweeps pay the reused cost)\n\n";
-  bench::record_scalar("workspace_reuse_speedup", speedup);
 }
 
 void BM_Fptas(benchmark::State& state) {
@@ -243,23 +188,6 @@ BENCHMARK(BM_Algorithm1)
     ->Args({200, 1})
     ->Args({200, 2})
     ->Args({200, 3})
-    ->Unit(benchmark::kMicrosecond);
-
-/// Fresh workspace per call — what every solve paid before the solver
-/// layer. Compare against BM_Algorithm1 {200, 0}.
-void BM_Algorithm1FreshWorkspace(benchmark::State& state) {
-  Rng rng(bench::kDefaultSeed);
-  const auto inst =
-      random_overlap(rng, static_cast<int>(state.range(0)), 8);
-  const sched::SolverOptions options;
-  for (auto _ : state) {
-    sched::SchedWorkspace fresh;
-    benchmark::DoNotOptimize(
-        sched::solve_overlapped(inst.slots, inst.items, options, fresh));
-  }
-}
-BENCHMARK(BM_Algorithm1FreshWorkspace)
-    ->Arg(200)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

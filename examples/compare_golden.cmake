@@ -3,22 +3,14 @@
 # is kept next to the build for diffing.
 #
 #   cmake -DEXAMPLE=<binary> -DGOLDEN=<file> -DACTUAL=<file> \
-#         ["-DARGS=<arg|arg|...>"] ["-DEXCLUDE=<regex>"] \
-#         -P compare_golden.cmake
+#         ["-DARGS=<arg|arg|...>"] -P compare_golden.cmake
 #
-# ARGS are passed to the binary. Lines matching EXCLUDE (timings, which
-# no two runs share) are dropped from the output before the comparison;
-# the golden file is stored without them.
+# ARGS are passed to the binary.
 string(REPLACE "|" ";" args "${ARGS}")
 execute_process(COMMAND ${EXAMPLE} ${args} OUTPUT_FILE ${ACTUAL}
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${EXAMPLE} exited with ${status}")
-endif()
-if(DEFINED EXCLUDE AND NOT EXCLUDE STREQUAL "")
-  file(READ ${ACTUAL} out)
-  string(REGEX REPLACE "[^\n]*(${EXCLUDE})[^\n]*\n" "" out "${out}")
-  file(WRITE ${ACTUAL} "${out}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${ACTUAL}
                 RESULT_VARIABLE differs)

@@ -82,15 +82,21 @@ TEST(DutyCycler, ConfigValidation) {
 }
 
 TEST(IdleWindow, WakesStayInsideWindow) {
-  const Interval window{1000, 10 * kMsPerMinute};
-  for (SleepScheme scheme : {SleepScheme::kExponential,
-                             SleepScheme::kFixed, SleepScheme::kRandom}) {
-    const auto wakes = simulate_idle_window(config(scheme), window);
-    for (const WakeEvent& w : wakes) {
-      EXPECT_GE(w.time, window.begin);
-      EXPECT_LT(w.time, window.end);
-      EXPECT_LE(w.time + w.window, window.end);
-      EXPECT_FALSE(w.productive);
+  // The second window ends exactly where the first 30 s sleep does: a
+  // wake due at the window's end has no room, so it is not emitted
+  // (no zero-length WakeEvent).
+  for (const Interval window :
+       {Interval{1000, 10 * kMsPerMinute}, Interval{0, 30 * kMsPerSecond}}) {
+    for (SleepScheme scheme : {SleepScheme::kExponential,
+                               SleepScheme::kFixed, SleepScheme::kRandom}) {
+      const auto wakes = simulate_idle_window(config(scheme), window);
+      for (const WakeEvent& w : wakes) {
+        EXPECT_GE(w.time, window.begin);
+        EXPECT_LT(w.time, window.end);
+        EXPECT_GT(w.window, 0);
+        EXPECT_LE(w.time + w.window, window.end);
+        EXPECT_FALSE(w.productive);
+      }
     }
   }
   EXPECT_THROW(simulate_idle_window(config(SleepScheme::kFixed),

@@ -96,9 +96,10 @@ TEST(BuildInstance, MapsItemsToAdjacentSlots) {
       activity(hour_start(0, 3)),    // before first slot
       activity(hour_start(0, 12)),   // between slots
       activity(hour_start(0, 22)),   // after last slot
+      activity(hour_start(0, 9)),    // at the first slot's (open) end
   };
   const Instance inst = build_instance(slots, {}, pending, pred, cfg);
-  ASSERT_EQ(inst.items.size(), 3u);
+  ASSERT_EQ(inst.items.size(), 4u);
   ASSERT_EQ(inst.slots.size(), 2u);
 
   EXPECT_EQ(inst.items[0].prev_slot, -1);
@@ -107,7 +108,9 @@ TEST(BuildInstance, MapsItemsToAdjacentSlots) {
   EXPECT_EQ(inst.items[1].next_slot, 1);
   EXPECT_EQ(inst.items[2].prev_slot, 1);
   EXPECT_EQ(inst.items[2].next_slot, -1);
-  for (std::size_t i = 0; i < 3; ++i) {
+  EXPECT_EQ(inst.items[3].prev_slot, 0);
+  EXPECT_EQ(inst.items[3].next_slot, 1);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
     EXPECT_EQ(inst.item_activity[i], i);
     EXPECT_EQ(inst.items[i].weight, pending[i].total_bytes());
   }
@@ -119,7 +122,8 @@ TEST(BuildInstance, ExcludesInSlotActivities) {
   const std::vector<Interval> slots = {
       {hour_start(0, 8), hour_start(0, 9)}};
   const std::vector<NetworkActivity> pending = {
-      activity(hour_start(0, 8) + kMsPerMinute)};  // inside the slot
+      activity(hour_start(0, 8) + kMsPerMinute),  // inside the slot
+      activity(hour_start(0, 8))};                // at its begin
   const Instance inst = build_instance(slots, {}, pending, pred, {});
   EXPECT_TRUE(inst.items.empty());
   EXPECT_TRUE(inst.unschedulable.empty());

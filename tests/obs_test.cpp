@@ -461,11 +461,15 @@ TEST(ObsIntegration, FleetRunWritesParseableSnapshot) {
   ASSERT_TRUE(degraded.degraded());
   degraded.run(eval_trace);
 
+  // A cap below any single user makes the session spill, so the
+  // snapshot carries the store's counters too.
+  eval::ExperimentConfig capped = cfg;
+  capped.store.cache_cap_bytes = 4096;
   const auto suite = eval::standard_policy_suite(cfg.netmaster);
   const eval::FleetReport report = eval::run_fleet(
       eval::EvalSession({synth::make_user(synth::Archetype::kOfficeWorker, 1),
                          synth::make_user(synth::Archetype::kNightOwl, 2)},
-                        cfg),
+                        capped),
       suite);
   ::unsetenv("NETMASTER_METRICS_OUT");
   ASSERT_EQ(report.cells.size(), 2 * suite.size());
@@ -496,6 +500,11 @@ TEST(ObsIntegration, FleetRunWritesParseableSnapshot) {
             std::string::npos);
   EXPECT_NE(content.find("policy.netmaster.models_mined"),
             std::string::npos);
+  // The spill store's eviction counter and rehydration histogram.
+  for (const char* metric : {"\"name\":\"store.evictions\"",
+                             "\"name\":\"store.rehydrate_ns\""}) {
+    EXPECT_NE(content.find(metric), std::string::npos) << metric;
+  }
   const auto pos = content.find("policy.netmaster.fallback_taken");
   const auto value_pos = content.find("\"value\":", pos);
   ASSERT_NE(value_pos, std::string::npos);

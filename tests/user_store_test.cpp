@@ -1,6 +1,7 @@
 // Tests for eval::UserStore and the spill-to-disk fleet path: LRU
 // eviction under a byte cap, lossless rehydration, Pin safety across
-// evictions, the replay index serving its columns while the traces are
+// evictions, a capped session holding at most half the resident
+// bytes, the replay index serving its columns while the traces are
 // spilled, bit-for-bit fleet determinism with and without spilling, at
 // most one rehydration per user per grid and none for a training-free
 // roster, and a corrupted spill file failing only the cells that read
@@ -567,6 +568,33 @@ TEST(SpillFleet, SetupNeverRehydrates) {
       }
     }
   }
+}
+
+TEST(SpillFleet, CappedSessionHoldsHalfTheResidentBytes) {
+  // The point of spilling: at a 256 KB cap the session keeps at most
+  // half the bytes of the all-resident one, counted exactly as the
+  // store's hydrated traces plus the index arenas. Which users a grid
+  // leaves hydrated depends on which cell finished last, so the capped
+  // footprint is read after a serial pin pass in id order: the
+  // hydrations the cap keeps plus every arena.
+  std::vector<synth::UserProfile> profiles;
+  for (int i = 0; i < 8; ++i) {
+    profiles.push_back(
+        synth::make_user(static_cast<synth::Archetype>(i), i + 1));
+  }
+  const EvalSession resident(profiles, ExperimentConfig{});
+  ExperimentConfig capped_config;
+  capped_config.store.cache_cap_bytes = 256 * 1024;
+  const EvalSession capped(profiles, capped_config);
+  for (std::size_t u = 0; u < capped.num_users(); ++u) capped.traces(u);
+
+  const auto footprint = [](const EvalSession& session) {
+    return session.store().resident_bytes() + session.arena_bytes();
+  };
+  EXPECT_GT(capped.store().evictions(), 0u);
+  EXPECT_LE(2 * footprint(capped), footprint(resident))
+      << "capped " << footprint(capped) << " B, resident "
+      << footprint(resident) << " B";
 }
 
 TEST(SpillFleet, UncreatableSpillDirFailsEveryUser) {
