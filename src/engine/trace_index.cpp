@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "common/error.hpp"
 #include "obs/span.hpp"
@@ -47,84 +46,78 @@ class ScreenCursor {
 }  // namespace
 
 TraceIndex::TraceIndex(const UserTrace& trace)
-    : arena_(std::make_unique<mem::Arena>()) {
+    : user_(trace.user),
+      num_days_(trace.num_days),
+      horizon_(trace.trace_end()) {
   const obs::SpanScope span("engine.index_build");
-  mem::Arena& arena = *arena_;
-  horizon_ = trace.trace_end();
+  // assign() on an empty vector allocates exactly the record count.
+  sessions_.assign(trace.sessions.begin(), trace.sessions.end());
+  usages_.assign(trace.usages.begin(), trace.usages.end());
+  activities_.assign(trace.activities.begin(), trace.activities.end());
+  deferrable_flags_.assign(activities_.size(), false);
 
-  // SoA copies of the trace columns — after this the index never needs
-  // the AoS trace again.
-  columns_ = mem::TraceColumns::build(trace, arena);
-
-  // Classification pass (the columns are copies of `trace`, so read
-  // the AoS records the cursor walks). One zeroed bit per activity,
-  // plus the compact ascending index list (u32: a trace with > 4G
-  // activities would have long blown the per-user budget).
-  auto [flags, flag_words] = mem::BitSpan::build(trace.activities.size(),
-                                                 arena);
-  deferrable_flags_ = flags;
-  std::vector<std::uint32_t> deferrable;
-  ScreenCursor screen(trace.sessions);
-  for (std::size_t i = 0; i < trace.activities.size(); ++i) {
-    const NetworkActivity& act = trace.activities[i];
+  // Classification pass: one bit per activity, plus the compact
+  // ascending index list (u32: a trace with > 4G activities would have
+  // long blown the per-user budget).
+  ScreenCursor screen(sessions_);
+  for (std::size_t i = 0; i < activities_.size(); ++i) {
+    const NetworkActivity& act = activities_[i];
     if (act.deferrable && !screen.screen_on_at(act.start)) {
-      mem::BitSpan::set(flag_words, i);
-      deferrable.push_back(static_cast<std::uint32_t>(i));
+      deferrable_flags_[i] = true;
+      deferrable_.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  deferrable_ = arena.copy_array<std::uint32_t>(deferrable);
+  deferrable_.shrink_to_fit();
 }
 
 bool TraceIndex::screen_on_at(TimeMs t) const {
-  const std::span<const TimeMs> ends = columns_.sessions.ends();
-  const auto it = std::lower_bound(ends.begin(), ends.end(), t,
-                                   [](TimeMs end, TimeMs v) {
-                                     return end <= v;
-                                   });
-  if (it == ends.end()) return false;
-  const std::size_t i = static_cast<std::size_t>(it - ends.begin());
-  return columns_.sessions.begin_at(i) <= t && t < *it;
+  // The first session ending after t holds t if any session does.
+  const auto it = std::ranges::upper_bound(sessions_, t, {},
+                                           &ScreenSession::end);
+  return it != sessions_.end() && it->begin <= t;
 }
 
 std::size_t TraceIndex::first_session_at_or_after(TimeMs t) const {
-  const std::span<const TimeMs> begins = columns_.sessions.begins();
-  const auto it = std::lower_bound(begins.begin(), begins.end(), t);
-  return static_cast<std::size_t>(it - begins.begin());
+  const auto it = std::ranges::lower_bound(sessions_, t, {},
+                                           &ScreenSession::begin);
+  return static_cast<std::size_t>(it - sessions_.begin());
 }
 
 TimeMs TraceIndex::next_session_begin(TimeMs t, TimeMs fallback) const {
   const std::size_t idx = first_session_at_or_after(t);
-  return idx < columns_.sessions.size() ? columns_.sessions.begin_at(idx)
-                                        : fallback;
+  return idx < sessions_.size() ? sessions_[idx].begin : fallback;
 }
 
 TimeMs TraceIndex::last_session_begin_in(TimeMs lo, TimeMs hi) const {
   std::size_t idx = first_session_at_or_after(hi);
   if (idx == 0) return -1;
-  const TimeMs begin = columns_.sessions.begin_at(idx - 1);
+  const TimeMs begin = sessions_[idx - 1].begin;
   return begin >= lo ? begin : -1;
 }
 
+std::size_t TraceIndex::bytes() const {
+  // vector<bool>'s capacity counts bits.
+  return sessions_.capacity() * sizeof(ScreenSession) +
+         usages_.capacity() * sizeof(AppUsage) +
+         activities_.capacity() * sizeof(NetworkActivity) +
+         (deferrable_flags_.capacity() + 7) / 8 +
+         deferrable_.capacity() * sizeof(std::uint32_t);
+}
+
 void TraceIndex::check_invariants(const UserTrace& source) const {
-  // The arena columns must mirror the source trace exactly.
-  NM_REQUIRE(columns_.sessions.size() == source.sessions.size() &&
-                 columns_.usages.size() == source.usages.size() &&
-                 columns_.activities.size() == source.activities.size() &&
-                 columns_.num_days == source.num_days,
-             "index: column sizes drifted from the source trace");
-  for (std::size_t i = 0; i < columns_.sessions.size(); ++i) {
-    NM_REQUIRE(columns_.sessions[i] == source.sessions[i],
-               "index: session column drifted from the source trace");
-  }
-  for (std::size_t i = 0; i < columns_.activities.size(); ++i) {
-    NM_REQUIRE(columns_.activities[i] == source.activities[i],
-               "index: activity column drifted from the source trace");
-  }
+  // The records must mirror the source trace exactly.
+  NM_REQUIRE(user_ == source.user && num_days_ == source.num_days &&
+                 horizon_ == source.trace_end(),
+             "index: header drifted from the source trace");
+  NM_REQUIRE(std::ranges::equal(sessions_, source.sessions) &&
+                 std::ranges::equal(usages_, source.usages) &&
+                 std::ranges::equal(activities_, source.activities),
+             "index: records drifted from the source trace");
 
   // Sessions sorted, disjoint, non-empty (mirrors UserTrace::validate
   // so a corrupted index is caught even on traces nobody validated).
   TimeMs prev_end = 0;
-  for (const ScreenSession s : columns_.sessions) {
+  for (const ScreenSession& s : sessions_) {
     NM_REQUIRE(s.begin < s.end, "index: empty screen session");
     NM_REQUIRE(s.begin >= prev_end, "index: sessions unsorted/overlapping");
     prev_end = s.end;
@@ -138,15 +131,15 @@ void TraceIndex::check_invariants(const UserTrace& source) const {
   for (std::size_t i = 0; i < source.activities.size(); ++i) {
     const NetworkActivity& act = source.activities[i];
     const bool expect = act.deferrable && !source.screen_on_at(act.start);
-    NM_REQUIRE(deferrable_flags_.test(i) == expect,
+    NM_REQUIRE(deferrable_flags_[i] == expect,
                "index: classification disagrees with the trace");
-    if (deferrable_flags_.test(i)) ++flagged;
+    if (deferrable_flags_[i]) ++flagged;
   }
   NM_REQUIRE(deferrable_.size() == flagged,
              "index: deferrable list size mismatch");
   for (std::size_t k = 0; k < deferrable_.size(); ++k) {
     NM_REQUIRE(deferrable_[k] < deferrable_flags_.size() &&
-                   deferrable_flags_.test(deferrable_[k]),
+                   deferrable_flags_[deferrable_[k]],
                "index: deferrable list references unflagged activity");
     NM_REQUIRE(k == 0 || deferrable_[k - 1] < deferrable_[k],
                "index: deferrable list not strictly ascending");

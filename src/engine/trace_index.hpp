@@ -1,5 +1,4 @@
-// Shared replay index over one UserTrace — arena-backed and
-// self-contained.
+// Shared replay index over one UserTrace — self-contained.
 //
 // Every policy, the online event loop and the accountant need the same
 // handful of derived facts about an evaluation trace: binary-searchable
@@ -10,53 +9,48 @@
 // scans. It is the replay index only: the per-(day, hour) buckets
 // habit mining reads are folded by mining::fold_buckets.
 //
-// Memory model: at construction the index copies the trace's
-// session/usage/activity columns into ONE arena it owns as
-// structure-of-arrays (mem::TraceColumns) and builds its derived
-// columns — packed classification bits, u32 deferrable list — into the
-// same arena. It keeps no reference to the source trace: replay and
-// accounting (sim::trace_totals, sim::account) read only arena memory,
+// Memory model: at construction the index copies the trace's session,
+// usage and activity records into three exact-capacity vectors and
+// classifies every activity once (a bit per activity plus the
+// ascending u32 list of the deferrable ones). It keeps no reference to
+// the source trace and no app names: replay and accounting
+// (sim::trace_totals, sim::account) read only the index's own records,
 // so the source UserTrace may be destroyed or evicted to disk
-// (eval::UserStore) while policies keep replaying.
-// Moving the index moves the arena with it; the column views stay
-// valid.
+// (eval::UserStore) while policies keep replaying. Moving the index
+// moves the vectors; spans taken before the move stay valid.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <vector>
 
 #include "common/time.hpp"
-#include "mem/arena.hpp"
-#include "mem/soa.hpp"
 #include "trace/trace.hpp"
 
 namespace netmaster::engine {
 
 class TraceIndex {
  public:
-  /// Indexes `trace` into an internally-owned arena. The index never
-  /// dereferences the trace after construction. Does not validate:
-  /// policies accept the same traces they always did; call
-  /// trace.validate() for strict checking.
+  /// Indexes a copy of `trace`'s records. The index never dereferences
+  /// the trace after construction. Does not validate: policies accept
+  /// the same traces they always did; call trace.validate() for strict
+  /// checking.
   explicit TraceIndex(const UserTrace& trace);
 
   TraceIndex(TraceIndex&&) = default;
   TraceIndex& operator=(TraceIndex&&) = default;
 
   TimeMs horizon() const { return horizon_; }
-  int num_days() const { return columns_.num_days; }
-  UserId user() const { return columns_.user; }
+  int num_days() const { return num_days_; }
+  UserId user() const { return user_; }
 
-  /// Columnar views into the arena — the replay read path.
-  const mem::SessionColumns& sessions() const { return columns_.sessions; }
-  const mem::ActivityColumns& activities() const {
-    return columns_.activities;
-  }
-  const mem::UsageColumns& usages() const { return columns_.usages; }
+  /// The trace's records, in trace order — the replay read path.
+  std::span<const ScreenSession> sessions() const { return sessions_; }
+  std::span<const AppUsage> usages() const { return usages_; }
+  std::span<const NetworkActivity> activities() const { return activities_; }
 
-  // ---- Session lookups (binary search over the sorted columns). ----
+  // ---- Session lookups (binary search over the sorted sessions). ----
 
   /// True when the screen is on at instant t (same contract as
   /// UserTrace::screen_on_at).
@@ -79,7 +73,7 @@ class TraceIndex {
   /// transfer arriving while the screen is off — precomputed
   /// policy::is_deferrable_screen_off.
   bool is_deferrable_screen_off(std::size_t activity_index) const {
-    return deferrable_flags_.test(activity_index);
+    return deferrable_flags_[activity_index];
   }
 
   /// Ascending indices of the deferrable screen-off activities.
@@ -87,24 +81,25 @@ class TraceIndex {
     return deferrable_;
   }
 
-  /// Bytes of arena memory backing this index's columns (0 once moved
-  /// from).
-  std::size_t arena_bytes() const {
-    return arena_ ? arena_->bytes_reserved() : 0;
-  }
+  /// Heap bytes the index holds: its record vectors and its
+  /// classification (0 once moved from).
+  std::size_t bytes() const;
 
   /// Throws netmaster::Error when an internal invariant is broken
-  /// (columns differing from `source`, sessions unsorted/overlapping,
+  /// (records differing from `source`, sessions unsorted/overlapping,
   /// classification inconsistent with the trace). `source` is the trace
   /// the index was built from.
   void check_invariants(const UserTrace& source) const;
 
  private:
-  std::unique_ptr<mem::Arena> arena_;  ///< backs every column below
+  UserId user_ = 0;
+  int num_days_ = 0;
   TimeMs horizon_ = 0;
-  mem::TraceColumns columns_;             ///< SoA trace copy, one arena
-  mem::BitSpan deferrable_flags_;         ///< per activity index
-  std::span<const std::uint32_t> deferrable_;  ///< ascending indices
+  std::vector<ScreenSession> sessions_;
+  std::vector<AppUsage> usages_;
+  std::vector<NetworkActivity> activities_;
+  std::vector<bool> deferrable_flags_;    ///< per activity index
+  std::vector<std::uint32_t> deferrable_;  ///< ascending indices
 };
 
 }  // namespace netmaster::engine

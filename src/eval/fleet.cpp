@@ -229,8 +229,8 @@ void run_cell(const EvalSession& session, const PolicySpec& spec,
       radios.cellular = session.config().netmaster.profit.radio;
       radios.wifi = session.config().netmaster.profit.wifi;
     }
-    cell.report = sim::account(session.totals(u), index.usages().times(),
-                               outcome, radios);
+    cell.report = sim::account(session.totals(u), index.usages(), outcome,
+                               radios);
   } catch (const std::exception& e) {
     fail_cell(cell, e.what());
     return;

@@ -126,10 +126,9 @@ void EvalSession::prepare_user(std::size_t u, const VolunteerTraces& traces) {
   UserState& state = users_[u];
   const obs::SpanScope span("fleet.prepare");
   try {
-    // The index copies the eval trace into the per-user arena and is
-    // self-contained from then on, and the policy-invariant report
-    // fields are folded from its columns once here instead of once per
-    // cell.
+    // The index copies the eval trace's records and is self-contained
+    // from then on, and the policy-invariant report fields are folded
+    // from its records once here instead of once per cell.
     traces.eval.validate();
     state.index = std::make_unique<engine::TraceIndex>(traces.eval);
     state.totals = sim::trace_totals(*state.index);
@@ -137,7 +136,7 @@ void EvalSession::prepare_user(std::size_t u, const VolunteerTraces& traces) {
     const obs::SpanScope account_span("fleet.account");
     RadioSet radios;
     radios.cellular = config_.netmaster.profit.radio;
-    state.baseline = sim::account(state.totals, state.index->usages().times(),
+    state.baseline = sim::account(state.totals, state.index->usages(),
                                   base.run(*state.index), radios);
   } catch (const std::exception& e) {
     state.prep_error = e.what();
@@ -196,7 +195,7 @@ const mining::MinedHabits& EvalSession::habits(
 std::size_t EvalSession::arena_bytes() const {
   std::size_t total = 0;
   for (const UserState& state : users_) {
-    if (state.index) total += state.index->arena_bytes();
+    if (state.index) total += state.index->bytes();
   }
   return total;
 }

@@ -1,7 +1,7 @@
 // EvalSession — the cached per-user state every §VI experiment replays
 // against: the train/eval trace split (held in a UserStore, possibly
 // spilled to disk), the engine::TraceIndex over the evaluation trace
-// (arena-backed, self-contained), the evaluation trace's
+// (a self-contained copy of its records), the evaluation trace's
 // policy-invariant sim::TraceTotals, the baseline reference SimReport,
 // and one lazy memo of the user's mined training trace
 // (mining::MinedHabits). A fleet cell replays and accounts from the
@@ -15,8 +15,8 @@
 // 12-point sweep pays trace synthesis and indexing exactly once
 // instead of 12 times. Every fleet run evaluates a built session.
 //
-// Memory model: each user's replay working set lives in the one
-// mem::Arena its TraceIndex owns; the AoS traces live in the UserStore,
+// Memory model: each user's replay working set is the record vectors
+// its TraceIndex holds; the traces themselves live in the UserStore,
 // which — when a cache cap is configured — keeps only the hot users
 // hydrated and rehydrates the rest from compact UserBlob spill files
 // on demand.
@@ -151,8 +151,10 @@ class EvalSession {
 
   /// The trace cache (resident bytes, eviction counts — bench fodder).
   const UserStore& store() const { return *store_; }
-  /// Total bytes reserved by the per-user replay arenas (one per
-  /// prepared user's index).
+  /// Total heap bytes the prepared users' replay indexes hold
+  /// (engine::TraceIndex::bytes). The name predates the indexes'
+  /// record vectors, when each index copied its trace into an arena; it
+  /// stays because perfbench reports it as `mem.arena.bytes`.
   std::size_t arena_bytes() const;
 
  private:
@@ -172,7 +174,7 @@ class EvalSession {
 
   const UserState& user(std::size_t u) const;
   /// The per-user prepare body, on the traces its task just admitted:
-  /// validate, build the arena-backed index and the trace totals,
+  /// validate, build the index and the trace totals,
   /// account the baseline. Never throws; failures land in prep_error.
   void prepare_user(std::size_t u, const VolunteerTraces& traces);
 

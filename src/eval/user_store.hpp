@@ -1,13 +1,13 @@
 // UserStore — the fleet's bounded trace cache.
 //
-// A million-user fleet cannot keep every volunteer's AoS traces
-// resident: the traces dominate the per-user footprint once the replay
-// index is arena-backed. The store owns every user's train/eval trace
-// pair and keeps at most `cache_cap_bytes` of them hydrated; the rest
-// live as compact UserBlob files in a spill directory and are
-// rehydrated on demand. Serialization is lossless (all-integer
-// columns, CRC-guarded), so results are bit-for-bit identical no
-// matter which users happen to be resident when.
+// A million-user fleet cannot keep every volunteer's traces resident:
+// a user's training and evaluation traces outweigh the replay index,
+// which copies only the evaluation records. The store owns every
+// user's train/eval trace pair and keeps at most `cache_cap_bytes` of
+// them hydrated; the rest live as compact UserBlob files in a spill
+// directory and are rehydrated on demand. Serialization is lossless
+// (all-integer columns, CRC-guarded), so results are bit-for-bit
+// identical no matter which users happen to be resident when.
 //
 // Admission takes the traces the caller built, spills them by
 // encoding the pair in place (no copy), and hands them back as a Pin:
@@ -18,8 +18,8 @@
 // shared_ptr to the hydration, so a concurrent eviction never frees
 // memory out from under a reader — eviction just drops the store's
 // strong reference. Nothing else points into a hydration: the replay
-// index and the accountant read the user's arena columns, so a reader
-// that does not need the AoS traces never pins. Two concurrent pins of
+// index and the accountant read the index's own records, so a reader
+// that does not need the traces never pins. Two concurrent pins of
 // the same cold user both decode its blob and one copy is dropped;
 // pin() does not single-flight. Callers avoid the duplicate decode by
 // pinning once per unit of work: run_fleet pins a row on the first read

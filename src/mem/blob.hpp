@@ -2,8 +2,8 @@
 //
 // One blob is a flat, versioned, CRC-guarded byte image of one or more
 // UserTraces in columnar order: a fixed header, then per trace a
-// section header plus 8-byte-aligned field arrays (the on-disk twin of
-// mem::TraceColumns). Every integer field is stored exactly, so
+// section header plus 8-byte-aligned field arrays, one per record
+// field. Every integer field is stored exactly, so
 // decode(encode(t)) == t bit for bit — the property that lets the
 // fleet spill cold users to disk and rehydrate them without perturbing
 // a single scheduled transfer. Traces are stored as-is: a blob does

@@ -6,11 +6,11 @@ sim::PolicyOutcome BaselinePolicy::run(
     const engine::TraceIndex& eval) const {
   sim::PolicyOutcome outcome;
   outcome.policy_name = name();
-  const mem::ActivityColumns& activities = eval.activities();
+  const std::span<const NetworkActivity> activities = eval.activities();
   outcome.transfers.reserve(activities.size());
   for (std::size_t i = 0; i < activities.size(); ++i) {
     outcome.transfers.push_back(
-        {i, activities.start_at(i), activities.duration_at(i)});
+        {i, activities[i].start, activities[i].duration});
   }
   return outcome;
 }

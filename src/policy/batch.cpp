@@ -13,8 +13,8 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
   sim::PolicyOutcome outcome;
   outcome.policy_name = name();
   const TimeMs horizon = eval.horizon();
-  const mem::ActivityColumns& activities = eval.activities();
-  const mem::SessionColumns& sessions = eval.sessions();
+  const std::span<const NetworkActivity> activities = eval.activities();
+  const std::span<const ScreenSession> sessions = eval.sessions();
   outcome.transfers.reserve(activities.size());
 
   std::vector<HeldActivity> queue;
@@ -24,7 +24,7 @@ sim::PolicyOutcome BatchPolicy::run(const engine::TraceIndex& eval) const {
   auto session = sessions.begin();
 
   for (std::size_t i = 0; i < activities.size(); ++i) {
-    const NetworkActivity act = activities[i];
+    const NetworkActivity& act = activities[i];
     // Flush at any screen-on edge preceding this activity.
     while (session != sessions.end() && session->begin <= act.start) {
       release_all(outcome, queue, session->begin, horizon);

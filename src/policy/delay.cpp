@@ -14,11 +14,11 @@ sim::PolicyOutcome DelayPolicy::run(const engine::TraceIndex& eval) const {
   sim::PolicyOutcome outcome;
   outcome.policy_name = name();
   const TimeMs horizon = eval.horizon();
-  const mem::ActivityColumns& activities = eval.activities();
+  const std::span<const NetworkActivity> activities = eval.activities();
   outcome.transfers.reserve(activities.size());
 
   for (std::size_t i = 0; i < activities.size(); ++i) {
-    const NetworkActivity act = activities[i];
+    const NetworkActivity& act = activities[i];
     if (!eval.is_deferrable_screen_off(i)) {
       outcome.transfers.push_back({i, act.start, act.duration});
       continue;

@@ -18,8 +18,8 @@ sim::PolicyOutcome DelayBatchPolicy::run(
   sim::PolicyOutcome outcome;
   outcome.policy_name = name();
   const TimeMs horizon = eval.horizon();
-  const mem::ActivityColumns& activities = eval.activities();
-  const mem::SessionColumns& sessions = eval.sessions();
+  const std::span<const NetworkActivity> activities = eval.activities();
+  const std::span<const ScreenSession> sessions = eval.sessions();
   outcome.transfers.reserve(activities.size());
 
   std::vector<HeldActivity> queue;
@@ -29,7 +29,7 @@ sim::PolicyOutcome DelayBatchPolicy::run(
 
   auto session = sessions.begin();
   for (std::size_t i = 0; i < activities.size(); ++i) {
-    const NetworkActivity act = activities[i];
+    const NetworkActivity& act = activities[i];
     // Fire any timer/screen trigger preceding this activity.
     while (!queue.empty()) {
       const TimeMs timer = deadline();

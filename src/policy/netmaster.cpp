@@ -1,7 +1,7 @@
 // NetMasterPolicy::run — one evaluation replay, near-linear in the
 // trace once the per-day prediction is made. Classification walks the
 // activities with forward cursors over the predicted slots and the
-// session column; Algorithm 1's assignments land in a vector indexed by
+// sessions; Algorithm 1's assignments land in a vector indexed by
 // pending position; the duty walk is one merge over the inactive
 // windows; and the outcome only states that NetMaster drives the data
 // switch: the accountant derives the allowed set from the executed
@@ -180,8 +180,8 @@ sim::PolicyOutcome NetMasterPolicy::run(
   outcome.policy_name = name();
   outcome.drift_score = config_.robustness.drift_score;
   const TimeMs horizon = eval.horizon();
-  const mem::SessionColumns& sessions = eval.sessions();
-  const mem::ActivityColumns& activities = eval.activities();
+  const std::span<const ScreenSession> sessions = eval.sessions();
+  const std::span<const NetworkActivity> activities = eval.activities();
   const std::size_t num_sessions = sessions.size();
 
   // NetMaster drives the data switch ("turns off radio whenever
@@ -224,12 +224,11 @@ sim::PolicyOutcome NetMasterPolicy::run(
   std::vector<NetworkActivity> pending;     // outside U: knapsack path
   std::vector<std::size_t> pending_index;   // -> eval activity index
   outcome.transfers.reserve(activities.size());
-  const std::span<const TimeMs> session_begins = sessions.begins();
   std::size_t slot_at = 0;  // first slot with end > last arrival
   std::size_t sess_at = 0;  // first session with begin >= last arrival
   TimeMs last = std::numeric_limits<TimeMs>::min();
   for (std::size_t i = 0; i < activities.size(); ++i) {
-    const NetworkActivity act = activities[i];
+    const NetworkActivity& act = activities[i];
     if (act.start < last) {
       slot_at = static_cast<std::size_t>(
           std::lower_bound(slot_windows.begin(), slot_windows.end(),
@@ -244,7 +243,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
              slot_windows[slot_at].end <= act.start) {
         ++slot_at;
       }
-      while (sess_at < num_sessions && session_begins[sess_at] < act.start) {
+      while (sess_at < num_sessions && sessions[sess_at].begin < act.start) {
         ++sess_at;
       }
     }
@@ -270,7 +269,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
                     slot_windows[slot_at].contains(act.start),
                 "active-set lookup must find the containing slot");
       const TimeMs next_session =
-          sess_at < num_sessions ? session_begins[sess_at] : horizon;
+          sess_at < num_sessions ? sessions[sess_at].begin : horizon;
       const DurationMs dur = deferred_duration(act.duration);
       const TimeMs release = deferred_release(
           std::min(next_session, slot_windows[slot_at].end), act.start, dur,
@@ -359,8 +358,8 @@ sim::PolicyOutcome NetMasterPolicy::run(
     // any session, even one before the slot). If no session shows up by
     // the slot's end, run at the planned slot begin.
     const std::size_t sess = eval.first_session_at_or_after(act.start);
-    if (sess < num_sessions && sessions.begin_at(sess) <= slot.end) {
-      release = sessions.begin_at(sess);
+    if (sess < num_sessions && sessions[sess].begin <= slot.end) {
+      release = sessions[sess].begin;
     } else {
       release = slot.begin;
     }
@@ -419,8 +418,8 @@ sim::PolicyOutcome NetMasterPolicy::run(
     while (true) {
       const TimeMs wake = cycler.next_wake();
       const TimeMs sess_begin =
-          (sess < num_sessions && sessions.begin_at(sess) < window.end)
-              ? sessions.begin_at(sess)
+          (sess < num_sessions && sessions[sess].begin < window.end)
+              ? sessions[sess].begin
               : window.end;
       if (sess_begin <= wake) {
         if (sess_begin >= window.end) break;
@@ -432,7 +431,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
                            sess_begin, horizon);
           ++next_fb;
         }
-        cycler.notify_activity(sessions.end_at(sess));
+        cycler.notify_activity(sessions[sess].end);
         ++sess;
         continue;
       }

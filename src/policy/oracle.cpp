@@ -14,14 +14,14 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
   sim::PolicyOutcome outcome;
   outcome.policy_name = name();
   const TimeMs horizon = eval.horizon();
-  const mem::SessionColumns& sessions = eval.sessions();
-  const mem::ActivityColumns& activities = eval.activities();
+  const std::span<const ScreenSession> sessions = eval.sessions();
+  const std::span<const NetworkActivity> activities = eval.activities();
   outcome.transfers.reserve(activities.size());
 
   // Per-session residual capacity (Eq. 5 over the real sessions).
   std::vector<std::int64_t> residual;
   residual.reserve(sessions.size());
-  for (const ScreenSession s : sessions) {
+  for (const ScreenSession& s : sessions) {
     residual.push_back(
         sched::slot_capacity_bytes(s.interval(), profit_));
   }
@@ -30,20 +30,21 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
   // session lookup is a forward cursor; a backwards step past a session
   // (TraceIndex does not validate ordering) re-seeks with the binary
   // search.
-  const std::span<const TimeMs> begins = sessions.begins();
   std::size_t after = 0;  // first session with begin >= the arrival
   for (std::size_t i = 0; i < activities.size(); ++i) {
-    const NetworkActivity act = activities[i];
+    const NetworkActivity& act = activities[i];
     if (!eval.is_deferrable_screen_off(i) || sessions.empty()) {
       outcome.transfers.push_back({i, act.start, act.duration});
       continue;
     }
 
     // Nearest sessions before/after the arrival.
-    if (after > 0 && begins[after - 1] >= act.start) {
+    if (after > 0 && sessions[after - 1].begin >= act.start) {
       after = eval.first_session_at_or_after(act.start);
     }
-    while (after < begins.size() && begins[after] < act.start) ++after;
+    while (after < sessions.size() && sessions[after].begin < act.start) {
+      ++after;
+    }
     const std::ptrdiff_t next_idx =
         after == sessions.size() ? -1 : static_cast<std::ptrdiff_t>(after);
     const std::ptrdiff_t prev_idx =
@@ -53,7 +54,7 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
     std::ptrdiff_t target = -1;
     const std::int64_t bytes = act.total_bytes();
     auto distance = [&](std::ptrdiff_t idx) -> TimeMs {
-      const ScreenSession s = sessions[static_cast<std::size_t>(idx)];
+      const ScreenSession& s = sessions[static_cast<std::size_t>(idx)];
       return idx == prev_idx ? act.start - s.end : s.begin - act.start;
     };
     for (std::ptrdiff_t idx : {prev_idx, next_idx}) {
@@ -69,7 +70,7 @@ sim::PolicyOutcome OraclePolicy::run(const engine::TraceIndex& eval) const {
       continue;
     }
 
-    const ScreenSession s = sessions[static_cast<std::size_t>(target)];
+    const ScreenSession& s = sessions[static_cast<std::size_t>(target)];
     residual[static_cast<std::size_t>(target)] -= bytes;
     // Place inside the session (at DCH speed): deferred activities at
     // the session start, prefetched ones ending at the session end.

@@ -23,8 +23,12 @@ ModelLifecycle::ModelLifecycle(const AdaptationConfig& adapt,
 }
 
 void ModelLifecycle::anchor(const UserTrace& training) {
+  // sanitize_trace passes a valid trace through unchanged, so only a
+  // trace with a violation pays for the repaired copy (as mine_habits).
   detector_.observe_all(
-      mining::fold_buckets(fault::sanitize_trace(training).trace));
+      training.first_violation() == nullptr
+          ? mining::fold_buckets(training)
+          : mining::fold_buckets(fault::sanitize_trace(training).trace));
   detector_.notify_adapted();
 }
 

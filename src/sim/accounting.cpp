@@ -13,22 +13,31 @@ namespace netmaster::sim {
 
 namespace {
 
-/// Folds one activity into the byte totals and peak rates. Peak rate is
-/// a channel property of individual transfers; policies shift transfers
-/// in time but do not change their rate (the paper makes the same
-/// observation about Fig. 7c).
-void add_activity(TraceTotals& totals, std::int64_t bytes_down,
-                  std::int64_t bytes_up, DurationMs duration) {
-  totals.bytes_down += bytes_down;
-  totals.bytes_up += bytes_up;
-  if (duration <= 0) return;
-  const double s = to_seconds(duration);
-  totals.peak_down_rate_kbps =
-      std::max(totals.peak_down_rate_kbps,
-               static_cast<double>(bytes_down) / 1000.0 / s);
-  totals.peak_up_rate_kbps =
-      std::max(totals.peak_up_rate_kbps,
-               static_cast<double>(bytes_up) / 1000.0 / s);
+/// The one body of both trace_totals overloads. Peak rate is a channel
+/// property of individual transfers; policies shift transfers in time
+/// but do not change their rate (the paper makes the same observation
+/// about Fig. 7c).
+TraceTotals totals_of(TimeMs horizon, std::span<const ScreenSession> sessions,
+                      std::span<const AppUsage> usages,
+                      std::span<const NetworkActivity> activities) {
+  TraceTotals totals;
+  totals.horizon_ms = horizon;
+  totals.num_activities = activities.size();
+  for (const NetworkActivity& act : activities) {
+    totals.bytes_down += act.bytes_down;
+    totals.bytes_up += act.bytes_up;
+    if (act.duration <= 0) continue;
+    const double s = to_seconds(act.duration);
+    totals.peak_down_rate_kbps =
+        std::max(totals.peak_down_rate_kbps,
+                 static_cast<double>(act.bytes_down) / 1000.0 / s);
+    totals.peak_up_rate_kbps =
+        std::max(totals.peak_up_rate_kbps,
+                 static_cast<double>(act.bytes_up) / 1000.0 / s);
+  }
+  totals.total_usages = usages.size();
+  for (const ScreenSession& s : sessions) totals.screen_on_ms += s.length();
+  return totals;
 }
 
 /// IntervalSet's point and window queries for a stream of query
@@ -171,37 +180,13 @@ void account_canonicalized(std::vector<Interval>& cellular,
 }  // namespace
 
 TraceTotals trace_totals(const UserTrace& eval) {
-  TraceTotals totals;
-  totals.horizon_ms = eval.trace_end();
-  totals.num_activities = eval.activities.size();
-  for (const NetworkActivity& act : eval.activities) {
-    add_activity(totals, act.bytes_down, act.bytes_up, act.duration);
-  }
-  totals.total_usages = eval.usages.size();
-  for (const ScreenSession& s : eval.sessions) {
-    totals.screen_on_ms += s.length();
-  }
-  return totals;
+  return totals_of(eval.trace_end(), eval.sessions, eval.usages,
+                   eval.activities);
 }
 
 TraceTotals trace_totals(const engine::TraceIndex& eval) {
-  TraceTotals totals;
-  totals.horizon_ms = eval.horizon();
-  const mem::ActivityColumns& acts = eval.activities();
-  totals.num_activities = acts.size();
-  const std::span<const std::int64_t> down = acts.bytes_down();
-  const std::span<const std::int64_t> up = acts.bytes_up();
-  const std::span<const DurationMs> durations = acts.durations();
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    add_activity(totals, down[i], up[i], durations[i]);
-  }
-  totals.total_usages = eval.usages().size();
-  const std::span<const TimeMs> begins = eval.sessions().begins();
-  const std::span<const TimeMs> ends = eval.sessions().ends();
-  for (std::size_t i = 0; i < begins.size(); ++i) {
-    totals.screen_on_ms += ends[i] - begins[i];
-  }
-  return totals;
+  return totals_of(eval.horizon(), eval.sessions(), eval.usages(),
+                   eval.activities());
 }
 
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
@@ -217,14 +202,11 @@ SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
 
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioSet& radios) {
-  std::vector<TimeMs> usage_times;
-  usage_times.reserve(eval.usages.size());
-  for (const AppUsage& u : eval.usages) usage_times.push_back(u.time);
-  return account(trace_totals(eval), usage_times, outcome, radios);
+  return account(trace_totals(eval), eval.usages, outcome, radios);
 }
 
 SimReport account(const TraceTotals& totals,
-                  std::span<const TimeMs> usage_times,
+                  std::span<const AppUsage> usages,
                   const PolicyOutcome& outcome, const RadioSet& radios) {
   radios.validate();
   SimReport report;
@@ -316,8 +298,8 @@ SimReport account(const TraceTotals& totals,
   // User experience.
   if (!outcome.blocked.empty()) {
     ForwardCursor blocked(outcome.blocked.intervals());
-    for (const TimeMs t : usage_times) {
-      report.affected_usages += blocked.contains(t);
+    for (const AppUsage& u : usages) {
+      report.affected_usages += blocked.contains(u.time);
     }
   }
   report.interrupts = outcome.interrupts;

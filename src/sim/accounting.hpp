@@ -52,8 +52,8 @@ struct TraceTotals {
   DurationMs screen_on_ms = 0;
 };
 
-/// Totals of an AoS trace, or of the same trace's index columns; both
-/// give bit-identical results.
+/// Totals of a trace, or of the same trace's index records; both give
+/// bit-identical results.
 TraceTotals trace_totals(const UserTrace& eval);
 TraceTotals trace_totals(const engine::TraceIndex& eval);
 
@@ -105,8 +105,8 @@ struct SimReport {
   double drift_score = 0.0;     ///< drift score the policy acted under
 };
 
-/// The accounting core: `totals` and `usage_times` (the usage start
-/// column, in any order) describe the evaluation trace. Transfers are
+/// The accounting core: `totals` and `usages` (in any order) describe
+/// the evaluation trace. Transfers are
 /// validated in order, each interface's state machine is integrated
 /// independently — the cellular partition under
 /// the policy's data switch, the Wi-Fi partition with free-running PSM
@@ -116,7 +116,7 @@ struct SimReport {
 /// (missing/duplicate/unknown activities, transfers beyond the
 /// horizon or with a negative duration).
 SimReport account(const TraceTotals& totals,
-                  std::span<const TimeMs> usage_times,
+                  std::span<const AppUsage> usages,
                   const PolicyOutcome& outcome, const RadioSet& radios);
 
 /// Runs the accountant for a single-radio (cellular-only) outcome.
@@ -127,8 +127,8 @@ SimReport account(const TraceTotals& totals,
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioModel& params);
 
-/// Multi-radio accountant over an AoS trace: the core above, fed with
-/// the trace's totals and usage times.
+/// Multi-radio accountant over a trace: the core above, fed with the
+/// trace's totals and usages.
 SimReport account(const UserTrace& eval, const PolicyOutcome& outcome,
                   const RadioSet& radios);
 

@@ -384,7 +384,7 @@ TEST(AccountingEquivalence, IndexPathMatchesTraceAdapterBitForBit) {
             spec.make(traces.training)->run(index);
         const RadioSet radios = spec.radios.value_or(session_radios);
         const SimReport via_index =
-            account(totals, index.usages().times(), outcome, radios);
+            account(totals, index.usages(), outcome, radios);
         const SimReport via_trace = account(*eval_trace, outcome, radios);
         expect_reports_identical(via_index, via_trace, context);
         wifi_transfers += via_index.wifi_transfer_count;
@@ -440,7 +440,7 @@ TEST(AccountingEquivalence, InvalidOutcomesThrowTheSameErrorOnBothPaths) {
 
   for (const auto& [name, outcome] : bad) {
     const std::string via_index = thrown_error(
-        [&] { account(totals, index.usages().times(), outcome, radios); });
+        [&] { account(totals, index.usages(), outcome, radios); });
     const std::string via_trace =
         thrown_error([&] { account(t, outcome, radios); });
     EXPECT_FALSE(via_index.empty()) << name;
@@ -765,13 +765,13 @@ std::uint64_t canonicalized_count() {
   return obs::Registry::global().counter("sim.account.canonicalized").value();
 }
 
-/// One random accounting input: a trace summary, its usage times, and
+/// One random accounting input: a trace summary, its usages, and
 /// an outcome mixing in-order, touching, overlapping, zero-length and
 /// late transfers, with Wi-Fi offloads, duty wakes and a data switch
 /// each on some draws.
 struct RandomCase {
   TraceTotals totals;
-  std::vector<TimeMs> usage_times;
+  std::vector<AppUsage> usages;
   PolicyOutcome outcome;
   RadioSet radios;
 };
@@ -786,13 +786,14 @@ RandomCase random_case(std::mt19937_64& rng) {
   tt.peak_down_rate_kbps = static_cast<double>(rng() % 5000) / 7.0;
   tt.peak_up_rate_kbps = static_cast<double>(rng() % 500) / 7.0;
   tt.screen_on_ms = static_cast<DurationMs>(rng() % 100'000);
-  const std::size_t usages = rng() % 50;
-  for (std::size_t i = 0; i < usages; ++i) {
-    c.usage_times.push_back(static_cast<TimeMs>(
-        rng() % static_cast<std::uint64_t>(tt.horizon_ms)));
+  const std::size_t num_usages = rng() % 50;
+  for (std::size_t i = 0; i < num_usages; ++i) {
+    AppUsage& u = c.usages.emplace_back();
+    u.time = static_cast<TimeMs>(rng() %
+                                 static_cast<std::uint64_t>(tt.horizon_ms));
   }
-  if (rng() % 2 == 0) std::sort(c.usage_times.begin(), c.usage_times.end());
-  tt.total_usages = c.usage_times.size() + rng() % 3;
+  if (rng() % 2 == 0) std::ranges::sort(c.usages, {}, &AppUsage::time);
+  tt.total_usages = c.usages.size() + rng() % 3;
 
   PolicyOutcome& o = c.outcome;
   o.policy_name = "random-policy-with-a-long-name";
@@ -909,10 +910,10 @@ TEST(AccountingProperty, MatchesTheMaterializingReferenceBitForBit) {
     const std::string context = "iter " + std::to_string(iter);
     const std::uint64_t before = canonicalized_count();
     const SimReport got =
-        account(c.totals, c.usage_times, c.outcome, c.radios);
+        account(c.totals, c.usages, c.outcome, c.radios);
     const bool canonical = canonicalized_count() != before;
     const SimReport want = oracles::account_outcome(
-        c.totals, c.usage_times, c.outcome, c.radios);
+        c.totals, c.usages, c.outcome, c.radios);
     expect_reports_identical(got, want, context);
     ++(canonical ? canonicalized : streamed);
     const bool stock = !c.outcome.radio_allowed.has_value() &&
@@ -960,8 +961,8 @@ TEST(AccountingProperty, DerivedSwitchMatchesThePerTransferWindows) {
     with_wakes += !o.wakes.empty();
     const std::string context = "iter " + std::to_string(iter);
     expect_reports_identical(
-        account(c.totals, c.usage_times, o, c.radios),
-        oracles::account_outcome(c.totals, c.usage_times, o, c.radios),
+        account(c.totals, c.usages, o, c.radios),
+        oracles::account_outcome(c.totals, c.usages, o, c.radios),
         context);
   }
   EXPECT_GT(zero_length, 1000u);
@@ -1012,9 +1013,9 @@ TEST(AccountingProperty, InvalidOutcomesThrowLikeTheReference) {
       }
     }
     const std::string got = thrown_error(
-        [&] { account(c.totals, c.usage_times, o, c.radios); });
+        [&] { account(c.totals, c.usages, o, c.radios); });
     const std::string want = thrown_error([&] {
-      oracles::account_outcome(c.totals, c.usage_times, o, c.radios);
+      oracles::account_outcome(c.totals, c.usages, o, c.radios);
     });
     EXPECT_EQ(message_of(got), message_of(want)) << "iter " << iter;
     thrown += !want.empty();
@@ -1036,9 +1037,9 @@ TEST(AccountingProperty, NegativeDurationThrowsLikeTheReference) {
     transfers[k].duration = -1 - static_cast<DurationMs>(rng() % 5000);
     if (rng() % 3 == 0) transfers[rng() % transfers.size()].start = -1;
     const std::string got = thrown_error(
-        [&] { account(c.totals, c.usage_times, c.outcome, c.radios); });
+        [&] { account(c.totals, c.usages, c.outcome, c.radios); });
     const std::string want = thrown_error([&] {
-      oracles::account_outcome(c.totals, c.usage_times, c.outcome, c.radios);
+      oracles::account_outcome(c.totals, c.usages, c.outcome, c.radios);
     });
     EXPECT_EQ(message_of(got), message_of(want)) << "iter " << iter;
     negative += want.find("negative duration") != std::string::npos;

@@ -4,6 +4,7 @@
 // and the online re-mine-on-drift adaptation loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <string>
@@ -13,16 +14,20 @@
 #include "daemon/user_session.hpp"
 #include "engine/trace_index.hpp"
 #include "eval/session.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/drift.hpp"
 #include "mining/habits.hpp"
 #include "mining/incremental.hpp"
 #include "model_equality.hpp"
 #include "policy/netmaster.hpp"
+#include "service/model_lifecycle.hpp"
 #include "service/online_sim.hpp"
 #include "sim/accounting.hpp"
 #include "synth/drift.hpp"
 #include "synth/generator.hpp"
 #include "synth/presets.hpp"
+#include "testkit/fault_plan.hpp"
+#include "testkit/injector.hpp"
 
 namespace netmaster {
 namespace {
@@ -627,6 +632,52 @@ TEST(OnlineAdaptation, RejectsInvalidConfig) {
       service::run_online(traces.training, traces.eval, index,
                           cfg.netmaster, bad),
       Error);
+}
+
+TEST(OnlineAdaptation, AnchorMatchesTheSanitizedFoldOnCleanAndFaultyTraces) {
+  // anchor folds a valid training trace as it is and sanitizes only a
+  // trace with a violation. sanitize_trace passes a valid trace through
+  // unchanged, so either way the detector must score every observed day
+  // exactly as one seeded from the sanitized trace's fold.
+  eval::ExperimentConfig cfg;
+  cfg.train_days = 14;
+  cfg.eval_days = 10;
+  synth::DriftSpec spec;
+  spec.kind = synth::DriftKind::kAbrupt;
+  spec.onset_day = 0;
+  const eval::VolunteerTraces traces = eval::make_drifting_traces(
+      synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg, spec);
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  plan.with(fault::FaultKind::kDuplicateRecord, 0.05)
+      .with(fault::FaultKind::kReorderRecords, 0.05);
+  const UserTrace faulty =
+      fault::inject_faults(traces.training, plan).trace;
+  ASSERT_EQ(traces.training.first_violation(), nullptr);
+  ASSERT_NE(faulty.first_violation(), nullptr);
+
+  const mining::HourBuckets eval_buckets = mining::fold_buckets(traces.eval);
+  service::AdaptationConfig adapt;
+  adapt.enable = true;
+  for (const UserTrace* training : {&traces.training, &faulty}) {
+    service::ModelLifecycle lifecycle(adapt, cfg.netmaster.robustness);
+    lifecycle.anchor(*training);
+    mining::DriftDetector reference(adapt.detector);
+    reference.observe_all(
+        mining::fold_buckets(fault::sanitize_trace(*training).trace));
+    reference.notify_adapted();
+    double peak = 0.0;
+    for (int day = 0; day < eval_buckets.num_days(); ++day) {
+      const mining::DayContribution summary =
+          mining::IncrementalHabitMiner::summarize_day(
+              day, eval_buckets.day(day), eval_buckets.num_apps);
+      lifecycle.observe_summary(day, summary);
+      reference.observe_summary(day, summary);
+      EXPECT_EQ(lifecycle.score(), reference.score()) << "day " << day;
+      peak = std::max(peak, reference.score());
+    }
+    EXPECT_GT(peak, 0.0);  // the drift makes the comparison bite
+  }
 }
 
 TEST(OnlineAdaptation, EventLoopAndDaemonDriveOneLifecycle) {

@@ -94,12 +94,10 @@ TEST(NetMaster, DutyWakesOnlyOutsidePredictedSlots) {
 /// materializing reference's, bit for bit.
 void expect_switch_matches_reference(const UserTrace& eval,
                                      const sim::PolicyOutcome& o) {
-  std::vector<TimeMs> usage_times;
-  for (const AppUsage& u : eval.usages) usage_times.push_back(u.time);
   const RadioSet radios;
   const RadioAccounting got = sim::account(eval, o, radios).radio;
   const RadioAccounting want =
-      oracles::account_outcome(sim::trace_totals(eval), usage_times, o,
+      oracles::account_outcome(sim::trace_totals(eval), eval.usages, o,
                                radios)
           .radio;
   EXPECT_EQ(got.energy_j, want.energy_j);

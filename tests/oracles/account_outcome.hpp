@@ -52,7 +52,7 @@ inline IntervalSet per_transfer_allowed(const sim::PolicyOutcome& outcome,
 }
 
 inline sim::SimReport account_outcome(const sim::TraceTotals& totals,
-                                      std::span<const TimeMs> usage_times,
+                                      std::span<const AppUsage> usages,
                                       const sim::PolicyOutcome& outcome,
                                       const RadioSet& radios) {
   radios.validate();
@@ -126,8 +126,8 @@ inline sim::SimReport account_outcome(const sim::TraceTotals& totals,
         static_cast<double>(report.bytes_up) / 1000.0 / on_s;
   }
 
-  for (const TimeMs t : usage_times) {
-    report.affected_usages += outcome.blocked.contains(t);
+  for (const AppUsage& u : usages) {
+    report.affected_usages += outcome.blocked.contains(u.time);
   }
   report.interrupts = outcome.interrupts;
   if (report.total_usages > 0) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -211,16 +212,20 @@ TEST(TraceIndex, PolicyOutcomesBitIdenticalViaSharedIndex) {
 
 TEST(TraceIndex, ReplaysAfterTheSourceTraceIsGone) {
   // The index keeps no reference to its source: a fleet user's trace
-  // may be evicted to disk (or destroyed) while the arena-backed
-  // columns keep replaying — also after the index itself was moved,
-  // which carries its arena along. Under ASan a stray read of the
-  // freed trace or of a dropped arena fails here.
+  // may be evicted to disk (or destroyed) while the index's own
+  // records keep replaying — also after the index itself was moved,
+  // which carries its vectors along. Under ASan a stray read of the
+  // freed trace or of a dropped vector fails here.
   auto source = std::make_unique<UserTrace>(fixture());
   const UserTrace copy = *source;
   TraceIndex built(*source);
   built.check_invariants(copy);
-  const std::size_t bytes = built.arena_bytes();
-  EXPECT_GT(bytes, 0u);
+  // Exact-capacity records plus one bit word and the u32 list.
+  const std::size_t bytes = built.bytes();
+  EXPECT_EQ(bytes, copy.sessions.size() * sizeof(ScreenSession) +
+                       copy.usages.size() * sizeof(AppUsage) +
+                       copy.activities.size() * sizeof(NetworkActivity) +
+                       sizeof(std::uint64_t) + 3 * sizeof(std::uint32_t));
   source.reset();
 
   const auto expect_replays = [&copy](const TraceIndex& index) {
@@ -234,7 +239,8 @@ TEST(TraceIndex, ReplaysAfterTheSourceTraceIsGone) {
   expect_replays(built);
 
   const TraceIndex moved(std::move(built));
-  EXPECT_EQ(moved.arena_bytes(), bytes);
+  EXPECT_EQ(moved.bytes(), bytes);
+  EXPECT_EQ(built.bytes(), 0u);
   expect_replays(moved);
 }
 

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -463,14 +464,14 @@ TEST(SpillFleet, FailedTrainingPinIsRetriedByTheNextGrid) {
   }
 }
 
-template <typename A, typename B>
-void expect_same_column(const A& a, const B& b, const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << what;
+template <typename T>
+void expect_same_records(std::span<const T> a, std::span<const T> b,
+                         const std::string& what) {
+  EXPECT_TRUE(std::ranges::equal(a, b)) << what;
 }
 
 /// Bit-for-bit equality of what set-up leaves per user: the index
-/// columns, the trace totals and the baseline report.
+/// records, the trace totals and the baseline report.
 void expect_same_prepared(const EvalSession& a, const EvalSession& b,
                           std::size_t u, const std::string& context) {
   const std::string at = context + " user " + std::to_string(u);
@@ -481,14 +482,11 @@ void expect_same_prepared(const EvalSession& a, const EvalSession& b,
   EXPECT_EQ(x.user(), y.user()) << at;
   EXPECT_EQ(x.num_days(), y.num_days()) << at;
   EXPECT_EQ(x.horizon(), y.horizon()) << at;
-  expect_same_column(x.sessions().begins(), y.sessions().begins(), at);
-  expect_same_column(x.sessions().ends(), y.sessions().ends(), at);
-  expect_same_column(x.usages().apps(), y.usages().apps(), at);
-  expect_same_column(x.usages().times(), y.usages().times(), at);
-  expect_same_column(x.usages().durations(), y.usages().durations(), at);
-  expect_same_column(x.activities(), y.activities(), at);
-  expect_same_column(x.deferrable_screen_off(), y.deferrable_screen_off(),
-                     at);
+  expect_same_records(x.sessions(), y.sessions(), at);
+  expect_same_records(x.usages(), y.usages(), at);
+  expect_same_records(x.activities(), y.activities(), at);
+  expect_same_records(x.deferrable_screen_off(), y.deferrable_screen_off(),
+                      at);
 
   const sim::TraceTotals& tx = a.totals(u);
   const sim::TraceTotals& ty = b.totals(u);
@@ -573,10 +571,10 @@ TEST(SpillFleet, SetupNeverRehydrates) {
 TEST(SpillFleet, CappedSessionHoldsHalfTheResidentBytes) {
   // The point of spilling: at a 256 KB cap the session keeps at most
   // half the bytes of the all-resident one, counted exactly as the
-  // store's hydrated traces plus the index arenas. Which users a grid
-  // leaves hydrated depends on which cell finished last, so the capped
-  // footprint is read after a serial pin pass in id order: the
-  // hydrations the cap keeps plus every arena.
+  // store's hydrated traces plus the indexes' records. Which users a
+  // grid leaves hydrated depends on which cell finished last, so the
+  // capped footprint is read after a serial pin pass in id order: the
+  // hydrations the cap keeps plus every index.
   std::vector<synth::UserProfile> profiles;
   for (int i = 0; i < 8; ++i) {
     profiles.push_back(
