@@ -11,6 +11,7 @@
 
 #include "cli_args.hpp"
 #include "eval/table.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
 #include "policy/netmaster.hpp"
@@ -42,8 +43,9 @@ int main(int argc, char** argv) {
             << "x (" << store.bytes_flushed() / 1024 << " kB to flash)\n";
 
   // 2. Mining: habit model and special apps from the DB's records.
-  const fault::SanitizeResult recorded = store.to_trace_tolerant(
-      training.user, training.num_days, training.app_names);
+  const fault::SanitizeResult recorded = fault::sanitize_trace(
+      store.reconstruct(training.user, training.num_days,
+                        training.app_names));
   const mining::SlotPredictor predictor(
       mining::HabitModel::mine(recorded.trace), config.predictor);
   const mining::SpecialApps special =

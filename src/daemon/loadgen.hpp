@@ -17,9 +17,9 @@
 //
 // Event ordering: events are stable-sorted by (time, priority) with
 // priority screen-off < screen-on < app < net. Ties matter — the
-// store's reconstruction pairs the FIRST off after an on, so a session
-// ending exactly when the next begins must stream its off first (see
-// net/protocol.hpp).
+// reconstruction (service::TraceRebuilder) pairs the FIRST off after an
+// on, so a session ending exactly when the next begins must stream its
+// off first (see net/protocol.hpp).
 #pragma once
 
 #include <cstdint>

@@ -181,7 +181,9 @@ std::string Netmasterd::handle(const net::Request& request,
         net::append_int(reply, result.outcome.duty_releases);
         reply += " model=";
         net::append_int(reply, result.model_version);
-        reply += result.degraded ? " degraded=1" : " degraded=0";
+        reply += result.outcome.path == sim::ExecutionPath::kDegradedFallback
+                     ? " degraded=1"
+                     : " degraded=0";
         reply += " digest=";
         net::append_int(reply, schedule_digest(result.outcome), 16);
         return reply;

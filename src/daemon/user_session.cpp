@@ -56,42 +56,47 @@ void UserSession::ingest(const service::Record& record) {
   const int day = day_of(std::max<TimeMs>(record.time, 0));
   if (stats_.finished || record.time < 0 || day >= config_.num_days ||
       day < current_day_) {
-    // Out of the horizon, or its day already folded: the store keeps
-    // the record (full-window reconstructions still see it) but the
-    // at-most-once fold discipline never re-folds a completed day.
+    // Out of the horizon, or its day already folded: the at-most-once
+    // fold discipline never re-folds a completed day, but a record of
+    // the open window still reaches its rebuilder (later reads see it).
     ++stats_.late_events;
     SessionMetrics::get().late.add(1);
-    if (!stats_.finished && record.time >= 0) {
-      store_.append(record);
-      if (record.time >= train_end_ && day < config_.num_days) {
-        // The record lands inside the evaluation horizon, so the next
-        // schedule() reconstruction includes it — count it into the
-        // cache key and drop the schedule computed without it.
-        ++eval_events_;
-        cache_valid_ = false;
-      }
+    if (!stats_.finished && record.time >= 0 && day < config_.num_days) {
+      add(record);
     }
     return;
   }
   if (day > current_day_) fold_through(day);
-
-  // Ingest-side session pairing, mirroring RecordStore::reconstruct:
-  // the first ON opens, the first OFF closes, repeats are ignored. The
-  // state feeds the synthetic screen-on edge when a session straddles
-  // the training/evaluation boundary (slice_days clips; the eval
-  // reconstruction must see the same clipped session).
-  if (record.kind == service::RecordKind::kScreenOn) {
-    if (screen_open_since_ < 0) screen_open_since_ = record.time;
-  } else if (record.kind == service::RecordKind::kScreenOff) {
-    screen_open_since_ = -1;
-  }
-
-  store_.append(record);
+  add(record);
   window_records_.push_back(record);
-  if (record.time >= train_end_) {
-    ++eval_events_;
-    cache_valid_ = false;
+}
+
+void UserSession::add(service::Record r) {
+  if (r.time < train_end_) {
+    // Training completes before any evaluation record arrives; a
+    // training record after that reaches neither window.
+    if (stats_.trained) return;
+    if (r.kind == service::RecordKind::kNetworkActivity &&
+        r.time + r.duration > train_end_) {
+      // slice_days clips transfers at the slice edge; match it so the
+      // miner sees the same training window the batch path mines.
+      r.duration = train_end_ - r.time;
+    }
+    training().add(r);
+    return;
   }
+  r.time -= train_end_;
+  eval_->add(r);
+  // The next schedule() snapshot includes the record: drop the
+  // schedule computed without it.
+  cache_valid_ = false;
+}
+
+service::TraceRebuilder& UserSession::training() {
+  if (!training_) {
+    training_.emplace(config_.user, config_.train_days, config_.app_names);
+  }
+  return *training_;
 }
 
 void UserSession::finish() {
@@ -159,15 +164,19 @@ void UserSession::fold_day(int day) {
 
 void UserSession::complete_training() {
   obs::SpanScope span("daemon.mine");
-  // The batch constructor mines the raw reconstruction of every stored
+  // A session straddling the training boundary appears in the
+  // evaluation slice clipped to its start; re-open it at the epoch.
+  eval_.emplace(config_.user, eval_days(), config_.app_names);
+  if (training().screen_open()) {
+    eval_->add({service::RecordKind::kScreenOn, 0, -1, 0, 0, 0, false, false});
+  }
+  // The batch constructor mines the raw reconstruction of every
   // training record (late ones included) and detects the special apps
   // from it — one builder for the batch policy and the daemon.
-  const UserTrace training = training_trace();
-  policy_ =
-      std::make_unique<policy::NetMasterPolicy>(training, policy_config_);
-  if (lifecycle_.enabled()) lifecycle_.anchor(training);
-  eval_screen_open_ =
-      screen_open_since_ >= 0 && screen_open_since_ < train_end_;
+  const UserTrace trace = std::move(training()).finish();
+  training_.reset();
+  policy_ = std::make_unique<policy::NetMasterPolicy>(trace, policy_config_);
+  if (lifecycle_.enabled()) lifecycle_.anchor(trace);
   stats_.trained = true;
   stats_.model_version = 1;
   cache_valid_ = false;
@@ -188,57 +197,20 @@ void UserSession::attempt_refresh(int eval_day) {
   SessionMetrics::get().refreshes.add(1);
 }
 
-UserTrace UserSession::training_trace() const {
-  service::TraceRebuilder training(config_.user, config_.train_days,
-                                   config_.app_names);
-  store_.for_each([&](service::Record r) {
-    if (r.time >= train_end_) return;
-    if (r.kind == service::RecordKind::kNetworkActivity &&
-        r.time + r.duration > train_end_) {
-      // slice_days clips transfers at the slice edge; match it so the
-      // miner sees the same training window the batch path mines.
-      r.duration = train_end_ - r.time;
-    }
-    training.add(r);
-  });
-  return std::move(training).finish();
-}
-
 fault::SanitizeResult UserSession::eval_trace(int horizon_days) const {
-  const TimeMs hi = train_end_ + day_start(horizon_days);
-  service::TraceRebuilder eval(config_.user, horizon_days,
-                               config_.app_names);
-  if (eval_screen_open_) {
-    // A session straddling the training boundary appears in the
-    // evaluation slice clipped to its start; re-open it at the epoch.
-    eval.add({service::RecordKind::kScreenOn, 0, -1, 0, 0, 0, false, false});
-  }
-  // The store is read in place: no copy of the history per read.
-  store_.for_each([&](service::Record r) {
-    if (r.time < train_end_ || r.time >= hi) return;
-    r.time -= train_end_;
-    eval.add(r);
-  });
-  return fault::sanitize_trace(std::move(eval).finish());
+  return fault::sanitize_trace(eval_->snapshot(horizon_days));
 }
 
 const ScheduleResult& UserSession::schedule() {
   NM_REQUIRE(policy_ != nullptr,
              "schedule requested before the training window completed");
-  if (cache_valid_ && cache_events_ == eval_events_ &&
-      cache_version_ == stats_.model_version) {
-    return cached_;
-  }
+  if (cache_valid_) return cached_;
   obs::SpanScope span("daemon.schedule");
   const fault::SanitizeResult repaired = eval_trace(eval_days());
   const engine::TraceIndex index(repaired.trace);
   cached_.outcome = policy_->run(index);
   cached_.model_version = stats_.model_version;
-  cached_.degraded = policy_->degraded();
-  cached_.degraded_reason = policy_->degraded_reason();
   cache_valid_ = true;
-  cache_events_ = eval_events_;
-  cache_version_ = stats_.model_version;
   return cached_;
 }
 

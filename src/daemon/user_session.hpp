@@ -1,37 +1,43 @@
 // Per-user streaming state of netmasterd.
 //
 // A UserSession turns one user's ingested monitoring records into the
-// same artifacts the batch pipeline computes:
+// same artifacts the batch pipeline computes. Each record is converted
+// once, on arrival, into trace records held by one of two
+// service::TraceRebuilders; the session keeps no record store.
 //
-//   * during the training window, records are only stored; each
-//     completed day is counted as folded and closed. When the last
-//     training day closes, the session builds the serving
-//     NetMasterPolicy through the batch constructor from the raw
-//     reconstruction of every stored training record — one model
-//     builder for the batch policy and the daemon, so on clean streams
-//     the policy is bit for bit NetMasterPolicy(training_trace, config)
+//   * during the training window, records go to the training rebuilder
+//     (transfers clipped at the boundary, as UserTrace::slice_days
+//     clips them); each completed day is counted as folded and closed.
+//     When the last training day closes, the session finishes that
+//     rebuilder and builds the serving NetMasterPolicy through the
+//     batch constructor from its raw reconstruction — one model builder
+//     for the batch policy and the daemon, so on clean streams the
+//     policy is bit for bit NetMasterPolicy(training_trace, config)
 //     (the daemon's batch-equivalence anchor, daemon_test). A late
 //     record for an already-closed training day, arriving before the
 //     training window completes, reaches the model, the special apps
-//     and the quality ledger alike.
+//     and the quality ledger alike; one arriving after it is dropped.
 //
-//   * during the evaluation window, completed days feed the model's
-//     drift lifecycle (service/model_lifecycle.hpp) — the same loop
-//     service::run_online drives at its midnight tick. A due refresh
-//     re-mines from the reconstructed evaluation records; an adopted
-//     model hot-swaps the serving policy (bumping model_version).
+//   * evaluation-window records go to the evaluation rebuilder, shifted
+//     to the evaluation epoch. It is created when training completes,
+//     re-opening at the epoch a screen session the training rebuilder
+//     still holds open. Completed days feed the model's drift lifecycle
+//     (service/model_lifecycle.hpp) — the same loop service::run_online
+//     drives at its midnight tick. A due refresh re-mines from a
+//     snapshot of the evaluation rebuilder; an adopted model hot-swaps
+//     the serving policy (bumping model_version).
 //
-//   * schedule() reconstructs the evaluation window seen so far,
-//     indexes it and runs the serving policy — cached until new eval
-//     events or a model swap invalidate it.
+//   * schedule() snapshots the evaluation rebuilder, sanitizes and
+//     indexes the result and runs the serving policy — cached until a
+//     new evaluation record or a model swap invalidates it.
 //
 // Evaluation-day folds summarize a 2-day reconstruction window. They
 // assume screen sessions span at most one midnight (true of synthesized
 // and sanitized traces): the window always contains a day's governing
-// screen edges. Records arriving for already-closed days are appended
-// to the store (later reconstructions see them) but counted as
-// late_events and never re-folded — folds are deterministic,
-// at-most-once.
+// screen edges. Records arriving for already-closed evaluation days
+// still reach the evaluation rebuilder (later snapshots see them) but
+// are counted as late_events and never re-folded — folds are
+// deterministic, at-most-once.
 //
 // Not thread-safe: a session is owned by exactly one shard worker
 // (daemon/shard.hpp), which serializes all access.
@@ -39,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,8 +89,6 @@ struct UserSessionStats {
 struct ScheduleResult {
   sim::PolicyOutcome outcome;
   int model_version = 0;
-  bool degraded = false;
-  std::string degraded_reason;
 };
 
 class UserSession {
@@ -111,26 +116,30 @@ class UserSession {
   const UserSessionStats& stats() const { return stats_; }
 
  private:
+  /// Converts an accepted record into its window's trace records.
+  void add(service::Record record);
+  /// The training rebuilder, created on first use.
+  service::TraceRebuilder& training();
   void fold_through(int day);
   void fold_day(int day);
   mining::DayContribution summarize_window(int day) const;
   void complete_training();
   void attempt_refresh(int eval_day);
-  /// Raw reconstruction of the training window (transfers clipped at
-  /// the boundary like UserTrace::slice_days clips); the miner repairs
-  /// it when it must.
-  UserTrace training_trace() const;
   /// Tolerant reconstruction of relative evaluation days
-  /// [0, horizon_days), shifted to the evaluation epoch, with the
-  /// synthetic screen-on edge when a session straddled the training
-  /// boundary.
+  /// [0, horizon_days): a snapshot of the evaluation rebuilder, which
+  /// holds no record at or past that horizon when it is read.
   fault::SanitizeResult eval_trace(int horizon_days) const;
 
   UserSessionConfig config_;
   policy::NetMasterConfig policy_config_;
   TimeMs train_end_ = 0;
 
-  service::RecordStore store_;  ///< every ingested record (the §V DB)
+  /// Records before train_end_, until training completes; created by
+  /// the first one, so registration allocates nothing.
+  std::optional<service::TraceRebuilder> training_;
+  /// Records in [train_end_, horizon), shifted to the evaluation epoch;
+  /// created when training completes.
+  std::optional<service::TraceRebuilder> eval_;
   /// Records of days [current_day_ - 1, current_day_] — the fold
   /// window. Pruned at each day close; the reason folds stay O(2 days).
   std::vector<service::Record> window_records_;
@@ -139,14 +148,8 @@ class UserSession {
   service::ModelLifecycle lifecycle_;
   std::unique_ptr<policy::NetMasterPolicy> policy_;
 
-  TimeMs screen_open_since_ = -1;  ///< ingest-side session pairing state
-  bool eval_screen_open_ = false;  ///< session straddled the boundary
-  std::uint64_t eval_events_ = 0;
-
   ScheduleResult cached_;
   bool cache_valid_ = false;
-  std::uint64_t cache_events_ = 0;
-  int cache_version_ = 0;
 
   UserSessionStats stats_;
 };

@@ -57,19 +57,4 @@ std::string Table::pct(double fraction, int precision) {
   return os.str();
 }
 
-void print_csv(std::ostream& os, const std::vector<std::string>& headers,
-               const std::vector<std::vector<std::string>>& rows) {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      NM_REQUIRE(cells[c].find(',') == std::string::npos,
-                 "CSV cells must not contain commas");
-      if (c > 0) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers);
-  for (const auto& row : rows) emit(row);
-}
-
 }  // namespace netmaster::eval

@@ -1,4 +1,4 @@
-// ASCII table / CSV series formatting shared by benches and examples.
+// ASCII table formatting shared by benches and examples.
 #pragma once
 
 #include <iosfwd>
@@ -30,9 +30,5 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Writes rows as CSV (no quoting; cells must not contain commas).
-void print_csv(std::ostream& os, const std::vector<std::string>& headers,
-               const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace netmaster::eval

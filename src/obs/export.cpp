@@ -149,46 +149,6 @@ void write_json_object(Registry& registry, std::ostream& os) {
   os << "]}";
 }
 
-void print_table(Registry& registry, std::ostream& os) {
-  flush_thread_spans();
-  os << "---- metrics ----\n";
-  for (const auto& row : registry.counter_rows()) {
-    os << "  counter  " << row.name << " = " << row.value << '\n';
-  }
-  for (const auto& row : registry.gauge_rows()) {
-    os << "  gauge    " << row.name << " = " << row.value << '\n';
-  }
-  for (const auto& row : registry.histogram_rows()) {
-    const Histogram& h = *row.histogram;
-    os << "  hist     " << row.name << "  n=" << h.count()
-       << " mean=" << h.mean() << " p50=" << h.quantile(0.5)
-       << " p90=" << h.quantile(0.9) << " p99=" << h.quantile(0.99)
-       << " max=" << h.max();
-    if (h.rejected() > 0) os << " rejected=" << h.rejected();
-    os << '\n';
-  }
-  // Spans: roots first, children indented under their parent.
-  const auto rows = registry.span_rows();
-  auto print_span = [&](const Registry::SpanRow& row, int depth,
-                        auto&& self) -> void {
-    os << "  span     ";
-    for (int i = 0; i < depth; ++i) os << "  ";
-    os << row.name << "  n=" << row.stats.count
-       << " wall=" << row.stats.wall_ms << "ms cpu=" << row.stats.cpu_ms
-       << "ms max=" << row.stats.max_wall_ms << "ms\n";
-    if (depth > 8) return;  // cycle guard; span trees are shallow
-    for (const auto& child : rows) {
-      if (child.parent == row.name && child.name != row.name) {
-        self(child, depth + 1, self);
-      }
-    }
-  };
-  for (const auto& row : rows) {
-    if (row.parent.empty()) print_span(row, 0, print_span);
-  }
-  os << "-----------------\n";
-}
-
 bool maybe_export_env(Registry& registry) {
   const char* path = std::getenv("NETMASTER_METRICS_OUT");
   if (path == nullptr || *path == '\0') return false;

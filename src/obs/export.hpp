@@ -1,4 +1,4 @@
-// Metric exporters: human-readable table and machine-readable JSON.
+// Metric exporters: machine-readable JSON.
 //
 // Two JSON shapes are provided: `write_jsonl` emits one object per
 // line (the NETMASTER_METRICS_OUT snapshot format, greppable and
@@ -37,10 +37,6 @@ void write_jsonl(Registry& registry, std::ostream& os);
 /// The same snapshot as one object:
 ///   {"counters":{...},"gauges":{...},"histograms":[...],"spans":[...]}
 void write_json_object(Registry& registry, std::ostream& os);
-
-/// Aligned human table (counters, gauges, histogram summaries, span
-/// tree) — intended for stderr at the end of a run.
-void print_table(Registry& registry, std::ostream& os);
 
 /// When NETMASTER_METRICS_OUT names a file, writes the JSON-lines
 /// snapshot there (truncating any previous snapshot) and returns true.

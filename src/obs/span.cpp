@@ -60,25 +60,6 @@ double thread_cpu_ms() {
   return 0.0;
 }
 
-ScopedTimer::ScopedTimer(Histogram* sink)
-    : start_(Clock::now()), sink_(sink) {}
-
-ScopedTimer::~ScopedTimer() { stop(); }
-
-double ScopedTimer::elapsed_ms() const {
-  if (stopped_) return elapsed_ms_;
-  return ms_between(start_, Clock::now());
-}
-
-double ScopedTimer::stop() {
-  if (!stopped_) {
-    elapsed_ms_ = ms_between(start_, Clock::now());
-    stopped_ = true;
-    if (sink_ != nullptr) sink_->add(elapsed_ms_);
-  }
-  return elapsed_ms_;
-}
-
 SpanScope::SpanScope(std::string name)
     : SpanScope(Registry::global(), std::move(name)) {}
 

@@ -1,4 +1,4 @@
-// RAII timing: scoped wall-clock timers and lightweight spans.
+// RAII timing: lightweight spans.
 //
 // A SpanScope measures one named region (wall + thread-CPU time) and
 // attributes it to the enclosing span on the same thread (parent
@@ -21,33 +21,6 @@ namespace netmaster::obs {
 
 /// Wall-clock milliseconds of thread CPU time consumed so far.
 double thread_cpu_ms();
-
-/// Plain RAII stopwatch. With a Histogram sink, the elapsed wall time
-/// is recorded (once) on stop() or destruction; without one it is just
-/// a measurement you read via elapsed_ms()/stop().
-class ScopedTimer {
- public:
-  ScopedTimer() : ScopedTimer(nullptr) {}
-  explicit ScopedTimer(Histogram& sink) : ScopedTimer(&sink) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Milliseconds since construction; keeps the timer running.
-  double elapsed_ms() const;
-  /// Stops the timer, records into the sink (if any), returns the
-  /// elapsed milliseconds. Idempotent.
-  double stop();
-
- private:
-  explicit ScopedTimer(Histogram* sink);
-
-  std::chrono::steady_clock::time_point start_;
-  Histogram* sink_;
-  bool stopped_ = false;
-  double elapsed_ms_ = 0.0;
-};
 
 /// RAII span: name + parent (enclosing span on this thread) + wall and
 /// thread-CPU time, aggregated per thread and merged into the registry

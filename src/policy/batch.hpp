@@ -21,8 +21,6 @@ class BatchPolicy final : public Policy {
   std::string name() const override { return name_; }
   sim::PolicyOutcome run(const engine::TraceIndex& eval) const override;
 
-  std::size_t max_batch() const { return max_batch_; }
-
  private:
   std::size_t max_batch_;
   std::string name_;  ///< formatted once: run() stamps every outcome

@@ -24,9 +24,9 @@
 //     days [0, day). A screen session straddling that horizon reaches
 //     run_online's reconstruction with both edges, so the sanitizer
 //     clips it (and charges the clip to the quality ledger); the
-//     daemon's record filter drops the closing edge, so the
-//     reconstruction clamps the still-open session to the horizon and
-//     the ledger stays clean.
+//     daemon refreshes before the closing edge arrives, so its
+//     evaluation rebuilder's snapshot clamps the still-open session to
+//     the horizon and the ledger stays clean.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "duty/duty_cycle.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/incremental.hpp"
 #include "mining/special_apps.hpp"
@@ -119,11 +120,11 @@ OnlineSimResult run_online(const UserTrace& training,
                      day, eval_buckets.day(day), eval_buckets.num_apps))) {
       return;
     }
-    RecordStore store;
+    TraceRebuilder seen(eval.user, day + 1, eval.app_names);
     for_each_record(
-        eval, [&](const Record& r) { store.append(r); }, day_start(day + 1));
+        eval, [&](const Record& r) { seen.add(r); }, day_start(day + 1));
     std::optional<mining::HabitModel> fresh = lifecycle.refresh(
-        day + 1, store.to_trace_tolerant(eval.user, day + 1, eval.app_names));
+        day + 1, fault::sanitize_trace(std::move(seen).finish()));
     if (fresh) {
       predictor = mining::SlotPredictor(std::move(*fresh), config.predictor);
     }

@@ -24,20 +24,6 @@ void RecordStore::flush() {
   cache_.clear();
 }
 
-UserTrace RecordStore::to_trace(UserId user, int num_days,
-                                std::vector<std::string> app_names) const {
-  UserTrace trace = reconstruct(user, num_days, std::move(app_names));
-  trace.validate();
-  return trace;
-}
-
-fault::SanitizeResult RecordStore::to_trace_tolerant(
-    UserId user, int num_days,
-    std::vector<std::string> app_names) const {
-  return fault::sanitize_trace(
-      reconstruct(user, num_days, std::move(app_names)));
-}
-
 UserTrace RecordStore::reconstruct(
     UserId user, int num_days,
     std::vector<std::string> app_names) const {
@@ -86,24 +72,34 @@ void TraceRebuilder::add(const Record& r) {
   }
 }
 
+UserTrace TraceRebuilder::snapshot(int num_days) const {
+  UserTrace trace = trace_;
+  trace.num_days = num_days;
+  return close(std::move(trace), screen_on_since_);
+}
+
 UserTrace TraceRebuilder::finish() && {
-  const TimeMs horizon = trace_.trace_end();
-  if (screen_on_since_ >= 0 && screen_on_since_ < horizon) {
-    trace_.sessions.push_back({screen_on_since_, horizon});
+  return close(std::move(trace_), screen_on_since_);
+}
+
+UserTrace TraceRebuilder::close(UserTrace trace, TimeMs open_since) {
+  const TimeMs horizon = trace.trace_end();
+  if (open_since >= 0 && open_since < horizon) {
+    trace.sessions.push_back({open_since, horizon});
   }
-  std::stable_sort(trace_.sessions.begin(), trace_.sessions.end(),
+  std::stable_sort(trace.sessions.begin(), trace.sessions.end(),
                    [](const ScreenSession& a, const ScreenSession& b) {
                      return a.begin < b.begin;
                    });
-  std::stable_sort(trace_.usages.begin(), trace_.usages.end(),
+  std::stable_sort(trace.usages.begin(), trace.usages.end(),
                    [](const AppUsage& a, const AppUsage& b) {
                      return a.time < b.time;
                    });
-  std::stable_sort(trace_.activities.begin(), trace_.activities.end(),
+  std::stable_sort(trace.activities.begin(), trace.activities.end(),
                    [](const NetworkActivity& a, const NetworkActivity& b) {
                      return a.start < b.start;
                    });
-  return std::move(trace_);
+  return trace;
 }
 
 }  // namespace netmaster::service

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "fault/sanitize.hpp"
 #include "trace/trace.hpp"
 
 namespace netmaster::service {
@@ -75,9 +74,8 @@ void for_each_record(const UserTrace& trace, Emit&& emit,
 /// session still open at the end closes at the horizon), and each
 /// stream is stably sorted by time. Makes no validity promises —
 /// HabitModel::mine and NetMasterPolicy accept the raw result and
-/// repair it themselves. A caller that filters or shifts a store's
-/// records feeds them here directly instead of copying them into a
-/// second store first.
+/// repair it themselves. A caller that filters or shifts records feeds
+/// them here directly instead of copying them into a store first.
 class TraceRebuilder {
  public:
   TraceRebuilder(UserId user, int num_days,
@@ -85,10 +83,21 @@ class TraceRebuilder {
 
   void add(const Record& record);
 
+  /// True while a screen-on edge waits for its screen-off.
+  bool screen_open() const { return screen_on_since_ >= 0; }
+
+  /// The records so far as a trace of `num_days` days: an open session
+  /// closes at that horizon. The rebuilder keeps accepting records.
+  UserTrace snapshot(int num_days) const;
+
   /// The rebuilt trace; the rebuilder is spent.
   UserTrace finish() &&;
 
  private:
+  /// Closes a session open since `open_since` at the trace's horizon
+  /// and stably sorts each stream by time.
+  static UserTrace close(UserTrace trace, TimeMs open_since);
+
   UserTrace trace_;
   TimeMs screen_on_since_ = -1;
 };
@@ -125,22 +134,12 @@ class RecordStore {
 
   /// Rebuilds a UserTrace (for the mining component) from the records,
   /// given the app table and day count: a TraceRebuilder fed every
-  /// record in append order.
+  /// record in append order. The result is raw: a strict caller
+  /// validate()s it, a tolerant one repairs it through
+  /// fault::sanitize_trace, whose ledger says how much monitoring data
+  /// had to be discarded.
   UserTrace reconstruct(UserId user, int num_days,
                         std::vector<std::string> app_names) const;
-
-  /// reconstruct(), then validate: throws on records a valid trace
-  /// cannot hold (strict path).
-  UserTrace to_trace(UserId user, int num_days,
-                     std::vector<std::string> app_names) const;
-
-  /// Tolerant reconstruction: runs the same rebuild, then repairs the
-  /// result through fault::sanitize_trace instead of throwing. The
-  /// repair ledger tells the mining layer how much monitoring data had
-  /// to be discarded.
-  fault::SanitizeResult to_trace_tolerant(
-      UserId user, int num_days,
-      std::vector<std::string> app_names) const;
 
  private:
   std::size_t cache_capacity_;

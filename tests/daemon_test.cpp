@@ -18,6 +18,7 @@
 #include "daemon/loadgen.hpp"
 #include "daemon/netmasterd.hpp"
 #include "engine/trace_index.hpp"
+#include "fault/sanitize.hpp"
 #include "testkit/fault_plan.hpp"
 #include "testkit/injector.hpp"
 #include "mining/habits.hpp"
@@ -96,8 +97,6 @@ TEST(DaemonEquivalence, StreamedSchedulesMatchBatchBitForBit) {
     expect_outcomes_bitwise_equal(
         streamed.outcome, expected,
         "user " + std::to_string(user.session.user));
-    EXPECT_EQ(streamed.degraded,
-              expected.path == sim::ExecutionPath::kDegradedFallback);
   }
 
   const DaemonStats stats = daemon.stats();
@@ -111,7 +110,7 @@ TEST(DaemonEquivalence, StreamedSchedulesMatchBatchBitForBit) {
 }
 
 /// The batch ground truth for a streamed event list, reconstructed the
-/// way UserSession stores it: records with negative timestamps are
+/// way UserSession converts it: records with negative timestamps are
 /// dropped, the training window is rebuilt raw with transfers clipped
 /// at its end, and the evaluation window is shifted to its epoch,
 /// re-opening a screen session that straddles the boundary.
@@ -153,16 +152,17 @@ sim::PolicyOutcome batch_from_records(const std::vector<LoadEvent>& events,
   if (training_out != nullptr) *training_out = train_trace;
   const policy::NetMasterPolicy batch(train_trace, config);
   return batch.run(engine::TraceIndex(
-      eval.to_trace_tolerant(session.user,
-                             session.num_days - session.train_days,
-                             session.app_names)
+      fault::sanitize_trace(
+          eval.reconstruct(session.user,
+                           session.num_days - session.train_days,
+                           session.app_names))
           .trace));
 }
 
 TEST(DaemonEquivalence, FaultedStreamMatchesBatchOnTheSameRecords) {
   // A damaged stream: the serving model must be the one the batch
   // constructor mines from the same records, reconstructed the way the
-  // session stores them — one builder, also on the repair path.
+  // session converts them — one builder, also on the repair path.
   LoadConfig load;
   load.users = 2;
   const LoadPlan clean = build_load_plan(load);
@@ -188,9 +188,9 @@ TEST(DaemonEquivalence, FaultedStreamMatchesBatchOnTheSameRecords) {
         .with(fault::FaultKind::kMissingScreenEdge, 0.3)
         .with(fault::FaultKind::kClockSkew, 0.05);
     const UserTrace damaged =
-        fault::inject_faults(store.to_trace(user.session.user,
-                                            user.session.num_days,
-                                            user.session.app_names),
+        fault::inject_faults(store.reconstruct(user.session.user,
+                                               user.session.num_days,
+                                               user.session.app_names),
                              faults)
             .trace;
     std::vector<LoadEvent> events;
@@ -282,6 +282,80 @@ TEST(DaemonEquivalence, LateTrainingRecordReachesTheModel) {
   EXPECT_EQ(streamed.model_version, 1);
   expect_outcomes_bitwise_equal(streamed.outcome, expected,
                                 "late training record");
+}
+
+TEST(DaemonEquivalence, LateTrainingScreenEdgeClosesTheStraddlingSession) {
+  // A training screen session opens ten minutes before the training
+  // boundary and closes ten minutes after it. Before the boundary, a
+  // late screen-off for an earlier training day arrives: the training
+  // reconstruction pairs it with the open session and closes it there,
+  // so the evaluation window must not re-open that session at its
+  // epoch. A deferrable transfer inside the straddling session's
+  // evaluation part then runs as a screen-off transfer, as the batch
+  // policy on the same records runs it.
+  LoadConfig load;
+  load.users = 1;
+  const LoadPlan plan = build_load_plan(load);
+  const LoadUser& user = plan.users[0];
+  const UserId id = user.session.user;
+  const TimeMs train_end = day_start(load.train_days);
+  const TimeMs quiet_from = train_end - kMsPerHour;
+  const TimeMs quiet_to = train_end + kMsPerHour;
+  // Precondition: no plan session crosses the quiet hours' edges, so
+  // dropping the plan's events inside them drops whole sessions.
+  ASSERT_FALSE(user.training.screen_on_at(quiet_from));
+  ASSERT_FALSE(user.eval.screen_on_at(quiet_to - train_end));
+
+  const TimeMs opened = train_end - 10 * kMsPerMinute;
+  const TimeMs arrival = train_end + 5 * kMsPerMinute;
+  const service::Record inserted[] = {
+      net::make_screen_request(id, true, opened).record,
+      net::make_screen_request(id, false, day_start(5) + 12 * kMsPerHour)
+          .record,
+      net::make_net_request(id, arrival, 0, 5'000, 4096, 512, false, true)
+          .record,
+      net::make_screen_request(id, false, train_end + 10 * kMsPerMinute)
+          .record,
+  };
+  std::vector<LoadEvent> events;
+  bool delivered = false;
+  for (const LoadEvent& e : plan.events) {
+    if (e.time >= quiet_from && e.time < quiet_to) continue;
+    if (!delivered && e.time >= quiet_to) {
+      for (const service::Record& r : inserted) {
+        events.push_back({r.time, 0, id, r});
+      }
+      delivered = true;
+    }
+    events.push_back(e);
+  }
+  ASSERT_TRUE(delivered);
+
+  Netmasterd daemon;
+  daemon.add_user(user.session);
+  for (const LoadEvent& e : events) daemon.ingest(e.user, e.record);
+  daemon.finish_user(id);
+  EXPECT_EQ(daemon.stats().totals.late_events, 1u);
+
+  const DaemonConfig config;
+  const sim::PolicyOutcome expected =
+      batch_from_records(events, user.session, config.policy);
+  // Precondition: re-opening the session at the evaluation epoch (an
+  // extra screen-on at the boundary) schedules the transfer otherwise,
+  // so a session that re-opens it fails below.
+  std::vector<LoadEvent> reopened = events;
+  const service::Record reopen =
+      net::make_screen_request(id, true, train_end).record;
+  reopened.insert(std::find_if(reopened.begin(), reopened.end(),
+                               [&](const LoadEvent& e) {
+                                 return e.time >= train_end;
+                               }),
+                  {train_end, 0, id, reopen});
+  ASSERT_FALSE(same_transfers(
+      batch_from_records(reopened, user.session, config.policy), expected));
+  const ScheduleResult streamed = daemon.schedule(id);
+  expect_outcomes_bitwise_equal(streamed.outcome, expected,
+                                "late training screen edge");
 }
 
 TEST(DaemonEquivalence, ScheduleIsCachedAndStableAcrossRepeats) {
@@ -1030,8 +1104,8 @@ TEST(DaemonQueue, LateEvalRecordInvalidatesCachedSchedule) {
   // A record for an already-folded *evaluation* day still lands in the
   // schedule() reconstruction, so a schedule cached before it arrived
   // must not survive it. Compare against a daemon that saw the same
-  // record in order: both stores end up identical, so both daemons
-  // must serve the same schedule bit for bit.
+  // record in order: both evaluation rebuilders end up with the same
+  // records, so both daemons must serve the same schedule bit for bit.
   LoadConfig load;
   load.users = 1;
   const LoadPlan plan = build_load_plan(load);

@@ -47,14 +47,6 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::pct(1.0, 0), "100%");
 }
 
-TEST(Csv, EmitsRowsAndValidates) {
-  std::ostringstream os;
-  print_csv(os, {"x", "y"}, {{"1", "2"}, {"3", "4"}});
-  EXPECT_EQ(os.str(), "x,y\n1,2\n3,4\n");
-  std::ostringstream os2;
-  EXPECT_THROW(print_csv(os2, {"a"}, {{"has,comma"}}), Error);
-}
-
 TEST(MakeTraces, SplitsTrainEval) {
   const auto profile = synth::make_user(synth::Archetype::kLightUser, 1);
   const VolunteerTraces traces = make_traces(profile, tiny_config());

@@ -142,19 +142,7 @@ TEST(ObsRegistry, ConcurrentUpdatesFromPoolTasksAreDeterministic) {
   EXPECT_DOUBLE_EQ(lat.max(), 0.75);
 }
 
-// ---- Timers and spans. -----------------------------------------------
-
-TEST(ObsScopedTimer, MeasuresAndRecordsOnce) {
-  Histogram sink({1e6});
-  {
-    ScopedTimer t(sink);
-    EXPECT_GE(t.elapsed_ms(), 0.0);
-    const double ms = t.stop();
-    EXPECT_GE(ms, 0.0);
-    EXPECT_DOUBLE_EQ(t.stop(), ms);  // idempotent
-  }
-  EXPECT_EQ(sink.count(), 1u);  // destructor did not double-record
-}
+// ---- Spans. ---------------------------------------------------------
 
 TEST(ObsSpan, ParentAttributionAndAggregation) {
   Registry reg;
@@ -229,16 +217,13 @@ TEST(ObsExport, JsonlLinesAreWellFormed) {
   EXPECT_NE(os.str().find("\"type\":\"span\""), std::string::npos);
 }
 
-TEST(ObsExport, JsonObjectAndTableRender) {
+TEST(ObsExport, JsonObjectRenders) {
   Registry reg;
   reg.counter("c").add(1);
   std::ostringstream js;
   write_json_object(reg, js);
   EXPECT_EQ(js.str().front(), '{');
   EXPECT_NE(js.str().find("\"counters\":{\"c\":1}"), std::string::npos);
-  std::ostringstream table;
-  print_table(reg, table);
-  EXPECT_NE(table.str().find('c'), std::string::npos);
 }
 
 // ---- JSON validity under hostile names and values. -------------------

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fault/sanitize.hpp"
 #include "mining/habits.hpp"
 #include "mining/special_apps.hpp"
 #include "service/monitoring.hpp"
@@ -122,7 +123,7 @@ TEST(RecordStore, ExplicitFlushAndIdempotence) {
   EXPECT_EQ(store.flush_count(), 1u);
 }
 
-TEST(RecordStore, ToTraceReconstructsEvents) {
+TEST(RecordStore, ReconstructRebuildsValidEvents) {
   // Two feeds of the same trace rebuild it exactly: the monitoring
   // component (records in time order, interleaved with timer samples)
   // and the bare for_each_record derivation (category order).
@@ -133,9 +134,9 @@ TEST(RecordStore, ToTraceReconstructsEvents) {
   RecordStore direct;
   for_each_record(original, [&](const Record& r) { direct.append(r); });
   for (const RecordStore* store : {&monitored, &direct}) {
-    const UserTrace rebuilt =
-        store->to_trace(original.user, original.num_days,
-                        original.app_names);
+    const UserTrace rebuilt = store->reconstruct(
+        original.user, original.num_days, original.app_names);
+    EXPECT_NO_THROW(rebuilt.validate());
     EXPECT_EQ(rebuilt.sessions, original.sessions);
     EXPECT_EQ(rebuilt.usages, original.usages);
     EXPECT_EQ(rebuilt.activities, original.activities);
@@ -181,12 +182,12 @@ TEST(RecordStore, DamagedRecordsReconstructTolerantlyAndMine) {
   store.append({RecordKind::kAppForeground,
                 t.trace_end() + kMsPerHour, 0, 0, 0, 5, false, false});
 
-  // The strict path rejects the damaged store...
-  EXPECT_THROW(store.to_trace(t.user, t.num_days, t.app_names), Error);
+  // The strict path rejects the damaged reconstruction...
+  const UserTrace raw = store.reconstruct(t.user, t.num_days, t.app_names);
+  EXPECT_THROW(raw.validate(), Error);
 
   // ...the tolerant one repairs it and reports what it discarded.
-  const fault::SanitizeResult repaired =
-      store.to_trace_tolerant(t.user, t.num_days, t.app_names);
+  const fault::SanitizeResult repaired = fault::sanitize_trace(raw);
   EXPECT_FALSE(repaired.report.clean());
   EXPECT_GE(repaired.report.dropped_events + repaired.report.clamped_events,
             2u);

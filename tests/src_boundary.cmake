@@ -4,7 +4,9 @@
 # replay engine in the library order), or when a file under
 # SRC_DIR/engine/, policy/ or sim/ includes a mem/ header or names the
 # nm_mem target (replay reads the index's own records; mem/ is the
-# spill store's blob codec). Run as:
+# spill store's blob codec), or when a file under SRC_DIR/daemon/ names
+# RecordStore (a session converts each record once into its trace
+# rebuilders and keeps no record store). Run as:
 #   cmake -DSRC_DIR=<repo>/src -P src_boundary.cmake
 if(NOT SRC_DIR OR NOT IS_DIRECTORY "${SRC_DIR}/common")
   message(FATAL_ERROR "src_boundary: SRC_DIR must name the src/ tree")
@@ -38,6 +40,7 @@ foreach(layer engine policy sim)
   list(APPEND mem ${hits})
   math(EXPR mem_checked "${mem_checked} + ${hits_checked}")
 endforeach()
+find_offenders("${SRC_DIR}/daemon" "RecordStore" store)
 set(failures "")
 if(testkit)
   list(JOIN testkit "\n  " listing)
@@ -52,9 +55,14 @@ if(mem)
   string(APPEND failures
          "src/engine/, policy/ and sim/ must not depend on mem/:\n  ${listing}\n")
 endif()
+if(store)
+  list(JOIN store "\n  " listing)
+  string(APPEND failures "src/daemon/ must not name RecordStore:\n  ${listing}\n")
+endif()
 if(failures)
   message(FATAL_ERROR "${failures}")
 endif()
 message(STATUS "src_boundary: ${testkit_checked} files under ${SRC_DIR} reach "
                "no testkit/; ${engine_checked} under mining/ reach no engine/; "
-               "${mem_checked} under engine/, policy/ and sim/ reach no mem/")
+               "${mem_checked} under engine/, policy/ and sim/ reach no mem/; "
+               "${store_checked} under daemon/ name no RecordStore")
