@@ -108,44 +108,4 @@ double cdf_quantile(const std::vector<CdfPoint>& cdf, double q) {
   return cdf.back().value;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  NM_REQUIRE(hi > lo, "histogram range must be non-empty");
-  NM_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  if (std::isnan(x)) {
-    ++rejected_;
-    return;
-  }
-  std::size_t bin;
-  if (x < lo_) {
-    bin = 0;
-  } else if (x >= hi_) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / width_);
-    bin = std::min(bin, counts_.size() - 1);
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  NM_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  NM_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
 }  // namespace netmaster

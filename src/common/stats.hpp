@@ -1,6 +1,6 @@
-// Small statistics toolkit: streaming moments, percentiles, empirical
-// CDFs and fixed-bin histograms. Used by trace profiling (Fig. 1/2),
-// the mining layer, and every bench reporter.
+// Small statistics toolkit: streaming moments, percentiles and
+// empirical CDFs. Used by trace profiling (Fig. 1/2), the mining layer,
+// and every bench reporter.
 #pragma once
 
 #include <cstddef>
@@ -62,31 +62,5 @@ std::vector<CdfPoint> empirical_cdf(std::vector<double> values);
 
 /// Smallest value v such that P(X <= v) >= q under the empirical CDF.
 double cdf_quantile(const std::vector<CdfPoint>& cdf, double q);
-
-/// Fixed-width histogram over [lo, hi) with saturating edge bins.
-/// NaN samples are rejected (counted, never binned).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t count(std::size_t bin) const;
-  std::size_t total() const { return total_; }
-  /// NaN samples seen and ignored by add().
-  std::size_t rejected() const { return rejected_; }
-  /// Center value of a bin.
-  double bin_center(std::size_t bin) const;
-  /// Fraction of samples in the bin (0 when empty histogram).
-  double fraction(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t rejected_ = 0;
-};
 
 }  // namespace netmaster

@@ -133,12 +133,6 @@ void TaskGraph::finish() {
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
-double TaskGraph::worker_busy_ms(std::size_t w) const {
-  NM_REQUIRE(w < num_slots_, "worker_busy_ms slot out of range");
-  return static_cast<double>(busy_ns_[w].load(std::memory_order_relaxed)) *
-         1e-6;
-}
-
 bool TaskGraph::was_cancelled(TaskId id) const {
   NM_REQUIRE(id < tasks_.size(), "was_cancelled task id out of range");
   return tasks_[id].cancelled.load(std::memory_order_relaxed);

@@ -90,8 +90,6 @@ class TaskGraph {
 
   /// Wall time of the run, caller-side.
   double wall_ms() const { return wall_ms_; }
-  /// Total task execution time attributed to worker slot w.
-  double worker_busy_ms(std::size_t w) const;
   /// True when the task was cancelled by a failing dependency.
   bool was_cancelled(TaskId id) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.hpp"
 #include "obs/metrics.hpp"
 
 namespace netmaster::mining {
@@ -25,6 +24,82 @@ constexpr double kFlipWeight = 0.40;
 // the full warmup.
 constexpr int kMinReferenceDays = 2;
 
+// Decay of the recent-habit counter bank (effective window ~8 days).
+// Short windows track drift faster but also follow benign multi-day
+// excursions (a noisy week of a stationary user), which is the dominant
+// false-positive source.
+constexpr double kFastDecay = 0.12;
+// The reference bank does not decay: a pure running average over the
+// epoch since the last adaptation keeps the *stationary* fast-vs-slow
+// divergence flat after the first few days. Any window-limited slow
+// bank instead produces a weeks-long divergence ramp as the two windows
+// separate, and the changepoint statistic reads that ramp as drift.
+constexpr double kSlowDecay = 0.0;
+static_assert(kFastDecay > kSlowDecay && kFastDecay < 1.0,
+              "the fast bank must forget, and faster than the slow one");
+
+// Days a completed day is buffered before it is folded into the
+// reference bank. With a lag of about one fast window the two banks
+// never share recent days, so the stationary divergence floor is the
+// same while seeding and while monitoring. Without the lag the
+// correlated seeding phase learns a floor far below the monitoring one
+// and the changepoint statistic reads the difference as drift.
+constexpr int kReferenceLagDays = 8;
+
+// Pseudo-weight (in days) the reference bank is re-anchored to at
+// notify_adapted(). The adopted fast counters carry only a few
+// effective days; without re-weighting, post-adoption days overrun the
+// reference within a week and a sustained drift's divergence fades
+// before the changepoint statistic can integrate it.
+constexpr double kAnchorDays = 14.0;
+
+// δ thresholds of the slot-flip component of the divergence: an hour
+// whose fast and slow banks disagree about slot membership (pr_active
+// above/below δ) is a scheduling-relevant flip. They match the
+// predictor the policy runs with.
+constexpr PredictorConfig kFlipDelta{};
+static_assert(kFlipDelta.delta_weekday > 0.0 &&
+                  kFlipDelta.delta_weekday < 1.0 &&
+                  kFlipDelta.delta_weekend > 0.0 &&
+                  kFlipDelta.delta_weekend < 1.0,
+              "slot-flip deltas must lie in (0, 1)");
+
+// Excess divergence above the learned stationary floor that maps to
+// score 1.0 (an office→night-owl flip sustains an excess near 0.15;
+// stationary noise stays under ~0.05).
+constexpr double kDivergenceFullScale = 0.15;
+
+// Page–Hinkley tolerance: divergence drift below kPhDelta per day above
+// the learned stationary mean is treated as noise. The daily increment
+// is also *capped* at +2·kPhDelta, so an alarm always stands on at
+// least λ / (2·kPhDelta) elevated regime days (minus drain): a single
+// outlier day cannot alarm however far it diverges, while a sustained
+// shift accumulates within a week.
+constexpr double kPhDelta = 0.025;
+
+// Page–Hinkley alarm threshold λ of the weekday regime.
+constexpr double kPhLambda = 0.08;
+// Multiplier on λ for the weekend regime. Weekends supply only 2 of 7
+// days, so the weekend banks' divergence estimates are far noisier than
+// the weekday ones, and elevated weekend days cluster (two per calendar
+// weekend) with few intervening samples to drain the statistic. One
+// threshold for both regimes makes sparse-user weekends the dominant
+// false-positive source; scaling the weekend threshold restores a
+// matched false-positive rate at the cost of roughly one extra calendar
+// week of weekend-only drift latency.
+constexpr double kPhLambdaWeekendScale = 2.0;
+static_assert(kPhLambda > 0.0 && kPhLambdaWeekendScale >= 1.0,
+              "λ must be positive and the weekend λ no smaller");
+
+// Days of a regime to observe before its signals count (the fast bank
+// needs a few days before fast-vs-slow gaps mean anything).
+constexpr int kWarmupDays = 4;
+
+double ph_lambda(DayKind kind) {
+  return kind == DayKind::kWeekend ? kPhLambda * kPhLambdaWeekendScale
+                                   : kPhLambda;
+}
+
 struct DriftMetrics {
   obs::Counter& days;
   obs::Counter& alarms;
@@ -43,39 +118,9 @@ DriftMetrics& drift_metrics() {
 
 }  // namespace
 
-DriftDetector::DriftDetector(DriftConfig config)
-    : config_(config),
-      fast_(IncrementalConfig{config.fast_decay}),
-      slow_(IncrementalConfig{config.slow_decay}) {
-  // The bank constructors already require decays in [0, 1); the
-  // detector additionally needs the fast bank to forget faster than
-  // the slow one, or the divergence is identically zero.
-  NM_REQUIRE(config.fast_decay > config.slow_decay,
-             "fast_decay must exceed slow_decay");
-  NM_REQUIRE(std::isfinite(config.predictor.delta_weekday) &&
-                 config.predictor.delta_weekday > 0.0 &&
-                 config.predictor.delta_weekday < 1.0 &&
-                 std::isfinite(config.predictor.delta_weekend) &&
-                 config.predictor.delta_weekend > 0.0 &&
-                 config.predictor.delta_weekend < 1.0,
-             "slot-flip deltas must lie in (0, 1)");
-  NM_REQUIRE(std::isfinite(config.divergence_full_scale) &&
-                 config.divergence_full_scale > 0.0,
-             "divergence_full_scale must be finite and positive");
-  NM_REQUIRE(std::isfinite(config.ph_delta) && config.ph_delta >= 0.0,
-             "ph_delta must be finite and non-negative");
-  NM_REQUIRE(std::isfinite(config.ph_lambda) && config.ph_lambda > 0.0,
-             "ph_lambda must be finite and positive");
-  NM_REQUIRE(std::isfinite(config.ph_lambda_weekend_scale) &&
-                 config.ph_lambda_weekend_scale >= 1.0,
-             "ph_lambda_weekend_scale must be finite and >= 1");
-  NM_REQUIRE(config.warmup_days >= 0,
-             "warmup_days must be non-negative");
-  NM_REQUIRE(std::isfinite(config.anchor_days) && config.anchor_days >= 0.0,
-             "anchor_days must be finite and non-negative");
-  NM_REQUIRE(config.reference_lag_days >= 0,
-             "reference_lag_days must be non-negative");
-}
+DriftDetector::DriftDetector()
+    : fast_(IncrementalConfig{kFastDecay}),
+      slow_(IncrementalConfig{kSlowDecay}) {}
 
 void DriftDetector::observe_day(int day, const HourBuckets& buckets) {
   observe_summary(day, IncrementalHabitMiner::summarize_day(
@@ -88,7 +133,7 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
   pending_.emplace_back(tick_, std::move(today));
   // Days older than the reference lag graduate into the slow bank.
   while (!pending_.empty() &&
-         tick_ - pending_.front().first >= config_.reference_lag_days) {
+         tick_ - pending_.front().first >= kReferenceLagDays) {
     slow_.observe_summary(pending_.front().second);
     pending_.pop_front();
   }
@@ -96,8 +141,8 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
   RegimeState& st = states_[static_cast<std::size_t>(kind)];
 
   const double delta = kind == DayKind::kWeekday
-                           ? config_.predictor.delta_weekday
-                           : config_.predictor.delta_weekend;
+                           ? kFlipDelta.delta_weekday
+                           : kFlipDelta.delta_weekend;
   double div = 0.0;
   for (int h = 0; h < kHoursPerDay; ++h) {
     const double fast_a = fast_.pr_active(kind, h);
@@ -129,20 +174,16 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
   // least one sample, because against a two-day reference the gap
   // measures sampling noise (the dominant weekend false-positive
   // source on short horizons).
-  if (fast_.days_observed(kind) <= config_.warmup_days ||
+  if (fast_.days_observed(kind) <= kWarmupDays ||
       slow_.days_observed(kind) < kMinReferenceDays) {
     metrics.score.add(score());
     return;
   }
-  const bool armed = slow_.days_observed(kind) > config_.warmup_days &&
-                     st.mean_days > 0;
-  const double lambda = kind == DayKind::kWeekend
-                            ? config_.ph_lambda *
-                                  config_.ph_lambda_weekend_scale
-                            : config_.ph_lambda;
+  const bool armed =
+      slow_.days_observed(kind) > kWarmupDays && st.mean_days > 0;
 
   // Page–Hinkley: cumulative deviation above the running mean (plus
-  // the ph_delta tolerance), referenced to its own running minimum.
+  // the kPhDelta tolerance), referenced to its own running minimum.
   // The minimum starts at the 0 the cumsum itself starts from, so a
   // divergence jump on the very first post-(re)set day already counts.
   // The reference mean deliberately EXCLUDES today's sample (a drifted
@@ -152,19 +193,18 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
   const double reference =
       st.mean_days > 0 ? st.mean_divergence : div;
   if (armed) {
-    // The positive increment is capped at +2·ph_delta: an alarm then
+    // The positive increment is capped at +2·kPhDelta: an alarm then
     // always stands on multiple elevated days of the regime, so a
     // single-day outlier (a sparse user's quirky weekend) cannot alarm
     // no matter how far it diverges, while a sustained shift still
     // accumulates to the threshold in days.
-    st.ph_cum += std::min(div - reference - config_.ph_delta,
-                          2.0 * config_.ph_delta);
+    st.ph_cum += std::min(div - reference - kPhDelta, 2.0 * kPhDelta);
     if (st.ph_cum < st.ph_min) {
       st.ph_min = st.ph_cum;
       st.ph_min_day = day;
     }
     st.ph = st.ph_cum - st.ph_min;
-    if (st.ph > lambda && !st.alarmed) {
+    if (st.ph > ph_lambda(kind) && !st.alarmed) {
       st.alarmed = true;
       st.alarm_day = day;
       metrics.alarms.add(1);
@@ -175,7 +215,7 @@ void DriftDetector::observe_summary(int day, DayContribution today) {
     // stationary noise (≈ ±δ) passes through nearly unbiased while a
     // drifted run of high-divergence days cannot drag the floor up
     // fast enough to suppress its own changepoint statistic.
-    const double clipped = std::min(div, reference + config_.ph_delta);
+    const double clipped = std::min(div, reference + kPhDelta);
     ++st.mean_days;
     st.mean_divergence += (clipped - st.mean_divergence) / st.mean_days;
   }
@@ -188,7 +228,7 @@ void DriftDetector::observe_all(const HourBuckets& buckets) {
 
 double DriftDetector::score(DayKind kind) const {
   const RegimeState& st = state(kind);
-  if (fast_.days_observed(kind) <= config_.warmup_days ||
+  if (fast_.days_observed(kind) <= kWarmupDays ||
       slow_.days_observed(kind) < kMinReferenceDays) {
     return 0.0;
   }
@@ -198,12 +238,8 @@ double DriftDetector::score(DayKind kind) const {
   // drift information.
   const double excess =
       std::max(0.0, st.last_divergence - st.mean_divergence);
-  const double level = excess / config_.divergence_full_scale;
-  const double lambda = kind == DayKind::kWeekend
-                            ? config_.ph_lambda *
-                                  config_.ph_lambda_weekend_scale
-                            : config_.ph_lambda;
-  const double changepoint = st.ph / lambda;
+  const double level = excess / kDivergenceFullScale;
+  const double changepoint = st.ph / ph_lambda(kind);
   return std::clamp(std::max(level, changepoint), 0.0, 1.0);
 }
 
@@ -255,9 +291,7 @@ void DriftDetector::notify_adapted() {
   // "normal".
   if (alarmed()) {
     slow_.adopt_counters(fast_);
-    if (config_.anchor_days > 0.0) {
-      slow_.rescale_weights(config_.anchor_days);
-    }
+    slow_.rescale_weights(kAnchorDays);
     pending_.clear();
   }
   for (RegimeState& st : states_) {

@@ -12,7 +12,6 @@
 #include "policy/netmaster.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -37,7 +36,6 @@ struct NetMasterMetrics {
   obs::Counter& fallback_taken;
   obs::Counter& interrupts;
   obs::Counter& duty_releases;
-  obs::Counter& drift_fallbacks;
 
   static NetMasterMetrics& get() {
     obs::Registry& reg = obs::Registry::global();
@@ -48,13 +46,19 @@ struct NetMasterMetrics {
         reg.counter("policy.netmaster.fallback_taken"),
         reg.counter("policy.netmaster.interrupts"),
         reg.counter("policy.netmaster.duty_releases"),
-        // Degradations *caused* by drift (the model alone would have
-        // cleared the gate) — grouped with the detector's metrics.
-        reg.counter("mining.drift.fallbacks"),
     };
     return m;
   }
 };
+
+/// Deferral interval of the delay-batch schedule a degraded model falls
+/// back to.
+constexpr DurationMs kFallbackIntervalMs = 60 * 1000;
+
+/// Pr[u] threshold for SlotPredictor::presence_windows: hours at least
+/// this habitual are assumed to be spent at a familiar AP. Deliberately
+/// stricter than the δ slot thresholds.
+constexpr double kWifiPresenceDelta = 0.55;
 
 /// Releases a fallback activity at the radio opportunity `at` (never
 /// before its arrival, always inside the horizon).
@@ -103,18 +107,6 @@ void NetMasterPolicy::validate_and_gate() {
   NM_REQUIRE(config.robustness.min_confidence >= 0.0 &&
                  config.robustness.min_confidence <= 1.0,
              "min_confidence must be a probability");
-  NM_REQUIRE(config.robustness.fallback_interval_ms > 0,
-             "fallback interval must be positive");
-  NM_REQUIRE(std::isfinite(config.robustness.drift_score) &&
-                 config.robustness.drift_score >= 0.0 &&
-                 config.robustness.drift_score <= 1.0,
-             "drift_score must be in [0, 1]");
-  NM_REQUIRE(std::isfinite(config.robustness.drift_confidence_gain) &&
-                 config.robustness.drift_confidence_gain >= 0.0,
-             "drift_confidence_gain must be finite and non-negative");
-  NM_REQUIRE(config.wifi_presence_delta >= 0.0 &&
-                 config.wifi_presence_delta <= 1.0,
-             "wifi_presence_delta must be a probability");
   if (config.enable_wifi_offload) {
     config.profit.wifi.validate();
   }
@@ -124,38 +116,24 @@ void NetMasterPolicy::validate_and_gate() {
   // PolicyOutcome / SimReport so fleet reports show which users ran
   // degraded.
   const mining::HabitModel& model = predictor_.model();
-  // Drift discounts the model before the gate. The discount factor is
-  // exactly 1.0 at drift 0, so the stationary gate stays bitwise what
-  // it always was.
-  const double drift_discount =
-      1.0 - std::min(1.0, config.robustness.drift_confidence_gain *
-                              config.robustness.drift_score);
-  const double effective_confidence =
-      model.overall_confidence() * drift_discount;
+  const double confidence = model.overall_confidence();
   // The reason is formatted only when the gate trips; a passing gate
   // leaves it empty.
-  bool drift_degraded = false;
   if (model.training_days() < config.robustness.min_training_days) {
     std::ostringstream why;
     why << "training days " << model.training_days() << " < "
         << config.robustness.min_training_days;
     degraded_reason_ = why.str();
-  } else if (effective_confidence < config.robustness.min_confidence) {
+  } else if (confidence < config.robustness.min_confidence) {
     std::ostringstream why;
-    why << "model confidence " << effective_confidence << " < "
+    why << "model confidence " << confidence << " < "
         << config.robustness.min_confidence << " (data quality "
         << model.data_quality() << ")";
-    if (config.robustness.drift_score > 0.0) {
-      why << " (drift score " << config.robustness.drift_score << ")";
-      drift_degraded =
-          model.overall_confidence() >= config.robustness.min_confidence;
-    }
     degraded_reason_ = why.str();
   }
   NetMasterMetrics& metrics = NetMasterMetrics::get();
   metrics.models_mined.add(1);
   if (degraded()) metrics.degraded_models.add(1);
-  if (drift_degraded) metrics.drift_fallbacks.add(1);
 }
 
 sim::PolicyOutcome NetMasterPolicy::run(
@@ -167,18 +145,16 @@ sim::PolicyOutcome NetMasterPolicy::run(
     // policy's name on the outcome so grids stay keyed consistently,
     // but flag the path so reports can tell the runs apart.
     metrics.fallback_taken.add(1);
-    DelayBatchPolicy fallback(config_.robustness.fallback_interval_ms);
+    DelayBatchPolicy fallback(kFallbackIntervalMs);
     sim::PolicyOutcome outcome = fallback.run(eval);
     outcome.policy_name = name();
     outcome.path = sim::ExecutionPath::kDegradedFallback;
     outcome.degraded_reason = degraded_reason_;
-    outcome.drift_score = config_.robustness.drift_score;
     return outcome;
   }
 
   sim::PolicyOutcome outcome;
   outcome.policy_name = name();
-  outcome.drift_score = config_.robustness.drift_score;
   const TimeMs horizon = eval.horizon();
   const std::span<const ScreenSession> sessions = eval.sessions();
   const std::span<const NetworkActivity> activities = eval.activities();
@@ -210,7 +186,7 @@ sim::PolicyOutcome NetMasterPolicy::run(
   if (config_.enable_wifi_offload && config_.enable_prediction) {
     for (int day = 0; day < eval.num_days(); ++day) {
       wifi_presence.add(
-          predictor_.presence_windows(day, config_.wifi_presence_delta));
+          predictor_.presence_windows(day, kWifiPresenceDelta));
     }
   }
   const std::vector<Interval>& wifi_windows = wifi_presence.intervals();

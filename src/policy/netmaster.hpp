@@ -48,26 +48,12 @@ namespace netmaster::policy {
 /// habit model is too weak to trust — too few training days survived,
 /// or the pooled confidence (which folds in the sanitizer's
 /// data-quality score) is below threshold — NetMaster refuses to bet on
-/// its predictions and substitutes the safe delay-batch schedule, which
-/// needs no model at all. The taken path is reported in the outcome.
+/// its predictions and substitutes the safe delay-batch schedule (one
+/// fixed deferral interval, netmaster.cpp), which needs no model at
+/// all. The taken path is reported in the outcome.
 struct RobustnessConfig {
   double min_confidence = 0.25;  ///< HabitModel::overall_confidence gate
   int min_training_days = 2;     ///< Eq. 2 needs at least a flip of days
-  /// Deferral interval of the substituted DelayBatchPolicy.
-  DurationMs fallback_interval_ms = 60 * 1000;
-
-  /// Habit-drift score in [0, 1] from a mining::DriftDetector watching
-  /// the monitoring stream (0 = stationary / no detector). Drift
-  /// discounts the model before the gate: the effective confidence is
-  ///   overall_confidence * (1 − min(1, drift_confidence_gain * score)),
-  /// so a model mined before a habit change stops clearing
-  /// min_confidence and the policy falls back to the safe delay-batch
-  /// schedule until the adaptation loop re-mines. A score of 0 leaves
-  /// the gate bitwise unchanged.
-  double drift_score = 0.0;
-  /// Drift-to-discount slope; 1 means a fully-drifted user (score 1)
-  /// zeroes the model's effective confidence.
-  double drift_confidence_gain = 1.0;
 };
 
 struct NetMasterConfig {
@@ -95,10 +81,6 @@ struct NetMasterConfig {
   /// default: the paper's single-radio system is the baseline and all
   /// its schedules stay bit-identical.
   bool enable_wifi_offload = false;
-  /// Pr[u] threshold for SlotPredictor::presence_windows — hours at
-  /// least this habitual are assumed to be spent at a familiar AP.
-  /// Deliberately stricter than the δ slot thresholds.
-  double wifi_presence_delta = 0.55;
 
   /// When set, the radio stays powered across whole predicted active
   /// slots (tails run freely inside U) and in-slot traffic is left

@@ -125,14 +125,6 @@ void RadioModel::validate() const {
   }
 }
 
-double RadioAccounting::overhead_fraction() const {
-  // Everything that is not active transfer time is overhead. Using the
-  // time breakdown avoids carrying the parameter set into the result.
-  const auto total = static_cast<double>(radio_on_ms);
-  if (total <= 0.0) return 0.0;
-  return static_cast<double>(tail_ms() + promo_ms + assoc_ms) / total;
-}
-
 double isolated_activity_energy(DurationMs transfer_ms,
                                 const RadioModel& model) {
   NM_REQUIRE(transfer_ms >= 0, "transfer duration must be non-negative");

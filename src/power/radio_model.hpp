@@ -182,8 +182,6 @@ struct RadioAccounting {
     for (const DurationMs t : tail_tier_ms) total += t;
     return total;
   }
-  /// Fraction of energy spent on tails + promotions rather than data.
-  double overhead_fraction() const;
 };
 
 /// The paper's g(t): radio energy of a single isolated transfer of the

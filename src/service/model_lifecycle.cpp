@@ -2,25 +2,31 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace netmaster::service {
 
-ModelLifecycle::ModelLifecycle(const AdaptationConfig& adapt,
+namespace {
+
+// Longest re-mine window: a refresh mines the records of
+// [max(changepoint, day − kWindowDays), day).
+constexpr int kWindowDays = 14;
+// Days between refresh attempts (rate limit). The gap grows by
+// kBackoffFactor after a rejected refresh and resets on adoption.
+constexpr int kMinRefreshGapDays = 2;
+constexpr int kBackoffFactor = 2;
+// A freshly re-mined model's confidence is scaled by
+// min(1, window_len / kConfidenceRampDays): fewer post-drift days than
+// this leave it partially trusted (possibly below the adoption gate;
+// the next attempt sees more days).
+constexpr int kConfidenceRampDays = 3;
+static_assert(kWindowDays > 0 && kMinRefreshGapDays > 0 &&
+                  kBackoffFactor >= 1 && kConfidenceRampDays > 0,
+              "the window, refresh gap, backoff and ramp must be positive");
+
+}  // namespace
+
+ModelLifecycle::ModelLifecycle(AdaptationConfig adapt,
                                const policy::RobustnessConfig& gate)
-    : adapt_(adapt),
-      gate_(gate),
-      detector_(adapt.detector),
-      refresh_gap_(adapt.min_refresh_gap_days) {
-  if (!adapt_.enable) return;
-  NM_REQUIRE(adapt_.window_days > 0, "window_days must be positive");
-  NM_REQUIRE(adapt_.min_refresh_gap_days > 0,
-             "min_refresh_gap_days must be positive");
-  NM_REQUIRE(adapt_.backoff_factor >= 1,
-             "backoff_factor must be at least 1");
-  NM_REQUIRE(adapt_.confidence_ramp_days > 0,
-             "confidence_ramp_days must be positive");
-}
+    : enabled_(adapt.enable), gate_(gate), refresh_gap_(kMinRefreshGapDays) {}
 
 void ModelLifecycle::anchor(const UserTrace& training) {
   // sanitize_trace passes a valid trace through unchanged, so only a
@@ -34,7 +40,7 @@ void ModelLifecycle::anchor(const UserTrace& training) {
 
 bool ModelLifecycle::observe_summary(
     int day, const mining::DayContribution& summary) {
-  if (!adapt_.enable) return false;
+  if (!enabled_) return false;
   detector_.observe_summary(day, summary);
   if (!detector_.alarmed()) return false;
   if (!alarm_pending_) {
@@ -52,17 +58,16 @@ std::optional<mining::HabitModel> ModelLifecycle::refresh(
   // dilute the new model.
   const int changepoint =
       std::clamp(detector_.changepoint_day(), 0, day - 1);
-  const int start = std::max(changepoint, day - adapt_.window_days);
+  const int start = std::max(changepoint, day - kWindowDays);
   mining::HabitModel fresh =
       mining::HabitModel::mine(mining::fold_buckets(seen.trace), start, day);
   fresh.scale_confidence(seen.report.quality());
   fresh.scale_confidence(
       std::min(1.0, static_cast<double>(day - start) /
-                        static_cast<double>(adapt_.confidence_ramp_days)));
+                        static_cast<double>(kConfidenceRampDays)));
   const bool adopt = fresh.training_days() >= gate_.min_training_days &&
                      fresh.overall_confidence() >= gate_.min_confidence;
-  refresh_gap_ = adopt ? adapt_.min_refresh_gap_days
-                       : refresh_gap_ * adapt_.backoff_factor;
+  refresh_gap_ = adopt ? kMinRefreshGapDays : refresh_gap_ * kBackoffFactor;
   next_refresh_day_ = day + refresh_gap_;
   if (!adopt) return std::nullopt;
   detector_.notify_adapted();

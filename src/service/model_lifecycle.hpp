@@ -45,34 +45,22 @@ namespace netmaster::service {
 /// deployed one — rate-limited with exponential backoff, and only when
 /// the re-mined model clears the robustness gate (its confidence is
 /// ramped down until enough post-drift days accumulated, so a one-day
-/// model never takes over).
+/// model never takes over). The window, gap, backoff and ramp are the
+/// named constants of model_lifecycle.cpp.
 struct AdaptationConfig {
   bool enable = false;
-  mining::DriftConfig detector;
-  /// Longest re-mine window: the refresh mines records from
-  /// [max(changepoint, day − window_days), day).
-  int window_days = 14;
-  /// Days between refresh attempts (rate limit; grows by
-  /// backoff_factor after a rejected refresh, resets on adoption).
-  int min_refresh_gap_days = 2;
-  int backoff_factor = 2;
-  /// A freshly re-mined model's confidence is scaled by
-  /// min(1, window_len / confidence_ramp_days): fewer post-drift days
-  /// than this leave it partially trusted (possibly below the adoption
-  /// gate — the next attempt sees more days).
-  int confidence_ramp_days = 3;
 };
 
 class ModelLifecycle {
  public:
-  /// Validates `adapt` when it is enabled. `gate` supplies the adoption
-  /// thresholds (min_training_days, min_confidence).
-  ModelLifecycle(const AdaptationConfig& adapt,
+  /// `gate` supplies the adoption thresholds (min_training_days,
+  /// min_confidence).
+  ModelLifecycle(AdaptationConfig adapt,
                  const policy::RobustnessConfig& gate);
 
   /// With adaptation off, observe_summary is a no-op that never asks
   /// for a refresh (the detector stays empty, score() stays 0).
-  bool enabled() const { return adapt_.enable; }
+  bool enabled() const { return enabled_; }
 
   /// Seeds the detector with the training history the deployed model
   /// was mined from — sanitized, as the miner saw it — then re-anchors
@@ -100,12 +88,12 @@ class ModelLifecycle {
   int first_alarm_day() const { return first_alarm_day_; }
 
  private:
-  AdaptationConfig adapt_;
+  bool enabled_;
   policy::RobustnessConfig gate_;
   mining::DriftDetector detector_;
   bool alarm_pending_ = false;  ///< alarm raised, refresh not yet adopted
   int next_refresh_day_ = 0;
-  int refresh_gap_ = 0;
+  int refresh_gap_;
   std::size_t alarms_ = 0;
   std::size_t attempts_ = 0;
   std::size_t refreshes_ = 0;

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace netmaster::service {
 
-MonitoringComponent::MonitoringComponent(RecordStore& store,
-                                         MonitoringConfig config)
-    : store_(store), config_(config) {
-  NM_REQUIRE(config.screen_on_sample_ms > 0 &&
-                 config.screen_off_sample_ms > 0,
-             "sample periods must be positive");
-}
+namespace {
+
+// §V-A's byte-counter timers: every second while the screen is on,
+// every 30 seconds while it is off.
+constexpr DurationMs kScreenOnSampleMs = 1 * kMsPerSecond;
+constexpr DurationMs kScreenOffSampleMs = 30 * kMsPerSecond;
+
+}  // namespace
 
 std::size_t MonitoringComponent::observe(const UserTrace& trace) {
   trace.validate();
@@ -39,8 +38,7 @@ std::size_t MonitoringComponent::observe(const UserTrace& trace) {
     TimeMs t = 0;
     while (t < horizon) {
       const bool on = trace.screen_on_at(t);
-      const DurationMs period =
-          on ? config_.screen_on_sample_ms : config_.screen_off_sample_ms;
+      const DurationMs period = on ? kScreenOnSampleMs : kScreenOffSampleMs;
       const TimeMs next = std::min<TimeMs>(t + period, horizon);
       while (next_activity < trace.activities.size() &&
              trace.activities[next_activity].start < next) {

@@ -20,14 +20,9 @@
 
 namespace netmaster::service {
 
-struct MonitoringConfig {
-  DurationMs screen_on_sample_ms = 1 * kMsPerSecond;
-  DurationMs screen_off_sample_ms = 30 * kMsPerSecond;
-};
-
 class MonitoringComponent {
  public:
-  MonitoringComponent(RecordStore& store, MonitoringConfig config = {});
+  explicit MonitoringComponent(RecordStore& store) : store_(store) {}
 
   /// Replays a trace through the trigger pipeline, appending records.
   /// Returns the number of records emitted.
@@ -38,7 +33,6 @@ class MonitoringComponent {
 
  private:
   RecordStore& store_;
-  MonitoringConfig config_;
   std::size_t event_records_ = 0;
   std::size_t sample_records_ = 0;
 };

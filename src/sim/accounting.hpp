@@ -102,7 +102,7 @@ struct SimReport {
   // Degradation provenance (copied from the outcome).
   bool degraded = false;        ///< fallback path produced this run
   std::string degraded_reason;  ///< empty unless degraded
-  double drift_score = 0.0;     ///< drift score the policy acted under
+  double drift_score = 0.0;     ///< the outcome's drift_score
 };
 
 /// The accounting core: `totals` and `usages` (in any order) describe

@@ -58,10 +58,9 @@ struct PolicyOutcome {
   ExecutionPath path = ExecutionPath::kNormal;
   std::string degraded_reason;
 
-  /// Habit-drift score in [0, 1] the policy acted under (0 when no
-  /// drift detector feeds the policy). High drift shrinks the model
-  /// confidence the robustness gate sees — see
-  /// policy::RobustnessConfig::drift_score.
+  /// Habit-drift score in [0, 1] of the run's drift detector:
+  /// service::run_online writes the lifecycle's score at the horizon;
+  /// 0 when no detector watched the run.
   double drift_score = 0.0;
 
   /// Every activity of the eval trace, with its executed timing. A

@@ -217,12 +217,5 @@ TEST(Monitoring, HybridTriggerRecordCounts) {
   EXPECT_GT(monitor.sample_records(), 10'000u);
 }
 
-TEST(Monitoring, SamplePeriodValidation) {
-  RecordStore store;
-  MonitoringConfig bad;
-  bad.screen_on_sample_ms = 0;
-  EXPECT_THROW(MonitoringComponent(store, bad), Error);
-}
-
 }  // namespace
 }  // namespace netmaster::service

@@ -187,37 +187,5 @@ TEST(CdfQuantile, Lookup) {
   EXPECT_THROW(cdf_quantile({}, 0.5), Error);
 }
 
-TEST(Histogram, BinningAndSaturation) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // saturates into bin 0
-  h.add(55.0);  // saturates into bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.fraction(2), 0.2);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-}
-
-TEST(Histogram, NanRejected) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(5.0);
-  h.add(std::nan(""));
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.rejected(), 1u);
-  EXPECT_DOUBLE_EQ(h.fraction(2), 1.0);  // NaN never dilutes fractions
-}
-
-TEST(Histogram, Errors) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.count(2), Error);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);  // empty histogram
-}
-
 }  // namespace
 }  // namespace netmaster
