@@ -99,32 +99,6 @@ void print_figure() {
                "everything the FPTAS does)\n\n";
 }
 
-void BM_AblationFull(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const std::vector<synth::UserProfile> one = {
-      synth::volunteer_population().front()};
-  for (auto _ : state) {
-    const eval::EvalSession session(one, cfg);
-    benchmark::DoNotOptimize(eval::ablation_study(session));
-  }
-}
-BENCHMARK(BM_AblationFull)->Unit(benchmark::kMillisecond);
-
-void BM_AblationFullCached(benchmark::State& state) {
-  static const eval::EvalSession session = [] {
-    eval::ExperimentConfig cfg;
-    cfg.seed = bench::kDefaultSeed;
-    return eval::EvalSession(
-        std::vector<synth::UserProfile>{synth::volunteer_population().front()},
-        cfg);
-  }();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::ablation_study(session));
-  }
-}
-BENCHMARK(BM_AblationFullCached)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 NETMASTER_BENCH_MAIN()

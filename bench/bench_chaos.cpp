@@ -4,8 +4,7 @@
 // pipeline and reports how gracefully NetMaster degrades: energy
 // saving, interruption probability, the fraction of users served by
 // the safe fallback path, and per-user failure isolation in the fleet
-// grid. Also times the chaos machinery itself (injection + repair), so
-// its overhead on fleet-scale runs stays visible.
+// grid.
 #include <algorithm>
 #include <iostream>
 #include <utility>
@@ -24,17 +23,7 @@ namespace {
 
 using namespace netmaster;
 
-constexpr int kUsers = 8;
-
-std::vector<synth::UserProfile> population() {
-  std::vector<synth::UserProfile> users;
-  users.reserve(kUsers);
-  for (int i = 0; i < kUsers; ++i) {
-    users.push_back(
-        synth::make_user(static_cast<synth::Archetype>(i % 8), i + 1));
-  }
-  return users;
-}
+constexpr std::size_t kUsers = 8;
 
 eval::ExperimentConfig config() {
   eval::ExperimentConfig cfg;
@@ -42,18 +31,20 @@ eval::ExperimentConfig config() {
   return cfg;
 }
 
-/// Builds the fleet's volunteers with every fault kind applied at
-/// `rate` to both halves of each user's data (training raw, eval
-/// sanitized — the replay path needs validity).
+/// Builds the fleet's volunteers, user u of archetype u % 8, with every
+/// fault kind applied at `rate` to both halves of each user's data
+/// (training raw, eval sanitized — the replay path needs validity).
 std::vector<eval::VolunteerTraces> chaos_volunteers(double rate) {
   const eval::ExperimentConfig cfg = config();
-  const auto users = population();
   std::vector<eval::VolunteerTraces> volunteers;
-  volunteers.reserve(users.size());
-  for (std::size_t u = 0; u < users.size(); ++u) {
+  volunteers.reserve(kUsers);
+  for (std::size_t u = 0; u < kUsers; ++u) {
     eval::ExperimentConfig user_cfg = cfg;
     user_cfg.seed = cfg.seed + u;
-    eval::VolunteerTraces v = eval::make_traces(users[u], user_cfg);
+    eval::VolunteerTraces v = eval::make_traces(
+        synth::make_user(static_cast<synth::Archetype>(u % 8),
+                         static_cast<int>(u) + 1),
+        user_cfg);
     if (rate > 0.0) {
       fault::FaultPlan plan;
       plan.seed = bench::kDefaultSeed + u;
@@ -138,73 +129,6 @@ void print_figure() {
                "the cold-start fleet runs entirely on the safe "
                "fallback schedule\n\n";
 }
-
-// ---- Timings: the chaos machinery itself. ----------------------------
-
-void BM_InjectAllKinds(benchmark::State& state) {
-  const eval::VolunteerTraces traces =
-      eval::make_traces(population()[0], config());
-  fault::FaultPlan plan;
-  plan.seed = bench::kDefaultSeed;
-  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
-    plan.with(kind, 0.2);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::inject_faults(traces.training, plan));
-  }
-}
-BENCHMARK(BM_InjectAllKinds)->Unit(benchmark::kMillisecond);
-
-void BM_SanitizeCorrupted(benchmark::State& state) {
-  const eval::VolunteerTraces traces =
-      eval::make_traces(population()[0], config());
-  fault::FaultPlan plan;
-  plan.seed = bench::kDefaultSeed;
-  for (const fault::FaultKind kind : fault::all_fault_kinds()) {
-    plan.with(kind, 0.2);
-  }
-  const UserTrace corrupted =
-      fault::inject_faults(traces.training, plan).trace;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::sanitize_trace(corrupted));
-  }
-}
-BENCHMARK(BM_SanitizeCorrupted)->Unit(benchmark::kMillisecond);
-
-void BM_SanitizeCleanPassthrough(benchmark::State& state) {
-  // The clean path must cost no more than the copy.
-  const eval::VolunteerTraces traces =
-      eval::make_traces(population()[0], config());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::sanitize_trace(traces.training));
-  }
-}
-BENCHMARK(BM_SanitizeCleanPassthrough)->Unit(benchmark::kMillisecond);
-
-void BM_ChaosFleet8(benchmark::State& state) {
-  const eval::ExperimentConfig cfg = config();
-  const auto suite = eval::standard_policy_suite(cfg.netmaster);
-  const auto volunteers = chaos_volunteers(0.2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eval::run_fleet(eval::EvalSession(volunteers, cfg), suite));
-  }
-}
-BENCHMARK(BM_ChaosFleet8)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_ChaosFleet8Cached(benchmark::State& state) {
-  // Same grid, but trace injection + indexing + baselines are paid once
-  // in the session instead of on every run.
-  const eval::ExperimentConfig cfg = config();
-  const auto suite = eval::standard_policy_suite(cfg.netmaster);
-  static const eval::EvalSession session(chaos_volunteers(0.2), config());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::run_fleet(session, suite));
-  }
-}
-BENCHMARK(BM_ChaosFleet8Cached)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

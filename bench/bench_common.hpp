@@ -1,9 +1,11 @@
 // Shared scaffolding for the figure-regeneration benches.
 //
 // Every bench binary prints the paper figure's series as ASCII tables
-// (and a paper-vs-measured note), then runs its registered
-// google-benchmark timings. Figures are regenerated deterministically
-// from the seed printed in the header.
+// (and a paper-vs-measured note). Figures are regenerated
+// deterministically from the seed printed in the header, and a bench
+// takes no arguments: its output and its JSON counters (all but the
+// scheduler's jobs.steals) are a function of that seed. Timings live
+// in perfbench/, not here.
 //
 // Machine-readable telemetry: everything routed through banner()/
 // emit()/record_scalar() is captured by a process-wide recorder and
@@ -14,8 +16,6 @@
 // NETMASTER_METRICS_OUT to additionally write the JSON-lines metrics
 // snapshot.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -37,7 +37,7 @@ inline constexpr std::uint64_t kDefaultSeed = 42;
 /// Peak resident set size (VmHWM) of this process in bytes, read from
 /// /proc/self/status; 0 when the proc interface is unavailable. Every
 /// bench JSON carries it so footprint regressions show up in the same
-/// dump as the timing ones.
+/// dump as the figures.
 inline std::uint64_t peak_rss_bytes() {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -165,28 +165,28 @@ inline void record_scalar(const std::string& name, double value) {
   recorder().add_scalar(name, value);
 }
 
-/// Dumps the figure JSON and honors NETMASTER_METRICS_OUT. Called by
-/// NETMASTER_BENCH_MAIN — also on the bad-flag path, so partial runs
-/// still leave telemetry behind.
-inline void finalize(const char* argv0) {
-  recorder().write(std::filesystem::path(argv0).filename().string());
+/// The body of every bench's main(): rejects any argument (usage on
+/// stderr, exit 1), prints the figure, then dumps the figure JSON and
+/// honors NETMASTER_METRICS_OUT.
+inline int run_main(int argc, char** argv, void (*print_figure)()) {
+  const std::string name = std::filesystem::path(argv[0]).filename().string();
+  if (argc > 1) {
+    std::cerr << "usage: " << name << "\n"
+              << "a figure bench takes no arguments; it prints the figure "
+                 "for seed "
+              << kDefaultSeed << "\n";
+    return 1;
+  }
+  print_figure();
+  recorder().write(name);
   obs::maybe_export_env();
+  return 0;
 }
 
 }  // namespace netmaster::bench
 
-/// Standard main: print the figure (defined per bench as
-/// `print_figure()`), then run benchmarks, then dump telemetry.
-#define NETMASTER_BENCH_MAIN()                                   \
-  int main(int argc, char** argv) {                              \
-    print_figure();                                              \
-    ::benchmark::Initialize(&argc, argv);                        \
-    const bool bad_args =                                        \
-        ::benchmark::ReportUnrecognizedArguments(argc, argv);    \
-    if (!bad_args) {                                             \
-      ::benchmark::RunSpecifiedBenchmarks();                     \
-    }                                                            \
-    ::benchmark::Shutdown();                                     \
-    ::netmaster::bench::finalize(argv[0]);                       \
-    return bad_args ? 1 : 0;                                     \
+/// Standard main: the figure is defined per bench as `print_figure()`.
+#define NETMASTER_BENCH_MAIN()                                     \
+  int main(int argc, char** argv) {                                \
+    return ::netmaster::bench::run_main(argc, argv, print_figure); \
   }

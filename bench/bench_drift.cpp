@@ -10,7 +10,6 @@
 // detector-on must replay bit-identically to detector-off (no alarms,
 // no refreshes), which the CI smoke asserts from the emitted scalars.
 #include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -230,75 +229,6 @@ void print_figure() {
                "re-stales the freshly adopted model), and the "
                "stationary pair is bit-identical with zero refreshes\n\n";
 }
-
-// ---- Timings: the drift machinery itself. ----------------------------
-
-void BM_DetectorSeedAndMonitor(benchmark::State& state) {
-  // Full detector life-cycle: seed on 14 training days, adopt, then
-  // monitor 35 evaluation days.
-  const eval::ExperimentConfig cfg = config();
-  const eval::VolunteerTraces traces = eval::make_drifting_traces(
-      synth::make_user(kUsers[0].base, 1), cfg,
-      spec_for(synth::DriftKind::kAbrupt, kUsers[0].target));
-  const mining::HourBuckets train_buckets =
-      mining::fold_buckets(traces.training);
-  const mining::HourBuckets eval_buckets = mining::fold_buckets(traces.eval);
-  for (auto _ : state) {
-    mining::DriftDetector detector;
-    detector.observe_all(train_buckets);
-    detector.notify_adapted();
-    detector.observe_all(eval_buckets);
-    benchmark::DoNotOptimize(detector.score());
-  }
-}
-BENCHMARK(BM_DetectorSeedAndMonitor)->Unit(benchmark::kMicrosecond);
-
-void BM_IncrementalFoldDay(benchmark::State& state) {
-  const eval::ExperimentConfig cfg = config();
-  const eval::VolunteerTraces traces = eval::make_traces(
-      synth::make_user(synth::Archetype::kOfficeWorker, 1), cfg);
-  const mining::HourBuckets buckets = mining::fold_buckets(traces.training);
-  const mining::DayContribution day =
-      mining::IncrementalHabitMiner::summarize_day(0, buckets.day(0),
-                                                   buckets.num_apps);
-  mining::IncrementalHabitMiner miner(mining::IncrementalConfig{0.12});
-  for (auto _ : state) {
-    miner.observe_summary(day);
-    benchmark::DoNotOptimize(miner.effective_days(day.kind));
-  }
-}
-BENCHMARK(BM_IncrementalFoldDay)->Unit(benchmark::kNanosecond);
-
-void BM_AdaptiveReplayAbrupt(benchmark::State& state) {
-  const eval::ExperimentConfig cfg = config();
-  const eval::VolunteerTraces traces = eval::make_drifting_traces(
-      synth::make_user(kUsers[0].base, 1), cfg,
-      spec_for(synth::DriftKind::kAbrupt, kUsers[0].target));
-  const engine::TraceIndex index(traces.eval);
-  service::AdaptationConfig adapt;
-  adapt.enable = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        service::run_online(traces.training, traces.eval, index,
-                            cfg.netmaster, adapt));
-  }
-}
-BENCHMARK(BM_AdaptiveReplayAbrupt)->Unit(benchmark::kMillisecond);
-
-void BM_PlainReplayAbrupt(benchmark::State& state) {
-  // The no-adaptation reference for the loop's overhead.
-  const eval::ExperimentConfig cfg = config();
-  const eval::VolunteerTraces traces = eval::make_drifting_traces(
-      synth::make_user(kUsers[0].base, 1), cfg,
-      spec_for(synth::DriftKind::kAbrupt, kUsers[0].target));
-  const engine::TraceIndex index(traces.eval);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        service::run_online(traces.training, traces.eval, index,
-                            cfg.netmaster));
-  }
-}
-BENCHMARK(BM_PlainReplayAbrupt)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

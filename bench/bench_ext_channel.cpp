@@ -7,14 +7,12 @@
 // the gain from the Bartendr-style post-pass that shifts deferred
 // transfers toward good-signal moments.
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
 #include "testkit/signal_model.hpp"
 #include "eval/experiments.hpp"
 #include "policy/baseline.hpp"
 #include "policy/netmaster.hpp"
-#include "policy/oracle.hpp"
 #include "synth/presets.hpp"
 
 namespace {
@@ -81,24 +79,6 @@ void print_figure() {
             << " of NetMaster's signal-adjusted energy (paper: future "
                "work, no reference value)\n\n";
 }
-
-void BM_ChannelAwarePass(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto profile = synth::volunteer_population().front();
-  const eval::VolunteerTraces traces = eval::make_traces(profile, cfg);
-  const policy::NetMasterPolicy nm(traces.training, cfg.netmaster);
-  const sim::PolicyOutcome outcome = nm.run(traces.eval);
-  const channel::SignalTrace signal = channel::SignalTrace::generate(
-      channel::SignalConfig{}, traces.eval.trace_end());
-  for (auto _ : state) {
-    sim::PolicyOutcome copy = outcome;
-    benchmark::DoNotOptimize(channel::apply_channel_awareness(
-        copy, traces.eval, signal, 15 * kMsPerMinute,
-        RadioPowerParams::wcdma()));
-  }
-}
-BENCHMARK(BM_ChannelAwarePass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

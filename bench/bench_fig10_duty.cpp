@@ -78,16 +78,6 @@ void print_figure() {
             << " (paper shape: exponential far below the others)\n\n";
 }
 
-void BM_ExponentialIdleWindow(benchmark::State& state) {
-  const auto cfg = config_for(duty::SleepScheme::kExponential,
-                              30 * kMsPerSecond);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        duty::simulate_idle_window(cfg, {0, kWindowMs}));
-  }
-}
-BENCHMARK(BM_ExponentialIdleWindow);
-
 }  // namespace
 
 NETMASTER_BENCH_MAIN()

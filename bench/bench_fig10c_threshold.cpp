@@ -50,29 +50,6 @@ void print_figure() {
   }
 }
 
-void BM_ThresholdPoint(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto profiles = synth::volunteer_population();
-  for (auto _ : state) {
-    const eval::EvalSession session(profiles, cfg);
-    benchmark::DoNotOptimize(eval::threshold_sweep(session, {0.2}));
-  }
-}
-BENCHMARK(BM_ThresholdPoint)->Unit(benchmark::kMillisecond);
-
-void BM_ThresholdPointCached(benchmark::State& state) {
-  static const eval::EvalSession session = [] {
-    eval::ExperimentConfig cfg;
-    cfg.seed = bench::kDefaultSeed;
-    return eval::EvalSession(synth::volunteer_population(), cfg);
-  }();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::threshold_sweep(session, {0.2}));
-  }
-}
-BENCHMARK(BM_ThresholdPointCached)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 NETMASTER_BENCH_MAIN()

@@ -19,17 +19,12 @@ using namespace netmaster;
 
 constexpr int kDays = 21;  // the paper's 3-week study
 
-TraceSet study_traces() {
-  const auto profiles = synth::study_population();
-  return synth::generate_population(profiles, kDays,
-                                    bench::kDefaultSeed);
-}
-
 void print_figure() {
   bench::banner("Fig. 1 — network activity profiling",
                 "screen-off = 40.98% of activities; p90 rate < 1 kB/s "
                 "(off) / < 5 kB/s (on)");
-  const TraceSet traces = study_traces();
+  const TraceSet traces = synth::generate_population(
+      synth::study_population(), kDays, bench::kDefaultSeed);
 
   eval::Table a({"user", "screen-on frac", "screen-off frac",
                  "screen-off bytes frac"});
@@ -71,23 +66,6 @@ void print_figure() {
             << eval::Table::num(cdf_quantile(off_cdf, 0.9), 2)
             << " kB/s (paper < 1)\n\n";
 }
-
-void BM_TrafficSplit(benchmark::State& state) {
-  const TraceSet traces = study_traces();
-  for (auto _ : state) {
-    for (const UserTrace& t : traces.users) {
-      benchmark::DoNotOptimize(traffic_split(t));
-    }
-  }
-}
-BENCHMARK(BM_TrafficSplit);
-
-void BM_GenerateStudyPopulation(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(study_traces());
-  }
-}
-BENCHMARK(BM_GenerateStudyPopulation);
 
 }  // namespace
 

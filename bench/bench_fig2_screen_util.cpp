@@ -15,15 +15,11 @@ using namespace netmaster;
 
 constexpr int kDays = 21;
 
-TraceSet study_traces() {
-  return synth::generate_population(synth::study_population(), kDays,
-                                    bench::kDefaultSeed);
-}
-
 void print_figure() {
   bench::banner("Fig. 2 — screen-on time utilization",
                 "average radio utilization ratio 45.14%");
-  const TraceSet traces = study_traces();
+  const TraceSet traces = synth::generate_population(
+      synth::study_population(), kDays, bench::kDefaultSeed);
 
   eval::Table t({"user", "avg session (s)", "utilized (s)",
                  "utilization"});
@@ -42,16 +38,6 @@ void print_figure() {
                    util_sum / static_cast<double>(traces.users.size()))
             << "  (paper: 45.14%)\n\n";
 }
-
-void BM_ScreenUtilization(benchmark::State& state) {
-  const TraceSet traces = study_traces();
-  for (auto _ : state) {
-    for (const UserTrace& t : traces.users) {
-      benchmark::DoNotOptimize(screen_utilization(t));
-    }
-  }
-}
-BENCHMARK(BM_ScreenUtilization);
 
 }  // namespace
 

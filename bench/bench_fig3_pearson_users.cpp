@@ -14,15 +14,11 @@ using namespace netmaster;
 
 constexpr int kDays = 21;
 
-TraceSet study_traces() {
-  return synth::generate_population(synth::study_population(), kDays,
-                                    bench::kDefaultSeed);
-}
-
 void print_figure() {
   bench::banner("Fig. 3 — cross-user Pearson matrix",
                 "average 0.1353 (low cross-user correlation)");
-  const TraceSet traces = study_traces();
+  const TraceSet traces = synth::generate_population(
+      synth::study_population(), kDays, bench::kDefaultSeed);
   const mining::CorrelationMatrix m = mining::cross_user_matrix(traces);
 
   std::vector<std::string> headers{"user"};
@@ -42,14 +38,6 @@ void print_figure() {
             << eval::Table::num(m.off_diagonal_mean(), 4)
             << "  (paper: 0.1353)\n\n";
 }
-
-void BM_CrossUserMatrix(benchmark::State& state) {
-  const TraceSet traces = study_traces();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mining::cross_user_matrix(traces));
-  }
-}
-BENCHMARK(BM_CrossUserMatrix);
 
 }  // namespace
 

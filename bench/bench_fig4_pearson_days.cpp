@@ -15,17 +15,14 @@ using namespace netmaster;
 constexpr int kDays = 21;
 constexpr int kMatrixDays = 8;  // the paper's Fig. 4 spans 8 days
 
-UserTrace subject_trace() {
-  // The paper's Fig. 4 subject is user 4; our study population's user 4
-  // is the commuter archetype.
-  const auto profiles = synth::study_population();
-  return synth::generate_trace(profiles[3], kDays, bench::kDefaultSeed);
-}
-
 void print_figure() {
   bench::banner("Fig. 4 — cross-day Pearson matrix (user 4)",
                 "average 0.8171 (high intra-user correlation)");
-  const UserTrace trace = subject_trace();
+  // The paper's Fig. 4 subject is user 4; our study population's user 4
+  // is the commuter archetype.
+  const auto profiles = synth::study_population();
+  const UserTrace trace =
+      synth::generate_trace(profiles[3], kDays, bench::kDefaultSeed);
   const mining::CorrelationMatrix m =
       mining::cross_day_matrix(trace, kMatrixDays);
 
@@ -44,7 +41,6 @@ void print_figure() {
   bench::emit(t);
 
   // The full-study statistic: per-user cross-day mean over all users.
-  const auto profiles = synth::study_population();
   double sum = 0.0;
   for (const auto& profile : profiles) {
     const UserTrace u =
@@ -58,14 +54,6 @@ void print_figure() {
                                 4)
             << " (paper: 0.54)\n\n";
 }
-
-void BM_CrossDayMatrix(benchmark::State& state) {
-  const UserTrace trace = subject_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mining::cross_day_matrix(trace, kMatrixDays));
-  }
-}
-BENCHMARK(BM_CrossDayMatrix);
 
 }  // namespace
 

@@ -16,16 +16,11 @@ using namespace netmaster;
 
 constexpr int kDays = 7;  // the figure covers one week
 
-UserTrace subject_trace() {
-  const auto profiles = synth::study_population();
-  return synth::generate_trace(profiles[2], kDays,
-                               bench::kDefaultSeed);  // user 3
-}
-
 void print_figure() {
   bench::banner("Fig. 5 — one-week program pattern (user 3)",
                 "8 of 23 apps used+networked; top app 59% of usage");
-  const UserTrace trace = subject_trace();
+  const UserTrace trace = synth::generate_trace(
+      synth::study_population()[2], kDays, bench::kDefaultSeed);  // user 3
 
   const auto counts = per_app_usage_counts(trace);
   const auto intensity = per_app_intensity(trace);
@@ -63,14 +58,6 @@ void print_figure() {
                                 static_cast<double>(total))
             << " (paper: 59%)\n\n";
 }
-
-void BM_SpecialAppDetection(benchmark::State& state) {
-  const UserTrace trace = subject_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mining::SpecialApps::detect(trace));
-  }
-}
-BENCHMARK(BM_SpecialAppDetection);
 
 }  // namespace
 

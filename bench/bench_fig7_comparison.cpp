@@ -16,17 +16,13 @@ namespace {
 
 using namespace netmaster;
 
-eval::ExperimentConfig config() {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  return cfg;
-}
-
 void print_figure() {
   bench::banner("Fig. 7 — NetMaster vs baselines (3 volunteers)",
                 "energy -77.8%, radio-on -75.39%, bandwidth x3.84/x2.63, "
                 "oracle gap < 5%");
-  const eval::EvalSession session(synth::volunteer_population(), config());
+  eval::ExperimentConfig cfg;
+  cfg.seed = bench::kDefaultSeed;
+  const eval::EvalSession session(synth::volunteer_population(), cfg);
   const auto results = eval::compare_all(session);
 
   std::cout << "\n(a) radio energy saving\n";
@@ -107,24 +103,6 @@ void print_figure() {
             << eval::Table::num(up / static_cast<double>(results.size()), 2)
             << "x (paper 2.63x); peak ~1x (paper: unchanged)\n\n";
 }
-
-void BM_CompareOneVolunteer(benchmark::State& state) {
-  const auto volunteers = synth::volunteer_population();
-  for (auto _ : state) {
-    const eval::EvalSession session({volunteers.front()}, config());
-    benchmark::DoNotOptimize(eval::compare_all(session));
-  }
-}
-BENCHMARK(BM_CompareOneVolunteer)->Unit(benchmark::kMillisecond);
-
-void BM_CompareAllCached(benchmark::State& state) {
-  static const eval::EvalSession session(synth::volunteer_population(),
-                                         config());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::compare_all(session));
-  }
-}
-BENCHMARK(BM_CompareAllCached)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -21,20 +21,14 @@ using namespace netmaster;
 const std::vector<double> kDelays = {0,  1,  2,  3,   4,   5,   10,
                                      20, 30, 60, 120, 300, 600};
 
-const eval::EvalSession& shared_session() {
-  static const eval::EvalSession session = [] {
-    eval::ExperimentConfig cfg;
-    cfg.seed = bench::kDefaultSeed;
-    return eval::EvalSession(synth::volunteer_population(), cfg);
-  }();
-  return session;
-}
-
 void print_figure() {
   bench::banner("Fig. 8 — delay-interval sweep (0–600 s)",
                 "at 600 s: radio-on -36.7%, energy -9.2%, bandwidth "
                 "+33.05%, affected > 40%");
-  const auto points = eval::delay_sweep(shared_session(), kDelays);
+  eval::ExperimentConfig cfg;
+  cfg.seed = bench::kDefaultSeed;
+  const eval::EvalSession session(synth::volunteer_population(), cfg);
+  const auto points = eval::delay_sweep(session, kDelays);
 
   eval::Table t({"delay (s)", "energy saving", "radio-on reduction",
                  "bandwidth increase", "affected users"});
@@ -56,23 +50,6 @@ void print_figure() {
             << eval::Table::pct(last.affected_fraction)
             << " (paper > 40%)\n\n";
 }
-
-void BM_DelaySweepPointCached(benchmark::State& state) {
-  const eval::EvalSession& session = shared_session();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::delay_sweep(
-        session, {static_cast<double>(state.range(0))}));
-  }
-}
-BENCHMARK(BM_DelaySweepPointCached)->Arg(60)->Unit(benchmark::kMillisecond);
-
-void BM_DelaySweepFullCached(benchmark::State& state) {
-  const eval::EvalSession& session = shared_session();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::delay_sweep(session, kDelays));
-  }
-}
-BENCHMARK(BM_DelaySweepFullCached)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

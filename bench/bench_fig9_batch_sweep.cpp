@@ -18,19 +18,13 @@ using namespace netmaster;
 
 const std::vector<std::size_t> kSizes = {0, 1, 2, 3, 4, 5, 6, 8, 10};
 
-const eval::EvalSession& shared_session() {
-  static const eval::EvalSession session = [] {
-    eval::ExperimentConfig cfg;
-    cfg.seed = bench::kDefaultSeed;
-    return eval::EvalSession(synth::volunteer_population(), cfg);
-  }();
-  return session;
-}
-
 void print_figure() {
   bench::banner("Fig. 9 — batch-size sweep (0–10)",
                 "radio-on -17.7%, bandwidth +17.6%, plateau past 5");
-  const auto points = eval::batch_sweep(shared_session(), kSizes);
+  eval::ExperimentConfig cfg;
+  cfg.seed = bench::kDefaultSeed;
+  const eval::EvalSession session(synth::volunteer_population(), cfg);
+  const auto points = eval::batch_sweep(session, kSizes);
 
   eval::Table t({"batch size", "energy saving", "radio-on reduction",
                  "bandwidth increase", "affected users"});
@@ -51,23 +45,6 @@ void print_figure() {
             << eval::Table::pct(last.bandwidth_increase)
             << " (paper: -17.7% / +17.6%, flat past 5)\n\n";
 }
-
-void BM_BatchSweepPointCached(benchmark::State& state) {
-  const eval::EvalSession& session = shared_session();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::batch_sweep(
-        session, {static_cast<std::size_t>(state.range(0))}));
-  }
-}
-BENCHMARK(BM_BatchSweepPointCached)->Arg(5)->Unit(benchmark::kMillisecond);
-
-void BM_BatchSweepFullCached(benchmark::State& state) {
-  const eval::EvalSession& session = shared_session();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::batch_sweep(session, kSizes));
-  }
-}
-BENCHMARK(BM_BatchSweepFullCached)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -7,7 +7,9 @@
 //   optimum: the paper proves a (1−ε)/2 bound for the FPTAS path and
 //   observes the real gap is far smaller (≤ 11.2% worst case, < 5% in
 //   81.6% of runs);
-// * solver timing across instance sizes and backends (the bench part).
+// * the solver work both studies did: the share of FPTAS solves the
+//   capacity-slack path answered without the DP, and the Algorithm 1
+//   slots that had to be ratio-sorted (EXPERIMENTS.md quotes both).
 //
 // Scalars recorded for CI: `approx_ratio_<backend>` (worst observed
 // Algorithm 1 ratio vs. optimum, asserted ≥ (1−ε)/2 for the guaranteed
@@ -17,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sched/knapsack.hpp"
 #include "sched/overlap.hpp"
 #include "sched/solver.hpp"
@@ -133,62 +136,26 @@ void print_figure() {
   bench::emit(o, "backend_comparison");
   std::cout << "paper: worst observed gap 11.2%, within 5% of optimal in "
                "81.6% of tests\n";
-}
 
-void BM_Fptas(benchmark::State& state) {
-  Rng rng(bench::kDefaultSeed);
-  const auto items =
-      random_items(rng, static_cast<int>(state.range(0)), 60);
-  // About half the expected total weight (mean item weight 30.5), so
-  // capacity binds and the DP runs instead of the capacity-slack path.
-  const std::int64_t cap = 15 * state.range(0);
-  const double eps = static_cast<double>(state.range(1)) / 100.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::knapsack_fptas(items, cap, eps));
-  }
+  // Solver work of both studies above, from the sched counters. Their
+  // capacities are drawn to bind, so the capacity-slack path and the
+  // skipped ratio sort fire far less often than on trace workloads.
+  const auto count = [](const char* name) {
+    return obs::Registry::global().counter(name).value();
+  };
+  const std::uint64_t solves = count("sched.knapsack.solves");
+  const std::uint64_t slack = count("sched.knapsack.slack");
+  std::cout << "\nSolver work (both studies)\n";
+  eval::Table w({"FPTAS solves", "capacity slack", "slack share",
+                 "Algorithm 1 slots", "ratio-sorted slots"});
+  w.add_row({std::to_string(solves), std::to_string(slack),
+             eval::Table::pct(solves > 0 ? static_cast<double>(slack) /
+                                               static_cast<double>(solves)
+                                         : 0.0),
+             std::to_string(count("sched.solver.slots")),
+             std::to_string(count("sched.solver.slot_sorts"))});
+  bench::emit(w, "solver_work");
 }
-// Sizes stay inside the kernel's 4e8-cell choice-table guard (the
-// table grows as n^2/eps).
-BENCHMARK(BM_Fptas)
-    ->Args({50, 10})
-    ->Args({200, 10})
-    ->Args({400, 10})
-    ->Args({200, 2})
-    ->Args({200, 50})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ExactDp(benchmark::State& state) {
-  Rng rng(bench::kDefaultSeed);
-  const auto items =
-      random_items(rng, static_cast<int>(state.range(0)), 60);
-  const std::int64_t cap = 40 * state.range(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::knapsack_exact(items, cap));
-  }
-}
-BENCHMARK(BM_ExactDp)->Arg(50)->Arg(200)->Unit(benchmark::kMicrosecond);
-
-/// Args: {items, backend index into kBackends}. Reuses one workspace —
-/// the steady state the fleet path runs in.
-void BM_Algorithm1(benchmark::State& state) {
-  Rng rng(bench::kDefaultSeed);
-  const auto inst =
-      random_overlap(rng, static_cast<int>(state.range(0)), 8);
-  sched::SolverOptions options;
-  options.choice = kBackends[static_cast<std::size_t>(state.range(1))];
-  sched::SchedWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::solve_overlapped(inst.slots, inst.items, options, ws));
-  }
-}
-BENCHMARK(BM_Algorithm1)
-    ->Args({50, 0})
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({200, 2})
-    ->Args({200, 3})
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -19,7 +19,6 @@
 //   * wcdma_bit_identical == 1 — the sweep's WCDMA single-radio column
 //     equals a plain run_fleet through the seed configuration bit for
 //     bit (the generalized accounting path reproduces the golden).
-#include <cmath>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -42,17 +41,6 @@ struct RadioPoint {
   RadioModel cellular;
   bool wifi_offload = false;
 };
-
-std::vector<RadioPoint> radio_points() {
-  return {
-      {"WCDMA", RadioModel::wcdma(), false},
-      {"WCDMA+WiFi", RadioModel::wcdma(), true},
-      {"LTE", RadioModel::lte_cdrx(), false},
-      {"LTE+WiFi", RadioModel::lte_cdrx(), true},
-      {"NR", RadioModel::nr_cdrx(), false},
-      {"NR+WiFi", RadioModel::nr_cdrx(), true},
-  };
-}
 
 /// Roster of one point: a baseline column and a NetMaster column, both
 /// accounted under the point's radio models.
@@ -119,7 +107,14 @@ void print_figure() {
   cfg.seed = bench::kDefaultSeed;
   const eval::EvalSession session(synth::streaming_population(), cfg);
 
-  const std::vector<RadioPoint> points = radio_points();
+  const std::vector<RadioPoint> points = {
+      {"WCDMA", RadioModel::wcdma(), false},
+      {"WCDMA+WiFi", RadioModel::wcdma(), true},
+      {"LTE", RadioModel::lte_cdrx(), false},
+      {"LTE+WiFi", RadioModel::lte_cdrx(), true},
+      {"NR", RadioModel::nr_cdrx(), false},
+      {"NR+WiFi", RadioModel::nr_cdrx(), true},
+  };
   const std::vector<PointResult> results = eval::sweep(
       session, points,
       [&](const RadioPoint& p) { return point_roster(cfg, p); },
@@ -180,20 +175,6 @@ void print_figure() {
                "single-radio row; bulk podcast downloads offload, tiny "
                "syncs stay cellular\n\n";
 }
-
-void BM_MultiradioSweep(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const eval::EvalSession session(synth::streaming_population(), cfg);
-  const std::vector<RadioPoint> points = radio_points();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::sweep(
-        session, points,
-        [&](const RadioPoint& p) { return point_roster(cfg, p); },
-        reduce_point));
-  }
-}
-BENCHMARK(BM_MultiradioSweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

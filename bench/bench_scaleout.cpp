@@ -3,8 +3,7 @@
 // The paper's evaluation covers 3 volunteers and promises to "recruit
 // more volunteers" — here we scale the synthetic population to 8/16/32
 // diverse users and report the distribution of NetMaster's saving (and
-// its battery-life meaning), plus the thread-scaling of the experiment
-// harness itself. Both run on the one fleet evaluation path: an
+// its battery-life meaning), on the one fleet evaluation path: an
 // eval::EvalSession over per-user-seeded traces, then eval::run_fleet.
 #include <algorithm>
 #include <cstdint>
@@ -22,12 +21,6 @@ namespace {
 
 using namespace netmaster;
 
-eval::ExperimentConfig config() {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  return cfg;
-}
-
 /// N users cycling through the archetypes; user i's traces are
 /// synthesized from seed + i.
 std::vector<eval::VolunteerTraces> population(
@@ -44,18 +37,6 @@ std::vector<eval::VolunteerTraces> population(
   return volunteers;
 }
 
-/// The figure's one policy column; the stock reference is the
-/// session's baseline report.
-std::vector<eval::PolicySpec> netmaster_suite(
-    const eval::ExperimentConfig& cfg) {
-  std::vector<eval::PolicySpec> suite =
-      eval::standard_policy_suite(cfg.netmaster);
-  std::erase_if(suite, [](const eval::PolicySpec& spec) {
-    return spec.name != "netmaster";
-  });
-  return suite;
-}
-
 void print_figure() {
   bench::banner("Extension — population scale-out",
                 "saving distribution over 8/16/32 diverse users "
@@ -63,8 +44,15 @@ void print_figure() {
   eval::Table t({"users", "saving mean", "saving min", "saving max",
                  "stddev", "worst affected", "battery/day stock",
                  "battery/day netmaster"});
-  const eval::ExperimentConfig cfg = config();
-  const auto suite = netmaster_suite(cfg);
+  eval::ExperimentConfig cfg;
+  cfg.seed = bench::kDefaultSeed;
+  // The figure's one policy column; the stock reference is the
+  // session's baseline report.
+  std::vector<eval::PolicySpec> suite =
+      eval::standard_policy_suite(cfg.netmaster);
+  std::erase_if(suite, [](const eval::PolicySpec& spec) {
+    return spec.name != "netmaster";
+  });
   for (int n : {8, 16, 32}) {
     const eval::EvalSession session(population(n, cfg), cfg);
     const eval::FleetReport report = eval::run_fleet(session, suite);
@@ -92,27 +80,6 @@ void print_figure() {
   std::cout << "expected shape: savings hold across a diverse "
                "population; interrupts stay < 1% for every user\n\n";
 }
-
-/// Session build and NetMaster grid over 16 users at 1/2/4/8 threads.
-/// Trace synthesis runs once, outside the timed loop.
-void BM_Population16(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const eval::ExperimentConfig cfg = config();
-  const auto suite = netmaster_suite(cfg);
-  const std::vector<eval::VolunteerTraces> volunteers = population(16, cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::run_fleet(
-        eval::EvalSession(volunteers, cfg, threads), suite, threads));
-  }
-}
-BENCHMARK(BM_Population16)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace
 

@@ -41,18 +41,6 @@ void print_figure() {
             << eval::Table::pct(worst, 2) << " (paper: < 1%)\n\n";
 }
 
-void BM_NetMasterRun(benchmark::State& state) {
-  eval::ExperimentConfig cfg;
-  cfg.seed = bench::kDefaultSeed;
-  const auto profile = synth::volunteer_population().front();
-  const eval::VolunteerTraces traces = eval::make_traces(profile, cfg);
-  const policy::NetMasterPolicy policy(traces.training, cfg.netmaster);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.run(traces.eval));
-  }
-}
-BENCHMARK(BM_NetMasterRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 NETMASTER_BENCH_MAIN()

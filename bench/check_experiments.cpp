@@ -53,11 +53,7 @@ const Unprinted kUnprinted[] = {
     {"capacity slack", "100",
      "slack share from the sched.knapsack counters of the trace workloads; "
      "no figure table prints it"},
-    {"capacity slack", "56",
-     "bench_knapsack_quality's slack share is a work counter, not a table"},
     {"capacity slack", "0", "sched.solver.slot_sorts counter of perfbench"},
-    {"capacity slack", "89990",
-     "sched.solver.slot_sorts counter of bench_knapsack_quality"},
 };
 
 /// A decimal number as written: its digits without the point, and how

@@ -3,11 +3,8 @@
 # is kept next to the build for diffing.
 #
 #   cmake -DEXAMPLE=<binary> -DGOLDEN=<file> -DACTUAL=<file> \
-#         ["-DARGS=<arg|arg|...>"] -P compare_golden.cmake
-#
-# ARGS are passed to the binary.
-string(REPLACE "|" ";" args "${ARGS}")
-execute_process(COMMAND ${EXAMPLE} ${args} OUTPUT_FILE ${ACTUAL}
+#         -P compare_golden.cmake
+execute_process(COMMAND ${EXAMPLE} OUTPUT_FILE ${ACTUAL}
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${EXAMPLE} exited with ${status}")

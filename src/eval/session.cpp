@@ -66,31 +66,25 @@ EvalSession::EvalSession(const std::vector<synth::UserProfile>& profiles,
       store_(std::make_unique<UserStore>(config.store)),
       users_(profiles.size()) {
   store_->resize(profiles.size());
-  // Per-user trace_gen -> prepare chains: generation admits the traces
-  // and hands the Pin admission returns to its prepare, which runs next
-  // on the same worker unless an idle one steals it (a finer grain at
-  // the tail than one task per user). A user whose synthesis finishes
-  // early prepares at once; it never waits for the slowest generator.
+  // One task per user: synthesize and admit its traces, then prepare
+  // from the Pin the admission returned. A user whose synthesis
+  // finishes early prepares at once; it never waits for the slowest
+  // generator.
   jobs::TaskGraph graph;
-  std::vector<UserStore::Pin> admitted(users_.size());
   for (std::size_t u = 0; u < users_.size(); ++u) {
-    const synth::UserProfile& profile = profiles[u];
-    const jobs::TaskId gen = graph.add([this, u, &profile, &admitted] {
-      const obs::SpanScope gen_span("fleet.trace_gen");
+    graph.add([this, u, &profile = profiles[u]] {
       users_[u].id = profile.id;
       users_[u].profile_name = profile.name;
+      UserStore::Pin pin;
       try {
-        admitted[u] = store_->admit(u, make_traces(profile, config_));
+        const obs::SpanScope gen_span("fleet.trace_gen");
+        pin = store_->admit(u, make_traces(profile, config_));
       } catch (const std::exception& e) {
         users_[u].prep_error = e.what();
+        return;
       }
+      prepare_user(u, pin);
     });
-    const jobs::TaskId prep = graph.add([this, u, &admitted] {
-      if (!users_[u].prep_error.empty()) return;
-      prepare_user(u, admitted[u]);
-      admitted[u] = {};
-    });
-    graph.add_dependency(gen, prep);
   }
   run_set_up(graph, max_threads, *store_);
 }

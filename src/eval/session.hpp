@@ -90,8 +90,7 @@ VolunteerTraces make_drifting_traces(const synth::UserProfile& profile,
 class EvalSession {
  public:
   /// Synthesizes, splits, indexes and baseline-accounts every profile
-  /// on the work-stealing pool as independent per-user
-  /// trace_gen -> prepare chains. A
+  /// on the work-stealing pool, one independent task per user. A
   /// profile whose synthesis, spill or preparation throws is marked
   /// failed (`ok(u)` false) — construction itself never throws on bad
   /// user data or a failing spill directory.

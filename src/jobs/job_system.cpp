@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <limits>
 
 #include "common/error.hpp"
@@ -20,7 +21,6 @@ struct JobMetrics {
   obs::Counter& tasks;
   obs::Counter& steals;
   obs::Counter& graphs;
-  obs::Counter& cancelled;
   obs::Gauge& queue_depth;
   obs::Histogram& worker_utilization;
 
@@ -29,7 +29,6 @@ struct JobMetrics {
         obs::Registry::global().counter("jobs.tasks"),
         obs::Registry::global().counter("jobs.steals"),
         obs::Registry::global().counter("jobs.graphs"),
-        obs::Registry::global().counter("jobs.cancelled"),
         obs::Registry::global().gauge("jobs.queue_depth"),
         obs::Registry::global().histogram("jobs.worker_utilization",
                                           obs::fraction_bounds()),
@@ -52,28 +51,10 @@ thread_local WorkerTls g_worker_tls;
 // ---------------------------------------------------------------------------
 // TaskGraph
 
-TaskId TaskGraph::add(std::function<void()> fn) {
+void TaskGraph::add(std::function<void()> fn) {
   NM_REQUIRE(!ran_, "TaskGraph::add after the graph ran");
   NM_REQUIRE(static_cast<bool>(fn), "TaskGraph::add requires a callable");
-  tasks_.emplace_back();
-  tasks_.back().fn = std::move(fn);
-  return tasks_.size() - 1;
-}
-
-TaskId TaskGraph::add_after(std::initializer_list<TaskId> deps,
-                            std::function<void()> fn) {
-  const TaskId id = add(std::move(fn));
-  for (const TaskId dep : deps) add_dependency(dep, id);
-  return id;
-}
-
-void TaskGraph::add_dependency(TaskId before, TaskId after) {
-  NM_REQUIRE(!ran_, "TaskGraph::add_dependency after the graph ran");
-  NM_REQUIRE(before < tasks_.size() && after < tasks_.size(),
-             "TaskGraph dependency references an unknown task");
-  NM_REQUIRE(before != after, "a task cannot depend on itself");
-  tasks_[after].pending.fetch_add(1, std::memory_order_relaxed);
-  tasks_[before].dependents.push_back(static_cast<std::uint32_t>(after));
+  tasks_.push_back(std::move(fn));
 }
 
 void TaskGraph::prepare(unsigned num_slots) {
@@ -88,26 +69,6 @@ void TaskGraph::prepare(unsigned num_slots) {
   for (std::size_t w = 0; w < num_slots; ++w) {
     busy_ns_[w].store(0, std::memory_order_relaxed);
   }
-
-  // Acyclicity check (Kahn): a cycle would make the run hang forever,
-  // so it is rejected up front, deterministically.
-  std::vector<std::uint32_t> pending(tasks_.size());
-  std::vector<std::uint32_t> ready;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    pending[i] = tasks_[i].pending.load(std::memory_order_relaxed);
-    if (pending[i] == 0) ready.push_back(static_cast<std::uint32_t>(i));
-  }
-  std::size_t visited = 0;
-  while (!ready.empty()) {
-    const std::uint32_t v = ready.back();
-    ready.pop_back();
-    ++visited;
-    for (const std::uint32_t d : tasks_[v].dependents) {
-      if (--pending[d] == 0) ready.push_back(d);
-    }
-  }
-  NM_REQUIRE(visited == tasks_.size(),
-             "task graph contains a dependency cycle");
 }
 
 void TaskGraph::record_error(std::size_t index) noexcept {
@@ -118,24 +79,19 @@ void TaskGraph::record_error(std::size_t index) noexcept {
   }
 }
 
-void TaskGraph::finish() {
-  if (wall_ms_ > 0.0) {
+void TaskGraph::finish(double wall_ms) {
+  if (wall_ms > 0.0) {
     JobMetrics& metrics = JobMetrics::get();
     for (std::size_t w = 0; w < num_slots_; ++w) {
       const double busy =
           static_cast<double>(busy_ns_[w].load(std::memory_order_relaxed)) *
           1e-6;
       if (busy > 0.0) {
-        metrics.worker_utilization.add(std::min(1.0, busy / wall_ms_));
+        metrics.worker_utilization.add(std::min(1.0, busy / wall_ms));
       }
     }
   }
   if (first_error_) std::rethrow_exception(first_error_);
-}
-
-bool TaskGraph::was_cancelled(TaskId id) const {
-  NM_REQUIRE(id < tasks_.size(), "was_cancelled task id out of range");
-  return tasks_[id].cancelled.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,19 +136,8 @@ void WorkerPool::notify_all_workers() {
   wake_cv_.notify_all();
 }
 
-void WorkerPool::push_local(unsigned slot, const Item& item) {
-  {
-    const std::lock_guard<std::mutex> lock(deques_[slot]->mutex);
-    deques_[slot]->items.push_front(item);
-  }
-  queued_.fetch_add(1, std::memory_order_release);
-  JobMetrics::get().queue_depth.add(1.0);
-  { const std::lock_guard<std::mutex> lock(wake_mutex_); }
-  wake_cv_.notify_one();
-}
-
 bool WorkerPool::try_pop(unsigned slot, Item& out) {
-  // Own deque first, from the front (continuations LIFO, seeds FIFO).
+  // Own deque first, from the front (submission order).
   {
     WorkerDeque& own = *deques_[slot];
     const std::lock_guard<std::mutex> lock(own.mutex);
@@ -223,32 +168,17 @@ bool WorkerPool::try_pop(unsigned slot, Item& out) {
 
 void WorkerPool::execute(const Item& item, unsigned slot) {
   TaskGraph& graph = *item.graph;
-  TaskGraph::Task& task = graph.tasks_[item.task];
-  JobMetrics& metrics = JobMetrics::get();
-
   const auto t0 = Clock::now();
-  bool poisoned = task.cancelled.load(std::memory_order_relaxed);
-  if (poisoned) {
-    metrics.cancelled.add(1);
-  } else {
-    try {
-      task.fn();
-    } catch (...) {
-      graph.record_error(item.task);
-      poisoned = true;
-    }
-  }
-  // Poison propagates *before* dependents can be released below.
-  if (poisoned) {
-    for (const std::uint32_t d : task.dependents) {
-      graph.tasks_[d].cancelled.store(true, std::memory_order_relaxed);
-    }
+  try {
+    graph.tasks_[item.task]();
+  } catch (...) {
+    graph.record_error(item.task);
   }
   const std::int64_t busy_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count();
   graph.busy_ns_[slot].fetch_add(busy_ns, std::memory_order_relaxed);
-  metrics.tasks.add(1);
+  JobMetrics::get().tasks.add(1);
 
   // Pool workers never exit, so per-thread span aggregates must merge
   // before this task counts as complete — a snapshot taken after run()
@@ -256,12 +186,6 @@ void WorkerPool::execute(const Item& item, unsigned slot) {
   // fan-out provides for free).
   obs::flush_thread_spans();
 
-  for (const std::uint32_t d : task.dependents) {
-    if (graph.tasks_[d].pending.fetch_sub(1, std::memory_order_acq_rel) ==
-        1) {
-      push_local(slot, Item{&graph, d});
-    }
-  }
   if (graph.remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     graph.done_.store(true, std::memory_order_release);
     notify_all_workers();
@@ -290,26 +214,18 @@ void WorkerPool::run(TaskGraph& graph) {
   JobMetrics& metrics = JobMetrics::get();
   metrics.graphs.add(1);
   graph.prepare(num_workers_);
-  if (graph.size() == 0) {
-    graph.wall_ms_ = 0.0;
-    return;
-  }
+  if (graph.size() == 0) return;
 
-  // Seed the initial ready set round-robin by submission index: pushed
-  // to the *back*, so each owner drains its seeds in index order while
-  // thieves take from the opposite end.
-  std::size_t seeded = 0;
+  // Seed every task round-robin by submission index: pushed to the
+  // *back*, so each owner drains its seeds in index order while thieves
+  // take from the opposite end.
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    if (graph.tasks_[i].pending.load(std::memory_order_relaxed) != 0) {
-      continue;
-    }
     WorkerDeque& dq = *deques_[i % num_workers_];
     const std::lock_guard<std::mutex> lock(dq.mutex);
     dq.items.push_back(Item{&graph, static_cast<std::uint32_t>(i)});
-    ++seeded;
   }
-  queued_.fetch_add(seeded, std::memory_order_release);
-  metrics.queue_depth.add(static_cast<double>(seeded));
+  queued_.fetch_add(graph.size(), std::memory_order_release);
+  metrics.queue_depth.add(static_cast<double>(graph.size()));
   notify_all_workers();
 
   // Participate: the caller is worker slot 0 (or keeps its own slot
@@ -332,10 +248,9 @@ void WorkerPool::run(TaskGraph& graph) {
     });
   }
 
-  graph.wall_ms_ =
+  graph.finish(
       std::chrono::duration<double, std::milli>(Clock::now() - start)
-          .count();
-  graph.finish();
+          .count());
 }
 
 void run_graph(TaskGraph& graph, unsigned max_threads) {
